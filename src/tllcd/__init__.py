@@ -6,6 +6,7 @@ Modules:
     model     TLL parameters, couplings, spectrum, oscillator mapping
     control   schedules, CD amplitudes, stability and auxiliary formulas
     protocol  drive protocol and the speed-window criteria
+    integrator fourth-order Magnus integration of all pairs at once
     dynamics  per-pair time evolution, observables, sweeps
     fock      truncated-Fock brute-force oracle (validation only)
     cli       tll-cd-sim command line and file I/O
@@ -13,7 +14,6 @@ Modules:
 
 __version__ = "0.1.0"
 
-from ._backend import HAVE_KERNEL, kernel_enabled
 from .control import (
     ControlledCoefficients,
     Schedule,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dynamics, fock, su11
+from . import __version__, dynamics, integrator, su11
 from .control import Schedule, ScheduleKind
 from .errors import (
     CDInstabilityError,
@@ -59,6 +59,8 @@ _DEFAULTS = {
     "sound_velocity": 0.0,
     "tf_list": "",
 }
+
+_POSITIVE_KEYS = ("L", "v_F", "rtol", "atol")
 
 _CONVERT = {
     "family": str,
@@ -104,7 +106,7 @@ class RunConfig:
                 parts = chunk.split(":")
                 if len(parts) != 3:
                     raise ConfigError(f"bad table row '{chunk}' (want p:g2:g4)")
-                rows.append(tuple(float(x) for x in parts))
+                rows.append(tuple(_finite(x, "table entry") for x in parts))
             table = tuple(rows)
         return CouplingSpec(
             family=CouplingFamily(self.family),
@@ -130,9 +132,27 @@ class RunConfig:
         )
 
     def tf_values(self):
-        if not self.tf_list:
-            return []
-        return [float(x) for x in self.tf_list.split(",")]
+        return parse_tf_list(self.tf_list)
+
+
+def parse_tf_list(text: str) -> list:
+    """Comma-separated final times; each must be finite and positive."""
+    if not text:
+        return []
+    values = [_finite(x, "tf_list entry") for x in text.split(",")]
+    if any(t <= 0 for t in values):
+        raise ConfigError(f"tf_list entries must be positive, got '{text}'")
+    return values
+
+
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} '{text.strip()}': {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got '{text.strip()}'")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -165,6 +185,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+    for key in _POSITIVE_KEYS:
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
+    if cfg.n_modes < 1 or cfg.record_points < 2:
+        raise ConfigError("n_modes must be >= 1 and record_points >= 2")
+    cfg.tf_values()  # raises ConfigError on a bad entry
     if cfg.family not in {f.value for f in CouplingFamily}:
         raise ConfigError(f"unknown coupling family '{cfg.family}'")
     if cfg.schedule not in {k.value for k in ScheduleKind if k != ScheduleKind.CUSTOM_SAMPLES}:
@@ -179,7 +209,10 @@ def _validate_config(cfg: RunConfig) -> None:
     for progress in (0.0, 0.5, 1.0):
         coupling = cfg.coupling()
         g2, g4 = coupling.values(2 * math.pi / cfg.L, progress)
-        luttinger_params(g2, g4, cfg.v_F)
+        try:
+            luttinger_params(g2, g4, cfg.v_F)
+        except OverflowError as exc:
+            raise ConfigError(f"couplings out of range: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -275,6 +308,14 @@ def write_manifest(path, cfg: RunConfig, result, mode_errors=(), failure=None) -
             lines.append(f"stability.t_adiabatic = {_fmt(report.t_adiabatic)}")
         except ContractError as exc:
             lines.append(f"stability.error = {exc}")
+    if result is not None:
+        facts = result.integration
+        lines.append(f"integrator = {integrator.NAME}")
+        lines.append(f"integrator.substeps = {facts.substeps}")
+        lines.append(f"integrator.error_estimate = {_fmt(facts.error_estimate)}")
+        lines.append(
+            f"integrator.max_invariant_defect = {_fmt(facts.max_invariant_defect)}"
+        )
     if cfg.units == "experimental":
         lines.append("units.length = um")
         lines.append("units.time = ms")
@@ -317,6 +358,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg.t_f = args.tf
     if getattr(args, "modes", None) is not None:
         cfg.n_modes = args.modes
+    _validate_config(cfg)
     return cfg
 
 
@@ -370,7 +412,7 @@ def cmd_sweep(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     tf_values = cfg.tf_values()
     if args.tf_list:
-        tf_values = [float(x) for x in args.tf_list.split(",")]
+        tf_values = parse_tf_list(args.tf_list)
     if not tf_values:
         raise ConfigError("sweep needs tf_list in config or --tf-list")
     if cfg.t_f <= 0:
@@ -407,6 +449,7 @@ def cmd_validate(args) -> int:
 def run_validation_suite(verbose: bool = False) -> int:
     """Oracle cross-checks: Gaussian formulas and integrator conventions
     against the truncated-Fock reference.  Returns the failure count."""
+    from . import fock
     from .model import PairCoefficients
 
     checks = []

@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import su11
-from ._backend import integrate_pair
 from .errors import CDInstabilityError, ContractError
+from .integrator import IntegrationReport, integrate_modes
 from .model import PairCoefficients, instantaneous_spectrum
 from .protocol import DriveProtocol
 from .su11 import BogoliubovMap
@@ -55,11 +54,6 @@ class ModeTrajectory:
     # phase of the evolved annihilator, stripped from the stored maps so
     # that map composition acts on physical squeeze content only
     annihilator_phase: np.ndarray = None
-
-
-def pair_generator(p: float, t: float, protocol: DriveProtocol) -> PairCoefficients:
-    """(omega, g, chi) of the pair at (p, t); chi = 0 with CD off."""
-    return protocol.pair_generator(p, t)
 
 
 def quasiparticle_frame(state: BogoliubovMap, eta_t: float) -> BogoliubovMap:
@@ -111,8 +105,30 @@ def evolve_pair(
     """
     su11.check_map(initial)
     times = np.linspace(0.0, protocol.t_f, record_points)
-    u, v = integrate_pair(protocol, p, times, rtol, atol, initial.u, initial.v)
+    u, v, _ = integrate_protocol(protocol, [p], times, rtol, atol, initial)
+    return _trajectory(p, times, u[0], v[0], protocol, initial_occupation)
 
+
+def integrate_protocol(
+    protocol: DriveProtocol, momenta, times, rtol, atol, initial=su11.IDENTITY
+):
+    """(u, v, IntegrationReport) of every pair in `momenta` (rows) on the
+    record grid `times` (columns), all started from the map `initial`, in
+    one Magnus pass."""
+    momenta = np.asarray(momenta, dtype=float)
+    start = np.ones(len(momenta), dtype=complex)
+    return integrate_modes(
+        lambda t: protocol.coefficients(momenta, t),
+        times,
+        initial.u * start,
+        initial.v * start,
+        rtol,
+        atol,
+    )
+
+
+def _trajectory(p, times, u, v, protocol, initial_occupation=0.0) -> ModeTrajectory:
+    """Trajectory of one pair from its integrated (u, v) on the record grid."""
     # the overall annihilator phase (u, v) -> e^{i theta}(u, v) labels the
     # same state; strip it so maps compose as pure squeeze content
     phases = np.angle(u)
@@ -134,11 +150,17 @@ def evolve_pair(
     vs_over_vf = np.array(
         [protocol.luttinger(p, t).v_s / protocol.v_F for t in times]
     )
-    traj.sigma_integral = cumulative_trapezoid(vs_over_vf, times, initial=0.0)
+    traj.sigma_integral = _cumulative_trapezoid(vs_over_vf, times)
     omega0, g0 = protocol.pair_frequencies(p, 0.0)
     eps0 = instantaneous_spectrum(omega0, g0)
     traj.phase = -eps0 * initial_occupation * traj.sigma_integral
     return traj
+
+
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y(x), starting at 0."""
+    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def _observe(p, t, state, protocol: DriveProtocol) -> ObservableRecord:
@@ -206,6 +228,7 @@ class SimulationResult:
     v_s: np.ndarray
     K: np.ndarray
     min_margin: float
+    integration: IntegrationReport
 
 
 def run_simulation(
@@ -220,13 +243,13 @@ def run_simulation(
 
     protocol.validate()
     times = np.linspace(0.0, protocol.t_f, record_points)
+    momenta = protocol.momenta()
+    u_all, v_all, integration = integrate_protocol(protocol, momenta, times, rtol, atol)
     trajectories = []
     total_residual = np.zeros_like(times)
     total_energy = np.zeros_like(times)
-    for p in protocol.momenta():
-        traj = evolve_pair(
-            p, protocol, rtol=rtol, atol=atol, record_points=record_points
-        )
+    for p, u, v in zip(momenta, u_all, v_all):
+        traj = _trajectory(p, times, u, v, protocol)
         trajectories.append(traj)
         for i, rec in enumerate(traj.records):
             total_residual[i] += rec.residual_energy
@@ -245,6 +268,7 @@ def run_simulation(
         v_s=np.array([l.v_s for l in lutt]),
         K=np.array([l.K for l in lutt]),
         min_margin=report.margin,
+        integration=integration,
     )
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ContractError, IntegrationError
 from .model import PairCoefficients
@@ -108,6 +107,8 @@ def evolve_fock(
     Returns one FockState per output time; runs whose tail mass ever exceeds
     the threshold are flagged cutoff-unsafe instead of silently truncated.
     """
+    from scipy.integrate import solve_ivp
+
     if abs(initial.norm - 1.0) > 1e-9:
         raise ContractError("initial Fock state must be normalized")
     n_max = initial.n_max

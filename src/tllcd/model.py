@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +81,17 @@ class CouplingSpec:
         g2_p, g4_p = self._table_values(p)
         return g2_p, g4_p
 
-    def _table_values(self, p: float):
+    @cached_property
+    def table_arrays(self):
+        """(p, g2, g4) columns of the table sorted by p, built once per spec."""
         rows = sorted(self.table)
         ps = np.array([r[0] for r in rows])
         g2s = np.array([r[1] for r in rows])
         g4s = np.array([r[2] for r in rows])
+        return ps, g2s, g4s
+
+    def _table_values(self, p: float):
+        ps, g2s, g4s = self.table_arrays
         return float(np.interp(p, ps, g2s)), float(np.interp(p, ps, g4s))
 
 

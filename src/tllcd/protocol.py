@@ -19,7 +19,7 @@ from .control import (
     schedule_value,
     spectrum_with_cd,
 )
-from .errors import ContractError
+from .errors import ContractError, LuttingerInstabilityError
 from .model import TWO_PI, CouplingFamily, CouplingSpec, PairCoefficients
 
 STABILITY_GRID_POINTS = 2001
@@ -85,6 +85,60 @@ class DriveProtocol:
     def pair_generator(self, p: float, t: float) -> PairCoefficients:
         omega, g = self.pair_frequencies(p, t)
         return PairCoefficients(omega, g, self.chi(p, t))
+
+    def coefficients(self, p, t):
+        """(omega, g, chi) as arrays over p[:, None] x t[None, :].
+
+        Array form of `pair_generator` for every coupling family and
+        schedule, written with the same expressions so that both agree to
+        roundoff; `pair_generator` stays the scalar reference.
+        """
+        p = np.atleast_1d(np.asarray(p, dtype=float))[:, None]
+        s = np.atleast_1d(np.asarray(t, dtype=float))[None, :] / self.t_f
+        if np.any(p <= 0):
+            raise ContractError("pair momentum must be positive")
+        if np.any((s < 0.0) | (s > 1.0)):
+            raise ContractError("schedule argument outside [0, 1]")
+        kind = self.schedule.kind
+        if kind == ScheduleKind.POLY5:
+            P = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+            dP = 30.0 * s * s * (1.0 - s) ** 2
+        elif kind == ScheduleKind.LINEAR:
+            P, dP = s, np.ones_like(s)
+        else:
+            xs, ys = (np.array(col) for col in zip(*sorted(self.schedule.samples)))
+            i = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, len(xs) - 2)
+            dP = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+            P = ys[i] + dP * (s - xs[i])
+
+        c = self.coupling
+        if c.family == CouplingFamily.CONTACT:
+            g2 = c.g2_start + (c.g2_end - c.g2_start) * P
+            g4 = c.g4_start + (c.g4_end - c.g4_start) * P
+            dg2 = (c.g2_end - c.g2_start) * dP / self.t_f
+            dg4 = (c.g4_end - c.g4_start) * dP / self.t_f
+        elif c.family == CouplingFamily.LORENTZIAN:
+            damp = np.exp(-c.R0 * np.abs(p))
+            g2 = g4 = (c.g2_start + (c.g2_end - c.g2_start) * P) * damp
+            dg2 = dg4 = (c.g2_end - c.g2_start) * damp * dP / self.t_f
+        else:
+            ps, g2s, g4s = c.table_arrays
+            g2_p, g4_p = np.interp(p, ps, g2s), np.interp(p, ps, g4s)
+            g2, g4 = g2_p * P, g4_p * P
+            dg2, dg4 = g2_p * dP / self.t_f, g4_p * dP / self.t_f
+
+        omega = p * (self.v_F + g4 / TWO_PI)
+        g = p * g2 / TWO_PI
+        if not self.cd_enabled:
+            return omega, g, np.zeros_like(omega)
+        a = TWO_PI * self.v_F + g4
+        denom = a * a - g2 * g2
+        if np.any(denom <= 0):
+            raise LuttingerInstabilityError(
+                "luttinger-instability: (2 pi v_F + g4)^2 <= g2^2"
+            )
+        chi = 0.5 * (dg4 * g2 - dg2 * a) / denom
+        return omega, g, np.broadcast_to(chi, omega.shape)
 
     def with_tf(self, t_f: float) -> "DriveProtocol":
         return replace(self, t_f=t_f)

@@ -4,8 +4,13 @@ byte stability."""
 import math
 from pathlib import Path
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tllcd import cli
 from tllcd.cli import (
@@ -16,7 +21,7 @@ from tllcd.cli import (
     parse_config,
     run_validation_suite,
 )
-from tllcd.errors import ConfigError
+from tllcd.errors import ConfigError, ContractError
 
 GOOD_CONFIG = """
 # reference contact ramp, small for test speed
@@ -72,6 +77,75 @@ def test_parse_config_rejects_unstable_endpoint():
         parse_config(f"g2_end = {2 * math.pi + 1:.3f}\nt_f = 1.0\n")
 
 
+FLOAT_KEYS = sorted(k for k, v in cli._DEFAULTS.items() if isinstance(v, float))
+
+
+def config_with(key, value):
+    lines = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(key + " ")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FLOAT_KEYS), st.floats(allow_nan=True, allow_infinity=True))
+def test_parse_config_property(key, value):
+    # every float key either parses to a finite, serializable config or
+    # fails as a config/contract error, never later and never otherwise
+    try:
+        cfg = parse_config(config_with(key, repr(value)))
+    except ContractError:
+        assert math.isfinite(value) and key not in cli._POSITIVE_KEYS or value > 0
+        return
+    except ConfigError as exc:
+        assert (
+            not math.isfinite(value)
+            or (key in cli._POSITIVE_KEYS and value <= 0)
+            or "out of range" in str(exc)
+        )
+        return
+    assert math.isfinite(value) and getattr(cfg, key) == value
+    assert all(getattr(cfg, k) > 0 for k in cli._POSITIVE_KEYS)
+    assert parse_config(cli.serialize_config(cfg)) == cfg
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4))
+def test_parse_config_tf_list_property(values):
+    text = config_with("tf_list", ",".join(repr(v) for v in values))
+    if all(math.isfinite(v) and v > 0 for v in values):
+        assert parse_config(text).tf_values() == values
+    else:
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("rtol", "0"), ("rtol", "-1"), ("atol", "0"), ("L", "0"), ("v_F", "-1"),
+     ("g2_end", "nan"), ("L", "nan"), ("v_F", "nan"), ("t_f", "inf"),
+     ("tf_list", "5,nan"), ("tf_list", "5,fast"), ("table", "0:1:nan"),
+     ("record_points", "1")],
+)
+def test_parse_config_rejects_bad_numbers(key, value, tmp_path):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(config_with(key, value))
+    cfg = write_config(tmp_path, config_with(key, value))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_overrides_are_validated(tmp_path):
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", cfg, "--out", out, "--tf", "inf"]) == EXIT_CONFIG
+    assert main(["sweep", "--config", cfg, "--out", out, "--tf-list", "4,inf"]) == EXIT_CONFIG
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, tllcd.cli; sys.exit('scipy.integrate' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_outputs(tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", "--config", write_config(tmp_path), "--out", str(out)])
@@ -94,6 +168,15 @@ def test_simulate_byte_stable(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
     for name in ("modes.csv", "aggregate.csv", "manifest.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the byte-stable manifest carries the integrator facts
+    manifest = (out1 / "manifest.txt").read_text()
+    facts = dict(
+        line.split(" = ", 1) for line in manifest.splitlines() if line.startswith("integrator")
+    )
+    assert facts["integrator"] == "magnus4"
+    assert int(facts["integrator.substeps"]) >= 2
+    assert 0 <= float(facts["integrator.error_estimate"]) <= 1e-10
+    assert 0 <= float(facts["integrator.max_invariant_defect"]) <= 1e-12
 
 
 def test_simulate_cd_override(tmp_path):

@@ -2,6 +2,7 @@
 observable identities, transitionless driving and sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tllcd.model import (
     bogoliubov_angle,
     instantaneous_spectrum,
 )
-from tllcd.protocol import DriveProtocol
+from tllcd.protocol import DriveProtocol, closed_form_bound
 
 
 def make_protocol(
@@ -232,3 +233,21 @@ def test_sweep_tf_flags_unstable():
     rows = dynamics.sweep_tf(proto, [0.02], record_points=11)
     assert not rows[0].stability_pass
     assert math.isnan(rows[0].final_residual)
+
+
+def test_reference_run_is_warning_free_and_symplectic():
+    # the north-star ramp: 128 modes x 201 records, t_f twice the closed-form bound
+    proto = make_protocol(L=100.0, n_modes=128)
+    proto = proto.with_tf(2.0 * closed_form_bound(proto))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        result = dynamics.run_simulation(proto)
+    assert result.integration.max_invariant_defect <= 1e-12
+    assert abs(result.total_residual[-1]) <= 1e-12
+
+
+def test_cd_sweep_residual_does_not_drift_with_tf():
+    proto = make_protocol(L=100.0, n_modes=32)
+    rows = dynamics.sweep_tf(proto, [5.0, 10.0, 20.0, 40.0])
+    assert all(r.stability_pass for r in rows)
+    assert max(abs(r.final_residual) for r in rows) <= 1e-12

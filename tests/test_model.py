@@ -165,3 +165,15 @@ def test_custom_table_interpolation():
     assert spec.values(5.0, 1.0) == (2.0, 1.0)
     with pytest.raises(ContractError):
         CouplingSpec(family=CouplingFamily.CUSTOM_TABLE)
+
+
+def test_custom_table_row_order_is_irrelevant():
+    rows = ((0.0, 0.9, 0.45), (0.5, 0.85, 0.45), (1.0, 0.8, 0.4), (2.5, 0.6, 0.35))
+    ordered = CouplingSpec(family=CouplingFamily.CUSTOM_TABLE, table=rows)
+    shuffled = CouplingSpec(
+        family=CouplingFamily.CUSTOM_TABLE, table=(rows[2], rows[0], rows[3], rows[1])
+    )
+    for p in (0.0, 0.2, 0.5, 0.77, 1.9, 3.0):
+        for progress in (0.0, 0.3, 1.0):
+            assert shuffled.values(p, progress) == ordered.values(p, progress)
+        assert shuffled.derivatives(p, 0.5) == ordered.derivatives(p, 0.5)
