@@ -5,9 +5,9 @@ Modules:
     su11      SU(1,1)/Bogoliubov algebra for one momentum pair
     model     TLL parameters, couplings, spectrum, oscillator mapping
     control   schedules, CD amplitudes, stability and auxiliary formulas
-    protocol  drive protocol and the speed-window criteria
+    protocol  drive protocol, its coefficient grid, speed-window criteria
     integrator fourth-order Magnus integration of all pairs at once
-    dynamics  per-pair time evolution, observables, sweeps
+    dynamics  trajectories of all pairs as arrays, observables, sweeps
     fock      truncated-Fock brute-force oracle (validation only)
     cli       tll-cd-sim command line and file I/O
 """
@@ -28,8 +28,7 @@ from .control import (
     spectrum_with_cd,
 )
 from .dynamics import (
-    ModeTrajectory,
-    ObservableRecord,
+    Trajectories,
     evolve_pair,
     mean_energy_scaling_check,
     pair_energy,
@@ -51,6 +50,7 @@ from .model import (
     pair_frequencies,
 )
 from .protocol import (
+    CoefficientGrid,
     DriveProtocol,
     StabilityReport,
     adiabaticity_parameter,

@@ -10,7 +10,6 @@ inputs.  Exit codes: 0 ok, 2 config, 3 instability, 4 integration,
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -36,6 +35,9 @@ EXIT_CONFIG = 2
 EXIT_INSTABILITY = 3
 EXIT_INTEGRATION = 4
 EXIT_VALIDATION = 5
+
+MODES_HEADER = "t,p,n_bare,n_qp,fidelity,pair_energy,residual,epsilon_cd,chi"
+AGGREGATE_HEADER = "t,total_residual,total_energy,v_s,K,chi,min_margin"
 
 _DEFAULTS = {
     "family": "contact",
@@ -210,7 +212,8 @@ def _validate_config(cfg: RunConfig) -> None:
         coupling = cfg.coupling()
         g2, g4 = coupling.values(2 * math.pi / cfg.L, progress)
         try:
-            luttinger_params(g2, g4, cfg.v_F)
+            # Python floats, so that an overflow raises instead of giving inf
+            luttinger_params(float(g2), float(g4), cfg.v_F)
         except OverflowError as exc:
             raise ConfigError(f"couplings out of range: {exc}") from exc
 
@@ -236,56 +239,26 @@ def write_outputs(result, cfg: RunConfig, out_dir, mode_errors=()) -> dict:
         "manifest": out / "manifest.txt",
     }
 
-    buf = io.StringIO()
-    buf.write("t,p,n_bare,n_qp,fidelity,pair_energy,residual,epsilon_cd,chi\n")
+    modes, aggregate = [], []
     if result is not None:
-        for traj in result.trajectories:
-            for rec in traj.records:
-                buf.write(
-                    ",".join(
-                        _fmt(x)
-                        for x in (
-                            rec.t,
-                            rec.p,
-                            rec.occupation_bare,
-                            rec.occupation_quasiparticle,
-                            rec.fidelity_instantaneous_gs,
-                            rec.pair_energy,
-                            rec.residual_energy,
-                            rec.epsilon_cd,
-                            rec.chi,
-                        )
-                    )
-                    + "\n"
-                )
-    paths["modes"].write_text(buf.getvalue())
-
-    buf = io.StringIO()
-    buf.write("t,total_residual,total_energy,v_s,K,chi,min_margin\n")
-    if result is not None:
-        proto = result.protocol
-        p_min = proto.momenta()[0]
-        for i, t in enumerate(result.times):
-            chi = 0.5 * proto.kdot_over_k(p_min, t)
-            buf.write(
-                ",".join(
-                    _fmt(x)
-                    for x in (
-                        t,
-                        result.total_residual[i],
-                        result.total_energy[i],
-                        result.v_s[i],
-                        result.K[i],
-                        chi,
-                        result.min_margin,
-                    )
-                )
-                + "\n"
-            )
-    paths["aggregate"].write_text(buf.getvalue())
-
+        # the other columns are fields of the same name
+        traj = result.trajectories
+        modes = list(np.meshgrid(traj.times, traj.p))
+        modes += [getattr(traj, name) for name in MODES_HEADER.split(",")[2:]]
+        aggregate = [result.times]
+        aggregate += [getattr(result, name) for name in AGGREGATE_HEADER.split(",")[1:-1]]
+        aggregate.append(np.full_like(result.times, result.stability.margin))
+    _write_csv(paths["modes"], MODES_HEADER, modes)
+    _write_csv(paths["aggregate"], AGGREGATE_HEADER, aggregate)
     write_manifest(paths["manifest"], cfg, result, mode_errors)
     return paths
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """One CSV column per array, rows in C order (mode-major for (mode, time)
+    arrays); '%.17g' writes what format(x, '.17g') does."""
+    table = np.column_stack([np.ravel(c) for c in columns]) if columns else []
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def write_manifest(path, cfg: RunConfig, result, mode_errors=(), failure=None) -> None:
@@ -300,7 +273,10 @@ def write_manifest(path, cfg: RunConfig, result, mode_errors=(), failure=None) -
         lines.append(f"config.{f.name} = {_fmt(getattr(cfg, f.name))}")
     if cfg.t_f > 0:
         try:
-            report = stability_margin(cfg.protocol())
+            if result is None:
+                report = stability_margin(cfg.protocol())
+            else:
+                report = result.stability
             lines.append(f"stability.margin = {_fmt(report.margin)}")
             lines.append(f"stability.pass = {report.passed}")
             if report.bound_tf is not None:
@@ -511,7 +487,7 @@ def run_validation_suite(verbose: bool = False) -> int:
             pr.t_f,
             t_eval=traj.times,
         )
-        ov = abs(states[-1].overlap(fock.gaussian_state(traj.maps[-1], 120)))
+        ov = abs(states[-1].overlap(fock.gaussian_state(traj.map(0, -1), 120)))
         check(
             f"integrator vs Fock oracle (cd={'on' if cd else 'off'})",
             ov >= 1 - 1e-8 and states[-1].cutoff_safe,

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CDInstabilityError, ContractError, LuttingerInstabilityError
-from .model import TWO_PI
+from .model import TWO_PI, worst_point
 
 # Global maximum of the fifth-order ramp derivative 30 s^2 (1-s)^2, at s=1/2.
 POLY5_MAX_DPDS = 1.875
@@ -51,40 +51,52 @@ class Schedule:
             return POLY5_MAX_DPDS
         if self.kind == ScheduleKind.LINEAR:
             return 1.0
-        pts = sorted(self.samples)
-        return max(
-            (b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(pts[:-1], pts[1:])
-        )
+        xs, ys = self.sample_arrays()
+        return float(np.max(np.diff(ys) / np.diff(xs)))
+
+    def sample_arrays(self):
+        """(s, P) columns of the custom samples, sorted by s."""
+        return tuple(np.array(col) for col in zip(*sorted(self.samples)))
+
+    def extremes(self):
+        """(s, P): the arguments and values where P(s) is least and greatest
+        on [0, 1]; P is piecewise linear between custom samples."""
+        if self.kind != ScheduleKind.CUSTOM_SAMPLES:
+            return np.array([0.0, 1.0]), np.array([0.0, 1.0])
+        xs, ys = self.sample_arrays()
+        at = [np.argmin(ys), np.argmax(ys)]
+        return xs[at], ys[at]
 
 
-def schedule_value(s: float, schedule: Schedule):
-    """(P(s), dP/ds) for s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise ContractError(f"schedule argument {s} outside [0, 1]")
+def schedule_value(s, schedule: Schedule):
+    """(P(s), dP/ds) for s in [0, 1]; array arguments give arrays."""
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        (worst,) = worst_point(np.maximum(-s, np.subtract(s, 1.0)), s)
+        raise ContractError(f"schedule argument {worst} outside [0, 1]")
     if schedule.kind == ScheduleKind.POLY5:
         P = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
         dP = 30.0 * s * s * (1.0 - s) ** 2
         return P, dP
     if schedule.kind == ScheduleKind.LINEAR:
-        return s, 1.0
-    pts = sorted(schedule.samples)
-    xs = [a for a, _ in pts]
-    ys = [b for _, b in pts]
-    i = min(max(np.searchsorted(xs, s, side="right") - 1, 0), len(xs) - 2)
+        return s, np.ones_like(s)[()]
+    xs, ys = schedule.sample_arrays()
+    i = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, len(xs) - 2)
     slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
     return ys[i] + slope * (s - xs[i]), slope
 
 
-def cd_amplitude_contact(g2, g4, dg2_dt, dg4_dt, v_F) -> float:
+def cd_amplitude_contact(g2, g4, dg2_dt, dg4_dt, v_F):
     """chi = Kdot/(2K) for momentum-independent couplings.
 
     Kdot/K = [g4dot g2 - g2dot (2 pi v_F + g4)] / [(2 pi v_F + g4)^2 - g2^2].
+    Array arguments broadcast.
     """
     a = TWO_PI * v_F + g4
     denom = a * a - g2 * g2
-    if denom <= 0:
+    if np.any(denom <= 0):
+        (worst,) = worst_point(-denom, denom)
         raise LuttingerInstabilityError(
-            f"luttinger-instability: (2 pi v_F + g4)^2 <= g2^2 ({denom:.3e})"
+            f"luttinger-instability: (2 pi v_F + g4)^2 <= g2^2 ({worst:.3e})"
         )
     return 0.5 * (dg4_dt * g2 - dg2_dt * a) / denom
 
@@ -139,15 +151,17 @@ def controlled_coefficients(p, K_p, v_sp, kdot_over_k, v_F) -> ControlledCoeffic
     return ControlledCoefficients(omega_cd, g_cd, 0.5 * kdot_over_k)
 
 
-def spectrum_with_cd(v_s, p, chi) -> float:
+def spectrum_with_cd(v_s, p, chi):
     """epsilon = sqrt(v_s^2 p^2 - chi^2); raises when the controlled spectrum
-    turns imaginary."""
+    turns imaginary.  Array arguments broadcast."""
     vp = v_s * p
-    if vp <= abs(chi):
+    if np.any(vp <= np.abs(chi)):
+        vp, p, chi = worst_point(np.abs(chi) - vp, vp, p, chi)
         raise CDInstabilityError(
-            f"cd-instability: v_s p = {vp:.6g} <= |chi| = {abs(chi):.6g}"
+            f"cd-instability at p = {p:.6g}: "
+            f"v_s p = {vp:.6g} <= |chi| = {abs(chi):.6g}"
         )
-    return math.sqrt(vp * vp - chi * chi)
+    return np.sqrt(vp * vp - chi * chi)
 
 
 def delta_coefficients(lam, dlam_dt, R0, v_F):

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su11
+from .control import spectrum_with_cd
 from .errors import CDInstabilityError, ContractError
 from .integrator import IntegrationReport, integrate_modes
-from .model import PairCoefficients, instantaneous_spectrum
-from .protocol import DriveProtocol
+from .model import PairCoefficients, bogoliubov_angle, instantaneous_spectrum
+from .protocol import DriveProtocol, StabilityReport
 from .su11 import BogoliubovMap
 
 DEFAULT_RTOL = 1e-10
@@ -28,32 +29,40 @@ DEFAULT_RECORD_POINTS = 201
 
 
 @dataclass(frozen=True)
-class ObservableRecord:
-    t: float
-    p: float
-    occupation_bare: float
-    occupation_quasiparticle: float
-    fidelity_instantaneous_gs: float
-    pair_energy: float
-    residual_energy: float
-    epsilon_cd: float
-    chi: float
+class Trajectories:
+    """Recorded evolution of a set of (p, -p) pairs.
 
+    Every array field except `p` and `times` has shape (n_modes, n_times):
+    one row per mode, one column per record time.
+    """
 
-@dataclass
-class ModeTrajectory:
-    p: float
+    p: np.ndarray
     times: np.ndarray
-    maps: list
-    records: list
+    # annihilator coefficients with the overall phase stripped (u real and
+    # positive), so that map composition acts on squeeze content only; the
+    # stripped phase, unwrapped along each row, is annihilator_phase
+    u: np.ndarray
+    v: np.ndarray
+    annihilator_phase: np.ndarray
+    n_bare: np.ndarray
+    n_qp: np.ndarray
+    fidelity: np.ndarray  # overlap with the instantaneous ground state
+    pair_energy: np.ndarray
+    residual: np.ndarray  # pair_energy minus the instantaneous ground energy
+    controlled_energy: np.ndarray  # energy under the controlled Hamiltonian
+    epsilon_cd: np.ndarray
+    chi: np.ndarray
     # integral of v_s(s)/v_F ds (= 1/sigma_s^2 integrand) and the resulting
     # dynamical phase for the initial occupation; the multiplicative
     # zero-point convention is left to the caller.
-    sigma_integral: np.ndarray = None
-    phase: np.ndarray = None
-    # phase of the evolved annihilator, stripped from the stored maps so
-    # that map composition acts on physical squeeze content only
-    annihilator_phase: np.ndarray = None
+    sigma_integral: np.ndarray
+    phase: np.ndarray
+
+    def map(self, mode: int, record: int) -> BogoliubovMap:
+        """The stored state of one mode at one record, for the scalar su11
+        references and the Fock oracle."""
+        u, v = self.u[mode, record], self.v[mode, record]
+        return BogoliubovMap(complex(u), complex(v))
 
 
 def quasiparticle_frame(state: BogoliubovMap, eta_t: float) -> BogoliubovMap:
@@ -88,6 +97,32 @@ def controlled_pair_energy(state: BogoliubovMap, coeffs: PairCoefficients) -> fl
     )
 
 
+def observables(u, v, omega, g, chi) -> dict:
+    """Observables of the phase-stripped states (u, v) under the pair
+    coefficients (omega, g, chi), elementwise over arrays.
+
+    The array forms of the scalar references: n_bare of vacuum_observables,
+    n_qp of quasiparticle_frame, fidelity of state_overlap with the
+    instantaneous ground state, pair_energy and residual of pair_energy, and
+    controlled_energy of controlled_pair_energy.
+    """
+    n = np.abs(v) ** 2
+    corr = -np.conj(u) * v
+    eta = bogoliubov_angle(omega, g)
+    c, s = np.cosh(eta), np.sinh(eta)
+    energy = 2.0 * omega * (n + 0.5) - omega + 2.0 * g * corr.real
+    return {
+        "n_bare": n,
+        "n_qp": np.abs(c * v + s * np.conj(u)) ** 2,
+        "fidelity": np.minimum(np.abs(1.0 / (c * u + s * v)), 1.0),
+        "pair_energy": energy,
+        "residual": energy - (instantaneous_spectrum(omega, g) - omega),
+        "controlled_energy": 2.0 * omega * (n + 0.5)
+        + 2.0 * g * corr.real
+        + 2.0 * chi * corr.imag,
+    }
+
+
 def evolve_pair(
     p: float,
     protocol: DriveProtocol,
@@ -96,8 +131,9 @@ def evolve_pair(
     record_points: int = DEFAULT_RECORD_POINTS,
     initial: BogoliubovMap = su11.IDENTITY,
     initial_occupation: float = 0.0,
-) -> ModeTrajectory:
-    """Evolve one (p, -p) pair over [0, t_f] and record observables.
+) -> Trajectories:
+    """Evolve one (p, -p) pair over [0, t_f] and record observables: the
+    one-row case of the trajectories of a run.
 
     `initial` supports interacting starts (gamma_p(0) != 1) as a Bogoliubov
     map; excited Fock starts live only in the Fock oracle.
@@ -105,8 +141,8 @@ def evolve_pair(
     """
     su11.check_map(initial)
     times = np.linspace(0.0, protocol.t_f, record_points)
-    u, v, _ = integrate_protocol(protocol, [p], times, rtol, atol, initial)
-    return _trajectory(p, times, u[0], v[0], protocol, initial_occupation)
+    traj, _, _ = _evolve(protocol, [p], times, rtol, atol, initial, initial_occupation)
+    return traj
 
 
 def integrate_protocol(
@@ -127,75 +163,43 @@ def integrate_protocol(
     )
 
 
-def _trajectory(p, times, u, v, protocol, initial_occupation=0.0) -> ModeTrajectory:
-    """Trajectory of one pair from its integrated (u, v) on the record grid."""
-    # the overall annihilator phase (u, v) -> e^{i theta}(u, v) labels the
-    # same state; strip it so maps compose as pure squeeze content
-    phases = np.angle(u)
-    maps = [
-        BogoliubovMap(complex(ui * np.exp(-1j * th)), complex(vi * np.exp(-1j * th)))
-        for ui, vi, th in zip(u, v, phases)
-    ]
-    records = []
-    for t, m in zip(times, maps):
-        records.append(_observe(p, t, m, protocol))
+def _evolve(protocol, momenta, times, rtol, atol, initial, initial_occupation):
+    """(Trajectories, CoefficientGrid, IntegrationReport) of the pairs
+    `momenta` on the record grid `times`, from one coefficient evaluation."""
+    c = protocol.grid(momenta, times)
+    eps = instantaneous_spectrum(c.omega, c.g)
+    # an unstable controlled spectrum fails here, before any integration
+    epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi) if protocol.cd_enabled else eps
+    u, v, report = integrate_protocol(protocol, momenta, times, rtol, atol, initial)
+    su11.check_defect(report.max_invariant_defect, su11.INVARIANT_ERROR_TOL)
 
-    traj = ModeTrajectory(
-        p=p,
+    phases = np.angle(u)
+    rotation = np.exp(-1j * phases)
+    u, v = u * rotation, v * rotation
+    sigma_integral = _cumulative_trapezoid(c.v_s / protocol.v_F, times)
+    traj = Trajectories(
+        p=np.asarray(momenta, dtype=float),
         times=times,
-        maps=maps,
-        records=records,
-        annihilator_phase=np.unwrap(phases),
+        u=u,
+        v=v,
+        annihilator_phase=np.unwrap(phases, axis=1),
+        epsilon_cd=epsilon_cd,
+        chi=c.chi,
+        sigma_integral=sigma_integral,
+        phase=-eps[:, :1] * initial_occupation * sigma_integral,
+        **observables(u, v, c.omega, c.g, c.chi),
     )
-    vs_over_vf = np.array(
-        [protocol.luttinger(p, t).v_s / protocol.v_F for t in times]
-    )
-    traj.sigma_integral = _cumulative_trapezoid(vs_over_vf, times)
-    omega0, g0 = protocol.pair_frequencies(p, 0.0)
-    eps0 = instantaneous_spectrum(omega0, g0)
-    traj.phase = -eps0 * initial_occupation * traj.sigma_integral
-    return traj
+    return traj, c, report
 
 
 def _cumulative_trapezoid(y, x):
-    """Running trapezoid integral of y(x), starting at 0."""
-    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    """Running trapezoid integral of y(x) along the last axis, from 0."""
+    steps = np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0
+    start = np.zeros(y.shape[:-1] + (1,))
+    return np.concatenate((start, np.cumsum(steps, axis=-1)), axis=-1)
 
 
-def _observe(p, t, state, protocol: DriveProtocol) -> ObservableRecord:
-    from .control import spectrum_with_cd
-    from .model import bogoliubov_angle
-
-    coeffs = protocol.pair_generator(p, t)
-    lp = protocol.luttinger(p, t)
-    eta_t = bogoliubov_angle(coeffs.omega, coeffs.g)
-    gs_map = su11.squeeze_from_angle(eta_t)
-
-    obs = su11.vacuum_observables(state)
-    framed = quasiparticle_frame(state, eta_t)
-    n_qp = abs(framed.v) ** 2
-    fidelity = su11.state_overlap(gs_map, state)
-
-    energy = pair_energy(state, coeffs)
-    eps = instantaneous_spectrum(coeffs.omega, coeffs.g)
-    residual = energy - (eps - coeffs.omega)
-    # stability check along the run, not only at construction time
-    epsilon_cd = spectrum_with_cd(lp.v_s, p, coeffs.chi) if protocol.cd_enabled else eps
-    return ObservableRecord(
-        t=float(t),
-        p=float(p),
-        occupation_bare=obs.occupation,
-        occupation_quasiparticle=n_qp,
-        fidelity_instantaneous_gs=fidelity,
-        pair_energy=energy,
-        residual_energy=residual,
-        epsilon_cd=epsilon_cd,
-        chi=coeffs.chi,
-    )
-
-
-def mean_energy_scaling_check(trajectories, protocol: DriveProtocol) -> float:
+def mean_energy_scaling_check(traj: Trajectories, protocol: DriveProtocol) -> float:
     """Max relative deviation of <H(t)> from (v_s(t)/v_F) <H(0)>.
 
     Uses the zero-point-included convention of the controlled Hamiltonian;
@@ -203,31 +207,24 @@ def mean_energy_scaling_check(trajectories, protocol: DriveProtocol) -> float:
     """
     if not protocol.cd_enabled:
         raise ContractError("mean-energy scaling requires CD on")
-    if isinstance(trajectories, ModeTrajectory):
-        trajectories = [trajectories]
-    times = trajectories[0].times
-    totals = np.zeros_like(times)
-    for traj in trajectories:
-        for i, (t, m) in enumerate(zip(times, traj.maps)):
-            coeffs = protocol.pair_generator(traj.p, t)
-            totals[i] += controlled_pair_energy(m, coeffs)
-    e0 = totals[0]
-    scale = np.array(
-        [protocol.luttinger(trajectories[0].p, t).v_s / protocol.v_F for t in times]
-    )
-    return float(np.max(np.abs(totals - scale * e0)) / abs(e0))
+    totals = traj.controlled_energy.sum(axis=0)
+    scale = protocol.grid(traj.p, traj.times).v_s[0] / protocol.v_F
+    return float(np.max(np.abs(totals - scale * totals[0])) / abs(totals[0]))
 
 
 @dataclass
 class SimulationResult:
     protocol: DriveProtocol
-    trajectories: list
+    trajectories: Trajectories
     times: np.ndarray
     total_residual: np.ndarray
     total_energy: np.ndarray
+    # Luttinger parameters and Kdot/(2K) of the slowest mode, whether or
+    # not CD is applied
     v_s: np.ndarray
     K: np.ndarray
-    min_margin: float
+    chi: np.ndarray
+    stability: StabilityReport
     integration: IntegrationReport
 
 
@@ -242,32 +239,26 @@ def run_simulation(
     from .protocol import stability_margin
 
     protocol.validate()
+    return _simulate(protocol, stability_margin(protocol), rtol, atol, record_points)
+
+
+def _simulate(protocol, stability, rtol, atol, record_points) -> SimulationResult:
+    """run_simulation after validation, with the run's stability report."""
     times = np.linspace(0.0, protocol.t_f, record_points)
-    momenta = protocol.momenta()
-    u_all, v_all, integration = integrate_protocol(protocol, momenta, times, rtol, atol)
-    trajectories = []
-    total_residual = np.zeros_like(times)
-    total_energy = np.zeros_like(times)
-    for p, u, v in zip(momenta, u_all, v_all):
-        traj = _trajectory(p, times, u, v, protocol)
-        trajectories.append(traj)
-        for i, rec in enumerate(traj.records):
-            total_residual[i] += rec.residual_energy
-            total_energy[i] += controlled_pair_energy(
-                traj.maps[i], protocol.pair_generator(p, times[i])
-            )
-    p_min = protocol.momenta()[0]
-    lutt = [protocol.luttinger(p_min, t) for t in times]
-    report = stability_margin(protocol)
+    traj, c, integration = _evolve(
+        protocol, protocol.momenta(), times, rtol, atol, su11.IDENTITY, 0.0
+    )
+    # sums over axis 0 add the modes one after another, in mode order
     return SimulationResult(
         protocol=protocol,
-        trajectories=trajectories,
+        trajectories=traj,
         times=times,
-        total_residual=total_residual,
-        total_energy=total_energy,
-        v_s=np.array([l.v_s for l in lutt]),
-        K=np.array([l.K for l in lutt]),
-        min_margin=report.margin,
+        total_residual=traj.residual.sum(axis=0),
+        total_energy=traj.controlled_energy.sum(axis=0),
+        v_s=c.v_s[0],
+        K=c.K[0],
+        chi=c.chi_cd[0],
+        stability=stability,
         integration=integration,
     )
 
@@ -280,7 +271,13 @@ class SweepRow:
     stability_pass: bool
 
 
-def sweep_tf(protocol: DriveProtocol, tf_list, **kwargs) -> list:
+def sweep_tf(
+    protocol: DriveProtocol,
+    tf_list,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+    record_points: int = DEFAULT_RECORD_POINTS,
+) -> list:
     """One row per t_f; rows failing the stability criterion are flagged,
     not dropped."""
     from .protocol import stability_margin
@@ -290,19 +287,17 @@ def sweep_tf(protocol: DriveProtocol, tf_list, **kwargs) -> list:
     rows = []
     for t_f in tf_list:
         proto = protocol.with_tf(float(t_f))
-        passed = stability_margin(proto).passed
-        if proto.cd_enabled and not passed:
+        report = stability_margin(proto)
+        if proto.cd_enabled and not report.passed:
             rows.append(SweepRow(float(t_f), math.nan, math.nan, False))
             continue
+        proto.validate()
         try:
-            result = run_simulation(proto, **kwargs)
+            result = _simulate(proto, report, rtol, atol, record_points)
         except CDInstabilityError:
             rows.append(SweepRow(float(t_f), math.nan, math.nan, False))
             continue
         final_res = float(result.total_residual[-1])
-        final_fid = min(
-            traj.records[-1].fidelity_instantaneous_gs
-            for traj in result.trajectories
-        )
-        rows.append(SweepRow(float(t_f), final_res, final_fid, passed))
+        final_fid = float(np.min(result.trajectories.fidelity[:, -1]))
+        rows.append(SweepRow(float(t_f), final_res, final_fid, report.passed))
     return rows

@@ -57,29 +57,31 @@ class CouplingSpec:
         if self.family == CouplingFamily.CUSTOM_TABLE and not self.table:
             raise ContractError("custom_table coupling requires table rows")
 
-    def values(self, p: float, progress: float):
-        """(g2, g4) at momentum p and schedule value progress in [0,1]."""
+    def values(self, p, progress):
+        """(g2, g4) at momenta p and schedule values progress in [0,1];
+        array arguments broadcast."""
         if self.family == CouplingFamily.CONTACT:
             g2 = self.g2_start + (self.g2_end - self.g2_start) * progress
             g4 = self.g4_start + (self.g4_end - self.g4_start) * progress
             return g2, g4
         if self.family == CouplingFamily.LORENTZIAN:
             lam = self.g2_start + (self.g2_end - self.g2_start) * progress
-            damp = math.exp(-self.R0 * abs(p))
+            damp = np.exp(-self.R0 * np.abs(p))
             return lam * damp, lam * damp
-        g2_p, g4_p = self._table_values(p)
+        g2_p, g4_p = self.derivatives(p, progress)
         return g2_p * progress, g4_p * progress
 
-    def derivatives(self, p: float, progress: float):
-        """d(g2, g4)/d(progress) at momentum p."""
+    def derivatives(self, p, progress):
+        """d(g2, g4)/d(progress) at momenta p; for a table, the endpoint
+        profile interpolated at p."""
         if self.family == CouplingFamily.CONTACT:
             return self.g2_end - self.g2_start, self.g4_end - self.g4_start
         if self.family == CouplingFamily.LORENTZIAN:
             dlam = self.g2_end - self.g2_start
-            damp = math.exp(-self.R0 * abs(p))
+            damp = np.exp(-self.R0 * np.abs(p))
             return dlam * damp, dlam * damp
-        g2_p, g4_p = self._table_values(p)
-        return g2_p, g4_p
+        ps, g2s, g4s = self.table_arrays
+        return np.interp(p, ps, g2s), np.interp(p, ps, g4s)
 
     @cached_property
     def table_arrays(self):
@@ -89,10 +91,6 @@ class CouplingSpec:
         g2s = np.array([r[1] for r in rows])
         g4s = np.array([r[2] for r in rows])
         return ps, g2s, g4s
-
-    def _table_values(self, p: float):
-        ps, g2s, g4s = self.table_arrays
-        return float(np.interp(p, ps, g2s)), float(np.interp(p, ps, g4s))
 
 
 @dataclass(frozen=True)
@@ -111,48 +109,69 @@ class LuttingerParams:
     v_s: float
 
 
-def luttinger_params(g2: float, g4: float, v_F: float) -> LuttingerParams:
+def worst_point(excess, *values):
+    """The entries of the broadcast `values` where `excess` is largest (a
+    NaN counts as largest), for naming the worst point in an error."""
+    excess = np.asarray(excess)
+    where = np.unravel_index(np.argmax(excess), excess.shape)
+    return tuple(np.broadcast_to(v, excess.shape)[where] for v in values)
+
+
+def luttinger_params(g2, g4, v_F) -> LuttingerParams:
     """Luttinger parameter and sound velocity from the couplings.
 
     K = sqrt((2 pi v_F + g4 - g2)/(2 pi v_F + g4 + g2)),
-    v_s = sqrt((v_F + g4/2pi)^2 - (g2/2pi)^2).
+    v_s = sqrt((v_F + g4/2pi)^2 - (g2/2pi)^2).  Array arguments broadcast.
     """
     num = TWO_PI * v_F + g4 - g2
     den = TWO_PI * v_F + g4 + g2
-    if num <= 0 or den <= 0:
+    if np.any((num <= 0) | (den <= 0)):
+        a, g2 = worst_point(-np.minimum(num, den), TWO_PI * v_F + g4, g2)
         raise LuttingerInstabilityError(
-            f"luttinger-instability: 2 pi v_F + g4 = {TWO_PI * v_F + g4:.6g} "
+            f"luttinger-instability: 2 pi v_F + g4 = {a:.6g} "
             f"does not exceed |g2| = {abs(g2):.6g}"
         )
-    K = math.sqrt(num / den)
-    v_s = math.sqrt((v_F + g4 / TWO_PI) ** 2 - (g2 / TWO_PI) ** 2)
+    K = np.sqrt(num / den)
+    v_s = np.sqrt((v_F + g4 / TWO_PI) ** 2 - (g2 / TWO_PI) ** 2)
     return LuttingerParams(K, v_s)
 
 
-def pair_frequencies(p: float, g2: float, g4: float, v_F: float):
+def sound_velocity_rate(g2, g4, dg2, dg4, v_F):
+    """d v_s/dt from the couplings and their time derivatives:
+    d(v_s^2)/dt = 2 (v_F + g4/2pi) g4dot/2pi - 2 (g2/2pi) g2dot/2pi."""
+    v_s = luttinger_params(g2, g4, v_F).v_s
+    dvs_sq = 2.0 * (v_F + g4 / TWO_PI) * dg4 / TWO_PI - 2.0 * (
+        g2 / TWO_PI
+    ) * dg2 / TWO_PI
+    return 0.5 * dvs_sq / v_s
+
+
+def pair_frequencies(p, g2, g4, v_F):
     """(omega, g) of the pair Hamiltonian at momentum p for couplings taken
     at that momentum and time: omega = |p|(v_F + g4/2pi), g = |p| g2/2pi."""
-    if p <= 0:
-        raise ContractError("pair momentum must be positive")
+    if np.any(p <= 0):
+        raise ContractError(f"pair momentum must be positive, got {np.min(p):.6g}")
     return p * (v_F + g4 / TWO_PI), p * g2 / TWO_PI
 
 
-def bogoliubov_angle(omega: float, g: float) -> float:
+def _check_pair_stable(omega, g) -> None:
+    if np.any(np.abs(g) >= omega):
+        g, omega = worst_point(np.abs(g) - omega, g, omega)
+        raise LuttingerInstabilityError(
+            f"luttinger-instability: |g| = {abs(g):.6g} >= omega = {omega:.6g}"
+        )
+
+
+def bogoliubov_angle(omega, g):
     """Squeeze angle diagonalizing the pair: tanh(2 eta) = -g/omega."""
-    if abs(g) >= omega:
-        raise LuttingerInstabilityError(
-            f"luttinger-instability: |g| = {abs(g):.6g} >= omega = {omega:.6g}"
-        )
-    return -0.5 * math.atanh(g / omega)
+    _check_pair_stable(omega, g)
+    return -0.5 * np.arctanh(g / omega)
 
 
-def instantaneous_spectrum(omega: float, g: float) -> float:
+def instantaneous_spectrum(omega, g):
     """epsilon = sqrt(omega^2 - g^2) (hbar = 1)."""
-    if abs(g) >= omega:
-        raise LuttingerInstabilityError(
-            f"luttinger-instability: |g| = {abs(g):.6g} >= omega = {omega:.6g}"
-        )
-    return math.sqrt(omega * omega - g * g)
+    _check_pair_stable(omega, g)
+    return np.sqrt(omega * omega - g * g)
 
 
 def ground_state_energy(omegas, gs) -> float:

@@ -4,26 +4,43 @@ stability and adiabaticity criteria that constrain the driving speed."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import control, model
+from . import model
 from .control import (
     ControlledCoefficients,
     Schedule,
-    ScheduleKind,
     cd_amplitude_contact,
     controlled_coefficients,
     schedule_value,
-    spectrum_with_cd,
 )
-from .errors import ContractError, LuttingerInstabilityError
+from .errors import ContractError
 from .model import TWO_PI, CouplingFamily, CouplingSpec, PairCoefficients
 
 STABILITY_GRID_POINTS = 2001
 ADIABATIC_THRESHOLD = 0.01
+
+
+@dataclass(frozen=True)
+class CoefficientGrid:
+    """Pair coefficients and Luttinger parameters at every point of a
+    (mode, time) grid; each array has shape (n_modes, n_times)."""
+
+    p: np.ndarray
+    omega: np.ndarray
+    g: np.ndarray
+    chi: np.ndarray  # CD amplitude the protocol applies: 0 without CD
+    chi_cd: np.ndarray  # Kdot/(2K), whether or not CD is applied
+    K: np.ndarray
+    v_s: np.ndarray
+    v_s_rate: np.ndarray  # d v_s/dt
+
+    @property
+    def adiabaticity(self) -> np.ndarray:
+        """|v_sdot / (v_s^2 p)|: small values mark the adiabatic regime."""
+        return np.abs(self.v_s_rate) / (self.v_s**2 * self.p)
 
 
 @dataclass(frozen=True)
@@ -43,12 +60,43 @@ class DriveProtocol:
     def momenta(self) -> np.ndarray:
         return model.mode_momenta(self.L, self.n_modes)
 
-    def couplings(self, p: float, t: float):
-        """(g2, g4, dg2/dt, dg4/dt) at momentum p and time t."""
+    def couplings(self, p, t):
+        """(g2, g4, dg2/dt, dg4/dt) at momenta p and times t (broadcast)."""
         P, dP = schedule_value(t / self.t_f, self.schedule)
         g2, g4 = self.coupling.values(p, P)
         dg2_dP, dg4_dP = self.coupling.derivatives(p, P)
         return g2, g4, dg2_dP * dP / self.t_f, dg4_dP * dP / self.t_f
+
+    def grid(self, p, t) -> CoefficientGrid:
+        """Every coefficient over p[:, None] x t[None, :], composed once from
+        the array forms of the schedule, coupling and model formulas."""
+        p, g2, g4, dg2, dg4 = self._grid_couplings(p, t)
+        omega, g = model.pair_frequencies(p, g2, g4, self.v_F)
+        lp = model.luttinger_params(g2, g4, self.v_F)
+        chi_cd = cd_amplitude_contact(g2, g4, dg2, dg4, self.v_F)
+        rate = model.sound_velocity_rate(g2, g4, dg2, dg4, self.v_F)
+        chi = chi_cd if self.cd_enabled else 0.0
+        return CoefficientGrid(
+            *(np.broadcast_to(x, omega.shape) for x in (p, omega, g, chi, chi_cd)),
+            *(np.broadcast_to(x, omega.shape) for x in (lp.K, lp.v_s, rate)),
+        )
+
+    def coefficients(self, p, t):
+        """(omega, g, chi) over p[:, None] x t[None, :]: the pair generator
+        of every mode, and only that, since the integrator calls it for
+        every step."""
+        p, g2, g4, dg2, dg4 = self._grid_couplings(p, t)
+        omega, g = model.pair_frequencies(p, g2, g4, self.v_F)
+        if not self.cd_enabled:
+            return omega, g, np.zeros_like(omega)
+        chi = cd_amplitude_contact(g2, g4, dg2, dg4, self.v_F)
+        return omega, g, np.broadcast_to(chi, omega.shape)
+
+    def _grid_couplings(self, p, t):
+        """p as a column, t as a row, and the couplings on their grid."""
+        p = np.atleast_1d(np.asarray(p, dtype=float))[:, None]
+        t = np.atleast_1d(np.asarray(t, dtype=float))[None, :]
+        return (p, *self.couplings(p, t))
 
     def pair_frequencies(self, p: float, t: float):
         g2, g4, _, _ = self.couplings(p, t)
@@ -69,12 +117,7 @@ class DriveProtocol:
 
     def sound_velocity_rate(self, p: float, t: float) -> float:
         """d v_sp/dt from the analytic coupling derivatives."""
-        g2, g4, dg2, dg4 = self.couplings(p, t)
-        v_s = model.luttinger_params(g2, g4, self.v_F).v_s
-        dvs_sq = 2.0 * (self.v_F + g4 / TWO_PI) * dg4 / TWO_PI - 2.0 * (
-            g2 / TWO_PI
-        ) * dg2 / TWO_PI
-        return 0.5 * dvs_sq / v_s
+        return model.sound_velocity_rate(*self.couplings(p, t), self.v_F)
 
     def controlled(self, p: float, t: float) -> ControlledCoefficients:
         lp = self.luttinger(p, t)
@@ -86,76 +129,28 @@ class DriveProtocol:
         omega, g = self.pair_frequencies(p, t)
         return PairCoefficients(omega, g, self.chi(p, t))
 
-    def coefficients(self, p, t):
-        """(omega, g, chi) as arrays over p[:, None] x t[None, :].
-
-        Array form of `pair_generator` for every coupling family and
-        schedule, written with the same expressions so that both agree to
-        roundoff; `pair_generator` stays the scalar reference.
-        """
-        p = np.atleast_1d(np.asarray(p, dtype=float))[:, None]
-        s = np.atleast_1d(np.asarray(t, dtype=float))[None, :] / self.t_f
-        if np.any(p <= 0):
-            raise ContractError("pair momentum must be positive")
-        if np.any((s < 0.0) | (s > 1.0)):
-            raise ContractError("schedule argument outside [0, 1]")
-        kind = self.schedule.kind
-        if kind == ScheduleKind.POLY5:
-            P = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
-            dP = 30.0 * s * s * (1.0 - s) ** 2
-        elif kind == ScheduleKind.LINEAR:
-            P, dP = s, np.ones_like(s)
-        else:
-            xs, ys = (np.array(col) for col in zip(*sorted(self.schedule.samples)))
-            i = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, len(xs) - 2)
-            dP = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-            P = ys[i] + dP * (s - xs[i])
-
-        c = self.coupling
-        if c.family == CouplingFamily.CONTACT:
-            g2 = c.g2_start + (c.g2_end - c.g2_start) * P
-            g4 = c.g4_start + (c.g4_end - c.g4_start) * P
-            dg2 = (c.g2_end - c.g2_start) * dP / self.t_f
-            dg4 = (c.g4_end - c.g4_start) * dP / self.t_f
-        elif c.family == CouplingFamily.LORENTZIAN:
-            damp = np.exp(-c.R0 * np.abs(p))
-            g2 = g4 = (c.g2_start + (c.g2_end - c.g2_start) * P) * damp
-            dg2 = dg4 = (c.g2_end - c.g2_start) * damp * dP / self.t_f
-        else:
-            ps, g2s, g4s = c.table_arrays
-            g2_p, g4_p = np.interp(p, ps, g2s), np.interp(p, ps, g4s)
-            g2, g4 = g2_p * P, g4_p * P
-            dg2, dg4 = g2_p * dP / self.t_f, g4_p * dP / self.t_f
-
-        omega = p * (self.v_F + g4 / TWO_PI)
-        g = p * g2 / TWO_PI
-        if not self.cd_enabled:
-            return omega, g, np.zeros_like(omega)
-        a = TWO_PI * self.v_F + g4
-        denom = a * a - g2 * g2
-        if np.any(denom <= 0):
-            raise LuttingerInstabilityError(
-                "luttinger-instability: (2 pi v_F + g4)^2 <= g2^2"
-            )
-        chi = 0.5 * (dg4 * g2 - dg2 * a) / denom
-        return omega, g, np.broadcast_to(chi, omega.shape)
-
     def with_tf(self, t_f: float) -> "DriveProtocol":
         return replace(self, t_f=t_f)
 
     def with_cd(self, cd_enabled: bool) -> "DriveProtocol":
         return replace(self, cd_enabled=cd_enabled)
 
-    def validate(self, n_time: int = STABILITY_GRID_POINTS) -> None:
-        """Check Luttinger stability of every mode over a dense time grid."""
-        ts = np.linspace(0.0, self.t_f, n_time)
-        for p in self.momenta():
-            for t in ts[:: max(1, n_time // 101)]:
-                omega, g = self.pair_frequencies(p, t)
-                if abs(g) >= omega:
-                    raise ContractError(
-                        f"luttinger-instability at p={p:.6g}, t={t:.6g}"
-                    )
+    def validate(self) -> None:
+        """Check Luttinger stability of every mode over the whole ramp.
+
+        g2 and g4 are affine in the schedule value P for every coupling
+        family, so omega - |g| is concave in P and smallest at the least or
+        the greatest P the schedule reaches: those two points decide it.
+        """
+        s, P = self.schedule.extremes()
+        p = self.momenta()[:, None]
+        omega, g = model.pair_frequencies(p, *self.coupling.values(p, P), self.v_F)
+        excess = np.abs(g) - omega
+        if np.any(excess >= 0):
+            p, s = model.worst_point(excess, p, s)
+            raise ContractError(
+                f"luttinger-instability at p={p:.6g}, t={s * self.t_f:.6g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -196,13 +191,9 @@ def stability_margin(
     criterion limits what switching CD on would do.
     """
     p_min = TWO_PI / protocol.L
-    ts = np.linspace(0.0, protocol.t_f, n_time)
-    margin = math.inf
-    for t in ts:
-        lp = protocol.luttinger(p_min, t)
-        chi = 0.5 * protocol.kdot_over_k(p_min, t)
-        margin = min(margin, lp.v_s * p_min - abs(chi))
-    max_adiab = max(adiabaticity_parameter(protocol, p_min, t) for t in ts)
+    c = protocol.grid(p_min, np.linspace(0.0, protocol.t_f, n_time))
+    margin = float(np.min(c.v_s * p_min - np.abs(c.chi_cd)))
+    max_adiab = float(np.max(c.adiabaticity))
     t_adiab = (
         protocol.t_f * max_adiab / ADIABATIC_THRESHOLD if max_adiab > 0 else 0.0
     )
@@ -217,15 +208,4 @@ def stability_margin(
 
 def adiabaticity_parameter(protocol: DriveProtocol, p: float, t: float) -> float:
     """|v_sdot / (v_s^2 p)|: small values mark the adiabatic regime."""
-    lp = protocol.luttinger(p, t)
-    return abs(protocol.sound_velocity_rate(p, t)) / (lp.v_s**2 * p)
-
-
-def check_cd_spectrum(protocol: DriveProtocol, n_time: int = 201) -> None:
-    """Raise CDInstabilityError if the controlled spectrum turns imaginary
-    anywhere on the time x mode grid."""
-    ts = np.linspace(0.0, protocol.t_f, n_time)
-    for p in protocol.momenta():
-        for t in ts:
-            lp = protocol.luttinger(p, t)
-            spectrum_with_cd(lp.v_s, p, 0.5 * protocol.kdot_over_k(p, t))
+    return float(protocol.grid(p, t).adiabaticity[0, 0])

@@ -48,7 +48,13 @@ IDENTITY = BogoliubovMap(1.0 + 0.0j, 0.0j)
 
 def check_map(m: BogoliubovMap, error_tol: float = INVARIANT_ERROR_TOL) -> None:
     """Enforce the symplectic invariant; warn above the soft tolerance."""
-    defect = abs(m.invariant_defect())
+    check_defect(abs(m.invariant_defect()), error_tol)
+
+
+def check_defect(defect: float, error_tol: float) -> None:
+    """The invariant policy for the largest ||u|^2 - |v|^2 - 1| of one map or
+    of a whole run: raise above error_tol, warn once above the soft
+    tolerance."""
     if defect > error_tol:
         raise ContractError(
             f"Bogoliubov invariant violated: |u|^2-|v|^2-1 = {defect:.3e}"
@@ -56,7 +62,7 @@ def check_map(m: BogoliubovMap, error_tol: float = INVARIANT_ERROR_TOL) -> None:
     if defect > INVARIANT_WARN_TOL:
         warnings.warn(
             f"Bogoliubov invariant drift {defect:.3e} exceeds {INVARIANT_WARN_TOL}",
-            stacklevel=2,
+            stacklevel=3,
         )
 
 

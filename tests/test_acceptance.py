@@ -70,14 +70,8 @@ def figure_run():
 
 def test_criterion_1_transitionless(figure_run):
     proto, result, elapsed = figure_run
-    worst_fid = min(
-        rec.fidelity_instantaneous_gs
-        for traj in result.trajectories
-        for rec in traj.records
-    )
-    worst_nqp = max(
-        traj.records[-1].occupation_quasiparticle for traj in result.trajectories
-    )
+    worst_fid = np.min(result.trajectories.fidelity)
+    worst_nqp = np.max(result.trajectories.n_qp[:, -1])
     ok = worst_fid >= 1 - 1e-8 and worst_nqp <= 1e-8 and elapsed < 10.0
     report(
         1,
@@ -167,7 +161,7 @@ def test_criterion_6_oracle_equivalence():
             pr.t_f,
             t_eval=traj.times,
         )
-        ov = abs(states[-1].overlap(fock.gaussian_state(traj.maps[-1], 120)))
+        ov = abs(states[-1].overlap(fock.gaussian_state(traj.map(0, -1), 120)))
         worst = min(worst, ov)
     elapsed = time.perf_counter() - start
     ok = worst >= 1 - 1e-6 and elapsed < 5.0
@@ -190,7 +184,7 @@ def test_criterion_7_sudden_quench():
         traj = dynamics.evolve_pair(p, proto, record_points=11)
         omega, g = proto.pair_frequencies(p, proto.t_f)
         expect = math.sinh(bogoliubov_angle(omega, g)) ** 2
-        worst = max(worst, abs(traj.records[-1].occupation_quasiparticle - expect))
+        worst = max(worst, abs(traj.n_qp[0, -1] - expect))
     report(7, worst < 1e-6, f"max |n_qp - sinh^2(eta_f)| = {worst:.3e} (< 1e-6)")
 
 
@@ -200,7 +194,7 @@ def test_criterion_8_adiabatic_convergence():
     res = []
     for t_f in (proto.t_f, 10 * proto.t_f):
         traj = dynamics.evolve_pair(p, proto.with_tf(t_f), record_points=21)
-        res.append(traj.records[-1].residual_energy)
+        res.append(traj.residual[0, -1])
     factor = res[0] / res[1]
     report(
         8,

@@ -280,3 +280,24 @@ def test_plot_subcommand(tmp_path):
     assert main(["plot", "--out", str(out)]) == 0
     assert (out / "parameters.svg").exists()
     assert (out / "residual.svg").exists()
+
+
+def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
+    from tllcd import protocol
+
+    calls = []
+    real = protocol.stability_margin
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].t_f)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "stability_margin", counted)
+    monkeypatch.setattr(cli, "stability_margin", counted)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", out]) == 0
+    assert calls == [6.0]
+    calls.clear()
+    cfg = write_config(tmp_path, GOOD_CONFIG + "tf_list = 4.0,8.0,0.01\n", name="s.cfg")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert calls == [4.0, 8.0, 0.01]

@@ -3,13 +3,16 @@ observable identities, transitionless driving and sweeps."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tllcd import dynamics, fock, su11
 from tllcd.control import Schedule, ScheduleKind
-from tllcd.errors import ContractError
+from tllcd.errors import CDInstabilityError, ContractError
 from tllcd.model import (
     CouplingFamily,
     CouplingSpec,
@@ -49,34 +52,30 @@ def make_protocol(
 def test_static_free_hamiltonian_keeps_identity():
     proto = make_protocol(g2_end=0.0, g4_end=0.0, cd=False)
     traj = dynamics.evolve_pair(proto.momenta()[0], proto, record_points=21)
-    for m in traj.maps:
-        assert abs(m.u - 1.0) < 1e-9
-        assert abs(m.v) < 1e-9
+    assert np.max(np.abs(traj.u - 1.0)) < 1e-9
+    assert np.max(np.abs(traj.v)) < 1e-9
 
 
 def test_invariant_conserved_along_run():
     proto = make_protocol()
     traj = dynamics.evolve_pair(proto.momenta()[0], proto)
-    for m in traj.maps:
-        assert abs(m.invariant_defect()) < 1e-8
+    assert np.max(np.abs(np.abs(traj.u) ** 2 - np.abs(traj.v) ** 2 - 1.0)) < 1e-8
 
 
 def test_stored_maps_are_phase_normalized():
     proto = make_protocol()
     traj = dynamics.evolve_pair(proto.momenta()[0], proto, record_points=31)
-    for m in traj.maps:
-        assert m.u.imag == pytest.approx(0.0, abs=1e-12)
-        assert m.u.real > 0.0
-    assert traj.annihilator_phase is not None
-    assert traj.annihilator_phase[0] == 0.0
+    assert np.max(np.abs(traj.u.imag)) <= 1e-12
+    assert np.all(traj.u.real > 0.0)
+    assert traj.annihilator_phase.shape == traj.u.shape == (1, 31)
+    assert traj.annihilator_phase[0, 0] == 0.0
 
 
 def test_cd_run_is_transitionless():
     proto = make_protocol()
     traj = dynamics.evolve_pair(proto.momenta()[0], proto)
-    for rec in traj.records:
-        assert rec.fidelity_instantaneous_gs >= 1 - 1e-9
-    assert traj.records[-1].occupation_quasiparticle < 1e-10
+    assert np.min(traj.fidelity) >= 1 - 1e-9
+    assert traj.n_qp[0, -1] < 1e-10
 
 
 def test_cd_final_state_is_target_squeeze():
@@ -86,7 +85,7 @@ def test_cd_final_state_is_target_squeeze():
     traj = dynamics.evolve_pair(p, proto)
     K_f = proto.luttinger(p, proto.t_f).K
     target = su11.squeeze_from_angle(0.5 * math.log(K_f))
-    assert su11.state_overlap(target, traj.maps[-1]) >= 1 - 1e-10
+    assert su11.state_overlap(target, traj.map(0, -1)) >= 1 - 1e-10
 
 
 def test_integrator_vs_fock_oracle():
@@ -102,8 +101,8 @@ def test_integrator_vs_fock_oracle():
             t_eval=traj.times,
         )
         assert states[-1].cutoff_safe
-        for st, m in zip(states[::10], traj.maps[::10]):
-            ov = abs(st.overlap(fock.gaussian_state(m, 120)))
+        for k in range(0, len(traj.times), 10):
+            ov = abs(states[k].overlap(fock.gaussian_state(traj.map(0, k), 120)))
             assert ov >= 1 - 1e-8
 
 
@@ -149,8 +148,7 @@ def test_controlled_pair_energy_matches_fock_expectation():
 def test_residual_energy_nonnegative():
     proto = make_protocol(cd=False)
     traj = dynamics.evolve_pair(proto.momenta()[0], proto)
-    for rec in traj.records:
-        assert rec.residual_energy >= -1e-10
+    assert np.min(traj.residual) >= -1e-10
 
 
 def test_sudden_quench_occupation():
@@ -161,8 +159,8 @@ def test_sudden_quench_occupation():
     traj = dynamics.evolve_pair(p, proto, record_points=11)
     omega, g = proto.pair_frequencies(p, proto.t_f)
     eta_f = bogoliubov_angle(omega, g)
-    assert traj.records[-1].occupation_bare < 1e-8
-    assert traj.records[-1].occupation_quasiparticle == pytest.approx(
+    assert traj.n_bare[0, -1] < 1e-8
+    assert traj.n_qp[0, -1] == pytest.approx(
         math.sinh(eta_f) ** 2, abs=1e-8
     )
 
@@ -175,9 +173,8 @@ def test_interacting_initial_map():
     omega, g = proto.pair_frequencies(p, 0.0)
     gs = su11.squeeze_from_angle(bogoliubov_angle(omega, g))
     traj = dynamics.evolve_pair(p, proto, initial=gs, record_points=21)
-    for rec in traj.records:
-        assert rec.occupation_quasiparticle < 1e-9
-        assert rec.fidelity_instantaneous_gs >= 1 - 1e-9
+    assert np.max(traj.n_qp) < 1e-9
+    assert np.min(traj.fidelity) >= 1 - 1e-9
 
 
 def test_dynamical_phase_convention():
@@ -187,11 +184,11 @@ def test_dynamical_phase_convention():
     omega0, g0 = proto.pair_frequencies(p, 0.0)
     eps0 = instantaneous_spectrum(omega0, g0)
     # phase = -eps(p,0) n_p(0) * integral of v_s/v_F (= 1/sigma_s^2) dt
-    assert traj.phase[0] == 0.0
-    assert traj.phase[-1] == pytest.approx(
-        -eps0 * 2.0 * traj.sigma_integral[-1], rel=1e-12
+    assert traj.phase[0, 0] == 0.0
+    assert traj.phase[0, -1] == pytest.approx(
+        -eps0 * 2.0 * traj.sigma_integral[0, -1], rel=1e-12
     )
-    assert traj.sigma_integral[-1] > proto.t_f  # v_s grows above v_F
+    assert traj.sigma_integral[0, -1] > proto.t_f  # v_s grows above v_F
 
 
 def test_mean_energy_scaling_requires_cd():
@@ -210,10 +207,10 @@ def test_mean_energy_scaling_cd_on():
 def test_run_simulation_aggregates():
     proto = make_protocol(L=40.0, n_modes=3)
     result = dynamics.run_simulation(proto, record_points=41)
-    assert len(result.trajectories) == 3
+    assert result.trajectories.n_qp.shape == (3, 41)
     assert result.total_residual.shape == result.times.shape
     assert abs(result.total_residual[-1]) < 1e-8  # CD keeps it at tolerance
-    assert result.min_margin > 0
+    assert result.stability.margin > 0
     assert result.K[-1] == pytest.approx(0.8619952425563819, abs=1e-10)
     assert result.v_s[-1] == pytest.approx(1.0677814482182002, abs=1e-10)
 
@@ -251,3 +248,83 @@ def test_cd_sweep_residual_does_not_drift_with_tf():
     rows = dynamics.sweep_tf(proto, [5.0, 10.0, 20.0, 40.0])
     assert all(r.stability_pass for r in rows)
     assert max(abs(r.final_residual) for r in rows) <= 1e-12
+
+
+def test_cd_instability_fails_before_integration(monkeypatch):
+    # the controlled spectrum v_s p > |chi| is checked on the (mode, record)
+    # grid before any integration work
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration ran on an unstable CD protocol")
+
+    proto = make_protocol(t_f=9.498860966469166, L=100.0, n_modes=4)
+    monkeypatch.setattr(dynamics, "integrate_modes", no_integration)
+    with pytest.raises(CDInstabilityError, match="cd-instability at p = 0.0628319"):
+        dynamics.run_simulation(proto.with_tf(0.05), record_points=31)
+
+
+def test_invariant_check_raises_and_warns_once(monkeypatch):
+    proto = make_protocol(n_modes=3)
+    real = dynamics.integrate_protocol
+
+    def drifted(defect):
+        def integrate(*args):
+            u, v, report = real(*args)
+            return u, v, replace(report, max_invariant_defect=defect)
+
+        return integrate
+
+    monkeypatch.setattr(dynamics, "integrate_protocol", drifted(1e-8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dynamics.run_simulation(proto, record_points=21)
+    assert [str(w.message) for w in caught] == [
+        "Bogoliubov invariant drift 1.000e-08 exceeds 1e-09"
+    ]
+    monkeypatch.setattr(dynamics, "integrate_protocol", drifted(2e-6))
+    with pytest.raises(ContractError, match="invariant violated"):
+        dynamics.run_simulation(proto, record_points=21)
+
+
+def unit_maps(r, phase_u, phase_v):
+    """States with |u|^2 - |v|^2 = 1 and arbitrary annihilator phases."""
+    return np.cosh(r) * np.exp(1j * phase_u), np.sinh(r) * np.exp(1j * phase_v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 2.0),
+            st.floats(-math.pi, math.pi),
+            st.floats(-math.pi, math.pi),
+            st.floats(0.1, 5.0),
+            st.floats(-0.95, 0.95),
+            st.floats(-2.0, 2.0),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_array_observables_match_scalar_references(rows):
+    r, phase_u, phase_v, omega, g_ratio, chi = (np.array(col) for col in zip(*rows))
+    u, v = unit_maps(r, phase_u, phase_v)
+    rotation = np.exp(-1j * np.angle(u))
+    u, v = u * rotation, v * rotation
+    g = g_ratio * omega
+    obs = dynamics.observables(u, v, omega, g, chi)
+    for k in range(len(rows)):
+        state = su11.BogoliubovMap(complex(u[k]), complex(v[k]))
+        coeffs = PairCoefficients(omega[k], g[k], chi[k])
+        eta = bogoliubov_angle(omega[k], g[k])
+        energy = dynamics.pair_energy(state, coeffs)
+        want = {
+            "n_bare": su11.vacuum_observables(state).occupation,
+            "n_qp": abs(dynamics.quasiparticle_frame(state, eta).v) ** 2,
+            "fidelity": su11.state_overlap(su11.squeeze_from_angle(eta), state),
+            "pair_energy": energy,
+            "residual": energy - (instantaneous_spectrum(omega[k], g[k]) - omega[k]),
+            "controlled_energy": dynamics.controlled_pair_energy(state, coeffs),
+        }
+        scale = 1.0 + abs(omega[k]) * np.cosh(2.0 * r[k])
+        for name, value in want.items():
+            assert abs(obs[name][k] - value) <= 1e-13 * scale, name

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from tllcd import dynamics
 from tllcd.control import Schedule, ScheduleKind
-from tllcd.errors import CDInstabilityError, ContractError
+from tllcd.errors import ContractError
 from tllcd.model import TWO_PI, CouplingFamily, CouplingSpec
 from tllcd.protocol import (
     DriveProtocol,
     adiabaticity_parameter,
-    check_cd_spectrum,
     closed_form_bound,
     stability_margin,
 )
@@ -145,12 +145,6 @@ def test_adiabatic_time_scales_with_tf():
     assert slow.t_adiabatic == pytest.approx(fast.t_adiabatic, rel=1e-2)
 
 
-def test_check_cd_spectrum():
-    check_cd_spectrum(reference_protocol(), n_time=31)
-    with pytest.raises(CDInstabilityError):
-        check_cd_spectrum(reference_protocol(t_f=0.05), n_time=31)
-
-
 def test_validate_rejects_unstable_coupling():
     proto = DriveProtocol(
         coupling=CouplingSpec(g2_start=0.0, g2_end=TWO_PI + 0.5),
@@ -160,7 +154,79 @@ def test_validate_rejects_unstable_coupling():
         n_modes=2,
     )
     with pytest.raises(ContractError, match="luttinger-instability"):
-        proto.validate(n_time=51)
+        proto.validate()
+
+
+SPIKE = ((0.0, 0.0), (0.5, 0.5), (0.5025, 3.0), (0.505, 0.5), (1.0, 1.0))
+
+
+def test_validate_catches_a_spike_between_grid_points(monkeypatch):
+    # P reaches 3 for 0.5% of the ramp, where g2 = 7.5 > 2 pi v_F: a check
+    # sampled on a time grid missed it, and the run integrated through it
+    proto = DriveProtocol(
+        coupling=CouplingSpec(g2_end=2.5, g4_end=0.0),
+        schedule=Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=SPIKE),
+        t_f=10.0,
+        L=100.0,
+        n_modes=4,
+        cd_enabled=False,
+    )
+    message = r"luttinger-instability at p=0\.251327, t=5\.025"
+    with pytest.raises(ContractError, match=message):
+        proto.validate()
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration ran on an unstable ramp")
+
+    monkeypatch.setattr(dynamics, "integrate_modes", no_integration)
+    with pytest.raises(ContractError, match=message):
+        dynamics.run_simulation(proto)
+
+
+def test_validate_is_exact_at_the_stability_edge():
+    # omega - |g| is smallest at an extreme of P: a ramp ending just below
+    # the edge passes and one ending at it fails, for every schedule kind
+    edge = TWO_PI
+    for schedule in (
+        Schedule(ScheduleKind.POLY5),
+        Schedule(ScheduleKind.LINEAR),
+        Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (0.3, 1.0), (1.0, 1.0))),
+    ):
+        for g2_end, stable in ((edge * (1 - 1e-12), True), (edge, False)):
+            proto = DriveProtocol(
+                coupling=CouplingSpec(g2_end=g2_end),
+                schedule=schedule,
+                t_f=5.0,
+                L=100.0,
+                n_modes=3,
+            )
+            if stable:
+                proto.validate()
+            else:
+                with pytest.raises(ContractError, match="luttinger-instability"):
+                    proto.validate()
+
+
+def test_coefficient_grid_matches_scalar_methods():
+    proto = reference_protocol()
+    p = proto.momenta()
+    t = np.linspace(0.0, proto.t_f, 7)
+    grid = proto.grid(p, t)
+    for got, want in zip((grid.omega, grid.g, grid.chi), proto.coefficients(p, t)):
+        assert np.array_equal(got, want)
+    for i, pi in enumerate(p):
+        for j, tj in enumerate(t):
+            lp = proto.luttinger(pi, tj)
+            assert grid.K[i, j] == lp.K and grid.v_s[i, j] == lp.v_s
+            assert grid.chi_cd[i, j] == 0.5 * proto.kdot_over_k(pi, tj)
+            assert grid.v_s_rate[i, j] == proto.sound_velocity_rate(pi, tj)
+            assert grid.adiabaticity[i, j] == adiabaticity_parameter(proto, pi, tj)
+
+
+def test_errors_name_the_worst_point():
+    proto = reference_protocol()
+    with pytest.raises(ContractError, match=r"schedule argument 1\.5 outside"):
+        proto.grid(proto.momenta(), [0.0, 1.2 * proto.t_f, 1.5 * proto.t_f])
 
 
 def test_with_tf_and_with_cd():
