@@ -6,7 +6,7 @@ Modules:
     model     TLL parameters, couplings, spectrum, oscillator mapping
     control   schedules, CD amplitudes, stability and auxiliary formulas
     protocol  drive protocol, its coefficient grid, speed-window criteria
-    integrator fourth-order Magnus integration of all pairs at once
+    integrator sixth-order Magnus integration of all pairs at once
     dynamics  trajectories of all pairs as arrays, observables, sweeps
     fock      truncated-Fock brute-force oracle (validation only)
     cli       tll-cd-sim command line and file I/O

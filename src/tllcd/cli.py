@@ -38,6 +38,8 @@ EXIT_VALIDATION = 5
 
 MODES_HEADER = "t,p,n_bare,n_qp,fidelity,pair_energy,residual,epsilon_cd,chi"
 AGGREGATE_HEADER = "t,total_residual,total_energy,v_s,K,chi,min_margin"
+# CSV rows formatted and written at a time: bounds the memory the text takes
+CSV_BLOCK_ROWS = 2048
 
 _DEFAULTS = {
     "family": "contact",
@@ -256,9 +258,39 @@ def write_outputs(result, cfg: RunConfig, out_dir, mode_errors=()) -> dict:
 
 def _write_csv(path, header: str, columns) -> None:
     """One CSV column per array, rows in C order (mode-major for (mode, time)
-    arrays); '%.17g' writes what format(x, '.17g') does."""
-    table = np.column_stack([np.ravel(c) for c in columns]) if columns else []
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    arrays), each number as format(x, '.17g'): the bytes that
+    np.savetxt(fmt='%.17g') writes.
+
+    A column in which at least half the entries repeat (time, momentum, a
+    contact chi) has each distinct bit pattern formatted once, so -0.0 and
+    0.0 stay apart; the other columns are formatted by one '%' per block of
+    CSV_BLOCK_ROWS rows, so the text of the whole table is never held."""
+    columns = [np.asarray(c, dtype=float).ravel() for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    distinct, formats = [], []
+    for column in columns:
+        bits = np.unique(column.view(np.int64))
+        if 2 * len(bits) <= n_rows:
+            text = [format(x, ".17g") for x in bits.view(np.float64).tolist()]
+            distinct.append((bits, np.array(text, dtype=object)))
+            formats.append("%s")
+        else:
+            distinct.append(None)
+            formats.append("%.17g")
+    row = ",".join(formats) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            block = np.empty((stop - start, len(columns)), dtype=object)
+            for j, (column, values) in enumerate(zip(columns, distinct)):
+                part = column[start:stop]
+                if values is None:
+                    block[:, j] = part
+                else:
+                    bits, text = values
+                    block[:, j] = text[np.searchsorted(bits, part.view(np.int64))]
+            f.write((row * (stop - start)) % tuple(block.ravel().tolist()))
 
 
 def write_manifest(path, cfg: RunConfig, result, mode_errors=(), failure=None) -> None:
@@ -492,6 +524,25 @@ def run_validation_suite(verbose: bool = False) -> int:
             f"integrator vs Fock oracle (cd={'on' if cd else 'off'})",
             ov >= 1 - 1e-8 and states[-1].cutoff_safe,
         )
+
+    # integrator order on the same protocol, 4 record intervals: each halving
+    # of the step cuts the step-doubling difference |y_N - y_2N| by 2^6 at
+    # sixth order and by 2^4 at fourth, so a lower-order step fails here
+    p = proto.momenta()
+    times = np.linspace(0.0, proto.t_f, 5)
+    y = [
+        np.array(
+            integrator.fixed_steps(
+                lambda t: proto.coefficients(p, t), times, [1.0], [0.0], n
+            )
+        )
+        for n in (2, 4, 8)
+    ]
+    diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(y, y[1:])]
+    check(
+        "integrator order: halving the step cuts |y_N - y_2N| by >= 2^5",
+        diffs[0] >= 2**5 * diffs[1] > 0,
+    )
 
     # pair ground energy vs dense eigenvalue
     coeffs = PairCoefficients(omega=2.0, g=1.0, chi=0.0)

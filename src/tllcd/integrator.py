@@ -1,4 +1,4 @@
-"""Fourth-order Magnus integration of the pair equations of every mode at once.
+"""Sixth-order Magnus integration of the pair equations of every mode at once.
 
 Each (p, -p) pair evolves its annihilator coefficients by
 
@@ -9,14 +9,19 @@ i.e. d(u, v)/dt = A (u, v) with the su(1,1) generator
 A = [[i omega, b], [conj(b), -i omega]], b = -(chi + i g).  Its sign
 conventions are pinned by the Fock-oracle equivalence tests.
 
-One step of the two-node Gauss-Legendre Magnus method (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 151 (2009)) takes A1, A2 at t + (1/2 -+ sqrt(3)/6) h and
-forms
+An element X = [[i a, br + i bi], [br - i bi, -i a]] of su(1,1) is kept as
+the real 3-vector (a, br, bi); the commutator of two of them is again one,
+in closed form (`_comm`).  One step of the three-node Gauss-Legendre Magnus
+method (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009);
+Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)) takes A1, A2, A3
+at t + (1/2 - sqrt(15)/10) h, t + h/2, t + (1/2 + sqrt(15)/10) h and forms
 
-    Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A2, A1].
+    a1 = h A2,  a2 = sqrt(15)/3 h (A3 - A1),  a3 = 10/3 h (A3 - 2 A2 + A1),
+    c1 = [a1, a2],  c2 = -1/60 [a1, 2 a3 + c1],
+    Omega = a1 + a3/12 + 1/240 [-20 a1 - a3 + c1, a2 + c2],
 
-Omega stays in su(1,1): Omega = [[i a, beta], [conj(beta), -i a]] with a
-real, so Omega^2 = z I with z = |beta|^2 - a^2 real and
+with a local error of order h^7.  Omega = (a, br, bi) stays in su(1,1), so
+Omega^2 = z I with z = br^2 + bi^2 - a^2 real and
 
     exp(Omega) = C(z) I + S(z) Omega,  C = cosh(sqrt z), S = sinh(sqrt z)/sqrt z,
 
@@ -27,8 +32,9 @@ roundoff for every step size.  For the pair generator z = -(v_s^2 p^2 - chi^2)
 h^2 to leading order: its sign is the CD stability criterion.
 
 Error control: every record interval of every mode gets the same number of
-substeps N.  N is doubled until the Richardson estimate |y_N - y_2N|/15 is
-within atol + rtol |y| for every component, record and mode.
+substeps N.  N is doubled until the Richardson estimate |y_N - y_2N|/63
+(2^6 - 1 for a sixth-order method) is within atol + rtol |y| for every
+component, record and mode.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 from .errors import IntegrationError
 
 # Name of the method in run manifests.
-NAME = "magnus4"
+NAME = "magnus6"
 # Most Magnus steps per mode over the whole run before giving up; bounds the
 # time a run that cannot meet its tolerance takes to fail.
 MAX_STEPS = 1 << 18
@@ -49,8 +55,8 @@ MAX_STEPS = 1 << 18
 # points, so memory does not grow with the length of the run.
 BLOCK_POINTS = 1 << 12
 
-_NODE = math.sqrt(3.0) / 6.0
-_COMMUTATOR = math.sqrt(3.0) / 12.0
+# Gauss-Legendre nodes of one step, as fractions of its width
+_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 # |z| below which C and S come from their Taylor series in z; the first
 # omitted term is below 3e-17 there.
 _SERIES_Z = 1e-2
@@ -61,7 +67,7 @@ class IntegrationReport:
     """Deterministic facts of one integration."""
 
     substeps: int  # Magnus steps per record interval
-    error_estimate: float  # max |y_N - y_2N|/15 over components, records, modes
+    error_estimate: float  # max |y_N - y_2N|/63 over components, records, modes
     max_invariant_defect: float  # max ||u|^2 - |v|^2 - 1| over records, modes
 
 
@@ -85,7 +91,7 @@ def integrate_modes(coefficients, times, u0, v0, rtol, atol):
     while True:
         substeps *= 2
         _propagate(coefficients, times, y0, substeps, fine)
-        err = np.abs(np.subtract(coarse, fine, out=coarse)) / 15.0
+        err = np.abs(np.subtract(coarse, fine, out=coarse)) / 63.0
         if np.all(err <= atol + rtol * np.abs(fine)):
             u, v = fine
             defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
@@ -96,6 +102,17 @@ def integrate_modes(coefficients, times, u0, v0, rtol, atol):
                 "per record interval"
             )
         coarse, fine = fine, coarse
+
+
+def fixed_steps(coefficients, times, u0, v0, substeps):
+    """(u, v) on the record grid `times` after `substeps` Magnus steps per
+    record interval, without error control: the method's raw convergence,
+    for order checks.  Arguments as for integrate_modes."""
+    y0 = np.array([u0, v0], dtype=complex)
+    times = np.asarray(times, dtype=float)
+    out = np.empty(y0.shape + times.shape, dtype=complex)
+    _propagate(coefficients, times, y0, substeps, out)
+    return out[0], out[1]
 
 
 def _propagate(coefficients, times, y0, substeps, out):
@@ -142,20 +159,27 @@ def _steps(coefficients, starts, widths, offsets):
     for the steps starting at starts + offsets * widths."""
     t0 = starts[:, None] + offsets[None, :] * widths[:, None]
     h = np.broadcast_to(widths[:, None], t0.shape)
-    nodes = np.stack([t0 + (0.5 - _NODE) * h, t0 + (0.5 + _NODE) * h], axis=-1)
+    nodes = t0[..., None] + h[..., None] * _NODES
     omega, g, chi = (
         np.reshape(x, (-1,) + nodes.shape) for x in coefficients(nodes.ravel())
     )
-    w1, w2 = omega[..., 0], omega[..., 1]
-    g1, g2 = g[..., 0], g[..., 1]
-    c1, c2 = chi[..., 0], chi[..., 1]
-    half, k = 0.5 * h, _COMMUTATOR * h * h
-    # Omega = [[i a, br + i bi], [br - i bi, -i a]]
-    a = half * (w1 + w2) + 2.0 * k * (g2 * c1 - c2 * g1)
-    br = -half * (c1 + c2) - 2.0 * k * (w1 * g2 - w2 * g1)
-    bi = -half * (g1 + g2) + 2.0 * k * (w1 * c2 - w2 * c1)
+    # generator 3-vectors (a, br, bi) = (omega, -chi, -g), node on the last axis
+    A = np.stack([omega, -chi, -g])
+    A1, A2, A3 = A[..., 0], A[..., 1], A[..., 2]
+    a1 = h * A2
+    a2 = (math.sqrt(15.0) / 3.0) * h * (A3 - A1)
+    a3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
+    c1 = _comm(a1, a2)
+    c2 = (-1.0 / 60.0) * _comm(a1, 2.0 * a3 + c1)
+    a, br, bi = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
     C, S = _cosh_sinhc(br * br + bi * bi - a * a)
     return C + 1j * (S * a), S * br + 1j * (S * bi)
+
+
+def _comm(x, y):
+    """[X, Y] of su(1,1) elements given as 3-vectors (a, br, bi) on axis 0."""
+    (a, r, s), (a2, r2, s2) = x, y
+    return 2.0 * np.stack([s * r2 - r * s2, s * a2 - a * s2, a * r2 - r * a2])
 
 
 def _cosh_sinhc(z):

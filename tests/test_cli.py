@@ -173,10 +173,33 @@ def test_simulate_byte_stable(tmp_path):
     facts = dict(
         line.split(" = ", 1) for line in manifest.splitlines() if line.startswith("integrator")
     )
-    assert facts["integrator"] == "magnus4"
+    assert facts["integrator"] == "magnus6"
     assert int(facts["integrator.substeps"]) >= 2
     assert 0 <= float(facts["integrator.error_estimate"]) <= 1e-10
     assert 0 <= float(facts["integrator.max_invariant_defect"]) <= 1e-12
+
+
+def test_csv_writer_matches_savetxt(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 2 * cli.CSV_BLOCK_ROWS + 3  # two full blocks and a partial one
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308, 0.1]
+    distinct = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    distinct[: len(special)] = special
+    columns = [
+        np.resize(special, n),  # repeated values, -0.0 beside 0.0
+        np.full(n, 1.0 / 3.0),  # constant
+        distinct,
+        np.repeat(np.linspace(0.0, 1.0, 9), n // 9 + 1)[:n].reshape(1, n),  # 2-D, runs
+    ]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    table = np.column_stack([np.ravel(c) for c in columns])
+    np.savetxt(want, table, fmt="%.17g", delimiter=",", header="a,b,c,d", comments="")
+    cli._write_csv(got, "a,b,c,d", columns)
+    assert got.read_bytes() == want.read_bytes()
+    # no columns: the header alone, as np.savetxt writes an empty table
+    np.savetxt(want, [], fmt="%.17g", delimiter=",", header="a", comments="")
+    cli._write_csv(got, "a", [])
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_simulate_cd_override(tmp_path):

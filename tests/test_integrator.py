@@ -1,6 +1,7 @@
 """Magnus integrator: agreement with a tight DOP853 reference for every
-coupling family and schedule, the symplectic invariant, all-modes versus
-per-mode runs, error handling and the array coefficient evaluator."""
+coupling family and schedule, the order of the step, the symplectic
+invariant, all-modes versus per-mode runs, error handling and the array
+coefficient evaluator."""
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ def make_protocol(family="contact", schedule="poly5", cd=True, n_modes=3):
     )
 
 
-def dop853(proto, p, times):
-    """Reference (u, v) of one pair from (1, 0), DOP853 at rtol 1e-12."""
+def dop853(proto, p, times, rtol=1e-12):
+    """Reference (u, v) of one pair from (1, 0), DOP853 at `rtol`."""
 
     def rhs(t, y):
         c = proto.pair_generator(p, t)
@@ -63,7 +64,7 @@ def dop853(proto, p, times):
 
     sol = solve_ivp(
         rhs, (0.0, times[-1]), [1.0, 0.0, 0.0, 0.0], method="DOP853",
-        t_eval=times, rtol=1e-12, atol=1e-14,
+        t_eval=times, rtol=rtol, atol=1e-14,
     )
     assert sol.success
     return sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3]
@@ -83,6 +84,57 @@ def test_matches_dop853(family, schedule, cd):
         assert np.max(np.abs(v[k] - v_ref)) < 1e-8
     assert report.max_invariant_defect <= 1e-12
     assert report.error_estimate <= 1e-10
+
+
+def test_sixth_order_convergence():
+    # one slow mode over 4 record intervals: N = 2 is already asymptotic and
+    # the errors at N = 8 (~1e-11) are far above the reference's
+    proto = make_protocol(n_modes=1)
+    p = proto.momenta()
+    times = np.linspace(0.0, proto.t_f, 5)
+    u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
+
+    def error(substeps):
+        u, v = integrator.fixed_steps(
+            lambda t: proto.coefficients(p, t), times, [1.0], [0.0], substeps
+        )
+        return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
+
+    errors = [error(n) for n in (2, 4, 8)]
+    # doubling N divides the error by 2^6 at sixth order, by 2^4 at fourth
+    assert errors[0] >= 2**5 * errors[1]
+    assert errors[1] >= 2**5 * errors[2]
+
+
+def test_substeps_of_the_long_cd_ramp():
+    # the 32-mode CD ramp at t_f = 40 that the fourth-order step needed 32
+    # substeps per record interval for
+    proto = DriveProtocol(
+        coupling=CouplingSpec(family=CouplingFamily.CONTACT, g2_end=1.0, g4_end=0.5),
+        schedule=Schedule(ScheduleKind.POLY5),
+        t_f=40.0,
+        L=100.0,
+        n_modes=32,
+        cd_enabled=True,
+    )
+    times = np.linspace(0.0, proto.t_f, 201)
+    _, _, report = dynamics.integrate_protocol(
+        proto, proto.momenta(), times, 1e-10, 1e-12
+    )
+    assert report.substeps <= 8
+    assert report.error_estimate <= 1e-10
+
+
+def test_comm_matches_matrix_commutator():
+    def matrix(a, br, bi):
+        b = br + 1j * bi
+        return np.array([[1j * a, b], [np.conj(b), -1j * a]])
+
+    x, y = np.random.default_rng(7).normal(size=(2, 3, 20))
+    got = integrator._comm(x, y)
+    for k in range(x.shape[1]):
+        X, Y = matrix(*x[:, k]), matrix(*y[:, k])
+        assert np.max(np.abs(matrix(*got[:, k]) - (X @ Y - Y @ X))) < 1e-14
 
 
 def test_invariant_defect_at_roundoff():
