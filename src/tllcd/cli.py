@@ -41,66 +41,34 @@ AGGREGATE_HEADER = "t,total_residual,total_energy,v_s,K,chi,min_margin"
 # CSV rows formatted and written at a time: bounds the memory the text takes
 CSV_BLOCK_ROWS = 2048
 
-_DEFAULTS = {
-    "family": "contact",
-    "g2_start": 0.0,
-    "g2_end": 0.0,
-    "g4_start": 0.0,
-    "g4_end": 0.0,
-    "R0": 0.0,
-    "table": "",
-    "schedule": "poly5",
-    "t_f": 0.0,
-    "L": 100.0,
-    "n_modes": 128,
-    "cd": "on",
-    "v_F": 1.0,
-    "record_points": 201,
-    "rtol": 1e-10,
-    "atol": 1e-12,
-    "units": "natural",
-    "emit_plots": "false",
-    "sound_velocity": 0.0,
-    "tf_list": "",
-}
-
 _POSITIVE_KEYS = ("L", "v_F", "rtol", "atol")
-
-_CONVERT = {
-    "family": str,
-    "schedule": str,
-    "cd": str,
-    "units": str,
-    "emit_plots": str,
-    "table": str,
-    "tf_list": str,
-    "n_modes": int,
-    "record_points": int,
-}
 
 
 @dataclass
 class RunConfig:
-    family: str
-    g2_start: float
-    g2_end: float
-    g4_start: float
-    g4_end: float
-    R0: float
-    table: str
-    schedule: str
-    t_f: float
-    L: float
-    n_modes: int
-    cd: str
-    v_F: float
-    record_points: int
-    rtol: float
-    atol: float
-    units: str
-    emit_plots: str
-    sound_velocity: float
-    tf_list: str
+    """Every config key with its default; parse_config converts a value with
+    the type of its default."""
+
+    family: str = "contact"
+    g2_start: float = 0.0
+    g2_end: float = 0.0
+    g4_start: float = 0.0
+    g4_end: float = 0.0
+    R0: float = 0.0
+    table: str = ""
+    schedule: str = "poly5"
+    t_f: float = 0.0
+    L: float = 100.0
+    n_modes: int = 128
+    cd: str = "on"
+    v_F: float = 1.0
+    record_points: int = 201
+    rtol: float = 1e-10
+    atol: float = 1e-12
+    units: str = "natural"
+    emit_plots: str = "false"
+    sound_velocity: float = 0.0
+    tf_list: str = ""
 
     def coupling(self) -> CouplingSpec:
         table = None
@@ -161,8 +129,8 @@ def _finite(text: str, what: str) -> float:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key=value config; defaults filled in."""
-    values = dict(_DEFAULTS)
-    seen = set()
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,14 +140,12 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _DEFAULTS:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        seen.add(key)
-        conv = _CONVERT.get(key, float)
         try:
-            values[key] = conv(val)
+            values[key] = types[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
 
@@ -210,8 +176,8 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.emit_plots not in ("true", "false"):
         raise ConfigError("emit_plots must be 'true' or 'false'")
     # endpoint Luttinger stability; full dense pre-check happens at run time
+    coupling = cfg.coupling()
     for progress in (0.0, 0.5, 1.0):
-        coupling = cfg.coupling()
         g2, g4 = coupling.values(2 * math.pi / cfg.L, progress)
         try:
             # Python floats, so that an overflow raises instead of giving inf
@@ -231,7 +197,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_outputs(result, cfg: RunConfig, out_dir, mode_errors=()) -> dict:
+def write_outputs(result, cfg: RunConfig, out_dir) -> dict:
     """Write per-mode CSV, aggregate CSV and the manifest; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,7 +218,7 @@ def write_outputs(result, cfg: RunConfig, out_dir, mode_errors=()) -> dict:
         aggregate.append(np.full_like(result.times, result.stability.margin))
     _write_csv(paths["modes"], MODES_HEADER, modes)
     _write_csv(paths["aggregate"], AGGREGATE_HEADER, aggregate)
-    write_manifest(paths["manifest"], cfg, result, mode_errors)
+    write_manifest(paths["manifest"], cfg, result)
     return paths
 
 
@@ -293,7 +259,7 @@ def _write_csv(path, header: str, columns) -> None:
             f.write((row * (stop - start)) % tuple(block.ravel().tolist()))
 
 
-def write_manifest(path, cfg: RunConfig, result, mode_errors=(), failure=None) -> None:
+def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
     """Key-value manifest, written even on failure (with the cause).
 
     Wall time is deliberately not recorded: output files are byte-stable.
@@ -328,8 +294,6 @@ def write_manifest(path, cfg: RunConfig, result, mode_errors=(), failure=None) -
         lines.append("units.length = um")
         lines.append("units.time = ms")
         lines.append("units.velocity = um/ms")
-    for err in mode_errors:
-        lines.append(f"mode_error = {err}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -380,11 +344,7 @@ def cmd_simulate(args) -> int:
             atol=cfg.atol,
             record_points=cfg.record_points,
         )
-    except (LuttingerInstabilityError, CDInstabilityError, ContractError) as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(out_dir / "manifest.txt", cfg, None, failure=str(exc))
-        raise
-    except IntegrationError as exc:
+    except (ContractError, IntegrationError) as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_manifest(out_dir / "manifest.txt", cfg, None, failure=str(exc))
         raise

@@ -171,7 +171,7 @@ def _evolve(protocol, momenta, times, rtol, atol, initial, initial_occupation):
     # an unstable controlled spectrum fails here, before any integration
     epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi) if protocol.cd_enabled else eps
     u, v, report = integrate_protocol(protocol, momenta, times, rtol, atol, initial)
-    su11.check_defect(report.max_invariant_defect, su11.INVARIANT_ERROR_TOL)
+    su11.check_defect(report.max_invariant_defect)
 
     phases = np.angle(u)
     rotation = np.exp(-1j * phases)

@@ -31,6 +31,14 @@ SU(1,1) matrix [[alpha, beta'], [conj(beta'), conj(alpha)]] with
 roundoff for every step size.  For the pair generator z = -(v_s^2 p^2 - chi^2)
 h^2 to leading order: its sign is the CD stability criterion.
 
+Propagation: the state at record k is the prefix product of the step
+propagators before it, applied to the initial state.  It is formed one block
+of steps at a time, so memory does not grow with the run: the steps of each
+segment (a part of one record interval) are multiplied pairwise, the
+segments' prefix products are formed by doubling (Hillis & Steele, CACM 29,
+1170 (1986)), and those are applied to the state carried in from the block
+before.
+
 Error control: every record interval of every mode gets the same number of
 substeps N.  N is doubled until the Richardson estimate |y_N - y_2N|/63
 (2^6 - 1 for a sixth-order method) is within atol + rtol |y| for every
@@ -117,41 +125,40 @@ def fixed_steps(coefficients, times, u0, v0, substeps):
 
 def _propagate(coefficients, times, y0, substeps, out):
     """Fill out[0], out[1] with (u, v) on the record grid, taking `substeps`
-    Magnus steps per record interval."""
+    Magnus steps per record interval.
+
+    The steps of each record interval are split into segments of
+    per = min(substeps, block) steps, where block is the largest power of
+    two with block * n_modes <= BLOCK_POINTS.  Each pass of the loop takes
+    the next block // per segments (one block of steps), multiplies the
+    steps of each segment (`_reduce`), forms the prefix products of the
+    segments (`_scan`), applies them to the state carried in, and writes
+    every record that ends inside the block."""
+    n_modes = y0.shape[1]
+    block = 1 << max(0, (BLOCK_POINTS // n_modes).bit_length() - 1)
+    per = min(substeps, block)
+    segments = substeps // per  # per record interval
+    starts, widths = times[:-1], np.diff(times) / substeps
+    n_segments = segments * len(starts)
     u, v = y0
     out[:, :, 0] = y0
-    k = 1
-    for alpha, beta in _interval_propagators(coefficients, times, len(u), substeps):
-        for j in range(alpha.shape[1]):
-            a, b = alpha[:, j], beta[:, j]
-            u, v = a * u + b * v, np.conj(b) * u + np.conj(a) * v
-            out[0, :, k], out[1, :, k] = u, v
-            k += 1
+    for s0 in range(0, n_segments, block // per):
+        s1 = min(s0 + block // per, n_segments)
+        # a pass spans whole intervals (segments == 1) or one segment, so
+        # its segments share their step offset within their interval
+        intervals = slice(s0 // segments, (s1 - 1) // segments + 1)
+        offsets = s0 % segments * per + np.arange(per)
+        steps = _steps(coefficients, starts[intervals], widths[intervals], offsets)
+        # (segment, mode) propagators from the start of the pass
+        alpha, beta = _scan(*(x.T for x in _reduce(*steps)))
+        u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
+        # record k ends with segment k * segments - 1
+        ends = slice(segments - 1 - s0 % segments, None, segments)
+        records = slice(s0 // segments + 1, s1 // segments + 1)
+        out[0, :, records], out[1, :, records] = u[ends].T, v[ends].T
+        u, v = u[-1], v[-1]
     if not np.all(np.isfinite(out)):
         raise IntegrationError("non-finite pair coefficients")
-
-
-def _interval_propagators(coefficients, times, n_modes, substeps):
-    """Yield (alpha, beta) of shape (n_modes, m): the propagators of m
-    consecutive record intervals, in order."""
-    block = 1 << max(0, (BLOCK_POINTS // n_modes).bit_length() - 1)
-    starts, widths = times[:-1], np.diff(times) / substeps
-    if substeps <= block:
-        per_block = block // substeps
-        for i in range(0, len(starts), per_block):
-            alpha, beta = _steps(
-                coefficients, starts[i : i + per_block], widths[i : i + per_block],
-                np.arange(substeps),
-            )
-            yield _reduce(alpha, beta)
-        return
-    for t0, h in zip(starts, widths):
-        total = None
-        for j in range(0, substeps, block):
-            steps = _steps(coefficients, t0[None], h[None], np.arange(j, j + block))
-            step = _reduce(*steps)
-            total = step if total is None else _product(step, total)
-        yield total
 
 
 def _steps(coefficients, starts, widths, offsets):
@@ -209,6 +216,20 @@ def _reduce(alpha, beta):
             (alpha[..., 1::2], beta[..., 1::2]), (alpha[..., 0::2], beta[..., 0::2])
         )
     return alpha[..., 0], beta[..., 0]
+
+
+def _scan(alpha, beta):
+    """Prefix products along the first axis: element k becomes the product of
+    elements k, ..., 1, 0, later steps on the left (Hillis-Steele doubling).
+    The result is C-contiguous, so each product runs over whole rows."""
+    alpha, beta = alpha.copy(), beta.copy()
+    shift = 1
+    while shift < len(alpha):
+        alpha[shift:], beta[shift:] = _product(
+            (alpha[shift:], beta[shift:]), (alpha[:-shift], beta[:-shift])
+        )
+        shift *= 2
+    return alpha, beta
 
 
 def _product(later, earlier):

@@ -181,17 +181,16 @@ def closed_form_bound(protocol: DriveProtocol) -> float | None:
     )
 
 
-def stability_margin(
-    protocol: DriveProtocol, n_time: int = STABILITY_GRID_POINTS
-) -> StabilityReport:
-    """Worst-case margin of |chi(t)| < v_s(t) 2 pi/L on a dense time grid.
+def stability_margin(protocol: DriveProtocol) -> StabilityReport:
+    """Worst-case margin of |chi(t)| < v_s(t) 2 pi/L on a grid of
+    STABILITY_GRID_POINTS times.
 
     Evaluated at the slowest mode p = 2 pi/L, which saturates the bound
     first.  The CD amplitude is evaluated regardless of cd_enabled: the
     criterion limits what switching CD on would do.
     """
     p_min = TWO_PI / protocol.L
-    c = protocol.grid(p_min, np.linspace(0.0, protocol.t_f, n_time))
+    c = protocol.grid(p_min, np.linspace(0.0, protocol.t_f, STABILITY_GRID_POINTS))
     margin = float(np.min(c.v_s * p_min - np.abs(c.chi_cd)))
     max_adiab = float(np.max(c.adiabaticity))
     t_adiab = (

@@ -46,16 +46,16 @@ class PairObservables:
 IDENTITY = BogoliubovMap(1.0 + 0.0j, 0.0j)
 
 
-def check_map(m: BogoliubovMap, error_tol: float = INVARIANT_ERROR_TOL) -> None:
+def check_map(m: BogoliubovMap) -> None:
     """Enforce the symplectic invariant; warn above the soft tolerance."""
-    check_defect(abs(m.invariant_defect()), error_tol)
+    check_defect(abs(m.invariant_defect()))
 
 
-def check_defect(defect: float, error_tol: float) -> None:
+def check_defect(defect: float) -> None:
     """The invariant policy for the largest ||u|^2 - |v|^2 - 1| of one map or
-    of a whole run: raise above error_tol, warn once above the soft
-    tolerance."""
-    if defect > error_tol:
+    of a whole run: raise above INVARIANT_ERROR_TOL, warn once above
+    INVARIANT_WARN_TOL."""
+    if defect > INVARIANT_ERROR_TOL:
         raise ContractError(
             f"Bogoliubov invariant violated: |u|^2-|v|^2-1 = {defect:.3e}"
         )

@@ -2,6 +2,7 @@
 byte stability."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import subprocess
@@ -77,7 +78,9 @@ def test_parse_config_rejects_unstable_endpoint():
         parse_config(f"g2_end = {2 * math.pi + 1:.3f}\nt_f = 1.0\n")
 
 
-FLOAT_KEYS = sorted(k for k, v in cli._DEFAULTS.items() if isinstance(v, float))
+FLOAT_KEYS = sorted(
+    f.name for f in fields(cli.RunConfig) if isinstance(f.default, float)
+)
 
 
 def config_with(key, value):

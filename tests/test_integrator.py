@@ -163,12 +163,31 @@ def test_blocking_does_not_change_the_result(monkeypatch):
     proto = make_protocol(n_modes=5)
     times = np.linspace(0.0, proto.t_f, 7)
     whole = dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-10, 1e-12)
-    # blocks of 2 steps: shorter than one record interval once N > 2
-    monkeypatch.setattr(integrator, "BLOCK_POINTS", 2 * 5)
-    split = dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-10, 1e-12)
-    assert split[2].substeps == whole[2].substeps > 2
-    assert np.max(np.abs(split[0] - whole[0])) < 1e-13
-    assert np.max(np.abs(split[1] - whole[1])) < 1e-13
+    # blocks of 2 steps: shorter than one record interval once N > 2; blocks
+    # of 128 steps: 4 record intervals at N = 32, so the 6 intervals take one
+    # full and one partial block
+    for block in (2, 128):
+        monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
+        split = dynamics.integrate_protocol(
+            proto, proto.momenta(), times, 1e-10, 1e-12
+        )
+        assert split[2].substeps == whole[2].substeps == 32
+        assert np.max(np.abs(split[0] - whole[0])) < 1e-13
+        assert np.max(np.abs(split[1] - whole[1])) < 1e-13
+
+
+@pytest.mark.parametrize("length", [1, 5, 8])
+def test_scan_matches_sequential_products(length):
+    # random SU(1,1) elements: alpha = cosh(r) e^(i phi), beta = sinh(r) e^(i theta)
+    r, phi, theta = np.random.default_rng(length).uniform(0.0, 2.0, (3, length, 4))
+    alpha, beta = np.cosh(r) * np.exp(1j * phi), np.sinh(r) * np.exp(1j * theta)
+    got = integrator._scan(alpha, beta)
+    total = alpha[0], beta[0]
+    for k in range(length):
+        if k:
+            total = integrator._product((alpha[k], beta[k]), total)
+        for x, want in zip(got, total):
+            assert np.max(np.abs(x[k] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_raises_at_step_cap(monkeypatch):
