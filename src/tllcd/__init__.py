@@ -53,7 +53,6 @@ from .protocol import (
     CoefficientGrid,
     DriveProtocol,
     StabilityReport,
-    adiabaticity_parameter,
     closed_form_bound,
     stability_margin,
 )

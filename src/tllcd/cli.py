@@ -492,9 +492,7 @@ def run_validation_suite(verbose: bool = False) -> int:
     times = np.linspace(0.0, proto.t_f, 5)
     y = [
         np.array(
-            integrator.fixed_steps(
-                lambda t: proto.coefficients(p, t), times, [1.0], [0.0], n
-            )
+            integrator.fixed_steps(lambda t: proto.grid(p, t), times, [1.0], [0.0], n)
         )
         for n in (2, 4, 8)
     ]

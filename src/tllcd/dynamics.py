@@ -154,7 +154,7 @@ def integrate_protocol(
     momenta = np.asarray(momenta, dtype=float)
     start = np.ones(len(momenta), dtype=complex)
     return integrate_modes(
-        lambda t: protocol.coefficients(momenta, t),
+        lambda t: protocol.grid(momenta, t),
         times,
         initial.u * start,
         initial.v * start,

@@ -102,7 +102,9 @@ def evolve_fock(
     rtol: float = 1e-11,
     atol: float = 1e-13,
 ) -> list[FockState]:
-    """Integrate i dc/dt = H(t) c with H from `coefficients(t) -> PairCoefficients`.
+    """Integrate i dc/dt = H(t) c with H from `coefficients(t)`: as for the
+    integrator, an object with `omega`, `g` and `chi`, here as numbers at the
+    one time t, such as `DriveProtocol.pair_generator(p, t)`.
 
     Returns one FockState per output time; runs whose tail mass ever exceeds
     the threshold are flagged cutoff-unsafe instead of silently truncated.

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import ContractError, IntegrationError
 
 # Name of the method in run manifests.
 NAME = "magnus6"
@@ -83,10 +83,11 @@ def integrate_modes(coefficients, times, u0, v0, rtol, atol):
     """(u, v, report): (u, v) of every mode (rows) on the record grid
     `times` (columns), and the IntegrationReport.
 
-    `coefficients(t)` maps a 1-D array of times to (omega, g, chi) arrays of
-    shape (n_modes, len(t)); `u0`, `v0` are the initial coefficients, one per
-    mode.  Raises IntegrationError if another doubling would take more than
-    MAX_STEPS steps per mode, or on a non-finite value.
+    `coefficients(t)` maps a 1-D array of times to an object whose
+    `omega`, `g` and `chi` are arrays of shape (n_modes, len(t)), such as
+    `DriveProtocol.grid(momenta, t)`; `u0`, `v0` are the initial
+    coefficients, one per mode.  Raises IntegrationError if another doubling
+    would take more than MAX_STEPS steps per mode, or on a non-finite value.
     """
     times = np.asarray(times, dtype=float)
     y0 = np.array([u0, v0], dtype=complex)
@@ -115,7 +116,12 @@ def integrate_modes(coefficients, times, u0, v0, rtol, atol):
 def fixed_steps(coefficients, times, u0, v0, substeps):
     """(u, v) on the record grid `times` after `substeps` Magnus steps per
     record interval, without error control: the method's raw convergence,
-    for order checks.  Arguments as for integrate_modes."""
+    for order checks.  `substeps` must be a power of two: the steps of an
+    interval are multiplied pairwise (`_reduce`), which drops steps at other
+    counts.  The other arguments, the `coefficients(t)` callback included,
+    are as for integrate_modes."""
+    if substeps < 1 or substeps & (substeps - 1):
+        raise ContractError(f"substeps must be a power of two, got {substeps}")
     y0 = np.array([u0, v0], dtype=complex)
     times = np.asarray(times, dtype=float)
     out = np.empty(y0.shape + times.shape, dtype=complex)
@@ -167,9 +173,8 @@ def _steps(coefficients, starts, widths, offsets):
     t0 = starts[:, None] + offsets[None, :] * widths[:, None]
     h = np.broadcast_to(widths[:, None], t0.shape)
     nodes = t0[..., None] + h[..., None] * _NODES
-    omega, g, chi = (
-        np.reshape(x, (-1,) + nodes.shape) for x in coefficients(nodes.ravel())
-    )
+    c = coefficients(nodes.ravel())
+    omega, g, chi = (np.reshape(x, (-1,) + nodes.shape) for x in (c.omega, c.g, c.chi))
     # generator 3-vectors (a, br, bi) = (omega, -chi, -g), node on the last axis
     A = np.stack([omega, -chi, -g])
     A1, A2, A3 = A[..., 0], A[..., 1], A[..., 2]

@@ -1,22 +1,18 @@
-"""Drive protocol: couplings + schedule + geometry, with per-(p, t)
-evaluation of frequencies, Luttinger parameters and CD amplitude, plus the
-stability and adiabaticity criteria that constrain the driving speed."""
+"""Drive protocol: couplings + schedule + geometry, with one evaluator of
+the frequencies, Luttinger parameters and CD amplitude over (p, t) grids,
+plus the stability and adiabaticity criteria that constrain the driving
+speed."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import model
-from .control import (
-    ControlledCoefficients,
-    Schedule,
-    cd_amplitude_contact,
-    controlled_coefficients,
-    schedule_value,
-)
-from .errors import ContractError
+from .control import Schedule, cd_amplitude_contact, schedule_value
+from .errors import ContractError, LuttingerInstabilityError
 from .model import TWO_PI, CouplingFamily, CouplingSpec, PairCoefficients
 
 STABILITY_GRID_POINTS = 2001
@@ -26,18 +22,67 @@ ADIABATIC_THRESHOLD = 0.01
 @dataclass(frozen=True)
 class CoefficientGrid:
     """Pair coefficients and Luttinger parameters at every point of a
-    (mode, time) grid; each array has shape (n_modes, n_times)."""
+    (mode, time) grid, from the couplings and their time derivatives there.
+
+    `p` is the column of momenta; g2, g4, dg2, dg4 are as evaluated and
+    broadcast against it.  Every other array is computed on first read and
+    has shape (n_modes, n_times), so a caller pays only for what it reads:
+    the integrator reads omega, g and chi.
+    """
 
     p: np.ndarray
-    omega: np.ndarray
-    g: np.ndarray
-    chi: np.ndarray  # CD amplitude the protocol applies: 0 without CD
-    chi_cd: np.ndarray  # Kdot/(2K), whether or not CD is applied
-    K: np.ndarray
-    v_s: np.ndarray
-    v_s_rate: np.ndarray  # d v_s/dt
+    g2: np.ndarray
+    g4: np.ndarray
+    dg2: np.ndarray  # dg2/dt
+    dg4: np.ndarray  # dg4/dt
+    v_F: float
+    cd_enabled: bool
 
-    @property
+    @cached_property
+    def _pair(self):
+        return model.pair_frequencies(self.p, self.g2, self.g4, self.v_F)
+
+    @cached_property
+    def _luttinger(self) -> model.LuttingerParams:
+        return model.luttinger_params(self.g2, self.g4, self.v_F)
+
+    def _full(self, x) -> np.ndarray:
+        return np.broadcast_to(x, self.omega.shape)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return self._pair[0]
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self._full(self._pair[1])
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        """CD amplitude the protocol applies: 0 without CD."""
+        return self.chi_cd if self.cd_enabled else self._full(0.0)
+
+    @cached_property
+    def chi_cd(self) -> np.ndarray:
+        """Kdot/(2K), whether or not CD is applied."""
+        args = (self.g2, self.g4, self.dg2, self.dg4, self.v_F)
+        return self._full(cd_amplitude_contact(*args))
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return self._full(self._luttinger.K)
+
+    @cached_property
+    def v_s(self) -> np.ndarray:
+        return self._full(self._luttinger.v_s)
+
+    @cached_property
+    def v_s_rate(self) -> np.ndarray:
+        """d v_s/dt."""
+        args = (self.g2, self.g4, self.dg2, self.dg4, self.v_F)
+        return self._full(model.sound_velocity_rate(*args))
+
+    @cached_property
     def adiabaticity(self) -> np.ndarray:
         """|v_sdot / (v_s^2 p)|: small values mark the adiabatic regime."""
         return np.abs(self.v_s_rate) / (self.v_s**2 * self.p)
@@ -60,74 +105,22 @@ class DriveProtocol:
     def momenta(self) -> np.ndarray:
         return model.mode_momenta(self.L, self.n_modes)
 
-    def couplings(self, p, t):
-        """(g2, g4, dg2/dt, dg4/dt) at momenta p and times t (broadcast)."""
+    def grid(self, p, t) -> CoefficientGrid:
+        """The coefficients over p[:, None] x t[None, :]: the schedule and
+        the couplings are evaluated here, once, and every coefficient is
+        composed from them when it is first read."""
+        p = np.atleast_1d(np.asarray(p, dtype=float))[:, None]
+        t = np.atleast_1d(np.asarray(t, dtype=float))[None, :]
         P, dP = schedule_value(t / self.t_f, self.schedule)
         g2, g4 = self.coupling.values(p, P)
         dg2_dP, dg4_dP = self.coupling.derivatives(p, P)
-        return g2, g4, dg2_dP * dP / self.t_f, dg4_dP * dP / self.t_f
-
-    def grid(self, p, t) -> CoefficientGrid:
-        """Every coefficient over p[:, None] x t[None, :], composed once from
-        the array forms of the schedule, coupling and model formulas."""
-        p, g2, g4, dg2, dg4 = self._grid_couplings(p, t)
-        omega, g = model.pair_frequencies(p, g2, g4, self.v_F)
-        lp = model.luttinger_params(g2, g4, self.v_F)
-        chi_cd = cd_amplitude_contact(g2, g4, dg2, dg4, self.v_F)
-        rate = model.sound_velocity_rate(g2, g4, dg2, dg4, self.v_F)
-        chi = chi_cd if self.cd_enabled else 0.0
-        return CoefficientGrid(
-            *(np.broadcast_to(x, omega.shape) for x in (p, omega, g, chi, chi_cd)),
-            *(np.broadcast_to(x, omega.shape) for x in (lp.K, lp.v_s, rate)),
-        )
-
-    def coefficients(self, p, t):
-        """(omega, g, chi) over p[:, None] x t[None, :]: the pair generator
-        of every mode, and only that, since the integrator calls it for
-        every step."""
-        p, g2, g4, dg2, dg4 = self._grid_couplings(p, t)
-        omega, g = model.pair_frequencies(p, g2, g4, self.v_F)
-        if not self.cd_enabled:
-            return omega, g, np.zeros_like(omega)
-        chi = cd_amplitude_contact(g2, g4, dg2, dg4, self.v_F)
-        return omega, g, np.broadcast_to(chi, omega.shape)
-
-    def _grid_couplings(self, p, t):
-        """p as a column, t as a row, and the couplings on their grid."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))[:, None]
-        t = np.atleast_1d(np.asarray(t, dtype=float))[None, :]
-        return (p, *self.couplings(p, t))
-
-    def pair_frequencies(self, p: float, t: float):
-        g2, g4, _, _ = self.couplings(p, t)
-        return model.pair_frequencies(p, g2, g4, self.v_F)
-
-    def luttinger(self, p: float, t: float) -> model.LuttingerParams:
-        g2, g4, _, _ = self.couplings(p, t)
-        return model.luttinger_params(g2, g4, self.v_F)
-
-    def kdot_over_k(self, p: float, t: float) -> float:
-        g2, g4, dg2, dg4 = self.couplings(p, t)
-        return 2.0 * cd_amplitude_contact(g2, g4, dg2, dg4, self.v_F)
-
-    def chi(self, p: float, t: float) -> float:
-        if not self.cd_enabled:
-            return 0.0
-        return 0.5 * self.kdot_over_k(p, t)
-
-    def sound_velocity_rate(self, p: float, t: float) -> float:
-        """d v_sp/dt from the analytic coupling derivatives."""
-        return model.sound_velocity_rate(*self.couplings(p, t), self.v_F)
-
-    def controlled(self, p: float, t: float) -> ControlledCoefficients:
-        lp = self.luttinger(p, t)
-        return controlled_coefficients(
-            p, lp.K, lp.v_s, self.kdot_over_k(p, t), self.v_F
-        )
+        dg2, dg4 = dg2_dP * dP / self.t_f, dg4_dP * dP / self.t_f
+        return CoefficientGrid(p, g2, g4, dg2, dg4, self.v_F, self.cd_enabled)
 
     def pair_generator(self, p: float, t: float) -> PairCoefficients:
-        omega, g = self.pair_frequencies(p, t)
-        return PairCoefficients(omega, g, self.chi(p, t))
+        """(omega, g, chi) of one pair at one time, as Python floats."""
+        c = self.grid(p, t)
+        return PairCoefficients(*(float(x[0, 0]) for x in (c.omega, c.g, c.chi)))
 
     def with_tf(self, t_f: float) -> "DriveProtocol":
         return replace(self, t_f=t_f)
@@ -148,7 +141,7 @@ class DriveProtocol:
         excess = np.abs(g) - omega
         if np.any(excess >= 0):
             p, s = model.worst_point(excess, p, s)
-            raise ContractError(
+            raise LuttingerInstabilityError(
                 f"luttinger-instability at p={p:.6g}, t={s * self.t_f:.6g}"
             )
 
@@ -204,7 +197,3 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
         max_adiabaticity=max_adiab,
     )
 
-
-def adiabaticity_parameter(protocol: DriveProtocol, p: float, t: float) -> float:
-    """|v_sdot / (v_s^2 p)|: small values mark the adiabatic regime."""
-    return float(protocol.grid(p, t).adiabaticity[0, 0])

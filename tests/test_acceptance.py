@@ -122,8 +122,7 @@ def test_criterion_5_cd_spectrum():
     for frac in (0.25, 0.5, 0.75):
         t = frac * proto.t_f
         coeffs = proto.pair_generator(p, t)
-        lp = proto.luttinger(p, t)
-        eps = spectrum_with_cd(lp.v_s, p, coeffs.chi)
+        eps = spectrum_with_cd(proto.grid(p, t).v_s[0, 0], p, coeffs.chi)
         ev = np.linalg.eigvalsh(fock.pair_hamiltonian_matrix(coeffs, 200))
         worst = max(worst, abs(ev[0] - eps), abs(0.5 * (ev[1] - ev[0]) - eps))
     # the error must trigger exactly at v_s p <= |chi|
@@ -182,8 +181,8 @@ def test_criterion_7_sudden_quench():
         )
         p = proto.momenta()[0]
         traj = dynamics.evolve_pair(p, proto, record_points=11)
-        omega, g = proto.pair_frequencies(p, proto.t_f)
-        expect = math.sinh(bogoliubov_angle(omega, g)) ** 2
+        c = proto.pair_generator(p, proto.t_f)
+        expect = math.sinh(bogoliubov_angle(c.omega, c.g)) ** 2
         worst = max(worst, abs(traj.n_qp[0, -1] - expect))
     report(7, worst < 1e-6, f"max |n_qp - sinh^2(eta_f)| = {worst:.3e} (< 1e-6)")
 
@@ -246,15 +245,12 @@ def test_criterion_9_identity_suite():
     err = 0.0
     for _ in range(n_samples):
         t = rng.uniform(0.05, 0.95) * proto.t_f
-
-        def osc(tau):
-            lp = proto.luttinger(p, tau)
-            return mass_frequency(p, lp.K, lp.v_s, proto.v_F)
-
-        (Mp, Op), (Mm, Om) = osc(t + h), osc(t - h)
-        M0, O0 = osc(t)
+        c = proto.grid(p, [t - h, t, t + h])
+        (Mm, Om), (M0, O0), (Mp, Op) = (
+            mass_frequency(p, c.K[0, k], c.v_s[0, k], proto.v_F) for k in range(3)
+        )
         fd = -0.5 * ((Op - Om) / (2 * h) / O0 + (Mp - Mm) / (2 * h) / M0)
-        err = max(err, abs(proto.chi(p, t) - fd))
+        err = max(err, abs(c.chi[0, 1] - fd))
     worst["osc-fd"] = err
     ok_c = err < 1e-5
 

@@ -83,7 +83,7 @@ def test_cd_final_state_is_target_squeeze():
     proto = make_protocol()
     p = proto.momenta()[0]
     traj = dynamics.evolve_pair(p, proto)
-    K_f = proto.luttinger(p, proto.t_f).K
+    K_f = proto.grid(p, proto.t_f).K[0, 0]
     target = su11.squeeze_from_angle(0.5 * math.log(K_f))
     assert su11.state_overlap(target, traj.map(0, -1)) >= 1 - 1e-10
 
@@ -157,8 +157,8 @@ def test_sudden_quench_occupation():
     proto = make_protocol(t_f=1e-4, cd=False)
     p = proto.momenta()[0]
     traj = dynamics.evolve_pair(p, proto, record_points=11)
-    omega, g = proto.pair_frequencies(p, proto.t_f)
-    eta_f = bogoliubov_angle(omega, g)
+    c = proto.pair_generator(p, proto.t_f)
+    eta_f = bogoliubov_angle(c.omega, c.g)
     assert traj.n_bare[0, -1] < 1e-8
     assert traj.n_qp[0, -1] == pytest.approx(
         math.sinh(eta_f) ** 2, abs=1e-8
@@ -170,8 +170,8 @@ def test_interacting_initial_map():
     # happens (up to phase), quasiparticle occupation stays zero
     proto = make_protocol(g2_start=1.0, g2_end=1.0, g4_start=0.5, g4_end=0.5, cd=False)
     p = proto.momenta()[0]
-    omega, g = proto.pair_frequencies(p, 0.0)
-    gs = su11.squeeze_from_angle(bogoliubov_angle(omega, g))
+    c = proto.pair_generator(p, 0.0)
+    gs = su11.squeeze_from_angle(bogoliubov_angle(c.omega, c.g))
     traj = dynamics.evolve_pair(p, proto, initial=gs, record_points=21)
     assert np.max(traj.n_qp) < 1e-9
     assert np.min(traj.fidelity) >= 1 - 1e-9
@@ -181,8 +181,8 @@ def test_dynamical_phase_convention():
     proto = make_protocol()
     p = proto.momenta()[0]
     traj = dynamics.evolve_pair(p, proto, initial_occupation=2.0)
-    omega0, g0 = proto.pair_frequencies(p, 0.0)
-    eps0 = instantaneous_spectrum(omega0, g0)
+    c = proto.pair_generator(p, 0.0)
+    eps0 = instantaneous_spectrum(c.omega, c.g)
     # phase = -eps(p,0) n_p(0) * integral of v_s/v_F (= 1/sigma_s^2) dt
     assert traj.phase[0, 0] == 0.0
     assert traj.phase[0, -1] == pytest.approx(
@@ -196,6 +196,34 @@ def test_mean_energy_scaling_requires_cd():
     traj = dynamics.evolve_pair(proto.momenta()[0], proto)
     with pytest.raises(ContractError):
         dynamics.mean_energy_scaling_check(traj, proto)
+
+
+OBSERVED_COUPLINGS = {
+    "contact": CouplingSpec(family=CouplingFamily.CONTACT, g2_end=1.0, g4_end=0.5),
+    "lorentzian": CouplingSpec(
+        family=CouplingFamily.LORENTZIAN, g2_end=1.0, g4_end=1.0, R0=0.2
+    ),
+    "custom_table": CouplingSpec(
+        family=CouplingFamily.CUSTOM_TABLE,
+        table=((0.0, 0.9, 0.45), (0.5, 0.8, 0.4), (2.5, 0.6, 0.35)),
+    ),
+}
+
+
+@pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
+@pytest.mark.parametrize("family", sorted(OBSERVED_COUPLINGS))
+def test_observation_identities(family, cd):
+    # the overlap with the instantaneous ground state is (1 + n_qp)^(-1/2)
+    # and the excess energy is 2 eps n_qp, elementwise over modes and records
+    proto = make_protocol(n_modes=8, cd=cd)
+    proto = replace(proto, coupling=OBSERVED_COUPLINGS[family])
+    traj = dynamics.run_simulation(proto, record_points=41).trajectories
+    c = proto.grid(traj.p, traj.times)
+    eps = instantaneous_spectrum(c.omega, c.g)
+    assert np.max(np.abs(traj.fidelity - (1.0 + traj.n_qp) ** -0.5)) <= 1e-13
+    assert np.all(np.abs(traj.residual - 2.0 * eps * traj.n_qp) <= 1e-13 * c.omega)
+    # CD keeps n_qp at roundoff; without CD the identities hold on real excitations
+    assert cd or np.max(traj.n_qp) > 1e-6
 
 
 def test_mean_energy_scaling_cd_on():

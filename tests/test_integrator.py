@@ -1,7 +1,8 @@
 """Magnus integrator: agreement with a tight DOP853 reference for every
 coupling family and schedule, the order of the step, the symplectic
-invariant, all-modes versus per-mode runs, error handling and the array
-coefficient evaluator."""
+invariant, all-modes versus per-mode runs, error handling, and the
+coefficient grid it reads, checked against finite differences for every
+coupling family and schedule."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from scipy.linalg import expm
 
 from tllcd import dynamics, integrator
 from tllcd.control import Schedule, ScheduleKind
-from tllcd.errors import IntegrationError
-from tllcd.model import CouplingFamily, CouplingSpec
+from tllcd.errors import ContractError, IntegrationError
+from tllcd.model import CouplingFamily, CouplingSpec, PairCoefficients
 from tllcd.protocol import DriveProtocol
 
 COUPLINGS = {
@@ -96,7 +97,7 @@ def test_sixth_order_convergence():
 
     def error(substeps):
         u, v = integrator.fixed_steps(
-            lambda t: proto.coefficients(p, t), times, [1.0], [0.0], substeps
+            lambda t: proto.grid(p, t), times, [1.0], [0.0], substeps
         )
         return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
 
@@ -104,6 +105,20 @@ def test_sixth_order_convergence():
     # doubling N divides the error by 2^6 at sixth order, by 2^4 at fourth
     assert errors[0] >= 2**5 * errors[1]
     assert errors[1] >= 2**5 * errors[2]
+
+
+def test_fixed_steps_takes_only_powers_of_two():
+    # the pairwise products drop steps at other counts: on this protocol
+    # u(t_f) came out -0.859+0.516i at N = 3 and 6, against -0.372+0.931i at
+    # N = 2, 4 and 8, with the invariant intact
+    proto = make_protocol(n_modes=1)
+    p = proto.momenta()
+    times = np.linspace(0.0, proto.t_f, 5)
+    for substeps in (0, 3, 6):
+        with pytest.raises(ContractError, match="power of two"):
+            integrator.fixed_steps(
+                lambda t: proto.grid(p, t), times, [1.0], [0.0], substeps
+            )
 
 
 def test_substeps_of_the_long_cd_ramp():
@@ -202,7 +217,7 @@ def test_raises_at_step_cap(monkeypatch):
 def test_raises_on_non_finite_coefficients():
     def coefficients(t):
         nan = np.full((1, len(t)), np.nan)
-        return nan, nan, nan
+        return PairCoefficients(nan, nan, nan)
 
     with pytest.raises(IntegrationError, match="non-finite"):
         integrator.integrate_modes(coefficients, [0.0, 1.0], [1.0], [0.0], 1e-10, 1e-12)
@@ -225,12 +240,47 @@ def test_closed_form_exponential_matches_expm(z):
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @pytest.mark.parametrize("family", sorted(COUPLINGS))
 def test_coefficients_match_pair_generator(family, schedule, cd):
+    # the grid the integrator reads against the one-point reads of the
+    # DOP853 references and the Fock oracle
     proto = make_protocol(family, schedule, cd, n_modes=12)
     p = proto.momenta()
     t = np.linspace(0.0, proto.t_f, 17)
-    arrays = proto.coefficients(p, t)
+    c = proto.grid(p, t)
     for i, pi in enumerate(p):
         for j, tj in enumerate(t):
             ref = proto.pair_generator(pi, tj)
-            for got, want in zip(arrays, (ref.omega, ref.g, ref.chi)):
+            for got, want in zip((c.omega, c.g, c.chi), (ref.omega, ref.g, ref.chi)):
                 assert abs(got[i, j] - want) <= 1e-14 * abs(want)
+
+
+# times of the finite-difference checks, as fractions of t_f: away from the
+# custom-sample knot at s = 0.4, where dP/ds jumps
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("family", sorted(COUPLINGS))
+def test_couplings_chain_rule(family, schedule):
+    proto = make_protocol(family, schedule)
+    h = 1e-6
+    c = proto.grid(proto.momenta(), 0.37 * proto.t_f + np.array([-h, 0.0, h]))
+    for x, dx in ((c.g2, c.dg2), (c.g4, c.dg4)):
+        fd = (x[:, 2] - x[:, 0]) / (2 * h)
+        assert np.max(np.abs(dx[:, 1] - fd)) < 1e-7
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("family", sorted(COUPLINGS))
+def test_chi_matches_finite_difference_of_lnsqrtk(family, schedule):
+    proto = make_protocol(family, schedule)
+    h = 1e-6
+    c = proto.grid(proto.momenta(), 0.41 * proto.t_f + np.array([-h, 0.0, h]))
+    fd = (np.log(c.K[:, 2]) - np.log(c.K[:, 0])) / (4 * h)
+    assert np.max(np.abs(c.chi_cd[:, 1] - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("family", sorted(COUPLINGS))
+def test_sound_velocity_rate_finite_difference(family, schedule):
+    proto = make_protocol(family, schedule)
+    h = 1e-6
+    c = proto.grid(proto.momenta(), 0.6 * proto.t_f + np.array([-h, 0.0, h]))
+    fd = (c.v_s[:, 2] - c.v_s[:, 0]) / (2 * h)
+    assert np.max(np.abs(c.v_s_rate[:, 1] - fd)) < 1e-8

@@ -1,21 +1,14 @@
-"""Protocol-level tests: per-(p, t) evaluation, speed-window criteria and
-the closed-form bound."""
-
-import math
+"""Protocol-level tests: the coefficient grid, validation, speed-window
+criteria and the closed-form bound."""
 
 import numpy as np
 import pytest
 
 from tllcd import dynamics
-from tllcd.control import Schedule, ScheduleKind
-from tllcd.errors import ContractError
+from tllcd.control import Schedule, ScheduleKind, controlled_coefficients
+from tllcd.errors import ContractError, LuttingerInstabilityError
 from tllcd.model import TWO_PI, CouplingFamily, CouplingSpec
-from tllcd.protocol import (
-    DriveProtocol,
-    adiabaticity_parameter,
-    closed_form_bound,
-    stability_margin,
-)
+from tllcd.protocol import DriveProtocol, closed_form_bound, stability_margin
 
 
 def reference_protocol(t_f=9.498860966469166, n_modes=4, L=100.0, cd=True):
@@ -47,52 +40,24 @@ def test_momenta_grid():
     assert np.allclose(proto.momenta(), TWO_PI * np.array([1, 2, 3]) / 100.0)
 
 
-def test_couplings_chain_rule():
-    proto = reference_protocol()
-    t = 0.37 * proto.t_f
-    g2, g4, dg2, dg4 = proto.couplings(0.1, t)
-    h = 1e-6
-    g2p, g4p, _, _ = proto.couplings(0.1, t + h)
-    g2m, g4m, _, _ = proto.couplings(0.1, t - h)
-    assert dg2 == pytest.approx((g2p - g2m) / (2 * h), abs=1e-7)
-    assert dg4 == pytest.approx((g4p - g4m) / (2 * h), abs=1e-7)
-
-
 def test_chi_zero_without_cd():
     proto = reference_protocol(cd=False)
-    assert proto.chi(0.1, 0.5 * proto.t_f) == 0.0
-    assert reference_protocol().chi(0.1, 0.5 * proto.t_f) != 0.0
-
-
-def test_chi_matches_finite_difference_of_lnsqrtk():
-    proto = reference_protocol()
-    p = proto.momenta()[0]
-    t = 0.41 * proto.t_f
-    h = 1e-6
-    fd = (
-        math.log(proto.luttinger(p, t + h).K) - math.log(proto.luttinger(p, t - h).K)
-    ) / (4 * h)
-    assert proto.chi(p, t) == pytest.approx(fd, abs=1e-8)
-
-
-def test_sound_velocity_rate_finite_difference():
-    proto = reference_protocol()
-    p = proto.momenta()[0]
-    t = 0.6 * proto.t_f
-    h = 1e-6
-    fd = (proto.luttinger(p, t + h).v_s - proto.luttinger(p, t - h).v_s) / (2 * h)
-    assert proto.sound_velocity_rate(p, t) == pytest.approx(fd, abs=1e-8)
+    t = 0.5 * proto.t_f
+    assert proto.grid(0.1, t).chi[0, 0] == 0.0
+    assert proto.grid(0.1, t).chi_cd[0, 0] != 0.0
+    assert reference_protocol().grid(0.1, t).chi[0, 0] != 0.0
 
 
 def test_controlled_equals_bare_frequencies():
     proto = reference_protocol()
     p = proto.momenta()[1]
     t = 0.5 * proto.t_f
-    cc = proto.controlled(p, t)
-    omega, g = proto.pair_frequencies(p, t)
-    assert cc.omega_cd == pytest.approx(omega, rel=1e-12)
-    assert cc.g_cd == pytest.approx(g, rel=1e-12)
-    assert cc.chi == pytest.approx(proto.chi(p, t), abs=1e-14)
+    c = proto.grid(p, t)
+    K, v_s, kdot_over_k = c.K[0, 0], c.v_s[0, 0], 2 * c.chi_cd[0, 0]
+    cc = controlled_coefficients(p, K, v_s, kdot_over_k, proto.v_F)
+    assert cc.omega_cd == pytest.approx(c.omega[0, 0], rel=1e-12)
+    assert cc.g_cd == pytest.approx(c.g[0, 0], rel=1e-12)
+    assert cc.chi == pytest.approx(c.chi[0, 0], abs=1e-14)
 
 
 def test_closed_form_bound_frozen():
@@ -133,9 +98,9 @@ def test_adiabaticity_identity_at_slowest_mode():
     proto = reference_protocol()
     p = TWO_PI / proto.L
     t = 0.5 * proto.t_f
-    lp = proto.luttinger(p, t)
-    expect = proto.L / TWO_PI * abs(proto.sound_velocity_rate(p, t)) / lp.v_s**2
-    assert adiabaticity_parameter(proto, p, t) == pytest.approx(expect, rel=1e-12)
+    c = proto.grid(p, t)
+    expect = proto.L / TWO_PI * abs(c.v_s_rate[0, 0]) / c.v_s[0, 0] ** 2
+    assert c.adiabaticity[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_adiabatic_time_scales_with_tf():
@@ -153,7 +118,7 @@ def test_validate_rejects_unstable_coupling():
         L=100.0,
         n_modes=2,
     )
-    with pytest.raises(ContractError, match="luttinger-instability"):
+    with pytest.raises(LuttingerInstabilityError, match="luttinger-instability"):
         proto.validate()
 
 
@@ -205,22 +170,6 @@ def test_validate_is_exact_at_the_stability_edge():
             else:
                 with pytest.raises(ContractError, match="luttinger-instability"):
                     proto.validate()
-
-
-def test_coefficient_grid_matches_scalar_methods():
-    proto = reference_protocol()
-    p = proto.momenta()
-    t = np.linspace(0.0, proto.t_f, 7)
-    grid = proto.grid(p, t)
-    for got, want in zip((grid.omega, grid.g, grid.chi), proto.coefficients(p, t)):
-        assert np.array_equal(got, want)
-    for i, pi in enumerate(p):
-        for j, tj in enumerate(t):
-            lp = proto.luttinger(pi, tj)
-            assert grid.K[i, j] == lp.K and grid.v_s[i, j] == lp.v_s
-            assert grid.chi_cd[i, j] == 0.5 * proto.kdot_over_k(pi, tj)
-            assert grid.v_s_rate[i, j] == proto.sound_velocity_rate(pi, tj)
-            assert grid.adiabaticity[i, j] == adiabaticity_parameter(proto, pi, tj)
 
 
 def test_errors_name_the_worst_point():
