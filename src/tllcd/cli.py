@@ -175,7 +175,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("units must be 'natural' or 'experimental'")
     if cfg.emit_plots not in ("true", "false"):
         raise ConfigError("emit_plots must be 'true' or 'false'")
-    # endpoint Luttinger stability; full dense pre-check happens at run time
+    # couplings that overflow at the endpoints; the exact stability check is
+    # DriveProtocol.validate, which stability_margin runs
     coupling = cfg.coupling()
     for progress in (0.0, 0.5, 1.0):
         g2, g4 = coupling.values(2 * math.pi / cfg.L, progress)

@@ -1,6 +1,5 @@
 """Drive schedules, counterdiabatic amplitudes, controlled-Hamiltonian
-coefficients, stability/adiabaticity criteria and the Lorentzian/gauge-field
-auxiliary formulas."""
+coefficients and the Lorentzian/gauge-field auxiliary formulas."""
 
 from __future__ import annotations
 

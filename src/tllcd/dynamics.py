@@ -168,7 +168,8 @@ def _evolve(protocol, momenta, times, rtol, atol, initial, initial_occupation):
     `momenta` on the record grid `times`, from one coefficient evaluation."""
     c = protocol.grid(momenta, times)
     eps = instantaneous_spectrum(c.omega, c.g)
-    # an unstable controlled spectrum fails here, before any integration
+    # every mode at every record: raises before any integration where the
+    # controlled spectrum turns imaginary between stability-grid points
     epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi) if protocol.cd_enabled else eps
     u, v, report = integrate_protocol(protocol, momenta, times, rtol, atol, initial)
     su11.check_defect(report.max_invariant_defect)
@@ -214,7 +215,6 @@ def mean_energy_scaling_check(traj: Trajectories, protocol: DriveProtocol) -> fl
 
 @dataclass
 class SimulationResult:
-    protocol: DriveProtocol
     trajectories: Trajectories
     times: np.ndarray
     total_residual: np.ndarray
@@ -235,22 +235,23 @@ def run_simulation(
     record_points: int = DEFAULT_RECORD_POINTS,
 ) -> SimulationResult:
     """Evolve all modes independently and aggregate in fixed mode order,
-    so that identical inputs give identical outputs."""
+    so that identical inputs give identical outputs.  stability_margin is
+    the gate: an unstable coupling, or CD on with a margin that is not
+    positive, raises before any integration."""
     from .protocol import stability_margin
 
-    protocol.validate()
-    return _simulate(protocol, stability_margin(protocol), rtol, atol, record_points)
-
-
-def _simulate(protocol, stability, rtol, atol, record_points) -> SimulationResult:
-    """run_simulation after validation, with the run's stability report."""
+    stability = stability_margin(protocol)
+    if protocol.cd_enabled and not stability.passed:
+        raise CDInstabilityError(
+            f"cd-instability at p = {stability.argmin_p:.6g}, "
+            f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
+        )
     times = np.linspace(0.0, protocol.t_f, record_points)
     traj, c, integration = _evolve(
         protocol, protocol.momenta(), times, rtol, atol, su11.IDENTITY, 0.0
     )
     # sums over axis 0 add the modes one after another, in mode order
     return SimulationResult(
-        protocol=protocol,
         trajectories=traj,
         times=times,
         total_residual=traj.residual.sum(axis=0),
@@ -278,26 +279,19 @@ def sweep_tf(
     atol: float = DEFAULT_ATOL,
     record_points: int = DEFAULT_RECORD_POINTS,
 ) -> list:
-    """One row per t_f; rows failing the stability criterion are flagged,
-    not dropped."""
-    from .protocol import stability_margin
-
+    """One row per t_f, from run_simulation; a row whose CD run is refused
+    as unstable is flagged with NaN values, not dropped.  An unstable
+    coupling raises."""
     if not tf_list:
         raise ContractError("sweep requires a nonempty t_f list")
     rows = []
-    for t_f in tf_list:
-        proto = protocol.with_tf(float(t_f))
-        report = stability_margin(proto)
-        if proto.cd_enabled and not report.passed:
-            rows.append(SweepRow(float(t_f), math.nan, math.nan, False))
-            continue
-        proto.validate()
+    for t_f in map(float, tf_list):
         try:
-            result = _simulate(proto, report, rtol, atol, record_points)
+            result = run_simulation(protocol.with_tf(t_f), rtol, atol, record_points)
         except CDInstabilityError:
-            rows.append(SweepRow(float(t_f), math.nan, math.nan, False))
+            rows.append(SweepRow(t_f, math.nan, math.nan, False))
             continue
         final_res = float(result.total_residual[-1])
         final_fid = float(np.min(result.trajectories.fidelity[:, -1]))
-        rows.append(SweepRow(float(t_f), final_res, final_fid, report.passed))
+        rows.append(SweepRow(t_f, final_res, final_fid, result.stability.passed))
     return rows

@@ -16,12 +16,6 @@ class CDInstabilityError(ContractError):
 class IntegrationError(RuntimeError):
     """Adaptive step control failed (step underflow or solver breakdown)."""
 
-    def __init__(self, message, t=None):
-        if t is not None:
-            message = f"{message} (at t={t:.6g})"
-        super().__init__(message)
-        self.t = t
-
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""

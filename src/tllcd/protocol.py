@@ -153,6 +153,9 @@ class StabilityReport:
     bound_tf: float | None
     t_adiabatic: float
     max_adiabaticity: float
+    # the point of the stability grid where the margin is least
+    argmin_p: float
+    argmin_t: float
 
 
 def closed_form_bound(protocol: DriveProtocol) -> float | None:
@@ -175,16 +178,21 @@ def closed_form_bound(protocol: DriveProtocol) -> float | None:
 
 
 def stability_margin(protocol: DriveProtocol) -> StabilityReport:
-    """Worst-case margin of |chi(t)| < v_s(t) 2 pi/L on a grid of
-    STABILITY_GRID_POINTS times.
+    """The protocol's one stability verdict: validate(), then the worst-case
+    margin of |chi(t)| < v_s(t) 2 pi/L on STABILITY_GRID_POINTS times, and
+    where it is least.
 
-    Evaluated at the slowest mode p = 2 pi/L, which saturates the bound
-    first.  The CD amplitude is evaluated regardless of cd_enabled: the
-    criterion limits what switching CD on would do.
+    Evaluated at the slowest mode p = 2 pi/L, which saturates the bound first
+    for contact couplings.  The CD amplitude is evaluated regardless of
+    cd_enabled: the criterion limits what switching CD on would do.
     """
+    protocol.validate()
     p_min = TWO_PI / protocol.L
-    c = protocol.grid(p_min, np.linspace(0.0, protocol.t_f, STABILITY_GRID_POINTS))
-    margin = float(np.min(c.v_s * p_min - np.abs(c.chi_cd)))
+    t = np.linspace(0.0, protocol.t_f, STABILITY_GRID_POINTS)
+    c = protocol.grid(p_min, t)
+    excess = (c.v_s * p_min - np.abs(c.chi_cd))[0]
+    worst = int(np.argmin(excess))
+    margin = float(excess[worst])
     max_adiab = float(np.max(c.adiabaticity))
     t_adiab = (
         protocol.t_f * max_adiab / ADIABATIC_THRESHOLD if max_adiab > 0 else 0.0
@@ -195,5 +203,6 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
         bound_tf=closed_form_bound(protocol),
         t_adiabatic=t_adiab,
         max_adiabaticity=max_adiab,
+        argmin_p=p_min,
+        argmin_t=float(t[worst]),
     )
-

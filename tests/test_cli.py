@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tllcd import cli
+from tllcd import cli, dynamics
 from tllcd.cli import (
     EXIT_CONFIG,
     EXIT_INSTABILITY,
@@ -35,6 +35,15 @@ n_modes = 2
 record_points = 41
 cd = on
 """
+
+# stable at p_min = 2 pi/L, where the couplings vanish, but not above it
+TABLE_CONFIG = (
+    GOOD_CONFIG.replace("family = contact", "family = custom_table")
+    .replace("L = 20.0", "L = 100.0")
+    .replace("n_modes = 2", "n_modes = 8")
+    .replace("cd = on", "cd = off")
+    + "table = 0:0:0; 0.1:0:0; 0.2:7:0; 2:7:0\n"
+)
 
 
 def write_config(tmp_path, text=GOOD_CONFIG, name="run.cfg"):
@@ -230,13 +239,9 @@ def test_exit_code_instability_and_manifest(tmp_path):
     # endpoints are stable but the drive is far too fast: CD spectrum fails;
     # a table coupling stable at p_min but not above it: validation fails
     # with the exit code of the same defect at p_min
-    table = GOOD_CONFIG.replace("family = contact", "family = custom_table")
-    table = table.replace("L = 20.0", "L = 100.0").replace("n_modes = 2", "n_modes = 8")
-    table = table.replace("cd = on", "cd = off")
-    table += "table = 0:0:0; 0.1:0:0; 0.2:7:0; 2:7:0\n"
     for name, text in (
         ("fast.cfg", GOOD_CONFIG.replace("t_f = 6.0", "t_f = 0.01")),
-        ("table.cfg", table),
+        ("table.cfg", TABLE_CONFIG),
     ):
         cfg = write_config(tmp_path, text, name)
         out = tmp_path / name.replace(".cfg", "")
@@ -245,6 +250,37 @@ def test_exit_code_instability_and_manifest(tmp_path):
         manifest = (out / "manifest.txt").read_text()
         assert "status = failed" in manifest
         assert "failure =" in manifest
+        assert "stability.pass = True" not in manifest
+
+
+def test_cd_instability_exits_at_every_record_count(tmp_path, monkeypatch):
+    # the CD margin at p_min is negative, yet the controlled spectrum is real
+    # at the two ends of the ramp: the verdict must not depend on the records
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration ran on an unstable CD protocol")
+
+    monkeypatch.setattr(dynamics, "integrate_modes", no_integration)
+    fast = GOOD_CONFIG.replace("t_f = 6.0", "t_f = 0.1")
+    for points in (2, 3, 41):
+        text = fast.replace("record_points = 41", f"record_points = {points}")
+        cfg = write_config(tmp_path, text, name=f"fast{points}.cfg")
+        out = tmp_path / f"fast{points}"
+        rc = main(["simulate", "--config", cfg, "--out", str(out)])
+        assert rc == EXIT_INSTABILITY
+        manifest = (out / "manifest.txt").read_text()
+        assert "status = failed" in manifest
+        assert "stability.pass = False" in manifest
+        rc = main(["sweep", "--config", cfg, "--out", str(out), "--tf-list", "0.1"])
+        assert rc == 0
+        row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert float(row[0]) == 0.1 and math.isnan(float(row[1]))
+        assert row[3] == "False"
+
+
+def test_stability_subcommand_rejects_unstable_coupling(tmp_path, capsys):
+    cfg = write_config(tmp_path, TABLE_CONFIG)
+    assert main(["stability", "--config", cfg]) == EXIT_INSTABILITY
+    assert "pass = True" not in capsys.readouterr().out
 
 
 def test_stability_subcommand_experimental(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tllcd import dynamics, fock, su11
 from tllcd.control import Schedule, ScheduleKind
-from tllcd.errors import CDInstabilityError, ContractError
+from tllcd.errors import CDInstabilityError, ContractError, LuttingerInstabilityError
 from tllcd.model import (
     CouplingFamily,
     CouplingSpec,
@@ -269,6 +269,18 @@ def test_reference_run_is_warning_free_and_symplectic():
         result = dynamics.run_simulation(proto)
     assert result.integration.max_invariant_defect <= 1e-12
     assert abs(result.total_residual[-1]) <= 1e-12
+
+
+def test_sweep_over_unstable_coupling_raises():
+    # the CD margin at p_min fails at this t_f, but the coupling itself is
+    # unstable above p_min: that is an error, not a flagged row
+    coupling = CouplingSpec(
+        family=CouplingFamily.CUSTOM_TABLE,
+        table=((0.0, 1.0, 0.0), (0.1, 1.0, 0.0), (0.2, 7.0, 0.0), (2.0, 7.0, 0.0)),
+    )
+    proto = replace(make_protocol(L=100.0, n_modes=8), coupling=coupling)
+    with pytest.raises(LuttingerInstabilityError, match="p=0.502655"):
+        dynamics.sweep_tf(proto, [0.01], record_points=11)
 
 
 def test_cd_sweep_residual_does_not_drift_with_tf():
