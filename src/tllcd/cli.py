@@ -62,9 +62,9 @@ class RunConfig:
     n_modes: int = 128
     cd: str = "on"
     v_F: float = 1.0
-    record_points: int = 201
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    record_points: int = dynamics.DEFAULT_RECORD_POINTS
+    rtol: float = dynamics.DEFAULT_RTOL
+    atol: float = dynamics.DEFAULT_ATOL
     units: str = "natural"
     emit_plots: str = "false"
     sound_velocity: float = 0.0
@@ -212,11 +212,11 @@ def write_outputs(result, cfg: RunConfig, out_dir) -> dict:
     if result is not None:
         # the other columns are fields of the same name
         traj = result.trajectories
-        modes = list(np.meshgrid(traj.times, traj.p))
+        modes = [traj.times, traj.p[:, None]]
         modes += [getattr(traj, name) for name in MODES_HEADER.split(",")[2:]]
         aggregate = [result.times]
         aggregate += [getattr(result, name) for name in AGGREGATE_HEADER.split(",")[1:-1]]
-        aggregate.append(np.full_like(result.times, result.stability.margin))
+        aggregate.append(result.stability.margin)
     _write_csv(paths["modes"], MODES_HEADER, modes)
     _write_csv(paths["aggregate"], AGGREGATE_HEADER, aggregate)
     write_manifest(paths["manifest"], cfg, result)
@@ -224,58 +224,54 @@ def write_outputs(result, cfg: RunConfig, out_dir) -> dict:
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """One CSV column per array, rows in C order (mode-major for (mode, time)
-    arrays), each number as format(x, '.17g'): the bytes that
-    np.savetxt(fmt='%.17g') writes.
+    """One CSV column per array.  The arrays broadcast against each other;
+    rows run in C order of the broadcast shape (mode-major for (mode, time)),
+    and no columns give the header alone.  The bytes are those that
+    np.savetxt(fmt='%.17g') writes of the broadcast table.
 
-    A column in which at least half the entries repeat (time, momentum, a
-    contact chi) has each distinct bit pattern formatted once, so -0.0 and
-    0.0 stay apart; the other columns are formatted by one '%' per block of
-    CSV_BLOCK_ROWS rows, so the text of the whole table is never held."""
-    columns = [np.asarray(c, dtype=float).ravel() for c in columns]
-    n_rows = len(columns[0]) if columns else 0
-    distinct, formats = [], []
+    A column with fewer entries of its own than the table has rows (a
+    shorter array, a 0-d value, or a view with stride 0 on the axes it
+    repeats on) has each entry formatted once and its text broadcast.  The
+    others are formatted by one '%' per block of CSV_BLOCK_ROWS rows, so the
+    text of the whole table is never held."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    n_rows = math.prod(shape) if columns else 0
+    cells, formats = [], []
     for column in columns:
-        bits = np.unique(column.view(np.int64))
-        if 2 * len(bits) <= n_rows:
-            text = [format(x, ".17g") for x in bits.view(np.float64).tolist()]
-            distinct.append((bits, np.array(text, dtype=object)))
-            formats.append("%s")
-        else:
-            distinct.append(None)
-            formats.append("%.17g")
+        own = column[tuple(slice(None) if s else slice(1) for s in column.strides)]
+        if own.size < n_rows:
+            text = [format(x, ".17g") for x in own.ravel().tolist()]
+            column = np.array(text, dtype=object).reshape(own.shape)
+        formats.append("%.17g" if column.dtype == float else "%s")
+        cells.append(np.broadcast_to(column, shape).flat)
     row = ",".join(formats) + "\n"
     with open(path, "w") as f:
         f.write(header + "\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n_rows)
             block = np.empty((stop - start, len(columns)), dtype=object)
-            for j, (column, values) in enumerate(zip(columns, distinct)):
-                part = column[start:stop]
-                if values is None:
-                    block[:, j] = part
-                else:
-                    bits, text = values
-                    block[:, j] = text[np.searchsorted(bits, part.view(np.int64))]
+            for j, cell in enumerate(cells):
+                block[:, j] = cell[start:stop]
             f.write((row * (stop - start)) % tuple(block.ravel().tolist()))
 
 
 def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
-    """Key-value manifest, written even on failure (with the cause).
+    """Key-value manifest, written even on failure, with the exception that
+    caused it.  The stability lines come from the result, else from the
+    report the failure carries, else from a fresh stability_margin.
 
     Wall time is deliberately not recorded: output files are byte-stable.
     """
     lines = [f"version = {__version__}", f"status = {'failed' if failure else 'ok'}"]
     if failure:
         lines.append(f"failure = {failure}")
-    for f in fields(cfg):
-        lines.append(f"config.{f.name} = {_fmt(getattr(cfg, f.name))}")
+    lines += ["config." + line for line in serialize_config(cfg).splitlines()]
     if cfg.t_f > 0:
         try:
-            if result is None:
+            report = result.stability if result else getattr(failure, "report", None)
+            if report is None:
                 report = stability_margin(cfg.protocol())
-            else:
-                report = result.stability
             lines.append(f"stability.margin = {_fmt(report.margin)}")
             lines.append(f"stability.pass = {report.passed}")
             if report.bound_tf is not None:
@@ -347,7 +343,7 @@ def cmd_simulate(args) -> int:
         )
     except (ContractError, IntegrationError) as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(out_dir / "manifest.txt", cfg, None, failure=str(exc))
+        write_manifest(out_dir / "manifest.txt", cfg, None, failure=exc)
         raise
     paths = write_outputs(result, cfg, out_dir)
     if cfg.emit_plots == "true":
@@ -564,33 +560,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("--config", required=True, help="path to key=value config")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--cd", choices=["on", "off"])
-        sp.add_argument("--tf", type=float)
-        sp.add_argument("--modes", type=int)
+    flags = {
+        "--config": dict(required=True, help="path to key=value config"),
+        "--out": dict(help="output directory"),
+        "--cd": dict(choices=["on", "off"]),
+        "--tf": dict(type=float),
+        "--modes": dict(type=int),
+        "--tf-list": dict(help="comma-separated t_f values"),
+    }
 
-    sp = sub.add_parser("simulate", help="full run: CSV outputs + manifest")
-    add_common(sp)
-    sp.set_defaults(func=cmd_simulate)
+    def add(name, func, help_text, *names):
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("stability", help="stability criteria and speed window")
-    add_common(sp)
-    sp.set_defaults(func=cmd_stability)
-
-    sp = sub.add_parser("sweep", help="sweep over final times")
-    add_common(sp)
-    sp.add_argument("--tf-list", help="comma-separated t_f values")
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("validate", help="oracle cross-check suite")
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("plot", help="SVG panels from a run directory")
+    add("simulate", cmd_simulate, "full run: CSV outputs + manifest",
+        "--config", "--out", "--cd", "--tf", "--modes")
+    add("stability", cmd_stability, "stability criteria and speed window",
+        "--config", "--tf", "--modes")
+    add("sweep", cmd_sweep, "sweep over final times",
+        "--config", "--out", "--cd", "--modes", "--tf-list")
+    add("validate", cmd_validate, "oracle cross-check suite")
+    sp = add("plot", cmd_plot, "SVG panels from a run directory")
     sp.add_argument("--out", help="run directory containing the CSVs")
-    sp.set_defaults(func=cmd_plot)
 
     return parser
 

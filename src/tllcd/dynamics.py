@@ -244,7 +244,8 @@ def run_simulation(
     if protocol.cd_enabled and not stability.passed:
         raise CDInstabilityError(
             f"cd-instability at p = {stability.argmin_p:.6g}, "
-            f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
+            f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0",
+            stability,
         )
     times = np.linspace(0.0, protocol.t_f, record_points)
     traj, c, integration = _evolve(

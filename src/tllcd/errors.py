@@ -10,7 +10,12 @@ class LuttingerInstabilityError(ContractError):
 
 
 class CDInstabilityError(ContractError):
-    """v_s |p| <= |chi|: the controlled spectrum turns imaginary."""
+    """v_s |p| <= |chi|: the controlled spectrum turns imaginary.  `report`
+    is the StabilityReport that refused the run, if one did."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class IntegrationError(RuntimeError):

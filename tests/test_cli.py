@@ -150,6 +150,20 @@ def test_overrides_are_validated(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", out, "--tf-list", "4,inf"]) == EXIT_CONFIG
 
 
+def test_subcommands_take_only_their_flags(tmp_path):
+    # sweep takes its final times from --tf-list and stability writes no
+    # file: a flag the command would ignore is argparse's usage error
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "o")
+    for argv in (
+        ["sweep", "--config", cfg, "--out", out, "--tf-list", "4,8", "--tf", "3"],
+        ["stability", "--config", cfg, "--out", out],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     code = "import sys, tllcd.cli; sys.exit('scipy.integrate' in sys.modules)"
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -197,17 +211,31 @@ def test_csv_writer_matches_savetxt(tmp_path):
     special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308, 0.1]
     distinct = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
     distinct[: len(special)] = special
-    columns = [
+    flat = [
         np.resize(special, n),  # repeated values, -0.0 beside 0.0
         np.full(n, 1.0 / 3.0),  # constant
         distinct,
         np.repeat(np.linspace(0.0, 1.0, 9), n // 9 + 1)[:n].reshape(1, n),  # 2-D, runs
     ]
+    # columns that broadcast to an (m, k) table of more than two blocks
+    m, k = 67, 71
+    assert m * k > 2 * cli.CSV_BLOCK_ROWS
+    broadcast = [
+        np.linspace(0.0, 1.0, k),  # (k,)
+        0.25 * np.arange(1, m + 1)[:, None],  # (m, 1)
+        np.float64(1.0 / 3.0),  # ()
+        np.broadcast_to(np.resize(special, k), (m, k)),  # stride 0 on axis 0
+        np.broadcast_to(np.resize(special, m)[:, None], (m, k)),  # on axis 1
+        rng.normal(size=(k, m)).T,  # full, not C-contiguous
+    ]
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-    table = np.column_stack([np.ravel(c) for c in columns])
-    np.savetxt(want, table, fmt="%.17g", delimiter=",", header="a,b,c,d", comments="")
-    cli._write_csv(got, "a,b,c,d", columns)
-    assert got.read_bytes() == want.read_bytes()
+    for columns in (flat, broadcast):
+        header = ",".join("abcdef"[: len(columns)])
+        shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+        table = np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
+        np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        cli._write_csv(got, header, columns)
+        assert got.read_bytes() == want.read_bytes()
     # no columns: the header alone, as np.savetxt writes an empty table
     np.savetxt(want, [], fmt="%.17g", delimiter=",", header="a", comments="")
     cli._write_csv(got, "a", [])
@@ -399,3 +427,9 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, GOOD_CONFIG + "tf_list = 4.0,8.0,0.01\n", name="s.cfg")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
     assert calls == [4.0, 8.0, 0.01]
+    # a run the CD gate refuses: the failure manifest reuses the gate's report
+    calls.clear()
+    fast = write_config(tmp_path, GOOD_CONFIG.replace("t_f = 6.0", "t_f = 0.1"), "f.cfg")
+    assert main(["simulate", "--config", fast, "--out", out]) == EXIT_INSTABILITY
+    assert calls == [0.1]
+    assert "stability.pass = False" in (tmp_path / "out" / "manifest.txt").read_text()
