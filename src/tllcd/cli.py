@@ -259,7 +259,9 @@ def _write_csv(path, header: str, columns) -> None:
 def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
     """Key-value manifest, written even on failure, with the exception that
     caused it.  The stability lines come from the result, else from the
-    report the failure carries, else from a fresh stability_margin.
+    report the failure carries, else from a fresh stability_margin; a
+    LuttingerInstabilityError, which stability_margin would raise again, is
+    written as `stability.error` as it stands.
 
     Wall time is deliberately not recorded: output files are byte-stable.
     """
@@ -268,21 +270,26 @@ def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
         lines.append(f"failure = {failure}")
     lines += ["config." + line for line in serialize_config(cfg).splitlines()]
     if cfg.t_f > 0:
-        try:
-            report = result.stability if result else getattr(failure, "report", None)
-            if report is None:
+        report = result.stability if result else getattr(failure, "report", None)
+        error = failure if isinstance(failure, LuttingerInstabilityError) else None
+        if report is None and error is None:
+            try:
                 report = stability_margin(cfg.protocol())
+            except ContractError as exc:
+                error = exc
+        if error is not None:
+            lines.append(f"stability.error = {error}")
+        else:
             lines.append(f"stability.margin = {_fmt(report.margin)}")
             lines.append(f"stability.pass = {report.passed}")
             if report.bound_tf is not None:
                 lines.append(f"stability.t_min = {_fmt(report.bound_tf)}")
             lines.append(f"stability.t_adiabatic = {_fmt(report.t_adiabatic)}")
-        except ContractError as exc:
-            lines.append(f"stability.error = {exc}")
     if result is not None:
         facts = result.integration
         lines.append(f"integrator = {integrator.NAME}")
         lines.append(f"integrator.substeps = {facts.substeps}")
+        lines.append(f"integrator.steps = {facts.steps}")
         lines.append(f"integrator.error_estimate = {_fmt(facts.error_estimate)}")
         lines.append(
             f"integrator.max_invariant_defect = {_fmt(facts.max_invariant_defect)}"
@@ -488,9 +495,7 @@ def run_validation_suite(verbose: bool = False) -> int:
     p = proto.momenta()
     times = np.linspace(0.0, proto.t_f, 5)
     y = [
-        np.array(
-            integrator.fixed_steps(lambda t: proto.grid(p, t), times, [1.0], [0.0], n)
-        )
+        np.array(integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], n))
         for n in (2, 4, 8)
     ]
     diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(y, y[1:])]

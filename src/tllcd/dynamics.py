@@ -17,7 +17,7 @@ import numpy as np
 
 from . import su11
 from .control import spectrum_with_cd
-from .errors import CDInstabilityError, ContractError
+from .errors import CDInstabilityError, ContractError, IntegrationError
 from .integrator import IntegrationReport, integrate_modes
 from .model import PairCoefficients, bogoliubov_angle, instantaneous_spectrum
 from .protocol import DriveProtocol, StabilityReport
@@ -150,16 +150,10 @@ def integrate_protocol(
 ):
     """(u, v, IntegrationReport) of every pair in `momenta` (rows) on the
     record grid `times` (columns), all started from the map `initial`, in
-    one Magnus pass."""
-    momenta = np.asarray(momenta, dtype=float)
+    one integrate_modes call."""
     start = np.ones(len(momenta), dtype=complex)
     return integrate_modes(
-        lambda t: protocol.grid(momenta, t),
-        times,
-        initial.u * start,
-        initial.v * start,
-        rtol,
-        atol,
+        protocol.grid, momenta, times, initial.u * start, initial.v * start, rtol, atol
     )
 
 
@@ -237,7 +231,8 @@ def run_simulation(
     """Evolve all modes independently and aggregate in fixed mode order,
     so that identical inputs give identical outputs.  stability_margin is
     the gate: an unstable coupling, or CD on with a margin that is not
-    positive, raises before any integration."""
+    positive, raises before any integration.  A CDInstabilityError from
+    the record grid or an IntegrationError carries the gate's report."""
     from .protocol import stability_margin
 
     stability = stability_margin(protocol)
@@ -248,9 +243,13 @@ def run_simulation(
             stability,
         )
     times = np.linspace(0.0, protocol.t_f, record_points)
-    traj, c, integration = _evolve(
-        protocol, protocol.momenta(), times, rtol, atol, su11.IDENTITY, 0.0
-    )
+    try:
+        traj, c, integration = _evolve(
+            protocol, protocol.momenta(), times, rtol, atol, su11.IDENTITY, 0.0
+        )
+    except (CDInstabilityError, IntegrationError) as exc:
+        exc.report = stability
+        raise
     # sums over axis 0 add the modes one after another, in mode order
     return SimulationResult(
         trajectories=traj,

@@ -19,7 +19,14 @@ class CDInstabilityError(ContractError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive step control failed (step underflow or solver breakdown)."""
+    """An integration did not finish: Magnus step doubling would pass
+    MAX_STEPS before every mode converged, a value turned non-finite, or the
+    Fock oracle's solver failed.  `report` is the StabilityReport of the run
+    it stopped, if one was taken."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class ConfigError(ValueError):

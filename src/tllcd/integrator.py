@@ -39,10 +39,13 @@ segments' prefix products are formed by doubling (Hillis & Steele, CACM 29,
 1170 (1986)), and those are applied to the state carried in from the block
 before.
 
-Error control: every record interval of every mode gets the same number of
-substeps N.  N is doubled until the Richardson estimate |y_N - y_2N|/63
-(2^6 - 1 for a sixth-order method) is within atol + rtol |y| for every
-component, record and mode.
+Error control, per mode: the modes are independent, so each takes its own
+number of substeps N per record interval.  The first pass takes one step
+per interval; each later pass doubles N and integrates only the modes still
+active.  A mode leaves once its Richardson estimate |y_N/2 - y_N|/63
+(2^6 - 1 for a sixth-order method) is within atol + rtol |y_N| for every
+component and record, and keeps y_N.  So a slow mode that converges at
+N = 2 is not integrated again at the N that a fast mode needs.
 """
 
 from __future__ import annotations
@@ -74,64 +77,79 @@ _SERIES_Z = 1e-2
 class IntegrationReport:
     """Deterministic facts of one integration."""
 
-    substeps: int  # Magnus steps per record interval
-    error_estimate: float  # max |y_N - y_2N|/63 over components, records, modes
+    substeps: int  # largest Magnus steps per record interval over the modes
+    steps: int  # Magnus steps over all modes and doubling passes
+    error_estimate: float  # largest |y_N/2 - y_N|/63 a mode was accepted with
     max_invariant_defect: float  # max ||u|^2 - |v|^2 - 1| over records, modes
 
 
-def integrate_modes(coefficients, times, u0, v0, rtol, atol):
+def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
     """(u, v, report): (u, v) of every mode (rows) on the record grid
     `times` (columns), and the IntegrationReport.
 
-    `coefficients(t)` maps a 1-D array of times to an object whose
-    `omega`, `g` and `chi` are arrays of shape (n_modes, len(t)), such as
-    `DriveProtocol.grid(momenta, t)`; `u0`, `v0` are the initial
-    coefficients, one per mode.  Raises IntegrationError if another doubling
-    would take more than MAX_STEPS steps per mode, or on a non-finite value.
+    `grid(p, t)` maps momenta p and a 1-D array of times t to an object
+    whose `omega`, `g` and `chi` are arrays of shape (len(p), len(t)), such
+    as `DriveProtocol.grid`; it is called with the momenta of the modes
+    still active.  `u0`, `v0` are the initial coefficients, one per mode.
+    Raises IntegrationError if another doubling would take more than
+    MAX_STEPS steps per mode, or on a non-finite value.
     """
+    momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
     y0 = np.array([u0, v0], dtype=complex)
-    # two output buffers, (u, v) x modes x records, swapped between doublings;
+    intervals = len(times) - 1
+    # out holds the latest pass of every mode, (u, v) x modes x records;
+    # each pass over the active modes fills the front of `buffer`.  Both are
     # allocated before any temporary so that freed temporaries do not stay
     # pinned under them
-    coarse, fine = (np.empty(y0.shape + times.shape, dtype=complex) for _ in range(2))
-    _propagate(coefficients, times, y0, 1, coarse)
-    substeps = 1
+    out = np.empty(y0.shape + times.shape, dtype=complex)
+    buffer = np.empty(out.size, dtype=complex)
+    _propagate(grid, momenta, times, y0, 1, out)
+    active = np.arange(len(momenta))
+    substeps, steps, worst = 1, len(active) * intervals, 0.0
     while True:
         substeps *= 2
-        _propagate(coefficients, times, y0, substeps, fine)
+        fine = buffer[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
+        _propagate(grid, momenta[active], times, y0[:, active], substeps, fine)
+        steps += len(active) * intervals * substeps
+        coarse = out[:, active]
         err = np.abs(np.subtract(coarse, fine, out=coarse)) / 63.0
-        if np.all(err <= atol + rtol * np.abs(fine)):
-            u, v = fine
-            defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
-            return u, v, IntegrationReport(substeps, float(np.max(err)), float(defect))
-        if 2 * substeps * (len(times) - 1) > MAX_STEPS:
+        passed = np.all(err <= atol + rtol * np.abs(fine), axis=(0, 2))
+        out[:, active] = fine
+        if np.any(passed):
+            worst = max(worst, float(np.max(err[:, passed])))
+        active = active[~passed]
+        if not len(active):
+            break
+        if 2 * substeps * intervals > MAX_STEPS:
             raise IntegrationError(
                 f"magnus step doubling not converged at {substeps} substeps "
                 "per record interval"
             )
-        coarse, fine = fine, coarse
+    u, v = out
+    defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
+    return u, v, IntegrationReport(substeps, steps, worst, float(defect))
 
 
-def fixed_steps(coefficients, times, u0, v0, substeps):
+def fixed_steps(grid, momenta, times, u0, v0, substeps):
     """(u, v) on the record grid `times` after `substeps` Magnus steps per
     record interval, without error control: the method's raw convergence,
     for order checks.  `substeps` must be a power of two: the steps of an
     interval are multiplied pairwise (`_reduce`), which drops steps at other
-    counts.  The other arguments, the `coefficients(t)` callback included,
-    are as for integrate_modes."""
+    counts.  The other arguments, the `grid(p, t)` callback included, are
+    as for integrate_modes."""
     if substeps < 1 or substeps & (substeps - 1):
         raise ContractError(f"substeps must be a power of two, got {substeps}")
     y0 = np.array([u0, v0], dtype=complex)
     times = np.asarray(times, dtype=float)
     out = np.empty(y0.shape + times.shape, dtype=complex)
-    _propagate(coefficients, times, y0, substeps, out)
+    _propagate(grid, momenta, times, y0, substeps, out)
     return out[0], out[1]
 
 
-def _propagate(coefficients, times, y0, substeps, out):
-    """Fill out[0], out[1] with (u, v) on the record grid, taking `substeps`
-    Magnus steps per record interval.
+def _propagate(grid, momenta, times, y0, substeps, out):
+    """Fill out[0], out[1] with (u, v) of the modes `momenta` on the record
+    grid, taking `substeps` Magnus steps per record interval.
 
     The steps of each record interval are split into segments of
     per = min(substeps, block) steps, where block is the largest power of
@@ -154,7 +172,7 @@ def _propagate(coefficients, times, y0, substeps, out):
         # its segments share their step offset within their interval
         intervals = slice(s0 // segments, (s1 - 1) // segments + 1)
         offsets = s0 % segments * per + np.arange(per)
-        steps = _steps(coefficients, starts[intervals], widths[intervals], offsets)
+        steps = _steps(grid, momenta, starts[intervals], widths[intervals], offsets)
         # (segment, mode) propagators from the start of the pass
         alpha, beta = _scan(*(x.T for x in _reduce(*steps)))
         u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
@@ -167,49 +185,51 @@ def _propagate(coefficients, times, y0, substeps, out):
         raise IntegrationError("non-finite pair coefficients")
 
 
-def _steps(coefficients, starts, widths, offsets):
+def _steps(grid, momenta, starts, widths, offsets):
     """Single-step propagators of shape (n_modes, n_intervals, n_offsets)
     for the steps starting at starts + offsets * widths."""
     t0 = starts[:, None] + offsets[None, :] * widths[:, None]
     h = np.broadcast_to(widths[:, None], t0.shape)
     nodes = t0[..., None] + h[..., None] * _NODES
-    c = coefficients(nodes.ravel())
+    c = grid(momenta, nodes.ravel())
     omega, g, chi = (np.reshape(x, (-1,) + nodes.shape) for x in (c.omega, c.g, c.chi))
-    # generator 3-vectors (a, br, bi) = (omega, -chi, -g), node on the last axis
-    A = np.stack([omega, -chi, -g])
-    A1, A2, A3 = A[..., 0], A[..., 1], A[..., 2]
-    a1 = h * A2
-    a2 = (math.sqrt(15.0) / 3.0) * h * (A3 - A1)
-    a3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
+    # generator 3-vectors (a, br, bi) = (omega, -chi, -g) at each node
+    A1, A2, A3 = ((omega[..., k], -chi[..., k], -g[..., k]) for k in range(3))
+    h2, h3 = (math.sqrt(15.0) / 3.0) * h, (10.0 / 3.0) * h
+    a1 = tuple(h * x2 for x2 in A2)
+    a2 = tuple(h2 * (x3 - x1) for x1, x3 in zip(A1, A3))
+    a3 = tuple(h3 * (x3 - 2.0 * x2 + x1) for x1, x2, x3 in zip(A1, A2, A3))
     c1 = _comm(a1, a2)
-    c2 = (-1.0 / 60.0) * _comm(a1, 2.0 * a3 + c1)
-    a, br, bi = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    c2 = _comm(a1, [2.0 * x3 + y for x3, y in zip(a3, c1)])
+    c2 = tuple((-1.0 / 60.0) * x for x in c2)
+    c3 = _comm(
+        [-20.0 * x1 - x3 + y for x1, x3, y in zip(a1, a3, c1)],
+        [x2 + y for x2, y in zip(a2, c2)],
+    )
+    a, br, bi = (x1 + x3 / 12.0 + y / 240.0 for x1, x3, y in zip(a1, a3, c3))
     C, S = _cosh_sinhc(br * br + bi * bi - a * a)
     return C + 1j * (S * a), S * br + 1j * (S * bi)
 
 
 def _comm(x, y):
-    """[X, Y] of su(1,1) elements given as 3-vectors (a, br, bi) on axis 0."""
+    """[X, Y] of su(1,1) elements given as 3-vectors (a, br, bi) of arrays."""
     (a, r, s), (a2, r2, s2) = x, y
-    return 2.0 * np.stack([s * r2 - r * s2, s * a2 - a * s2, a * r2 - r * a2])
+    return 2.0 * (s * r2 - r * s2), 2.0 * (s * a2 - a * s2), 2.0 * (a * r2 - r * a2)
 
 
 def _cosh_sinhc(z):
-    """(cosh(sqrt z), sinh(sqrt z)/sqrt z) for real z of either sign."""
-    r = np.sqrt(np.abs(z))
-    C, S = np.empty_like(z), np.empty_like(z)
-    osc, grow = z < -_SERIES_Z, z > _SERIES_Z
-    small = ~(osc | grow)
-    np.cos(r, out=C, where=osc)
-    np.divide(np.sin(r, where=osc, out=np.zeros_like(z)), r, out=S, where=osc)
+    """(cosh(sqrt z), sinh(sqrt z)/sqrt z) for real z of either sign: a
+    Taylor series in z everywhere, replaced by the closed form where
+    |z| > _SERIES_Z."""
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cosh(r, out=C, where=grow)
-        np.divide(np.sinh(r, where=grow, out=np.zeros_like(z)), r, out=S, where=grow)
-    zs = np.where(small, z, 0.0)
-    C_series = 1.0 + zs * (1 / 2 + zs * (1 / 24 + zs * (1 / 720 + zs / 40320)))
-    S_series = 1.0 + zs * (1 / 6 + zs * (1 / 120 + zs * (1 / 5040 + zs / 362880)))
-    np.copyto(C, C_series, where=small)
-    np.copyto(S, S_series, where=small)
+        C = 1.0 + z * (1 / 2 + z * (1 / 24 + z * (1 / 720 + z / 40320)))
+        S = 1.0 + z * (1 / 6 + z * (1 / 120 + z * (1 / 5040 + z / 362880)))
+        for where, cos, sin in (
+            (z < -_SERIES_Z, np.cos, np.sin),
+            (z > _SERIES_Z, np.cosh, np.sinh),
+        ):
+            r = np.sqrt(np.abs(z[where]))
+            C[where], S[where] = cos(r), sin(r) / r
     return C, S
 
 

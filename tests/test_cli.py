@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tllcd import cli, dynamics
+from tllcd import cli, dynamics, integrator
 from tllcd.cli import (
     EXIT_CONFIG,
     EXIT_INSTABILITY,
+    EXIT_INTEGRATION,
     experimental_sound_velocity,
     main,
     parse_config,
@@ -201,6 +202,8 @@ def test_simulate_byte_stable(tmp_path):
     )
     assert facts["integrator"] == "magnus6"
     assert int(facts["integrator.substeps"]) >= 2
+    # 2 modes x 40 record intervals, each mode at 1 and 2 substeps at least
+    assert int(facts["integrator.steps"]) >= 2 * 40 * 3
     assert 0 <= float(facts["integrator.error_estimate"]) <= 1e-10
     assert 0 <= float(facts["integrator.max_invariant_defect"]) <= 1e-12
 
@@ -433,3 +436,31 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     assert main(["simulate", "--config", fast, "--out", out]) == EXIT_INSTABILITY
     assert calls == [0.1]
     assert "stability.pass = False" in (tmp_path / "out" / "manifest.txt").read_text()
+    # a coupling that validate refuses: the manifest writes the refusal itself
+    calls.clear()
+    table = write_config(tmp_path, TABLE_CONFIG, "t.cfg")
+    assert main(["simulate", "--config", table, "--out", out]) == EXIT_INSTABILITY
+    assert calls == [6.0]
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "stability.error = luttinger-instability at p=" in manifest
+    # a CD run that the gate's p_min margin passes and the record-grid check
+    # refuses above p_min: the error carries the gate's report
+    calls.clear()
+    above = TABLE_CONFIG.replace("cd = off", "cd = on").replace(
+        "0:0:0; 0.1:0:0; 0.2:7:0; 2:7:0", "0:0.01:0; 0.1:0.01:0; 0.2:5.5:0; 2:5.5:0"
+    )
+    above = write_config(tmp_path, above, "a.cfg")
+    assert main(["simulate", "--config", above, "--out", out]) == EXIT_INSTABILITY
+    assert calls == [6.0]
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "failure = cd-instability at p = 0.251327" in manifest
+    # an integration stopped at the step cap: the error carries the gate's report
+    calls.clear()
+    monkeypatch.setattr(integrator, "MAX_STEPS", 1)
+    tight = GOOD_CONFIG + "rtol = 1e-16\natol = 1e-30\n"
+    tight = write_config(tmp_path, tight, "i.cfg")
+    assert main(["simulate", "--config", tight, "--out", out]) == EXIT_INTEGRATION
+    assert calls == [6.0]
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "failure = magnus step doubling not converged" in manifest
+    assert "stability.pass = True" in manifest

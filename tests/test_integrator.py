@@ -96,9 +96,7 @@ def test_sixth_order_convergence():
     u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
     def error(substeps):
-        u, v = integrator.fixed_steps(
-            lambda t: proto.grid(p, t), times, [1.0], [0.0], substeps
-        )
+        u, v = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
         return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
 
     errors = [error(n) for n in (2, 4, 8)]
@@ -116,9 +114,7 @@ def test_fixed_steps_takes_only_powers_of_two():
     times = np.linspace(0.0, proto.t_f, 5)
     for substeps in (0, 3, 6):
         with pytest.raises(ContractError, match="power of two"):
-            integrator.fixed_steps(
-                lambda t: proto.grid(p, t), times, [1.0], [0.0], substeps
-            )
+            integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
 
 
 def test_substeps_of_the_long_cd_ramp():
@@ -146,7 +142,7 @@ def test_comm_matches_matrix_commutator():
         return np.array([[1j * a, b], [np.conj(b), -1j * a]])
 
     x, y = np.random.default_rng(7).normal(size=(2, 3, 20))
-    got = integrator._comm(x, y)
+    got = np.array(integrator._comm(x, y))
     for k in range(x.shape[1]):
         X, Y = matrix(*x[:, k]), matrix(*y[:, k])
         assert np.max(np.abs(matrix(*got[:, k]) - (X @ Y - Y @ X))) < 1e-14
@@ -165,13 +161,39 @@ def test_invariant_defect_at_roundoff():
 
 @pytest.mark.parametrize("cd", [True, False])
 def test_all_modes_run_matches_per_mode(cd):
+    # each mode takes its own substeps, so neither the modes beside it nor
+    # their number moves its result beyond roundoff
     proto = make_protocol("custom_table", "poly5", cd, n_modes=4)
     traj = dynamics.run_simulation(proto, record_points=21).trajectories
     for k, p in enumerate(traj.p):
         single = dynamics.evolve_pair(p, proto, record_points=21)
-        assert np.max(np.abs(traj.u[k] - single.u[0])) < 1e-9
-        assert np.max(np.abs(traj.v[k] - single.v[0])) < 1e-9
-        assert np.max(np.abs(traj.n_qp[k] - single.n_qp[0])) < 1e-9
+        assert np.max(np.abs(traj.u[k] - single.u[0])) < 1e-13
+        assert np.max(np.abs(traj.v[k] - single.v[0])) < 1e-13
+        assert np.max(np.abs(traj.n_qp[k] - single.n_qp[0])) < 1e-13
+    # the first 4 modes of a 16-mode run, whose upper modes need up to 16
+    # substeps where these need 2 to 8
+    wide = make_protocol("custom_table", "poly5", cd, n_modes=16)
+    first = dynamics.run_simulation(wide, record_points=21).trajectories
+    for name in ("u", "v", "n_qp"):
+        got, want = getattr(first, name)[:4], getattr(traj, name)
+        assert np.max(np.abs(got - want)) < 1e-13, name
+
+
+@pytest.mark.parametrize("cd", [True, False])
+def test_steps_count_every_pass_of_every_mode(cd):
+    # a mode that converges at N substeps was integrated at 1, 2, ..., N:
+    # 2N - 1 steps per record interval
+    proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
+    times = np.linspace(0.0, proto.t_f, 21)
+    args = (times, 1e-10, 1e-12)
+    alone = [dynamics.integrate_protocol(proto, [p], *args)[2] for p in proto.momenta()]
+    substeps = [r.substeps for r in alone]
+    assert len(set(substeps)) > 1
+    _, _, report = dynamics.integrate_protocol(proto, proto.momenta(), *args)
+    assert report.steps == sum(20 * (2 * n - 1) for n in substeps)
+    assert report.substeps == max(substeps)
+    worst = max(r.error_estimate for r in alone)
+    assert report.error_estimate == pytest.approx(worst, rel=1e-3)
 
 
 def test_blocking_does_not_change_the_result(monkeypatch):
@@ -215,12 +237,12 @@ def test_raises_at_step_cap(monkeypatch):
 
 
 def test_raises_on_non_finite_coefficients():
-    def coefficients(t):
-        nan = np.full((1, len(t)), np.nan)
+    def grid(p, t):
+        nan = np.full((len(p), len(t)), np.nan)
         return PairCoefficients(nan, nan, nan)
 
     with pytest.raises(IntegrationError, match="non-finite"):
-        integrator.integrate_modes(coefficients, [0.0, 1.0], [1.0], [0.0], 1e-10, 1e-12)
+        integrator.integrate_modes(grid, [1.0], [0.0, 1.0], [1.0], [0.0], 1e-10, 1e-12)
 
 
 @pytest.mark.parametrize("z", [-30.0, -0.5, -1e-2, -1e-5, 0.0, 1e-6, 1e-2, 0.7, 12.0])
