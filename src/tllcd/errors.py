@@ -20,8 +20,8 @@ class CDInstabilityError(ContractError):
 
 class IntegrationError(RuntimeError):
     """An integration did not finish: Magnus step doubling would pass
-    MAX_STEPS before every mode converged, a value turned non-finite, or the
-    Fock oracle's solver failed.  `report` is the StabilityReport of the run
+    MAX_STEPS before every mode converged, a pair coefficient was
+    non-finite, or the Fock oracle's solver failed.  `report` is the StabilityReport of the run
     it stopped, if one was taken."""
 
     def __init__(self, message, report=None):

@@ -45,7 +45,10 @@ per interval; each later pass doubles N and integrates only the modes still
 active.  A mode leaves once its Richardson estimate |y_N/2 - y_N|/63
 (2^6 - 1 for a sixth-order method) is within atol + rtol |y_N| for every
 component and record, and keeps y_N.  So a slow mode that converges at
-N = 2 is not integrated again at the N that a fast mode needs.
+N = 2 is not integrated again at the N that a fast mode needs.  A mode
+whose y_N is non-finite (a step too long for the Magnus series, as one step
+per interval of a coarse record grid can be) fails the test and is refined
+like any other.
 """
 
 from __future__ import annotations
@@ -91,8 +94,10 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
     whose `omega`, `g` and `chi` are arrays of shape (len(p), len(t)), such
     as `DriveProtocol.grid`; it is called with the momenta of the modes
     still active.  `u0`, `v0` are the initial coefficients, one per mode.
-    Raises IntegrationError if another doubling would take more than
-    MAX_STEPS steps per mode, or on a non-finite value.
+    A mode whose (u, v) turns non-finite in a pass (a step too long for the
+    Magnus series overflows) has not converged and is refined further.
+    Raises IntegrationError at once on non-finite coefficients, or if
+    another doubling would take more than MAX_STEPS steps per mode.
     """
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -113,8 +118,10 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
         _propagate(grid, momenta[active], times, y0[:, active], substeps, fine)
         steps += len(active) * intervals * substeps
         coarse = out[:, active]
-        err = np.abs(np.subtract(coarse, fine, out=coarse)) / 63.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.abs(np.subtract(coarse, fine, out=coarse)) / 63.0
         passed = np.all(err <= atol + rtol * np.abs(fine), axis=(0, 2))
+        passed &= np.all(np.isfinite(fine), axis=(0, 2))
         out[:, active] = fine
         if np.any(passed):
             worst = max(worst, float(np.max(err[:, passed])))
@@ -122,9 +129,10 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
         if not len(active):
             break
         if 2 * substeps * intervals > MAX_STEPS:
+            finite = np.all(np.isfinite(out[:, active]))
             raise IntegrationError(
                 f"magnus step doubling not converged at {substeps} substeps "
-                "per record interval"
+                "per record interval" + ("" if finite else ": (u, v) non-finite")
             )
     u, v = out
     defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
@@ -134,10 +142,11 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
 def fixed_steps(grid, momenta, times, u0, v0, substeps):
     """(u, v) on the record grid `times` after `substeps` Magnus steps per
     record interval, without error control: the method's raw convergence,
-    for order checks.  `substeps` must be a power of two: the steps of an
-    interval are multiplied pairwise (`_reduce`), which drops steps at other
-    counts.  The other arguments, the `grid(p, t)` callback included, are
-    as for integrate_modes."""
+    for order checks; entries are non-finite where a step overflows.
+    `substeps` must be a power of two: the steps of an interval are
+    multiplied pairwise (`_reduce`), which drops steps at other counts.  The
+    other arguments, the `grid(p, t)` callback included, are as for
+    integrate_modes."""
     if substeps < 1 or substeps & (substeps - 1):
         raise ContractError(f"substeps must be a power of two, got {substeps}")
     y0 = np.array([u0, v0], dtype=complex)
@@ -147,6 +156,7 @@ def fixed_steps(grid, momenta, times, u0, v0, substeps):
     return out[0], out[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _propagate(grid, momenta, times, y0, substeps, out):
     """Fill out[0], out[1] with (u, v) of the modes `momenta` on the record
     grid, taking `substeps` Magnus steps per record interval.
@@ -157,7 +167,9 @@ def _propagate(grid, momenta, times, y0, substeps, out):
     the next block // per segments (one block of steps), multiplies the
     steps of each segment (`_reduce`), forms the prefix products of the
     segments (`_scan`), applies them to the state carried in, and writes
-    every record that ends inside the block."""
+    every record that ends inside the block.  A step too long for the
+    Magnus series may overflow: (u, v) then turns non-finite, without a
+    warning."""
     n_modes = y0.shape[1]
     block = 1 << max(0, (BLOCK_POINTS // n_modes).bit_length() - 1)
     per = min(substeps, block)
@@ -181,8 +193,6 @@ def _propagate(grid, momenta, times, y0, substeps, out):
         records = slice(s0 // segments + 1, s1 // segments + 1)
         out[0, :, records], out[1, :, records] = u[ends].T, v[ends].T
         u, v = u[-1], v[-1]
-    if not np.all(np.isfinite(out)):
-        raise IntegrationError("non-finite pair coefficients")
 
 
 def _steps(grid, momenta, starts, widths, offsets):
@@ -207,7 +217,12 @@ def _steps(grid, momenta, starts, widths, offsets):
         [x2 + y for x2, y in zip(a2, c2)],
     )
     a, br, bi = (x1 + x3 / 12.0 + y / 240.0 for x1, x3, y in zip(a1, a3, c3))
-    C, S = _cosh_sinhc(br * br + bi * bi - a * a)
+    z = br * br + bi * bi - a * a
+    # non-finite exactly where a coefficient of the step is (or |Omega|
+    # passes 1e154, which no doubling within MAX_STEPS could resolve)
+    if not np.all(np.isfinite(z)):
+        raise IntegrationError("non-finite pair coefficients (omega, g, chi)")
+    C, S = _cosh_sinhc(z)
     return C + 1j * (S * a), S * br + 1j * (S * bi)
 
 

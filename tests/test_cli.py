@@ -231,8 +231,19 @@ def test_csv_writer_matches_savetxt(tmp_path):
         np.broadcast_to(np.resize(special, m)[:, None], (m, k)),  # on axis 1
         rng.normal(size=(k, m)).T,  # full, not C-contiguous
     ]
+    # values Python formats (nan, inf, -0.0, subnormals, zero) between
+    # values the numpy path formats, in full columns of three blocks and a
+    # partial one, also on either side of each block boundary
+    n = 3 * cli.CSV_BLOCK_ROWS + 5
+    mixed = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-30, 4, size=(2, n))
+    for column, offset in zip(mixed, (0, 1)):
+        for k, value in enumerate([np.nan, np.inf, -0.0, 5e-324, -2.5e-310, 0.0, -np.inf]):
+            column[offset + k :: 37 + 2 * k] = value
+        edges = np.arange(1, 4) * cli.CSV_BLOCK_ROWS
+        column[edges - 1 + offset], column[edges - offset] = np.nan, -0.0
+    mixed = [mixed[0], np.float64(np.nan), mixed[1]]
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-    for columns in (flat, broadcast):
+    for columns in (flat, broadcast, mixed):
         header = ",".join("abcdef"[: len(columns)])
         shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
         table = np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
@@ -243,6 +254,20 @@ def test_csv_writer_matches_savetxt(tmp_path):
     np.savetxt(want, [], fmt="%.17g", delimiter=",", header="a", comments="")
     cli._write_csv(got, "a", [])
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_two_record_grid_runs(tmp_path):
+    # one Magnus step per interval of this grid overflows; step doubling
+    # refines it instead of failing the run
+    cfg = write_config(
+        tmp_path,
+        "family = contact\ng2_end = 1.0\ng4_end = 0.5\nL = 100\nn_modes = 32\n"
+        "t_f = 40\ncd = on\nrecord_points = 2\n",
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert "status = ok" in (out / "manifest.txt").read_text()
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--tf-list", "20,40"]) == 0
 
 
 def test_simulate_cd_override(tmp_path):

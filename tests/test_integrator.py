@@ -236,13 +236,81 @@ def test_raises_at_step_cap(monkeypatch):
         dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-14, 1e-16)
 
 
+def coarse_grid_protocol():
+    """A stable contact CD ramp whose 2-record grid overflows one step per
+    interval."""
+    return DriveProtocol(
+        coupling=COUPLINGS["contact"],
+        schedule=SCHEDULES["poly5"],
+        t_f=40.0,
+        L=100.0,
+        n_modes=32,
+        cd_enabled=True,
+    )
+
+
+def test_overflowing_coarse_steps_are_refined():
+    proto = coarse_grid_protocol()
+    p, ones = proto.momenta(), np.ones(proto.n_modes)
+    times = np.linspace(0.0, proto.t_f, 2)
+    # the case: one Magnus step per interval overflows, as do two
+    for substeps in (1, 2):
+        u, v = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, substeps)
+        assert not np.all(np.isfinite(u))
+    u, v, report = dynamics.integrate_protocol(
+        proto, p, times, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+    )
+    fine = np.linspace(0.0, proto.t_f, 201)
+    u_fine, v_fine, _ = dynamics.integrate_protocol(
+        proto, p, fine, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+    )
+    assert np.all(np.isfinite(u)) and report.substeps > 2
+    assert np.max(np.abs(u[:, -1] - u_fine[:, -1])) <= 1e-8
+    assert np.max(np.abs(v[:, -1] - v_fine[:, -1])) <= 1e-8
+
+
+def test_step_cap_message_names_a_non_finite_state(monkeypatch):
+    # passes at 1 and 2 steps per interval, both non-finite; a third would
+    # pass the cap
+    monkeypatch.setattr(integrator, "MAX_STEPS", 3)
+    proto = coarse_grid_protocol()
+    times = np.linspace(0.0, proto.t_f, 2)
+    message = r"not converged at 2 substeps .*: \(u, v\) non-finite"
+    with pytest.raises(IntegrationError, match=message):
+        dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-10, 1e-12)
+
+
 def test_raises_on_non_finite_coefficients():
+    calls = []
+
     def grid(p, t):
+        calls.append(len(t))
         nan = np.full((len(p), len(t)), np.nan)
         return PairCoefficients(nan, nan, nan)
 
-    with pytest.raises(IntegrationError, match="non-finite"):
+    with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
         integrator.integrate_modes(grid, [1.0], [0.0, 1.0], [1.0], [0.0], 1e-10, 1e-12)
+    assert len(calls) == 1  # at once, not after refining
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", range(3))
+def test_raises_on_one_non_finite_coefficient(which, bad):
+    # omega, g or chi non-finite at one node of the middle step: not an
+    # overflow to refine, an error at once
+    calls = []
+
+    def grid(p, t):
+        calls.append(len(t))
+        coefficients = np.full((3, len(p), len(t)), 0.3)
+        coefficients[which, :, len(t) // 2] = bad
+        return PairCoefficients(*coefficients)
+
+    with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
+        integrator.integrate_modes(
+            grid, [1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12
+        )
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("z", [-30.0, -0.5, -1e-2, -1e-5, 0.0, 1e-6, 1e-2, 0.7, 12.0])
