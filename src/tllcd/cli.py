@@ -419,7 +419,13 @@ def cmd_sweep(args) -> int:
         )
         print(lines[-1])
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    return 0
+    failed = [row for row in rows if row.integration_error]
+    for row in failed:
+        print(
+            f"integration error at t_f = {_fmt(row.t_f)}: {row.integration_error}",
+            file=sys.stderr,
+        )
+    return EXIT_INTEGRATION if failed else 0
 
 
 def cmd_validate(args) -> int:
@@ -516,6 +522,24 @@ def run_validation_suite(verbose: bool = False) -> int:
         "integrator order: halving the step cuts |y_N - y_2N| by >= 2^5",
         diffs[0] >= 2**5 * diffs[1] > 0,
     )
+
+    # error control on the same protocol: every record of a run within
+    # atol + rtol |y| of one at 64 times its substeps, on an even interval
+    # count (whose first pass takes one step per two intervals) and an odd one
+    rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+    for points in (41, 40):
+        times = np.linspace(0.0, proto.t_f, points)
+        u, v, report = dynamics.integrate_protocol(proto, p, times, rtol, atol)
+        n = 64 * report.substeps
+        ref = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], n)
+        check(
+            "error control: within tolerance of 64x the substeps "
+            f"({points - 1} record intervals)",
+            all(
+                np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
+                for got, want in zip((u, v), ref)
+            ),
+        )
 
     # pair ground energy vs dense eigenvalue
     coeffs = PairCoefficients(omega=2.0, g=1.0, chi=0.0)

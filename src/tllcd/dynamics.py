@@ -270,6 +270,8 @@ class SweepRow:
     final_residual: float
     final_fidelity: float
     stability_pass: bool
+    # why the integration of this t_f stopped, for a row of NaN values
+    integration_error: str = ""
 
 
 def sweep_tf(
@@ -280,8 +282,9 @@ def sweep_tf(
     record_points: int = DEFAULT_RECORD_POINTS,
 ) -> list:
     """One row per t_f, from run_simulation; a row whose CD run is refused
-    as unstable is flagged with NaN values, not dropped.  An unstable
-    coupling raises."""
+    as unstable, or whose integration stops (IntegrationError), is flagged
+    with NaN values, not dropped, so the other t_f still finish.  An
+    unstable coupling raises."""
     if not tf_list:
         raise ContractError("sweep requires a nonempty t_f list")
     rows = []
@@ -290,6 +293,10 @@ def sweep_tf(
             result = run_simulation(protocol.with_tf(t_f), rtol, atol, record_points)
         except CDInstabilityError:
             rows.append(SweepRow(t_f, math.nan, math.nan, False))
+            continue
+        except IntegrationError as exc:
+            passed = exc.report.passed
+            rows.append(SweepRow(t_f, math.nan, math.nan, passed, str(exc)))
             continue
         final_res = float(result.total_residual[-1])
         final_fid = float(np.min(result.trajectories.fidelity[:, -1]))

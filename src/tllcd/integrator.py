@@ -40,15 +40,25 @@ segments' prefix products are formed by doubling (Hillis & Steele, CACM 29,
 before.
 
 Error control, per mode: the modes are independent, so each takes its own
-number of substeps N per record interval.  The first pass takes one step
-per interval; each later pass doubles N and integrates only the modes still
-active.  A mode leaves once its Richardson estimate |y_N/2 - y_N|/63
-(2^6 - 1 for a sixth-order method) is within atol + rtol |y_N| for every
-component and record, and keeps y_N.  So a slow mode that converges at
-N = 2 is not integrated again at the N that a fast mode needs.  A mode
-whose y_N is non-finite (a step too long for the Magnus series, as one step
-per interval of a coarse record grid can be) fails the test and is refined
-like any other.
+number of substeps N per record interval, on the ladder of levels
+N = 1/2, 1, 2, 4, ...  With an even number of record intervals the first
+pass takes one step per two intervals (N = 1/2) and reaches the even
+records; with an odd number it takes one step per interval.  The second
+pass runs every mode at twice that N.  From there each pass compares a mode's new
+solution y_N with the one of the level it last ran, N', at every record
+both reach, by the Richardson estimate |y_N' - y_N| / ((N/N')^6 - 1) (63
+for a doubling, 4095 for a quadrupling, at sixth order; Hairer, Norsett &
+Wanner, Solving ODEs I, II.4).  A mode leaves once that is within
+atol + rtol |y_N| for every component and record, and keeps y_N: so a mode
+accurate at one step per interval costs 1.5 steps per interval, and a slow
+mode that converges at N = 2 is not integrated again at the N that a fast
+mode needs.  A failing mode doubles N, or quadruples it when its estimate
+exceeds 2^6 times the tolerance somewhere, as one doubling cannot pass
+then; a non-finite estimate, or a quadrupling past MAX_STEPS, doubles.  A
+mode whose y_N is non-finite (a step too long for the Magnus series, as one
+step per interval of a coarse record grid can be) fails the test and is
+refined like any other.  Each pass runs the modes at the lowest level
+still pending.
 """
 
 from __future__ import annotations
@@ -62,8 +72,8 @@ from .errors import ContractError, IntegrationError
 
 # Name of the method in run manifests.
 NAME = "magnus6"
-# Most Magnus steps per mode over the whole run before giving up; bounds the
-# time a run that cannot meet its tolerance takes to fail.
+# Most Magnus steps per mode in one pass before giving up; bounds the time a
+# run that cannot meet its tolerance takes to fail.
 MAX_STEPS = 1 << 18
 # The generator is evaluated on blocks of at most this many (mode, step)
 # points, so memory does not grow with the length of the run.
@@ -80,9 +90,9 @@ _SERIES_Z = 1e-2
 class IntegrationReport:
     """Deterministic facts of one integration."""
 
-    substeps: int  # largest Magnus steps per record interval over the modes
-    steps: int  # Magnus steps over all modes and doubling passes
-    error_estimate: float  # largest |y_N/2 - y_N|/63 a mode was accepted with
+    substeps: int  # largest Magnus steps per record interval a mode kept, >= 1
+    steps: int  # Magnus steps over all modes and passes, N = 1/2 included
+    error_estimate: float  # largest Richardson estimate a mode was accepted with
     max_invariant_defect: float  # max ||u|^2 - |v|^2 - 1| over records, modes
 
 
@@ -93,47 +103,73 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
     `grid(p, t)` maps momenta p and a 1-D array of times t to an object
     whose `omega`, `g` and `chi` are arrays of shape (len(p), len(t)), such
     as `DriveProtocol.grid`; it is called with the momenta of the modes
-    still active.  `u0`, `v0` are the initial coefficients, one per mode.
+    in each pass.  `u0`, `v0` are the initial coefficients, one per mode.
     A mode whose (u, v) turns non-finite in a pass (a step too long for the
     Magnus series overflows) has not converged and is refined further.
-    Raises IntegrationError at once on non-finite coefficients, or if
-    another doubling would take more than MAX_STEPS steps per mode.
+    Raises IntegrationError at once on non-finite coefficients, or when a
+    mode that failed its test cannot double N without passing MAX_STEPS
+    steps in one pass.
     """
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
     y0 = np.array([u0, v0], dtype=complex)
     intervals = len(times) - 1
     # out holds the latest pass of every mode, (u, v) x modes x records;
-    # each pass over the active modes fills the front of `buffer`.  Both are
-    # allocated before any temporary so that freed temporaries do not stay
-    # pinned under them
+    # each pass over a group of modes fills the front of `buffer`.  Both
+    # are allocated before any temporary so that freed temporaries do not
+    # stay pinned under them
     out = np.empty(y0.shape + times.shape, dtype=complex)
     buffer = np.empty(out.size, dtype=complex)
-    _propagate(grid, momenta, times, y0, 1, out)
+    # levels are kept as exponents k of N = 2^k steps per record interval:
+    # `last` is the level of each mode's pass in `out`, `level` its next
+    if intervals % 2:
+        _propagate(grid, momenta, times, y0, 1, out)
+        last, steps = 0, len(momenta) * intervals
+    else:
+        # N = 1/2: one step per two record intervals, to the even records
+        _propagate(grid, momenta, times[::2], y0, 1, out[..., ::2])
+        last, steps = -1, len(momenta) * intervals // 2
+    last = np.full(len(momenta), last)
+    level = last + 1
     active = np.arange(len(momenta))
-    substeps, steps, worst = 1, len(active) * intervals, 0.0
-    while True:
-        substeps *= 2
-        fine = buffer[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
-        _propagate(grid, momenta[active], times, y0[:, active], substeps, fine)
-        steps += len(active) * intervals * substeps
-        coarse = out[:, active]
+    substeps, worst = 1, 0.0
+    while len(active):
+        k = int(level[active].min())
+        group = active[level[active] == k]
+        fine = buffer[: 2 * len(group) * len(times)].reshape(2, -1, len(times))
+        _propagate(grid, momenta[group], times, y0[:, group], 1 << k, fine)
+        steps += len(group) * intervals << k
+        # the N = 1/2 pass (all modes, before the second) reaches only the
+        # even records
+        records = slice(None, None, 2 if last[group[0]] < 0 else 1)
+        old, new = out[:, group, records], fine[..., records]
+        divisor = 64.0 ** (k - last[group])[:, None] - 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            err = np.abs(np.subtract(coarse, fine, out=coarse)) / 63.0
-        passed = np.all(err <= atol + rtol * np.abs(fine), axis=(0, 2))
+            err = np.abs(np.subtract(old, new, out=old)) / divisor
+            tol = atol + rtol * np.abs(new)
+        passed = np.all(err <= tol, axis=(0, 2))
         passed &= np.all(np.isfinite(fine), axis=(0, 2))
-        out[:, active] = fine
+        out[:, group] = fine
+        last[group] = k
         if np.any(passed):
+            substeps = 1 << k
             worst = max(worst, float(np.max(err[:, passed])))
-        active = active[~passed]
-        if not len(active):
-            break
-        if 2 * substeps * intervals > MAX_STEPS:
-            finite = np.all(np.isfinite(out[:, active]))
+        failed = group[~passed]
+        active = active[~np.isin(active, group[passed])]
+        if not len(failed):
+            continue
+        if (2 << k) * intervals > MAX_STEPS:
+            finite = np.all(np.isfinite(out[:, failed]))
             raise IntegrationError(
-                f"magnus step doubling not converged at {substeps} substeps "
+                f"magnus step doubling not converged at {1 << k} substeps "
                 "per record interval" + ("" if finite else ": (u, v) non-finite")
             )
+        # an estimate more than 2^6 times the tolerance fails again after
+        # one doubling: such a mode skips a level, unless that passes the cap
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = np.max(err[:, ~passed] / tol[:, ~passed], axis=(0, 2))
+        skip = np.isfinite(ratio) & (ratio > 64.0) & ((4 << k) * intervals <= MAX_STEPS)
+        level[failed] = k + 1 + skip
     u, v = out
     defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
     return u, v, IntegrationReport(substeps, steps, worst, float(defect))

@@ -173,6 +173,25 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_runs_leave_scipy_and_the_oracle_unloaded(tmp_path):
+    # simulate and sweep need numpy alone: neither scipy nor the Fock oracle
+    # is imported on the run path, which keeps a run's set-up at numpy's cost
+    cfg = write_config(tmp_path, GOOD_CONFIG.replace("record_points = 41", "record_points = 5"))
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from tllcd.cli import main\n"
+        f"assert main(['simulate', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {cfg!r}, '--out', {out!r}, '--tf-list', '6,8']) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'tllcd.fock' or m.split('.')[0] == 'scipy']\n"
+        "sys.exit(', '.join(loaded) or None)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_outputs(tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", "--config", write_config(tmp_path), "--out", str(out)])
@@ -202,8 +221,8 @@ def test_simulate_byte_stable(tmp_path):
     )
     assert facts["integrator"] == "magnus6"
     assert int(facts["integrator.substeps"]) >= 2
-    # 2 modes x 40 record intervals, each mode at 1 and 2 substeps at least
-    assert int(facts["integrator.steps"]) >= 2 * 40 * 3
+    # 2 modes x 40 record intervals, each mode at 1/2 and 1 substeps at least
+    assert int(facts["integrator.steps"]) >= 2 * 40 * 3 // 2
     assert 0 <= float(facts["integrator.error_estimate"]) <= 1e-10
     assert 0 <= float(facts["integrator.max_invariant_defect"]) <= 1e-12
 
@@ -379,11 +398,34 @@ def test_sweep_subcommand(tmp_path):
     assert res8 < res4
 
 
+def test_sweep_keeps_the_t_f_that_integrated(tmp_path, monkeypatch, capsys):
+    # at this cap t_f = 5 converges at one substep per record interval and
+    # t_f = 40, which needs 4, stops at 2: the sweep still writes both rows,
+    # names the failed t_f and exits with the integration code at the end
+    monkeypatch.setattr(integrator, "MAX_STEPS", 600)
+    cfg = write_config(
+        tmp_path,
+        "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
+        "t_f = 5\nL = 100\nn_modes = 32\nrecord_points = 201\ncd = on\n",
+    )
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", cfg, "--out", str(out), "--tf-list", "5,40"])
+    assert rc == EXIT_INTEGRATION
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("5,") and "nan" not in lines[1]
+    assert lines[2] == "40,nan,nan,True"
+    err = capsys.readouterr().err
+    assert "integration error at t_f = 40: magnus step doubling not converged" in err
+    assert "t_f = 5:" not in err
+
+
 def test_validate_subcommand(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "all validation checks passed" in out
     assert "FAIL" not in out
+    assert out.count("[PASS] error control") == 2
 
 
 def test_validation_suite_counts_failures():

@@ -1,9 +1,11 @@
 """Outputs of three small runs against golden files kept in
 tests/data/golden/<case>/: a contact poly5 ramp and a Lorentzian ramp with
 CD on, and a custom_table linear ramp with CD off, 4 modes x 21 records
-each.  The golden files were last written after the change to per-mode
-step doubling, once every mode's (u, v) of the three runs was checked
-against DOP853 (rtol 1e-12) to within 1e-8.  A run must give the same
+each.  The golden CSVs were last written after the change to per-mode
+step doubling, and the manifests' integrator lines after the change to the
+ladder that starts at half a step per record interval, each time once every
+mode's (u, v) of the three runs was checked against DOP853 (rtol 1e-12) to
+within 1e-8.  A run must give the same
 headers, row order and manifest keys, and every number to within
 roundoff."""
 

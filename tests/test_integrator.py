@@ -136,6 +136,47 @@ def test_substeps_of_the_long_cd_ramp():
     assert report.error_estimate <= 1e-10
 
 
+# (family, schedule, cd, t_f, L, record points): every family and both ramp
+# shapes, 10, 40 and 400 record intervals and an odd count (39), and long
+# ramps with 8 time units per record interval
+REFEREE = [
+    ("contact", "poly5", True, 6.0, 20.0, 11),
+    ("contact", "linear", False, 6.0, 20.0, 41),
+    ("contact", "poly5", True, 6.0, 20.0, 401),
+    ("contact", "linear", True, 6.0, 20.0, 40),
+    ("lorentzian", "poly5", True, 6.0, 20.0, 41),
+    ("lorentzian", "linear", False, 6.0, 20.0, 11),
+    ("lorentzian", "poly5", False, 6.0, 20.0, 40),
+    ("custom_table", "linear", False, 6.0, 20.0, 401),
+    ("custom_table", "poly5", True, 6.0, 20.0, 41),
+    ("custom_table", "linear", True, 6.0, 20.0, 40),
+    ("contact", "poly5", True, 80.0, 100.0, 11),
+    ("lorentzian", "linear", False, 80.0, 100.0, 11),
+]
+
+
+@pytest.mark.parametrize("family,schedule,cd,t_f,L,points", REFEREE)
+def test_error_within_tolerance_at_every_record(family, schedule, cd, t_f, L, points):
+    # the error contract against the method's own converged answer: every
+    # mode, component and record, the records the first pass of an even
+    # grid does not reach included
+    proto = DriveProtocol(
+        coupling=COUPLINGS[family],
+        schedule=SCHEDULES[schedule],
+        t_f=t_f,
+        L=L,
+        n_modes=8,
+        cd_enabled=cd,
+    )
+    p, ones = proto.momenta(), np.ones(proto.n_modes)
+    times = np.linspace(0.0, t_f, points)
+    rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+    u, v, report = dynamics.integrate_protocol(proto, p, times, rtol, atol)
+    ref = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, 8 * report.substeps)
+    for got, want in zip((u, v), ref):
+        assert np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
+
+
 def test_comm_matches_matrix_commutator():
     def matrix(a, br, bi):
         b = br + 1j * bi
@@ -181,8 +222,8 @@ def test_all_modes_run_matches_per_mode(cd):
 
 @pytest.mark.parametrize("cd", [True, False])
 def test_steps_count_every_pass_of_every_mode(cd):
-    # a mode that converges at N substeps was integrated at 1, 2, ..., N:
-    # 2N - 1 steps per record interval
+    # each mode runs its own ladder of levels, whatever the modes beside it
+    # do, so a run takes the steps of its modes run alone
     proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
     times = np.linspace(0.0, proto.t_f, 21)
     args = (times, 1e-10, 1e-12)
@@ -190,10 +231,63 @@ def test_steps_count_every_pass_of_every_mode(cd):
     substeps = [r.substeps for r in alone]
     assert len(set(substeps)) > 1
     _, _, report = dynamics.integrate_protocol(proto, proto.momenta(), *args)
-    assert report.steps == sum(20 * (2 * n - 1) for n in substeps)
+    assert report.steps == sum(r.steps for r in alone)
     assert report.substeps == max(substeps)
     worst = max(r.error_estimate for r in alone)
     assert report.error_estimate == pytest.approx(worst, rel=1e-3)
+
+
+def ladder(proto, p, times, rtol, atol):
+    """(levels, (u, v), estimate) of one mode from (1, 0) by the rule of
+    integrate_modes, spelled out on fixed_steps: the levels (Magnus steps
+    per record interval) it runs, the (u, v) it keeps and the estimate it
+    is accepted with."""
+
+    def run(t, n):
+        return np.array(integrator.fixed_steps(proto.grid, [p], t, [1.0], [0.0], n))[:, 0]
+
+    if (len(times) - 1) % 2:
+        levels, prev, y, records = [1, 2], run(times, 1), run(times, 2), slice(None)
+    else:
+        # one step per two record intervals, compared at the even records
+        levels, prev, y = [0.5, 1], run(times[::2], 1), run(times, 1)
+        records = slice(None, None, 2)
+    while True:
+        divisor = (levels[-1] / levels[-2]) ** 6 - 1
+        err = np.abs(prev - y[:, records]) / divisor
+        tol = atol + rtol * np.abs(y[:, records])
+        if np.all(err <= tol):
+            return levels, y, np.max(err)
+        levels.append(levels[-1] * (4 if np.max(err / tol) > 2**6 else 2))
+        prev, y, records = y, run(times, levels[-1]), slice(None)
+
+
+@pytest.mark.parametrize("points", [21, 20], ids=["even", "odd"])
+@pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
+def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
+    # an even interval count starts at N = 1/2, an odd one at N = 1; an
+    # estimate above 2^6 times the tolerance skips a level
+    proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
+    times = np.linspace(0.0, proto.t_f, points)
+    modes = proto.momenta()[::3]
+    want = [ladder(proto, p, times, 1e-10, 1e-12) for p in modes]
+    assert any(b == 4 * a for levels, _, _ in want for a, b in zip(levels[1:], levels[2:]))
+    levels_run = []
+    propagate = integrator._propagate
+
+    def spy(grid, momenta, t, y0, substeps, out):
+        levels_run.append(substeps * (len(t) - 1) / (len(times) - 1))
+        return propagate(grid, momenta, t, y0, substeps, out)
+
+    monkeypatch.setattr(integrator, "_propagate", spy)
+    for p, (levels, y, estimate) in zip(modes, want):
+        levels_run.clear()
+        u, v, report = dynamics.integrate_protocol(proto, [p], times, 1e-10, 1e-12)
+        assert levels_run == levels
+        assert report.steps == (len(times) - 1) * sum(levels)
+        assert report.substeps == levels[-1]
+        assert report.error_estimate == estimate
+        assert np.array_equal(u[0], y[0]) and np.array_equal(v[0], y[1])
 
 
 def test_blocking_does_not_change_the_result(monkeypatch):
@@ -228,7 +322,8 @@ def test_scan_matches_sequential_products(length):
 
 
 def test_raises_at_step_cap(monkeypatch):
-    # 2 record intervals x 4 substeps = 8 steps; doubling again would pass the cap
+    # 2 record intervals at N = 1/2, 1 and (skipping 2) 4 substeps: 1, 2 and
+    # 8 steps; doubling again would pass the cap
     monkeypatch.setattr(integrator, "MAX_STEPS", 15)
     proto = make_protocol(cd=False)
     times = np.linspace(0.0, proto.t_f, 3)
