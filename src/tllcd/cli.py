@@ -510,17 +510,36 @@ def run_validation_suite(verbose: bool = False) -> int:
 
     # integrator order on the same protocol, 4 record intervals: each halving
     # of the step cuts the step-doubling difference |y_N - y_2N| by 2^6 at
-    # sixth order and by 2^4 at fourth, so a lower-order step fails here
+    # sixth order and by 2^4 at fourth, so a lower-order step fails here.
+    # With CD on it measures the phase quadrature alone, without CD the
+    # whole Magnus step
     p = proto.momenta()
     times = np.linspace(0.0, proto.t_f, 5)
-    y = [
-        np.array(integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], n))
-        for n in (2, 4, 8)
-    ]
-    diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(y, y[1:])]
+    for cd in (True, False):
+        pr = proto.with_cd(cd)
+        y = [
+            np.array(integrator.fixed_steps(pr.grid, p, times, [1.0], [0.0], n))
+            for n in (2, 4, 8)
+        ]
+        diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(y, y[1:])]
+        check(
+            f"integrator order (cd={'on' if cd else 'off'}): halving the step "
+            "cuts |y_N - y_2N| by >= 2^5",
+            diffs[0] >= 2**5 * diffs[1] > 0,
+        )
+
+    # CD-on referee on the same protocol: the transitionless answer, n_qp at
+    # rounding at every record, at one Magnus step per record interval after
+    # the pass at one per two (40 record intervals)
+    result = dynamics.run_simulation(proto, record_points=41)
+    traj, report = result.trajectories, result.integration
+    c = proto.grid(traj.p, traj.times)
+    bound = dynamics.transitionless_roundoff(traj.u, traj.v, c.omega, c.g)
     check(
-        "integrator order: halving the step cuts |y_N - y_2N| by >= 2^5",
-        diffs[0] >= 2**5 * diffs[1] > 0,
+        "CD-on referee: n_qp at rounding, 1 substep, 3/2 steps per interval",
+        bool(np.all(traj.n_qp <= bound))
+        and report.substeps == 1
+        and report.steps == 3 * 40 // 2,
     )
 
     # error control on the same protocol: every record of a run within

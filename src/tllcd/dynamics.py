@@ -123,6 +123,28 @@ def observables(u, v, omega, g, chi) -> dict:
     }
 
 
+def transitionless_roundoff(u, v, omega, g):
+    """Largest n_qp that rounding alone leaves on a transitionless run,
+    elementwise over the phase-stripped states (u, v) and the pair
+    coefficients (omega, g): the bound for a CD run from the instantaneous
+    vacuum.
+
+    With CD on, the integrator's state in the adiabatic frame is (u', 0)
+    exactly (every step propagator is diagonal), so the recorded
+    (u, v) = (c u', -s u') and n_qp = |c_o v + s_o u|^2 with
+    (c_o, s_o) = (cosh, sinh) of the Bogoliubov angle cancels to rounding.
+    Each of the two terms reaches it through about 14 roundings of at most
+    the unit roundoff: the frame's c and s (7), the back-transform (1), the
+    phase strip (2), arctanh, cosh or sinh (3) and the product (1); the
+    frame's omega^2 - g^2 amplifies its share by
+    kappa = (omega^2 + g^2)/(omega^2 - g^2).  The bound allows 16 kappa of
+    them per term."""
+    eta = bogoliubov_angle(omega, g)
+    terms = np.abs(np.cosh(eta) * v) + np.abs(np.sinh(eta) * u)
+    kappa = (omega * omega + g * g) / (omega * omega - g * g)
+    return (16.0 * kappa * (np.finfo(float).eps / 2) * terms) ** 2
+
+
 def evolve_pair(
     p: float,
     protocol: DriveProtocol,
@@ -146,14 +168,23 @@ def evolve_pair(
 
 
 def integrate_protocol(
-    protocol: DriveProtocol, momenta, times, rtol, atol, initial=su11.IDENTITY
+    protocol: DriveProtocol, momenta, times, rtol, atol, initial=su11.IDENTITY, records=None
 ):
     """(u, v, IntegrationReport) of every pair in `momenta` (rows) on the
     record grid `times` (columns), all started from the map `initial`, in
-    one integrate_modes call."""
+    one integrate_modes call.  `records` is protocol.grid(momenta, times)
+    when the caller has it already: the integrator then reads the
+    adiabatic frame at the records from it instead of evaluating it
+    again."""
+    grid = protocol.grid
+    if records is not None:
+
+        def grid(p, t):
+            return records if t is times else protocol.grid(p, t)
+
     start = np.ones(len(momenta), dtype=complex)
     return integrate_modes(
-        protocol.grid, momenta, times, initial.u * start, initial.v * start, rtol, atol
+        grid, momenta, times, initial.u * start, initial.v * start, rtol, atol
     )
 
 
@@ -165,7 +196,7 @@ def _evolve(protocol, momenta, times, rtol, atol, initial, initial_occupation):
     # every mode at every record: raises before any integration where the
     # controlled spectrum turns imaginary between stability-grid points
     epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi) if protocol.cd_enabled else eps
-    u, v, report = integrate_protocol(protocol, momenta, times, rtol, atol, initial)
+    u, v, report = integrate_protocol(protocol, momenta, times, rtol, atol, initial, c)
     su11.check_defect(report.max_invariant_defect)
 
     phases = np.angle(u)

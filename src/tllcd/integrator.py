@@ -10,17 +10,48 @@ A = [[i omega, b], [conj(b), -i omega]], b = -(chi + i g).  Its sign
 conventions are pinned by the Fock-oracle equivalence tests.
 
 An element X = [[i a, br + i bi], [br - i bi, -i a]] of su(1,1) is kept as
-the real 3-vector (a, br, bi); the commutator of two of them is again one,
-in closed form (`_comm`).  One step of the three-node Gauss-Legendre Magnus
-method (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009);
-Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999)) takes A1, A2, A3
-at t + (1/2 - sqrt(15)/10) h, t + h/2, t + (1/2 + sqrt(15)/10) h and forms
+the real 3-vector (a, br, bi), so A = (omega, -chi, -g).
 
-    a1 = h A2,  a2 = sqrt(15)/3 h (A3 - A1),  a3 = 10/3 h (A3 - 2 A2 + A1),
+Adiabatic frame: each pair is integrated in its instantaneous eigenbasis,
+y' = T y with T = [[c, s], [s, c]] = exp(eta sigma_x), c = cosh eta,
+s = sinh eta and eta = -(1/2) artanh(g/omega) = (1/2) ln K, the Bogoliubov
+angle of the pair.  With J = [[0, 1], [-1, 0]], conjugation by T maps
+sigma_z to cosh(2 eta) sigma_z - sinh(2 eta) J and J to
+cosh(2 eta) J - sinh(2 eta) sigma_z, and leaves sigma_x fixed, so
+
+    T A T^-1 = i (omega cosh 2eta + g sinh 2eta) sigma_z
+               - i (omega sinh 2eta + g cosh 2eta) J - chi sigma_x.
+
+tanh 2eta = -g/omega zeroes the J part and leaves
+omega cosh 2eta + g sinh 2eta = epsilon = sqrt(omega^2 - g^2), while
+dT/dt T^-1 = (d eta/dt) sigma_x with d eta/dt = Kdot/(2K) = chi_cd.  So
+dy'/dt = A' y' with
+
+    A' = T A T^-1 + dT/dt T^-1 = (epsilon, chi_cd - chi, 0):
+
+with CD on, chi = chi_cd and A' is diagonal, so the Magnus step is the
+Gauss quadrature of the phase integral of epsilon, and a pair that starts
+in the instantaneous vacuum (v' = 0) stays in it exactly, at any step
+size.  c and s come from cosh 2eta = omega/epsilon and
+sinh 2eta = -g/epsilon as c = sqrt((1 + omega/epsilon)/2) and
+s = -g/(2 epsilon c), without arctanh, cosh or sinh; T is evaluated at the
+record times only, to map the initial state into the frame and each record
+back to the lab (u, v).
+
+One step of the three-node Gauss-Legendre Magnus method (Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 151 (2009); Iserles & Norsett, Phil. Trans.
+R. Soc. A 357, 983 (1999)) takes A'1, A'2, A'3 at
+t + (1/2 - sqrt(15)/10) h, t + h/2, t + (1/2 + sqrt(15)/10) h and forms
+
+    a1 = h A'2,  a2 = sqrt(15)/3 h (A'3 - A'1),  a3 = 10/3 h (A'3 - 2 A'2 + A'1),
     c1 = [a1, a2],  c2 = -1/60 [a1, 2 a3 + c1],
     Omega = a1 + a3/12 + 1/240 [-20 a1 - a3 + c1, a2 + c2],
 
-with a local error of order h^7.  Omega = (a, br, bi) stays in su(1,1), so
+with a local error of order h^7.  The commutator of two su(1,1) 3-vectors
+is [X, Y] = 2 (s r' - r s', s a' - a s', a r' - r a') for X = (a, r, s),
+Y = (a', r', s'); as a1, a2, a3 have no bi component, c1 = (0, 0, k) with
+k = 2 (a1_a a2_r - a1_r a2_a), and `_omega` spells the three commutators
+out on these zeros.  Omega = (a, br, bi) stays in su(1,1), so
 Omega^2 = z I with z = br^2 + bi^2 - a^2 real and
 
     exp(Omega) = C(z) I + S(z) Omega,  C = cosh(sqrt z), S = sinh(sqrt z)/sqrt z,
@@ -28,8 +59,11 @@ Omega^2 = z I with z = br^2 + bi^2 - a^2 real and
 read as cos/sin for z < 0 and as a series for small |z|.  The result is the
 SU(1,1) matrix [[alpha, beta'], [conj(beta'), conj(alpha)]] with
 |alpha|^2 - |beta'|^2 = C^2 - z S^2 = 1, so |u|^2 - |v|^2 = 1 holds to
-roundoff for every step size.  For the pair generator z = -(v_s^2 p^2 - chi^2)
-h^2 to leading order: its sign is the CD stability criterion.
+roundoff for every step size.  To leading order
+z = ((chi_cd - chi)^2 - epsilon^2) h^2: -epsilon^2 h^2 with CD on, and with
+CD off negative where chi_cd^2 < epsilon^2 = v_s^2 p^2.  Either sign is
+integrated alike; the CD stability gate is `stability_margin` with
+`spectrum_with_cd`, before any integration.
 
 Propagation: the state at record k is the prefix product of the step
 propagators before it, applied to the initial state.  It is formed one block
@@ -39,26 +73,27 @@ segments' prefix products are formed by doubling (Hillis & Steele, CACM 29,
 1170 (1986)), and those are applied to the state carried in from the block
 before.
 
-Error control, per mode: the modes are independent, so each takes its own
-number of substeps N per record interval, on the ladder of levels
-N = 1/2, 1, 2, 4, ...  With an even number of record intervals the first
-pass takes one step per two intervals (N = 1/2) and reaches the even
-records; with an odd number it takes one step per interval.  The second
-pass runs every mode at twice that N.  From there each pass compares a mode's new
-solution y_N with the one of the level it last ran, N', at every record
-both reach, by the Richardson estimate |y_N' - y_N| / ((N/N')^6 - 1) (63
-for a doubling, 4095 for a quadrupling, at sixth order; Hairer, Norsett &
-Wanner, Solving ODEs I, II.4).  A mode leaves once that is within
-atol + rtol |y_N| for every component and record, and keeps y_N: so a mode
-accurate at one step per interval costs 1.5 steps per interval, and a slow
-mode that converges at N = 2 is not integrated again at the N that a fast
-mode needs.  A failing mode doubles N, or quadruples it when its estimate
-exceeds 2^6 times the tolerance somewhere, as one doubling cannot pass
-then; a non-finite estimate, or a quadrupling past MAX_STEPS, doubles.  A
-mode whose y_N is non-finite (a step too long for the Magnus series, as one
-step per interval of a coarse record grid can be) fails the test and is
-refined like any other.  Each pass runs the modes at the lowest level
-still pending.
+Error control, per mode, on the lab (u, v): the modes are independent, so
+each takes its own number of substeps N per record interval, on the ladder
+of levels N = 1/2, 1, 2, 4, ...  With an even number of record intervals
+the first pass takes one step per two intervals (N = 1/2) and reaches the
+even records; with an odd number it takes one step per interval.  The
+second pass runs every mode at twice that N.  From there each pass compares
+a mode's new solution y_N with the one of the level it last ran, N', at
+every record both reach, by the Richardson estimate
+|y_N' - y_N| / ((N/N')^6 - 1) (63 for a doubling, 4095 for a quadrupling,
+at sixth order; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A mode
+leaves once that is within atol + rtol |y_N| for every component and
+record, and keeps y_N: so a mode accurate at one step per interval, as
+every CD-on mode with an accurate phase is, costs 1.5 steps per interval,
+and a slow mode that converges at N = 2 is not integrated again at the N
+that a fast mode needs.  A failing mode doubles N, or quadruples it when
+its estimate exceeds 2^6 times the tolerance somewhere, as one doubling
+cannot pass then; a non-finite estimate, or a quadrupling past MAX_STEPS,
+doubles.  A mode whose y_N is non-finite (a step too long for the Magnus
+series, as one step per interval of a coarse record grid can be) fails the
+test and is refined like any other.  Each pass runs the modes at the lowest
+level still pending.
 """
 
 from __future__ import annotations
@@ -84,6 +119,7 @@ _NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10
 # |z| below which C and S come from their Taylor series in z; the first
 # omitted term is below 3e-17 there.
 _SERIES_Z = 1e-2
+_NON_FINITE = "non-finite pair coefficients (omega, g, chi, chi_cd)"
 
 
 @dataclass(frozen=True)
@@ -101,14 +137,17 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
     `times` (columns), and the IntegrationReport.
 
     `grid(p, t)` maps momenta p and a 1-D array of times t to an object
-    whose `omega`, `g` and `chi` are arrays of shape (len(p), len(t)), such
-    as `DriveProtocol.grid`; it is called with the momenta of the modes
-    in each pass.  `u0`, `v0` are the initial coefficients, one per mode.
-    A mode whose (u, v) turns non-finite in a pass (a step too long for the
-    Magnus series overflows) has not converged and is refined further.
-    Raises IntegrationError at once on non-finite coefficients, or when a
-    mode that failed its test cannot double N without passing MAX_STEPS
-    steps in one pass.
+    whose `omega`, `g`, `chi` (the CD amplitude applied) and `chi_cd`
+    (Kdot/(2K), d eta/dt of the pair's Bogoliubov angle, whether or not CD
+    is applied) are arrays of shape (len(p), len(t)), with |g| < omega, such
+    as `DriveProtocol.grid`; it is called once on the record grid, for the
+    adiabatic frame, and with the momenta of the modes in each pass.  `u0`,
+    `v0` are the initial coefficients, one per mode.  A mode whose (u, v)
+    turns non-finite in a pass (a step too long for the Magnus series
+    overflows) has not converged and is refined further.  Raises
+    IntegrationError at once on non-finite coefficients or |g| > omega
+    (the pair has no adiabatic frame), or when a mode that failed its test
+    cannot double N without passing MAX_STEPS steps in one pass.
     """
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -120,14 +159,16 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
     # stay pinned under them
     out = np.empty(y0.shape + times.shape, dtype=complex)
     buffer = np.empty(out.size, dtype=complex)
+    frame = _frame(grid, momenta, times)
     # levels are kept as exponents k of N = 2^k steps per record interval:
     # `last` is the level of each mode's pass in `out`, `level` its next
     if intervals % 2:
-        _propagate(grid, momenta, times, y0, 1, out)
+        _propagate(grid, momenta, times, frame, y0, 1, out)
         last, steps = 0, len(momenta) * intervals
     else:
         # N = 1/2: one step per two record intervals, to the even records
-        _propagate(grid, momenta, times[::2], y0, 1, out[..., ::2])
+        even = frame[:, ::2]
+        _propagate(grid, momenta, times[::2], even, y0, 1, out[..., ::2])
         last, steps = -1, len(momenta) * intervals // 2
     last = np.full(len(momenta), last)
     level = last + 1
@@ -137,7 +178,7 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
         k = int(level[active].min())
         group = active[level[active] == k]
         fine = buffer[: 2 * len(group) * len(times)].reshape(2, -1, len(times))
-        _propagate(grid, momenta[group], times, y0[:, group], 1 << k, fine)
+        _propagate(grid, momenta[group], times, frame[..., group], y0[:, group], 1 << k, fine)
         steps += len(group) * intervals << k
         # the N = 1/2 pass (all modes, before the second) reaches only the
         # even records
@@ -186,16 +227,35 @@ def fixed_steps(grid, momenta, times, u0, v0, substeps):
     if substeps < 1 or substeps & (substeps - 1):
         raise ContractError(f"substeps must be a power of two, got {substeps}")
     y0 = np.array([u0, v0], dtype=complex)
+    momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
     out = np.empty(y0.shape + times.shape, dtype=complex)
-    _propagate(grid, momenta, times, y0, substeps, out)
+    _propagate(grid, momenta, times, _frame(grid, momenta, times), y0, substeps, out)
     return out[0], out[1]
 
 
+def _frame(grid, momenta, times):
+    """(c, s) = (cosh eta, sinh eta) at every record (rows) of every mode
+    (columns), stacked on a first axis: the adiabatic frame y' = T y,
+    T = [[c, s], [s, c]], from cosh 2eta = omega/epsilon and
+    sinh 2eta = -g/epsilon."""
+    coefficients = grid(momenta, times)
+    omega, g = coefficients.omega, coefficients.g
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        eps = np.sqrt(omega * omega - g * g)
+        c = np.sqrt(0.5 + 0.5 * omega / eps)
+        frame = np.array([c.T, (-g / (2.0 * eps * c)).T])
+    if not np.all(np.isfinite(frame)):
+        raise IntegrationError(_NON_FINITE)
+    return frame
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _propagate(grid, momenta, times, y0, substeps, out):
+def _propagate(grid, momenta, times, frame, y0, substeps, out):
     """Fill out[0], out[1] with (u, v) of the modes `momenta` on the record
-    grid, taking `substeps` Magnus steps per record interval.
+    grid, taking `substeps` Magnus steps per record interval in the
+    adiabatic frame `frame` (`_frame` on the same modes and records): y0 is
+    mapped into it, and every record back to the lab.
 
     The steps of each record interval are split into segments of
     per = min(substeps, block) steps, where block is the largest power of
@@ -212,7 +272,8 @@ def _propagate(grid, momenta, times, y0, substeps, out):
     segments = substeps // per  # per record interval
     starts, widths = times[:-1], np.diff(times) / substeps
     n_segments = segments * len(starts)
-    u, v = y0
+    c, s = frame
+    u, v = c[0] * y0[0] + s[0] * y0[1], s[0] * y0[0] + c[0] * y0[1]
     out[:, :, 0] = y0
     for s0 in range(0, n_segments, block // per):
         s1 = min(s0 + block // per, n_segments)
@@ -227,45 +288,55 @@ def _propagate(grid, momenta, times, y0, substeps, out):
         # record k ends with segment k * segments - 1
         ends = slice(segments - 1 - s0 % segments, None, segments)
         records = slice(s0 // segments + 1, s1 // segments + 1)
-        out[0, :, records], out[1, :, records] = u[ends].T, v[ends].T
+        # back to the lab: T^-1 = [[c, -s], [-s, c]]
+        ue, ve, ce, se = u[ends], v[ends], c[records], s[records]
+        out[0, :, records], out[1, :, records] = (ce * ue - se * ve).T, (ce * ve - se * ue).T
         u, v = u[-1], v[-1]
 
 
 def _steps(grid, momenta, starts, widths, offsets):
     """Single-step propagators of shape (n_modes, n_intervals, n_offsets)
-    for the steps starting at starts + offsets * widths."""
+    for the steps starting at starts + offsets * widths, in the adiabatic
+    frame."""
     t0 = starts[:, None] + offsets[None, :] * widths[:, None]
     h = np.broadcast_to(widths[:, None], t0.shape)
-    nodes = t0[..., None] + h[..., None] * _NODES
+    # node first, so that each node's values are one contiguous block
+    nodes = t0 + h * _NODES[:, None, None]
     c = grid(momenta, nodes.ravel())
-    omega, g, chi = (np.reshape(x, (-1,) + nodes.shape) for x in (c.omega, c.g, c.chi))
-    # generator 3-vectors (a, br, bi) = (omega, -chi, -g) at each node
-    A1, A2, A3 = ((omega[..., k], -chi[..., k], -g[..., k]) for k in range(3))
-    h2, h3 = (math.sqrt(15.0) / 3.0) * h, (10.0 / 3.0) * h
-    a1 = tuple(h * x2 for x2 in A2)
-    a2 = tuple(h2 * (x3 - x1) for x1, x3 in zip(A1, A3))
-    a3 = tuple(h3 * (x3 - 2.0 * x2 + x1) for x1, x2, x3 in zip(A1, A2, A3))
-    c1 = _comm(a1, a2)
-    c2 = _comm(a1, [2.0 * x3 + y for x3, y in zip(a3, c1)])
-    c2 = tuple((-1.0 / 60.0) * x for x in c2)
-    c3 = _comm(
-        [-20.0 * x1 - x3 + y for x1, x3, y in zip(a1, a3, c1)],
-        [x2 + y for x2, y in zip(a2, c2)],
-    )
-    a, br, bi = (x1 + x3 / 12.0 + y / 240.0 for x1, x3, y in zip(a1, a3, c3))
+    # generator 3-vectors (epsilon, chi_cd - chi, 0) at each node
+    eps = np.sqrt(c.omega * c.omega - c.g * c.g).reshape((-1,) + nodes.shape)
+    r = np.subtract(c.chi_cd, c.chi).reshape((-1,) + nodes.shape)
+    a, br, bi = _omega(h, eps.swapaxes(0, 1), r.swapaxes(0, 1))
     z = br * br + bi * bi - a * a
-    # non-finite exactly where a coefficient of the step is (or |Omega|
-    # passes 1e154, which no doubling within MAX_STEPS could resolve)
+    # non-finite exactly where a coefficient of the step is, or |g| > omega
+    # (or |Omega| passes 1e154, which no doubling within MAX_STEPS could
+    # resolve)
     if not np.all(np.isfinite(z)):
-        raise IntegrationError("non-finite pair coefficients (omega, g, chi)")
+        raise IntegrationError(_NON_FINITE)
     C, S = _cosh_sinhc(z)
     return C + 1j * (S * a), S * br + 1j * (S * bi)
 
 
-def _comm(x, y):
-    """[X, Y] of su(1,1) elements given as 3-vectors (a, br, bi) of arrays."""
-    (a, r, s), (a2, r2, s2) = x, y
-    return 2.0 * (s * r2 - r * s2), 2.0 * (s * a2 - a * s2), 2.0 * (a * r2 - r * a2)
+def _omega(h, a, r):
+    """Omega = (a, br, bi) of one Magnus step of width h from the generator
+    (a[k], r[k], 0) at the three nodes k: the formula of the module
+    docstring with the commutators written out on the zero bi components."""
+    h2, h3 = (math.sqrt(15.0) / 3.0) * h, (10.0 / 3.0) * h
+    # a1 = (p, q, 0), a2 = (x, y, 0), a3 = (e, f, 0)
+    p, q = h * a[1], h * r[1]
+    x, y = h2 * (a[2] - a[0]), h2 * (r[2] - r[0])
+    e, f = h3 * (a[2] - 2.0 * a[1] + a[0]), h3 * (r[2] - 2.0 * r[1] + r[0])
+    # c1 = [a1, a2] = (0, 0, k);  c2 = -1/60 [a1, 2 a3 + c1] = (q k, p k, -2 d)/30
+    k = 2.0 * (p * y - q * x)
+    d = p * f - q * e
+    # c3 = [U, V] with U = -20 a1 - a3 + c1 and V = a2 + c2
+    ua, ur = -20.0 * p - e, -20.0 * q - f
+    va, vr, vs = x + q * k / 30.0, y + p * k / 30.0, d / -15.0
+    return (
+        p + e / 12.0 + (k * vr - ur * vs) / 120.0,
+        q + f / 12.0 + (k * va - ua * vs) / 120.0,
+        (ua * vr - ur * va) / 120.0,
+    )
 
 
 def _cosh_sinhc(z):

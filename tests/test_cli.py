@@ -220,9 +220,11 @@ def test_simulate_byte_stable(tmp_path):
         line.split(" = ", 1) for line in manifest.splitlines() if line.startswith("integrator")
     )
     assert facts["integrator"] == "magnus6"
-    assert int(facts["integrator.substeps"]) >= 2
-    # 2 modes x 40 record intervals, each mode at 1/2 and 1 substeps at least
-    assert int(facts["integrator.steps"]) >= 2 * 40 * 3 // 2
+    # CD on: each pair's generator is diagonal in its adiabatic frame, so
+    # both modes pass at one substep, after the pass at 1/2: 2 modes x 40
+    # record intervals x 3/2
+    assert int(facts["integrator.substeps"]) == 1
+    assert int(facts["integrator.steps"]) == 2 * 40 * 3 // 2
     assert 0 <= float(facts["integrator.error_estimate"]) <= 1e-10
     assert 0 <= float(facts["integrator.max_invariant_defect"]) <= 1e-12
 
@@ -399,14 +401,15 @@ def test_sweep_subcommand(tmp_path):
 
 
 def test_sweep_keeps_the_t_f_that_integrated(tmp_path, monkeypatch, capsys):
-    # at this cap t_f = 5 converges at one substep per record interval and
-    # t_f = 40, which needs 4, stops at 2: the sweep still writes both rows,
-    # names the failed t_f and exits with the integration code at the end
+    # without CD, at this cap t_f = 5 converges at one substep per record
+    # interval and t_f = 40, which needs 4, stops at 2: the sweep still
+    # writes both rows, names the failed t_f and exits with the integration
+    # code at the end.  (With CD on, both pass at one substep.)
     monkeypatch.setattr(integrator, "MAX_STEPS", 600)
     cfg = write_config(
         tmp_path,
         "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
-        "t_f = 5\nL = 100\nn_modes = 32\nrecord_points = 201\ncd = on\n",
+        "t_f = 5\nL = 100\nn_modes = 32\nrecord_points = 201\ncd = off\n",
     )
     out = tmp_path / "out"
     rc = main(["sweep", "--config", cfg, "--out", str(out), "--tf-list", "5,40"])
@@ -426,6 +429,9 @@ def test_validate_subcommand(capsys):
     assert "all validation checks passed" in out
     assert "FAIL" not in out
     assert out.count("[PASS] error control") == 2
+    assert "[PASS] integrator order (cd=on)" in out
+    assert "[PASS] integrator order (cd=off)" in out
+    assert "[PASS] CD-on referee" in out
 
 
 def test_validation_suite_counts_failures():

@@ -1,11 +1,9 @@
 """Outputs of three small runs against golden files kept in
 tests/data/golden/<case>/: a contact poly5 ramp and a Lorentzian ramp with
 CD on, and a custom_table linear ramp with CD off, 4 modes x 21 records
-each.  The golden CSVs were last written after the change to per-mode
-step doubling, and the manifests' integrator lines after the change to the
-ladder that starts at half a step per record interval, each time once every
-mode's (u, v) of the three runs was checked against DOP853 (rtol 1e-12) to
-within 1e-8.  A run must give the same
+each.  The golden files were last written after the change to integrating
+each pair in its adiabatic frame, once every mode's (u, v) of the three
+runs passed test_golden_runs_match_dop853.  A run must give the same
 headers, row order and manifest keys, and every number to within
 roundoff."""
 
@@ -14,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_integrator import dop853
 
-from tllcd.cli import main
+from tllcd import dynamics
+from tllcd.cli import main, parse_config
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = sorted(d.name for d in GOLDEN.iterdir() if d.is_dir())
@@ -38,6 +38,20 @@ def read_manifest(path):
 
 def test_golden_cases_present():
     assert CASES == ["contact_poly5_cd", "lorentzian_cd", "table_linear_bare"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_runs_match_dop853(case):
+    # what makes the golden files worth matching: every mode of each run
+    # against DOP853 at rtol 1e-12
+    cfg = parse_config((GOLDEN / case / "run.cfg").read_text())
+    proto = cfg.protocol()
+    times = np.linspace(0.0, proto.t_f, cfg.record_points)
+    u, v, _ = dynamics.integrate_protocol(proto, proto.momenta(), times, cfg.rtol, cfg.atol)
+    for k, p in enumerate(proto.momenta()):
+        u_ref, v_ref = dop853(proto, p, times)
+        assert np.max(np.abs(u[k] - u_ref)) < 1e-8
+        assert np.max(np.abs(v[k] - v_ref)) < 1e-8
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,8 +1,11 @@
 """Magnus integrator: agreement with a tight DOP853 reference for every
-coupling family and schedule, the order of the step, the symplectic
-invariant, all-modes versus per-mode runs, error handling, and the
-coefficient grid it reads, checked against finite differences for every
-coupling family and schedule."""
+coupling family and schedule, the exact transitionless answer of CD runs,
+the order of the step, the symplectic invariant, all-modes versus per-mode
+runs, error handling, and the coefficient grid it reads, checked against
+finite differences for every coupling family and schedule."""
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from scipy.linalg import expm
 from tllcd import dynamics, integrator
 from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import ContractError, IntegrationError
-from tllcd.model import CouplingFamily, CouplingSpec, PairCoefficients
+from tllcd.model import CouplingFamily, CouplingSpec
 from tllcd.protocol import DriveProtocol
 
 COUPLINGS = {
@@ -88,21 +91,24 @@ def test_matches_dop853(family, schedule, cd):
 
 
 def test_sixth_order_convergence():
-    # one slow mode over 4 record intervals: N = 2 is already asymptotic and
-    # the errors at N = 8 (~1e-11) are far above the reference's
-    proto = make_protocol(n_modes=1)
-    p = proto.momenta()
-    times = np.linspace(0.0, proto.t_f, 5)
-    u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
+    # one slow mode over 4 record intervals: N = 2 is already asymptotic.
+    # With CD on only the Gauss quadrature of the phase is left, and its
+    # error at N = 8 (~4e-14) is near the reference's; without CD the whole
+    # Magnus step is measured, to ~1e-11 at N = 8 (ratios 63.1 and 63.8)
+    for cd in (True, False):
+        proto = make_protocol(cd=cd, n_modes=1)
+        p = proto.momenta()
+        times = np.linspace(0.0, proto.t_f, 5)
+        u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
-    def error(substeps):
-        u, v = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
-        return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
+        def error(substeps):
+            u, v = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
+            return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
 
-    errors = [error(n) for n in (2, 4, 8)]
-    # doubling N divides the error by 2^6 at sixth order, by 2^4 at fourth
-    assert errors[0] >= 2**5 * errors[1]
-    assert errors[1] >= 2**5 * errors[2]
+        errors = [error(n) for n in (2, 4, 8)]
+        # doubling N divides the error by 2^6 at sixth order, by 2^4 at fourth
+        assert errors[0] >= 2**5 * errors[1], cd
+        assert errors[1] >= 2**5 * errors[2], cd
 
 
 def test_fixed_steps_takes_only_powers_of_two():
@@ -115,6 +121,38 @@ def test_fixed_steps_takes_only_powers_of_two():
     for substeps in (0, 3, 6):
         with pytest.raises(ContractError, match="power of two"):
             integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
+
+
+@pytest.mark.parametrize("schedule", ["poly5", "linear", "custom_samples"])
+@pytest.mark.parametrize("family", ["contact", "lorentzian", "custom_table"])
+def test_cd_runs_are_transitionless_to_roundoff(family, schedule):
+    # the exact answer of a CD run from the vacuum: no quasiparticles at
+    # any mode or record, to the rounding that the back-transform to the
+    # lab frame and the observables leave (derived, not fitted, in
+    # dynamics.transitionless_roundoff); each pair's generator is diagonal
+    # in its frame, so every mode passes at one step per record interval,
+    # after the pass at one step per two
+    proto = make_protocol(family, schedule, n_modes=8)
+    result = dynamics.run_simulation(proto, record_points=21)
+    traj = result.trajectories
+    c = proto.grid(traj.p, traj.times)
+    bound = dynamics.transitionless_roundoff(traj.u, traj.v, c.omega, c.g)
+    assert np.all(traj.n_qp <= bound)
+    assert np.max(bound) < 1e-31
+    assert result.integration.substeps == 1
+    assert result.integration.steps == 3 * 8 * 20 // 2
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("family", sorted(COUPLINGS))
+def test_frame_angle_is_half_log_k(family, schedule):
+    # the adiabatic frame's angle eta = -(1/2) artanh(g/omega) is (1/2) ln K
+    # at every (p, t), so d eta/dt is chi_cd = Kdot/(2K), which
+    # test_chi_matches_finite_difference_of_lnsqrtk checks
+    proto = make_protocol(family, schedule, n_modes=12)
+    c = proto.grid(proto.momenta(), np.linspace(0.0, proto.t_f, 17))
+    eta = -0.5 * np.arctanh(c.g / c.omega)
+    assert np.max(np.abs(eta - 0.5 * np.log(c.K))) < 1e-15
 
 
 def test_substeps_of_the_long_cd_ramp():
@@ -177,16 +215,30 @@ def test_error_within_tolerance_at_every_record(family, schedule, cd, t_f, L, po
         assert np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
 
 
-def test_comm_matches_matrix_commutator():
+def test_omega_matches_matrix_magnus():
+    # the commutators written out on the zero bi components of the frame
+    # generator, against the Gauss-Legendre Magnus formula on 2 x 2 matrices
     def matrix(a, br, bi):
         b = br + 1j * bi
         return np.array([[1j * a, b], [np.conj(b), -1j * a]])
 
-    x, y = np.random.default_rng(7).normal(size=(2, 3, 20))
-    got = np.array(integrator._comm(x, y))
-    for k in range(x.shape[1]):
-        X, Y = matrix(*x[:, k]), matrix(*y[:, k])
-        assert np.max(np.abs(matrix(*got[:, k]) - (X @ Y - Y @ X))) < 1e-14
+    def comm(x, y):
+        return x @ y - y @ x
+
+    rng = np.random.default_rng(7)
+    h = rng.uniform(0.1, 1.0, 20)
+    a, r = rng.normal(size=(2, 3, 20))
+    got = integrator._omega(h, a, r)
+    for k in range(len(h)):
+        A1, A2, A3 = (matrix(a[j, k], r[j, k], 0.0) for j in range(3))
+        a1 = h[k] * A2
+        a2 = math.sqrt(15.0) / 3.0 * h[k] * (A3 - A1)
+        a3 = 10.0 / 3.0 * h[k] * (A3 - 2.0 * A2 + A1)
+        c1 = comm(a1, a2)
+        c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+        want = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+        Omega = matrix(*(x[k] for x in got))
+        assert np.max(np.abs(Omega - want)) < 1e-14 * np.max(np.abs(want))
 
 
 def test_invariant_defect_at_roundoff():
@@ -229,7 +281,13 @@ def test_steps_count_every_pass_of_every_mode(cd):
     args = (times, 1e-10, 1e-12)
     alone = [dynamics.integrate_protocol(proto, [p], *args)[2] for p in proto.momenta()]
     substeps = [r.substeps for r in alone]
-    assert len(set(substeps)) > 1
+    if cd:
+        # each pair's generator is diagonal in its frame: every mode passes
+        # at N = 1, after N = 1/2, over the 20 record intervals
+        assert substeps == [1] * 16
+        assert [r.steps for r in alone] == [20 * 3 // 2] * 16
+    else:
+        assert len(set(substeps)) > 1
     _, _, report = dynamics.integrate_protocol(proto, proto.momenta(), *args)
     assert report.steps == sum(r.steps for r in alone)
     assert report.substeps == max(substeps)
@@ -266,18 +324,24 @@ def ladder(proto, p, times, rtol, atol):
 @pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
 def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
     # an even interval count starts at N = 1/2, an odd one at N = 1; an
-    # estimate above 2^6 times the tolerance skips a level
+    # estimate above 2^6 times the tolerance skips a level, which happens
+    # without CD; with CD every mode passes at its second level
     proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
     times = np.linspace(0.0, proto.t_f, points)
     modes = proto.momenta()[::3]
     want = [ladder(proto, p, times, 1e-10, 1e-12) for p in modes]
-    assert any(b == 4 * a for levels, _, _ in want for a, b in zip(levels[1:], levels[2:]))
+    if cd:
+        first = [0.5, 1] if (points - 1) % 2 == 0 else [1, 2]
+        assert all(levels == first for levels, _, _ in want)
+    else:
+        skips = (b == 4 * a for levels, _, _ in want for a, b in zip(levels[1:], levels[2:]))
+        assert any(skips)
     levels_run = []
     propagate = integrator._propagate
 
-    def spy(grid, momenta, t, y0, substeps, out):
+    def spy(grid, momenta, t, frame, y0, substeps, out):
         levels_run.append(substeps * (len(t) - 1) / (len(times) - 1))
-        return propagate(grid, momenta, t, y0, substeps, out)
+        return propagate(grid, momenta, t, frame, y0, substeps, out)
 
     monkeypatch.setattr(integrator, "_propagate", spy)
     for p, (levels, y, estimate) in zip(modes, want):
@@ -291,7 +355,8 @@ def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
 
 
 def test_blocking_does_not_change_the_result(monkeypatch):
-    proto = make_protocol(n_modes=5)
+    # without CD, where these modes need 32 substeps
+    proto = make_protocol(cd=False, n_modes=5)
     times = np.linspace(0.0, proto.t_f, 7)
     whole = dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-10, 1e-12)
     # blocks of 2 steps: shorter than one record interval once N > 2; blocks
@@ -332,15 +397,16 @@ def test_raises_at_step_cap(monkeypatch):
 
 
 def coarse_grid_protocol():
-    """A stable contact CD ramp whose 2-record grid overflows one step per
-    interval."""
+    """A stable contact ramp without CD whose 2-record grid overflows one
+    and two steps per interval.  With CD on no protocol overflows: each
+    step is then a rotation by the phase integral of epsilon."""
     return DriveProtocol(
         coupling=COUPLINGS["contact"],
         schedule=SCHEDULES["poly5"],
         t_f=40.0,
-        L=100.0,
+        L=40.0,
         n_modes=32,
-        cd_enabled=True,
+        cd_enabled=False,
     )
 
 
@@ -375,37 +441,48 @@ def test_step_cap_message_names_a_non_finite_state(monkeypatch):
         dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-10, 1e-12)
 
 
+STUB_FIELDS = ("omega", "g", "chi", "chi_cd")
+
+
+def stub_coefficients(p, t, values):
+    """A grid(p, t) result with omega, g, chi, chi_cd set to `values`, one
+    (len(p), len(t)) array each."""
+    full = np.broadcast_to(np.reshape(values, (4, 1, 1)), (4, len(p), len(t)))
+    return SimpleNamespace(**dict(zip(STUB_FIELDS, full.copy())))
+
+
 def test_raises_on_non_finite_coefficients():
     calls = []
 
     def grid(p, t):
         calls.append(len(t))
-        nan = np.full((len(p), len(t)), np.nan)
-        return PairCoefficients(nan, nan, nan)
+        return stub_coefficients(p, t, [np.nan] * 4)
 
     with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
         integrator.integrate_modes(grid, [1.0], [0.0, 1.0], [1.0], [0.0], 1e-10, 1e-12)
-    assert len(calls) == 1  # at once, not after refining
+    assert len(calls) == 1  # at once, on the record grid, not after refining
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("which", range(4))
 def test_raises_on_one_non_finite_coefficient(which, bad):
-    # omega, g or chi non-finite at one node of the middle step: not an
-    # overflow to refine, an error at once
+    # omega, g, chi or chi_cd non-finite at one node of the middle step of
+    # the first pass: not an overflow to refine, an error at once.  That
+    # pass is the second grid call, after the one on the record grid for
+    # the frame, whose middle record omega and g spoil first
     calls = []
 
     def grid(p, t):
         calls.append(len(t))
-        coefficients = np.full((3, len(p), len(t)), 0.3)
-        coefficients[which, :, len(t) // 2] = bad
-        return PairCoefficients(*coefficients)
+        coefficients = stub_coefficients(p, t, [0.5, 0.3, 0.1, 0.1])
+        getattr(coefficients, STUB_FIELDS[which])[:, len(t) // 2] = bad
+        return coefficients
 
     with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
         integrator.integrate_modes(
             grid, [1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12
         )
-    assert len(calls) == 1
+    assert len(calls) == (1 if which < 2 else 2)
 
 
 @pytest.mark.parametrize("z", [-30.0, -0.5, -1e-2, -1e-5, 0.0, 1e-6, 1e-2, 0.7, 12.0])
