@@ -353,6 +353,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
+    if cfg.emit_plots == "true":
+        _pyplot()  # a missing matplotlib is a config error: before any output
     out_dir = Path(args.out or "tllcd-out")
     try:
         result = dynamics.run_simulation(
@@ -569,15 +571,20 @@ def run_validation_suite(verbose: bool = False) -> int:
     return sum(1 for _, ok in checks if not ok)
 
 
-def cmd_plot(args) -> int:
+def _pyplot():
+    """matplotlib.pyplot on the SVG backend; ConfigError without matplotlib."""
     try:
         import matplotlib
 
         matplotlib.use("svg")
         import matplotlib.pyplot as plt
-    except ImportError as exc:  # pragma: no cover
+    except ImportError as exc:
         raise ConfigError("plotting requires matplotlib") from exc
+    return plt
 
+
+def cmd_plot(args) -> int:
+    plt = _pyplot()
     out = Path(args.out or "tllcd-out")
     agg_path = out / "aggregate.csv"
     if agg_path.exists():

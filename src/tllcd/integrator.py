@@ -77,23 +77,18 @@ Error control, per mode, on the lab (u, v): the modes are independent, so
 each takes its own number of substeps N per record interval, on the ladder
 of levels N = 1/2, 1, 2, 4, ...  With an even number of record intervals
 the first pass takes one step per two intervals (N = 1/2) and reaches the
-even records; with an odd number it takes one step per interval.  The
-second pass runs every mode at twice that N.  From there each pass compares
-a mode's new solution y_N with the one of the level it last ran, N', at
-every record both reach, by the Richardson estimate
-|y_N' - y_N| / ((N/N')^6 - 1) (63 for a doubling, 4095 for a quadrupling,
-at sixth order; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A mode
-leaves once that is within atol + rtol |y_N| for every component and
-record, and keeps y_N: so a mode accurate at one step per interval, as
-every CD-on mode with an accurate phase is, costs 1.5 steps per interval,
-and a slow mode that converges at N = 2 is not integrated again at the N
-that a fast mode needs.  A failing mode doubles N, or quadruples it when
-its estimate exceeds 2^6 times the tolerance somewhere, as one doubling
-cannot pass then; a non-finite estimate, or a quadrupling past MAX_STEPS,
-doubles.  A mode whose y_N is non-finite (a step too long for the Magnus
-series, as one step per interval of a coarse record grid can be) fails the
-test and is refined like any other.  Each pass runs the modes at the lowest
-level still pending.
+even records; with an odd number it takes one step per interval.  Each
+later pass runs every mode still failing at twice the N of the pass before,
+and compares its new solution y_N with the one at N/2, at every record both
+reach, by the Richardson estimate |y_(N/2) - y_N| / 63 (2^6 - 1, at sixth
+order; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A mode leaves once
+that is within atol + rtol |y_N| for every component and record, and keeps
+y_N: so a mode accurate at one step per interval, as every CD-on mode with
+an accurate phase is, costs 1.5 steps per interval, and a slow mode that
+converges at N = 2 is not integrated again at the N that a fast mode needs.
+A mode whose y_N is non-finite (a step too long for the Magnus series, as
+one step per interval of a coarse record grid can be) fails the test and is
+refined like any other.
 """
 
 from __future__ import annotations
@@ -154,63 +149,44 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
     y0 = np.array([u0, v0], dtype=complex)
     intervals = len(times) - 1
     # out holds the latest pass of every mode, (u, v) x modes x records;
-    # each pass over a group of modes fills the front of `buffer`.  Both
-    # are allocated before any temporary so that freed temporaries do not
-    # stay pinned under them
+    # each pass over the modes still failing fills the front of `buffer`.
+    # Both are allocated before any temporary so that freed temporaries do
+    # not stay pinned under them
     out = np.empty(y0.shape + times.shape, dtype=complex)
     buffer = np.empty(out.size, dtype=complex)
     frame = _frame(grid, momenta, times)
-    # levels are kept as exponents k of N = 2^k steps per record interval:
-    # `last` is the level of each mode's pass in `out`, `level` its next
-    if intervals % 2:
-        _propagate(grid, momenta, times, frame, y0, 1, out)
-        last, steps = 0, len(momenta) * intervals
-    else:
-        # N = 1/2: one step per two record intervals, to the even records
-        even = frame[:, ::2]
-        _propagate(grid, momenta, times[::2], even, y0, 1, out[..., ::2])
-        last, steps = -1, len(momenta) * intervals // 2
-    last = np.full(len(momenta), last)
-    level = last + 1
+    # levels are kept as exponents k of N = 2^k steps per record interval.
+    # The first pass takes one step per `stride` record intervals and
+    # reaches the `records` it is compared at: N = 1/2 and the even records
+    # on an even interval count, else N = 1 and every record
+    stride = 2 - intervals % 2
+    records = slice(None, None, stride)
+    _propagate(grid, momenta, times[records], frame[:, records], y0, 1, out[..., records])
+    k, steps = 1 - stride, len(momenta) * (intervals // stride)
     active = np.arange(len(momenta))
     substeps, worst = 1, 0.0
     while len(active):
-        k = int(level[active].min())
-        group = active[level[active] == k]
-        fine = buffer[: 2 * len(group) * len(times)].reshape(2, -1, len(times))
-        _propagate(grid, momenta[group], times, frame[..., group], y0[:, group], 1 << k, fine)
-        steps += len(group) * intervals << k
-        # the N = 1/2 pass (all modes, before the second) reaches only the
-        # even records
-        records = slice(None, None, 2 if last[group[0]] < 0 else 1)
-        old, new = out[:, group, records], fine[..., records]
-        divisor = 64.0 ** (k - last[group])[:, None] - 1.0
+        k += 1
+        fine = buffer[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
+        _propagate(grid, momenta[active], times, frame[..., active], y0[:, active], 1 << k, fine)
+        steps += len(active) * intervals << k
+        old, new = out[:, active, records], fine[..., records]
         with np.errstate(over="ignore", invalid="ignore"):
-            err = np.abs(np.subtract(old, new, out=old)) / divisor
+            err = np.abs(np.subtract(old, new, out=old)) / 63.0
             tol = atol + rtol * np.abs(new)
         passed = np.all(err <= tol, axis=(0, 2))
         passed &= np.all(np.isfinite(fine), axis=(0, 2))
-        out[:, group] = fine
-        last[group] = k
+        out[:, active] = fine
         if np.any(passed):
             substeps = 1 << k
             worst = max(worst, float(np.max(err[:, passed])))
-        failed = group[~passed]
-        active = active[~np.isin(active, group[passed])]
-        if not len(failed):
-            continue
-        if (2 << k) * intervals > MAX_STEPS:
-            finite = np.all(np.isfinite(out[:, failed]))
+        active, records = active[~passed], slice(None)
+        if len(active) and (2 << k) * intervals > MAX_STEPS:
+            finite = np.all(np.isfinite(out[:, active]))
             raise IntegrationError(
                 f"magnus step doubling not converged at {1 << k} substeps "
                 "per record interval" + ("" if finite else ": (u, v) non-finite")
             )
-        # an estimate more than 2^6 times the tolerance fails again after
-        # one doubling: such a mode skips a level, unless that passes the cap
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratio = np.max(err[:, ~passed] / tol[:, ~passed], axis=(0, 2))
-        skip = np.isfinite(ratio) & (ratio > 64.0) & ((4 << k) * intervals <= MAX_STEPS)
-        level[failed] = k + 1 + skip
     u, v = out
     defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
     return u, v, IntegrationReport(substeps, steps, worst, float(defect))

@@ -107,12 +107,6 @@ def vacuum_observables(state: BogoliubovMap) -> PairObservables:
     return PairObservables(n, corr, n + 0.5)
 
 
-def overlap_amplitude(a: BogoliubovMap, b: BogoliubovMap) -> complex:
-    """<psi_a|psi_b> with the phase convention c_0 = 1/u for each state."""
-    q = a.u.conjugate() * b.u - a.v.conjugate() * b.v
-    return 1.0 / q
-
-
 def state_overlap(a: BogoliubovMap, b: BogoliubovMap) -> float:
     """|<psi_a|psi_b>| for the two-mode squeezed vacua labelled by a and b.
 
@@ -121,8 +115,7 @@ def state_overlap(a: BogoliubovMap, b: BogoliubovMap) -> float:
     """
     check_map(a)
     check_map(b)
-    val = abs(overlap_amplitude(a, b))
-    return min(val, 1.0)
+    return min(abs(1.0 / (a.u.conjugate() * b.u - a.v.conjugate() * b.v)), 1.0)
 
 
 def fock_amplitudes(state: BogoliubovMap, n_max: int):
@@ -137,9 +130,3 @@ def fock_amplitudes(state: BogoliubovMap, n_max: int):
     for _ in range(n_max):
         amps.append(amps[-1] * ratio)
     return amps
-
-
-def squeeze_angle_of(state: BogoliubovMap) -> float:
-    """Real squeeze angle eta with state ~ squeeze_from_angle(eta), valid for
-    maps with u, v real up to a common phase (tanh eta = (-v/u).real)."""
-    return math.copysign(math.asinh(abs(state.v)), (-state.v / state.u).real)

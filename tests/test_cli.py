@@ -458,6 +458,16 @@ def test_plot_subcommand(tmp_path):
     assert (out / "residual.svg").exists()
 
 
+def test_plots_without_matplotlib_write_nothing(tmp_path, monkeypatch, capsys):
+    # a config error (exit 2) writes no output, even one asked for plots
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    cfg = write_config(tmp_path, GOOD_CONFIG + "emit_plots = true\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "plotting requires matplotlib" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_api_surface_of_the_benchmark_harness():
     # the benchmark harness calls these names from outside the package and
     # wraps the others in its trace spans

@@ -3,9 +3,11 @@ tests/data/golden/<case>/: a contact poly5 ramp and a Lorentzian ramp with
 CD on, and a custom_table linear ramp with CD off, 4 modes x 21 records
 each.  The golden files were last written after the change to integrating
 each pair in its adiabatic frame, once every mode's (u, v) of the three
-runs passed test_golden_runs_match_dop853.  A run must give the same
-headers, row order and manifest keys, and every number to within
-roundoff."""
+runs passed test_golden_runs_match_dop853; only the table_linear_bare
+manifest's integrator.steps line was rewritten since, when the step
+doubling lost its level skip (its CSVs stayed byte-identical).  A run
+must give the same headers, row order and manifest keys, and every number
+to within roundoff."""
 
 import io
 from pathlib import Path

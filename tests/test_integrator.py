@@ -143,6 +143,25 @@ def test_cd_runs_are_transitionless_to_roundoff(family, schedule):
     assert result.integration.steps == 3 * 8 * 20 // 2
 
 
+def test_fine_cd_off_records_pass_at_the_floor():
+    # a CD-off custom_table ramp on a fine record grid, shaped like the
+    # table_records benchmark: every mode passes at N = 1, after N = 1/2,
+    # so the ladder runs no level beyond its second here either
+    rows = ((0.0, 0.9, 0.45), (0.5, 0.85, 0.45), (1.0, 0.8, 0.4),
+            (1.5, 0.7, 0.4), (2.5, 0.6, 0.35))
+    proto = DriveProtocol(
+        coupling=CouplingSpec(family=CouplingFamily.CUSTOM_TABLE, table=rows),
+        schedule=Schedule(ScheduleKind.LINEAR),
+        t_f=10.0,
+        L=100.0,
+        n_modes=32,
+        cd_enabled=False,
+    )
+    report = dynamics.run_simulation(proto, record_points=1001).integration
+    assert report.substeps == 1
+    assert report.steps == 3 * 32 * 1000 // 2
+
+
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @pytest.mark.parametrize("family", sorted(COUPLINGS))
 def test_frame_angle_is_half_log_k(family, schedule):
@@ -311,21 +330,19 @@ def ladder(proto, p, times, rtol, atol):
         levels, prev, y = [0.5, 1], run(times[::2], 1), run(times, 1)
         records = slice(None, None, 2)
     while True:
-        divisor = (levels[-1] / levels[-2]) ** 6 - 1
-        err = np.abs(prev - y[:, records]) / divisor
-        tol = atol + rtol * np.abs(y[:, records])
-        if np.all(err <= tol):
+        err = np.abs(prev - y[:, records]) / 63
+        if np.all(err <= atol + rtol * np.abs(y[:, records])):
             return levels, y, np.max(err)
-        levels.append(levels[-1] * (4 if np.max(err / tol) > 2**6 else 2))
+        levels.append(2 * levels[-1])
         prev, y, records = y, run(times, levels[-1]), slice(None)
 
 
 @pytest.mark.parametrize("points", [21, 20], ids=["even", "odd"])
 @pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
 def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
-    # an even interval count starts at N = 1/2, an odd one at N = 1; an
-    # estimate above 2^6 times the tolerance skips a level, which happens
-    # without CD; with CD every mode passes at its second level
+    # an even interval count starts at N = 1/2, an odd one at N = 1, and
+    # each pass doubles N; with CD every mode passes at its second level,
+    # without CD the modes climb to different levels
     proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
     times = np.linspace(0.0, proto.t_f, points)
     modes = proto.momenta()[::3]
@@ -334,8 +351,9 @@ def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
         first = [0.5, 1] if (points - 1) % 2 == 0 else [1, 2]
         assert all(levels == first for levels, _, _ in want)
     else:
-        skips = (b == 4 * a for levels, _, _ in want for a, b in zip(levels[1:], levels[2:]))
-        assert any(skips)
+        for levels, _, _ in want:
+            assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+        assert max(levels[-1] for levels, _, _ in want) >= 8
     levels_run = []
     propagate = integrator._propagate
 
@@ -387,8 +405,8 @@ def test_scan_matches_sequential_products(length):
 
 
 def test_raises_at_step_cap(monkeypatch):
-    # 2 record intervals at N = 1/2, 1 and (skipping 2) 4 substeps: 1, 2 and
-    # 8 steps; doubling again would pass the cap
+    # 2 record intervals at N = 1/2, 1, 2 and 4 substeps: 1, 2, 4 and 8
+    # steps; doubling again would pass the cap
     monkeypatch.setattr(integrator, "MAX_STEPS", 15)
     proto = make_protocol(cd=False)
     times = np.linspace(0.0, proto.t_f, 3)

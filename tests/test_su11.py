@@ -179,11 +179,3 @@ def test_fock_amplitudes_match_tmsv():
 def test_fock_amplitudes_normalized():
     amps = np.array(su11.fock_amplitudes(squeeze_from_angle(1.0), 400))
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-10)
-
-
-@given(st.floats(min_value=-2.5, max_value=2.5))
-@settings(max_examples=200, deadline=None)
-def test_squeeze_angle_roundtrip(eta):
-    assert su11.squeeze_angle_of(squeeze_from_angle(eta)) == pytest.approx(
-        eta, abs=1e-10
-    )
