@@ -208,15 +208,13 @@ def write_outputs(result, cfg: RunConfig, out_dir) -> dict:
         "manifest": out / "manifest.txt",
     }
 
-    modes, aggregate = [], []
-    if result is not None:
-        # the other columns are fields of the same name
-        traj = result.trajectories
-        modes = [traj.times, traj.p[:, None]]
-        modes += [getattr(traj, name) for name in MODES_HEADER.split(",")[2:]]
-        aggregate = [result.times]
-        aggregate += [getattr(result, name) for name in AGGREGATE_HEADER.split(",")[1:-1]]
-        aggregate.append(result.stability.margin)
+    # the other columns are fields of the same name
+    traj = result.trajectories
+    modes = [traj.times, traj.p[:, None]]
+    modes += [getattr(traj, name) for name in MODES_HEADER.split(",")[2:]]
+    aggregate = [result.times]
+    aggregate += [getattr(result, name) for name in AGGREGATE_HEADER.split(",")[1:-1]]
+    aggregate.append(result.stability.margin)
     _write_csv(paths["modes"], MODES_HEADER, modes)
     _write_csv(paths["aggregate"], AGGREGATE_HEADER, aggregate)
     write_manifest(paths["manifest"], cfg, result)
@@ -225,9 +223,9 @@ def write_outputs(result, cfg: RunConfig, out_dir) -> dict:
 
 def _write_csv(path, header: str, columns) -> None:
     """One CSV column per array.  The arrays broadcast against each other;
-    rows run in C order of the broadcast shape (mode-major for (mode, time)),
-    and no columns give the header alone.  The bytes are those that
-    np.savetxt(fmt='%.17g') writes of the broadcast table.
+    rows run in C order of the broadcast shape (mode-major for (mode, time)).
+    The bytes are those that np.savetxt(fmt='%.17g') writes of the broadcast
+    table.
 
     The text is computed in numpy by `_fmt17.text`, exactly: each value's
     17 digits come from a double-double product of |x| and a tabulated
@@ -243,7 +241,7 @@ def _write_csv(path, header: str, columns) -> None:
     text of the whole table is never held."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
-    n_rows = math.prod(shape) if columns else 0
+    n_rows = math.prod(shape)
     full, repeated = [], []
     for j, column in enumerate(columns):
         own = column[tuple(slice(None) if s else slice(1) for s in column.strides)]

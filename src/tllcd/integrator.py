@@ -66,12 +66,11 @@ integrated alike; the CD stability gate is `stability_margin` with
 `spectrum_with_cd`, before any integration.
 
 Propagation: the state at record k is the prefix product of the step
-propagators before it, applied to the initial state.  It is formed one block
-of steps at a time, so memory does not grow with the run: the steps of each
-segment (a part of one record interval) are multiplied pairwise, the
-segments' prefix products are formed by doubling (Hillis & Steele, CACM 29,
-1170 (1986)), and those are applied to the state carried in from the block
-before.
+propagators before it, applied to the initial state.  The steps of a pass
+form one flat sequence, N per record interval, taken one block at a time so
+that memory does not grow with the run: the prefix products of each block
+are formed by doubling (Hillis & Steele, CACM 29, 1170 (1986)) and applied
+to the state carried in from the block before.
 
 Error control, per mode, on the lab (u, v): the modes are independent, so
 each takes its own number of substeps N per record interval, on the ladder
@@ -94,6 +93,7 @@ refined like any other.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,12 +196,10 @@ def fixed_steps(grid, momenta, times, u0, v0, substeps):
     """(u, v) on the record grid `times` after `substeps` Magnus steps per
     record interval, without error control: the method's raw convergence,
     for order checks; entries are non-finite where a step overflows.
-    `substeps` must be a power of two: the steps of an interval are
-    multiplied pairwise (`_reduce`), which drops steps at other counts.  The
-    other arguments, the `grid(p, t)` callback included, are as for
-    integrate_modes."""
-    if substeps < 1 or substeps & (substeps - 1):
-        raise ContractError(f"substeps must be a power of two, got {substeps}")
+    `substeps` is any integer >= 1.  The other arguments, the `grid(p, t)`
+    callback included, are as for integrate_modes."""
+    if not isinstance(substeps, numbers.Integral) or substeps < 1:
+        raise ContractError(f"substeps must be an integer >= 1, got {substeps!r}")
     y0 = np.array([u0, v0], dtype=complex)
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -233,56 +231,51 @@ def _propagate(grid, momenta, times, frame, y0, substeps, out):
     adiabatic frame `frame` (`_frame` on the same modes and records): y0 is
     mapped into it, and every record back to the lab.
 
-    The steps of each record interval are split into segments of
-    per = min(substeps, block) steps, where block is the largest power of
-    two with block * n_modes <= BLOCK_POINTS.  Each pass of the loop takes
-    the next block // per segments (one block of steps), multiplies the
-    steps of each segment (`_reduce`), forms the prefix products of the
-    segments (`_scan`), applies them to the state carried in, and writes
-    every record that ends inside the block.  A step too long for the
-    Magnus series may overflow: (u, v) then turns non-finite, without a
-    warning."""
+    Step j of the pass starts at times[i] + (j - i N) h_i, with N =
+    `substeps`, i = j // N and h_i = (times[i + 1] - times[i]) / N.  Each
+    pass of the loop takes the next block of steps, the largest power of two
+    with block * n_modes <= BLOCK_POINTS, forms their prefix products
+    (`_scan`), applies them to the state carried in, and writes every record
+    that ends inside the block (record k ends with step k N - 1).  A step
+    too long for the Magnus series may overflow: (u, v) then turns
+    non-finite, without a warning."""
     n_modes = y0.shape[1]
+    # a power of two, so that at the ladder's N (powers of two) a block holds
+    # whole intervals or a whole part of one, and the doubling multiplies the
+    # steps of each interval as a balanced tree
     block = 1 << max(0, (BLOCK_POINTS // n_modes).bit_length() - 1)
-    per = min(substeps, block)
-    segments = substeps // per  # per record interval
-    starts, widths = times[:-1], np.diff(times) / substeps
-    n_segments = segments * len(starts)
+    widths = np.diff(times) / substeps
+    n_steps = substeps * len(widths)
     c, s = frame
     u, v = c[0] * y0[0] + s[0] * y0[1], s[0] * y0[0] + c[0] * y0[1]
     out[:, :, 0] = y0
-    for s0 in range(0, n_segments, block // per):
-        s1 = min(s0 + block // per, n_segments)
-        # a pass spans whole intervals (segments == 1) or one segment, so
-        # its segments share their step offset within their interval
-        intervals = slice(s0 // segments, (s1 - 1) // segments + 1)
-        offsets = s0 % segments * per + np.arange(per)
-        steps = _steps(grid, momenta, starts[intervals], widths[intervals], offsets)
-        # (segment, mode) propagators from the start of the pass
-        alpha, beta = _scan(*(x.T for x in _reduce(*steps)))
+    for j0 in range(0, n_steps, block):
+        j1 = min(j0 + block, n_steps)
+        interval, offset = np.divmod(np.arange(j0, j1), substeps)
+        h = widths[interval]
+        steps = _steps(grid, momenta, times[interval] + offset * h, h)
+        # (step, mode) propagators from the start of the block
+        alpha, beta = _scan(*(x.T for x in steps))
         u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
-        # record k ends with segment k * segments - 1
-        ends = slice(segments - 1 - s0 % segments, None, segments)
-        records = slice(s0 // segments + 1, s1 // segments + 1)
+        ends = slice(substeps - 1 - j0 % substeps, None, substeps)
+        records = slice(j0 // substeps + 1, j1 // substeps + 1)
         # back to the lab: T^-1 = [[c, -s], [-s, c]]
         ue, ve, ce, se = u[ends], v[ends], c[records], s[records]
         out[0, :, records], out[1, :, records] = (ce * ue - se * ve).T, (ce * ve - se * ue).T
         u, v = u[-1], v[-1]
 
 
-def _steps(grid, momenta, starts, widths, offsets):
-    """Single-step propagators of shape (n_modes, n_intervals, n_offsets)
-    for the steps starting at starts + offsets * widths, in the adiabatic
-    frame."""
-    t0 = starts[:, None] + offsets[None, :] * widths[:, None]
-    h = np.broadcast_to(widths[:, None], t0.shape)
+def _steps(grid, momenta, starts, widths):
+    """Single-step propagators of shape (n_modes, n_steps) for the steps
+    starting at `starts` with widths `widths` (1-D, one entry per step), in
+    the adiabatic frame."""
     # node first, so that each node's values are one contiguous block
-    nodes = t0 + h * _NODES[:, None, None]
+    nodes = starts + widths * _NODES[:, None]
     c = grid(momenta, nodes.ravel())
     # generator 3-vectors (epsilon, chi_cd - chi, 0) at each node
     eps = np.sqrt(c.omega * c.omega - c.g * c.g).reshape((-1,) + nodes.shape)
     r = np.subtract(c.chi_cd, c.chi).reshape((-1,) + nodes.shape)
-    a, br, bi = _omega(h, eps.swapaxes(0, 1), r.swapaxes(0, 1))
+    a, br, bi = _omega(widths, eps.swapaxes(0, 1), r.swapaxes(0, 1))
     z = br * br + bi * bi - a * a
     # non-finite exactly where a coefficient of the step is, or |g| > omega
     # (or |Omega| passes 1e154, which no doubling within MAX_STEPS could
@@ -329,16 +322,6 @@ def _cosh_sinhc(z):
             r = np.sqrt(np.abs(z[where]))
             C[where], S[where] = cos(r), sin(r) / r
     return C, S
-
-
-def _reduce(alpha, beta):
-    """Multiply the propagators along the last axis (a power of two in
-    length, later steps on the left) by pairwise products."""
-    while alpha.shape[-1] > 1:
-        alpha, beta = _product(
-            (alpha[..., 1::2], beta[..., 1::2]), (alpha[..., 0::2], beta[..., 0::2])
-        )
-    return alpha[..., 0], beta[..., 0]
 
 
 def _scan(alpha, beta):

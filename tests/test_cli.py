@@ -271,10 +271,6 @@ def test_csv_writer_matches_savetxt(tmp_path):
         np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header, comments="")
         cli._write_csv(got, header, columns)
         assert got.read_bytes() == want.read_bytes()
-    # no columns: the header alone, as np.savetxt writes an empty table
-    np.savetxt(want, [], fmt="%.17g", delimiter=",", header="a", comments="")
-    cli._write_csv(got, "a", [])
-    assert got.read_bytes() == want.read_bytes()
 
 
 def test_two_record_grid_runs(tmp_path):

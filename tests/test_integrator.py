@@ -111,15 +111,25 @@ def test_sixth_order_convergence():
         assert errors[1] >= 2**5 * errors[2], cd
 
 
-def test_fixed_steps_takes_only_powers_of_two():
-    # the pairwise products drop steps at other counts: on this protocol
-    # u(t_f) came out -0.859+0.516i at N = 3 and 6, against -0.372+0.931i at
-    # N = 2, 4 and 8, with the invariant intact
+def test_fixed_steps_takes_any_step_count():
+    # the steps of a pass run as one flat sequence, so N need not be a power
+    # of two: at N = 3, 6 and 12 the error against DOP853 falls at sixth
+    # order (1.2e-11, 2.0e-13, 2.8e-15), and u(t_f) = -0.3723+0.9311i as at
+    # N = 2, 4 and 8
     proto = make_protocol(n_modes=1)
     p = proto.momenta()
     times = np.linspace(0.0, proto.t_f, 5)
-    for substeps in (0, 3, 6):
-        with pytest.raises(ContractError, match="power of two"):
+    u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
+
+    def error(substeps):
+        u, v = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
+        return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
+
+    errors = [error(n) for n in (3, 6, 12)]
+    assert errors[0] >= 2**5 * errors[1]
+    assert errors[1] >= 2**5 * errors[2]
+    for substeps in (0, -1, 2.5):
+        with pytest.raises(ContractError, match="integer >= 1"):
             integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
 
 
@@ -375,19 +385,28 @@ def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
 def test_blocking_does_not_change_the_result(monkeypatch):
     # without CD, where these modes need 32 substeps
     proto = make_protocol(cd=False, n_modes=5)
+    p = proto.momenta()
+    ones = np.ones(len(p))
     times = np.linspace(0.0, proto.t_f, 7)
-    whole = dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-10, 1e-12)
+    whole = dynamics.integrate_protocol(proto, p, times, 1e-10, 1e-12)
     # blocks of 2 steps: shorter than one record interval once N > 2; blocks
     # of 128 steps: 4 record intervals at N = 32, so the 6 intervals take one
     # full and one partial block
     for block in (2, 128):
         monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
-        split = dynamics.integrate_protocol(
-            proto, proto.momenta(), times, 1e-10, 1e-12
-        )
+        split = dynamics.integrate_protocol(proto, p, times, 1e-10, 1e-12)
         assert split[2].substeps == whole[2].substeps == 32
         assert np.max(np.abs(split[0] - whole[0])) < 1e-13
         assert np.max(np.abs(split[1] - whole[1])) < 1e-13
+    # at N = 24, blocks of 8 and 128 steps end inside a record interval, off
+    # the interval grid
+    monkeypatch.undo()
+    whole = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, 24)
+    for block in (2, 8, 128):
+        monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
+        split = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, 24)
+        for got, want in zip(split, whole):
+            assert np.max(np.abs(got - want)) < 1e-13
 
 
 @pytest.mark.parametrize("length", [1, 5, 8])
