@@ -270,9 +270,9 @@ def _write_csv(path, header: str, columns) -> None:
 def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
     """Key-value manifest, written even on failure, with the exception that
     caused it.  The stability lines come from the result, else from the
-    report the failure carries, else from a fresh stability_margin; a
-    LuttingerInstabilityError, which stability_margin would raise again, is
-    written as `stability.error` as it stands.
+    report the failure carries; the manifest never computes one.  A failure
+    without a report (a refusal by DriveProtocol.validate, before the
+    gate's report exists) is written as `stability.error` as it stands.
 
     Wall time is deliberately not recorded: output files are byte-stable.
     """
@@ -281,15 +281,9 @@ def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
         lines.append(f"failure = {failure}")
     lines += ["config." + line for line in serialize_config(cfg).splitlines()]
     if cfg.t_f > 0:
-        report = result.stability if result else getattr(failure, "report", None)
-        error = failure if isinstance(failure, LuttingerInstabilityError) else None
-        if report is None and error is None:
-            try:
-                report = stability_margin(cfg.protocol())
-            except ContractError as exc:
-                error = exc
-        if error is not None:
-            lines.append(f"stability.error = {error}")
+        report = result.stability if result else failure.report
+        if report is None:
+            lines.append(f"stability.error = {failure}")
         else:
             lines.append(f"stability.margin = {_fmt(report.margin)}")
             lines.append(f"stability.pass = {report.passed}")

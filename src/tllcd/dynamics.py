@@ -197,7 +197,10 @@ def _evolve(protocol, momenta, times, rtol, atol, initial, initial_occupation):
     # controlled spectrum turns imaginary between stability-grid points
     epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi) if protocol.cd_enabled else eps
     u, v, report = integrate_protocol(protocol, momenta, times, rtol, atol, initial, c)
-    su11.check_defect(report.max_invariant_defect)
+    try:
+        su11.check_defect(report.max_invariant_defect)
+    except ContractError as exc:  # the integrator's error, not the caller's
+        raise IntegrationError(str(exc)) from None
 
     phases = np.angle(u)
     rotation = np.exp(-1j * phases)
@@ -262,23 +265,22 @@ def run_simulation(
     """Evolve all modes independently and aggregate in fixed mode order,
     so that identical inputs give identical outputs.  stability_margin is
     the gate: an unstable coupling, or CD on with a margin that is not
-    positive, raises before any integration.  A CDInstabilityError from
-    the record grid or an IntegrationError carries the gate's report."""
+    positive, raises before any integration.  Every error raised after
+    stability_margin returns carries its report as `report`."""
     from .protocol import stability_margin
 
     stability = stability_margin(protocol)
-    if protocol.cd_enabled and not stability.passed:
-        raise CDInstabilityError(
-            f"cd-instability at p = {stability.argmin_p:.6g}, "
-            f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0",
-            stability,
-        )
     times = np.linspace(0.0, protocol.t_f, record_points)
     try:
+        if protocol.cd_enabled and not stability.passed:
+            raise CDInstabilityError(
+                f"cd-instability at p = {stability.argmin_p:.6g}, "
+                f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
+            )
         traj, c, integration = _evolve(
             protocol, protocol.momenta(), times, rtol, atol, su11.IDENTITY, 0.0
         )
-    except (CDInstabilityError, IntegrationError) as exc:
+    except (ContractError, IntegrationError) as exc:
         exc.report = stability
         raise
     # sums over axis 0 add the modes one after another, in mode order

@@ -2,7 +2,12 @@
 
 
 class ContractError(ValueError):
-    """A documented precondition or invariant was violated by the caller."""
+    """A documented precondition or invariant was violated by the caller.
+    `report` is the StabilityReport of the run it stopped, set by
+    run_simulation on every failure after its stability gate; None
+    otherwise."""
+
+    report = None
 
 
 class LuttingerInstabilityError(ContractError):
@@ -10,23 +15,17 @@ class LuttingerInstabilityError(ContractError):
 
 
 class CDInstabilityError(ContractError):
-    """v_s |p| <= |chi|: the controlled spectrum turns imaginary.  `report`
-    is the StabilityReport that refused the run, if one did."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """v_s |p| <= |chi|: the controlled spectrum turns imaginary."""
 
 
 class IntegrationError(RuntimeError):
-    """An integration did not finish: Magnus step doubling would pass
-    MAX_STEPS before every mode converged, a pair coefficient was
-    non-finite, or the Fock oracle's solver failed.  `report` is the StabilityReport of the run
-    it stopped, if one was taken."""
+    """An integration did not finish or cannot be trusted: Magnus step
+    doubling would pass MAX_STEPS before every mode converged, a pair
+    coefficient was non-finite, a run broke the Bogoliubov invariant
+    |u|^2 - |v|^2 = 1, or the Fock oracle's solver failed.  `report` is as
+    for ContractError."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    report = None
 
 
 class ConfigError(ValueError):

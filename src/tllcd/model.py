@@ -136,16 +136,6 @@ def luttinger_params(g2, g4, v_F) -> LuttingerParams:
     return LuttingerParams(K, v_s)
 
 
-def sound_velocity_rate(g2, g4, dg2, dg4, v_F):
-    """d v_s/dt from the couplings and their time derivatives:
-    d(v_s^2)/dt = 2 (v_F + g4/2pi) g4dot/2pi - 2 (g2/2pi) g2dot/2pi."""
-    v_s = luttinger_params(g2, g4, v_F).v_s
-    dvs_sq = 2.0 * (v_F + g4 / TWO_PI) * dg4 / TWO_PI - 2.0 * (
-        g2 / TWO_PI
-    ) * dg2 / TWO_PI
-    return 0.5 * dvs_sq / v_s
-
-
 def pair_frequencies(p, g2, g4, v_F):
     """(omega, g) of the pair Hamiltonian at momentum p for couplings taken
     at that momentum and time: omega = |p|(v_F + g4/2pi), g = |p| g2/2pi."""

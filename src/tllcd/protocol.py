@@ -78,9 +78,12 @@ class CoefficientGrid:
 
     @cached_property
     def v_s_rate(self) -> np.ndarray:
-        """d v_s/dt."""
-        args = (self.g2, self.g4, self.dg2, self.dg4, self.v_F)
-        return self._full(model.sound_velocity_rate(*args))
+        """d v_s/dt = (d(v_s^2)/dt)/(2 v_s), with
+        d(v_s^2)/dt = 2 (v_F + g4/2pi) g4dot/2pi - 2 (g2/2pi) g2dot/2pi."""
+        dvs_sq = 2.0 * (self.v_F + self.g4 / TWO_PI) * self.dg4 / TWO_PI - 2.0 * (
+            self.g2 / TWO_PI
+        ) * self.dg2 / TWO_PI
+        return self._full(0.5 * dvs_sq / self._luttinger.v_s)
 
     @cached_property
     def adiabaticity(self) -> np.ndarray:

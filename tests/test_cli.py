@@ -2,7 +2,7 @@
 byte stability."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import subprocess
@@ -396,12 +396,28 @@ def test_sweep_subcommand(tmp_path):
     assert res8 < res4
 
 
-def test_sweep_keeps_the_t_f_that_integrated(tmp_path, monkeypatch, capsys):
-    # without CD, at this cap t_f = 5 converges at one substep per record
-    # interval and t_f = 40, which needs 4, stops at 2: the sweep still
-    # writes both rows, names the failed t_f and exits with the integration
-    # code at the end.  (With CD on, both pass at one substep.)
-    monkeypatch.setattr(integrator, "MAX_STEPS", 600)
+@pytest.mark.parametrize("stop", ["step_cap", "invariant"])
+def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys):
+    # the two ways an integration stops, at t_f = 40 only.  Without CD, at
+    # this step cap t_f = 5 converges at one substep per record interval and
+    # t_f = 40, which needs 4, stops at 2 (with CD on, both pass at one
+    # substep); or the run at t_f = 40 breaks |u|^2 - |v|^2 = 1.  Either way
+    # the sweep still writes both rows, names the failed t_f and exits with
+    # the integration code at the end.
+    if stop == "step_cap":
+        monkeypatch.setattr(integrator, "MAX_STEPS", 600)
+        message = "magnus step doubling not converged"
+    else:
+        integrate = dynamics.integrate_protocol
+
+        def drifted(protocol, *args):
+            u, v, report = integrate(protocol, *args)
+            if protocol.t_f == 40:
+                report = replace(report, max_invariant_defect=2e-6)
+            return u, v, report
+
+        monkeypatch.setattr(dynamics, "integrate_protocol", drifted)
+        message = "Bogoliubov invariant violated"
     cfg = write_config(
         tmp_path,
         "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
@@ -415,7 +431,7 @@ def test_sweep_keeps_the_t_f_that_integrated(tmp_path, monkeypatch, capsys):
     assert lines[1].startswith("5,") and "nan" not in lines[1]
     assert lines[2] == "40,nan,nan,True"
     err = capsys.readouterr().err
-    assert "integration error at t_f = 40: magnus step doubling not converged" in err
+    assert f"integration error at t_f = 40: {message}" in err
     assert "t_f = 5:" not in err
 
 
@@ -533,6 +549,24 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     assert calls == [6.0]
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "failure = cd-instability at p = 0.251327" in manifest
+    # an integration that breaks |u|^2 - |v|^2 = 1: an integration error,
+    # which carries the gate's report
+    calls.clear()
+    integrate = dynamics.integrate_protocol
+
+    def drifted(*args):
+        u, v, report = integrate(*args)
+        return u, v, replace(report, max_invariant_defect=2e-6)
+
+    monkeypatch.setattr(dynamics, "integrate_protocol", drifted)
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", out]) == (
+        EXIT_INTEGRATION
+    )
+    assert calls == [6.0]
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "failure = Bogoliubov invariant violated" in manifest
+    assert "stability.pass = True" in manifest
+    monkeypatch.setattr(dynamics, "integrate_protocol", integrate)
     # an integration stopped at the step cap: the error carries the gate's report
     calls.clear()
     monkeypatch.setattr(integrator, "MAX_STEPS", 1)

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from tllcd import dynamics, fock, su11
 from tllcd.control import Schedule, ScheduleKind
-from tllcd.errors import CDInstabilityError, ContractError, LuttingerInstabilityError
+from tllcd.errors import (
+    CDInstabilityError,
+    ContractError,
+    IntegrationError,
+    LuttingerInstabilityError,
+)
 from tllcd.model import (
     CouplingFamily,
     CouplingSpec,
@@ -321,7 +326,7 @@ def test_invariant_check_raises_and_warns_once(monkeypatch):
         "Bogoliubov invariant drift 1.000e-08 exceeds 1e-09"
     ]
     monkeypatch.setattr(dynamics, "integrate_protocol", drifted(2e-6))
-    with pytest.raises(ContractError, match="invariant violated"):
+    with pytest.raises(IntegrationError, match="invariant violated"):
         dynamics.run_simulation(proto, record_points=21)
 
 
