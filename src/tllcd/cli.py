@@ -286,13 +286,15 @@ def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
             lines.append(f"stability.error = {failure}")
         else:
             lines.append(f"stability.margin = {_fmt(report.margin)}")
+            lines.append(f"stability.argmin_p = {_fmt(report.argmin_p)}")
+            lines.append(f"stability.argmin_t = {_fmt(report.argmin_t)}")
             lines.append(f"stability.pass = {report.passed}")
             if report.bound_tf is not None:
                 lines.append(f"stability.t_min = {_fmt(report.bound_tf)}")
             lines.append(f"stability.t_adiabatic = {_fmt(report.t_adiabatic)}")
     if result is not None:
         facts = result.integration
-        lines.append(f"integrator = {integrator.NAME}")
+        lines.append(f"integrator = {facts.method}")
         lines.append(f"integrator.substeps = {facts.substeps}")
         lines.append(f"integrator.steps = {facts.steps}")
         lines.append(f"integrator.error_estimate = {_fmt(facts.error_estimate)}")
@@ -377,6 +379,8 @@ def cmd_stability(args) -> int:
     if cfg.t_f > 0:
         report = stability_margin(cfg.protocol())
         print(f"margin = {report.margin:.6g}")
+        print(f"argmin_p = {report.argmin_p:.6g}")
+        print(f"argmin_t = {report.argmin_t:.6g}{unit}")
         print(f"pass = {report.passed}")
         if report.bound_tf is not None:
             print(f"t_min_closed_form = {report.bound_tf:.6g}{unit}")
@@ -505,14 +509,16 @@ def run_validation_suite(verbose: bool = False) -> int:
     # integrator order on the same protocol, 4 record intervals: each halving
     # of the step cuts the step-doubling difference |y_N - y_2N| by 2^6 at
     # sixth order and by 2^4 at fourth, so a lower-order step fails here.
-    # With CD on it measures the phase quadrature alone, without CD the
-    # whole Magnus step
+    # With CD on it measures the phase route that runs (the quadrature of
+    # the phase integral alone), without CD the whole Magnus step
     p = proto.momenta()
     times = np.linspace(0.0, proto.t_f, 5)
     for cd in (True, False):
         pr = proto.with_cd(cd)
         y = [
-            np.array(integrator.fixed_steps(pr.grid, p, times, [1.0], [0.0], n))
+            np.array(
+                integrator.fixed_steps(pr.grid, p, times, [1.0], [0.0], n, phase=cd)
+            )
             for n in (2, 4, 8)
         ]
         diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(y, y[1:])]

@@ -129,8 +129,9 @@ def transitionless_roundoff(u, v, omega, g):
     coefficients (omega, g): the bound for a CD run from the instantaneous
     vacuum.
 
-    With CD on, the integrator's state in the adiabatic frame is (u', 0)
-    exactly (every step propagator is diagonal), so the recorded
+    With CD on, the integrator's state in the adiabatic frame is
+    (e^(i Phi) u'_0, 0) exactly (the phase route carries v' = e^(-i Phi) v'_0,
+    and v'_0 = 0 from the vacuum), so with u' = e^(i Phi) u'_0 the recorded
     (u, v) = (c u', -s u') and n_qp = |c_o v + s_o u|^2 with
     (c_o, s_o) = (cosh, sinh) of the Bogoliubov angle cancels to rounding.
     Each of the two terms reaches it through about 14 roundings of at most
@@ -172,10 +173,10 @@ def integrate_protocol(
 ):
     """(u, v, IntegrationReport) of every pair in `momenta` (rows) on the
     record grid `times` (columns), all started from the map `initial`, in
-    one integrate_modes call.  `records` is protocol.grid(momenta, times)
-    when the caller has it already: the integrator then reads the
-    adiabatic frame at the records from it instead of evaluating it
-    again."""
+    one integrate_modes call, on its phase route with CD on.  `records` is
+    protocol.grid(momenta, times) when the caller has it already: the
+    integrator then reads the adiabatic frame at the records from it
+    instead of evaluating it again."""
     grid = protocol.grid
     if records is not None:
 
@@ -184,7 +185,8 @@ def integrate_protocol(
 
     start = np.ones(len(momenta), dtype=complex)
     return integrate_modes(
-        grid, momenta, times, initial.u * start, initial.v * start, rtol, atol
+        grid, momenta, times, initial.u * start, initial.v * start, rtol, atol,
+        phase=protocol.cd_enabled,
     )
 
 

@@ -1,4 +1,5 @@
-"""Sixth-order Magnus integration of the pair equations of every mode at once.
+"""Sixth-order Magnus integration of the pair equations of every mode at
+once, and with CD on, where it reduces to a phase, the phase route.
 
 Each (p, -p) pair evolves its annihilator coefficients by
 
@@ -72,6 +73,23 @@ that memory does not grow with the run: the prefix products of each block
 are formed by doubling (Hillis & Steele, CACM 29, 1170 (1986)) and applied
 to the state carried in from the block before.
 
+Phase route (`integrate_modes` and `fixed_steps` with `phase=True`, taken
+for every CD-on run): with chi = chi_cd the generator's r = chi_cd - chi
+is 0 at every node, so a1, a2 and a3 have only an a component, every
+commutator of them vanishes, and Omega = (a, 0, 0) with
+
+    a = h A'2 + (10/3) h (A'3 - 2 A'2 + A'1)/12 = h (5 eps1 + 8 eps2 + 5 eps3)/18,
+
+the three-node Gauss-Legendre quadrature of the integral of epsilon over
+the step.  exp(Omega) = diag(e^(i a), e^(-i a)), so the Magnus steps only
+add phases: the frame state at t is (e^(i Phi) u'_0, e^(-i Phi) v'_0), with
+Phi the sum of the a of the steps before t, from any initial state.
+`_propagate_phase` forms that sum directly, on the same steps and blocks,
+maps it back to the lab as `_propagate` does, and never forms `_omega`,
+`_cosh_sinhc` or `_scan`.  Its step is one quadrature panel; the ladder,
+the error test, MAX_STEPS and the step count below are the same for both
+routes, and their (u, v) agree to rounding.
+
 Error control, per mode, on the lab (u, v): the modes are independent, so
 each takes its own number of substeps N per record interval, on the ladder
 of levels N = 1/2, 1, 2, 4, ...  With an even number of record intervals
@@ -100,10 +118,12 @@ import numpy as np
 
 from .errors import ContractError, IntegrationError
 
-# Name of the method in run manifests.
-NAME = "magnus6"
-# Most Magnus steps per mode in one pass before giving up; bounds the time a
-# run that cannot meet its tolerance takes to fail.
+# Names of the two routes in run manifests: Magnus steps, or the phase
+# integral alone where the frame generator is diagonal (CD on).
+MAGNUS, PHASE = "magnus6", "phase6"
+# Most steps (Magnus steps or phase quadrature panels) per mode in one pass
+# before giving up; bounds the time a run that cannot meet its tolerance
+# takes to fail.
 MAX_STEPS = 1 << 18
 # The generator is evaluated on blocks of at most this many (mode, step)
 # points, so memory does not grow with the length of the run.
@@ -121,13 +141,16 @@ _NON_FINITE = "non-finite pair coefficients (omega, g, chi, chi_cd)"
 class IntegrationReport:
     """Deterministic facts of one integration."""
 
-    substeps: int  # largest Magnus steps per record interval a mode kept, >= 1
-    steps: int  # Magnus steps over all modes and passes, N = 1/2 included
+    method: str  # the route that ran, MAGNUS or PHASE
+    substeps: int  # largest steps per record interval a mode kept, >= 1
+    # steps (Magnus steps, or the phase route's quadrature panels) over all
+    # modes and passes, N = 1/2 included
+    steps: int
     error_estimate: float  # largest Richardson estimate a mode was accepted with
     max_invariant_defect: float  # max ||u|^2 - |v|^2 - 1| over records, modes
 
 
-def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
+def integrate_modes(grid, momenta, times, u0, v0, rtol, atol, phase=False):
     """(u, v, report): (u, v) of every mode (rows) on the record grid
     `times` (columns), and the IntegrationReport.
 
@@ -137,7 +160,10 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
     is applied) are arrays of shape (len(p), len(t)), with |g| < omega, such
     as `DriveProtocol.grid`; it is called once on the record grid, for the
     adiabatic frame, and with the momenta of the modes in each pass.  `u0`,
-    `v0` are the initial coefficients, one per mode.  A mode whose (u, v)
+    `v0` are the initial coefficients, one per mode.  `phase` takes the
+    phase route, exact only where chi is chi_cd (CD on): each pass then sums
+    the phase integral of epsilon (`_propagate_phase`) instead of taking
+    Magnus steps (`_propagate`), on the same ladder.  A mode whose (u, v)
     turns non-finite in a pass (a step too long for the Magnus series
     overflows) has not converged and is refined further.  Raises
     IntegrationError at once on non-finite coefficients or |g| > omega
@@ -155,20 +181,21 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
     out = np.empty(y0.shape + times.shape, dtype=complex)
     buffer = np.empty(out.size, dtype=complex)
     frame = _frame(grid, momenta, times)
+    propagate = _propagate_phase if phase else _propagate
     # levels are kept as exponents k of N = 2^k steps per record interval.
     # The first pass takes one step per `stride` record intervals and
     # reaches the `records` it is compared at: N = 1/2 and the even records
     # on an even interval count, else N = 1 and every record
     stride = 2 - intervals % 2
     records = slice(None, None, stride)
-    _propagate(grid, momenta, times[records], frame[:, records], y0, 1, out[..., records])
+    propagate(grid, momenta, times[records], frame[:, records], y0, 1, out[..., records])
     k, steps = 1 - stride, len(momenta) * (intervals // stride)
     active = np.arange(len(momenta))
     substeps, worst = 1, 0.0
     while len(active):
         k += 1
         fine = buffer[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
-        _propagate(grid, momenta[active], times, frame[..., active], y0[:, active], 1 << k, fine)
+        propagate(grid, momenta[active], times, frame[..., active], y0[:, active], 1 << k, fine)
         steps += len(active) * intervals << k
         old, new = out[:, active, records], fine[..., records]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -189,22 +216,24 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol):
             )
     u, v = out
     defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
-    return u, v, IntegrationReport(substeps, steps, worst, float(defect))
+    method = PHASE if phase else MAGNUS
+    return u, v, IntegrationReport(method, substeps, steps, worst, float(defect))
 
 
-def fixed_steps(grid, momenta, times, u0, v0, substeps):
-    """(u, v) on the record grid `times` after `substeps` Magnus steps per
-    record interval, without error control: the method's raw convergence,
-    for order checks; entries are non-finite where a step overflows.
+def fixed_steps(grid, momenta, times, u0, v0, substeps, phase=False):
+    """(u, v) on the record grid `times` after `substeps` steps per record
+    interval, without error control: the method's raw convergence, for
+    order checks; entries are non-finite where a step overflows.
     `substeps` is any integer >= 1.  The other arguments, the `grid(p, t)`
-    callback included, are as for integrate_modes."""
+    callback and the route `phase` included, are as for integrate_modes."""
     if not isinstance(substeps, numbers.Integral) or substeps < 1:
         raise ContractError(f"substeps must be an integer >= 1, got {substeps!r}")
     y0 = np.array([u0, v0], dtype=complex)
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
     out = np.empty(y0.shape + times.shape, dtype=complex)
-    _propagate(grid, momenta, times, _frame(grid, momenta, times), y0, substeps, out)
+    propagate = _propagate_phase if phase else _propagate
+    propagate(grid, momenta, times, _frame(grid, momenta, times), y0, substeps, out)
     return out[0], out[1]
 
 
@@ -231,50 +260,95 @@ def _propagate(grid, momenta, times, frame, y0, substeps, out):
     adiabatic frame `frame` (`_frame` on the same modes and records): y0 is
     mapped into it, and every record back to the lab.
 
-    Step j of the pass starts at times[i] + (j - i N) h_i, with N =
-    `substeps`, i = j // N and h_i = (times[i + 1] - times[i]) / N.  Each
-    pass of the loop takes the next block of steps, the largest power of two
-    with block * n_modes <= BLOCK_POINTS, forms their prefix products
-    (`_scan`), applies them to the state carried in, and writes every record
-    that ends inside the block (record k ends with step k N - 1).  A step
-    too long for the Magnus series may overflow: (u, v) then turns
-    non-finite, without a warning."""
-    n_modes = y0.shape[1]
-    # a power of two, so that at the ladder's N (powers of two) a block holds
-    # whole intervals or a whole part of one, and the doubling multiplies the
-    # steps of each interval as a balanced tree
-    block = 1 << max(0, (BLOCK_POINTS // n_modes).bit_length() - 1)
-    widths = np.diff(times) / substeps
-    n_steps = substeps * len(widths)
+    Each block of steps (`_blocks`) has its prefix products formed by
+    `_scan`, applied to the state carried in, and every record that ends
+    inside the block written.  A step too long for the Magnus series may
+    overflow: (u, v) then turns non-finite, without a warning."""
     c, s = frame
     u, v = c[0] * y0[0] + s[0] * y0[1], s[0] * y0[0] + c[0] * y0[1]
     out[:, :, 0] = y0
-    for j0 in range(0, n_steps, block):
-        j1 = min(j0 + block, n_steps)
-        interval, offset = np.divmod(np.arange(j0, j1), substeps)
-        h = widths[interval]
-        steps = _steps(grid, momenta, times[interval] + offset * h, h)
+    for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
         # (step, mode) propagators from the start of the block
-        alpha, beta = _scan(*(x.T for x in steps))
+        alpha, beta = _scan(*(x.T for x in _steps(grid, momenta, starts, widths)))
         u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
-        ends = slice(substeps - 1 - j0 % substeps, None, substeps)
-        records = slice(j0 // substeps + 1, j1 // substeps + 1)
         # back to the lab: T^-1 = [[c, -s], [-s, c]]
         ue, ve, ce, se = u[ends], v[ends], c[records], s[records]
         out[0, :, records], out[1, :, records] = (ce * ue - se * ve).T, (ce * ve - se * ue).T
         u, v = u[-1], v[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _propagate_phase(grid, momenta, times, frame, y0, substeps, out):
+    """`_propagate` for a grid whose chi is chi_cd (CD on), where the frame
+    generator is (epsilon, 0, 0): the frame state at record k is
+    (e^(i Phi) u'_0, e^(-i Phi) v'_0) exactly, with Phi the phase integral
+    of epsilon from times[0].  Phi is summed over `substeps` three-node
+    Gauss-Legendre panels per record interval, the steps of `_blocks`."""
+    c, s = frame
+    u, v = c[0] * y0[0] + s[0] * y0[1], s[0] * y0[0] + c[0] * y0[1]
+    out[:, :, 0] = y0
+    phi = np.zeros(len(momenta))
+    for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
+        eps = _epsilon(grid, momenta, starts, widths)[0]
+        panels = widths * (5.0 * (eps[:, 0] + eps[:, 2]) + 8.0 * eps[:, 1]) / 18.0
+        # non-finite exactly where omega or g is at a node, or |g| > omega
+        if not np.all(np.isfinite(panels)):
+            raise IntegrationError(_NON_FINITE)
+        # the sum runs on from the block before as one sequence, so the
+        # blocking does not change a bit of it
+        panels[:, 0] += phi
+        running = np.cumsum(panels, axis=1)
+        rotation = np.exp(1j * running[:, ends].T)
+        ue, ve, ce, se = rotation * u, np.conj(rotation) * v, c[records], s[records]
+        out[0, :, records], out[1, :, records] = (ce * ue - se * ve).T, (ce * ve - se * ue).T
+        phi = running[:, -1]
+
+
+def _blocks(times, substeps, n_modes):
+    """The steps of a pass at `substeps` steps per record interval of
+    `times`, one block at a time: (starts, widths, ends, records) with the
+    start and width of each step of the block, the steps of the block that
+    end a record interval (`ends`) and those records (`records`).
+
+    The steps form one flat sequence: step j starts at
+    times[i] + (j - i N) h_i, with N = `substeps`, i = j // N and
+    h_i = (times[i + 1] - times[i]) / N, and record k ends with step
+    k N - 1.  A block is the largest power of two of steps with
+    block * n_modes <= BLOCK_POINTS, so that memory does not grow with the
+    run, and so that at the ladder's N (powers of two) a block holds whole
+    intervals or a whole part of one, and `_scan`'s doubling multiplies the
+    steps of each interval as a balanced tree."""
+    block = 1 << max(0, (BLOCK_POINTS // n_modes).bit_length() - 1)
+    widths = np.diff(times) / substeps
+    n_steps = substeps * len(widths)
+    for j0 in range(0, n_steps, block):
+        j1 = min(j0 + block, n_steps)
+        interval, offset = np.divmod(np.arange(j0, j1), substeps)
+        h = widths[interval]
+        ends = slice(substeps - 1 - j0 % substeps, None, substeps)
+        records = slice(j0 // substeps + 1, j1 // substeps + 1)
+        yield times[interval] + offset * h, h, ends, records
+
+
+def _epsilon(grid, momenta, starts, widths):
+    """(epsilon, coefficients) at the three Gauss-Legendre nodes of the
+    steps starting at `starts` with widths `widths` (1-D, one entry per
+    step): epsilon = sqrt(omega^2 - g^2) of shape (n_modes, 3, n_steps),
+    and the `grid` result on the nodes, node first, so that each node's
+    values are one contiguous block."""
+    nodes = starts + widths * _NODES[:, None]
+    c = grid(momenta, nodes.ravel())
+    eps = np.sqrt(c.omega * c.omega - c.g * c.g).reshape((-1,) + nodes.shape)
+    return eps, c
+
+
 def _steps(grid, momenta, starts, widths):
     """Single-step propagators of shape (n_modes, n_steps) for the steps
     starting at `starts` with widths `widths` (1-D, one entry per step), in
     the adiabatic frame."""
-    # node first, so that each node's values are one contiguous block
-    nodes = starts + widths * _NODES[:, None]
-    c = grid(momenta, nodes.ravel())
+    eps, c = _epsilon(grid, momenta, starts, widths)
     # generator 3-vectors (epsilon, chi_cd - chi, 0) at each node
-    eps = np.sqrt(c.omega * c.omega - c.g * c.g).reshape((-1,) + nodes.shape)
-    r = np.subtract(c.chi_cd, c.chi).reshape((-1,) + nodes.shape)
+    r = np.subtract(c.chi_cd, c.chi).reshape(eps.shape)
     a, br, bi = _omega(widths, eps.swapaxes(0, 1), r.swapaxes(0, 1))
     z = br * br + bi * bi - a * a
     # non-finite exactly where a coefficient of the step is, or |g| > omega

@@ -219,7 +219,7 @@ def test_simulate_byte_stable(tmp_path):
     facts = dict(
         line.split(" = ", 1) for line in manifest.splitlines() if line.startswith("integrator")
     )
-    assert facts["integrator"] == "magnus6"
+    assert facts["integrator"] == "phase6"
     # CD on: each pair's generator is diagonal in its adiabatic frame, so
     # both modes pass at one substep, after the pass at 1/2: 2 modes x 40
     # record intervals x 3/2
@@ -227,6 +227,52 @@ def test_simulate_byte_stable(tmp_path):
     assert int(facts["integrator.steps"]) == 2 * 40 * 3 // 2
     assert 0 <= float(facts["integrator.error_estimate"]) <= 1e-10
     assert 0 <= float(facts["integrator.max_invariant_defect"]) <= 1e-12
+
+
+def test_cd_runs_take_the_phase_route(tmp_path, monkeypatch):
+    # with CD on the frame generator is diagonal, so simulate and sweep sum
+    # the phase integral and never form a Magnus step; without CD they do
+    calls = {}
+    for name in ("_omega", "_scan", "_cosh_sinhc"):
+        real = getattr(integrator, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(integrator, name, spy)
+    out = tmp_path / "out"
+    sweep = write_config(tmp_path, GOOD_CONFIG + "tf_list = 4.0,8.0\n", name="s.cfg")
+    assert main(["sweep", "--config", sweep, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    assert calls == {}
+    assert "integrator = phase6\n" in (out / "manifest.txt").read_text()
+    bare = write_config(tmp_path, GOOD_CONFIG.replace("cd = on", "cd = off"), "b.cfg")
+    assert main(["simulate", "--config", bare, "--out", str(out)]) == 0
+    assert sorted(calls) == ["_cosh_sinhc", "_omega", "_scan"]
+    assert "integrator = magnus6\n" in (out / "manifest.txt").read_text()
+
+
+def test_stability_reports_where_the_margin_is_least(tmp_path, capsys):
+    # the gate's report names the (p, t) of its least margin, in the
+    # stability printout and in the manifest, after the margin
+    cfg = write_config(tmp_path)
+    report = cli.stability_margin(parse_config(Path(cfg).read_text()).protocol())
+    assert main(["stability", "--config", cfg]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:3] == [
+        f"margin = {report.margin:.6g}",
+        f"argmin_p = {report.argmin_p:.6g}",
+        f"argmin_t = {report.argmin_t:.6g}",
+    ]
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    at = lines.index(f"stability.margin = {cli._fmt(report.margin)}")
+    assert lines[at + 1 : at + 3] == [
+        f"stability.argmin_p = {cli._fmt(report.argmin_p)}",
+        f"stability.argmin_t = {cli._fmt(report.argmin_t)}",
+    ]
 
 
 def test_csv_writer_matches_savetxt(tmp_path):

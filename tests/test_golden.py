@@ -3,11 +3,16 @@ tests/data/golden/<case>/: a contact poly5 ramp and a Lorentzian ramp with
 CD on, and a custom_table linear ramp with CD off, 4 modes x 21 records
 each.  The golden files were last written after the change to integrating
 each pair in its adiabatic frame, once every mode's (u, v) of the three
-runs passed test_golden_runs_match_dop853; only the table_linear_bare
-manifest's integrator.steps line was rewritten since, when the step
-doubling lost its level skip (its CSVs stayed byte-identical).  A run
-must give the same headers, row order and manifest keys, and every number
-to within roundoff."""
+runs passed test_golden_runs_match_dop853.  Only manifests were rewritten
+since: the table_linear_bare integrator.steps line, when the step doubling
+lost its level skip; then, after test_golden_runs_match_dop853 passed on
+the phase route that CD runs take, all three manifests, which gained the
+stability.argmin_p and stability.argmin_t lines, and in the two CD cases
+the integrator line (magnus6 to phase6) and the error_estimate and
+max_invariant_defect lines, which moved at rounding.  The CSVs of the CD
+cases were kept: the phase route matches them within REL_TOL.  A run must
+give the same headers, row order and manifest keys, and every number to
+within roundoff."""
 
 import io
 from pathlib import Path

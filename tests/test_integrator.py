@@ -4,7 +4,9 @@ the order of the step, the symplectic invariant, all-modes versus per-mode
 runs, error handling, and the coefficient grid it reads, checked against
 finite differences for every coupling family and schedule."""
 
+import cmath
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from tllcd import dynamics, integrator
+from tllcd import dynamics, integrator, su11
 from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import ContractError, IntegrationError
 from tllcd.model import CouplingFamily, CouplingSpec
@@ -55,8 +57,9 @@ def make_protocol(family="contact", schedule="poly5", cd=True, n_modes=3):
     )
 
 
-def dop853(proto, p, times, rtol=1e-12):
-    """Reference (u, v) of one pair from (1, 0), DOP853 at `rtol`."""
+def dop853(proto, p, times, rtol=1e-12, y0=(1.0, 0.0)):
+    """Reference (u, v) of one pair from y0 = (u, v) at t = 0 (the vacuum
+    by default), DOP853 at `rtol`."""
 
     def rhs(t, y):
         c = proto.pair_generator(p, t)
@@ -66,8 +69,9 @@ def dop853(proto, p, times, rtol=1e-12):
         dv = -1j * c.omega * v + (1j * c.g - c.chi) * u
         return [du.real, du.imag, dv.real, dv.imag]
 
+    u0, v0 = map(complex, y0)
     sol = solve_ivp(
-        rhs, (0.0, times[-1]), [1.0, 0.0, 0.0, 0.0], method="DOP853",
+        rhs, (0.0, times[-1]), [u0.real, u0.imag, v0.real, v0.imag], method="DOP853",
         t_eval=times, rtol=rtol, atol=1e-14,
     )
     assert sol.success
@@ -151,6 +155,49 @@ def test_cd_runs_are_transitionless_to_roundoff(family, schedule):
     assert np.max(bound) < 1e-31
     assert result.integration.substeps == 1
     assert result.integration.steps == 3 * 8 * 20 // 2
+
+
+@pytest.mark.parametrize("family,schedule", CASES)
+def test_phase_route_is_the_magnus_step_at_zero_mixing(family, schedule):
+    # with CD on the frame generator is (epsilon, 0, 0): each Magnus step is
+    # a rotation by the three-node Gauss-Legendre quadrature of the phase
+    # integral, which the phase route sums, at any number of steps
+    proto = make_protocol(family, schedule, n_modes=4)
+    p, ones = proto.momenta(), np.ones(proto.n_modes)
+    times = np.linspace(0.0, proto.t_f, 6)
+    for substeps in (1, 3, 8):
+        args = (proto.grid, p, times, ones, 0 * ones, substeps)
+        for got, want in zip(integrator.fixed_steps(*args, phase=True),
+                             integrator.fixed_steps(*args)):
+            assert np.max(np.abs(got - want)) < 1e-13
+
+
+# the couplings at t = 0 are non-zero for contact and Lorentzian ramps, so
+# the frame maps y0 with s != 0; a custom_table profile is ramped from zero
+STARTS = {
+    "contact": replace(COUPLINGS["contact"], g2_start=0.5, g4_start=0.25),
+    "lorentzian": replace(COUPLINGS["lorentzian"], g2_start=0.5, g4_start=0.5),
+    "custom_table": COUPLINGS["custom_table"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(STARTS))
+def test_interacting_starts_match_dop853(family):
+    # CD on from a squeezed, rotated initial map: the phase route keeps
+    # (u', v') = (e^(i Phi) u'_0, e^(-i Phi) v'_0), so both frame components
+    # of y0, and its map into the frame, are on trial
+    proto = replace(make_protocol(family, n_modes=3), coupling=STARTS[family])
+    r = 0.4
+    initial = su11.BogoliubovMap(
+        math.cosh(r) * cmath.exp(0.3j), math.sinh(r) * cmath.exp(-1.2j)
+    )
+    for p in proto.momenta():
+        traj = dynamics.evolve_pair(p, proto, record_points=11, initial=initial)
+        # the stored (u, v) are phase-stripped; annihilator_phase restores them
+        rotation = np.exp(1j * traj.annihilator_phase[0])
+        u_ref, v_ref = dop853(proto, p, traj.times, y0=(initial.u, initial.v))
+        assert np.max(np.abs(traj.u[0] * rotation - u_ref)) < 1e-8
+        assert np.max(np.abs(traj.v[0] * rotation - v_ref)) < 1e-8
 
 
 def test_fine_cd_off_records_pass_at_the_floor():
@@ -326,12 +373,16 @@ def test_steps_count_every_pass_of_every_mode(cd):
 
 def ladder(proto, p, times, rtol, atol):
     """(levels, (u, v), estimate) of one mode from (1, 0) by the rule of
-    integrate_modes, spelled out on fixed_steps: the levels (Magnus steps
-    per record interval) it runs, the (u, v) it keeps and the estimate it
-    is accepted with."""
+    integrate_modes, spelled out on fixed_steps of the route the protocol
+    takes (the phase route with CD on): the levels (steps per record
+    interval) it runs, the (u, v) it keeps and the estimate it is accepted
+    with."""
 
     def run(t, n):
-        return np.array(integrator.fixed_steps(proto.grid, [p], t, [1.0], [0.0], n))[:, 0]
+        y = integrator.fixed_steps(
+            proto.grid, [p], t, [1.0], [0.0], n, phase=proto.cd_enabled
+        )
+        return np.array(y)[:, 0]
 
     if (len(times) - 1) % 2:
         levels, prev, y, records = [1, 2], run(times, 1), run(times, 2), slice(None)
@@ -351,8 +402,9 @@ def ladder(proto, p, times, rtol, atol):
 @pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
 def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
     # an even interval count starts at N = 1/2, an odd one at N = 1, and
-    # each pass doubles N; with CD every mode passes at its second level,
-    # without CD the modes climb to different levels
+    # each pass doubles N; with CD every mode passes at its second level of
+    # the phase route, without CD the modes climb to different levels of
+    # Magnus steps
     proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
     times = np.linspace(0.0, proto.t_f, points)
     modes = proto.momenta()[::3]
@@ -365,13 +417,14 @@ def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
             assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
         assert max(levels[-1] for levels, _, _ in want) >= 8
     levels_run = []
-    propagate = integrator._propagate
+    route = "_propagate_phase" if cd else "_propagate"
+    propagate = getattr(integrator, route)
 
     def spy(grid, momenta, t, frame, y0, substeps, out):
         levels_run.append(substeps * (len(t) - 1) / (len(times) - 1))
         return propagate(grid, momenta, t, frame, y0, substeps, out)
 
-    monkeypatch.setattr(integrator, "_propagate", spy)
+    monkeypatch.setattr(integrator, route, spy)
     for p, (levels, y, estimate) in zip(modes, want):
         levels_run.clear()
         u, v, report = dynamics.integrate_protocol(proto, [p], times, 1e-10, 1e-12)
@@ -409,6 +462,22 @@ def test_blocking_does_not_change_the_result(monkeypatch):
             assert np.max(np.abs(got - want)) < 1e-13
 
 
+def test_phase_route_blocking_is_exact(monkeypatch):
+    # the phase sum runs on from block to block as one sequence, so blocks
+    # of 2, 8 and 128 steps at N = 24 (most ending inside a record interval,
+    # some holding no record) give the same bits as one block
+    proto = make_protocol(n_modes=5)
+    p, ones = proto.momenta(), np.ones(proto.n_modes)
+    times = np.linspace(0.0, proto.t_f, 7)
+    args = (proto.grid, p, times, ones, 0 * ones, 24)
+    whole = integrator.fixed_steps(*args, phase=True)
+    for block in (2, 8, 128):
+        monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
+        split = integrator.fixed_steps(*args, phase=True)
+        for got, want in zip(split, whole):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("length", [1, 5, 8])
 def test_scan_matches_sequential_products(length):
     # random SU(1,1) elements: alpha = cosh(r) e^(i phi), beta = sinh(r) e^(i theta)
@@ -431,6 +500,17 @@ def test_raises_at_step_cap(monkeypatch):
     times = np.linspace(0.0, proto.t_f, 3)
     with pytest.raises(IntegrationError, match="not converged at 4 substeps"):
         dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-14, 1e-16)
+
+
+def test_phase_route_raises_at_step_cap(monkeypatch):
+    # a CD run held to a tolerance below rounding: the phase route fails its
+    # test at N = 1/2 and 1 like the Magnus route, and stops at the cap
+    monkeypatch.setattr(integrator, "MAX_STEPS", 1)
+    proto = make_protocol()
+    times = np.linspace(0.0, proto.t_f, 21)
+    message = "magnus step doubling not converged at 1 substeps per record interval$"
+    with pytest.raises(IntegrationError, match=message):
+        dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-16, 1e-30)
 
 
 def coarse_grid_protocol():
@@ -520,6 +600,29 @@ def test_raises_on_one_non_finite_coefficient(which, bad):
             grid, [1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12
         )
     assert len(calls) == (1 if which < 2 else 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", range(2))
+def test_phase_route_raises_on_one_non_finite_node(which, bad):
+    # omega or g non-finite at one node of the first pass only (the middle
+    # node of its one step), not on the record grid: the phase route reads
+    # no chi, and raises at once on the second grid call, not after refining
+    calls = []
+
+    def grid(p, t):
+        calls.append(len(t))
+        coefficients = stub_coefficients(p, t, [0.5, 0.3, 0.1, 0.1])
+        if len(calls) > 1:
+            getattr(coefficients, STUB_FIELDS[which])[:, len(t) // 2] = bad
+        return coefficients
+
+    with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
+        integrator.integrate_modes(
+            grid, [1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12,
+            phase=True,
+        )
+    assert calls == [3, 3]
 
 
 @pytest.mark.parametrize("z", [-30.0, -0.5, -1e-2, -1e-5, 0.0, 1e-6, 1e-2, 0.7, 12.0])
