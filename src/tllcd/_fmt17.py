@@ -22,13 +22,14 @@ of ten; it is corrected once where yh + yl leaves [1e16 - 0.04,
 1e16 gives 10^16 at X, as 10 y rounds to 10^17 at X - 1 and carries; a y
 just above 1e17 carries to 10^16 at X + 1, as y / 10 rounds to 10^16.  So
 x = 1e20, whose exact y is 1e16 while the computed one may fall on either
-side, is decided, and so is every exact power of ten.
+side, is decided, and so is every exact power of ten.  +-0 takes X = 0 and
+y = 0, which no correction moves, and so D = 0: "0" and "-0".
 
 Python formats these values instead:
 
 - yl within 1e-9 of a half-integer (a rounding tie, or near one);
 - yh + yl still outside the window after the correction;
-- nan, +-inf and +-0;
+- nan and +-inf;
 - |x| outside [1e-280, 1e280), where the table ends.
 
 Layout.  A cell is four little-endian 64-bit words: the sign and the
@@ -98,8 +99,8 @@ def text(x) -> np.ndarray:
     value of the 1-D float64 array x."""
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        X = np.floor(np.log10(a))
+    with np.errstate(invalid="ignore"):
+        X = np.floor(np.log10(np.where(a == 0.0, 1.0, a)))
     decided = (X >= _X_MIN) & (X <= _X_MAX)
     # values left to Python go through the fast path as 1.0
     a[~decided] = 1.0
@@ -114,7 +115,7 @@ def text(x) -> np.ndarray:
         below, above = _outside(yh, yl)
         decided &= ~(below | above)
     decided &= np.abs(yl - np.floor(yl) - 0.5) >= _TIE
-    words = _layout(x < 0, X, yh, yl)
+    words = _layout(np.signbit(x), X, yh, yl)
     slow = np.flatnonzero(~decided)
     if len(slow):
         words[:, slow] = 0
@@ -124,8 +125,8 @@ def text(x) -> np.ndarray:
 
 def _outside(yh, yl):
     """Where yh + yl is below 1e16 - 0.04 and where above 1e17 + 0.4 (see
-    the module text)."""
-    below = (yh < 1e16) | ((yh == 1e16) & (yl < -0.04))
+    the module text); never at y = 0, which is +-0."""
+    below = ((yh < 1e16) & (yh > 0.0)) | ((yh == 1e16) & (yl < -0.04))
     above = (yh > 1e17) | ((yh == 1e17) & (yl > 0.4))
     return below, above
 

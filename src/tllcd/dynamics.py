@@ -19,7 +19,7 @@ from . import su11
 from .control import spectrum_with_cd
 from .errors import CDInstabilityError, ContractError, IntegrationError
 from .integrator import IntegrationReport, integrate_modes
-from .model import PairCoefficients, bogoliubov_angle, instantaneous_spectrum
+from .model import PairCoefficients, instantaneous_spectrum
 from .protocol import DriveProtocol, StabilityReport
 from .su11 import BogoliubovMap
 
@@ -45,8 +45,9 @@ class Trajectories:
     v: np.ndarray
     annihilator_phase: np.ndarray
     n_bare: np.ndarray
-    n_qp: np.ndarray
-    fidelity: np.ndarray  # overlap with the instantaneous ground state
+    # read in the adiabatic frame, from the integrator's frame state (u', v')
+    n_qp: np.ndarray  # |v'|^2
+    fidelity: np.ndarray  # min(1/|u'|, 1): overlap with the instantaneous ground state
     pair_energy: np.ndarray
     residual: np.ndarray  # pair_energy minus the instantaneous ground energy
     controlled_energy: np.ndarray  # energy under the controlled Hamiltonian
@@ -97,53 +98,29 @@ def controlled_pair_energy(state: BogoliubovMap, coeffs: PairCoefficients) -> fl
     )
 
 
-def observables(u, v, omega, g, chi) -> dict:
-    """Observables of the phase-stripped states (u, v) under the pair
-    coefficients (omega, g, chi), elementwise over arrays.
-
-    The array forms of the scalar references: n_bare of vacuum_observables,
-    n_qp of quasiparticle_frame, fidelity of state_overlap with the
-    instantaneous ground state, pair_energy and residual of pair_energy, and
-    controlled_energy of controlled_pair_energy.
+def observables(u, v, frame, omega, g, chi) -> dict:
+    """Observables of the phase-stripped states (u, v), whose adiabatic
+    frame state is frame = (u', v'), under the pair coefficients
+    (omega, g, chi), elementwise over arrays: the array forms of the scalar
+    references.  n_qp = |v'|^2 (quasiparticle_frame) and
+    fidelity = min(1/|u'|, 1) (state_overlap with the instantaneous ground
+    state) are read in the frame; n_bare (vacuum_observables), pair_energy,
+    residual and controlled_energy (controlled_pair_energy) from (u, v).
     """
+    u_frame, v_frame = frame
     n = np.abs(v) ** 2
     corr = -np.conj(u) * v
-    eta = bogoliubov_angle(omega, g)
-    c, s = np.cosh(eta), np.sinh(eta)
     energy = 2.0 * omega * (n + 0.5) - omega + 2.0 * g * corr.real
     return {
         "n_bare": n,
-        "n_qp": np.abs(c * v + s * np.conj(u)) ** 2,
-        "fidelity": np.minimum(np.abs(1.0 / (c * u + s * v)), 1.0),
+        "n_qp": np.abs(v_frame) ** 2,
+        "fidelity": np.minimum(1.0 / np.abs(u_frame), 1.0),
         "pair_energy": energy,
         "residual": energy - (instantaneous_spectrum(omega, g) - omega),
         "controlled_energy": 2.0 * omega * (n + 0.5)
         + 2.0 * g * corr.real
         + 2.0 * chi * corr.imag,
     }
-
-
-def transitionless_roundoff(u, v, omega, g):
-    """Largest n_qp that rounding alone leaves on a transitionless run,
-    elementwise over the phase-stripped states (u, v) and the pair
-    coefficients (omega, g): the bound for a CD run from the instantaneous
-    vacuum.
-
-    With CD on, the integrator's state in the adiabatic frame is
-    (e^(i Phi) u'_0, 0) exactly (the phase route carries v' = e^(-i Phi) v'_0,
-    and v'_0 = 0 from the vacuum), so with u' = e^(i Phi) u'_0 the recorded
-    (u, v) = (c u', -s u') and n_qp = |c_o v + s_o u|^2 with
-    (c_o, s_o) = (cosh, sinh) of the Bogoliubov angle cancels to rounding.
-    Each of the two terms reaches it through about 14 roundings of at most
-    the unit roundoff: the frame's c and s (7), the back-transform (1), the
-    phase strip (2), arctanh, cosh or sinh (3) and the product (1); the
-    frame's omega^2 - g^2 amplifies its share by
-    kappa = (omega^2 + g^2)/(omega^2 - g^2).  The bound allows 16 kappa of
-    them per term."""
-    eta = bogoliubov_angle(omega, g)
-    terms = np.abs(np.cosh(eta) * v) + np.abs(np.sinh(eta) * u)
-    kappa = (omega * omega + g * g) / (omega * omega - g * g)
-    return (16.0 * kappa * (np.finfo(float).eps / 2) * terms) ** 2
 
 
 def evolve_pair(
@@ -171,9 +148,11 @@ def evolve_pair(
 def integrate_protocol(
     protocol: DriveProtocol, momenta, times, rtol, atol, initial=su11.IDENTITY, records=None
 ):
-    """(u, v, IntegrationReport) of every pair in `momenta` (rows) on the
-    record grid `times` (columns), all started from the map `initial`, in
-    one integrate_modes call, on its phase route with CD on.  `records` is
+    """(u, v, IntegrationReport, frame) of every pair in `momenta` (rows) on
+    the record grid `times` (columns), all started from the map `initial`,
+    in one integrate_modes call, on its phase route with CD on; frame is
+    the state (u', v') in the adiabatic frame that (u, v) is mapped back
+    from, whose |v'|^2 is n_qp and 1/|u'| the fidelity.  `records` is
     protocol.grid(momenta, times) when the caller has it already: the
     integrator then reads the adiabatic frame at the records from it
     instead of evaluating it again."""
@@ -198,7 +177,7 @@ def _evolve(protocol, momenta, times, rtol, atol, initial, initial_occupation):
     # every mode at every record: raises before any integration where the
     # controlled spectrum turns imaginary between stability-grid points
     epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi) if protocol.cd_enabled else eps
-    u, v, report = integrate_protocol(protocol, momenta, times, rtol, atol, initial, c)
+    u, v, report, frame = integrate_protocol(protocol, momenta, times, rtol, atol, initial, c)
     try:
         su11.check_defect(report.max_invariant_defect)
     except ContractError as exc:  # the integrator's error, not the caller's
@@ -218,7 +197,7 @@ def _evolve(protocol, momenta, times, rtol, atol, initial, initial_occupation):
         chi=c.chi,
         sigma_integral=sigma_integral,
         phase=-eps[:, :1] * initial_occupation * sigma_integral,
-        **observables(u, v, c.omega, c.g, c.chi),
+        **observables(u, v, frame, c.omega, c.g, c.chi),
     )
     return traj, c, report
 

@@ -66,29 +66,30 @@ CD off negative where chi_cd^2 < epsilon^2 = v_s^2 p^2.  Either sign is
 integrated alike; the CD stability gate is `stability_margin` with
 `spectrum_with_cd`, before any integration.
 
-Propagation: the state at record k is the prefix product of the step
-propagators before it, applied to the initial state.  The steps of a pass
-form one flat sequence, N per record interval, taken one block at a time so
-that memory does not grow with the run: the prefix products of each block
-are formed by doubling (Hillis & Steele, CACM 29, 1170 (1986)) and applied
-to the state carried in from the block before.
+Propagation: one `_propagate` serves both routes and writes the frame
+state y' = (u', v') at each record, from y0 mapped into the frame once per
+call.  The steps of a pass form one flat sequence, N per record interval,
+taken one block at a time so that memory does not grow with the run: the
+propagators (alpha, beta) of a block's steps from its start (on the Magnus
+route prefix products by doubling; Hillis & Steele, CACM 29, 1170 (1986))
+are applied to the state carried in from the block before.  `_lab` maps y'
+back to the lab (u, v), for the error test and the result.
 
-Phase route (`integrate_modes` and `fixed_steps` with `phase=True`, taken
-for every CD-on run): with chi = chi_cd the generator's r = chi_cd - chi
-is 0 at every node, so a1, a2 and a3 have only an a component, every
-commutator of them vanishes, and Omega = (a, 0, 0) with
+Phase route (`phase=True`, taken for every CD-on run): with chi = chi_cd
+the generator's r = chi_cd - chi is 0 at every node, so a1, a2 and a3 have
+only an a component, every commutator of them vanishes, and
+Omega = (a, 0, 0) with
 
     a = h A'2 + (10/3) h (A'3 - 2 A'2 + A'1)/12 = h (5 eps1 + 8 eps2 + 5 eps3)/18,
 
 the three-node Gauss-Legendre quadrature of the integral of epsilon over
-the step.  exp(Omega) = diag(e^(i a), e^(-i a)), so the Magnus steps only
-add phases: the frame state at t is (e^(i Phi) u'_0, e^(-i Phi) v'_0), with
-Phi the sum of the a of the steps before t, from any initial state.
-`_propagate_phase` forms that sum directly, on the same steps and blocks,
-maps it back to the lab as `_propagate` does, and never forms `_omega`,
-`_cosh_sinhc` or `_scan`.  Its step is one quadrature panel; the ladder,
-the error test, MAX_STEPS and the step count below are the same for both
-routes, and their (u, v) agree to rounding.
+the step.  exp(Omega) = diag(e^(i a), e^(-i a)): a block's propagators are
+(e^(i phi), 0), phi the running sum of the panels a from the block start,
+and the frame state is (e^(i Phi) u'_0, e^(-i Phi) v'_0), so v' stays
+exactly 0 from the instantaneous vacuum.  The route forms no `_omega`,
+`_cosh_sinhc` or `_scan`; a step is one panel, and all else is shared with
+the Magnus route.  Summing each block from 0 and carrying the phasor keeps
+the rounding of Phi near one unit roundoff per block, not eps Phi.
 
 Error control, per mode, on the lab (u, v): the modes are independent, so
 each takes its own number of substeps N per record interval, on the ladder
@@ -151,8 +152,9 @@ class IntegrationReport:
 
 
 def integrate_modes(grid, momenta, times, u0, v0, rtol, atol, phase=False):
-    """(u, v, report): (u, v) of every mode (rows) on the record grid
-    `times` (columns), and the IntegrationReport.
+    """(u, v, report, frame): (u, v) of every mode (rows) on the record grid
+    `times` (columns), the IntegrationReport, and frame = (u', v'), the
+    adiabatic frame state (u, v) is mapped back from, (2, modes, records).
 
     `grid(p, t)` maps momenta p and a 1-D array of times t to an object
     whose `omega`, `g`, `chi` (the CD amplitude applied) and `chi_cd`
@@ -160,64 +162,67 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol, phase=False):
     is applied) are arrays of shape (len(p), len(t)), with |g| < omega, such
     as `DriveProtocol.grid`; it is called once on the record grid, for the
     adiabatic frame, and with the momenta of the modes in each pass.  `u0`,
-    `v0` are the initial coefficients, one per mode.  `phase` takes the
-    phase route, exact only where chi is chi_cd (CD on): each pass then sums
-    the phase integral of epsilon (`_propagate_phase`) instead of taking
-    Magnus steps (`_propagate`), on the same ladder.  A mode whose (u, v)
-    turns non-finite in a pass (a step too long for the Magnus series
-    overflows) has not converged and is refined further.  Raises
-    IntegrationError at once on non-finite coefficients or |g| > omega
-    (the pair has no adiabatic frame), or when a mode that failed its test
-    cannot double N without passing MAX_STEPS steps in one pass.
+    `v0` are the initial coefficients, one per mode, mapped into the frame
+    once.  `phase` takes the phase route, exact only where chi is chi_cd
+    (CD on): each pass then sums the phase integral of epsilon instead of
+    taking Magnus steps, on the same ladder.  A mode whose (u, v) turns
+    non-finite in a pass (a step too long for the Magnus series overflows)
+    has not converged and is refined further.  Raises IntegrationError at
+    once on non-finite coefficients or |g| > omega (the pair has no
+    adiabatic frame), or when a mode that failed its test cannot double N
+    without passing MAX_STEPS steps in one pass.
     """
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
-    y0 = np.array([u0, v0], dtype=complex)
     intervals = len(times) - 1
-    # out holds the latest pass of every mode, (u, v) x modes x records;
-    # each pass over the modes still failing fills the front of `buffer`.
-    # Both are allocated before any temporary so that freed temporaries do
-    # not stay pinned under them
-    out = np.empty(y0.shape + times.shape, dtype=complex)
+    # out holds the frame state of the latest pass of every mode and lab its
+    # (u, v), each (u, v) x modes x records; each pass over the modes still
+    # failing fills the front of `buffer`, first with its frame state, then
+    # with its (u, v).  All three are allocated before any temporary so that
+    # freed temporaries do not stay pinned under them
+    out = np.empty((2, len(momenta), len(times)), dtype=complex)
+    lab = np.empty_like(out)
     buffer = np.empty(out.size, dtype=complex)
-    frame = _frame(grid, momenta, times)
-    propagate = _propagate_phase if phase else _propagate
+    frame, y0 = _start(grid, momenta, times, u0, v0)
     # levels are kept as exponents k of N = 2^k steps per record interval.
     # The first pass takes one step per `stride` record intervals and
     # reaches the `records` it is compared at: N = 1/2 and the even records
     # on an even interval count, else N = 1 and every record
     stride = 2 - intervals % 2
     records = slice(None, None, stride)
-    propagate(grid, momenta, times[records], frame[:, records], y0, 1, out[..., records])
+    _propagate(grid, momenta, times[records], y0, 1, out[..., records], phase)
+    _lab(frame[..., records], out[..., records], lab[..., records])
     k, steps = 1 - stride, len(momenta) * (intervals // stride)
     active = np.arange(len(momenta))
     substeps, worst = 1, 0.0
     while len(active):
         k += 1
         fine = buffer[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
-        propagate(grid, momenta[active], times, frame[..., active], y0[:, active], 1 << k, fine)
+        _propagate(grid, momenta[active], times, y0[:, active], 1 << k, fine, phase)
+        out[:, active] = fine
+        _lab(frame[:, active], fine, fine)
         steps += len(active) * intervals << k
-        old, new = out[:, active, records], fine[..., records]
+        old, new = lab[:, active, records], fine[..., records]
         with np.errstate(over="ignore", invalid="ignore"):
             err = np.abs(np.subtract(old, new, out=old)) / 63.0
             tol = atol + rtol * np.abs(new)
         passed = np.all(err <= tol, axis=(0, 2))
         passed &= np.all(np.isfinite(fine), axis=(0, 2))
-        out[:, active] = fine
+        lab[:, active] = fine
         if np.any(passed):
             substeps = 1 << k
             worst = max(worst, float(np.max(err[:, passed])))
         active, records = active[~passed], slice(None)
         if len(active) and (2 << k) * intervals > MAX_STEPS:
-            finite = np.all(np.isfinite(out[:, active]))
+            finite = np.all(np.isfinite(lab[:, active]))
             raise IntegrationError(
                 f"magnus step doubling not converged at {1 << k} substeps "
                 "per record interval" + ("" if finite else ": (u, v) non-finite")
             )
-    u, v = out
+    u, v = lab
     defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
     method = PHASE if phase else MAGNUS
-    return u, v, IntegrationReport(method, substeps, steps, worst, float(defect))
+    return u, v, IntegrationReport(method, substeps, steps, worst, float(defect)), out
 
 
 def fixed_steps(grid, momenta, times, u0, v0, substeps, phase=False):
@@ -228,80 +233,66 @@ def fixed_steps(grid, momenta, times, u0, v0, substeps, phase=False):
     callback and the route `phase` included, are as for integrate_modes."""
     if not isinstance(substeps, numbers.Integral) or substeps < 1:
         raise ContractError(f"substeps must be an integer >= 1, got {substeps!r}")
-    y0 = np.array([u0, v0], dtype=complex)
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
-    out = np.empty(y0.shape + times.shape, dtype=complex)
-    propagate = _propagate_phase if phase else _propagate
-    propagate(grid, momenta, times, _frame(grid, momenta, times), y0, substeps, out)
+    out = np.empty((2, len(momenta), len(times)), dtype=complex)
+    frame, y0 = _start(grid, momenta, times, u0, v0)
+    _propagate(grid, momenta, times, y0, substeps, out, phase)
+    _lab(frame, out, out)
     return out[0], out[1]
 
 
-def _frame(grid, momenta, times):
-    """(c, s) = (cosh eta, sinh eta) at every record (rows) of every mode
-    (columns), stacked on a first axis: the adiabatic frame y' = T y,
-    T = [[c, s], [s, c]], from cosh 2eta = omega/epsilon and
-    sinh 2eta = -g/epsilon."""
+def _start(grid, momenta, times, u0, v0):
+    """(frame, y0'): the adiabatic frame (c, s) = (cosh eta, sinh eta) of
+    every mode (rows) at every record (columns), stacked on a first axis,
+    from cosh 2eta = omega/epsilon and sinh 2eta = -g/epsilon; and the
+    initial state (u0, v0) mapped into it, y0' = T y0 with
+    T = [[c, s], [s, c]] at times[0]."""
     coefficients = grid(momenta, times)
     omega, g = coefficients.omega, coefficients.g
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         eps = np.sqrt(omega * omega - g * g)
         c = np.sqrt(0.5 + 0.5 * omega / eps)
-        frame = np.array([c.T, (-g / (2.0 * eps * c)).T])
+        frame = np.array([c, -g / (2.0 * eps * c)])
     if not np.all(np.isfinite(frame)):
         raise IntegrationError(_NON_FINITE)
-    return frame
+    (c, s), (u, v) = frame[..., 0], np.array([u0, v0], dtype=complex)
+    return frame, np.array([c * u + s * v, s * u + c * v])
+
+
+def _lab(frame, y, out):
+    """Write the lab (u, v) of the frame state y = (u', v') on the records
+    of `frame` (as from `_start`) to out[0], out[1], which may be y itself:
+    T^-1 = [[c, -s], [-s, c]]."""
+    (c, s), (u, v) = frame, y
+    su, sv = s * u, s * v
+    np.multiply(c, u, out=out[0])
+    out[0] -= sv
+    np.multiply(c, v, out=out[1])
+    out[1] -= su
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _propagate(grid, momenta, times, frame, y0, substeps, out):
-    """Fill out[0], out[1] with (u, v) of the modes `momenta` on the record
-    grid, taking `substeps` Magnus steps per record interval in the
-    adiabatic frame `frame` (`_frame` on the same modes and records): y0 is
-    mapped into it, and every record back to the lab.
-
-    Each block of steps (`_blocks`) has its prefix products formed by
-    `_scan`, applied to the state carried in, and every record that ends
-    inside the block written.  A step too long for the Magnus series may
-    overflow: (u, v) then turns non-finite, without a warning."""
-    c, s = frame
-    u, v = c[0] * y0[0] + s[0] * y0[1], s[0] * y0[0] + c[0] * y0[1]
+def _propagate(grid, momenta, times, y0, substeps, out, phase):
+    """Fill out[0], out[1] with the frame state (u', v') of the modes
+    `momenta` on the record grid, from the frame state y0 at times[0], at
+    `substeps` Magnus steps per record interval, or phase route panels with
+    `phase`.  Each block of steps (`_blocks`) applies its propagators from
+    the block start to the state carried in, and writes the records that
+    end inside it.  A step too long for the Magnus series may overflow:
+    (u', v') then turns non-finite, without a warning."""
+    u, v = y0
     out[:, :, 0] = y0
     for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
         # (step, mode) propagators from the start of the block
-        alpha, beta = _scan(*(x.T for x in _steps(grid, momenta, starts, widths)))
+        if phase:
+            phi = np.cumsum(_panels(grid, momenta, starts, widths), axis=1)
+            alpha, beta = np.exp(1j * phi).T, 0.0
+        else:
+            alpha, beta = _scan(*(x.T for x in _steps(grid, momenta, starts, widths)))
         u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
-        # back to the lab: T^-1 = [[c, -s], [-s, c]]
-        ue, ve, ce, se = u[ends], v[ends], c[records], s[records]
-        out[0, :, records], out[1, :, records] = (ce * ue - se * ve).T, (ce * ve - se * ue).T
+        out[0, :, records], out[1, :, records] = u[ends].T, v[ends].T
         u, v = u[-1], v[-1]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _propagate_phase(grid, momenta, times, frame, y0, substeps, out):
-    """`_propagate` for a grid whose chi is chi_cd (CD on), where the frame
-    generator is (epsilon, 0, 0): the frame state at record k is
-    (e^(i Phi) u'_0, e^(-i Phi) v'_0) exactly, with Phi the phase integral
-    of epsilon from times[0].  Phi is summed over `substeps` three-node
-    Gauss-Legendre panels per record interval, the steps of `_blocks`."""
-    c, s = frame
-    u, v = c[0] * y0[0] + s[0] * y0[1], s[0] * y0[0] + c[0] * y0[1]
-    out[:, :, 0] = y0
-    phi = np.zeros(len(momenta))
-    for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
-        eps = _epsilon(grid, momenta, starts, widths)[0]
-        panels = widths * (5.0 * (eps[:, 0] + eps[:, 2]) + 8.0 * eps[:, 1]) / 18.0
-        # non-finite exactly where omega or g is at a node, or |g| > omega
-        if not np.all(np.isfinite(panels)):
-            raise IntegrationError(_NON_FINITE)
-        # the sum runs on from the block before as one sequence, so the
-        # blocking does not change a bit of it
-        panels[:, 0] += phi
-        running = np.cumsum(panels, axis=1)
-        rotation = np.exp(1j * running[:, ends].T)
-        ue, ve, ce, se = rotation * u, np.conj(rotation) * v, c[records], s[records]
-        out[0, :, records], out[1, :, records] = (ce * ue - se * ve).T, (ce * ve - se * ue).T
-        phi = running[:, -1]
 
 
 def _blocks(times, substeps, n_modes):
@@ -340,6 +331,19 @@ def _epsilon(grid, momenta, starts, widths):
     c = grid(momenta, nodes.ravel())
     eps = np.sqrt(c.omega * c.omega - c.g * c.g).reshape((-1,) + nodes.shape)
     return eps, c
+
+
+def _panels(grid, momenta, starts, widths):
+    """The three-node Gauss-Legendre quadrature of the phase integral of
+    epsilon over each step starting at `starts` with widths `widths` (1-D,
+    one entry per step), of shape (n_modes, n_steps): the a of the Magnus
+    step where chi is chi_cd."""
+    eps = _epsilon(grid, momenta, starts, widths)[0]
+    panels = widths * (5.0 * (eps[:, 0] + eps[:, 2]) + 8.0 * eps[:, 1]) / 18.0
+    # non-finite exactly where omega or g is at a node, or |g| > omega
+    if not np.all(np.isfinite(panels)):
+        raise IntegrationError(_NON_FINITE)
+    return panels
 
 
 def _steps(grid, momenta, starts, widths):

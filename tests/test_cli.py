@@ -457,10 +457,10 @@ def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys
         integrate = dynamics.integrate_protocol
 
         def drifted(protocol, *args):
-            u, v, report = integrate(protocol, *args)
+            u, v, report, frame = integrate(protocol, *args)
             if protocol.t_f == 40:
                 report = replace(report, max_invariant_defect=2e-6)
-            return u, v, report
+            return u, v, report, frame
 
         monkeypatch.setattr(dynamics, "integrate_protocol", drifted)
         message = "Bogoliubov invariant violated"
@@ -601,8 +601,8 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     integrate = dynamics.integrate_protocol
 
     def drifted(*args):
-        u, v, report = integrate(*args)
-        return u, v, replace(report, max_invariant_defect=2e-6)
+        u, v, report, frame = integrate(*args)
+        return u, v, replace(report, max_invariant_defect=2e-6), frame
 
     monkeypatch.setattr(dynamics, "integrate_protocol", drifted)
     assert main(["simulate", "--config", write_config(tmp_path), "--out", out]) == (

@@ -313,8 +313,8 @@ def test_invariant_check_raises_and_warns_once(monkeypatch):
 
     def drifted(defect):
         def integrate(*args):
-            u, v, report = real(*args)
-            return u, v, replace(report, max_invariant_defect=defect)
+            u, v, report, frame = real(*args)
+            return u, v, replace(report, max_invariant_defect=defect), frame
 
         return integrate
 
@@ -356,11 +356,14 @@ def test_array_observables_match_scalar_references(rows):
     rotation = np.exp(-1j * np.angle(u))
     u, v = u * rotation, v * rotation
     g = g_ratio * omega
-    obs = dynamics.observables(u, v, omega, g, chi)
-    for k in range(len(rows)):
-        state = su11.BogoliubovMap(complex(u[k]), complex(v[k]))
+    states = [su11.BogoliubovMap(complex(x), complex(y)) for x, y in zip(u, v)]
+    etas = [bogoliubov_angle(*coupling) for coupling in zip(omega, g)]
+    # the frame coordinates (u', v') of each state, from the scalar reference
+    framed = [dynamics.quasiparticle_frame(*args) for args in zip(states, etas)]
+    frame = np.array([[x.u for x in framed], [x.v for x in framed]])
+    obs = dynamics.observables(u, v, frame, omega, g, chi)
+    for k, (state, eta) in enumerate(zip(states, etas)):
         coeffs = PairCoefficients(omega[k], g[k], chi[k])
-        eta = bogoliubov_angle(omega[k], g[k])
         energy = dynamics.pair_energy(state, coeffs)
         want = {
             "n_bare": su11.vacuum_observables(state).occupation,

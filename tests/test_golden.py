@@ -54,7 +54,7 @@ def test_golden_runs_match_dop853(case):
     cfg = parse_config((GOLDEN / case / "run.cfg").read_text())
     proto = cfg.protocol()
     times = np.linspace(0.0, proto.t_f, cfg.record_points)
-    u, v, _ = dynamics.integrate_protocol(proto, proto.momenta(), times, cfg.rtol, cfg.atol)
+    u, v, _, _ = dynamics.integrate_protocol(proto, proto.momenta(), times, cfg.rtol, cfg.atol)
     for k, p in enumerate(proto.momenta()):
         u_ref, v_ref = dop853(proto, p, times)
         assert np.max(np.abs(u[k] - u_ref)) < 1e-8

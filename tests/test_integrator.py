@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from tllcd import dynamics, integrator, su11
 from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import ContractError, IntegrationError
-from tllcd.model import CouplingFamily, CouplingSpec
+from tllcd.model import CouplingFamily, CouplingSpec, bogoliubov_angle
 from tllcd.protocol import DriveProtocol
 
 COUPLINGS = {
@@ -83,7 +83,7 @@ def dop853(proto, p, times, rtol=1e-12, y0=(1.0, 0.0)):
 def test_matches_dop853(family, schedule, cd):
     proto = make_protocol(family, schedule, cd)
     times = np.linspace(0.0, proto.t_f, 11)
-    u, v, report = dynamics.integrate_protocol(
+    u, v, report, _ = dynamics.integrate_protocol(
         proto, proto.momenta(), times, 1e-10, 1e-12
     )
     for k, p in enumerate(proto.momenta()):
@@ -141,18 +141,13 @@ def test_fixed_steps_takes_any_step_count():
 @pytest.mark.parametrize("family", ["contact", "lorentzian", "custom_table"])
 def test_cd_runs_are_transitionless_to_roundoff(family, schedule):
     # the exact answer of a CD run from the vacuum: no quasiparticles at
-    # any mode or record, to the rounding that the back-transform to the
-    # lab frame and the observables leave (derived, not fitted, in
-    # dynamics.transitionless_roundoff); each pair's generator is diagonal
-    # in its frame, so every mode passes at one step per record interval,
-    # after the pass at one step per two
+    # any mode or record.  Each pair's generator is diagonal in its frame,
+    # so the frame state is (e^(i Phi), 0) and n_qp = |v'|^2 is exactly 0;
+    # every mode passes at one step per record interval, after the pass at
+    # one step per two
     proto = make_protocol(family, schedule, n_modes=8)
     result = dynamics.run_simulation(proto, record_points=21)
-    traj = result.trajectories
-    c = proto.grid(traj.p, traj.times)
-    bound = dynamics.transitionless_roundoff(traj.u, traj.v, c.omega, c.g)
-    assert np.all(traj.n_qp <= bound)
-    assert np.max(bound) < 1e-31
+    assert np.all(result.trajectories.n_qp == 0.0)
     assert result.integration.substeps == 1
     assert result.integration.steps == 3 * 8 * 20 // 2
 
@@ -243,7 +238,7 @@ def test_substeps_of_the_long_cd_ramp():
         cd_enabled=True,
     )
     times = np.linspace(0.0, proto.t_f, 201)
-    _, _, report = dynamics.integrate_protocol(
+    _, _, report, _ = dynamics.integrate_protocol(
         proto, proto.momenta(), times, 1e-10, 1e-12
     )
     assert report.substeps <= 8
@@ -285,7 +280,7 @@ def test_error_within_tolerance_at_every_record(family, schedule, cd, t_f, L, po
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, t_f, points)
     rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
-    u, v, report = dynamics.integrate_protocol(proto, p, times, rtol, atol)
+    u, v, report, _ = dynamics.integrate_protocol(proto, p, times, rtol, atol)
     ref = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, 8 * report.substeps)
     for got, want in zip((u, v), ref):
         assert np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
@@ -320,7 +315,7 @@ def test_omega_matches_matrix_magnus():
 def test_invariant_defect_at_roundoff():
     proto = make_protocol(n_modes=16)
     times = np.linspace(0.0, proto.t_f, 201)
-    u, v, report = dynamics.integrate_protocol(
+    u, v, report, _ = dynamics.integrate_protocol(
         proto, proto.momenta(), times, 1e-10, 1e-12
     )
     assert report.max_invariant_defect <= 1e-12
@@ -364,7 +359,7 @@ def test_steps_count_every_pass_of_every_mode(cd):
         assert [r.steps for r in alone] == [20 * 3 // 2] * 16
     else:
         assert len(set(substeps)) > 1
-    _, _, report = dynamics.integrate_protocol(proto, proto.momenta(), *args)
+    _, _, report, _ = dynamics.integrate_protocol(proto, proto.momenta(), *args)
     assert report.steps == sum(r.steps for r in alone)
     assert report.substeps == max(substeps)
     worst = max(r.error_estimate for r in alone)
@@ -417,17 +412,17 @@ def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
             assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
         assert max(levels[-1] for levels, _, _ in want) >= 8
     levels_run = []
-    route = "_propagate_phase" if cd else "_propagate"
-    propagate = getattr(integrator, route)
+    propagate = integrator._propagate
 
-    def spy(grid, momenta, t, frame, y0, substeps, out):
+    def spy(grid, momenta, t, y0, substeps, out, phase):
+        assert phase == cd
         levels_run.append(substeps * (len(t) - 1) / (len(times) - 1))
-        return propagate(grid, momenta, t, frame, y0, substeps, out)
+        return propagate(grid, momenta, t, y0, substeps, out, phase)
 
-    monkeypatch.setattr(integrator, route, spy)
+    monkeypatch.setattr(integrator, "_propagate", spy)
     for p, (levels, y, estimate) in zip(modes, want):
         levels_run.clear()
-        u, v, report = dynamics.integrate_protocol(proto, [p], times, 1e-10, 1e-12)
+        u, v, report, _ = dynamics.integrate_protocol(proto, [p], times, 1e-10, 1e-12)
         assert levels_run == levels
         assert report.steps == (len(times) - 1) * sum(levels)
         assert report.substeps == levels[-1]
@@ -435,47 +430,58 @@ def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
         assert np.array_equal(u[0], y[0]) and np.array_equal(v[0], y[1])
 
 
+@pytest.mark.parametrize("points", [21, 20], ids=["even", "odd"])
+def test_frame_and_lab_state_come_from_one_pass(points):
+    # modes of this CD-off ramp leave the ladder at different N, up to 16:
+    # the n_qp and fidelity read from the frame state must be those of the
+    # lab (u, v) kept from the same pass.  n_qp is compared on the scale of
+    # its mode: near a zero of v' the rounding of v' (~ eps |u|) is all of it
+    proto = make_protocol("custom_table", "poly5", False, n_modes=16)
+    result = dynamics.run_simulation(proto, record_points=points)
+    assert result.integration.substeps >= 8
+    traj = result.trajectories
+    c = proto.grid(traj.p, traj.times)
+    for k in range(len(traj.p)):
+        scale = np.max(traj.n_qp[k])
+        for j in range(len(traj.times)):
+            eta = bogoliubov_angle(c.omega[k, j], c.g[k, j])
+            state = traj.map(k, j)
+            n_qp = abs(dynamics.quasiparticle_frame(state, eta).v) ** 2
+            fidelity = su11.state_overlap(su11.squeeze_from_angle(eta), state)
+            assert abs(traj.n_qp[k, j] - n_qp) <= 1e-12 * scale, (k, j)
+            assert abs(traj.fidelity[k, j] - fidelity) <= 1e-12 * fidelity, (k, j)
+
+
 def test_blocking_does_not_change_the_result(monkeypatch):
-    # without CD, where these modes need 32 substeps
-    proto = make_protocol(cd=False, n_modes=5)
-    p = proto.momenta()
-    ones = np.ones(len(p))
-    times = np.linspace(0.0, proto.t_f, 7)
-    whole = dynamics.integrate_protocol(proto, p, times, 1e-10, 1e-12)
-    # blocks of 2 steps: shorter than one record interval once N > 2; blocks
-    # of 128 steps: 4 record intervals at N = 32, so the 6 intervals take one
-    # full and one partial block
-    for block in (2, 128):
-        monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
-        split = dynamics.integrate_protocol(proto, p, times, 1e-10, 1e-12)
-        assert split[2].substeps == whole[2].substeps == 32
-        assert np.max(np.abs(split[0] - whole[0])) < 1e-13
-        assert np.max(np.abs(split[1] - whole[1])) < 1e-13
-    # at N = 24, blocks of 8 and 128 steps end inside a record interval, off
-    # the interval grid
-    monkeypatch.undo()
-    whole = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, 24)
-    for block in (2, 8, 128):
-        monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
-        split = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, 24)
-        for got, want in zip(split, whole):
-            assert np.max(np.abs(got - want)) < 1e-13
-
-
-def test_phase_route_blocking_is_exact(monkeypatch):
-    # the phase sum runs on from block to block as one sequence, so blocks
-    # of 2, 8 and 128 steps at N = 24 (most ending inside a record interval,
-    # some holding no record) give the same bits as one block
-    proto = make_protocol(n_modes=5)
-    p, ones = proto.momenta(), np.ones(proto.n_modes)
-    times = np.linspace(0.0, proto.t_f, 7)
-    args = (proto.grid, p, times, ones, 0 * ones, 24)
-    whole = integrator.fixed_steps(*args, phase=True)
-    for block in (2, 8, 128):
-        monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
-        split = integrator.fixed_steps(*args, phase=True)
-        for got, want in zip(split, whole):
-            assert np.array_equal(got, want)
+    # without CD, where these modes need 32 substeps, and with CD on the
+    # phase route (2 substeps), whose phase runs on from block to block in
+    # the state carried in: the lab (u, v) and the frame state alike
+    for cd in (False, True):
+        proto = make_protocol(cd=cd, n_modes=5)
+        p = proto.momenta()
+        ones = np.ones(len(p))
+        times = np.linspace(0.0, proto.t_f, 7)
+        whole = dynamics.integrate_protocol(proto, p, times, 1e-10, 1e-12)
+        # blocks of 2 steps: shorter than one record interval once N > 2;
+        # blocks of 128 steps: 4 record intervals at N = 32, so the 6
+        # intervals take one full and one partial block
+        for block in (2, 128):
+            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
+            split = dynamics.integrate_protocol(proto, p, times, 1e-10, 1e-12)
+            assert split[2].substeps == whole[2].substeps == (2 if cd else 32)
+            for got, want in zip((*split[:2], *split[3]), (*whole[:2], *whole[3])):
+                assert np.max(np.abs(got - want)) < 1e-13
+        # at N = 24, blocks of 2, 8 and 128 steps end inside a record
+        # interval, off the interval grid, and some hold no record
+        monkeypatch.undo()
+        args = (proto.grid, p, times, ones, 0 * ones, 24)
+        whole = integrator.fixed_steps(*args, phase=cd)
+        for block in (2, 8, 128):
+            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
+            split = integrator.fixed_steps(*args, phase=cd)
+            for got, want in zip(split, whole):
+                assert np.max(np.abs(got - want)) < 1e-13
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("length", [1, 5, 8])
@@ -535,11 +541,11 @@ def test_overflowing_coarse_steps_are_refined():
     for substeps in (1, 2):
         u, v = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, substeps)
         assert not np.all(np.isfinite(u))
-    u, v, report = dynamics.integrate_protocol(
+    u, v, report, _ = dynamics.integrate_protocol(
         proto, p, times, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
     )
     fine = np.linspace(0.0, proto.t_f, 201)
-    u_fine, v_fine, _ = dynamics.integrate_protocol(
+    u_fine, v_fine, _, _ = dynamics.integrate_protocol(
         proto, p, fine, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
     )
     assert np.all(np.isfinite(u)) and report.substeps > 2
