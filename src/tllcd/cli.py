@@ -212,7 +212,7 @@ def write_outputs(result, cfg: RunConfig, out_dir) -> dict:
     traj = result.trajectories
     modes = [traj.times, traj.p[:, None]]
     modes += [getattr(traj, name) for name in MODES_HEADER.split(",")[2:]]
-    aggregate = [result.times]
+    aggregate = [traj.times]
     aggregate += [getattr(result, name) for name in AGGREGATE_HEADER.split(",")[1:-1]]
     aggregate.append(result.stability.margin)
     _write_csv(paths["modes"], MODES_HEADER, modes)

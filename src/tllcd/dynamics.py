@@ -38,12 +38,11 @@ class Trajectories:
 
     p: np.ndarray
     times: np.ndarray
-    # annihilator coefficients with the overall phase stripped (u real and
-    # positive), so that map composition acts on squeeze content only; the
-    # stripped phase, unwrapped along each row, is annihilator_phase
+    # annihilator coefficients as the integrator returns them, overall phase
+    # included: on a CD run from the vacuum, arg u is the dynamical phase
+    # Phi_p(t), the integral of epsilon_p from 0 to t
     u: np.ndarray
     v: np.ndarray
-    annihilator_phase: np.ndarray
     n_bare: np.ndarray
     # read in the adiabatic frame, from the integrator's frame state (u', v')
     n_qp: np.ndarray  # |v'|^2
@@ -53,17 +52,18 @@ class Trajectories:
     controlled_energy: np.ndarray  # energy under the controlled Hamiltonian
     epsilon_cd: np.ndarray
     chi: np.ndarray
-    # integral of v_s(s)/v_F ds (= 1/sigma_s^2 integrand) and the resulting
-    # dynamical phase for the initial occupation; the multiplicative
-    # zero-point convention is left to the caller.
-    sigma_integral: np.ndarray
-    phase: np.ndarray
 
     def map(self, mode: int, record: int) -> BogoliubovMap:
-        """The stored state of one mode at one record, for the scalar su11
-        references and the Fock oracle."""
-        u, v = self.u[mode, record], self.v[mode, record]
-        return BogoliubovMap(complex(u), complex(v))
+        """The state of one mode at one record, for the scalar su11
+        references and the Fock oracle, with its overall phase stripped
+        (u real and positive), so that su11.compose, which depends on that
+        phase, acts on squeeze content only."""
+        # on one-element arrays, rounded as a whole row would be: numpy's
+        # scalar complex product can differ from its array product in the
+        # last bit
+        u, v = self.u[mode, [record]], self.v[mode, [record]]
+        rotation = np.exp(-1j * np.angle(u))
+        return BogoliubovMap(complex((u * rotation)[0]), complex((v * rotation)[0]))
 
 
 def quasiparticle_frame(state: BogoliubovMap, eta_t: float) -> BogoliubovMap:
@@ -99,13 +99,13 @@ def controlled_pair_energy(state: BogoliubovMap, coeffs: PairCoefficients) -> fl
 
 
 def observables(u, v, frame, omega, g, chi) -> dict:
-    """Observables of the phase-stripped states (u, v), whose adiabatic
-    frame state is frame = (u', v'), under the pair coefficients
-    (omega, g, chi), elementwise over arrays: the array forms of the scalar
-    references.  n_qp = |v'|^2 (quasiparticle_frame) and
-    fidelity = min(1/|u'|, 1) (state_overlap with the instantaneous ground
-    state) are read in the frame; n_bare (vacuum_observables), pair_energy,
-    residual and controlled_energy (controlled_pair_energy) from (u, v).
+    """Observables of the states (u, v), whose adiabatic frame state is
+    frame = (u', v'), under the pair coefficients (omega, g, chi),
+    elementwise over arrays: the array forms of the scalar references.
+    n_qp = |v'|^2 (quasiparticle_frame) and fidelity = min(1/|u'|, 1)
+    (state_overlap with the instantaneous ground state) are read in the
+    frame; n_bare (vacuum_observables), pair_energy, residual and
+    controlled_energy (controlled_pair_energy) from (u, v).
     """
     u_frame, v_frame = frame
     n = np.abs(v) ** 2
@@ -130,18 +130,17 @@ def evolve_pair(
     atol: float = DEFAULT_ATOL,
     record_points: int = DEFAULT_RECORD_POINTS,
     initial: BogoliubovMap = su11.IDENTITY,
-    initial_occupation: float = 0.0,
 ) -> Trajectories:
-    """Evolve one (p, -p) pair over [0, t_f] and record observables: the
-    one-row case of the trajectories of a run.
+    """Evolve one (p, -p) pair over [0, t_f] and record its state, as
+    integrated, and observables: the one-row case of the trajectories of a
+    run.
 
     `initial` supports interacting starts (gamma_p(0) != 1) as a Bogoliubov
     map; excited Fock starts live only in the Fock oracle.
-    `initial_occupation` enters the recorded dynamical phase (CD runs).
     """
     su11.check_map(initial)
     times = np.linspace(0.0, protocol.t_f, record_points)
-    traj, _, _ = _evolve(protocol, [p], times, rtol, atol, initial, initial_occupation)
+    traj, _, _ = _evolve(protocol, [p], times, rtol, atol, initial)
     return traj
 
 
@@ -169,44 +168,33 @@ def integrate_protocol(
     )
 
 
-def _evolve(protocol, momenta, times, rtol, atol, initial, initial_occupation):
+def _evolve(protocol, momenta, times, rtol, atol, initial):
     """(Trajectories, CoefficientGrid, IntegrationReport) of the pairs
-    `momenta` on the record grid `times`, from one coefficient evaluation."""
+    `momenta` on the record grid `times`, from one coefficient evaluation;
+    the trajectories keep the lab state (u, v) of integrate_protocol."""
     c = protocol.grid(momenta, times)
-    eps = instantaneous_spectrum(c.omega, c.g)
     # every mode at every record: raises before any integration where the
     # controlled spectrum turns imaginary between stability-grid points
-    epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi) if protocol.cd_enabled else eps
+    if protocol.cd_enabled:
+        epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi)
+    else:
+        epsilon_cd = instantaneous_spectrum(c.omega, c.g)
     u, v, report, frame = integrate_protocol(protocol, momenta, times, rtol, atol, initial, c)
     try:
         su11.check_defect(report.max_invariant_defect)
     except ContractError as exc:  # the integrator's error, not the caller's
         raise IntegrationError(str(exc)) from None
 
-    phases = np.angle(u)
-    rotation = np.exp(-1j * phases)
-    u, v = u * rotation, v * rotation
-    sigma_integral = _cumulative_trapezoid(c.v_s / protocol.v_F, times)
     traj = Trajectories(
         p=np.asarray(momenta, dtype=float),
         times=times,
         u=u,
         v=v,
-        annihilator_phase=np.unwrap(phases, axis=1),
         epsilon_cd=epsilon_cd,
         chi=c.chi,
-        sigma_integral=sigma_integral,
-        phase=-eps[:, :1] * initial_occupation * sigma_integral,
         **observables(u, v, frame, c.omega, c.g, c.chi),
     )
     return traj, c, report
-
-
-def _cumulative_trapezoid(y, x):
-    """Running trapezoid integral of y(x) along the last axis, from 0."""
-    steps = np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0
-    start = np.zeros(y.shape[:-1] + (1,))
-    return np.concatenate((start, np.cumsum(steps, axis=-1)), axis=-1)
 
 
 def mean_energy_scaling_check(traj: Trajectories, protocol: DriveProtocol) -> float:
@@ -225,7 +213,6 @@ def mean_energy_scaling_check(traj: Trajectories, protocol: DriveProtocol) -> fl
 @dataclass
 class SimulationResult:
     trajectories: Trajectories
-    times: np.ndarray
     total_residual: np.ndarray
     total_energy: np.ndarray
     # Luttinger parameters and Kdot/(2K) of the slowest mode, whether or
@@ -259,7 +246,7 @@ def run_simulation(
                 f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
             )
         traj, c, integration = _evolve(
-            protocol, protocol.momenta(), times, rtol, atol, su11.IDENTITY, 0.0
+            protocol, protocol.momenta(), times, rtol, atol, su11.IDENTITY
         )
     except (ContractError, IntegrationError) as exc:
         exc.report = stability
@@ -267,7 +254,6 @@ def run_simulation(
     # sums over axis 0 add the modes one after another, in mode order
     return SimulationResult(
         trajectories=traj,
-        times=times,
         total_residual=traj.residual.sum(axis=0),
         total_energy=traj.controlled_energy.sum(axis=0),
         v_s=c.v_s[0],

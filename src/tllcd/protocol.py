@@ -16,6 +16,9 @@ from .errors import ContractError, LuttingerInstabilityError
 from .model import TWO_PI, CouplingFamily, CouplingSpec, PairCoefficients
 
 STABILITY_GRID_POINTS = 2001
+# modes per stability evaluation: about 8,000 grid points, so that memory
+# does not grow with n_modes
+STABILITY_BLOCK_MODES = 4
 ADIABATIC_THRESHOLD = 0.01
 
 
@@ -47,7 +50,8 @@ class CoefficientGrid:
         return model.luttinger_params(self.g2, self.g4, self.v_F)
 
     def _full(self, x) -> np.ndarray:
-        return np.broadcast_to(x, self.omega.shape)
+        # the shape of omega, without evaluating omega
+        return np.broadcast_to(x, (self.p.shape[0], self.g4.shape[1]))
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -182,21 +186,31 @@ def closed_form_bound(protocol: DriveProtocol) -> float | None:
 
 def stability_margin(protocol: DriveProtocol) -> StabilityReport:
     """The protocol's one stability verdict: validate(), then the worst-case
-    margin of |chi(t)| < v_s(t) 2 pi/L on STABILITY_GRID_POINTS times, and
-    where it is least.
+    margin of |chi_p(t)| < v_s(p, t) p over the modes and STABILITY_GRID_POINTS
+    times, where it is least, and the largest adiabaticity on the same grid.
 
-    Evaluated at the slowest mode p = 2 pi/L, which saturates the bound first
-    for contact couplings.  The CD amplitude is evaluated regardless of
-    cd_enabled: the criterion limits what switching CD on would do.
+    Every mode is evaluated, STABILITY_BLOCK_MODES at a time.  Contact
+    couplings are evaluated at the slowest mode p = 2 pi/L alone: there v_s
+    and chi do not depend on p, so that mode saturates both criteria first.
+    The CD amplitude is evaluated regardless of cd_enabled: the criterion
+    limits what switching CD on would do.
     """
     protocol.validate()
-    p_min = TWO_PI / protocol.L
     t = np.linspace(0.0, protocol.t_f, STABILITY_GRID_POINTS)
-    c = protocol.grid(p_min, t)
-    excess = (c.v_s * p_min - np.abs(c.chi_cd))[0]
-    worst = int(np.argmin(excess))
-    margin = float(excess[worst])
-    max_adiab = float(np.max(c.adiabaticity))
+    if protocol.coupling.family == CouplingFamily.CONTACT:
+        momenta = np.array([TWO_PI / protocol.L])
+    else:
+        momenta = protocol.momenta()
+    # per block: (least margin, its p, its t, largest adiabaticity)
+    blocks = []
+    for start in range(0, len(momenta), STABILITY_BLOCK_MODES):
+        c = protocol.grid(momenta[start : start + STABILITY_BLOCK_MODES], t)
+        excess = c.v_s * c.p - np.abs(c.chi_cd)
+        mode, j = np.unravel_index(np.argmin(excess), excess.shape)
+        blocks.append((excess[mode, j], c.p[mode, 0], t[j], np.max(c.adiabaticity)))
+    blocks = np.array(blocks)
+    margin, argmin_p, argmin_t = map(float, blocks[np.argmin(blocks[:, 0]), :3])
+    max_adiab = float(np.max(blocks[:, 3]))
     t_adiab = (
         protocol.t_f * max_adiab / ADIABATIC_THRESHOLD if max_adiab > 0 else 0.0
     )
@@ -206,6 +220,6 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
         bound_tf=closed_form_bound(protocol),
         t_adiabatic=t_adiab,
         max_adiabaticity=max_adiab,
-        argmin_p=p_min,
-        argmin_t=float(t[worst]),
+        argmin_p=argmin_p,
+        argmin_t=argmin_t,
     )

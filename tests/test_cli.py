@@ -402,6 +402,27 @@ def test_stability_subcommand_rejects_unstable_coupling(tmp_path, capsys):
     assert "pass = True" not in capsys.readouterr().out
 
 
+def test_stability_gate_sees_the_worst_mode(tmp_path, capsys):
+    # a custom_table coupling whose CD margin is positive at p_min and
+    # negative at mode 4: the stability printout, the simulate gate and the
+    # failure manifest agree that the run is unstable, and where
+    text = (
+        "family = custom_table\n"
+        "table = 0:0.01:0.0; 0.1:0.01:0.0; 0.2:5.5:0.0; 2:5.5:0.0\n"
+        "schedule = poly5\nL = 100\nn_modes = 32\ncd = on\nt_f = 6\n"
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["stability", "--config", cfg]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "argmin_p = 0.251327" in printed
+    assert "pass = False" in printed
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INSTABILITY
+    manifest = (out / "manifest.txt").read_text()
+    assert "failure = cd-instability at p = 0.251327, t = 4.485" in manifest
+    assert "stability.pass = False" in manifest
+
+
 def test_stability_subcommand_experimental(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

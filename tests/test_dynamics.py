@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from tllcd import dynamics, fock, su11
 from tllcd.control import Schedule, ScheduleKind
@@ -57,7 +58,8 @@ def make_protocol(
 def test_static_free_hamiltonian_keeps_identity():
     proto = make_protocol(g2_end=0.0, g4_end=0.0, cd=False)
     traj = dynamics.evolve_pair(proto.momenta()[0], proto, record_points=21)
-    assert np.max(np.abs(traj.u - 1.0)) < 1e-9
+    # the vacuum, with its phase e^(i omega t) kept in u
+    assert np.max(np.abs(np.abs(traj.u) - 1.0)) < 1e-9
     assert np.max(np.abs(traj.v)) < 1e-9
 
 
@@ -69,11 +71,18 @@ def test_invariant_conserved_along_run():
 
 def test_stored_maps_are_phase_normalized():
     proto = make_protocol()
-    traj = dynamics.evolve_pair(proto.momenta()[0], proto, record_points=31)
-    assert np.max(np.abs(traj.u.imag)) <= 1e-12
-    assert np.all(traj.u.real > 0.0)
-    assert traj.annihilator_phase.shape == traj.u.shape == (1, 31)
-    assert traj.annihilator_phase[0, 0] == 0.0
+    p = proto.momenta()[0]
+    traj = dynamics.evolve_pair(p, proto, record_points=31)
+    for j in range(len(traj.times)):
+        state = traj.map(0, j)
+        assert abs(state.u.imag) <= 1e-12
+        assert state.u.real > 0.0
+    # the stored (u, v) are the integrator's lab state, phase included
+    u, v, _, _ = dynamics.integrate_protocol(
+        proto, [p], traj.times, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+    )
+    assert np.array_equal(traj.u, u)
+    assert np.array_equal(traj.v, v)
 
 
 def test_cd_run_is_transitionless():
@@ -182,20 +191,6 @@ def test_interacting_initial_map():
     assert np.min(traj.fidelity) >= 1 - 1e-9
 
 
-def test_dynamical_phase_convention():
-    proto = make_protocol()
-    p = proto.momenta()[0]
-    traj = dynamics.evolve_pair(p, proto, initial_occupation=2.0)
-    c = proto.pair_generator(p, 0.0)
-    eps0 = instantaneous_spectrum(c.omega, c.g)
-    # phase = -eps(p,0) n_p(0) * integral of v_s/v_F (= 1/sigma_s^2) dt
-    assert traj.phase[0, 0] == 0.0
-    assert traj.phase[0, -1] == pytest.approx(
-        -eps0 * 2.0 * traj.sigma_integral[0, -1], rel=1e-12
-    )
-    assert traj.sigma_integral[0, -1] > proto.t_f  # v_s grows above v_F
-
-
 def test_mean_energy_scaling_requires_cd():
     proto = make_protocol(cd=False)
     traj = dynamics.evolve_pair(proto.momenta()[0], proto)
@@ -231,6 +226,31 @@ def test_observation_identities(family, cd):
     assert cd or np.max(traj.n_qp) > 1e-6
 
 
+@pytest.mark.parametrize("family", sorted(OBSERVED_COUPLINGS))
+def test_cd_run_gains_the_dynamical_phase(family):
+    # from the vacuum with CD on, each pair stays in its instantaneous ground
+    # state and u gains only Phi_p(t) = integral of eps_p = p v_s(p) dt
+    proto = make_protocol(n_modes=3)
+    proto = replace(proto, coupling=OBSERVED_COUPLINGS[family])
+    for p in proto.momenta():
+        traj = dynamics.evolve_pair(p, proto, record_points=21)
+        phi = np.unwrap(np.angle(traj.u[0]))
+
+        def v_s(t):
+            return proto.grid(p, t).v_s[0, 0]
+
+        want = [p * quad(v_s, 0.0, t, epsabs=0.0, epsrel=1e-13)[0] for t in traj.times]
+        np.testing.assert_allclose(phi, want, rtol=dynamics.DEFAULT_RTOL, atol=0.0)
+
+
+def test_dynamical_phase_outgrows_the_free_phase():
+    # on the default ramp v_s grows above v_F, so Phi(t_f) > p v_F t_f
+    proto = make_protocol()
+    p = proto.momenta()[0]
+    traj = dynamics.evolve_pair(p, proto)
+    assert np.unwrap(np.angle(traj.u[0]))[-1] > p * proto.v_F * proto.t_f
+
+
 def test_mean_energy_scaling_cd_on():
     proto = make_protocol()
     traj = dynamics.evolve_pair(proto.momenta()[0], proto)
@@ -241,7 +261,7 @@ def test_run_simulation_aggregates():
     proto = make_protocol(L=40.0, n_modes=3)
     result = dynamics.run_simulation(proto, record_points=41)
     assert result.trajectories.n_qp.shape == (3, 41)
-    assert result.total_residual.shape == result.times.shape
+    assert result.total_residual.shape == result.trajectories.times.shape
     assert abs(result.total_residual[-1]) < 1e-8  # CD keeps it at tolerance
     assert result.stability.margin > 0
     assert result.K[-1] == pytest.approx(0.8619952425563819, abs=1e-10)

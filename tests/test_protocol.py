@@ -1,14 +1,22 @@
 """Protocol-level tests: the coefficient grid, validation, speed-window
 criteria and the closed-form bound."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tllcd import dynamics
+from tllcd import dynamics, protocol
 from tllcd.control import Schedule, ScheduleKind, controlled_coefficients
 from tllcd.errors import ContractError, LuttingerInstabilityError
 from tllcd.model import TWO_PI, CouplingFamily, CouplingSpec
-from tllcd.protocol import DriveProtocol, closed_form_bound, stability_margin
+from tllcd.protocol import (
+    ADIABATIC_THRESHOLD,
+    STABILITY_GRID_POINTS,
+    DriveProtocol,
+    closed_form_bound,
+    stability_margin,
+)
 
 
 def reference_protocol(t_f=9.498860966469166, n_modes=4, L=100.0, cd=True):
@@ -91,6 +99,45 @@ def test_stability_fails_for_fast_drive():
     report = stability_margin(reference_protocol(t_f=0.05))
     assert not report.passed
     assert report.margin < 0.0
+
+
+# stable in every mode at t_f = 6 except near the g2 step of the table,
+# where |chi_cd| outgrows v_s p first at mode 4, not at p_min
+STEP_TABLE = ((0.0, 0.01, 0.0), (0.1, 0.01, 0.0), (0.2, 5.5, 0.0), (2.0, 5.5, 0.0))
+
+
+def all_mode_stability(proto):
+    """(margin, argmin_p, argmin_t, max adiabaticity) over every mode at
+    once, unblocked: the reference stability_margin's blocks must match."""
+    t = np.linspace(0.0, proto.t_f, STABILITY_GRID_POINTS)
+    c = proto.grid(proto.momenta(), t)
+    excess = c.v_s * c.p - np.abs(c.chi_cd)
+    mode, j = np.unravel_index(np.argmin(excess), excess.shape)
+    return excess[mode, j], c.p[mode, 0], t[j], np.max(c.adiabaticity)
+
+
+@pytest.mark.parametrize("block", [1, 3, protocol.STABILITY_BLOCK_MODES])
+@pytest.mark.parametrize("family", ["contact", "lorentzian", "custom_table"])
+def test_stability_margin_covers_every_mode(family, block, monkeypatch):
+    # smaller blocks move the worst mode out of the first block
+    monkeypatch.setattr(protocol, "STABILITY_BLOCK_MODES", block)
+    coupling = {
+        "contact": reference_protocol().coupling,
+        "lorentzian": CouplingSpec(
+            family=CouplingFamily.LORENTZIAN, g2_end=1.0, g4_end=1.0, R0=0.2
+        ),
+        "custom_table": CouplingSpec(family=CouplingFamily.CUSTOM_TABLE, table=STEP_TABLE),
+    }[family]
+    # 9 modes: full blocks and a partial one
+    proto = replace(reference_protocol(t_f=6.0, n_modes=9), coupling=coupling)
+    report = stability_margin(proto)
+    got = (report.margin, report.argmin_p, report.argmin_t, report.max_adiabaticity)
+    assert got == all_mode_stability(proto)
+    assert report.t_adiabatic == 6.0 * report.max_adiabaticity / ADIABATIC_THRESHOLD
+    if family == "custom_table":
+        assert not report.passed
+        assert report.argmin_p == proto.momenta()[3]
+        assert report.argmin_t == pytest.approx(4.485, abs=1e-12)
 
 
 def test_adiabaticity_identity_at_slowest_mode():

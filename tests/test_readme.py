@@ -1,9 +1,13 @@
-"""The README quick start runs as written and prints what it says."""
+"""The README quick start runs as written and prints what it says, and the
+Trajectories names it gives exist."""
 
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
+
+from tllcd.dynamics import Trajectories
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +25,14 @@ def test_readme_quick_start_runs():
     K, v_s = (float(x) for x in first.split())
     assert abs(K - 0.8620) < 5e-5 and abs(v_s - 1.0678) < 5e-5
     assert 0.0 <= float(second) <= 1e-8
+
+
+def test_readme_names_only_trajectories_members():
+    # every `Trajectories.<name>` and every name in the list of observables
+    text = README.read_text()
+    named = set(re.findall(r"`Trajectories\.(\w+)`", text))
+    listed = re.search(r"array per observable \((.*?)\)", text, re.S).group(1)
+    named |= set(re.findall(r"`(\w+)`", listed))
+    members = {f.name for f in dataclasses.fields(Trajectories)} | set(vars(Trajectories))
+    assert {"u", "n_qp"} <= named
+    assert named <= members
