@@ -1,9 +1,10 @@
 """'%.17g' text of float64 arrays, computed in numpy, byte for byte as
 Python's '%.17g' (and so np.savetxt(fmt='%.17g')) writes each value.
 
-`text(x)` gives each value CELL_BYTES bytes: its ASCII text with NUL
-bytes at fixed places between the pieces, so that removing every NUL byte
-leaves the text.  The last byte is NUL and free for a separator.
+`words(x)` gives each value CELL_WORDS little-endian 64-bit words: its
+ASCII text with NUL bytes between the pieces, so that removing every NUL
+byte leaves the text.  The top byte of the last word is NUL and free for a
+separator.
 
 Exactness.  For |x| in [1e-280, 1e280), X = floor(log10 |x|) and
 y = |x| 10^(16 - X) lies in [1e16, 1e17); the 17 digits are D = round(y)
@@ -32,20 +33,24 @@ Python formats these values instead:
 - nan and +-inf;
 - |x| outside [1e-280, 1e280), where the table ends.
 
-Layout.  A cell is four little-endian 64-bit words: the sign and the
-"0.000" of fixed notation below 1; then the 17 digits, trailing zeros
-cleared and a '.' inserted after the integer digits (after the first digit
-in exponent notation); then "e+XX" or "e-XXX".  The words are assembled by
-integer arithmetic over whole arrays.  The digits come eight at a time from
-one integer split into lanes: 4 + 4 digits in 32-bit lanes, then 2 + 2 in
-16-bit lanes, then one per byte.
+Layout.  Word 0 holds the sign, the "0.000" of fixed notation below 1,
+the lead digit and the '.' after it (in exponent notation and below 10,
+where further digits are kept); words 1 and 2 the 16 further digits, one
+per byte, trailing zeros cleared; word 3 "e+XX" or "e-XXX".  NUL bytes fill
+the gaps, so no digit moves from the byte its integer lane gives it.  Only
+fixed notation with 1 <= X <= 16 (X after the carry) puts the '.' among the
+digits: there words 1-3 hold the 17 digits with a '.' after the integer
+digits and the later digits one byte on, and word 0 the sign.  The words
+are assembled by integer arithmetic over whole arrays.  The digits come
+eight at a time from one integer split into lanes: 4 + 4 digits in 32-bit
+lanes, then 2 + 2 in 16-bit lanes, then one per byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-CELL_BYTES = 32
+CELL_WORDS = 4
 # the longest '%.17g' text, -2.2250738585072014e-308
 _FALLBACK_BYTES = 24
 # decimal exponents X of the fast path; tables over X reach one beyond
@@ -68,25 +73,23 @@ def _words(texts, n_words) -> np.ndarray:
 
 def _exponent_tables():
     """Per exponent X (row X - _X_MIN + 1, up to a carry past _X_MAX + 1):
-    the '.' position P, the least number of digits kept, the first word
-    (without the sign) and the exponent bytes of the last word."""
-    X = np.arange(_X_MIN - 1, _X_MAX + 3)
-    fixed = (X >= -4) & (X < 17)
-    # the '.' follows digit P - 1: after the integer digits in fixed
-    # notation and the first digit in exponent notation; never (P = 17)
-    # below 1, where "0." leads
-    dot = np.where(fixed, np.where(X < 0, 17, X + 1), 1)
-    # the integer digits are kept even where they are trailing zeros
-    least = np.where(fixed & (X < 0), 0, dot)
-    first = [b"\0" + b"0.000"[: 1 - x] if -4 <= x < 0 else b"" for x in X.tolist()]
-    last = [b"" if f else b"\0\0" + b"e%+03d" % x for x, f in zip(X.tolist(), fixed)]
-    return dot, least, _words(first, 1)[0], _words(last, 1)[0]
+    word 0 without the sign and the lead digit, and word 3."""
+    X = np.arange(_X_MIN - 1, _X_MAX + 3).tolist()
+    # byte 0 the sign, 1-5 the "0.000" of fixed notation below 1, 6 the
+    # lead digit, 7 the '.' (below 1 the prefix has it); 1 <= X <= 16 is
+    # laid out apart
+    first = [b"\0" + b"0.000"[: 1 - x].ljust(6, b"\0") if -4 <= x < 0
+             else b"" if 1 <= x <= 16 else b"\0" * 7 + b"." for x in X]
+    last = [b"" if -4 <= x < 17 else b"e%+03d" % x for x in X]
+    return _words(first, 1)[0], _words(last, 1)[0]
 
 
-_DOT, _LEAST, _FIRST, _LAST = _exponent_tables()
-# byte masks of the 24-byte digit string, as three words each: _BELOW[j]
-# keeps bytes 0..j-1; at column 18 P + k, _MID keeps bytes P+1..k and
-# _POINT is a '.' at byte P if k > P
+_FIRST, _LAST = _exponent_tables()
+_KEEP = _words([b"\xff" * j for j in range(9)], 1)[0]  # bytes 0..j-1
+_TOP = np.int64(-1 << 56)  # the top byte of a word, where _FIRST has the '.'
+# byte masks of the 24-byte digit string of 1 <= X <= 16, as three words
+# each: _BELOW[j] keeps bytes 0..j-1; at column 18 P + k, _MID keeps bytes
+# P+1..k and _POINT is a '.' at byte P if k > P
 _BELOW = _words([b"\xff" * j for j in range(18)], 3)
 _PK = [(P, k) for P in range(18) for k in range(18)]
 _MID = _words([b"\0" * (P + 1) + b"\xff" * (k - P) for P, k in _PK], 3)
@@ -94,9 +97,9 @@ _POINT = _words([b"\0" * P + b"." if k > P else b"" for P, k in _PK], 3)
 _ZEROS = 0x3030303030303030  # eight ASCII '0'
 
 
-def text(x) -> np.ndarray:
-    """(len(x), CELL_BYTES) uint8: the NUL-padded '%.17g' text of each
-    value of the 1-D float64 array x."""
+def words(x) -> np.ndarray:
+    """(CELL_WORDS, len(x)) int64: the NUL-padded '%.17g' text of each
+    value of the 1-D float64 array x, as little-endian words."""
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     with np.errstate(invalid="ignore"):
@@ -115,12 +118,12 @@ def text(x) -> np.ndarray:
         below, above = _outside(yh, yl)
         decided &= ~(below | above)
     decided &= np.abs(yl - np.floor(yl) - 0.5) >= _TIE
-    words = _layout(np.signbit(x), X, yh, yl)
+    cells = _layout(np.signbit(x), X, yh, yl)
     slow = np.flatnonzero(~decided)
     if len(slow):
-        words[:, slow] = 0
-        words[: _FALLBACK_BYTES // 8, slow] = _fallback(x[slow])
-    return np.ascontiguousarray(words.T, dtype="<i8").view(np.uint8)
+        cells[:, slow] = 0
+        cells[: _FALLBACK_BYTES // 8, slow] = _fallback(x[slow])
+    return cells
 
 
 def _outside(yh, yl):
@@ -190,30 +193,44 @@ def _layout(negative, X, yh, yl) -> np.ndarray:
     v = q | ((v - q * 100) << 16)
     q = ((v * 103) >> 10) & 0x000F000F000F000F  # // 10 per 16-bit lane
     v = q | ((v - q * 10) << 8)
-    # digits kept: up to the last nonzero one, and at least _LEAST.  The
-    # bytes up to the last nonzero one of a word come from its bit length,
-    # which its double keeps: no digit byte exceeds 9, so rounding to 53
-    # bits cannot carry into the next power of two
+    # the bytes up to the last nonzero digit of a word come from its bit
+    # length, which its double keeps: no digit byte exceeds 9, so rounding
+    # to 53 bits cannot carry into the next power of two
     length = (np.frexp(v.astype(float))[1] + 7) // 8
-    row = X - (_X_MIN - 1)
-    k = np.where(length[1] > 0, 9 + length[1], 1 + length[0])
-    keep = np.maximum(k, _LEAST.take(row))
-    P = _DOT.take(row)
     v += _ZEROS
-    # the 17 digits as three words, and the same one byte on, to follow the '.'
-    s = np.empty((3, len(D)), np.int64)
-    s[0] = (lead + ord("0")) | (v[0] << 8)
+    lead += ord("0")
+    row = X - (_X_MIN - 1)
+    cells = np.empty((4, len(D)), np.int64)
+    # the '.' after the lead digit only where digits follow it
+    np.bitwise_and(_FIRST.take(row), ~((rest == 0) * _TOP), out=cells[0])
+    cells[0] |= negative * ord("-")
+    cells[0] |= lead << 48
+    np.bitwise_and(v[0], _KEEP.take(np.where(length[1] > 0, 8, length[0])), out=cells[1])
+    np.bitwise_and(v[1], _KEEP.take(length[1]), out=cells[2])
+    cells[3] = _LAST.take(row)
+    shifted = np.flatnonzero((X >= 1) & (X <= 16))
+    if len(shifted):
+        cells[0, shifted] = negative[shifted] * ord("-")
+        cells[1:, shifted] = _shifted(lead[shifted], v[:, shifted], length[:, shifted],
+                                      X[shifted] + 1)
+    return cells
+
+
+def _shifted(lead, v, length, P) -> np.ndarray:
+    """(3, n) words of fixed notation with P = X + 1 integer digits: the
+    ASCII lead digit and the 16 of v, a '.' after the integer digits where
+    further digits are kept, and those one byte on."""
+    # digits kept: up to the last nonzero one, and at least the integer ones
+    keep = np.maximum(np.where(length[1] > 0, 9 + length[1], 1 + length[0]), P)
+    s = np.empty((3, len(P)), np.int64)
+    s[0] = lead | (v[0] << 8)
     s[1] = (v[0] >> 56) | (v[1] << 8)
     s[2] = v[1] >> 56
     t = s << 8
     t[1:] |= s[:-1] >> 56
     pk = 18 * P + keep
-    words = np.empty((4, len(D)), np.int64)
-    words[0] = _FIRST.take(row) | (negative * ord("-"))
-    body = words[1:]
-    np.bitwise_and(s, _BELOW.take(np.minimum(P, keep), axis=1), out=body)
+    s &= _BELOW.take(P, axis=1)
     t &= _MID.take(pk, axis=1)
-    body |= t
-    body |= _POINT.take(pk, axis=1)
-    words[3] |= _LAST.take(row)
-    return words
+    s |= t
+    s |= _POINT.take(pk, axis=1)
+    return s

@@ -227,44 +227,74 @@ def _write_csv(path, header: str, columns) -> None:
     The bytes are those that np.savetxt(fmt='%.17g') writes of the broadcast
     table.
 
-    The text is computed in numpy by `_fmt17.text`, exactly: each value's
+    The text is computed in numpy by `_fmt17.words`, exactly: each value's
     17 digits come from a double-double product of |x| and a tabulated
     10^(16 - X), whose error (below 5e-15 in units of the last digit) decides
     the rounding wherever the scaled value is more than 1e-9 from a tie.
     Python's '%.17g' formats the rest: values within 1e-9 of a tie or with
-    an ambiguous decade, nan, +-inf, +-0 and |x| outside [1e-280, 1e280).
+    an ambiguous decade, nan, +-inf and |x| outside [1e-280, 1e280).
 
-    A column with fewer entries of its own than the table has rows (a
-    shorter array, a 0-d value, or a view with stride 0 on the axes it
-    repeats on) has each entry formatted once and its text broadcast; the
-    others are formatted a block of CSV_BLOCK_ROWS rows at a time, so the
-    text of the whole table is never held."""
+    The table is written a block of CSV_BLOCK_ROWS rows at a time, so its
+    text is never held whole.  A block is (rows, columns, CELL_WORDS) int64:
+    each cell's NUL-padded words, with its ',' or '\n' in the free top byte
+    of the last word, so that deleting the NUL bytes leaves the rows.  A
+    column with fewer entries of its own than the table has rows (a shorter
+    array, a 0-d value, or a view with stride 0 on the axes it repeats on)
+    has each entry formatted once and its words taken into every block.  The
+    other columns are gathered row-major, block by block, and formatted in
+    one call; a value whose bits equal those of the value one row above it
+    in the same block is not formatted again but takes that row's words."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     n_rows = math.prod(shape)
-    full, repeated = [], []
+    separator = np.full(len(columns), ord(",") << 56, np.int64)
+    separator[-1] = ord("\n") << 56
+    full, sources, repeated = [], [], []
     for j, column in enumerate(columns):
         own = column[tuple(slice(None) if s else slice(1) for s in column.strides)]
         if own.size < n_rows:
+            text = _fmt17.words(own.ravel())
+            text[3] |= separator[j]
             index = np.arange(own.size).reshape(own.shape)
-            repeated.append((j, _fmt17.text(own.ravel()), np.broadcast_to(index, shape).flat))
+            repeated.append((j, text.T.copy(), np.broadcast_to(index, shape).flat))
         else:
-            full.append((j, np.broadcast_to(column, shape).flat))
+            # its C order is the table's; a view where it is contiguous
+            full.append(j)
+            sources.append(column.reshape(-1) if column.flags.c_contiguous else column.flat)
+    full_separator = separator[full]
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            block = np.empty((stop - start, len(columns), _fmt17.CELL_BYTES), np.uint8)
+            block = np.empty((stop - start, len(columns), _fmt17.CELL_WORDS), "<i8")
             if full:
-                values = np.concatenate([cells[start:stop] for _, cells in full])
-                text = _fmt17.text(values).reshape(len(full), stop - start, -1)
-                for (j, _), column_text in zip(full, text):
-                    block[:, j] = column_text
+                values = np.empty((stop - start, len(full)))
+                for i, source in enumerate(sources):
+                    values[:, i] = source[start:stop]
+                text = _block_words(values)
+                text[3] |= full_separator
+                block[:, full] = text.transpose(1, 2, 0)
             for j, text, index in repeated:
                 block[:, j] = text.take(index[start:stop], axis=0)
-            block[:, :, -1] = ord(",")
-            block[:, -1, -1] = ord("\n")
             f.write(block.tobytes().translate(None, b"\0"))
+
+
+def _block_words(values) -> np.ndarray:
+    """(CELL_WORDS, rows, columns) words of the text of each value of a
+    (rows, columns) block.  Runs of equal bits down a column (so -0.0 and
+    0.0 differ, and a nan equals a nan of its own bits) are formatted once,
+    at their first row."""
+    bits = values.view(np.int64)
+    starts = np.empty(values.shape, bool)
+    starts[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    if starts.all():
+        return _fmt17.words(values.ravel()).reshape(-1, *values.shape)
+    # column after column, each cell's run start is the last start up to it
+    starts = starts.T
+    run = np.cumsum(starts.ravel()) - 1
+    text = _fmt17.words(values.T[starts]).take(run, axis=1)
+    return text.reshape(-1, *starts.shape).transpose(0, 2, 1)
 
 
 def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:

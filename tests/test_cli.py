@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tllcd import cli, dynamics, integrator
+from tllcd import _fmt17, cli, dynamics, integrator
 from tllcd.cli import (
     EXIT_CONFIG,
     EXIT_INSTABILITY,
@@ -45,6 +45,32 @@ TABLE_CONFIG = (
     .replace("cd = on", "cd = off")
     + "table = 0:0:0; 0.1:0:0; 0.2:7:0; 2:7:0\n"
 )
+
+
+# four CSV blocks of modes.csv (32 modes x 201 records): the contact ramp
+# with CD on, whose n_qp is exactly 0.0, and a CD-off table run that repeats
+# no value down any full column of modes.csv
+BLOCKS_CONFIG = GOOD_CONFIG.replace("n_modes = 2", "n_modes = 32").replace(
+    "record_points = 41", "record_points = 201"
+)
+BLOCKS_TABLE_CONFIG = (
+    BLOCKS_CONFIG.replace("family = contact", "family = custom_table")
+    .replace("L = 20.0", "L = 100.0")
+    .replace("t_f = 6.0", "t_f = 10.0")
+    .replace("cd = on", "cd = off")
+    + "schedule = linear\n"
+    + "table = 0.0:0.9:0.45; 0.5:0.85:0.45; 1.0:0.8:0.4; 1.5:0.7:0.4; 2.5:0.6:0.35\n"
+)
+# the full columns of modes.csv, one value per (mode, record)
+FULL_MODES_COLUMNS = ("n_bare", "n_qp", "fidelity", "pair_energy", "residual", "epsilon_cd")
+
+
+def run_config(text):
+    cfg = parse_config(text)
+    result = dynamics.run_simulation(
+        cfg.protocol(), rtol=cfg.rtol, atol=cfg.atol, record_points=cfg.record_points
+    )
+    return cfg, result
 
 
 def write_config(tmp_path, text=GOOD_CONFIG, name="run.cfg"):
@@ -309,14 +335,101 @@ def test_csv_writer_matches_savetxt(tmp_path):
         edges = np.arange(1, 4) * cli.CSV_BLOCK_ROWS
         column[edges - 1 + offset], column[edges - offset] = np.nan, -0.0
     mixed = [mixed[0], np.float64(np.nan), mixed[1]]
+    # full columns whose runs of equal bits cross every block edge, with
+    # values of 1 <= X <= 16 beside values of X <= 0 in the same block: a
+    # run of 12.5, nan runs, a run of -0.0 meeting a run of 0.0 (which a
+    # float == would merge), and a run that starts at a block's first row
+    n = 3 * cli.CSV_BLOCK_ROWS + 7
+    edges = np.arange(1, 4) * cli.CSV_BLOCK_ROWS
+    runs = rng.normal(size=(3, n))
+    for edge, value in zip(edges, (12.5, np.nan, -0.0)):
+        runs[0, edge - 5 : edge + 5] = value
+    runs[0, edges[2] + 5 : edges[2] + 9] = 0.0
+    runs[1] = np.repeat([np.nan, -0.0, 0.0, 12.5, 0.1, np.nan, 123456.75, -0.0], 777)[:n]
+    runs[2, : edges[0]] = 0.5
+    runs[2, edges[0] : edges[0] + 300] = -0.0  # starts at a block's first row
+    runs[2, edges[0] + 300 : edges[1] + 1] = 0.0
+    runs[2, edges[1] + 1 :: 2] = 12.5
+    runs = [runs[0], np.float64(0.25), runs[1], runs[2]]
     want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-    for columns in (flat, broadcast, mixed):
+    for columns in (flat, broadcast, mixed, runs):
         header = ",".join("abcdef"[: len(columns)])
         shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
         table = np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
         np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header, comments="")
         cli._write_csv(got, header, columns)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_outputs_are_the_savetxt_bytes_of_the_run(tmp_path):
+    # the run's own columns, of several blocks, not only synthetic tables
+    want = tmp_path / "want.csv"
+    for text in (BLOCKS_CONFIG, BLOCKS_TABLE_CONFIG):
+        cfg, result = run_config(text)
+        traj = result.trajectories
+        assert traj.n_qp.size > 2 * cli.CSV_BLOCK_ROWS
+        paths = cli.write_outputs(result, cfg, tmp_path / "out")
+        modes = [traj.times, traj.p[:, None]]
+        modes += [getattr(traj, name) for name in cli.MODES_HEADER.split(",")[2:]]
+        aggregate = [traj.times]
+        aggregate += [getattr(result, name) for name in cli.AGGREGATE_HEADER.split(",")[1:-1]]
+        aggregate.append(result.stability.margin)
+        for header, columns, got in (
+            (cli.MODES_HEADER, modes, paths["modes"]),
+            (cli.AGGREGATE_HEADER, aggregate, paths["aggregate"]),
+        ):
+            shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+            table = np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
+            np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header, comments="")
+            assert got.read_bytes() == want.read_bytes()
+
+
+def test_formatter_gets_each_run_of_a_block_once(tmp_path, monkeypatch):
+    # what the formatter is handed for modes.csv: per block, one value for
+    # each run of equal bits down a full column.  The block calls follow
+    # those of the columns that repeat (t, p, chi)
+    handed, words, write_csv = [], _fmt17.words, cli._write_csv
+    per_file = {}
+
+    def spy(values):
+        handed.append(np.array(values))
+        return words(values)
+
+    def writer(path, header, columns):
+        handed.clear()
+        write_csv(path, header, columns)
+        per_file[header] = list(handed)
+
+    monkeypatch.setattr(_fmt17, "words", spy)
+    monkeypatch.setattr(cli, "_write_csv", writer)
+    block = cli.CSV_BLOCK_ROWS
+    for text, cd in ((BLOCKS_CONFIG, True), (BLOCKS_TABLE_CONFIG, False)):
+        cfg, result = run_config(text)
+        traj = result.trajectories
+        cli.write_outputs(result, cfg, tmp_path / "out")
+        full = np.stack([getattr(traj, name).ravel() for name in FULL_MODES_COLUMNS], axis=1)
+        starts = np.ones(full.shape, bool)
+        bits = full.view(np.int64)
+        starts[1:] = bits[1:] != bits[:-1]
+        starts[::block] = True
+        n_blocks = -(-len(full) // block)
+        assert n_blocks >= 2
+        calls = per_file[cli.MODES_HEADER][-n_blocks:]
+        for k, got in enumerate(calls):
+            rows = slice(k * block, (k + 1) * block)
+            want = full[rows][starts[rows]]
+            assert np.array_equal(np.sort(got.view(np.int64)), np.sort(want.view(np.int64)))
+            if cd:
+                # n_qp is exactly 0.0 at every mode and record: one value
+                # of it per block
+                n_qp = FULL_MODES_COLUMNS.index("n_qp")
+                assert not bits[rows, n_qp].any()
+                assert starts[rows, n_qp].sum() == 1
+                assert len(got) < full[rows].size
+            else:
+                # no repeats: every cell formatted exactly once
+                assert starts[rows].all()
+                assert len(got) == full[rows].size
 
 
 def test_two_record_grid_runs(tmp_path):

@@ -10,8 +10,9 @@ from tllcd import _fmt17
 
 
 def texts(values):
-    cells = _fmt17.text(np.asarray(values, dtype=float))
-    assert cells.shape == (len(values), _fmt17.CELL_BYTES)
+    words = _fmt17.words(np.asarray(values, dtype=float))
+    assert words.shape == (_fmt17.CELL_WORDS, len(values))
+    cells = np.ascontiguousarray(words.T, dtype="<i8").view(np.uint8)
     assert not cells[:, -1].any()  # the separator byte is free
     return [bytes(cell).replace(b"\0", b"") for cell in cells]
 
