@@ -9,7 +9,9 @@ Modules:
     integrator sixth-order Magnus integration of all pairs at once
     dynamics  trajectories of all pairs as arrays, observables, sweeps
     fock      truncated-Fock brute-force oracle (validation only)
+    validate  scalar references and the oracle suite (validation only)
     cli       tll-cd-sim command line and file I/O
+    errors    exception classes
 """
 
 __version__ = "0.1.0"
@@ -30,9 +32,6 @@ from .control import (
 from .dynamics import (
     Trajectories,
     evolve_pair,
-    mean_energy_scaling_check,
-    pair_energy,
-    quasiparticle_frame,
     run_simulation,
     sweep_tf,
 )
@@ -66,3 +65,13 @@ from .su11 import (
     state_overlap,
     vacuum_observables,
 )
+
+
+def __getattr__(name):
+    # the scalar references load with the oracle on first use, so that
+    # importing the package leaves validate and fock unloaded
+    if name in ("mean_energy_scaling_check", "pair_energy", "quasiparticle_frame"):
+        from . import validate
+
+        return getattr(validate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

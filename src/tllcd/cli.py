@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _fmt17, dynamics, integrator, su11
+from . import __version__, _fmt17, dynamics
 from .control import Schedule, ScheduleKind
 from .errors import (
     CDInstabilityError,
@@ -457,144 +457,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    failures = run_validation_suite(verbose=True)
+    from .validate import run_validation_suite
+
+    failures = run_validation_suite()
     if failures:
         print(f"{failures} validation check(s) failed")
         return EXIT_VALIDATION
     print("all validation checks passed")
     return 0
-
-
-def run_validation_suite(verbose: bool = False) -> int:
-    """Oracle cross-checks: Gaussian formulas and integrator conventions
-    against the truncated-Fock reference.  Returns the failure count."""
-    from . import fock
-    from .model import PairCoefficients
-
-    checks = []
-
-    def check(name, ok):
-        checks.append((name, ok))
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-
-    for eta in (-0.8, -0.2, 0.4, 1.1):
-        gauss = su11.squeeze_from_angle(eta)
-        obs = su11.vacuum_observables(gauss)
-        ref = fock.gaussian_state(gauss, 120)
-        check(
-            f"occupation closed form vs Fock sum (eta={eta})",
-            abs(obs.occupation - ref.occupation()) < 1e-8,
-        )
-        check(
-            f"pair correlator closed form vs Fock sum (eta={eta})",
-            abs(obs.pair_correlator - ref.pair_correlator()) < 1e-8,
-        )
-
-    a = su11.squeeze_from_angle(0.3)
-    b = su11.squeeze_from_angle(0.7)
-    fock_ov = abs(fock.gaussian_state(a, 120).overlap(fock.gaussian_state(b, 120)))
-    check(
-        "overlap closed form vs Fock inner product",
-        abs(su11.state_overlap(a, b) - fock_ov) < 1e-10,
-    )
-
-    # annihilation condition: coefficient of |m, m+1> in
-    # [cosh(eta) b(p) - sinh(eta) b†(-p)] applied to the state must vanish
-    eta = 0.5
-    st = fock.tmsv_amplitudes(eta, 100)
-    root = np.sqrt(np.arange(1, 101))
-    killed = root * (
-        math.cosh(eta) * st.amplitudes[1:] - math.sinh(eta) * st.amplitudes[:-1]
-    )
-    check("tmsv annihilation condition", float(np.linalg.norm(killed)) < 1e-10)
-
-    # integrator conventions vs oracle on a small contact protocol
-    proto = DriveProtocol(
-        coupling=CouplingSpec(
-            family=CouplingFamily.CONTACT, g2_end=1.0, g4_end=0.5
-        ),
-        schedule=Schedule(kind=ScheduleKind.POLY5),
-        t_f=6.0,
-        L=20.0,
-        n_modes=1,
-        cd_enabled=True,
-    )
-    for cd in (True, False):
-        pr = proto.with_cd(cd)
-        p = pr.momenta()[0]
-        traj = dynamics.evolve_pair(p, pr, record_points=41)
-        states = fock.evolve_fock(
-            fock.vacuum_state(120),
-            lambda t: pr.pair_generator(p, t),
-            pr.t_f,
-            t_eval=traj.times,
-        )
-        ov = abs(states[-1].overlap(fock.gaussian_state(traj.map(0, -1), 120)))
-        check(
-            f"integrator vs Fock oracle (cd={'on' if cd else 'off'})",
-            ov >= 1 - 1e-8 and states[-1].cutoff_safe,
-        )
-
-    # integrator order on the same protocol, 4 record intervals: each halving
-    # of the step cuts the step-doubling difference |y_N - y_2N| by 2^6 at
-    # sixth order and by 2^4 at fourth, so a lower-order step fails here.
-    # With CD on it measures the phase route that runs (the quadrature of
-    # the phase integral alone), without CD the whole Magnus step
-    p = proto.momenta()
-    times = np.linspace(0.0, proto.t_f, 5)
-    for cd in (True, False):
-        pr = proto.with_cd(cd)
-        y = [
-            np.array(
-                integrator.fixed_steps(pr.grid, p, times, [1.0], [0.0], n, phase=cd)
-            )
-            for n in (2, 4, 8)
-        ]
-        diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(y, y[1:])]
-        check(
-            f"integrator order (cd={'on' if cd else 'off'}): halving the step "
-            "cuts |y_N - y_2N| by >= 2^5",
-            diffs[0] >= 2**5 * diffs[1] > 0,
-        )
-
-    # CD-on referee on the same protocol: the transitionless answer, no
-    # quasiparticle at any mode or record, at one step per record interval
-    # after the pass at one per two (40 record intervals)
-    result = dynamics.run_simulation(proto, record_points=41)
-    traj, report = result.trajectories, result.integration
-    check(
-        "CD-on referee: n_qp = 0, 1 substep, 3/2 steps per interval",
-        bool(np.all(traj.n_qp == 0.0))
-        and report.substeps == 1
-        and report.steps == 3 * 40 // 2,
-    )
-
-    # error control on the same protocol: every record of a run within
-    # atol + rtol |y| of one at 64 times its substeps, on an even interval
-    # count (whose first pass takes one step per two intervals) and an odd one
-    rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
-    for points in (41, 40):
-        times = np.linspace(0.0, proto.t_f, points)
-        u, v, report, _ = dynamics.integrate_protocol(proto, p, times, rtol, atol)
-        n = 64 * report.substeps
-        ref = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], n)
-        check(
-            "error control: within tolerance of 64x the substeps "
-            f"({points - 1} record intervals)",
-            all(
-                np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
-                for got, want in zip((u, v), ref)
-            ),
-        )
-
-    # pair ground energy vs dense eigenvalue
-    coeffs = PairCoefficients(omega=2.0, g=1.0, chi=0.0)
-    H = fock.pair_hamiltonian_matrix(coeffs, 200)
-    ground = float(np.linalg.eigvalsh(H)[0])
-    check("pair ground eigenvalue = epsilon", abs(ground - math.sqrt(3.0)) < 1e-9)
-
-    return sum(1 for _, ok in checks if not ok)
 
 
 def _pyplot():

@@ -19,7 +19,7 @@ from . import su11
 from .control import spectrum_with_cd
 from .errors import CDInstabilityError, ContractError, IntegrationError
 from .integrator import IntegrationReport, integrate_modes
-from .model import PairCoefficients, instantaneous_spectrum
+from .model import instantaneous_spectrum
 from .protocol import DriveProtocol, StabilityReport
 from .su11 import BogoliubovMap
 
@@ -66,46 +66,14 @@ class Trajectories:
         return BogoliubovMap(complex((u * rotation)[0]), complex((v * rotation)[0]))
 
 
-def quasiparticle_frame(state: BogoliubovMap, eta_t: float) -> BogoliubovMap:
-    """State map expressed in the instantaneous eigenbasis: compose the
-    inverse diagonalizing squeeze with the evolved map."""
-    return su11.compose(su11.inverse(su11.squeeze_from_angle(eta_t)), state)
-
-
-def pair_energy(state: BogoliubovMap, coeffs: PairCoefficients) -> float:
-    """<H_TL, pair> = 2 omega (n + 1/2) - omega + 2 g Re<bb>, zero-point
-    constant -omega included (pair form of -sum hbar omega/2)."""
-    obs = su11.vacuum_observables(state)
-    return (
-        2.0 * coeffs.omega * (obs.occupation + 0.5)
-        - coeffs.omega
-        + 2.0 * coeffs.g * obs.pair_correlator.real
-    )
-
-
-def controlled_pair_energy(state: BogoliubovMap, coeffs: PairCoefficients) -> float:
-    """Full controlled energy in the zero-point-included convention:
-    2 omega <K0> + 2 g Re<bb> + 2 chi Im<bb>.
-
-    The +2 chi Im<bb> sign follows from <K-> = <bb>; it is pinned by the
-    Fock-oracle ground-eigenvalue test.
-    """
-    obs = su11.vacuum_observables(state)
-    return (
-        2.0 * coeffs.omega * obs.k0_expectation
-        + 2.0 * coeffs.g * obs.pair_correlator.real
-        + 2.0 * coeffs.chi * obs.pair_correlator.imag
-    )
-
-
 def observables(u, v, frame, omega, g, chi) -> dict:
     """Observables of the states (u, v), whose adiabatic frame state is
     frame = (u', v'), under the pair coefficients (omega, g, chi),
-    elementwise over arrays: the array forms of the scalar references.
-    n_qp = |v'|^2 (quasiparticle_frame) and fidelity = min(1/|u'|, 1)
-    (state_overlap with the instantaneous ground state) are read in the
-    frame; n_bare (vacuum_observables), pair_energy, residual and
-    controlled_energy (controlled_pair_energy) from (u, v).
+    elementwise over arrays: the array forms of the scalar references,
+    which live in `validate`.  n_qp = |v'|^2 (quasiparticle_frame) and
+    fidelity = min(1/|u'|, 1) (state_overlap with the instantaneous ground
+    state) are read in the frame; n_bare (vacuum_observables), pair_energy,
+    residual and controlled_energy (controlled_pair_energy) from (u, v).
     """
     u_frame, v_frame = frame
     n = np.abs(v) ** 2
@@ -195,19 +163,6 @@ def _evolve(protocol, momenta, times, rtol, atol, initial):
         **observables(u, v, frame, c.omega, c.g, c.chi),
     )
     return traj, c, report
-
-
-def mean_energy_scaling_check(traj: Trajectories, protocol: DriveProtocol) -> float:
-    """Max relative deviation of <H(t)> from (v_s(t)/v_F) <H(0)>.
-
-    Uses the zero-point-included convention of the controlled Hamiltonian;
-    valid for CD on with contact couplings (momentum-independent v_s).
-    """
-    if not protocol.cd_enabled:
-        raise ContractError("mean-energy scaling requires CD on")
-    totals = traj.controlled_energy.sum(axis=0)
-    scale = protocol.grid(traj.p, traj.times).v_s[0] / protocol.v_F
-    return float(np.max(np.abs(totals - scale * totals[0])) / abs(totals[0]))
 
 
 @dataclass

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tllcd import dynamics, fock, su11
+from tllcd import dynamics, fock, su11, validate
 from tllcd.cli import experimental_sound_velocity, main
 from tllcd.control import (
     Schedule,
@@ -83,7 +83,7 @@ def test_criterion_1_transitionless(figure_run):
 
 def test_criterion_2_mean_energy_scaling(figure_run):
     proto, result, _ = figure_run
-    dev = dynamics.mean_energy_scaling_check(result.trajectories, proto)
+    dev = validate.mean_energy_scaling_check(result.trajectories, proto)
     report(2, dev < 1e-8, f"max relative deviation {dev:.3e} (< 1e-8)")
 
 

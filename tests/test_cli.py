@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tllcd import _fmt17, cli, dynamics, integrator
+import tllcd
+from tllcd import _fmt17, cli, dynamics, integrator, validate
 from tllcd.cli import (
     EXIT_CONFIG,
     EXIT_INSTABILITY,
@@ -21,9 +22,9 @@ from tllcd.cli import (
     experimental_sound_velocity,
     main,
     parse_config,
-    run_validation_suite,
 )
 from tllcd.errors import ConfigError, ContractError
+from tllcd.validate import run_validation_suite
 
 GOOD_CONFIG = """
 # reference contact ramp, small for test speed
@@ -191,16 +192,24 @@ def test_subcommands_take_only_their_flags(tmp_path):
         assert exc.value.code == 2
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, tllcd.cli; sys.exit('scipy.integrate' in sys.modules)"
+def test_import_leaves_scipy_and_the_oracle_unloaded():
+    # the package exports the scalar references of `validate` on first use
+    code = (
+        "import sys, tllcd.cli\n"
+        "loaded = [m for m in sys.modules if m in ('tllcd.validate', 'tllcd.fock')"
+        " or m.split('.')[0] == 'scipy']\n"
+        "sys.exit(', '.join(loaded) or None)\n"
+    )
     src = str(Path(cli.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    for name in ("pair_energy", "quasiparticle_frame", "mean_energy_scaling_check"):
+        assert getattr(tllcd, name) is getattr(validate, name)
 
 
 def test_runs_leave_scipy_and_the_oracle_unloaded(tmp_path):
-    # simulate and sweep need numpy alone: neither scipy nor the Fock oracle
+    # simulate and sweep need numpy alone: neither scipy nor the oracle
     # is imported on the run path, which keeps a run's set-up at numpy's cost
     cfg = write_config(tmp_path, GOOD_CONFIG.replace("record_points = 41", "record_points = 5"))
     out = str(tmp_path / "out")
@@ -209,7 +218,8 @@ def test_runs_leave_scipy_and_the_oracle_unloaded(tmp_path):
         "from tllcd.cli import main\n"
         f"assert main(['simulate', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
         f"assert main(['sweep', '--config', {cfg!r}, '--out', {out!r}, '--tf-list', '6,8']) == 0\n"
-        "loaded = [m for m in sys.modules if m == 'tllcd.fock' or m.split('.')[0] == 'scipy']\n"
+        "loaded = [m for m in sys.modules if m in ('tllcd.validate', 'tllcd.fock')"
+        " or m.split('.')[0] == 'scipy']\n"
         "sys.exit(', '.join(loaded) or None)\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -615,19 +625,35 @@ def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys
     assert "t_f = 5:" not in err
 
 
+# every check of the oracle suite, in the order `validate` prints them
+VALIDATION_CHECKS = [
+    f"{what} closed form vs Fock sum (eta={eta})"
+    for eta in (-0.8, -0.2, 0.4, 1.1)
+    for what in ("occupation", "pair correlator")
+] + [
+    "overlap closed form vs Fock inner product",
+    "tmsv annihilation condition",
+    "integrator vs Fock oracle (cd=on)",
+    "integrator vs Fock oracle (cd=off)",
+    "integrator order (cd=on): halving the step cuts |y_N - y_2N| by >= 2^5",
+    "integrator order (cd=off): halving the step cuts |y_N - y_2N| by >= 2^5",
+    "CD-on referee: n_qp = 0, 1 substep, 3/2 steps per interval",
+    "error control: within tolerance of 64x the substeps (40 record intervals)",
+    "error control: within tolerance of 64x the substeps (39 record intervals)",
+    "pair ground eigenvalue = epsilon",
+]
+
+
 def test_validate_subcommand(capsys):
     assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "all validation checks passed" in out
-    assert "FAIL" not in out
-    assert out.count("[PASS] error control") == 2
-    assert "[PASS] integrator order (cd=on)" in out
-    assert "[PASS] integrator order (cd=off)" in out
-    assert "[PASS] CD-on referee" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"[PASS] {name}" for name in VALIDATION_CHECKS] + [
+        "all validation checks passed"
+    ]
 
 
 def test_validation_suite_counts_failures():
-    assert run_validation_suite(verbose=False) == 0
+    assert run_validation_suite() == 0
 
 
 def test_experimental_sound_velocity():

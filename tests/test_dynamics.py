@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tllcd import dynamics, fock, su11
+from tllcd import dynamics, fock, su11, validate
 from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import (
     CDInstabilityError,
@@ -122,7 +122,7 @@ def test_integrator_vs_fock_oracle():
 
 def test_quasiparticle_frame_of_ground_state():
     eta = -0.3
-    framed = dynamics.quasiparticle_frame(su11.squeeze_from_angle(eta), eta)
+    framed = validate.quasiparticle_frame(su11.squeeze_from_angle(eta), eta)
     assert abs(framed.u - 1.0) < 1e-12
     assert abs(framed.v) < 1e-12
 
@@ -130,7 +130,7 @@ def test_quasiparticle_frame_of_ground_state():
 def test_quasiparticle_frame_angle_difference():
     # squeeze(eta') in frame eta has occupation sinh^2(eta' - eta)
     eta, etap = -0.2, 0.5
-    framed = dynamics.quasiparticle_frame(su11.squeeze_from_angle(etap), eta)
+    framed = validate.quasiparticle_frame(su11.squeeze_from_angle(etap), eta)
     assert abs(framed.v) ** 2 == pytest.approx(
         math.sinh(etap - eta) ** 2, rel=1e-10
     )
@@ -139,7 +139,7 @@ def test_quasiparticle_frame_angle_difference():
 def test_pair_energy_of_ground_state():
     coeffs = PairCoefficients(2.0, 1.0, 0.0)
     gs = su11.squeeze_from_angle(bogoliubov_angle(2.0, 1.0))
-    e = dynamics.pair_energy(gs, coeffs)
+    e = validate.pair_energy(gs, coeffs)
     assert e == pytest.approx(math.sqrt(3.0) - 2.0, abs=1e-12)
 
 
@@ -153,7 +153,7 @@ def test_controlled_pair_energy_matches_fock_expectation():
     amps = fock.gaussian_state(state, 200).amplitudes
     expect = float(np.real(np.vdot(amps, H @ amps)))
     got = 2 * coeffs.omega * (0.5 + abs(state.v) ** 2)
-    assert dynamics.controlled_pair_energy(state, coeffs) == pytest.approx(
+    assert validate.controlled_pair_energy(state, coeffs) == pytest.approx(
         expect, abs=1e-8
     )
     assert got != pytest.approx(expect, abs=1e-3)  # chi/g terms do matter
@@ -191,13 +191,6 @@ def test_interacting_initial_map():
     assert np.min(traj.fidelity) >= 1 - 1e-9
 
 
-def test_mean_energy_scaling_requires_cd():
-    proto = make_protocol(cd=False)
-    traj = dynamics.evolve_pair(proto.momenta()[0], proto)
-    with pytest.raises(ContractError):
-        dynamics.mean_energy_scaling_check(traj, proto)
-
-
 OBSERVED_COUPLINGS = {
     "contact": CouplingSpec(family=CouplingFamily.CONTACT, g2_end=1.0, g4_end=0.5),
     "lorentzian": CouplingSpec(
@@ -208,6 +201,20 @@ OBSERVED_COUPLINGS = {
         table=((0.0, 0.9, 0.45), (0.5, 0.8, 0.4), (2.5, 0.6, 0.35)),
     ),
 }
+
+
+@pytest.mark.parametrize(
+    "family, cd",
+    [("contact", False), ("lorentzian", True), ("custom_table", True)],
+    ids=["contact-off", "lorentzian-on", "custom_table-on"],
+)
+def test_mean_energy_scaling_requires_cd(family, cd):
+    # the check holds only for CD on with contact couplings, whose v_s is
+    # the same for every mode
+    proto = replace(make_protocol(cd=cd), coupling=OBSERVED_COUPLINGS[family])
+    traj = dynamics.evolve_pair(proto.momenta()[0], proto)
+    with pytest.raises(ContractError):
+        validate.mean_energy_scaling_check(traj, proto)
 
 
 @pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
@@ -254,7 +261,7 @@ def test_dynamical_phase_outgrows_the_free_phase():
 def test_mean_energy_scaling_cd_on():
     proto = make_protocol()
     traj = dynamics.evolve_pair(proto.momenta()[0], proto)
-    assert dynamics.mean_energy_scaling_check(traj, proto) < 1e-10
+    assert validate.mean_energy_scaling_check(traj, proto) < 1e-10
 
 
 def test_run_simulation_aggregates():
@@ -379,19 +386,19 @@ def test_array_observables_match_scalar_references(rows):
     states = [su11.BogoliubovMap(complex(x), complex(y)) for x, y in zip(u, v)]
     etas = [bogoliubov_angle(*coupling) for coupling in zip(omega, g)]
     # the frame coordinates (u', v') of each state, from the scalar reference
-    framed = [dynamics.quasiparticle_frame(*args) for args in zip(states, etas)]
+    framed = [validate.quasiparticle_frame(*args) for args in zip(states, etas)]
     frame = np.array([[x.u for x in framed], [x.v for x in framed]])
     obs = dynamics.observables(u, v, frame, omega, g, chi)
     for k, (state, eta) in enumerate(zip(states, etas)):
         coeffs = PairCoefficients(omega[k], g[k], chi[k])
-        energy = dynamics.pair_energy(state, coeffs)
+        energy = validate.pair_energy(state, coeffs)
         want = {
             "n_bare": su11.vacuum_observables(state).occupation,
-            "n_qp": abs(dynamics.quasiparticle_frame(state, eta).v) ** 2,
+            "n_qp": abs(validate.quasiparticle_frame(state, eta).v) ** 2,
             "fidelity": su11.state_overlap(su11.squeeze_from_angle(eta), state),
             "pair_energy": energy,
             "residual": energy - (instantaneous_spectrum(omega[k], g[k]) - omega[k]),
-            "controlled_energy": dynamics.controlled_pair_energy(state, coeffs),
+            "controlled_energy": validate.controlled_pair_energy(state, coeffs),
         }
         scale = 1.0 + abs(omega[k]) * np.cosh(2.0 * r[k])
         for name, value in want.items():

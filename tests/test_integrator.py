@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from tllcd import dynamics, integrator, su11
+from tllcd import dynamics, integrator, su11, validate
 from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import ContractError, IntegrationError
 from tllcd.model import CouplingFamily, CouplingSpec, bogoliubov_angle
@@ -444,7 +444,7 @@ def test_frame_and_lab_state_come_from_one_pass(points):
         for j in range(len(traj.times)):
             eta = bogoliubov_angle(c.omega[k, j], c.g[k, j])
             state = traj.map(k, j)
-            n_qp = abs(dynamics.quasiparticle_frame(state, eta).v) ** 2
+            n_qp = abs(validate.quasiparticle_frame(state, eta).v) ** 2
             fidelity = su11.state_overlap(su11.squeeze_from_angle(eta), state)
             assert abs(traj.n_qp[k, j] - n_qp) <= 1e-12 * scale, (k, j)
             assert abs(traj.fidelity[k, j] - fidelity) <= 1e-12 * fidelity, (k, j)

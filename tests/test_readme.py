@@ -1,5 +1,5 @@
-"""The README quick start runs as written and prints what it says, and the
-Trajectories names it gives exist."""
+"""The README quick start runs as written and prints what it says, the
+Trajectories names it gives exist, and every public module is documented."""
 
 import contextlib
 import dataclasses
@@ -7,6 +7,7 @@ import io
 import re
 from pathlib import Path
 
+import tllcd
 from tllcd.dynamics import Trajectories
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,3 +37,19 @@ def test_readme_names_only_trajectories_members():
     members = {f.name for f in dataclasses.fields(Trajectories)} | set(vars(Trajectories))
     assert {"u", "n_qp"} <= named
     assert named <= members
+
+
+def test_every_public_module_is_documented():
+    # a row in README's Layout table and an entry in the package docstring's
+    # module list for every module whose name does not start with '_'
+    modules = {
+        path.stem for path in Path(tllcd.__file__).parent.glob("*.py")
+        if not path.stem.startswith("_")
+    }
+    layout = README.read_text().split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `tllcd\.(\w+)` \|", layout, re.M))
+    listed = tllcd.__doc__.split("Modules:", 1)[1]
+    entries = set(re.findall(r"^    (\w+) ", listed, re.M))
+    assert "dynamics" in modules
+    assert modules - rows == set()
+    assert modules - entries == set()
