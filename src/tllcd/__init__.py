@@ -1,20 +1,26 @@
 """Mode-resolved simulator of the interaction-driven Tomonaga-Luttinger
 liquid with counterdiabatic control.
 
+The run path (model, control, protocol -> integrator -> dynamics -> cli)
+holds arrays only; the scalar SU(1,1) layer, the oracle and its checks are
+the reference side, loaded on first use.
+
 Modules:
-    su11      SU(1,1)/Bogoliubov algebra for one momentum pair
     model     TLL parameters, couplings, spectrum, oscillator mapping
     control   schedules, CD amplitudes, stability and auxiliary formulas
     protocol  drive protocol, its coefficient grid, speed-window criteria
     integrator sixth-order Magnus integration of all pairs at once
-    dynamics  trajectories of all pairs as arrays, observables, sweeps
-    fock      truncated-Fock brute-force oracle (validation only)
-    validate  scalar references and the oracle suite (validation only)
+    dynamics  all pairs integrated from the vacuum, observables, sweeps
     cli       tll-cd-sim command line and file I/O
     errors    exception classes
+    su11      scalar SU(1,1) algebra for one pair (validation only)
+    fock      truncated-Fock brute-force oracle (validation only)
+    validate  scalar references, state_map, the oracle suite (validation only)
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .control import (
     ControlledCoefficients,
@@ -55,23 +61,18 @@ from .protocol import (
     closed_form_bound,
     stability_margin,
 )
-from .su11 import (
-    IDENTITY,
-    BogoliubovMap,
-    PairObservables,
-    compose,
-    inverse,
-    squeeze_from_angle,
-    state_overlap,
-    vacuum_observables,
-)
+
+# the reference side loads on first use, so that importing the package
+# leaves su11, validate and fock unloaded
+_REFERENCE_NAMES = {
+    "su11": ("IDENTITY", "BogoliubovMap", "PairObservables", "compose", "inverse",
+             "squeeze_from_angle", "state_overlap", "vacuum_observables"),
+    "validate": ("mean_energy_scaling_check", "pair_energy", "quasiparticle_frame"),
+}
 
 
 def __getattr__(name):
-    # the scalar references load with the oracle on first use, so that
-    # importing the package leaves validate and fock unloaded
-    if name in ("mean_energy_scaling_check", "pair_energy", "quasiparticle_frame"):
-        from . import validate
-
-        return getattr(validate, name)
+    for module, names in _REFERENCE_NAMES.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

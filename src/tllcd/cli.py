@@ -26,7 +26,7 @@ from .errors import (
     IntegrationError,
     LuttingerInstabilityError,
 )
-from .model import CouplingFamily, CouplingSpec, luttinger_params
+from .model import TWO_PI, CouplingFamily, CouplingSpec, mode_momenta
 from .protocol import DriveProtocol, stability_margin
 
 HBAR_SI = 1.0545718e-34  # J s
@@ -175,16 +175,18 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("units must be 'natural' or 'experimental'")
     if cfg.emit_plots not in ("true", "false"):
         raise ConfigError("emit_plots must be 'true' or 'false'")
-    # couplings that overflow at the endpoints; the exact stability check is
-    # DriveProtocol.validate, which stability_margin runs
+    # mode momenta that overflow, or couplings whose squares in v_s do, at
+    # any mode and endpoint.  Stability is decided not here but by
+    # DriveProtocol.validate, inside the run, so that an unstable config
+    # writes its failure manifest whichever mode is unstable
     coupling = cfg.coupling()
-    for progress in (0.0, 0.5, 1.0):
-        g2, g4 = coupling.values(2 * math.pi / cfg.L, progress)
+    with np.errstate(over="raise"):
         try:
-            # Python floats, so that an overflow raises instead of giving inf
-            luttinger_params(float(g2), float(g4), cfg.v_F)
-        except OverflowError as exc:
-            raise ConfigError(f"couplings out of range: {exc}") from exc
+            p = mode_momenta(cfg.L, cfg.n_modes)[:, None]
+            g2, g4 = coupling.values(p, np.array([0.0, 0.5, 1.0]))
+            np.square(cfg.v_F + g4 / TWO_PI) + np.square(g2 / TWO_PI)
+        except FloatingPointError as exc:
+            raise ConfigError(f"mode momenta or couplings out of range: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -1,6 +1,7 @@
-"""Time evolution of each momentum pair under the driven TLL, with or
-without the counterdiabatic term; observables, ensemble aggregation and
-protocol sweeps.
+"""Time evolution of every momentum pair of a run from the vacuum under the
+driven TLL, with or without the counterdiabatic term, in one integration;
+observables, the invariant policy, ensemble aggregation and protocol
+sweeps.
 
 State representation: the Schrodinger-picture state of a pair is the
 two-mode squeezed vacuum annihilated by c = u b(p) + v b†(-p); the pair
@@ -11,21 +12,23 @@ the squeeze of angle (1/2) ln K_p(t), which the integrator must reproduce.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import su11
 from .control import spectrum_with_cd
 from .errors import CDInstabilityError, ContractError, IntegrationError
 from .integrator import IntegrationReport, integrate_modes
 from .model import instantaneous_spectrum
 from .protocol import DriveProtocol, StabilityReport
-from .su11 import BogoliubovMap
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_RECORD_POINTS = 201
+# Invariant drift policy: warn early, fail hard, never renormalize silently.
+INVARIANT_WARN_TOL = 1e-9
+INVARIANT_ERROR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,18 +55,6 @@ class Trajectories:
     controlled_energy: np.ndarray  # energy under the controlled Hamiltonian
     epsilon_cd: np.ndarray
     chi: np.ndarray
-
-    def map(self, mode: int, record: int) -> BogoliubovMap:
-        """The state of one mode at one record, for the scalar su11
-        references and the Fock oracle, with its overall phase stripped
-        (u real and positive), so that su11.compose, which depends on that
-        phase, acts on squeeze content only."""
-        # on one-element arrays, rounded as a whole row would be: numpy's
-        # scalar complex product can differ from its array product in the
-        # last bit
-        u, v = self.u[mode, [record]], self.v[mode, [record]]
-        rotation = np.exp(-1j * np.angle(u))
-        return BogoliubovMap(complex((u * rotation)[0]), complex((v * rotation)[0]))
 
 
 def observables(u, v, frame, omega, g, chi) -> dict:
@@ -97,49 +88,22 @@ def evolve_pair(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     record_points: int = DEFAULT_RECORD_POINTS,
-    initial: BogoliubovMap = su11.IDENTITY,
 ) -> Trajectories:
-    """Evolve one (p, -p) pair over [0, t_f] and record its state, as
-    integrated, and observables: the one-row case of the trajectories of a
-    run.
-
-    `initial` supports interacting starts (gamma_p(0) != 1) as a Bogoliubov
-    map; excited Fock starts live only in the Fock oracle.
-    """
-    su11.check_map(initial)
+    """Evolve one (p, -p) pair from the vacuum over [0, t_f] and record its
+    state, as integrated, and observables: the one-row case of the
+    trajectories of a run."""
     times = np.linspace(0.0, protocol.t_f, record_points)
-    traj, _, _ = _evolve(protocol, [p], times, rtol, atol, initial)
-    return traj
+    return _evolve(protocol, [p], times, rtol, atol)[0]
 
 
-def integrate_protocol(
-    protocol: DriveProtocol, momenta, times, rtol, atol, initial=su11.IDENTITY, records=None
-):
-    """(u, v, IntegrationReport, frame) of every pair in `momenta` (rows) on
-    the record grid `times` (columns), all started from the map `initial`,
-    in one integrate_modes call, on its phase route with CD on; frame is
-    the state (u', v') in the adiabatic frame that (u, v) is mapped back
-    from, whose |v'|^2 is n_qp and 1/|u'| the fidelity.  `records` is
-    protocol.grid(momenta, times) when the caller has it already: the
-    integrator then reads the adiabatic frame at the records from it
-    instead of evaluating it again."""
-    grid = protocol.grid
-    if records is not None:
-
-        def grid(p, t):
-            return records if t is times else protocol.grid(p, t)
-
-    start = np.ones(len(momenta), dtype=complex)
-    return integrate_modes(
-        grid, momenta, times, initial.u * start, initial.v * start, rtol, atol,
-        phase=protocol.cd_enabled,
-    )
-
-
-def _evolve(protocol, momenta, times, rtol, atol, initial):
+def _evolve(protocol, momenta, times, rtol, atol):
     """(Trajectories, CoefficientGrid, IntegrationReport) of the pairs
-    `momenta` on the record grid `times`, from one coefficient evaluation;
-    the trajectories keep the lab state (u, v) of integrate_protocol."""
+    `momenta` (rows), all started from the vacuum, on the record grid
+    `times` (columns), in one integrate_modes call, on its phase route with
+    CD on.  The coefficients on the record grid are evaluated once, here,
+    and the integrator reads the adiabatic frame from them; the
+    trajectories keep the lab state (u, v) as integrated, and read n_qp and
+    the fidelity from the frame state (u', v')."""
     c = protocol.grid(momenta, times)
     # every mode at every record: raises before any integration where the
     # controlled spectrum turns imaginary between stability-grid points
@@ -147,11 +111,21 @@ def _evolve(protocol, momenta, times, rtol, atol, initial):
         epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi)
     else:
         epsilon_cd = instantaneous_spectrum(c.omega, c.g)
-    u, v, report, frame = integrate_protocol(protocol, momenta, times, rtol, atol, initial, c)
-    try:
-        su11.check_defect(report.max_invariant_defect)
-    except ContractError as exc:  # the integrator's error, not the caller's
-        raise IntegrationError(str(exc)) from None
+    u, v, report, frame = integrate_modes(
+        protocol.grid, momenta, times, c, np.ones(len(momenta)), np.zeros(len(momenta)),
+        rtol, atol, phase=protocol.cd_enabled,
+    )
+    # the invariant policy, once per run
+    defect = report.max_invariant_defect
+    if defect > INVARIANT_ERROR_TOL:
+        raise IntegrationError(
+            f"Bogoliubov invariant violated: |u|^2-|v|^2-1 = {defect:.3e}"
+        )
+    if defect > INVARIANT_WARN_TOL:
+        warnings.warn(
+            f"Bogoliubov invariant drift {defect:.3e} exceeds {INVARIANT_WARN_TOL}",
+            stacklevel=2,
+        )
 
     traj = Trajectories(
         p=np.asarray(momenta, dtype=float),
@@ -200,9 +174,7 @@ def run_simulation(
                 f"cd-instability at p = {stability.argmin_p:.6g}, "
                 f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
             )
-        traj, c, integration = _evolve(
-            protocol, protocol.momenta(), times, rtol, atol, su11.IDENTITY
-        )
+        traj, c, integration = _evolve(protocol, protocol.momenta(), times, rtol, atol)
     except (ContractError, IntegrationError) as exc:
         exc.report = stability
         raise

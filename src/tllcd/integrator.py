@@ -151,7 +151,7 @@ class IntegrationReport:
     max_invariant_defect: float  # max ||u|^2 - |v|^2 - 1| over records, modes
 
 
-def integrate_modes(grid, momenta, times, u0, v0, rtol, atol, phase=False):
+def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phase=False):
     """(u, v, report, frame): (u, v) of every mode (rows) on the record grid
     `times` (columns), the IntegrationReport, and frame = (u', v'), the
     adiabatic frame state (u, v) is mapped back from, (2, modes, records).
@@ -160,10 +160,12 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol, phase=False):
     whose `omega`, `g`, `chi` (the CD amplitude applied) and `chi_cd`
     (Kdot/(2K), d eta/dt of the pair's Bogoliubov angle, whether or not CD
     is applied) are arrays of shape (len(p), len(t)), with |g| < omega, such
-    as `DriveProtocol.grid`; it is called once on the record grid, for the
-    adiabatic frame, and with the momenta of the modes in each pass.  `u0`,
-    `v0` are the initial coefficients, one per mode, mapped into the frame
-    once.  `phase` takes the phase route, exact only where chi is chi_cd
+    as `DriveProtocol.grid`; it is called with the momenta of the modes in
+    each pass.  `coefficients` is grid(momenta, times), the coefficients on
+    the record grid, which the caller holds already: the adiabatic frame is
+    read from its omega and g, and `grid` is never called on the record grid.
+    `u0`, `v0` are the initial coefficients, one per mode, mapped into the
+    frame once.  `phase` takes the phase route, exact only where chi is chi_cd
     (CD on): each pass then sums the phase integral of epsilon instead of
     taking Magnus steps, on the same ladder.  A mode whose (u, v) turns
     non-finite in a pass (a step too long for the Magnus series overflows)
@@ -183,7 +185,7 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol, phase=False):
     out = np.empty((2, len(momenta), len(times)), dtype=complex)
     lab = np.empty_like(out)
     buffer = np.empty(out.size, dtype=complex)
-    frame, y0 = _start(grid, momenta, times, u0, v0)
+    frame, y0 = _start(coefficients, u0, v0)
     # levels are kept as exponents k of N = 2^k steps per record interval.
     # The first pass takes one step per `stride` record intervals and
     # reaches the `records` it is compared at: N = 1/2 and the even records
@@ -225,30 +227,30 @@ def integrate_modes(grid, momenta, times, u0, v0, rtol, atol, phase=False):
     return u, v, IntegrationReport(method, substeps, steps, worst, float(defect)), out
 
 
-def fixed_steps(grid, momenta, times, u0, v0, substeps, phase=False):
+def fixed_steps(grid, momenta, times, coefficients, u0, v0, substeps, phase=False):
     """(u, v) on the record grid `times` after `substeps` steps per record
     interval, without error control: the method's raw convergence, for
     order checks; entries are non-finite where a step overflows.
     `substeps` is any integer >= 1.  The other arguments, the `grid(p, t)`
-    callback and the route `phase` included, are as for integrate_modes."""
+    callback, the record-grid `coefficients` and the route `phase` included,
+    are as for integrate_modes."""
     if not isinstance(substeps, numbers.Integral) or substeps < 1:
         raise ContractError(f"substeps must be an integer >= 1, got {substeps!r}")
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
     out = np.empty((2, len(momenta), len(times)), dtype=complex)
-    frame, y0 = _start(grid, momenta, times, u0, v0)
+    frame, y0 = _start(coefficients, u0, v0)
     _propagate(grid, momenta, times, y0, substeps, out, phase)
     _lab(frame, out, out)
     return out[0], out[1]
 
 
-def _start(grid, momenta, times, u0, v0):
+def _start(coefficients, u0, v0):
     """(frame, y0'): the adiabatic frame (c, s) = (cosh eta, sinh eta) of
-    every mode (rows) at every record (columns), stacked on a first axis,
-    from cosh 2eta = omega/epsilon and sinh 2eta = -g/epsilon; and the
-    initial state (u0, v0) mapped into it, y0' = T y0 with
-    T = [[c, s], [s, c]] at times[0]."""
-    coefficients = grid(momenta, times)
+    every mode (rows) at every record (columns) of the record-grid
+    `coefficients`, stacked on a first axis, from cosh 2eta = omega/epsilon
+    and sinh 2eta = -g/epsilon; and the initial state (u0, v0) mapped into
+    it, y0' = T y0 with T = [[c, s], [s, c]] at the first record."""
     omega, g = coefficients.omega, coefficients.g
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         eps = np.sqrt(omega * omega - g * g)

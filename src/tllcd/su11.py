@@ -1,4 +1,5 @@
-"""SU(1,1) Bogoliubov algebra for a single momentum pair.
+"""SU(1,1) Bogoliubov algebra for a single momentum pair: the scalar
+reference side, which `validate` and `fock` use and no run loads.
 
 A two-mode Bogoliubov transformation is stored as the complex pair (u, v)
 with |u|^2 - |v|^2 = 1.  The same object doubles as a state label: the state
@@ -16,11 +17,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .dynamics import INVARIANT_ERROR_TOL, INVARIANT_WARN_TOL
 from .errors import ContractError
-
-# Invariant drift policy: warn early, fail hard, never renormalize silently.
-INVARIANT_WARN_TOL = 1e-9
-INVARIANT_ERROR_TOL = 1e-6
 
 # cosh(eta)^2 overflows float64 slightly above this angle.
 _MAX_SQUEEZE_ANGLE = 350.0
@@ -47,14 +45,9 @@ IDENTITY = BogoliubovMap(1.0 + 0.0j, 0.0j)
 
 
 def check_map(m: BogoliubovMap) -> None:
-    """Enforce the symplectic invariant; warn above the soft tolerance."""
-    check_defect(abs(m.invariant_defect()))
-
-
-def check_defect(defect: float) -> None:
-    """The invariant policy for the largest ||u|^2 - |v|^2 - 1| of one map or
-    of a whole run: raise above INVARIANT_ERROR_TOL, warn once above
-    INVARIANT_WARN_TOL."""
+    """Enforce the symplectic invariant with the tolerances of a run: raise
+    above INVARIANT_ERROR_TOL, warn above INVARIANT_WARN_TOL."""
+    defect = abs(m.invariant_defect())
     if defect > INVARIANT_ERROR_TOL:
         raise ContractError(
             f"Bogoliubov invariant violated: |u|^2-|v|^2-1 = {defect:.3e}"

@@ -1,6 +1,7 @@
 """Oracle checks, off the run path: the scalar su11 references of the
-observables that `dynamics.observables` computes on arrays, the mean-energy
-scaling check, and the suite that `tll-cd-sim validate` runs against the
+observables that `dynamics.observables` computes on arrays, `state_map`,
+which reads one state of a run as an su11 map, the mean-energy scaling
+check, and the suite that `tll-cd-sim validate` runs against the
 truncated-Fock oracle.  No run imports this module."""
 
 from __future__ import annotations
@@ -14,6 +15,18 @@ from .control import Schedule, ScheduleKind
 from .errors import ContractError
 from .model import CouplingFamily, CouplingSpec, PairCoefficients
 from .protocol import DriveProtocol
+
+
+def state_map(traj: dynamics.Trajectories, mode: int, record: int) -> su11.BogoliubovMap:
+    """The state of one mode at one record of `traj`, for the scalar su11
+    references and the Fock oracle, with its overall phase stripped (u real
+    and positive), so that su11.compose, which depends on that phase, acts
+    on squeeze content only."""
+    # on one-element arrays, rounded as a whole row would be: numpy's scalar
+    # complex product can differ from its array product in the last bit
+    u, v = traj.u[mode, [record]], traj.v[mode, [record]]
+    rotation = np.exp(-1j * np.angle(u))
+    return su11.BogoliubovMap(complex((u * rotation)[0]), complex((v * rotation)[0]))
 
 
 def quasiparticle_frame(state: su11.BogoliubovMap, eta_t: float) -> su11.BogoliubovMap:
@@ -123,7 +136,7 @@ def run_validation_suite() -> int:
             pr.t_f,
             t_eval=traj.times,
         )
-        ov = abs(states[-1].overlap(fock.gaussian_state(traj.map(0, -1), 120)))
+        ov = abs(states[-1].overlap(fock.gaussian_state(state_map(traj, 0, -1), 120)))
         check(
             f"integrator vs Fock oracle (cd={'on' if cd else 'off'})",
             ov >= 1 - 1e-8 and states[-1].cutoff_safe,
@@ -140,7 +153,9 @@ def run_validation_suite() -> int:
         pr = proto.with_cd(cd)
         y = [
             np.array(
-                integrator.fixed_steps(pr.grid, p, times, [1.0], [0.0], n, phase=cd)
+                integrator.fixed_steps(
+                    pr.grid, p, times, pr.grid(p, times), [1.0], [0.0], n, phase=cd
+                )
             )
             for n in (2, 4, 8)
         ]
@@ -169,9 +184,12 @@ def run_validation_suite() -> int:
     rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
     for points in (41, 40):
         times = np.linspace(0.0, proto.t_f, points)
-        u, v, report, _ = dynamics.integrate_protocol(proto, p, times, rtol, atol)
+        c = proto.grid(p, times)
+        u, v, report, _ = integrator.integrate_modes(
+            proto.grid, p, times, c, [1.0], [0.0], rtol, atol, phase=True
+        )
         n = 64 * report.substeps
-        ref = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], n)
+        ref = integrator.fixed_steps(proto.grid, p, times, c, [1.0], [0.0], n)
         check(
             "error control: within tolerance of 64x the substeps "
             f"({points - 1} record intervals)",

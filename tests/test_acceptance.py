@@ -160,7 +160,8 @@ def test_criterion_6_oracle_equivalence():
             pr.t_f,
             t_eval=traj.times,
         )
-        ov = abs(states[-1].overlap(fock.gaussian_state(traj.map(0, -1), 120)))
+        state = validate.state_map(traj, 0, -1)
+        ov = abs(states[-1].overlap(fock.gaussian_state(state, 120)))
         worst = min(worst, ov)
     elapsed = time.perf_counter() - start
     ok = worst >= 1 - 1e-6 and elapsed < 5.0

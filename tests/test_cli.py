@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tllcd
-from tllcd import _fmt17, cli, dynamics, integrator, validate
+from tllcd import _fmt17, cli, dynamics, integrator, su11, validate
 from tllcd.cli import (
     EXIT_CONFIG,
     EXIT_INSTABILITY,
@@ -108,11 +108,29 @@ def test_parse_config_rejects_malformed_line():
         parse_config("just some words\n")
 
 
-def test_parse_config_rejects_unstable_endpoint():
-    from tllcd.errors import LuttingerInstabilityError
-
-    with pytest.raises(LuttingerInstabilityError):
-        parse_config(f"g2_end = {2 * math.pi + 1:.3f}\nt_f = 1.0\n")
+def test_parse_config_rejects_unstable_endpoint(tmp_path):
+    # a contact coupling unstable at every mode, p_min included, where the
+    # config check of overflow evaluates the couplings, at the end of the
+    # ramp or at t = 0, parses; the run refuses it (exit 3, naming the worst
+    # mode) and writes its failure manifest, as for a defect at other modes
+    at_start = (
+        "family = contact\nschedule = linear\ncd = on\ng2_end = -2.914\n"
+        "g4_start = -7.11\ng4_end = 5.93\nt_f = 0.00089\nL = 393.3\nn_modes = 7\n"
+    )
+    for text, where in (
+        (f"g2_end = {2 * math.pi + 1:.3f}\nt_f = 1.0\n", "p=8.04248, t=1"),
+        (at_start, "p=0.111829, t=0"),
+    ):
+        parse_config(text)
+        out = tmp_path / where
+        rc = main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert rc == EXIT_INSTABILITY
+        manifest = (out / "manifest.txt").read_text()
+        assert "status = failed" in manifest
+        assert f"stability.error = luttinger-instability at {where}\n" in manifest
+    # a coupling that overflows at an endpoint is still a config error
+    with pytest.raises(ConfigError, match="out of range"):
+        parse_config("g4_end = 1e300\nt_f = 1.0\n")
 
 
 FLOAT_KEYS = sorted(
@@ -193,10 +211,12 @@ def test_subcommands_take_only_their_flags(tmp_path):
 
 
 def test_import_leaves_scipy_and_the_oracle_unloaded():
-    # the package exports the scalar references of `validate` on first use
+    # the package exports the scalar su11 layer and the scalar references of
+    # `validate` on first use
     code = (
         "import sys, tllcd.cli\n"
-        "loaded = [m for m in sys.modules if m in ('tllcd.validate', 'tllcd.fock')"
+        "reference = ('tllcd.su11', 'tllcd.validate', 'tllcd.fock')\n"
+        "loaded = [m for m in sys.modules if m in reference"
         " or m.split('.')[0] == 'scipy']\n"
         "sys.exit(', '.join(loaded) or None)\n"
     )
@@ -206,6 +226,9 @@ def test_import_leaves_scipy_and_the_oracle_unloaded():
     assert proc.returncode == 0, proc.stderr
     for name in ("pair_energy", "quasiparticle_frame", "mean_energy_scaling_check"):
         assert getattr(tllcd, name) is getattr(validate, name)
+    for name in ("IDENTITY", "BogoliubovMap", "PairObservables", "compose", "inverse",
+                 "squeeze_from_angle", "state_overlap", "vacuum_observables"):
+        assert getattr(tllcd, name) is getattr(su11, name), name
 
 
 def test_runs_leave_scipy_and_the_oracle_unloaded(tmp_path):
@@ -598,15 +621,15 @@ def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys
         monkeypatch.setattr(integrator, "MAX_STEPS", 600)
         message = "magnus step doubling not converged"
     else:
-        integrate = dynamics.integrate_protocol
+        integrate = dynamics.integrate_modes
 
-        def drifted(protocol, *args):
-            u, v, report, frame = integrate(protocol, *args)
-            if protocol.t_f == 40:
+        def drifted(grid, momenta, times, *args, **kwargs):
+            u, v, report, frame = integrate(grid, momenta, times, *args, **kwargs)
+            if times[-1] == 40:
                 report = replace(report, max_invariant_defect=2e-6)
             return u, v, report, frame
 
-        monkeypatch.setattr(dynamics, "integrate_protocol", drifted)
+        monkeypatch.setattr(dynamics, "integrate_modes", drifted)
         message = "Bogoliubov invariant violated"
     cfg = write_config(
         tmp_path,
@@ -758,13 +781,13 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     # an integration that breaks |u|^2 - |v|^2 = 1: an integration error,
     # which carries the gate's report
     calls.clear()
-    integrate = dynamics.integrate_protocol
+    integrate = dynamics.integrate_modes
 
-    def drifted(*args):
-        u, v, report, frame = integrate(*args)
+    def drifted(*args, **kwargs):
+        u, v, report, frame = integrate(*args, **kwargs)
         return u, v, replace(report, max_invariant_defect=2e-6), frame
 
-    monkeypatch.setattr(dynamics, "integrate_protocol", drifted)
+    monkeypatch.setattr(dynamics, "integrate_modes", drifted)
     assert main(["simulate", "--config", write_config(tmp_path), "--out", out]) == (
         EXIT_INTEGRATION
     )
@@ -772,7 +795,7 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "failure = Bogoliubov invariant violated" in manifest
     assert "stability.pass = True" in manifest
-    monkeypatch.setattr(dynamics, "integrate_protocol", integrate)
+    monkeypatch.setattr(dynamics, "integrate_modes", integrate)
     # an integration stopped at the step cap: the error carries the gate's report
     calls.clear()
     monkeypatch.setattr(integrator, "MAX_STEPS", 1)

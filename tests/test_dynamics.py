@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tllcd import dynamics, fock, su11, validate
+from tllcd import dynamics, fock, integrator, su11, validate
 from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import (
     CDInstabilityError,
@@ -74,12 +74,13 @@ def test_stored_maps_are_phase_normalized():
     p = proto.momenta()[0]
     traj = dynamics.evolve_pair(p, proto, record_points=31)
     for j in range(len(traj.times)):
-        state = traj.map(0, j)
+        state = validate.state_map(traj, 0, j)
         assert abs(state.u.imag) <= 1e-12
         assert state.u.real > 0.0
     # the stored (u, v) are the integrator's lab state, phase included
-    u, v, _, _ = dynamics.integrate_protocol(
-        proto, [p], traj.times, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+    u, v, _, _ = integrator.integrate_modes(
+        proto.grid, [p], traj.times, proto.grid([p], traj.times), [1.0], [0.0],
+        dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL, phase=True,
     )
     assert np.array_equal(traj.u, u)
     assert np.array_equal(traj.v, v)
@@ -99,7 +100,7 @@ def test_cd_final_state_is_target_squeeze():
     traj = dynamics.evolve_pair(p, proto)
     K_f = proto.grid(p, proto.t_f).K[0, 0]
     target = su11.squeeze_from_angle(0.5 * math.log(K_f))
-    assert su11.state_overlap(target, traj.map(0, -1)) >= 1 - 1e-10
+    assert su11.state_overlap(target, validate.state_map(traj, 0, -1)) >= 1 - 1e-10
 
 
 def test_integrator_vs_fock_oracle():
@@ -116,7 +117,8 @@ def test_integrator_vs_fock_oracle():
         )
         assert states[-1].cutoff_safe
         for k in range(0, len(traj.times), 10):
-            ov = abs(states[k].overlap(fock.gaussian_state(traj.map(0, k), 120)))
+            state = validate.state_map(traj, 0, k)
+            ov = abs(states[k].overlap(fock.gaussian_state(state, 120)))
             assert ov >= 1 - 1e-8
 
 
@@ -181,14 +183,19 @@ def test_sudden_quench_occupation():
 
 def test_interacting_initial_map():
     # start in the interacting ground state of a static Hamiltonian: nothing
-    # happens (up to phase), quasiparticle occupation stays zero
+    # happens (up to phase), quasiparticle occupation |v'|^2 stays zero and
+    # the fidelity min(1/|u'|, 1) one, in the frame state (u', v')
     proto = make_protocol(g2_start=1.0, g2_end=1.0, g4_start=0.5, g4_end=0.5, cd=False)
-    p = proto.momenta()[0]
-    c = proto.pair_generator(p, 0.0)
+    p = proto.momenta()[:1]
+    c = proto.pair_generator(p[0], 0.0)
     gs = su11.squeeze_from_angle(bogoliubov_angle(c.omega, c.g))
-    traj = dynamics.evolve_pair(p, proto, initial=gs, record_points=21)
-    assert np.max(traj.n_qp) < 1e-9
-    assert np.min(traj.fidelity) >= 1 - 1e-9
+    times = np.linspace(0.0, proto.t_f, 21)
+    _, _, _, (u_frame, v_frame) = integrator.integrate_modes(
+        proto.grid, p, times, proto.grid(p, times), [gs.u], [gs.v],
+        dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL,
+    )
+    assert np.max(np.abs(v_frame) ** 2) < 1e-9
+    assert np.min(np.minimum(1.0 / np.abs(u_frame), 1.0)) >= 1 - 1e-9
 
 
 OBSERVED_COUPLINGS = {
@@ -275,6 +282,34 @@ def test_run_simulation_aggregates():
     assert result.v_s[-1] == pytest.approx(1.0677814482182002, abs=1e-10)
 
 
+@pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
+def test_record_grid_is_evaluated_once_per_run(cd, monkeypatch):
+    # the coefficients on the record grid serve the observables and the
+    # integrator's adiabatic frame alike: one (modes x records) evaluation
+    # per run, for run_simulation and evolve_pair
+    proto = make_protocol(n_modes=4, cd=cd)
+    times = np.linspace(0.0, proto.t_f, 21)
+    grid, calls = DriveProtocol.grid, []
+
+    def spy(self, p, t):
+        calls.append((np.atleast_1d(p).copy(), np.atleast_1d(t).copy()))
+        return grid(self, p, t)
+
+    monkeypatch.setattr(DriveProtocol, "grid", spy)
+    for run, momenta in (
+        (lambda: dynamics.run_simulation(proto, record_points=21), proto.momenta()),
+        (lambda: dynamics.evolve_pair(proto.momenta()[2], proto, record_points=21),
+         proto.momenta()[2:3]),
+    ):
+        calls.clear()
+        run()
+        on_records = [p for p, t in calls if np.array_equal(t, times)]
+        assert len(on_records) == 1
+        assert np.array_equal(on_records[0], momenta)
+        # and the passes of the integrator ran, on other grids
+        assert len(calls) > 1
+
+
 def test_sweep_tf_rows():
     proto = make_protocol(L=40.0, n_modes=1, cd=False)
     rows = dynamics.sweep_tf(proto, [4.0, 40.0], record_points=21)
@@ -336,23 +371,23 @@ def test_cd_instability_fails_before_integration(monkeypatch):
 
 def test_invariant_check_raises_and_warns_once(monkeypatch):
     proto = make_protocol(n_modes=3)
-    real = dynamics.integrate_protocol
+    real = dynamics.integrate_modes
 
     def drifted(defect):
-        def integrate(*args):
-            u, v, report, frame = real(*args)
+        def integrate(*args, **kwargs):
+            u, v, report, frame = real(*args, **kwargs)
             return u, v, replace(report, max_invariant_defect=defect), frame
 
         return integrate
 
-    monkeypatch.setattr(dynamics, "integrate_protocol", drifted(1e-8))
+    monkeypatch.setattr(dynamics, "integrate_modes", drifted(1e-8))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dynamics.run_simulation(proto, record_points=21)
     assert [str(w.message) for w in caught] == [
         "Bogoliubov invariant drift 1.000e-08 exceeds 1e-09"
     ]
-    monkeypatch.setattr(dynamics, "integrate_protocol", drifted(2e-6))
+    monkeypatch.setattr(dynamics, "integrate_modes", drifted(2e-6))
     with pytest.raises(IntegrationError, match="invariant violated"):
         dynamics.run_simulation(proto, record_points=21)
 

@@ -53,12 +53,12 @@ def test_golden_runs_match_dop853(case):
     # against DOP853 at rtol 1e-12
     cfg = parse_config((GOLDEN / case / "run.cfg").read_text())
     proto = cfg.protocol()
-    times = np.linspace(0.0, proto.t_f, cfg.record_points)
-    u, v, _, _ = dynamics.integrate_protocol(proto, proto.momenta(), times, cfg.rtol, cfg.atol)
-    for k, p in enumerate(proto.momenta()):
-        u_ref, v_ref = dop853(proto, p, times)
-        assert np.max(np.abs(u[k] - u_ref)) < 1e-8
-        assert np.max(np.abs(v[k] - v_ref)) < 1e-8
+    result = dynamics.run_simulation(proto, cfg.rtol, cfg.atol, cfg.record_points)
+    traj = result.trajectories
+    for k, p in enumerate(traj.p):
+        u_ref, v_ref = dop853(proto, p, traj.times)
+        assert np.max(np.abs(traj.u[k] - u_ref)) < 1e-8
+        assert np.max(np.abs(traj.v[k] - v_ref)) < 1e-8
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -57,6 +57,17 @@ def make_protocol(family="contact", schedule="poly5", cd=True, n_modes=3):
     )
 
 
+def integrate(proto, momenta, times, rtol, atol):
+    """integrate_modes as a run calls it: every mode of `momenta` from the
+    vacuum, with the coefficients on the record grid and, with CD on, on
+    the phase route."""
+    ones = np.ones(len(momenta))
+    return integrator.integrate_modes(
+        proto.grid, momenta, times, proto.grid(momenta, times), ones, 0 * ones,
+        rtol, atol, phase=proto.cd_enabled,
+    )
+
+
 def dop853(proto, p, times, rtol=1e-12, y0=(1.0, 0.0)):
     """Reference (u, v) of one pair from y0 = (u, v) at t = 0 (the vacuum
     by default), DOP853 at `rtol`."""
@@ -83,9 +94,7 @@ def dop853(proto, p, times, rtol=1e-12, y0=(1.0, 0.0)):
 def test_matches_dop853(family, schedule, cd):
     proto = make_protocol(family, schedule, cd)
     times = np.linspace(0.0, proto.t_f, 11)
-    u, v, report, _ = dynamics.integrate_protocol(
-        proto, proto.momenta(), times, 1e-10, 1e-12
-    )
+    u, v, report, _ = integrate(proto, proto.momenta(), times, 1e-10, 1e-12)
     for k, p in enumerate(proto.momenta()):
         u_ref, v_ref = dop853(proto, p, times)
         assert np.max(np.abs(u[k] - u_ref)) < 1e-8
@@ -103,10 +112,11 @@ def test_sixth_order_convergence():
         proto = make_protocol(cd=cd, n_modes=1)
         p = proto.momenta()
         times = np.linspace(0.0, proto.t_f, 5)
+        c = proto.grid(p, times)
         u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
         def error(substeps):
-            u, v = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
+            u, v = integrator.fixed_steps(proto.grid, p, times, c, [1.0], [0.0], substeps)
             return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
 
         errors = [error(n) for n in (2, 4, 8)]
@@ -123,10 +133,11 @@ def test_fixed_steps_takes_any_step_count():
     proto = make_protocol(n_modes=1)
     p = proto.momenta()
     times = np.linspace(0.0, proto.t_f, 5)
+    c = proto.grid(p, times)
     u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
     def error(substeps):
-        u, v = integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
+        u, v = integrator.fixed_steps(proto.grid, p, times, c, [1.0], [0.0], substeps)
         return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
 
     errors = [error(n) for n in (3, 6, 12)]
@@ -134,7 +145,7 @@ def test_fixed_steps_takes_any_step_count():
     assert errors[1] >= 2**5 * errors[2]
     for substeps in (0, -1, 2.5):
         with pytest.raises(ContractError, match="integer >= 1"):
-            integrator.fixed_steps(proto.grid, p, times, [1.0], [0.0], substeps)
+            integrator.fixed_steps(proto.grid, p, times, c, [1.0], [0.0], substeps)
 
 
 @pytest.mark.parametrize("schedule", ["poly5", "linear", "custom_samples"])
@@ -161,7 +172,7 @@ def test_phase_route_is_the_magnus_step_at_zero_mixing(family, schedule):
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, proto.t_f, 6)
     for substeps in (1, 3, 8):
-        args = (proto.grid, p, times, ones, 0 * ones, substeps)
+        args = (proto.grid, p, times, proto.grid(p, times), ones, 0 * ones, substeps)
         for got, want in zip(integrator.fixed_steps(*args, phase=True),
                              integrator.fixed_steps(*args)):
             assert np.max(np.abs(got - want)) < 1e-13
@@ -178,19 +189,22 @@ STARTS = {
 
 @pytest.mark.parametrize("family", sorted(STARTS))
 def test_interacting_starts_match_dop853(family):
-    # CD on from a squeezed, rotated initial map: the phase route keeps
+    # CD on from a squeezed, rotated start (u0, v0): the phase route keeps
     # (u', v') = (e^(i Phi) u'_0, e^(-i Phi) v'_0), so both frame components
     # of y0, and its map into the frame, are on trial
     proto = replace(make_protocol(family, n_modes=3), coupling=STARTS[family])
     r = 0.4
-    initial = su11.BogoliubovMap(
-        math.cosh(r) * cmath.exp(0.3j), math.sinh(r) * cmath.exp(-1.2j)
+    u0, v0 = math.cosh(r) * cmath.exp(0.3j), math.sinh(r) * cmath.exp(-1.2j)
+    p, ones = proto.momenta(), np.ones(proto.n_modes)
+    times = np.linspace(0.0, proto.t_f, 11)
+    u, v, _, _ = integrator.integrate_modes(
+        proto.grid, p, times, proto.grid(p, times), u0 * ones, v0 * ones, 1e-10, 1e-12,
+        phase=True,
     )
-    for p in proto.momenta():
-        traj = dynamics.evolve_pair(p, proto, record_points=11, initial=initial)
-        u_ref, v_ref = dop853(proto, p, traj.times, y0=(initial.u, initial.v))
-        assert np.max(np.abs(traj.u[0] - u_ref)) < 1e-8
-        assert np.max(np.abs(traj.v[0] - v_ref)) < 1e-8
+    for k in range(proto.n_modes):
+        u_ref, v_ref = dop853(proto, p[k], times, y0=(u0, v0))
+        assert np.max(np.abs(u[k] - u_ref)) < 1e-8
+        assert np.max(np.abs(v[k] - v_ref)) < 1e-8
 
 
 def test_fine_cd_off_records_pass_at_the_floor():
@@ -236,9 +250,7 @@ def test_substeps_of_the_long_cd_ramp():
         cd_enabled=True,
     )
     times = np.linspace(0.0, proto.t_f, 201)
-    _, _, report, _ = dynamics.integrate_protocol(
-        proto, proto.momenta(), times, 1e-10, 1e-12
-    )
+    _, _, report, _ = integrate(proto, proto.momenta(), times, 1e-10, 1e-12)
     assert report.substeps <= 8
     assert report.error_estimate <= 1e-10
 
@@ -278,8 +290,9 @@ def test_error_within_tolerance_at_every_record(family, schedule, cd, t_f, L, po
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, t_f, points)
     rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
-    u, v, report, _ = dynamics.integrate_protocol(proto, p, times, rtol, atol)
-    ref = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, 8 * report.substeps)
+    u, v, report, _ = integrate(proto, p, times, rtol, atol)
+    c, n = proto.grid(p, times), 8 * report.substeps
+    ref = integrator.fixed_steps(proto.grid, p, times, c, ones, 0 * ones, n)
     for got, want in zip((u, v), ref):
         assert np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
 
@@ -313,9 +326,7 @@ def test_omega_matches_matrix_magnus():
 def test_invariant_defect_at_roundoff():
     proto = make_protocol(n_modes=16)
     times = np.linspace(0.0, proto.t_f, 201)
-    u, v, report, _ = dynamics.integrate_protocol(
-        proto, proto.momenta(), times, 1e-10, 1e-12
-    )
+    u, v, report, _ = integrate(proto, proto.momenta(), times, 1e-10, 1e-12)
     assert report.max_invariant_defect <= 1e-12
     defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
     assert defect == report.max_invariant_defect
@@ -348,7 +359,7 @@ def test_steps_count_every_pass_of_every_mode(cd):
     proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
     times = np.linspace(0.0, proto.t_f, 21)
     args = (times, 1e-10, 1e-12)
-    alone = [dynamics.integrate_protocol(proto, [p], *args)[2] for p in proto.momenta()]
+    alone = [integrate(proto, [p], *args)[2] for p in proto.momenta()]
     substeps = [r.substeps for r in alone]
     if cd:
         # each pair's generator is diagonal in its frame: every mode passes
@@ -357,7 +368,7 @@ def test_steps_count_every_pass_of_every_mode(cd):
         assert [r.steps for r in alone] == [20 * 3 // 2] * 16
     else:
         assert len(set(substeps)) > 1
-    _, _, report, _ = dynamics.integrate_protocol(proto, proto.momenta(), *args)
+    _, _, report, _ = integrate(proto, proto.momenta(), *args)
     assert report.steps == sum(r.steps for r in alone)
     assert report.substeps == max(substeps)
     worst = max(r.error_estimate for r in alone)
@@ -373,7 +384,7 @@ def ladder(proto, p, times, rtol, atol):
 
     def run(t, n):
         y = integrator.fixed_steps(
-            proto.grid, [p], t, [1.0], [0.0], n, phase=proto.cd_enabled
+            proto.grid, [p], t, proto.grid([p], t), [1.0], [0.0], n, phase=proto.cd_enabled
         )
         return np.array(y)[:, 0]
 
@@ -420,7 +431,7 @@ def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
     monkeypatch.setattr(integrator, "_propagate", spy)
     for p, (levels, y, estimate) in zip(modes, want):
         levels_run.clear()
-        u, v, report, _ = dynamics.integrate_protocol(proto, [p], times, 1e-10, 1e-12)
+        u, v, report, _ = integrate(proto, [p], times, 1e-10, 1e-12)
         assert levels_run == levels
         assert report.steps == (len(times) - 1) * sum(levels)
         assert report.substeps == levels[-1]
@@ -443,7 +454,7 @@ def test_frame_and_lab_state_come_from_one_pass(points):
         scale = np.max(traj.n_qp[k])
         for j in range(len(traj.times)):
             eta = bogoliubov_angle(c.omega[k, j], c.g[k, j])
-            state = traj.map(k, j)
+            state = validate.state_map(traj, k, j)
             n_qp = abs(validate.quasiparticle_frame(state, eta).v) ** 2
             fidelity = su11.state_overlap(su11.squeeze_from_angle(eta), state)
             assert abs(traj.n_qp[k, j] - n_qp) <= 1e-12 * scale, (k, j)
@@ -459,20 +470,20 @@ def test_blocking_does_not_change_the_result(monkeypatch):
         p = proto.momenta()
         ones = np.ones(len(p))
         times = np.linspace(0.0, proto.t_f, 7)
-        whole = dynamics.integrate_protocol(proto, p, times, 1e-10, 1e-12)
+        whole = integrate(proto, p, times, 1e-10, 1e-12)
         # blocks of 2 steps: shorter than one record interval once N > 2;
         # blocks of 128 steps: 4 record intervals at N = 32, so the 6
         # intervals take one full and one partial block
         for block in (2, 128):
             monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
-            split = dynamics.integrate_protocol(proto, p, times, 1e-10, 1e-12)
+            split = integrate(proto, p, times, 1e-10, 1e-12)
             assert split[2].substeps == whole[2].substeps == (2 if cd else 32)
             for got, want in zip((*split[:2], *split[3]), (*whole[:2], *whole[3])):
                 assert np.max(np.abs(got - want)) < 1e-13
         # at N = 24, blocks of 2, 8 and 128 steps end inside a record
         # interval, off the interval grid, and some hold no record
         monkeypatch.undo()
-        args = (proto.grid, p, times, ones, 0 * ones, 24)
+        args = (proto.grid, p, times, proto.grid(p, times), ones, 0 * ones, 24)
         whole = integrator.fixed_steps(*args, phase=cd)
         for block in (2, 8, 128):
             monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
@@ -503,7 +514,7 @@ def test_raises_at_step_cap(monkeypatch):
     proto = make_protocol(cd=False)
     times = np.linspace(0.0, proto.t_f, 3)
     with pytest.raises(IntegrationError, match="not converged at 4 substeps"):
-        dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-14, 1e-16)
+        integrate(proto, proto.momenta(), times, 1e-14, 1e-16)
 
 
 def test_phase_route_raises_at_step_cap(monkeypatch):
@@ -514,7 +525,7 @@ def test_phase_route_raises_at_step_cap(monkeypatch):
     times = np.linspace(0.0, proto.t_f, 21)
     message = "magnus step doubling not converged at 1 substeps per record interval$"
     with pytest.raises(IntegrationError, match=message):
-        dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-16, 1e-30)
+        integrate(proto, proto.momenta(), times, 1e-16, 1e-30)
 
 
 def coarse_grid_protocol():
@@ -535,17 +546,15 @@ def test_overflowing_coarse_steps_are_refined():
     proto = coarse_grid_protocol()
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, proto.t_f, 2)
+    c = proto.grid(p, times)
     # the case: one Magnus step per interval overflows, as do two
     for substeps in (1, 2):
-        u, v = integrator.fixed_steps(proto.grid, p, times, ones, 0 * ones, substeps)
+        u, v = integrator.fixed_steps(proto.grid, p, times, c, ones, 0 * ones, substeps)
         assert not np.all(np.isfinite(u))
-    u, v, report, _ = dynamics.integrate_protocol(
-        proto, p, times, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
-    )
+    tolerances = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+    u, v, report, _ = integrate(proto, p, times, *tolerances)
     fine = np.linspace(0.0, proto.t_f, 201)
-    u_fine, v_fine, _, _ = dynamics.integrate_protocol(
-        proto, p, fine, dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
-    )
+    u_fine, v_fine, _, _ = integrate(proto, p, fine, *tolerances)
     assert np.all(np.isfinite(u)) and report.substeps > 2
     assert np.max(np.abs(u[:, -1] - u_fine[:, -1])) <= 1e-8
     assert np.max(np.abs(v[:, -1] - v_fine[:, -1])) <= 1e-8
@@ -559,7 +568,7 @@ def test_step_cap_message_names_a_non_finite_state(monkeypatch):
     times = np.linspace(0.0, proto.t_f, 2)
     message = r"not converged at 2 substeps .*: \(u, v\) non-finite"
     with pytest.raises(IntegrationError, match=message):
-        dynamics.integrate_protocol(proto, proto.momenta(), times, 1e-10, 1e-12)
+        integrate(proto, proto.momenta(), times, 1e-10, 1e-12)
 
 
 STUB_FIELDS = ("omega", "g", "chi", "chi_cd")
@@ -579,9 +588,11 @@ def test_raises_on_non_finite_coefficients():
         calls.append(len(t))
         return stub_coefficients(p, t, [np.nan] * 4)
 
+    p, t = [1.0], [0.0, 1.0]
     with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
-        integrator.integrate_modes(grid, [1.0], [0.0, 1.0], [1.0], [0.0], 1e-10, 1e-12)
-    assert len(calls) == 1  # at once, on the record grid, not after refining
+        integrator.integrate_modes(grid, p, t, grid(p, t), [1.0], [0.0], 1e-10, 1e-12)
+    # at once, on the record grid the caller evaluated, not after refining
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -589,8 +600,8 @@ def test_raises_on_non_finite_coefficients():
 def test_raises_on_one_non_finite_coefficient(which, bad):
     # omega, g, chi or chi_cd non-finite at one node of the middle step of
     # the first pass: not an overflow to refine, an error at once.  That
-    # pass is the second grid call, after the one on the record grid for
-    # the frame, whose middle record omega and g spoil first
+    # pass is the second grid call, after the caller's on the record grid,
+    # whose middle record omega and g spoil the frame first
     calls = []
 
     def grid(p, t):
@@ -599,9 +610,10 @@ def test_raises_on_one_non_finite_coefficient(which, bad):
         getattr(coefficients, STUB_FIELDS[which])[:, len(t) // 2] = bad
         return coefficients
 
+    p, t = [1.0, 2.0], [0.0, 1.0, 2.0]
     with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
         integrator.integrate_modes(
-            grid, [1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12
+            grid, p, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12
         )
     assert len(calls) == (1 if which < 2 else 2)
 
@@ -610,8 +622,9 @@ def test_raises_on_one_non_finite_coefficient(which, bad):
 @pytest.mark.parametrize("which", range(2))
 def test_phase_route_raises_on_one_non_finite_node(which, bad):
     # omega or g non-finite at one node of the first pass only (the middle
-    # node of its one step), not on the record grid: the phase route reads
-    # no chi, and raises at once on the second grid call, not after refining
+    # node of its one step), not on the record grid the caller evaluated:
+    # the phase route reads no chi, and raises at once on the second grid
+    # call, not after refining
     calls = []
 
     def grid(p, t):
@@ -621,10 +634,10 @@ def test_phase_route_raises_on_one_non_finite_node(which, bad):
             getattr(coefficients, STUB_FIELDS[which])[:, len(t) // 2] = bad
         return coefficients
 
+    p, t = [1.0, 2.0], [0.0, 1.0, 2.0]
     with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
         integrator.integrate_modes(
-            grid, [1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12,
-            phase=True,
+            grid, p, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12, phase=True
         )
     assert calls == [3, 3]
 
