@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,8 @@ from .errors import (
     IntegrationError,
     LuttingerInstabilityError,
 )
-from .model import TWO_PI, CouplingFamily, CouplingSpec, mode_momenta
-from .protocol import DriveProtocol, stability_margin
+from .model import CouplingFamily, CouplingSpec
+from .protocol import DriveProtocol, check_range, stability_margin
 
 HBAR_SI = 1.0545718e-34  # J s
 
@@ -175,18 +175,22 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("units must be 'natural' or 'experimental'")
     if cfg.emit_plots not in ("true", "false"):
         raise ConfigError("emit_plots must be 'true' or 'false'")
-    # mode momenta that overflow, or couplings whose squares in v_s do, at
-    # any mode and endpoint.  Stability is decided not here but by
-    # DriveProtocol.validate, inside the run, so that an unstable config
-    # writes its failure manifest whichever mode is unstable
-    coupling = cfg.coupling()
-    with np.errstate(over="raise"):
-        try:
-            p = mode_momenta(cfg.L, cfg.n_modes)[:, None]
-            g2, g4 = coupling.values(p, np.array([0.0, 0.5, 1.0]))
-            np.square(cfg.v_F + g4 / TWO_PI) + np.square(g2 / TWO_PI)
-        except FloatingPointError as exc:
-            raise ConfigError(f"mode momenta or couplings out of range: {exc}") from exc
+    cfg.coupling()  # raises ConfigError on a bad table row
+    if cfg.t_f > 0:
+        _check_range(cfg.protocol(), [cfg.t_f])
+
+
+def _check_range(protocol: DriveProtocol, tf_values) -> None:
+    """ConfigError where mode momenta, couplings or any formula that a run
+    of `protocol` at one of the final times `tf_values` forms overflows
+    (protocol.check_range): the config's own t_f when it is validated, and
+    a sweep's t_f list before the sweep.  Stability is decided not here
+    but by DriveProtocol.validate, inside the run, so that an unstable
+    config writes its failure manifest whichever mode is unstable."""
+    try:
+        check_range(protocol, tf_values)
+    except FloatingPointError as exc:
+        raise ConfigError(f"mode momenta or couplings out of range: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -367,13 +371,15 @@ def _load_config(path) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "cd", None):
-        cfg.cd = args.cd
-    if getattr(args, "tf", None) is not None:
-        cfg.t_f = args.tf
-    if getattr(args, "modes", None) is not None:
-        cfg.n_modes = args.modes
-    _validate_config(cfg)
+    """cfg with the command-line overrides, validated again if any."""
+    overrides = {
+        key: getattr(args, flag, None)
+        for key, flag in (("cd", "cd"), ("t_f", "tf"), ("n_modes", "modes"))
+    }
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if overrides:
+        cfg = replace(cfg, **overrides)
+        _validate_config(cfg)
     return cfg
 
 
@@ -432,8 +438,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs tf_list in config or --tf-list")
     if cfg.t_f <= 0:
         cfg.t_f = tf_values[0]
+    protocol = cfg.protocol()
+    _check_range(protocol, tf_values)
     rows = dynamics.sweep_tf(
-        cfg.protocol(),
+        protocol,
         tf_values,
         rtol=cfg.rtol,
         atol=cfg.atol,

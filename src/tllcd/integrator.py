@@ -33,11 +33,19 @@ dy'/dt = A' y' with
 with CD on, chi = chi_cd and A' is diagonal, so the Magnus step is the
 Gauss quadrature of the phase integral of epsilon, and a pair that starts
 in the instantaneous vacuum (v' = 0) stays in it exactly, at any step
-size.  c and s come from cosh 2eta = omega/epsilon and
-sinh 2eta = -g/epsilon as c = sqrt((1 + omega/epsilon)/2) and
-s = -g/(2 epsilon c), without arctanh, cosh or sinh; T is evaluated at the
-record times only, to map the initial state into the frame and each record
-back to the lab (u, v).
+size.
+
+For every coupling family omega = p (v_F + g4/2pi) and g = p g2/2pi, so
+epsilon = p v_s with the sound velocity v_s = sqrt((omega/p)^2 - (g/p)^2),
+and the frame depends on p only through the couplings.  Both are formed on
+the couplings' own shape (`CoefficientGrid`): one row for contact
+couplings, whose modes all share v_s(t), one row per mode otherwise.  c and
+s come from cosh 2eta = omega/epsilon = (omega/p)/v_s and
+sinh 2eta = -g/epsilon = -(g/p)/v_s as c = sqrt((1 + omega/epsilon)/2) and
+s = -g/(2 epsilon c), without arctanh, cosh or sinh, so that s (and a small
+n_qp) stays relatively exact; T is evaluated at the record times only, on
+that shape and broadcast to every mode, to map the initial state into the
+frame and each record back to the lab (u, v).
 
 One step of the three-node Gauss-Legendre Magnus method (Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470, 151 (2009); Iserles & Norsett, Phil. Trans.
@@ -86,10 +94,13 @@ the three-node Gauss-Legendre quadrature of the integral of epsilon over
 the step.  exp(Omega) = diag(e^(i a), e^(-i a)): a block's propagators are
 (e^(i phi), 0), phi the running sum of the panels a from the block start,
 and the frame state is (e^(i Phi) u'_0, e^(-i Phi) v'_0), so v' stays
-exactly 0 from the instantaneous vacuum.  The route forms no `_omega`,
-`_cosh_sinhc` or `_scan`; a step is one panel, and all else is shared with
-the Magnus route.  Summing each block from 0 and carrying the phasor keeps
-the rounding of Phi near one unit roundoff per block, not eps Phi.
+exactly 0 from the instantaneous vacuum.  As eps = p v_s, the panels of v_s
+and their running sum are taken on the couplings' shape, and multiplied by
+p once, before the exp: a contact run sums one row of panels for all its
+modes.  The route forms no `_omega`, `_cosh_sinhc` or `_scan`; a step is
+one panel, and all else is shared with the Magnus route.  Summing each
+block from 0 and carrying the phasor keeps the rounding of Phi near one
+unit roundoff per block, not eps Phi.
 
 Error control, per mode, on the lab (u, v): the modes are independent, so
 each takes its own number of substeps N per record interval, on the ladder
@@ -135,7 +146,7 @@ _NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10
 # |z| below which C and S come from their Taylor series in z; the first
 # omitted term is below 3e-17 there.
 _SERIES_Z = 1e-2
-_NON_FINITE = "non-finite pair coefficients (omega, g, chi, chi_cd)"
+_NON_FINITE = "non-finite pair coefficients (omega/p, g/p, v_s, chi, chi_cd)"
 
 
 @dataclass(frozen=True)
@@ -157,13 +168,17 @@ def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phas
     adiabatic frame state (u, v) is mapped back from, (2, modes, records).
 
     `grid(p, t)` maps momenta p and a 1-D array of times t to an object
-    whose `omega`, `g`, `chi` (the CD amplitude applied) and `chi_cd`
-    (Kdot/(2K), d eta/dt of the pair's Bogoliubov angle, whether or not CD
-    is applied) are arrays of shape (len(p), len(t)), with |g| < omega, such
-    as `DriveProtocol.grid`; it is called with the momenta of the modes in
-    each pass.  `coefficients` is grid(momenta, times), the coefficients on
-    the record grid, which the caller holds already: the adiabatic frame is
-    read from its omega and g, and `grid` is never called on the record grid.
+    such as `DriveProtocol.grid`'s, whose `omega_per_p` and `g_per_p`
+    (omega/p and g/p, with |g| < omega), `v_s` (the sound velocity
+    sqrt((omega/p)^2 - (g/p)^2), epsilon/p) and `chi` (the CD amplitude
+    applied) and `chi_cd` (Kdot/(2K), d eta/dt of the pair's Bogoliubov
+    angle, whether or not CD is applied) are arrays that broadcast to
+    (len(p), len(t)); chi and chi_cd have that shape, the others one row
+    where they do not depend on p.  It is called with the momenta of the
+    modes in each pass.  `coefficients` is grid(momenta, times), the
+    coefficients on the record grid, which the caller holds already: the
+    adiabatic frame is read from its omega/p and g/p, and `grid` is never
+    called on the record grid.
     `u0`, `v0` are the initial coefficients, one per mode, mapped into the
     frame once.  `phase` takes the phase route, exact only where chi is chi_cd
     (CD on): each pass then sums the phase integral of epsilon instead of
@@ -199,18 +214,21 @@ def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phas
     substeps, worst = 1, 0.0
     while len(active):
         k += 1
+        # views, not copies, while every mode is still active
+        rows = active if len(active) < len(momenta) else slice(None)
         fine = buffer[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
-        _propagate(grid, momenta[active], times, y0[:, active], 1 << k, fine, phase)
-        out[:, active] = fine
-        _lab(frame[:, active], fine, fine)
+        _propagate(grid, momenta[rows], times, y0[:, rows], 1 << k, fine, phase)
+        out[:, rows] = fine
+        _lab(frame[:, rows], fine, fine)
         steps += len(active) * intervals << k
-        old, new = lab[:, active, records], fine[..., records]
+        # old is overwritten with the difference, then lab[:, rows] with fine
+        old, new = lab[:, rows, records], fine[..., records]
         with np.errstate(over="ignore", invalid="ignore"):
             err = np.abs(np.subtract(old, new, out=old)) / 63.0
             tol = atol + rtol * np.abs(new)
         passed = np.all(err <= tol, axis=(0, 2))
         passed &= np.all(np.isfinite(fine), axis=(0, 2))
-        lab[:, active] = fine
+        lab[:, rows] = fine
         if np.any(passed):
             substeps = 1 << k
             worst = max(worst, float(np.max(err[:, passed])))
@@ -248,17 +266,23 @@ def fixed_steps(grid, momenta, times, coefficients, u0, v0, substeps, phase=Fals
 def _start(coefficients, u0, v0):
     """(frame, y0'): the adiabatic frame (c, s) = (cosh eta, sinh eta) of
     every mode (rows) at every record (columns) of the record-grid
-    `coefficients`, stacked on a first axis, from cosh 2eta = omega/epsilon
-    and sinh 2eta = -g/epsilon; and the initial state (u0, v0) mapped into
-    it, y0' = T y0 with T = [[c, s], [s, c]] at the first record."""
-    omega, g = coefficients.omega, coefficients.g
+    `coefficients`, stacked on a first axis, from
+    cosh 2eta = (omega/p)/v_s and sinh 2eta = -(g/p)/v_s on the couplings'
+    shape and broadcast (a read-only view) to one row per mode of u0; and
+    the initial state (u0, v0) mapped into it, y0' = T y0 with
+    T = [[c, s], [s, c]] at the first record.  v_s is formed here, not read
+    from `coefficients`, so that the record grid does not hold it through
+    the integration."""
+    w, g = coefficients.omega_per_p, coefficients.g_per_p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        eps = np.sqrt(omega * omega - g * g)
-        c = np.sqrt(0.5 + 0.5 * omega / eps)
-        frame = np.array([c, -g / (2.0 * eps * c)])
+        v_s = np.sqrt(w * w - g * g)
+        c = np.sqrt(0.5 + 0.5 * w / v_s)
+        frame = np.array(np.broadcast_arrays(c, -g / (2.0 * v_s * c)))
+    # non-finite exactly where omega/p or g/p is, or |g| > omega
     if not np.all(np.isfinite(frame)):
         raise IntegrationError(_NON_FINITE)
     (c, s), (u, v) = frame[..., 0], np.array([u0, v0], dtype=complex)
+    frame = np.broadcast_to(frame, (2, len(u), frame.shape[-1]))
     return frame, np.array([c * u + s * v, s * u + c * v])
 
 
@@ -288,11 +312,13 @@ def _propagate(grid, momenta, times, y0, substeps, out, phase):
     for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
         # (step, mode) propagators from the start of the block
         if phase:
-            phi = np.cumsum(_panels(grid, momenta, starts, widths), axis=1)
-            alpha, beta = np.exp(1j * phi).T, 0.0
+            # the running sum of the panels of v_s, times p
+            phi = np.cumsum(_panels(grid, momenta, starts, widths), axis=1).T * momenta
+            alpha = np.exp(1j * phi)
+            u, v = alpha * u, np.conj(alpha) * v
         else:
             alpha, beta = _scan(*(x.T for x in _steps(grid, momenta, starts, widths)))
-        u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
+            u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
         out[0, :, records], out[1, :, records] = u[ends].T, v[ends].T
         u, v = u[-1], v[-1]
 
@@ -323,26 +349,25 @@ def _blocks(times, substeps, n_modes):
         yield times[interval] + offset * h, h, ends, records
 
 
-def _epsilon(grid, momenta, starts, widths):
-    """(epsilon, coefficients) at the three Gauss-Legendre nodes of the
-    steps starting at `starts` with widths `widths` (1-D, one entry per
-    step): epsilon = sqrt(omega^2 - g^2) of shape (n_modes, 3, n_steps),
-    and the `grid` result on the nodes, node first, so that each node's
-    values are one contiguous block."""
+def _sound_velocity(grid, momenta, starts, widths):
+    """(v_s, coefficients) at the three Gauss-Legendre nodes of the steps
+    starting at `starts` with widths `widths` (1-D, one entry per step):
+    v_s = epsilon/p of shape (rows, 3, n_steps), rows those of the
+    couplings' shape, and the `grid` result on the nodes, node first, so
+    that each node's values are one contiguous block."""
     nodes = starts + widths * _NODES[:, None]
     c = grid(momenta, nodes.ravel())
-    eps = np.sqrt(c.omega * c.omega - c.g * c.g).reshape((-1,) + nodes.shape)
-    return eps, c
+    return c.v_s.reshape((-1,) + nodes.shape), c
 
 
 def _panels(grid, momenta, starts, widths):
-    """The three-node Gauss-Legendre quadrature of the phase integral of
-    epsilon over each step starting at `starts` with widths `widths` (1-D,
-    one entry per step), of shape (n_modes, n_steps): the a of the Magnus
-    step where chi is chi_cd."""
-    eps = _epsilon(grid, momenta, starts, widths)[0]
-    panels = widths * (5.0 * (eps[:, 0] + eps[:, 2]) + 8.0 * eps[:, 1]) / 18.0
-    # non-finite exactly where omega or g is at a node, or |g| > omega
+    """The three-node Gauss-Legendre quadrature of the integral of v_s over
+    each step starting at `starts` with widths `widths` (1-D, one entry per
+    step), of shape (rows, n_steps) on the couplings' shape: p times it is
+    the a of the Magnus step where chi is chi_cd."""
+    v_s = _sound_velocity(grid, momenta, starts, widths)[0]
+    panels = widths * (5.0 * (v_s[:, 0] + v_s[:, 2]) + 8.0 * v_s[:, 1]) / 18.0
+    # non-finite exactly where v_s is at a node
     if not np.all(np.isfinite(panels)):
         raise IntegrationError(_NON_FINITE)
     return panels
@@ -352,14 +377,14 @@ def _steps(grid, momenta, starts, widths):
     """Single-step propagators of shape (n_modes, n_steps) for the steps
     starting at `starts` with widths `widths` (1-D, one entry per step), in
     the adiabatic frame."""
-    eps, c = _epsilon(grid, momenta, starts, widths)
+    v_s, c = _sound_velocity(grid, momenta, starts, widths)
+    eps = momenta[:, None, None] * v_s
     # generator 3-vectors (epsilon, chi_cd - chi, 0) at each node
     r = np.subtract(c.chi_cd, c.chi).reshape(eps.shape)
     a, br, bi = _omega(widths, eps.swapaxes(0, 1), r.swapaxes(0, 1))
     z = br * br + bi * bi - a * a
-    # non-finite exactly where a coefficient of the step is, or |g| > omega
-    # (or |Omega| passes 1e154, which no doubling within MAX_STEPS could
-    # resolve)
+    # non-finite exactly where a coefficient of the step is (or |Omega|
+    # passes 1e154, which no doubling within MAX_STEPS could resolve)
     if not np.all(np.isfinite(z)):
         raise IntegrationError(_NON_FINITE)
     C, S = _cosh_sinhc(z)

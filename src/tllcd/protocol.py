@@ -27,10 +27,13 @@ class CoefficientGrid:
     """Pair coefficients and Luttinger parameters at every point of a
     (mode, time) grid, from the couplings and their time derivatives there.
 
-    `p` is the column of momenta; g2, g4, dg2, dg4 are as evaluated and
-    broadcast against it.  Every other array is computed on first read and
-    has shape (n_modes, n_times), so a caller pays only for what it reads:
-    the integrator reads omega, g and chi.
+    `p` is the column of momenta; g2, g4, dg2, dg4 are as evaluated, on the
+    couplings' own shape: one row where they do not depend on p (contact
+    couplings), else one row per mode.  omega/p, g/p, v_s and v_s_rate keep
+    that shape and broadcast against `p`; every other array has shape
+    (n_modes, n_times).  Each is computed on first read (omega/p and g/p on
+    every read), so a caller pays only for what it reads: the integrator
+    reads omega/p, g/p and v_s, and chi and chi_cd on the Magnus route.
     """
 
     p: np.ndarray
@@ -45,10 +48,6 @@ class CoefficientGrid:
     def _pair(self):
         return model.pair_frequencies(self.p, self.g2, self.g4, self.v_F)
 
-    @cached_property
-    def _luttinger(self) -> model.LuttingerParams:
-        return model.luttinger_params(self.g2, self.g4, self.v_F)
-
     def _full(self, x) -> np.ndarray:
         # the shape of omega, without evaluating omega
         return np.broadcast_to(x, (self.p.shape[0], self.g4.shape[1]))
@@ -60,6 +59,19 @@ class CoefficientGrid:
     @cached_property
     def g(self) -> np.ndarray:
         return self._full(self._pair[1])
+
+    # omega/p and g/p are formed on each read, one operation on the
+    # couplings' shape, so that no grid holds them: on the record grid of a
+    # p-dependent coupling each would be another (n_modes, n_times) array
+    @property
+    def omega_per_p(self) -> np.ndarray:
+        """omega/p = v_F + g4/2pi, on the couplings' shape."""
+        return self.v_F + self.g4 / TWO_PI
+
+    @property
+    def g_per_p(self) -> np.ndarray:
+        """g/p = g2/2pi, on the couplings' shape."""
+        return self.g2 / TWO_PI
 
     @cached_property
     def chi(self) -> np.ndarray:
@@ -74,20 +86,23 @@ class CoefficientGrid:
 
     @cached_property
     def K(self) -> np.ndarray:
-        return self._full(self._luttinger.K)
+        return self._full(model.luttinger_params(self.g2, self.g4, self.v_F).K)
 
     @cached_property
     def v_s(self) -> np.ndarray:
-        return self._full(self._luttinger.v_s)
+        """Sound velocity sqrt((omega/p)^2 - (g/p)^2) = epsilon/p, on the
+        couplings' shape, without K."""
+        return model.instantaneous_spectrum(self.omega_per_p, self.g_per_p)
 
     @cached_property
     def v_s_rate(self) -> np.ndarray:
-        """d v_s/dt = (d(v_s^2)/dt)/(2 v_s), with
+        """d v_s/dt = (d(v_s^2)/dt)/(2 v_s), on the couplings' shape, with
         d(v_s^2)/dt = 2 (v_F + g4/2pi) g4dot/2pi - 2 (g2/2pi) g2dot/2pi."""
-        dvs_sq = 2.0 * (self.v_F + self.g4 / TWO_PI) * self.dg4 / TWO_PI - 2.0 * (
-            self.g2 / TWO_PI
-        ) * self.dg2 / TWO_PI
-        return self._full(0.5 * dvs_sq / self._luttinger.v_s)
+        dvs_sq = (
+            2.0 * self.omega_per_p * self.dg4 / TWO_PI
+            - 2.0 * self.g_per_p * self.dg2 / TWO_PI
+        )
+        return 0.5 * dvs_sq / self.v_s
 
     @cached_property
     def adiabaticity(self) -> np.ndarray:
@@ -223,3 +238,31 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
         argmin_p=argmin_p,
         argmin_t=argmin_t,
     )
+
+
+def check_range(protocol: DriveProtocol, tf_values) -> None:
+    """Raise FloatingPointError where a formula that a run of `protocol` at
+    one of the final times `tf_values` forms overflows.  g2 and g4 are
+    affine in the schedule value P and their rates proportional to
+    dP/ds / t_f, so the couplings, their rates and every product of them
+    that a run forms are largest at the least or the greatest P, at the
+    steepest slope and the least t_f.  There the check forms what
+    validate() does and, where validate() passes, omega, g, chi_cd, v_s,
+    its rate and the adiabaticity, the squares of omega and chi_cd (in the
+    spectra) and t_adiabatic; and omega times the greatest t_f (the
+    largest phase)."""
+    t_f = min(tf_values)
+    P = protocol.schedule.extremes()[1][None, :]
+    # numpy, not Python, floats: a Python float overflows to inf silently
+    dP = np.float64(protocol.schedule.max_derivative())
+    with np.errstate(over="raise"):
+        p = protocol.momenta()[:, None]
+        dg2, dg4 = (d * dP / t_f for d in protocol.coupling.derivatives(p, P))
+        g2, g4 = protocol.coupling.values(p, P)
+        c = CoefficientGrid(p, g2, g4, dg2, dg4, protocol.v_F, protocol.cd_enabled)
+        if np.any(np.abs(c.g) >= c.omega):
+            return  # validate() refuses the run, as unstable
+        np.square(c.omega)
+        np.square(c.chi_cd)
+        t_f * c.adiabaticity / ADIABATIC_THRESHOLD
+        c.omega * max(tf_values)

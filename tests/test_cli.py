@@ -493,6 +493,26 @@ def test_exit_code_config_error(tmp_path):
     assert main(["simulate", "--config", bad, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("cd", ["on", "off"])
+def test_every_formula_of_the_run_is_in_range(tmp_path, capsys, cd):
+    # squares in v_s stay finite, but (2 pi v_F + g4)^2 in chi_cd, which the
+    # stability gate forms with CD on or off, and the rate of v_s^2 do not:
+    # a config error before any output, with no warning (warnings are
+    # errors here)
+    text = f"family = contact\ng4_end = 5e154\nt_f = 1\nn_modes = 4\ncd = {cd}\n"
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
+    # a sweep checks its own t_f list: rates grow as 1/t_f
+    sweep = write_config(tmp_path, GOOD_CONFIG.replace("cd = on", f"cd = {cd}"), "s.cfg")
+    rc = main(["sweep", "--config", sweep, "--out", str(out), "--tf-list", "6,1e-300"])
+    assert rc == EXIT_CONFIG
+    assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_missing_config(tmp_path):
     assert (
         main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])

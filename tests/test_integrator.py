@@ -238,6 +238,59 @@ def test_frame_angle_is_half_log_k(family, schedule):
     assert np.max(np.abs(eta - 0.5 * np.log(c.K))) < 1e-15
 
 
+@pytest.mark.parametrize("family,schedule", CASES)
+def test_epsilon_and_frame_on_the_couplings_shape(family, schedule):
+    # epsilon = p v_s, and the frame from (omega/p)/v_s and -(g/p)/v_s is
+    # the one from omega/epsilon and -g/epsilon, within a few ulp at every
+    # (mode, record)
+    proto = make_protocol(family, schedule, n_modes=12)
+    p = proto.momenta()
+    c = proto.grid(p, np.linspace(0.0, proto.t_f, 17))
+    omega, g = c.omega, c.g
+    eps = np.sqrt(omega * omega - g * g)
+    assert np.all(np.abs(c.p * c.v_s - eps) <= 4 * np.spacing(eps))
+    cosh = np.sqrt(0.5 + 0.5 * omega / eps)
+    sinh = -g / (2.0 * eps * cosh)
+    frame, _ = integrator._start(c, np.ones(len(p)), np.zeros(len(p)))
+    assert frame.shape == (2,) + omega.shape
+    for got, want in zip(frame, (cosh, sinh), strict=True):
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize("family", sorted(COUPLINGS))
+def test_phases_and_frame_take_the_couplings_rows(family, monkeypatch):
+    # contact couplings do not depend on p: the phase route reads v_s at
+    # its nodes, and the frame, on one row for every mode, and forms no
+    # per-mode omega or g there; the other families need a row per mode
+    proto = make_protocol(family, n_modes=8)
+    rows = 1 if family == "contact" else proto.n_modes
+    nodes, frames = [], []
+
+    def grid(p, t):
+        nodes.append(proto.grid(p, t))
+        return nodes[-1]
+
+    real_start = integrator._start
+
+    def start(*args):
+        frame, y0 = real_start(*args)
+        frames.append(frame)
+        return frame, y0
+
+    monkeypatch.setattr(integrator, "_start", start)
+    p, times = proto.momenta(), np.linspace(0.0, proto.t_f, 21)
+    records = proto.grid(p, times)
+    ones = np.ones(len(p))
+    integrator.integrate_modes(
+        grid, p, times, records, ones, 0 * ones, 1e-10, 1e-12, phase=True
+    )
+    assert nodes and all(c.v_s.shape[0] == rows for c in nodes)
+    assert not any("_pair" in vars(c) for c in nodes + [records])
+    (frame,) = frames
+    assert frame.shape == (2, len(p), len(times))
+    assert (frame.strides[1] == 0) == (rows == 1)
+
+
 def test_substeps_of_the_long_cd_ramp():
     # the 32-mode CD ramp at t_f = 40 that the fourth-order step needed 32
     # substeps per record interval for
@@ -571,14 +624,20 @@ def test_step_cap_message_names_a_non_finite_state(monkeypatch):
         integrate(proto, proto.momenta(), times, 1e-10, 1e-12)
 
 
-STUB_FIELDS = ("omega", "g", "chi", "chi_cd")
+STUB_FIELDS = ("omega_per_p", "g_per_p", "v_s", "chi", "chi_cd")
+# a stable pair: v_s = sqrt(0.5^2 - 0.3^2), and chi = chi_cd
+STUB_VALUES = (0.5, 0.3, 0.4, 0.1, 0.1)
+# the fields the frame reads on the record grid, and those each route
+# reads at the nodes of its steps
+FRAME_FIELDS = ("omega_per_p", "g_per_p")
+NODE_FIELDS = {True: ("v_s",), False: ("v_s", "chi", "chi_cd")}
 
 
 def stub_coefficients(p, t, values):
-    """A grid(p, t) result with omega, g, chi, chi_cd set to `values`, one
+    """A grid(p, t) result with the STUB_FIELDS set to `values`, one
     (len(p), len(t)) array each."""
-    full = np.broadcast_to(np.reshape(values, (4, 1, 1)), (4, len(p), len(t)))
-    return SimpleNamespace(**dict(zip(STUB_FIELDS, full.copy())))
+    full = np.broadcast_to(np.reshape(values, (-1, 1, 1)), (len(values), len(p), len(t)))
+    return SimpleNamespace(**dict(zip(STUB_FIELDS, full.copy(), strict=True)))
 
 
 def test_raises_on_non_finite_coefficients():
@@ -586,7 +645,7 @@ def test_raises_on_non_finite_coefficients():
 
     def grid(p, t):
         calls.append(len(t))
-        return stub_coefficients(p, t, [np.nan] * 4)
+        return stub_coefficients(p, t, [np.nan] * len(STUB_FIELDS))
 
     p, t = [1.0], [0.0, 1.0]
     with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
@@ -596,17 +655,17 @@ def test_raises_on_non_finite_coefficients():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("which", range(len(STUB_FIELDS)))
 def test_raises_on_one_non_finite_coefficient(which, bad):
-    # omega, g, chi or chi_cd non-finite at one node of the middle step of
-    # the first pass: not an overflow to refine, an error at once.  That
-    # pass is the second grid call, after the caller's on the record grid,
-    # whose middle record omega and g spoil the frame first
+    # one field non-finite at one node of the middle step of the first
+    # pass: not an overflow to refine, an error at once.  That pass is the
+    # second grid call, after the caller's on the record grid, whose middle
+    # record spoils the frame first where the frame reads the field
     calls = []
 
     def grid(p, t):
         calls.append(len(t))
-        coefficients = stub_coefficients(p, t, [0.5, 0.3, 0.1, 0.1])
+        coefficients = stub_coefficients(p, t, STUB_VALUES)
         getattr(coefficients, STUB_FIELDS[which])[:, len(t) // 2] = bad
         return coefficients
 
@@ -615,31 +674,48 @@ def test_raises_on_one_non_finite_coefficient(which, bad):
         integrator.integrate_modes(
             grid, p, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12
         )
-    assert len(calls) == (1 if which < 2 else 2)
+    assert len(calls) == (1 if STUB_FIELDS[which] in FRAME_FIELDS else 2)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("which", range(2))
-def test_phase_route_raises_on_one_non_finite_node(which, bad):
-    # omega or g non-finite at one node of the first pass only (the middle
-    # node of its one step), not on the record grid the caller evaluated:
-    # the phase route reads no chi, and raises at once on the second grid
-    # call, not after refining
+def integrate_with_a_bad_node(which, bad, phase):
+    """The grid calls of an integration whose one field `which` is
+    non-finite at one node of the first pass only (the middle node of its
+    one step), not on the record grid the caller evaluated."""
     calls = []
 
     def grid(p, t):
         calls.append(len(t))
-        coefficients = stub_coefficients(p, t, [0.5, 0.3, 0.1, 0.1])
+        coefficients = stub_coefficients(p, t, STUB_VALUES)
         if len(calls) > 1:
             getattr(coefficients, STUB_FIELDS[which])[:, len(t) // 2] = bad
         return coefficients
 
     p, t = [1.0, 2.0], [0.0, 1.0, 2.0]
-    with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
-        integrator.integrate_modes(
-            grid, p, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12, phase=True
-        )
-    assert calls == [3, 3]
+    args = (grid, p, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12)
+    if STUB_FIELDS[which] in NODE_FIELDS[phase]:
+        with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
+            integrator.integrate_modes(*args, phase=phase)
+    else:
+        # a field the route does not read at its nodes changes nothing
+        assert integrator.integrate_modes(*args, phase=phase)[2].substeps == 1
+    return calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", range(len(STUB_FIELDS)))
+def test_phase_route_raises_on_one_non_finite_node(which, bad):
+    # the phase route reads v_s alone at its nodes, and raises at once on
+    # the second grid call, not after refining
+    calls = integrate_with_a_bad_node(which, bad, phase=True)
+    assert calls == ([3, 3] if STUB_FIELDS[which] == "v_s" else [3, 3, 6])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", range(len(STUB_FIELDS)))
+def test_magnus_route_raises_on_one_non_finite_node(which, bad):
+    # the Magnus route reads v_s, chi and chi_cd at its nodes
+    calls = integrate_with_a_bad_node(which, bad, phase=False)
+    assert calls == ([3, 3] if STUB_FIELDS[which] in NODE_FIELDS[False] else [3, 3, 6])
 
 
 @pytest.mark.parametrize("z", [-30.0, -0.5, -1e-2, -1e-5, 0.0, 1e-6, 1e-2, 0.7, 12.0])

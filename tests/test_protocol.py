@@ -14,6 +14,7 @@ from tllcd.protocol import (
     ADIABATIC_THRESHOLD,
     STABILITY_GRID_POINTS,
     DriveProtocol,
+    check_range,
     closed_form_bound,
     stability_margin,
 )
@@ -155,6 +156,25 @@ def test_adiabatic_time_scales_with_tf():
     # max adiabaticity ~ 1/t_f, so t_adiabatic is t_f-independent
     fast = stability_margin(reference_protocol(t_f=10.0))
     assert slow.t_adiabatic == pytest.approx(fast.t_adiabatic, rel=1e-2)
+
+
+def test_check_range_takes_the_least_and_the_greatest_t_f():
+    # rates grow as 1/t_f and the phase omega t_f with t_f, so the least
+    # t_f decides the one and the greatest (omega = 27 at p = 8 pi) the other
+    proto = reference_protocol(L=1.0)
+    check_range(proto, [1e-100, 1e100])
+    # without g4, the rate of g2 alone overflows at the least t_f
+    no_g4 = replace(proto, coupling=replace(proto.coupling, g4_end=0.0))
+    for case, tf_values in (
+        (proto, [1e-308, 10.0]),
+        (no_g4, [1e-308, 10.0]),
+        (proto, [1.0, 1e308]),
+    ):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            check_range(case, tf_values)
+    # an unstable coupling is left to validate(), which the run calls first
+    unstable = replace(proto, coupling=replace(proto.coupling, g2_end=1e300))
+    check_range(unstable, [1.0])
 
 
 def test_validate_rejects_unstable_coupling():
