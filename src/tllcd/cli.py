@@ -10,6 +10,7 @@ inputs.  Exit codes: 0 ok, 2 config, 3 instability, 4 integration,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -27,7 +28,7 @@ from .errors import (
     LuttingerInstabilityError,
 )
 from .model import CouplingFamily, CouplingSpec
-from .protocol import DriveProtocol, check_range, stability_margin
+from .protocol import DriveProtocol, stability_margin
 
 HBAR_SI = 1.0545718e-34  # J s
 
@@ -176,21 +177,6 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.emit_plots not in ("true", "false"):
         raise ConfigError("emit_plots must be 'true' or 'false'")
     cfg.coupling()  # raises ConfigError on a bad table row
-    if cfg.t_f > 0:
-        _check_range(cfg.protocol(), [cfg.t_f])
-
-
-def _check_range(protocol: DriveProtocol, tf_values) -> None:
-    """ConfigError where mode momenta, couplings or any formula that a run
-    of `protocol` at one of the final times `tf_values` forms overflows
-    (protocol.check_range): the config's own t_f when it is validated, and
-    a sweep's t_f list before the sweep.  Stability is decided not here
-    but by DriveProtocol.validate, inside the run, so that an unstable
-    config writes its failure manifest whichever mode is unstable."""
-    try:
-        check_range(protocol, tf_values)
-    except FloatingPointError as exc:
-        raise ConfigError(f"mode momenta or couplings out of range: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -408,14 +394,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
+    if cfg.sound_velocity <= 0 and cfg.t_f <= 0:
+        raise ConfigError("stability needs either sound_velocity or t_f")
+    # the report before any line, so that a refused run prints nothing
+    report = stability_margin(cfg.protocol()) if cfg.t_f > 0 else None
     unit = " ms" if cfg.units == "experimental" else ""
     if cfg.sound_velocity > 0:
         # dimensional estimate |v_sdot/v_s^2| ~ 1/(t_f v_s)
         t_min = cfg.L / (2 * math.pi * cfg.sound_velocity)
         print(f"t_min = {t_min:.3f}{unit}")
         print(f"t_upper = {10 * t_min:.3f}{unit}")
-    if cfg.t_f > 0:
-        report = stability_margin(cfg.protocol())
+    if report is not None:
         print(f"margin = {report.margin:.6g}")
         print(f"argmin_p = {report.argmin_p:.6g}")
         print(f"argmin_t = {report.argmin_t:.6g}{unit}")
@@ -424,8 +413,6 @@ def cmd_stability(args) -> int:
             print(f"t_min_closed_form = {report.bound_tf:.6g}{unit}")
         print(f"t_adiabatic = {report.t_adiabatic:.6g}{unit}")
         print(f"max_adiabaticity = {report.max_adiabaticity:.6g}")
-    if cfg.sound_velocity <= 0 and cfg.t_f <= 0:
-        raise ConfigError("stability needs either sound_velocity or t_f")
     return 0
 
 
@@ -438,10 +425,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs tf_list in config or --tf-list")
     if cfg.t_f <= 0:
         cfg.t_f = tf_values[0]
-    protocol = cfg.protocol()
-    _check_range(protocol, tf_values)
     rows = dynamics.sweep_tf(
-        protocol,
+        cfg.protocol(),
         tf_values,
         rtol=cfg.rtol,
         atol=cfg.atol,
@@ -527,7 +512,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tll-cd-sim",
         description="Counterdiabatic driving of the Tomonaga-Luttinger liquid",

@@ -10,8 +10,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CDInstabilityError, ContractError, LuttingerInstabilityError
-from .model import TWO_PI, worst_point
+from .errors import CDInstabilityError, ContractError
+from .model import TWO_PI, check_pair_stable, worst_point
 
 # Global maximum of the fifth-order ramp derivative 30 s^2 (1-s)^2, at s=1/2.
 POLY5_MAX_DPDS = 1.875
@@ -92,11 +92,12 @@ def cd_amplitude_contact(g2, g4, dg2_dt, dg4_dt, v_F):
     """
     a = TWO_PI * v_F + g4
     denom = a * a - g2 * g2
-    if np.any(denom <= 0):
-        (worst,) = worst_point(-denom, denom)
-        raise LuttingerInstabilityError(
-            f"luttinger-instability: (2 pi v_F + g4)^2 <= g2^2 ({worst:.3e})"
-        )
+    # the domain of luttinger_params is |g2| < 2 pi v_F + g4.  Outside it
+    # denom <= 0 or a <= 0, which tests what the formula forms anyway: a
+    # full-size |g2| on every call raised the peak memory of a
+    # table_records run by ~0.3 MB
+    if np.any(denom <= 0) or np.any(a <= 0):
+        check_pair_stable(a, g2)
     return 0.5 * (dg4_dt * g2 - dg2_dt * a) / denom
 
 

@@ -161,9 +161,12 @@ def run_simulation(
 ) -> SimulationResult:
     """Evolve all modes independently and aggregate in fixed mode order,
     so that identical inputs give identical outputs.  stability_margin is
-    the gate: an unstable coupling, or CD on with a margin that is not
-    positive, raises before any integration.  Every error raised after
-    stability_margin returns carries its report as `report`."""
+    the gate, and DriveProtocol.validate its first step: before any
+    coefficient is formed, a coefficient out of float64 range raises
+    ConfigError and an unstable coupling LuttingerInstabilityError; CD on
+    with a margin that is not positive raises CDInstabilityError before any
+    integration.  Every error raised after stability_margin returns carries
+    its report as `report`."""
     from .protocol import stability_margin
 
     stability = stability_margin(protocol)

@@ -271,8 +271,9 @@ def _start(coefficients, u0, v0):
     shape and broadcast (a read-only view) to one row per mode of u0; and
     the initial state (u0, v0) mapped into it, y0' = T y0 with
     T = [[c, s], [s, c]] at the first record.  v_s is formed here, not read
-    from `coefficients`, so that the record grid does not hold it through
-    the integration."""
+    from `coefficients`, so that with CD off the record grid does not hold
+    it through the integration; with CD on, `dynamics._evolve` has formed
+    it there already, for `spectrum_with_cd`."""
     w, g = coefficients.omega_per_p, coefficients.g_per_p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v_s = np.sqrt(w * w - g * g)

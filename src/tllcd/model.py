@@ -144,7 +144,8 @@ def pair_frequencies(p, g2, g4, v_F):
     return p * (v_F + g4 / TWO_PI), p * g2 / TWO_PI
 
 
-def _check_pair_stable(omega, g) -> None:
+def check_pair_stable(omega, g) -> None:
+    """Raise LuttingerInstabilityError where |g| >= omega."""
     if np.any(np.abs(g) >= omega):
         g, omega = worst_point(np.abs(g) - omega, g, omega)
         raise LuttingerInstabilityError(
@@ -154,13 +155,13 @@ def _check_pair_stable(omega, g) -> None:
 
 def bogoliubov_angle(omega, g):
     """Squeeze angle diagonalizing the pair: tanh(2 eta) = -g/omega."""
-    _check_pair_stable(omega, g)
+    check_pair_stable(omega, g)
     return -0.5 * np.arctanh(g / omega)
 
 
 def instantaneous_spectrum(omega, g):
     """epsilon = sqrt(omega^2 - g^2) (hbar = 1)."""
-    _check_pair_stable(omega, g)
+    check_pair_stable(omega, g)
     return np.sqrt(omega * omega - g * g)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model
 from .control import Schedule, cd_amplitude_contact, schedule_value
-from .errors import ContractError, LuttingerInstabilityError
+from .errors import ConfigError, ContractError, LuttingerInstabilityError
 from .model import TWO_PI, CouplingFamily, CouplingSpec, PairCoefficients
 
 STABILITY_GRID_POINTS = 2001
@@ -151,21 +151,44 @@ class DriveProtocol:
         return replace(self, cd_enabled=cd_enabled)
 
     def validate(self) -> None:
-        """Check Luttinger stability of every mode over the whole ramp.
+        """The one check a run passes before it forms any coefficient:
+        LuttingerInstabilityError where |g| >= omega for some mode on the
+        ramp, ConfigError where the mode momenta or a formula that a run
+        forms overflows, divides by zero or is invalid in float64.
 
         g2 and g4 are affine in the schedule value P for every coupling
         family, so omega - |g| is concave in P and smallest at the least or
-        the greatest P the schedule reaches: those two points decide it.
+        the greatest P the schedule reaches: those two points decide
+        stability.  The couplings' rates are proportional to dP/ds / t_f, so
+        the couplings, their rates and every product of them that a run
+        forms are largest there too, at the steepest slope.  On that grid
+        the check forms omega and g (an overflow there is a ConfigError,
+        stable or not), refuses |g| >= omega, then forms chi_cd, v_s, its
+        rate and the adiabaticity, the squares of omega and chi_cd (in the
+        spectra), t_adiabatic and omega t_f (the largest phase).
         """
         s, P = self.schedule.extremes()
-        p = self.momenta()[:, None]
-        omega, g = model.pair_frequencies(p, *self.coupling.values(p, P), self.v_F)
-        excess = np.abs(g) - omega
-        if np.any(excess >= 0):
-            p, s = model.worst_point(excess, p, s)
-            raise LuttingerInstabilityError(
-                f"luttinger-instability at p={p:.6g}, t={s * self.t_f:.6g}"
-            )
+        P = P[None, :]
+        # numpy, not Python, floats: a Python float overflows to inf silently
+        dP = np.float64(self.schedule.max_derivative())
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                p = self.momenta()[:, None]
+                dg2, dg4 = (d * dP / self.t_f for d in self.coupling.derivatives(p, P))
+                g2, g4 = self.coupling.values(p, P)
+                c = CoefficientGrid(p, g2, g4, dg2, dg4, self.v_F, self.cd_enabled)
+                excess = np.abs(c.g) - c.omega
+                if np.any(excess >= 0):
+                    p, s = model.worst_point(excess, p, s)
+                    raise LuttingerInstabilityError(
+                        f"luttinger-instability at p={p:.6g}, t={s * self.t_f:.6g}"
+                    )
+                np.square(c.omega)
+                np.square(c.chi_cd)
+                self.t_f * c.adiabaticity / ADIABATIC_THRESHOLD
+                c.omega * self.t_f
+        except FloatingPointError as exc:
+            raise ConfigError(f"mode momenta or couplings out of range: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -238,31 +261,3 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
         argmin_p=argmin_p,
         argmin_t=argmin_t,
     )
-
-
-def check_range(protocol: DriveProtocol, tf_values) -> None:
-    """Raise FloatingPointError where a formula that a run of `protocol` at
-    one of the final times `tf_values` forms overflows.  g2 and g4 are
-    affine in the schedule value P and their rates proportional to
-    dP/ds / t_f, so the couplings, their rates and every product of them
-    that a run forms are largest at the least or the greatest P, at the
-    steepest slope and the least t_f.  There the check forms what
-    validate() does and, where validate() passes, omega, g, chi_cd, v_s,
-    its rate and the adiabaticity, the squares of omega and chi_cd (in the
-    spectra) and t_adiabatic; and omega times the greatest t_f (the
-    largest phase)."""
-    t_f = min(tf_values)
-    P = protocol.schedule.extremes()[1][None, :]
-    # numpy, not Python, floats: a Python float overflows to inf silently
-    dP = np.float64(protocol.schedule.max_derivative())
-    with np.errstate(over="raise"):
-        p = protocol.momenta()[:, None]
-        dg2, dg4 = (d * dP / t_f for d in protocol.coupling.derivatives(p, P))
-        g2, g4 = protocol.coupling.values(p, P)
-        c = CoefficientGrid(p, g2, g4, dg2, dg4, protocol.v_F, protocol.cd_enabled)
-        if np.any(np.abs(c.g) >= c.omega):
-            return  # validate() refuses the run, as unstable
-        np.square(c.omega)
-        np.square(c.chi_cd)
-        t_f * c.adiabaticity / ADIABATIC_THRESHOLD
-        c.omega * max(tf_values)

@@ -21,7 +21,7 @@ from tllcd.control import (
     schedule_value,
     spectrum_with_cd,
 )
-from tllcd.errors import CDInstabilityError, ContractError
+from tllcd.errors import CDInstabilityError, ContractError, LuttingerInstabilityError
 from tllcd.model import TWO_PI, luttinger_params, pair_frequencies
 
 
@@ -116,6 +116,15 @@ def test_contact_amplitude_vs_finite_difference(g2, g4, dg2, dg4):
 def test_contact_amplitude_instability():
     with pytest.raises(Exception):
         cd_amplitude_contact(TWO_PI + 0.1, 0.0, 1.0, 1.0, 1.0)
+
+
+def test_contact_amplitude_has_the_domain_of_luttinger_params():
+    # 2 pi v_F + g4 = -2 pi < -|g2|: (2 pi v_F + g4)^2 > g2^2, yet omega < 0
+    args = (0.0, -2 * TWO_PI, 0.1, 0.1, 1.0)
+    with pytest.raises(LuttingerInstabilityError, match="luttinger-instability"):
+        luttinger_params(*args[:2], 1.0)
+    with pytest.raises(LuttingerInstabilityError, match="luttinger-instability"):
+        cd_amplitude_contact(*args)
 
 
 def test_lorentzian_amplitude_exact():

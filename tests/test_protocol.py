@@ -1,6 +1,7 @@
 """Protocol-level tests: the coefficient grid, validation, speed-window
 criteria and the closed-form bound."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +9,12 @@ import pytest
 
 from tllcd import dynamics, protocol
 from tllcd.control import Schedule, ScheduleKind, controlled_coefficients
-from tllcd.errors import ContractError, LuttingerInstabilityError
+from tllcd.errors import ConfigError, ContractError, LuttingerInstabilityError
 from tllcd.model import TWO_PI, CouplingFamily, CouplingSpec
 from tllcd.protocol import (
     ADIABATIC_THRESHOLD,
     STABILITY_GRID_POINTS,
     DriveProtocol,
-    check_range,
     closed_form_bound,
     stability_margin,
 )
@@ -158,23 +158,47 @@ def test_adiabatic_time_scales_with_tf():
     assert slow.t_adiabatic == pytest.approx(fast.t_adiabatic, rel=1e-2)
 
 
-def test_check_range_takes_the_least_and_the_greatest_t_f():
-    # rates grow as 1/t_f and the phase omega t_f with t_f, so the least
-    # t_f decides the one and the greatest (omega = 27 at p = 8 pi) the other
+def test_validate_refuses_what_a_run_at_its_t_f_would_overflow():
+    # rates grow as 1/t_f and the phase omega t_f with t_f, so a protocol's
+    # own t_f decides both (omega = 27 at p = 8 pi)
     proto = reference_protocol(L=1.0)
-    check_range(proto, [1e-100, 1e100])
-    # without g4, the rate of g2 alone overflows at the least t_f
+    for t_f in (1e-100, 1e100):
+        proto.with_tf(t_f).validate()
+    # without g4, the rate of g2 alone (a numpy scalar) overflows at 1e-308
     no_g4 = replace(proto, coupling=replace(proto.coupling, g4_end=0.0))
-    for case, tf_values in (
-        (proto, [1e-308, 10.0]),
-        (no_g4, [1e-308, 10.0]),
-        (proto, [1.0, 1e308]),
-    ):
-        with pytest.raises(FloatingPointError, match="overflow"):
-            check_range(case, tf_values)
-    # an unstable coupling is left to validate(), which the run calls first
+    for case in (proto.with_tf(1e-308), no_g4.with_tf(1e-308), proto.with_tf(1e308)):
+        with pytest.raises(ConfigError, match="out of range: overflow"):
+            case.validate()
+    # an unstable coupling is refused as unstable, though its chi_cd would
+    # overflow; an overflow of g itself is out of range, stable or not
     unstable = replace(proto, coupling=replace(proto.coupling, g2_end=1e300))
-    check_range(unstable, [1.0])
+    with pytest.raises(LuttingerInstabilityError):
+        unstable.validate()
+    with pytest.raises(ConfigError, match="out of range: overflow"):
+        replace(unstable, coupling=replace(unstable.coupling, g2_end=1e308)).validate()
+    # a coupling span beyond float64 (inf times P = 0) and a v_F whose
+    # square underflows in chi_cd (0/0) are out of range too, not warnings
+    for case in (
+        replace(proto, coupling=CouplingSpec(g2_start=-1e308, g2_end=1e308)),
+        replace(proto, coupling=CouplingSpec(), v_F=1e-200),
+    ):
+        with pytest.raises(ConfigError, match="out of range: invalid value"):
+            case.validate()
+
+
+def test_the_api_refuses_a_run_out_of_range(monkeypatch):
+    # (2 pi v_F + g4)^2 overflows in chi_cd: run_simulation and
+    # stability_margin refuse the protocol before they integrate or warn
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration ran on a protocol out of range")
+
+    monkeypatch.setattr(dynamics, "integrate_modes", no_integration)
+    proto = replace(reference_protocol(), coupling=CouplingSpec(g4_end=5e154))
+    for call in (dynamics.run_simulation, stability_margin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="out of range: overflow"):
+                call(proto)
 
 
 def test_validate_rejects_unstable_coupling():
