@@ -46,12 +46,14 @@ class Schedule:
                 raise ContractError("custom schedule must end at (1, 1)")
 
     def max_derivative(self) -> float:
+        """The steepest slope max |dP/ds| on [0, 1]: of custom samples, the
+        steepest of their segments, falling or rising."""
         if self.kind == ScheduleKind.POLY5:
             return POLY5_MAX_DPDS
         if self.kind == ScheduleKind.LINEAR:
             return 1.0
         xs, ys = self.sample_arrays()
-        return float(np.max(np.diff(ys) / np.diff(xs)))
+        return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
 
     def sample_arrays(self):
         """(s, P) columns of the custom samples, sorted by s."""

@@ -74,14 +74,14 @@ CD off negative where chi_cd^2 < epsilon^2 = v_s^2 p^2.  Either sign is
 integrated alike; the CD stability gate is `stability_margin` with
 `spectrum_with_cd`, before any integration.
 
-Propagation: one `_propagate` serves both routes and writes the frame
-state y' = (u', v') at each record, from y0 mapped into the frame once per
-call.  The steps of a pass form one flat sequence, N per record interval,
-taken one block at a time so that memory does not grow with the run: the
-propagators (alpha, beta) of a block's steps from its start (on the Magnus
-route prefix products by doubling; Hillis & Steele, CACM 29, 1170 (1986))
-are applied to the state carried in from the block before.  `_lab` maps y'
-back to the lab (u, v), for the error test and the result.
+Propagation, on the Magnus route: `_propagate` writes the frame state
+y' = (u', v') at each record, from y0 mapped into the frame once per call.
+The steps of a pass form one flat sequence, N per record interval, taken
+one block at a time so that memory does not grow with the run: the
+propagators (alpha, beta) of a block's steps from its start, prefix
+products by doubling (Hillis & Steele, CACM 29, 1170 (1986)), are applied
+to the state carried in from the block before.  `_lab` maps y' back to the
+lab (u, v), for the error test and the result.
 
 Phase route (`phase=True`, taken for every CD-on run): with chi = chi_cd
 the generator's r = chi_cd - chi is 0 at every node, so a1, a2 and a3 have
@@ -91,33 +91,61 @@ Omega = (a, 0, 0) with
     a = h A'2 + (10/3) h (A'3 - 2 A'2 + A'1)/12 = h (5 eps1 + 8 eps2 + 5 eps3)/18,
 
 the three-node Gauss-Legendre quadrature of the integral of epsilon over
-the step.  exp(Omega) = diag(e^(i a), e^(-i a)): a block's propagators are
-(e^(i phi), 0), phi the running sum of the panels a from the block start,
-and the frame state is (e^(i Phi) u'_0, e^(-i Phi) v'_0), so v' stays
-exactly 0 from the instantaneous vacuum.  As eps = p v_s, the panels of v_s
-and their running sum are taken on the couplings' shape, and multiplied by
-p once, before the exp: a contact run sums one row of panels for all its
-modes.  The route forms no `_omega`, `_cosh_sinhc` or `_scan`; a step is
-one panel, and all else is shared with the Magnus route.  Summing each
-block from 0 and carrying the phasor keeps the rounding of Phi near one
-unit roundoff per block, not eps Phi.
+the step.  exp(Omega) = diag(e^(i a), e^(-i a)), so at a record the frame
+state is (e^(i Phi) u'_0, e^(-i Phi) v'_0), with Phi the sum of the panels
+a from times[0]: |u'| and |v'| are conserved, and v' stays exactly 0 from
+the instantaneous vacuum.  As eps = p v_s, Phi = p phi with phi the sum of
+the panels of v_s, and phi is the route's one unknown per row of the
+couplings' shape: one row for contact couplings, which all modes share,
+one per mode otherwise.  A pass (`_phase`) sums those panels on those rows,
+block by block with blocks sized on the rows, carries the sum from block to
+block, and returns phi at the records.  The ladder runs on phi, and each
+mode's frame state is formed once, from the phase it is accepted with
+(`_rotate`), then mapped to the lab by one `_lab`.  The route forms no
+`_omega`, `_cosh_sinhc` or `_scan`, and no state in a pass.  phi is a float
+sum, so its rounding grows as eps phi.
 
-Error control, per mode, on the lab (u, v): the modes are independent, so
-each takes its own number of substeps N per record interval, on the ladder
-of levels N = 1/2, 1, 2, 4, ...  With an even number of record intervals
-the first pass takes one step per two intervals (N = 1/2) and reaches the
-even records; with an odd number it takes one step per interval.  Each
-later pass runs every mode still failing at twice the N of the pass before,
-and compares its new solution y_N with the one at N/2, at every record both
-reach, by the Richardson estimate |y_(N/2) - y_N| / 63 (2^6 - 1, at sixth
-order; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A mode leaves once
-that is within atol + rtol |y_N| for every component and record, and keeps
-y_N: so a mode accurate at one step per interval, as every CD-on mode with
-an accurate phase is, costs 1.5 steps per interval, and a slow mode that
-converges at N = 2 is not integrated again at the N that a fast mode needs.
-A mode whose y_N is non-finite (a step too long for the Magnus series, as
-one step per interval of a coarse record grid can be) fails the test and is
-refined like any other.
+Error control, per mode: the modes are independent, so each takes its own
+number of substeps N per record interval, on the ladder of levels
+N = 1/2, 1, 2, 4, ...  With an even number of record intervals the first
+pass takes one step per two intervals (N = 1/2) and reaches the even
+records; with an odd number it takes one step per interval.  Each later
+pass runs every mode still failing at twice the N of the pass before, and
+compares it with the pass at N/2, at every record both reach, by a
+Richardson estimate: the difference over 63 (2^6 - 1, at sixth order;
+Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A mode leaves once its
+test holds at every record, and keeps its pass at N: so a mode accurate at
+one step per interval, as every CD-on mode with an accurate phase is, costs
+1.5 steps per interval, and a slow mode that converges at N = 2 is not
+integrated again at the N that a fast mode needs.  The two routes differ
+only in what a pass returns and how the estimate is formed.
+
+On the Magnus route a pass returns the lab (u, v) y_N of its modes, and a
+mode passes where |y_(N/2) - y_N| / 63 <= atol + rtol |y_N| for every
+component and record.  A mode whose y_N is non-finite (a step too long for
+the Magnus series, as one step per interval of a coarse record grid can
+be) fails the test and is refined like any other.
+
+On the phase route a pass returns phi, and the test is on
+delta Phi = p (phi_(N/2) - phi_N) / 63, mapped onto the lab test above by a
+bound.  At a record with frame (c, s), the lab state is u = c u' - s v',
+v = c v' - s u', with u' = e^(i Phi) u'_0 and v' = e^(-i Phi) v'_0.  As
+|e^(ia) - e^(ib)| <= |a - b|, the lab estimate |u_(N/2) - u_N| / 63 is at
+most
+
+    B_u = |delta Phi| (c |u'_0| + |s| |v'_0|),  and that of v at most
+    B_v = |delta Phi| (c |v'_0| + |s| |u'_0|);
+
+and as |u'| = |u'_0| and |v'| = |v'_0|, the reverse triangle inequality
+gives |u_N| >= c |u'_0| - |s| |v'_0| and |v_N| >= |c |v'_0| - |s| |u'_0||.
+A mode passes where
+
+    B_u <= atol + rtol (c |u'_0| - |s| |v'_0|),
+    B_v <= atol + rtol |c |v'_0| - |s| |u'_0||
+
+at every record; then the lab test holds too, so the phase test never
+accepts a pass that the lab test would refuse.  Its estimate is the larger
+of B_u and B_v.
 """
 
 from __future__ import annotations
@@ -158,7 +186,9 @@ class IntegrationReport:
     # steps (Magnus steps, or the phase route's quadrature panels) over all
     # modes and passes, N = 1/2 included
     steps: int
-    error_estimate: float  # largest Richardson estimate a mode was accepted with
+    # largest estimate a mode was accepted with: the Richardson estimate of
+    # its lab (u, v), or on the phase route the bound on it from delta Phi
+    error_estimate: float
     max_invariant_defect: float  # max ||u|^2 - |v|^2 - 1| over records, modes
 
 
@@ -175,40 +205,47 @@ def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phas
     angle, whether or not CD is applied) are arrays that broadcast to
     (len(p), len(t)); chi and chi_cd have that shape, the others one row
     where they do not depend on p.  It is called with the momenta of the
-    modes in each pass.  `coefficients` is grid(momenta, times), the
-    coefficients on the record grid, which the caller holds already: the
-    adiabatic frame is read from its omega/p and g/p, and `grid` is never
-    called on the record grid.
+    modes in each pass, or on the phase route with those of the couplings'
+    rows: the first mode's alone where `coefficients.v_s` is one row.
+    `coefficients` is grid(momenta, times), the coefficients on the record
+    grid, which the caller holds already: the adiabatic frame is read from
+    its omega/p and g/p, and `grid` is never called on the record grid.
     `u0`, `v0` are the initial coefficients, one per mode, mapped into the
-    frame once.  `phase` takes the phase route, exact only where chi is chi_cd
-    (CD on): each pass then sums the phase integral of epsilon instead of
-    taking Magnus steps, on the same ladder.  A mode whose (u, v) turns
-    non-finite in a pass (a step too long for the Magnus series overflows)
-    has not converged and is refined further.  Raises IntegrationError at
-    once on non-finite coefficients or |g| > omega (the pair has no
-    adiabatic frame), or when a mode that failed its test cannot double N
-    without passing MAX_STEPS steps in one pass.
+    frame once.  `phase` takes the phase route, exact only where chi is
+    chi_cd (CD on): each pass then sums the phase integral of v_s on the
+    couplings' rows instead of taking Magnus steps, on the same ladder, and
+    the estimate is the bound on the lab estimate that the module docstring
+    derives from it.  A mode whose (u, v) turns non-finite in a pass (a
+    step too long for the Magnus series overflows) has not converged and is
+    refined further.  Raises IntegrationError at once on non-finite
+    coefficients or |g| > omega (the pair has no adiabatic frame), or when
+    a mode that failed its test cannot double N without passing MAX_STEPS
+    steps in one pass.
     """
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
     intervals = len(times) - 1
-    # out holds the frame state of the latest pass of every mode and lab its
-    # (u, v), each (u, v) x modes x records; each pass over the modes still
-    # failing fills the front of `buffer`, first with its frame state, then
-    # with its (u, v).  All three are allocated before any temporary so that
-    # freed temporaries do not stay pinned under them
+    # out holds the frame state of every mode and lab its (u, v), each
+    # (u, v) x modes x records, and `store` what the route keeps of its
+    # passes.  All three are allocated before any temporary so that freed
+    # temporaries do not stay pinned under them
     out = np.empty((2, len(momenta), len(times)), dtype=complex)
     lab = np.empty_like(out)
-    buffer = np.empty(out.size, dtype=complex)
+    store = np.empty(out.shape[1:]) if phase else np.empty(out.size, dtype=complex)
     frame, y0 = _start(coefficients, u0, v0)
+    args = grid, momenta, times, frame, y0, out, lab, store, rtol, atol
+    if phase:
+        # v_s on the record grid is one row where every mode shares it
+        route = _PhaseRoute(*args, shared=len(coefficients.v_s) == 1)
+    else:
+        route = _MagnusRoute(*args)
     # levels are kept as exponents k of N = 2^k steps per record interval.
     # The first pass takes one step per `stride` record intervals and
     # reaches the `records` it is compared at: N = 1/2 and the even records
     # on an even interval count, else N = 1 and every record
     stride = 2 - intervals % 2
     records = slice(None, None, stride)
-    _propagate(grid, momenta, times[records], y0, 1, out[..., records], phase)
-    _lab(frame[..., records], out[..., records], lab[..., records])
+    route.first(records)
     k, steps = 1 - stride, len(momenta) * (intervals // stride)
     active = np.arange(len(momenta))
     substeps, worst = 1, 0.0
@@ -216,29 +253,20 @@ def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phas
         k += 1
         # views, not copies, while every mode is still active
         rows = active if len(active) < len(momenta) else slice(None)
-        fine = buffer[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
-        _propagate(grid, momenta[rows], times, y0[:, rows], 1 << k, fine, phase)
-        out[:, rows] = fine
-        _lab(frame[:, rows], fine, fine)
+        passed, estimate = route.refine(active, rows, 1 << k, records)
         steps += len(active) * intervals << k
-        # old is overwritten with the difference, then lab[:, rows] with fine
-        old, new = lab[:, rows, records], fine[..., records]
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = np.abs(np.subtract(old, new, out=old)) / 63.0
-            tol = atol + rtol * np.abs(new)
-        passed = np.all(err <= tol, axis=(0, 2))
-        passed &= np.all(np.isfinite(fine), axis=(0, 2))
-        lab[:, rows] = fine
         if np.any(passed):
             substeps = 1 << k
-            worst = max(worst, float(np.max(err[:, passed])))
+            worst = max(worst, estimate)
         active, records = active[~passed], slice(None)
         if len(active) and (2 << k) * intervals > MAX_STEPS:
-            finite = np.all(np.isfinite(lab[:, active]))
+            # phi is finite: a non-finite panel raises at once
+            finite = phase or np.all(np.isfinite(lab[:, active]))
             raise IntegrationError(
                 f"magnus step doubling not converged at {1 << k} substeps "
                 "per record interval" + ("" if finite else ": (u, v) non-finite")
             )
+    route.finish()
     u, v = lab
     defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
     method = PHASE if phase else MAGNUS
@@ -251,16 +279,113 @@ def fixed_steps(grid, momenta, times, coefficients, u0, v0, substeps, phase=Fals
     order checks; entries are non-finite where a step overflows.
     `substeps` is any integer >= 1.  The other arguments, the `grid(p, t)`
     callback, the record-grid `coefficients` and the route `phase` included,
-    are as for integrate_modes."""
+    are as for integrate_modes; the phase route sums the same panels on the
+    couplings' rows as one of its passes, and forms the state from them."""
     if not isinstance(substeps, numbers.Integral) or substeps < 1:
         raise ContractError(f"substeps must be an integer >= 1, got {substeps!r}")
     momenta = np.asarray(momenta, dtype=float)
     times = np.asarray(times, dtype=float)
     out = np.empty((2, len(momenta), len(times)), dtype=complex)
     frame, y0 = _start(coefficients, u0, v0)
-    _propagate(grid, momenta, times, y0, substeps, out, phase)
+    if phase:
+        rows = momenta[:1] if len(coefficients.v_s) == 1 else momenta
+        _rotate(momenta[:, None] * _phase(grid, rows, times, substeps), y0, out)
+    else:
+        _propagate(grid, momenta, times, y0, substeps, out)
     _lab(frame, out, out)
     return out[0], out[1]
+
+
+class _Route:
+    """What the passes of a route read and write, for integrate_modes: the
+    arguments it was called with, the frame and y0' from `_start`, its
+    `out` and `lab`, and `store`, what the route keeps of its passes.  A
+    route's `first(records)` runs the first pass over every mode, at one
+    step per interval of times[records]; `refine(active, rows, substeps,
+    records)` runs the modes `active` (indexed by `rows`) at `substeps`
+    steps per interval, tests them against their pass before at `records`,
+    keeps the pass, and returns which of them passed and the largest
+    estimate among those; `finish()` leaves in `out` and `lab` the state
+    of every mode from the pass it was accepted with.  Plain classes: as
+    dataclasses the routes took ~2 ms more to import, in every process."""
+
+    def __init__(self, grid, momenta, times, frame, y0, out, lab, store, rtol, atol):
+        self.grid, self.momenta, self.times = grid, momenta, times
+        self.frame, self.y0, self.out, self.lab = frame, y0, out, lab
+        self.store, self.rtol, self.atol = store, rtol, atol
+
+
+class _MagnusRoute(_Route):
+    """Magnus steps: each pass writes the frame state of its modes to `out`
+    and their lab (u, v) to `lab`; `store` is complex, of out's size, and
+    holds a pass while it is tested."""
+
+    def first(self, records):
+        out, lab = self.out[..., records], self.lab[..., records]
+        _propagate(self.grid, self.momenta, self.times[records], self.y0, 1, out)
+        _lab(self.frame[..., records], out, lab)
+
+    def refine(self, active, rows, substeps, records):
+        times, y0 = self.times, self.y0[:, rows]
+        fine = self.store[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
+        _propagate(self.grid, self.momenta[rows], times, y0, substeps, fine)
+        self.out[:, rows] = fine
+        _lab(self.frame[:, rows], fine, fine)
+        # old is overwritten with the difference, then lab[:, rows] with fine
+        old, new = self.lab[:, rows, records], fine[..., records]
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.abs(np.subtract(old, new, out=old)) / 63.0
+            tol = self.atol + self.rtol * np.abs(new)
+        passed = np.all(err <= tol, axis=(0, 2))
+        passed &= np.all(np.isfinite(fine), axis=(0, 2))
+        self.lab[:, rows] = fine
+        return passed, float(np.max(err[:, passed])) if np.any(passed) else 0.0
+
+    def finish(self):
+        pass
+
+
+class _PhaseRoute(_Route):
+    """The phase route: each pass returns phi at the records on the
+    couplings' rows (`_phase`), one row for every mode where `shared`
+    (contact couplings); `old` is the phi of the last pass of the modes
+    still failing, and `store`, real (modes, records), the phase Phi = p phi
+    of each mode that passed, from which `finish` forms its state."""
+
+    def __init__(self, *args, shared):
+        super().__init__(*args)
+        self.shared = shared
+
+    def _pass(self, rows, times, substeps):
+        momenta = self.momenta[:1] if self.shared else self.momenta[rows]
+        return _phase(self.grid, momenta, times, substeps)
+
+    def first(self, records):
+        self.old = self._pass(slice(None), self.times[records], 1)
+
+    def refine(self, active, rows, substeps, records):
+        new = self._pass(rows, self.times, substeps)
+        p = self.momenta[rows]
+        # |delta Phi| at every record both passes reach, then the bounds B_u,
+        # B_v of the module docstring and their tolerances, mode by mode
+        d = np.abs(self.old - new[:, records]) * (p / 63.0)[:, None]
+        c, s = self.frame[:, rows, records]
+        s = np.abs(s)
+        u, v = np.abs(self.y0[:, rows, None])
+        cu, sv, cv, su = c * u, s * v, c * v, s * u
+        bound_u, bound_v = d * (cu + sv), d * (cv + su)
+        passed = np.all(bound_u <= self.atol + self.rtol * (cu - sv), axis=1)
+        passed &= np.all(bound_v <= self.atol + self.rtol * np.abs(cv - su), axis=1)
+        kept = new if self.shared else new[passed]
+        self.store[active[passed]] = p[passed, None] * kept
+        self.old = new if self.shared else new[~passed]
+        if not np.any(passed):
+            return passed, 0.0
+        return passed, float(max(np.max(bound_u[passed]), np.max(bound_v[passed])))
+
+    def finish(self):
+        _rotate(self.store, self.y0, self.out)
+        _lab(self.frame, self.out, self.lab)
 
 
 def _start(coefficients, u0, v0):
@@ -299,46 +424,71 @@ def _lab(frame, y, out):
     out[1] -= su
 
 
+def _rotate(phases, y0, out):
+    """Write the phase route's frame state (e^(i Phi) u'_0, e^(-i Phi) v'_0)
+    at the phases Phi (modes, records), from the frame state y0 = (u'_0,
+    v'_0) (one per mode), to out[0], out[1]."""
+    u, v = out
+    np.cos(phases, out=u.real)
+    np.sin(phases, out=u.imag)
+    np.conjugate(u, out=v)
+    u *= y0[0][:, None]
+    v *= y0[1][:, None]
+
+
+def _phase(grid, momenta, times, substeps):
+    """phi, the integral of v_s from times[0] to each record of `times`, of
+    shape (len(momenta), len(times)), at `substeps` panels (`_panels`) per
+    record interval.  `momenta` are those of the couplings' rows: the first
+    mode's alone for contact couplings, whose v_s every mode shares.  The
+    panels are summed one block (`_blocks`, sized on those rows) at a time,
+    and the sum is carried from block to block."""
+    phi = np.empty((len(momenta), len(times)))
+    phi[:, 0] = carry = 0.0
+    for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
+        total = np.cumsum(_panels(grid, momenta, starts, widths), axis=1)
+        total += carry
+        phi[:, records] = total[:, ends]
+        carry = total[:, -1:]
+    return phi
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _propagate(grid, momenta, times, y0, substeps, out, phase):
+def _propagate(grid, momenta, times, y0, substeps, out):
     """Fill out[0], out[1] with the frame state (u', v') of the modes
     `momenta` on the record grid, from the frame state y0 at times[0], at
-    `substeps` Magnus steps per record interval, or phase route panels with
-    `phase`.  Each block of steps (`_blocks`) applies its propagators from
-    the block start to the state carried in, and writes the records that
-    end inside it.  A step too long for the Magnus series may overflow:
-    (u', v') then turns non-finite, without a warning."""
+    `substeps` Magnus steps per record interval.  Each block of steps
+    (`_blocks`) applies its propagators from the block start to the state
+    carried in, and writes the records that end inside it.  A step too
+    long for the Magnus series may overflow: (u', v') then turns
+    non-finite, without a warning."""
     u, v = y0
     out[:, :, 0] = y0
     for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
         # (step, mode) propagators from the start of the block
-        if phase:
-            # the running sum of the panels of v_s, times p
-            phi = np.cumsum(_panels(grid, momenta, starts, widths), axis=1).T * momenta
-            alpha = np.exp(1j * phi)
-            u, v = alpha * u, np.conj(alpha) * v
-        else:
-            alpha, beta = _scan(*(x.T for x in _steps(grid, momenta, starts, widths)))
-            u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
+        alpha, beta = _scan(*(x.T for x in _steps(grid, momenta, starts, widths)))
+        u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
         out[0, :, records], out[1, :, records] = u[ends].T, v[ends].T
         u, v = u[-1], v[-1]
 
 
-def _blocks(times, substeps, n_modes):
-    """The steps of a pass at `substeps` steps per record interval of
-    `times`, one block at a time: (starts, widths, ends, records) with the
-    start and width of each step of the block, the steps of the block that
-    end a record interval (`ends`) and those records (`records`).
+def _blocks(times, substeps, n_rows):
+    """The steps of a pass over `n_rows` rows (modes on the Magnus route,
+    the couplings' rows on the phase route) at `substeps` steps per record
+    interval of `times`, one block at a time: (starts, widths, ends,
+    records) with the start and width of each step of the block, the steps
+    of the block that end a record interval (`ends`) and those records
+    (`records`).
 
     The steps form one flat sequence: step j starts at
     times[i] + (j - i N) h_i, with N = `substeps`, i = j // N and
     h_i = (times[i + 1] - times[i]) / N, and record k ends with step
     k N - 1.  A block is the largest power of two of steps with
-    block * n_modes <= BLOCK_POINTS, so that memory does not grow with the
+    block * n_rows <= BLOCK_POINTS, so that memory does not grow with the
     run, and so that at the ladder's N (powers of two) a block holds whole
     intervals or a whole part of one, and `_scan`'s doubling multiplies the
     steps of each interval as a balanced tree."""
-    block = 1 << max(0, (BLOCK_POINTS // n_modes).bit_length() - 1)
+    block = 1 << max(0, (BLOCK_POINTS // n_rows).bit_length() - 1)
     widths = np.diff(times) / substeps
     n_steps = substeps * len(widths)
     for j0 in range(0, n_steps, block):

@@ -76,6 +76,19 @@ def test_custom_schedule():
         Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0),))
 
 
+def test_custom_schedule_steepest_slope_may_fall():
+    # a ramp that rises at 2.5, falls at -20 and rises at 20/11: the
+    # steepest slope is the falling one, |dP/ds| = 20, everywhere the
+    # schedule is evaluated, not the largest signed slope
+    sch = Schedule(
+        ScheduleKind.CUSTOM_SAMPLES,
+        samples=((0.0, 0.0), (0.4, 1.0), (0.45, 0.0), (1.0, 1.0)),
+    )
+    assert sch.max_derivative() == pytest.approx(20.0, rel=1e-12)
+    _, dP = schedule_value(np.linspace(0.0, 1.0, 1001), sch)
+    assert sch.max_derivative() == pytest.approx(np.max(np.abs(dP)), rel=1e-12)
+
+
 def test_schedule_domain():
     with pytest.raises(ContractError):
         schedule_value(1.2, Schedule(ScheduleKind.POLY5))

@@ -207,6 +207,48 @@ def test_interacting_starts_match_dop853(family):
         assert np.max(np.abs(v[k] - v_ref)) < 1e-8
 
 
+@pytest.mark.parametrize("tight", [False, True], ids=["default", "tight"])
+@pytest.mark.parametrize("family", sorted(STARTS))
+def test_phase_test_is_never_looser_than_the_lab_test(family, tight):
+    # the phase route tests delta Phi by a bound on the lab estimate (module
+    # docstring), so a mode it accepts at N passes the lab test at N too:
+    # |y_(N/2) - y_N| / 63 <= atol + rtol |y_N| at every record, from
+    # fixed_steps.  A squeezed, rotated start makes v'_0 != 0, and the
+    # ladder climbs to N = 2, 4 or 8 on two record intervals.  "tight" sets
+    # each mode's atol, with rtol = 0, to the bound it was accepted with at
+    # rtol = 1e-8, atol = 1e-10: the least atol that passes it at that N.
+    # The lab estimate then comes within 2e-6 of it (rounding is ~2e-7
+    # there), and a bound without the |s| |v'_0| term, a few per cent of
+    # it, fails
+    proto = replace(make_protocol(family, n_modes=8), coupling=STARTS[family])
+    r = 1.0
+    u0, v0 = math.cosh(r) * cmath.exp(0.3j), math.sinh(r) * cmath.exp(-1.2j)
+    times = np.linspace(0.0, proto.t_f, 3)
+
+    def run(p, substeps=None, tolerances=None):
+        args = proto.grid, [p], times, proto.grid([p], times), [u0], [v0]
+        if substeps:
+            return np.array(integrator.fixed_steps(*args, substeps, phase=True))
+        return integrator.integrate_modes(*args, *tolerances, phase=True)
+
+    for p in proto.momenta():
+        if tight:
+            report = run(p, tolerances=(1e-8, 1e-10))[2]
+            rtol, atol = 0.0, report.error_estimate
+        else:
+            rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+        u, v, report, _ = run(p, tolerances=(rtol, atol))
+        n = report.substeps
+        assert n >= 2 and (report.error_estimate == atol or not tight)
+        y = run(p, n)
+        assert np.array_equal(y, np.array([u, v]))
+        err = np.abs(run(p, n // 2) - y) / 63
+        assert np.all(err <= atol + rtol * np.abs(y)), p
+        u_ref, v_ref = dop853(proto, p, times, y0=(u0, v0))
+        assert np.max(np.abs(u[0] - u_ref)) < 1e-8
+        assert np.max(np.abs(v[0] - v_ref)) < 1e-8
+
+
 def test_fine_cd_off_records_pass_at_the_floor():
     # a CD-off custom_table ramp on a fine record grid, shaped like the
     # table_records benchmark: every mode passes at N = 1, after N = 1/2,
@@ -430,16 +472,43 @@ def test_steps_count_every_pass_of_every_mode(cd):
 
 def ladder(proto, p, times, rtol, atol):
     """(levels, (u, v), estimate) of one mode from (1, 0) by the rule of
-    integrate_modes, spelled out on fixed_steps of the route the protocol
-    takes (the phase route with CD on): the levels (steps per record
-    interval) it runs, the (u, v) it keeps and the estimate it is accepted
-    with."""
+    integrate_modes, spelled out: the levels (steps per record interval) it
+    runs, the (u, v) it keeps, from fixed_steps of the route the protocol
+    takes, and the estimate it is accepted with.  Without CD a level is
+    tested on the lab (u, v); with CD, on the phase route, on the phase
+    integral phi of v_s, by the bounds B_u and B_v of the integrator's
+    module docstring."""
 
-    def run(t, n):
+    def state(t, n):
         y = integrator.fixed_steps(
             proto.grid, [p], t, proto.grid([p], t), [1.0], [0.0], n, phase=proto.cd_enabled
         )
         return np.array(y)[:, 0]
+
+    if proto.cd_enabled:
+        frame, y0 = integrator._start(proto.grid([p], times), [1.0], [0.0])
+        c, s = frame[0, 0], np.abs(frame[1, 0])
+        u, v = np.abs(y0[:, 0])
+
+        def run(t, n):
+            return integrator._phase(proto.grid, [p], t, n)[0]
+
+        def test(prev, new, records):
+            # |delta Phi| = p |phi_(N/2) - phi_N| / 63, and the frame (c, s)
+            # and |u'_0|, |v'_0| bound the lab estimate and the lab state
+            d = np.abs(prev - new[records]) * (p / 63.0)
+            c_r, s_r = c[records], s[records]
+            cu, sv, cv, su = c_r * u, s_r * v, c_r * v, s_r * u
+            bound_u, bound_v = d * (cu + sv), d * (cv + su)
+            passed = np.all(bound_u <= atol + rtol * (cu - sv))
+            passed &= np.all(bound_v <= atol + rtol * np.abs(cv - su))
+            return passed, max(np.max(bound_u), np.max(bound_v))
+    else:
+        run = state
+
+        def test(prev, new, records):
+            err = np.abs(prev - new[:, records]) / 63
+            return np.all(err <= atol + rtol * np.abs(new[:, records])), np.max(err)
 
     if (len(times) - 1) % 2:
         levels, prev, y, records = [1, 2], run(times, 1), run(times, 2), slice(None)
@@ -448,9 +517,9 @@ def ladder(proto, p, times, rtol, atol):
         levels, prev, y = [0.5, 1], run(times[::2], 1), run(times, 1)
         records = slice(None, None, 2)
     while True:
-        err = np.abs(prev - y[:, records]) / 63
-        if np.all(err <= atol + rtol * np.abs(y[:, records])):
-            return levels, y, np.max(err)
+        passed, estimate = test(prev, y, records)
+        if passed:
+            return levels, state(times, levels[-1]), estimate
         levels.append(2 * levels[-1])
         prev, y, records = y, run(times, levels[-1]), slice(None)
 
@@ -460,8 +529,8 @@ def ladder(proto, p, times, rtol, atol):
 def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
     # an even interval count starts at N = 1/2, an odd one at N = 1, and
     # each pass doubles N; with CD every mode passes at its second level of
-    # the phase route, without CD the modes climb to different levels of
-    # Magnus steps
+    # the phase route, whose passes sum the phase alone, without CD the
+    # modes climb to different levels of Magnus steps
     proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
     times = np.linspace(0.0, proto.t_f, points)
     modes = proto.momenta()[::3]
@@ -473,19 +542,21 @@ def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
         for levels, _, _ in want:
             assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
         assert max(levels[-1] for levels, _, _ in want) >= 8
-    levels_run = []
-    propagate = integrator._propagate
+    # the passes of either route, (name, level): _phase(grid, momenta, t,
+    # substeps) and _propagate(grid, momenta, t, y0, substeps, out)
+    passes = []
+    for name, at in (("_phase", 0), ("_propagate", 1)):
 
-    def spy(grid, momenta, t, y0, substeps, out, phase):
-        assert phase == cd
-        levels_run.append(substeps * (len(t) - 1) / (len(times) - 1))
-        return propagate(grid, momenta, t, y0, substeps, out, phase)
+        def spy(grid, momenta, t, *args, name=name, at=at, real=getattr(integrator, name)):
+            passes.append((name, args[at] * (len(t) - 1) / (len(times) - 1)))
+            return real(grid, momenta, t, *args)
 
-    monkeypatch.setattr(integrator, "_propagate", spy)
+        monkeypatch.setattr(integrator, name, spy)
+    route = "_phase" if cd else "_propagate"
     for p, (levels, y, estimate) in zip(modes, want):
-        levels_run.clear()
+        passes.clear()
         u, v, report, _ = integrate(proto, [p], times, 1e-10, 1e-12)
-        assert levels_run == levels
+        assert passes == [(route, level) for level in levels]
         assert report.steps == (len(times) - 1) * sum(levels)
         assert report.substeps == levels[-1]
         assert report.error_estimate == estimate
@@ -516,11 +587,14 @@ def test_frame_and_lab_state_come_from_one_pass(points):
 
 def test_blocking_does_not_change_the_result(monkeypatch):
     # without CD, where these modes need 32 substeps, and with CD on the
-    # phase route (2 substeps), whose phase runs on from block to block in
-    # the state carried in: the lab (u, v) and the frame state alike
+    # phase route (2 substeps), whose phase sum runs on from block to block:
+    # the lab (u, v) and the frame state alike.  Blocks are sized on the
+    # rows a pass evaluates: the 5 modes, or the one row of these contact
+    # couplings on the phase route
     for cd in (False, True):
         proto = make_protocol(cd=cd, n_modes=5)
         p = proto.momenta()
+        rows = 1 if cd else len(p)
         ones = np.ones(len(p))
         times = np.linspace(0.0, proto.t_f, 7)
         whole = integrate(proto, p, times, 1e-10, 1e-12)
@@ -528,7 +602,7 @@ def test_blocking_does_not_change_the_result(monkeypatch):
         # blocks of 128 steps: 4 record intervals at N = 32, so the 6
         # intervals take one full and one partial block
         for block in (2, 128):
-            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
+            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * rows)
             split = integrate(proto, p, times, 1e-10, 1e-12)
             assert split[2].substeps == whole[2].substeps == (2 if cd else 32)
             for got, want in zip((*split[:2], *split[3]), (*whole[:2], *whole[3])):
@@ -539,7 +613,7 @@ def test_blocking_does_not_change_the_result(monkeypatch):
         args = (proto.grid, p, times, proto.grid(p, times), ones, 0 * ones, 24)
         whole = integrator.fixed_steps(*args, phase=cd)
         for block in (2, 8, 128):
-            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * 5)
+            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * rows)
             split = integrator.fixed_steps(*args, phase=cd)
             for got, want in zip(split, whole):
                 assert np.max(np.abs(got - want)) < 1e-13

@@ -75,6 +75,19 @@ def test_closed_form_bound_frozen():
     assert closed_form_bound(proto) == pytest.approx(4.749430483234583, abs=1e-12)
 
 
+def test_closed_form_bound_takes_the_steepest_slope():
+    # a ramp whose steepest segment falls at dP/ds = -20: the bound takes
+    # |dP/ds| = 20, 8 times the largest rising slope (2.5)
+    steep = Schedule(
+        ScheduleKind.CUSTOM_SAMPLES,
+        samples=((0.0, 0.0), (0.4, 1.0), (0.45, 0.0), (1.0, 1.0)),
+    )
+    proto = replace(reference_protocol(), schedule=steep)
+    span = abs(proto.coupling.g2_end - proto.coupling.g2_start)
+    want = proto.L * span * 20.0 / (TWO_PI * proto.v_F) ** 2
+    assert closed_form_bound(proto) == pytest.approx(want, rel=1e-12)
+
+
 def test_closed_form_bound_none_for_table():
     proto = DriveProtocol(
         coupling=CouplingSpec(
