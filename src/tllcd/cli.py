@@ -554,13 +554,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (LuttingerInstabilityError, CDInstabilityError) as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
-    except ContractError as exc:
+    except (ConfigError, ContractError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationError as exc:

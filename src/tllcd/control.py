@@ -44,6 +44,8 @@ class Schedule:
                 raise ContractError("custom schedule must start at (0, 0)")
             if abs(pts[-1][0] - 1) > 1e-12 or abs(pts[-1][1] - 1) > 1e-12:
                 raise ContractError("custom schedule must end at (1, 1)")
+            if any(a[0] == b[0] for a, b in zip(pts, pts[1:])):
+                raise ContractError("custom schedule samples need distinct s")
 
     def max_derivative(self) -> float:
         """The steepest slope max |dP/ds| on [0, 1]: of custom samples, the

@@ -101,9 +101,9 @@ def _evolve(protocol, momenta, times, rtol, atol):
     `momenta` (rows), all started from the vacuum, on the record grid
     `times` (columns), in one integrate_modes call, on its phase route with
     CD on.  The coefficients on the record grid are evaluated once, here,
-    and the integrator reads the adiabatic frame from them; the
-    trajectories keep the lab state (u, v) as integrated, and read n_qp and
-    the fidelity from the frame state (u', v')."""
+    and the integrator reads the modes, the route and the adiabatic frame
+    from them; the trajectories keep the lab state (u, v) as integrated,
+    and read n_qp and the fidelity from the frame state (u', v')."""
     c = protocol.grid(momenta, times)
     # every mode at every record: raises before any integration where the
     # controlled spectrum turns imaginary between stability-grid points
@@ -111,10 +111,8 @@ def _evolve(protocol, momenta, times, rtol, atol):
         epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi)
     else:
         epsilon_cd = instantaneous_spectrum(c.omega, c.g)
-    u, v, report, frame = integrate_modes(
-        protocol.grid, momenta, times, c, np.ones(len(momenta)), np.zeros(len(momenta)),
-        rtol, atol, phase=protocol.cd_enabled,
-    )
+    ones = np.ones(len(momenta))
+    u, v, report, frame = integrate_modes(protocol.grid, times, c, ones, 0 * ones, rtol, atol)
     # the invariant policy, once per run
     defect = report.max_invariant_defect
     if defect > INVARIANT_ERROR_TOL:

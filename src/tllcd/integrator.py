@@ -83,8 +83,8 @@ products by doubling (Hillis & Steele, CACM 29, 1170 (1986)), are applied
 to the state carried in from the block before.  `_lab` maps y' back to the
 lab (u, v), for the error test and the result.
 
-Phase route (`phase=True`, taken for every CD-on run): with chi = chi_cd
-the generator's r = chi_cd - chi is 0 at every node, so a1, a2 and a3 have
+Phase route, where the coefficients apply CD with chi the very array chi_cd
+(`_route`): r = chi_cd - chi is then 0 at every node, so a1, a2 and a3 have
 only an a component, every commutator of them vanishes, and
 Omega = (a, 0, 0) with
 
@@ -101,9 +101,9 @@ one per mode otherwise.  A pass (`_phase`) sums those panels on those rows,
 block by block with blocks sized on the rows, carries the sum from block to
 block, and returns phi at the records.  The ladder runs on phi, and each
 mode's frame state is formed once, from the phase it is accepted with
-(`_rotate`), then mapped to the lab by one `_lab`.  The route forms no
-`_omega`, `_cosh_sinhc` or `_scan`, and no state in a pass.  phi is a float
-sum, so its rounding grows as eps phi.
+(`_PhaseRoute.finish`), then mapped to the lab by one `_lab`.  The route
+forms no `_omega`, `_cosh_sinhc` or `_scan`, and no state in a pass.  phi
+is a float sum, so its rounding grows as eps phi.
 
 Error control, per mode: the modes are independent, so each takes its own
 number of substeps N per record interval, on the ladder of levels
@@ -192,7 +192,7 @@ class IntegrationReport:
     max_invariant_defect: float  # max ||u|^2 - |v|^2 - 1| over records, modes
 
 
-def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phase=False):
+def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
     """(u, v, report, frame): (u, v) of every mode (rows) on the record grid
     `times` (columns), the IntegrationReport, and frame = (u', v'), the
     adiabatic frame state (u, v) is mapped back from, (2, modes, records).
@@ -204,41 +204,27 @@ def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phas
     applied) and `chi_cd` (Kdot/(2K), d eta/dt of the pair's Bogoliubov
     angle, whether or not CD is applied) are arrays that broadcast to
     (len(p), len(t)); chi and chi_cd have that shape, the others one row
-    where they do not depend on p.  It is called with the momenta of the
-    modes in each pass, or on the phase route with those of the couplings'
-    rows: the first mode's alone where `coefficients.v_s` is one row.
-    `coefficients` is grid(momenta, times), the coefficients on the record
-    grid, which the caller holds already: the adiabatic frame is read from
-    its omega/p and g/p, and `grid` is never called on the record grid.
-    `u0`, `v0` are the initial coefficients, one per mode, mapped into the
-    frame once.  `phase` takes the phase route, exact only where chi is
-    chi_cd (CD on): each pass then sums the phase integral of v_s on the
-    couplings' rows instead of taking Magnus steps, on the same ladder, and
-    the estimate is the bound on the lab estimate that the module docstring
-    derives from it.  A mode whose (u, v) turns non-finite in a pass (a
-    step too long for the Magnus series overflows) has not converged and is
-    refined further.  Raises IntegrationError at once on non-finite
-    coefficients or |g| > omega (the pair has no adiabatic frame), or when
-    a mode that failed its test cannot double N without passing MAX_STEPS
-    steps in one pass.
+    where they do not depend on p.  `coefficients` is grid(p, times), which
+    the caller holds already, and says what is integrated: the modes are
+    its column `p`, the frame comes from its omega/p and g/p, and the route
+    from `cd_enabled`, `chi` and `chi_cd`.  Each pass calls `grid` with the
+    momenta of its modes, or on the phase route with those of the
+    couplings' rows: the first mode's alone where `coefficients.v_s` is one
+    row.  `u0`, `v0` are the initial coefficients, one per mode, mapped
+    into the frame once.  The phase route runs where the coefficients apply
+    CD with chi the very array chi_cd: each pass sums the phase integral of
+    v_s on the couplings' rows, on the same ladder, and the estimate is the
+    bound on the lab estimate that the module docstring derives from it.
+    Any other chi, a copy of chi_cd included, takes Magnus steps, which
+    hold for every chi.  A mode whose (u, v) turns non-finite in a pass (a
+    step too long for the Magnus series overflows) is refined further.
+    Raises IntegrationError at once on non-finite coefficients or
+    |g| > omega (the pair has no adiabatic frame), or when a mode that
+    failed its test cannot double N without passing MAX_STEPS steps in one
+    pass.
     """
-    momenta = np.asarray(momenta, dtype=float)
-    times = np.asarray(times, dtype=float)
-    intervals = len(times) - 1
-    # out holds the frame state of every mode and lab its (u, v), each
-    # (u, v) x modes x records, and `store` what the route keeps of its
-    # passes.  All three are allocated before any temporary so that freed
-    # temporaries do not stay pinned under them
-    out = np.empty((2, len(momenta), len(times)), dtype=complex)
-    lab = np.empty_like(out)
-    store = np.empty(out.shape[1:]) if phase else np.empty(out.size, dtype=complex)
-    frame, y0 = _start(coefficients, u0, v0)
-    args = grid, momenta, times, frame, y0, out, lab, store, rtol, atol
-    if phase:
-        # v_s on the record grid is one row where every mode shares it
-        route = _PhaseRoute(*args, shared=len(coefficients.v_s) == 1)
-    else:
-        route = _MagnusRoute(*args)
+    route = _route(grid, times, coefficients, u0, v0)
+    modes, intervals = len(route.momenta), len(route.times) - 1
     # levels are kept as exponents k of N = 2^k steps per record interval.
     # The first pass takes one step per `stride` record intervals and
     # reaches the `records` it is compared at: N = 1/2 and the even records
@@ -246,14 +232,14 @@ def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phas
     stride = 2 - intervals % 2
     records = slice(None, None, stride)
     route.first(records)
-    k, steps = 1 - stride, len(momenta) * (intervals // stride)
-    active = np.arange(len(momenta))
+    k, steps = 1 - stride, modes * (intervals // stride)
+    active = np.arange(modes)
     substeps, worst = 1, 0.0
     while len(active):
         k += 1
         # views, not copies, while every mode is still active
-        rows = active if len(active) < len(momenta) else slice(None)
-        passed, estimate = route.refine(active, rows, 1 << k, records)
+        rows = active if len(active) < modes else slice(None)
+        passed, estimate = route.refine(active, rows, 1 << k, records, rtol, atol)
         steps += len(active) * intervals << k
         if np.any(passed):
             substeps = 1 << k
@@ -261,58 +247,64 @@ def integrate_modes(grid, momenta, times, coefficients, u0, v0, rtol, atol, phas
         active, records = active[~passed], slice(None)
         if len(active) and (2 << k) * intervals > MAX_STEPS:
             # phi is finite: a non-finite panel raises at once
-            finite = phase or np.all(np.isfinite(lab[:, active]))
+            finite = route.method == PHASE or np.all(np.isfinite(route.lab[:, active]))
             raise IntegrationError(
                 f"magnus step doubling not converged at {1 << k} substeps "
                 "per record interval" + ("" if finite else ": (u, v) non-finite")
             )
     route.finish()
-    u, v = lab
+    u, v = route.lab
     defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
-    method = PHASE if phase else MAGNUS
-    return u, v, IntegrationReport(method, substeps, steps, worst, float(defect)), out
+    report = IntegrationReport(route.method, substeps, steps, worst, float(defect))
+    return u, v, report, route.out
 
 
-def fixed_steps(grid, momenta, times, coefficients, u0, v0, substeps, phase=False):
+def fixed_steps(grid, times, coefficients, u0, v0, substeps):
     """(u, v) on the record grid `times` after `substeps` steps per record
     interval, without error control: the method's raw convergence, for
     order checks; entries are non-finite where a step overflows.
-    `substeps` is any integer >= 1.  The other arguments, the `grid(p, t)`
-    callback, the record-grid `coefficients` and the route `phase` included,
-    are as for integrate_modes; the phase route sums the same panels on the
-    couplings' rows as one of its passes, and forms the state from them."""
+    `substeps` is any integer >= 1.  The other arguments, and the route
+    they pick, are as for integrate_modes; the phase route sums the panels
+    of one of its passes on the couplings' rows and forms the state."""
     if not isinstance(substeps, numbers.Integral) or substeps < 1:
         raise ContractError(f"substeps must be an integer >= 1, got {substeps!r}")
-    momenta = np.asarray(momenta, dtype=float)
-    times = np.asarray(times, dtype=float)
-    out = np.empty((2, len(momenta), len(times)), dtype=complex)
-    frame, y0 = _start(coefficients, u0, v0)
-    if phase:
-        rows = momenta[:1] if len(coefficients.v_s) == 1 else momenta
-        _rotate(momenta[:, None] * _phase(grid, rows, times, substeps), y0, out)
-    else:
-        _propagate(grid, momenta, times, y0, substeps, out)
-    _lab(frame, out, out)
-    return out[0], out[1]
+    route = _route(grid, times, coefficients, u0, v0)
+    route.fixed(substeps)
+    return route.lab[0], route.lab[1]
+
+
+def _route(grid, times, coefficients, u0, v0):
+    """The route of the record-grid `coefficients`: the phase route exactly
+    where they apply CD with chi the very array chi_cd (CD off decides it
+    without forming chi_cd), Magnus steps for any other chi."""
+    phase = coefficients.cd_enabled and coefficients.chi is coefficients.chi_cd
+    return (_PhaseRoute if phase else _MagnusRoute)(grid, times, coefficients, u0, v0)
 
 
 class _Route:
-    """What the passes of a route read and write, for integrate_modes: the
-    arguments it was called with, the frame and y0' from `_start`, its
-    `out` and `lab`, and `store`, what the route keeps of its passes.  A
-    route's `first(records)` runs the first pass over every mode, at one
-    step per interval of times[records]; `refine(active, rows, substeps,
-    records)` runs the modes `active` (indexed by `rows`) at `substeps`
-    steps per interval, tests them against their pass before at `records`,
-    keeps the pass, and returns which of them passed and the largest
-    estimate among those; `finish()` leaves in `out` and `lab` the state
-    of every mode from the pass it was accepted with.  Plain classes: as
-    dataclasses the routes took ~2 ms more to import, in every process."""
+    """A route's passes: the modes' `momenta` (the coefficients' column p),
+    the frame and y0' from `_start`, `out` and `lab`, and `store`, what the
+    route keeps of its passes, from `_store(coefficients)`, which also
+    reads what else the route needs of the coefficients.  `first(records)`
+    runs every mode at one step per interval of times[records];
+    `refine(active, rows, substeps, records, rtol, atol)` runs the modes
+    `active` (indexed by `rows`) at `substeps` steps per interval, tests
+    them against their pass before at `records`, keeps the pass, and
+    returns which passed and the largest estimate among those; `finish()`
+    leaves in `out` and `lab` the state of every mode from the pass it was
+    accepted with, and `fixed(substeps)` that at `substeps` steps per
+    interval.  Plain classes: dataclasses took ~2 ms more to import."""
 
-    def __init__(self, grid, momenta, times, frame, y0, out, lab, store, rtol, atol):
-        self.grid, self.momenta, self.times = grid, momenta, times
-        self.frame, self.y0, self.out, self.lab = frame, y0, out, lab
-        self.store, self.rtol, self.atol = store, rtol, atol
+    def __init__(self, grid, times, coefficients, u0, v0):
+        self.grid, self.momenta = grid, coefficients.p[:, 0]
+        self.times = np.asarray(times, dtype=float)
+        # out holds the frame state of every mode and lab its (u, v), each
+        # (u, v) x modes x records.  All three are allocated before any
+        # temporary so that freed temporaries do not stay pinned under them
+        self.out = np.empty((2, len(self.momenta), len(self.times)), dtype=complex)
+        self.lab = np.empty_like(self.out)
+        self.store = self._store(coefficients)
+        self.frame, self.y0 = _start(coefficients, u0, v0)
 
 
 class _MagnusRoute(_Route):
@@ -320,12 +312,17 @@ class _MagnusRoute(_Route):
     and their lab (u, v) to `lab`; `store` is complex, of out's size, and
     holds a pass while it is tested."""
 
-    def first(self, records):
+    method = MAGNUS
+
+    def _store(self, coefficients):
+        return np.empty(self.out.size, dtype=complex)
+
+    def first(self, records, substeps=1):
         out, lab = self.out[..., records], self.lab[..., records]
-        _propagate(self.grid, self.momenta, self.times[records], self.y0, 1, out)
+        _propagate(self.grid, self.momenta, self.times[records], self.y0, substeps, out)
         _lab(self.frame[..., records], out, lab)
 
-    def refine(self, active, rows, substeps, records):
+    def refine(self, active, rows, substeps, records, rtol, atol):
         times, y0 = self.times, self.y0[:, rows]
         fine = self.store[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
         _propagate(self.grid, self.momenta[rows], times, y0, substeps, fine)
@@ -335,7 +332,7 @@ class _MagnusRoute(_Route):
         old, new = self.lab[:, rows, records], fine[..., records]
         with np.errstate(over="ignore", invalid="ignore"):
             err = np.abs(np.subtract(old, new, out=old)) / 63.0
-            tol = self.atol + self.rtol * np.abs(new)
+            tol = atol + rtol * np.abs(new)
         passed = np.all(err <= tol, axis=(0, 2))
         passed &= np.all(np.isfinite(fine), axis=(0, 2))
         self.lab[:, rows] = fine
@@ -344,17 +341,23 @@ class _MagnusRoute(_Route):
     def finish(self):
         pass
 
+    def fixed(self, substeps):
+        self.first(slice(None), substeps)
+
 
 class _PhaseRoute(_Route):
     """The phase route: each pass returns phi at the records on the
-    couplings' rows (`_phase`), one row for every mode where `shared`
-    (contact couplings); `old` is the phi of the last pass of the modes
-    still failing, and `store`, real (modes, records), the phase Phi = p phi
-    of each mode that passed, from which `finish` forms its state."""
+    couplings' rows (`_phase`), one for every mode where `shared`; `old` is
+    the phi of the last pass of the modes still failing, and `store`, real
+    (modes, records), the phase Phi = p phi of each mode that passed, from
+    which `finish` forms its state."""
 
-    def __init__(self, *args, shared):
-        super().__init__(*args)
-        self.shared = shared
+    method = PHASE
+
+    def _store(self, coefficients):
+        # v_s on the record grid is one row where every mode shares it
+        self.shared = len(coefficients.v_s) == 1
+        return np.empty(self.out.shape[1:])
 
     def _pass(self, rows, times, substeps):
         momenta = self.momenta[:1] if self.shared else self.momenta[rows]
@@ -363,7 +366,7 @@ class _PhaseRoute(_Route):
     def first(self, records):
         self.old = self._pass(slice(None), self.times[records], 1)
 
-    def refine(self, active, rows, substeps, records):
+    def refine(self, active, rows, substeps, records, rtol, atol):
         new = self._pass(rows, self.times, substeps)
         p = self.momenta[rows]
         # |delta Phi| at every record both passes reach, then the bounds B_u,
@@ -374,8 +377,8 @@ class _PhaseRoute(_Route):
         u, v = np.abs(self.y0[:, rows, None])
         cu, sv, cv, su = c * u, s * v, c * v, s * u
         bound_u, bound_v = d * (cu + sv), d * (cv + su)
-        passed = np.all(bound_u <= self.atol + self.rtol * (cu - sv), axis=1)
-        passed &= np.all(bound_v <= self.atol + self.rtol * np.abs(cv - su), axis=1)
+        passed = np.all(bound_u <= atol + rtol * (cu - sv), axis=1)
+        passed &= np.all(bound_v <= atol + rtol * np.abs(cv - su), axis=1)
         kept = new if self.shared else new[passed]
         self.store[active[passed]] = p[passed, None] * kept
         self.old = new if self.shared else new[~passed]
@@ -384,8 +387,19 @@ class _PhaseRoute(_Route):
         return passed, float(max(np.max(bound_u[passed]), np.max(bound_v[passed])))
 
     def finish(self):
-        _rotate(self.store, self.y0, self.out)
+        # the frame state (e^(i Phi) u'_0, e^(-i Phi) v'_0), then the lab
+        u, v = self.out
+        np.cos(self.store, out=u.real)
+        np.sin(self.store, out=u.imag)
+        np.conjugate(u, out=v)
+        u *= self.y0[0][:, None]
+        v *= self.y0[1][:, None]
         _lab(self.frame, self.out, self.lab)
+
+    def fixed(self, substeps):
+        phi = self._pass(slice(None), self.times, substeps)
+        np.multiply(self.momenta[:, None], phi, out=self.store)
+        self.finish()
 
 
 def _start(coefficients, u0, v0):
@@ -422,18 +436,6 @@ def _lab(frame, y, out):
     out[0] -= sv
     np.multiply(c, v, out=out[1])
     out[1] -= su
-
-
-def _rotate(phases, y0, out):
-    """Write the phase route's frame state (e^(i Phi) u'_0, e^(-i Phi) v'_0)
-    at the phases Phi (modes, records), from the frame state y0 = (u'_0,
-    v'_0) (one per mode), to out[0], out[1]."""
-    u, v = out
-    np.cos(phases, out=u.real)
-    np.sin(phases, out=u.imag)
-    np.conjugate(u, out=v)
-    u *= y0[0][:, None]
-    v *= y0[1][:, None]
 
 
 def _phase(grid, momenta, times, substeps):

@@ -54,8 +54,11 @@ class CouplingSpec:
                 raise ContractError(
                     "lorentzian coupling has g2 = g4 = lambda; endpoints must match"
                 )
-        if self.family == CouplingFamily.CUSTOM_TABLE and not self.table:
-            raise ContractError("custom_table coupling requires table rows")
+        if self.family == CouplingFamily.CUSTOM_TABLE:
+            if not self.table:
+                raise ContractError("custom_table coupling requires table rows")
+            if len({row[0] for row in self.table}) < len(self.table):
+                raise ContractError("custom_table rows need distinct p")
 
     def values(self, p, progress):
         """(g2, g4) at momenta p and schedule values progress in [0,1];

@@ -486,6 +486,20 @@ def test_exit_code_config_error(tmp_path):
     assert main(["simulate", "--config", bad, "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+def test_table_with_a_repeated_p_is_a_config_error(tmp_path, capsys):
+    # two rows at p = 0.5: a config error before any output
+    text = (
+        "family = custom_table\n"
+        "table = 0:0.9:0.45; 0.5:0.8:0.4; 0.5:0.2:0.1; 2.5:0.6:0.35\n"
+        "schedule = linear\nt_f = 6\nL = 20\nn_modes = 3\ncd = off\n"
+    )
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: custom_table rows need distinct p\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cd", ["on", "off"])
 def test_every_formula_of_the_run_is_in_range(tmp_path, capsys, cd):
     # squares in v_s stay finite, but (2 pi v_F + g4)^2 in chi_cd, which the
@@ -646,8 +660,8 @@ def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys
     else:
         integrate = dynamics.integrate_modes
 
-        def drifted(grid, momenta, times, *args, **kwargs):
-            u, v, report, frame = integrate(grid, momenta, times, *args, **kwargs)
+        def drifted(grid, times, *args, **kwargs):
+            u, v, report, frame = integrate(grid, times, *args, **kwargs)
             if times[-1] == 40:
                 report = replace(report, max_invariant_defect=2e-6)
             return u, v, report, frame

@@ -89,6 +89,15 @@ def test_custom_schedule_steepest_slope_may_fall():
     assert sch.max_derivative() == pytest.approx(np.max(np.abs(dP)), rel=1e-12)
 
 
+def test_custom_schedule_refuses_a_repeated_s():
+    # two samples at one s would make P(s) jump and max_derivative divide
+    # by zero (warnings are errors here): refused at construction
+    for samples in (((0.0, 0.0), (0.5, 0.2), (0.5, 0.8), (1.0, 1.0)),
+                    ((0.0, 0.0), (0.0, 0.0), (1.0, 1.0))):
+        with pytest.raises(ContractError, match="distinct s"):
+            Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=samples)
+
+
 def test_schedule_domain():
     with pytest.raises(ContractError):
         schedule_value(1.2, Schedule(ScheduleKind.POLY5))

@@ -79,8 +79,8 @@ def test_stored_maps_are_phase_normalized():
         assert state.u.real > 0.0
     # the stored (u, v) are the integrator's lab state, phase included
     u, v, _, _ = integrator.integrate_modes(
-        proto.grid, [p], traj.times, proto.grid([p], traj.times), [1.0], [0.0],
-        dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL, phase=True,
+        proto.grid, traj.times, proto.grid([p], traj.times), [1.0], [0.0],
+        dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL,
     )
     assert np.array_equal(traj.u, u)
     assert np.array_equal(traj.v, v)
@@ -191,7 +191,7 @@ def test_interacting_initial_map():
     gs = su11.squeeze_from_angle(bogoliubov_angle(c.omega, c.g))
     times = np.linspace(0.0, proto.t_f, 21)
     _, _, _, (u_frame, v_frame) = integrator.integrate_modes(
-        proto.grid, p, times, proto.grid(p, times), [gs.u], [gs.v],
+        proto.grid, times, proto.grid(p, times), [gs.u], [gs.v],
         dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL,
     )
     assert np.max(np.abs(v_frame) ** 2) < 1e-9

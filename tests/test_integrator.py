@@ -59,13 +59,20 @@ def make_protocol(family="contact", schedule="poly5", cd=True, n_modes=3):
 
 def integrate(proto, momenta, times, rtol, atol):
     """integrate_modes as a run calls it: every mode of `momenta` from the
-    vacuum, with the coefficients on the record grid and, with CD on, on
-    the phase route."""
+    vacuum, with the coefficients on the record grid, which take the phase
+    route with CD on."""
     ones = np.ones(len(momenta))
     return integrator.integrate_modes(
-        proto.grid, momenta, times, proto.grid(momenta, times), ones, 0 * ones,
-        rtol, atol, phase=proto.cd_enabled,
+        proto.grid, times, proto.grid(momenta, times), ones, 0 * ones, rtol, atol
     )
+
+
+def magnus(coefficients):
+    """The record-grid `coefficients` with chi a copy of chi_cd: the same
+    values, which take Magnus steps where chi_cd itself takes the phase
+    route.  The chi property keeps the copy as its cached value."""
+    vars(coefficients)["chi"] = coefficients.chi_cd.copy()
+    return coefficients
 
 
 def dop853(proto, p, times, rtol=1e-12, y0=(1.0, 0.0)):
@@ -112,11 +119,11 @@ def test_sixth_order_convergence():
         proto = make_protocol(cd=cd, n_modes=1)
         p = proto.momenta()
         times = np.linspace(0.0, proto.t_f, 5)
-        c = proto.grid(p, times)
+        c = magnus(proto.grid(p, times))
         u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
         def error(substeps):
-            u, v = integrator.fixed_steps(proto.grid, p, times, c, [1.0], [0.0], substeps)
+            u, v = integrator.fixed_steps(proto.grid, times, c, [1.0], [0.0], substeps)
             return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
 
         errors = [error(n) for n in (2, 4, 8)]
@@ -133,11 +140,11 @@ def test_fixed_steps_takes_any_step_count():
     proto = make_protocol(n_modes=1)
     p = proto.momenta()
     times = np.linspace(0.0, proto.t_f, 5)
-    c = proto.grid(p, times)
+    c = magnus(proto.grid(p, times))
     u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
     def error(substeps):
-        u, v = integrator.fixed_steps(proto.grid, p, times, c, [1.0], [0.0], substeps)
+        u, v = integrator.fixed_steps(proto.grid, times, c, [1.0], [0.0], substeps)
         return max(np.max(np.abs(u[0] - u_ref)), np.max(np.abs(v[0] - v_ref)))
 
     errors = [error(n) for n in (3, 6, 12)]
@@ -145,7 +152,7 @@ def test_fixed_steps_takes_any_step_count():
     assert errors[1] >= 2**5 * errors[2]
     for substeps in (0, -1, 2.5):
         with pytest.raises(ContractError, match="integer >= 1"):
-            integrator.fixed_steps(proto.grid, p, times, c, [1.0], [0.0], substeps)
+            integrator.fixed_steps(proto.grid, times, c, [1.0], [0.0], substeps)
 
 
 @pytest.mark.parametrize("schedule", ["poly5", "linear", "custom_samples"])
@@ -171,11 +178,51 @@ def test_phase_route_is_the_magnus_step_at_zero_mixing(family, schedule):
     proto = make_protocol(family, schedule, n_modes=4)
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, proto.t_f, 6)
+    phase, reference = proto.grid(p, times), magnus(proto.grid(p, times))
     for substeps in (1, 3, 8):
-        args = (proto.grid, p, times, proto.grid(p, times), ones, 0 * ones, substeps)
-        for got, want in zip(integrator.fixed_steps(*args, phase=True),
-                             integrator.fixed_steps(*args)):
+        for got, want in zip(
+            integrator.fixed_steps(proto.grid, times, phase, ones, 0 * ones, substeps),
+            integrator.fixed_steps(proto.grid, times, reference, ones, 0 * ones, substeps),
+        ):
             assert np.max(np.abs(got - want)) < 1e-13
+
+
+class HalfCD(DriveProtocol):
+    """A CD-on protocol that applies chi = chi_cd/2 at every (p, t) it
+    evaluates, the record grid and the integrator's nodes alike: an
+    under-applied control."""
+
+    def grid(self, p, t):
+        c = super().grid(p, t)
+        vars(c)["chi"] = 0.5 * c.chi_cd
+        return c
+
+
+@pytest.mark.parametrize("case", ["off", "half", "copy", "on"])
+def test_the_route_follows_the_coefficients(case):
+    # the record-grid coefficients alone pick the route: CD off and a
+    # control at half its strength take Magnus steps, which match DOP853
+    # of the chi they apply and leave quasiparticles; CD on takes the phase
+    # route, and Magnus steps (the reference of the phase route's checks)
+    # where chi is a copy of chi_cd.  CD off decides it without forming
+    # chi_cd or v_s on the record grid
+    proto = make_protocol(cd=case != "off")
+    if case == "half":
+        proto = HalfCD(proto.coupling, proto.schedule, proto.t_f, proto.L, proto.n_modes)
+    p, ones = proto.momenta(), np.ones(proto.n_modes)
+    times = np.linspace(0.0, proto.t_f, 11)
+    c = magnus(proto.grid(p, times)) if case == "copy" else proto.grid(p, times)
+    u, v, report, (_, v_frame) = integrator.integrate_modes(
+        proto.grid, times, c, ones, 0 * ones, 1e-10, 1e-12
+    )
+    assert report.method == (integrator.PHASE if case == "on" else integrator.MAGNUS)
+    assert case != "off" or not {"chi_cd", "v_s"} & set(vars(c))
+    for k in range(proto.n_modes):
+        u_ref, v_ref = dop853(proto, p[k], times)
+        assert np.max(np.abs(u[k] - u_ref)) < 1e-8
+        assert np.max(np.abs(v[k] - v_ref)) < 1e-8
+    n_qp = np.abs(v_frame[:, -1]) ** 2
+    assert np.all(n_qp == 0.0) if case in ("copy", "on") else np.all(n_qp > 0.0)
 
 
 # the couplings at t = 0 are non-zero for contact and Lorentzian ramps, so
@@ -197,10 +244,10 @@ def test_interacting_starts_match_dop853(family):
     u0, v0 = math.cosh(r) * cmath.exp(0.3j), math.sinh(r) * cmath.exp(-1.2j)
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, proto.t_f, 11)
-    u, v, _, _ = integrator.integrate_modes(
-        proto.grid, p, times, proto.grid(p, times), u0 * ones, v0 * ones, 1e-10, 1e-12,
-        phase=True,
+    u, v, report, _ = integrator.integrate_modes(
+        proto.grid, times, proto.grid(p, times), u0 * ones, v0 * ones, 1e-10, 1e-12
     )
+    assert report.method == integrator.PHASE
     for k in range(proto.n_modes):
         u_ref, v_ref = dop853(proto, p[k], times, y0=(u0, v0))
         assert np.max(np.abs(u[k] - u_ref)) < 1e-8
@@ -226,10 +273,10 @@ def test_phase_test_is_never_looser_than_the_lab_test(family, tight):
     times = np.linspace(0.0, proto.t_f, 3)
 
     def run(p, substeps=None, tolerances=None):
-        args = proto.grid, [p], times, proto.grid([p], times), [u0], [v0]
+        args = proto.grid, times, proto.grid([p], times), [u0], [v0]
         if substeps:
-            return np.array(integrator.fixed_steps(*args, substeps, phase=True))
-        return integrator.integrate_modes(*args, *tolerances, phase=True)
+            return np.array(integrator.fixed_steps(*args, substeps))
+        return integrator.integrate_modes(*args, *tolerances)
 
     for p in proto.momenta():
         if tight:
@@ -323,10 +370,11 @@ def test_phases_and_frame_take_the_couplings_rows(family, monkeypatch):
     p, times = proto.momenta(), np.linspace(0.0, proto.t_f, 21)
     records = proto.grid(p, times)
     ones = np.ones(len(p))
-    integrator.integrate_modes(
-        grid, p, times, records, ones, 0 * ones, 1e-10, 1e-12, phase=True
+    _, _, report, _ = integrator.integrate_modes(
+        grid, times, records, ones, 0 * ones, 1e-10, 1e-12
     )
-    assert nodes and all(c.v_s.shape[0] == rows for c in nodes)
+    assert report.method == integrator.PHASE
+    assert nodes and all(len(c.p) == c.v_s.shape[0] == rows for c in nodes)
     assert not any("_pair" in vars(c) for c in nodes + [records])
     (frame,) = frames
     assert frame.shape == (2, len(p), len(times))
@@ -386,8 +434,8 @@ def test_error_within_tolerance_at_every_record(family, schedule, cd, t_f, L, po
     times = np.linspace(0.0, t_f, points)
     rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
     u, v, report, _ = integrate(proto, p, times, rtol, atol)
-    c, n = proto.grid(p, times), 8 * report.substeps
-    ref = integrator.fixed_steps(proto.grid, p, times, c, ones, 0 * ones, n)
+    c, n = magnus(proto.grid(p, times)), 8 * report.substeps
+    ref = integrator.fixed_steps(proto.grid, times, c, ones, 0 * ones, n)
     for got, want in zip((u, v), ref):
         assert np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
 
@@ -480,9 +528,7 @@ def ladder(proto, p, times, rtol, atol):
     module docstring."""
 
     def state(t, n):
-        y = integrator.fixed_steps(
-            proto.grid, [p], t, proto.grid([p], t), [1.0], [0.0], n, phase=proto.cd_enabled
-        )
+        y = integrator.fixed_steps(proto.grid, t, proto.grid([p], t), [1.0], [0.0], n)
         return np.array(y)[:, 0]
 
     if proto.cd_enabled:
@@ -610,11 +656,11 @@ def test_blocking_does_not_change_the_result(monkeypatch):
         # at N = 24, blocks of 2, 8 and 128 steps end inside a record
         # interval, off the interval grid, and some hold no record
         monkeypatch.undo()
-        args = (proto.grid, p, times, proto.grid(p, times), ones, 0 * ones, 24)
-        whole = integrator.fixed_steps(*args, phase=cd)
+        args = (proto.grid, times, proto.grid(p, times), ones, 0 * ones, 24)
+        whole = integrator.fixed_steps(*args)
         for block in (2, 8, 128):
             monkeypatch.setattr(integrator, "BLOCK_POINTS", block * rows)
-            split = integrator.fixed_steps(*args, phase=cd)
+            split = integrator.fixed_steps(*args)
             for got, want in zip(split, whole):
                 assert np.max(np.abs(got - want)) < 1e-13
         monkeypatch.undo()
@@ -676,7 +722,7 @@ def test_overflowing_coarse_steps_are_refined():
     c = proto.grid(p, times)
     # the case: one Magnus step per interval overflows, as do two
     for substeps in (1, 2):
-        u, v = integrator.fixed_steps(proto.grid, p, times, c, ones, 0 * ones, substeps)
+        u, v = integrator.fixed_steps(proto.grid, times, c, ones, 0 * ones, substeps)
         assert not np.all(np.isfinite(u))
     tolerances = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
     u, v, report, _ = integrate(proto, p, times, *tolerances)
@@ -708,10 +754,12 @@ NODE_FIELDS = {True: ("v_s",), False: ("v_s", "chi", "chi_cd")}
 
 
 def stub_coefficients(p, t, values):
-    """A grid(p, t) result with the STUB_FIELDS set to `values`, one
-    (len(p), len(t)) array each."""
+    """A grid(p, t) result with CD applied, the momenta `p` as a column and
+    the STUB_FIELDS set to `values`, one (len(p), len(t)) array each: chi
+    is not the array chi_cd, so it takes Magnus steps."""
     full = np.broadcast_to(np.reshape(values, (-1, 1, 1)), (len(values), len(p), len(t)))
-    return SimpleNamespace(**dict(zip(STUB_FIELDS, full.copy(), strict=True)))
+    fields = dict(zip(STUB_FIELDS, full.copy(), strict=True))
+    return SimpleNamespace(p=np.reshape(p, (-1, 1)), cd_enabled=True, **fields)
 
 
 def test_raises_on_non_finite_coefficients():
@@ -723,7 +771,7 @@ def test_raises_on_non_finite_coefficients():
 
     p, t = [1.0], [0.0, 1.0]
     with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
-        integrator.integrate_modes(grid, p, t, grid(p, t), [1.0], [0.0], 1e-10, 1e-12)
+        integrator.integrate_modes(grid, t, grid(p, t), [1.0], [0.0], 1e-10, 1e-12)
     # at once, on the record grid the caller evaluated, not after refining
     assert len(calls) == 1
 
@@ -745,33 +793,36 @@ def test_raises_on_one_non_finite_coefficient(which, bad):
 
     p, t = [1.0, 2.0], [0.0, 1.0, 2.0]
     with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
-        integrator.integrate_modes(
-            grid, p, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12
-        )
+        integrator.integrate_modes(grid, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12)
     assert len(calls) == (1 if STUB_FIELDS[which] in FRAME_FIELDS else 2)
 
 
 def integrate_with_a_bad_node(which, bad, phase):
     """The grid calls of an integration whose one field `which` is
     non-finite at one node of the first pass only (the middle node of its
-    one step), not on the record grid the caller evaluated."""
+    one step), not on the record grid the caller evaluated.  On the phase
+    route chi is the array chi_cd itself."""
     calls = []
 
     def grid(p, t):
         calls.append(len(t))
         coefficients = stub_coefficients(p, t, STUB_VALUES)
+        if phase:
+            coefficients.chi = coefficients.chi_cd
         if len(calls) > 1:
             getattr(coefficients, STUB_FIELDS[which])[:, len(t) // 2] = bad
         return coefficients
 
     p, t = [1.0, 2.0], [0.0, 1.0, 2.0]
-    args = (grid, p, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12)
+    args = (grid, t, grid(p, t), [1.0, 1.0], [0.0, 0.0], 1e-10, 1e-12)
     if STUB_FIELDS[which] in NODE_FIELDS[phase]:
         with pytest.raises(IntegrationError, match="non-finite pair coefficients"):
-            integrator.integrate_modes(*args, phase=phase)
+            integrator.integrate_modes(*args)
     else:
         # a field the route does not read at its nodes changes nothing
-        assert integrator.integrate_modes(*args, phase=phase)[2].substeps == 1
+        report = integrator.integrate_modes(*args)[2]
+        assert report.substeps == 1
+        assert report.method == (integrator.PHASE if phase else integrator.MAGNUS)
     return calls
 
 

@@ -177,3 +177,11 @@ def test_custom_table_row_order_is_irrelevant():
         for progress in (0.0, 0.3, 1.0):
             assert shuffled.values(p, progress) == ordered.values(p, progress)
         assert shuffled.derivatives(p, 0.5) == ordered.derivatives(p, 0.5)
+
+
+def test_custom_table_refuses_a_repeated_p():
+    # np.interp needs increasing p: two rows at one p made the profile jump
+    # from g2 = 0.214 at p = 0.49 to 0.8 at p = 0.5.  Refused at construction
+    rows = ((0.0, 0.9, 0.45), (0.5, 0.8, 0.4), (0.5, 0.2, 0.1), (2.5, 0.6, 0.35))
+    with pytest.raises(ContractError, match="distinct p"):
+        CouplingSpec(family=CouplingFamily.CUSTOM_TABLE, table=rows)
