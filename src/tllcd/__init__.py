@@ -2,18 +2,20 @@
 liquid with counterdiabatic control.
 
 The run path (model, control, protocol -> integrator -> dynamics -> cli)
-holds arrays only; the scalar SU(1,1) layer, the oracle and its checks are
-the reference side, loaded on first use.
+holds arrays only; the scalar SU(1,1) layer, the paper's closed forms that
+no run evaluates, the oracle and its checks are the reference side, loaded
+on first use.
 
 Modules:
-    model     TLL parameters, couplings, spectrum, oscillator mapping
-    control   schedules, CD amplitudes, stability and auxiliary formulas
+    model     TLL parameters, couplings, pair frequencies, spectrum
+    control   schedules, the CD amplitude of a run, controlled spectrum
     protocol  drive protocol, its coefficient grid, speed-window criteria
     integrator sixth-order Magnus integration of all pairs at once
     dynamics  all pairs integrated from the vacuum, observables, sweeps
     cli       tll-cd-sim command line and file I/O
     errors    exception classes
     su11      scalar SU(1,1) algebra for one pair (validation only)
+    closed_forms the paper's closed forms no run evaluates (reference only)
     fock      truncated-Fock brute-force oracle (validation only)
     validate  scalar references, state_map, the oracle suite (validation only)
 """
@@ -23,15 +25,9 @@ __version__ = "0.1.0"
 import importlib
 
 from .control import (
-    ControlledCoefficients,
     Schedule,
     ScheduleKind,
     cd_amplitude_contact,
-    cd_amplitude_lorentzian,
-    controlled_coefficients,
-    delta_coefficients,
-    gauge_field_amplitude,
-    realspace_cd_kernel,
     schedule_value,
     spectrum_with_cd,
 )
@@ -46,11 +42,8 @@ from .model import (
     CouplingSpec,
     LuttingerParams,
     PairCoefficients,
-    bogoliubov_angle,
-    ground_state_energy,
     instantaneous_spectrum,
     luttinger_params,
-    mass_frequency,
     mode_momenta,
     pair_frequencies,
 )
@@ -63,8 +56,11 @@ from .protocol import (
 )
 
 # the reference side loads on first use, so that importing the package
-# leaves su11, validate and fock unloaded
+# leaves su11, closed_forms, validate and fock unloaded
 _REFERENCE_NAMES = {
+    "closed_forms": ("ControlledCoefficients", "bogoliubov_angle", "cd_amplitude_lorentzian",
+                     "controlled_coefficients", "delta_coefficients", "gauge_field_amplitude",
+                     "ground_state_energy", "mass_frequency", "realspace_cd_kernel"),
     "su11": ("IDENTITY", "BogoliubovMap", "PairObservables", "compose", "inverse",
              "squeeze_from_angle", "state_overlap", "vacuum_observables"),
     "validate": ("mean_energy_scaling_check", "pair_energy", "quasiparticle_frame"),

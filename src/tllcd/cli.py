@@ -4,7 +4,7 @@ emission for the tll-cd-sim command.
 Config files are flat ``key = value`` text with '#' comments; unknown keys
 are rejected.  All outputs (CSV, manifest) are byte-stable for identical
 inputs.  Exit codes: 0 ok, 2 config, 3 instability, 4 integration,
-5 validation.
+5 validation.  `closed_forms` gives the `sound_velocity` of a 1D gas.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import (
 )
 from .model import CouplingFamily, CouplingSpec
 from .protocol import DriveProtocol, stability_margin
-
-HBAR_SI = 1.0545718e-34  # J s
 
 EXIT_CONFIG = 2
 EXIT_INSTABILITY = 3
@@ -328,19 +326,6 @@ def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
         lines.append("units.time = ms")
         lines.append("units.velocity = um/ms")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def experimental_sound_velocity(a_s, m, omega_perp, n_1d) -> float:
-    """Sound velocity in um/ms from 1D gas parameters (SI inputs).
-
-    v_s = sqrt(g_1D n_1D / m) with
-    g_1D = hbar omega_perp a_s (2 + 3 a_s n_1D)/(1 + 2 a_s n_1D).
-    """
-    if min(a_s, m, omega_perp, n_1d) <= 0:
-        raise ContractError("gas parameters must be positive")
-    g_1d = HBAR_SI * omega_perp * a_s * (2 + 3 * a_s * n_1d) / (1 + 2 * a_s * n_1d)
-    v_s_si = math.sqrt(g_1d * n_1d / m)  # m/s
-    return v_s_si * 1e3  # um/ms
 
 
 # ---------------------------------------------------------------------------

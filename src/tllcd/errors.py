@@ -19,7 +19,7 @@ class CDInstabilityError(ContractError):
 
 
 class IntegrationError(RuntimeError):
-    """An integration did not finish or cannot be trusted: Magnus step
+    """An integration did not finish or cannot be trusted: step
     doubling would pass MAX_STEPS before every mode converged, a pair
     coefficient was non-finite, a run broke the Bogoliubov invariant
     |u|^2 - |v|^2 = 1, or the Fock oracle's solver failed.  `report` is as

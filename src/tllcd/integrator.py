@@ -249,7 +249,7 @@ def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
             # phi is finite: a non-finite panel raises at once
             finite = route.method == PHASE or np.all(np.isfinite(route.lab[:, active]))
             raise IntegrationError(
-                f"magnus step doubling not converged at {1 << k} substeps "
+                f"{route.method} step doubling not converged at {1 << k} substeps "
                 "per record interval" + ("" if finite else ": (u, v) non-finite")
             )
     route.finish()

@@ -1,5 +1,5 @@
 """TLL model parameters: interaction potentials, Luttinger parameters,
-per-pair Hamiltonian coefficients, oscillator mapping and spectrum.
+per-pair Hamiltonian coefficients and spectrum.
 
 Natural units throughout: hbar = 1, couplings in units of v_F, momenta in
 1/length, frequencies in 1/time.  Unit conversion happens only in reporting.
@@ -156,39 +156,10 @@ def check_pair_stable(omega, g) -> None:
         )
 
 
-def bogoliubov_angle(omega, g):
-    """Squeeze angle diagonalizing the pair: tanh(2 eta) = -g/omega."""
-    check_pair_stable(omega, g)
-    return -0.5 * np.arctanh(g / omega)
-
-
 def instantaneous_spectrum(omega, g):
     """epsilon = sqrt(omega^2 - g^2) (hbar = 1)."""
     check_pair_stable(omega, g)
     return np.sqrt(omega * omega - g * g)
-
-
-def ground_state_energy(omegas, gs) -> float:
-    """E0 = sum over pairs of [epsilon(p) - omega(p)].
-
-    Pair convention: each unordered (p, -p) pair counted once; this equals
-    the (1/2) sum over p != 0.  For contact couplings the value grows with
-    the cutoff; callers must report it with an explicit cutoff annotation.
-    """
-    return float(
-        sum(instantaneous_spectrum(w, g) - w for w, g in zip(omegas, gs, strict=True))
-    )
-
-
-def mass_frequency(p: float, K_p: float, v_sp: float, v_F: float):
-    """Effective oscillator parameters (M, Omega) of the pair.
-
-    Omega = v_sp |p| and M = omega_0p/(K_p v_sp |p|) = v_F/(K_p v_sp);
-    M = 1 exactly when g2 = g4.
-    """
-    if min(p, K_p, v_sp, v_F) <= 0:
-        raise ContractError("mass_frequency requires positive inputs")
-    return v_F / (K_p * v_sp), v_sp * p
 
 
 def mode_momenta(L: float, n_modes: int) -> np.ndarray:

@@ -11,15 +11,20 @@ import numpy as np
 import pytest
 
 from tllcd import dynamics, fock, su11, validate
-from tllcd.cli import experimental_sound_velocity, main
+from tllcd.cli import main
+from tllcd.closed_forms import (
+    bogoliubov_angle,
+    cd_amplitude_lorentzian,
+    controlled_coefficients,
+    delta_coefficients,
+    experimental_sound_velocity,
+    gauge_field_amplitude,
+    mass_frequency,
+)
 from tllcd.control import (
     Schedule,
     ScheduleKind,
     cd_amplitude_contact,
-    cd_amplitude_lorentzian,
-    controlled_coefficients,
-    delta_coefficients,
-    gauge_field_amplitude,
     spectrum_with_cd,
 )
 from tllcd.errors import CDInstabilityError
@@ -27,9 +32,7 @@ from tllcd.model import (
     CouplingFamily,
     CouplingSpec,
     PairCoefficients,
-    bogoliubov_angle,
     luttinger_params,
-    mass_frequency,
     pair_frequencies,
 )
 from tllcd.protocol import DriveProtocol, closed_form_bound

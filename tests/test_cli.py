@@ -14,15 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tllcd
-from tllcd import _fmt17, cli, dynamics, integrator, su11, validate
+from tllcd import _fmt17, cli, closed_forms, dynamics, integrator, su11, validate
 from tllcd.cli import (
     EXIT_CONFIG,
     EXIT_INSTABILITY,
     EXIT_INTEGRATION,
-    experimental_sound_velocity,
     main,
     parse_config,
 )
+from tllcd.closed_forms import experimental_sound_velocity
 from tllcd.errors import ConfigError, ContractError
 from tllcd.validate import run_validation_suite
 
@@ -204,11 +204,11 @@ def test_subcommands_take_only_their_flags(tmp_path):
 
 
 def test_import_leaves_scipy_and_the_oracle_unloaded():
-    # the package exports the scalar su11 layer and the scalar references of
-    # `validate` on first use
+    # the package exports the scalar su11 layer, the closed forms and the
+    # scalar references of `validate` on first use
     code = (
         "import sys, tllcd.cli\n"
-        "reference = ('tllcd.su11', 'tllcd.validate', 'tllcd.fock')\n"
+        "reference = ('tllcd.su11', 'tllcd.closed_forms', 'tllcd.validate', 'tllcd.fock')\n"
         "loaded = [m for m in sys.modules if m in reference"
         " or m.split('.')[0] == 'scipy']\n"
         "sys.exit(', '.join(loaded) or None)\n"
@@ -222,11 +222,15 @@ def test_import_leaves_scipy_and_the_oracle_unloaded():
     for name in ("IDENTITY", "BogoliubovMap", "PairObservables", "compose", "inverse",
                  "squeeze_from_angle", "state_overlap", "vacuum_observables"):
         assert getattr(tllcd, name) is getattr(su11, name), name
+    for name in ("ControlledCoefficients", "bogoliubov_angle", "cd_amplitude_lorentzian",
+                 "controlled_coefficients", "delta_coefficients", "gauge_field_amplitude",
+                 "ground_state_energy", "mass_frequency", "realspace_cd_kernel"):
+        assert getattr(tllcd, name) is getattr(closed_forms, name), name
 
 
 def test_runs_leave_scipy_and_the_oracle_unloaded(tmp_path):
-    # simulate and sweep need numpy alone: neither scipy nor the oracle
-    # is imported on the run path, which keeps a run's set-up at numpy's cost
+    # simulate and sweep need numpy alone: neither scipy nor the reference
+    # side is imported on the run path, which keeps a run's set-up at numpy's cost
     cfg = write_config(tmp_path, GOOD_CONFIG.replace("record_points = 41", "record_points = 5"))
     out = str(tmp_path / "out")
     code = (
@@ -234,7 +238,8 @@ def test_runs_leave_scipy_and_the_oracle_unloaded(tmp_path):
         "from tllcd.cli import main\n"
         f"assert main(['simulate', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
         f"assert main(['sweep', '--config', {cfg!r}, '--out', {out!r}, '--tf-list', '6,8']) == 0\n"
-        "loaded = [m for m in sys.modules if m in ('tllcd.validate', 'tllcd.fock')"
+        "reference = ('tllcd.su11', 'tllcd.closed_forms', 'tllcd.validate', 'tllcd.fock')\n"
+        "loaded = [m for m in sys.modules if m in reference"
         " or m.split('.')[0] == 'scipy']\n"
         "sys.exit(', '.join(loaded) or None)\n"
     )
@@ -656,7 +661,7 @@ def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys
     # the integration code at the end.
     if stop == "step_cap":
         monkeypatch.setattr(integrator, "MAX_STEPS", 600)
-        message = "magnus step doubling not converged"
+        message = "magnus6 step doubling not converged"
     else:
         integrate = dynamics.integrate_modes
 
@@ -841,5 +846,5 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     assert main(["simulate", "--config", tight, "--out", out]) == EXIT_INTEGRATION
     assert calls == [6.0]
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
-    assert "failure = magnus step doubling not converged" in manifest
+    assert "failure = phase6 step doubling not converged" in manifest
     assert "stability.pass = True" in manifest

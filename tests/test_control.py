@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tllcd.control import (
-    POLY5_MAX_DPDS,
-    Schedule,
-    ScheduleKind,
-    cd_amplitude_contact,
+from tllcd.closed_forms import (
     cd_amplitude_lorentzian,
     controlled_coefficients,
     delta_coefficients,
     gauge_field_amplitude,
     realspace_cd_kernel,
+)
+from tllcd.control import (
+    POLY5_MAX_DPDS,
+    Schedule,
+    ScheduleKind,
+    cd_amplitude_contact,
     schedule_value,
     spectrum_with_cd,
 )
@@ -241,3 +243,11 @@ def test_realspace_kernel_lorentzian():
         10.0, 10.0, 100.0, 0.0, family="lorentzian", Delta1=0.3, Delta2=0.1
     )
     assert math.isinf(diag) and diag < 0
+
+
+@pytest.mark.parametrize("family", ["custom_table", "contactt", "Lorentzian"])
+def test_realspace_kernel_refuses_other_families(family):
+    # only contact and lorentzian couplings have a real-space kernel: another
+    # family is neither read as lorentzian nor given a zero kernel
+    with pytest.raises(ContractError, match="no real-space kernel"):
+        realspace_cd_kernel(10.0, 30.0, 100.0, 0.2, family=family, Delta1=0.3, Delta2=0.1)

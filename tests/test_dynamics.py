@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tllcd import dynamics, fock, integrator, su11, validate
+from tllcd.closed_forms import bogoliubov_angle
 from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import (
     CDInstabilityError,
@@ -23,7 +24,6 @@ from tllcd.model import (
     CouplingFamily,
     CouplingSpec,
     PairCoefficients,
-    bogoliubov_angle,
     instantaneous_spectrum,
 )
 from tllcd.protocol import DriveProtocol, closed_form_bound

@@ -81,7 +81,7 @@ def test_ground_eigenvalue_with_cd_term():
 
 
 def test_ground_eigenvector_matches_gaussian_gs():
-    from tllcd.model import bogoliubov_angle
+    from tllcd.closed_forms import bogoliubov_angle
 
     omega, g = 2.0, 1.0
     H = fock.pair_hamiltonian_matrix(PairCoefficients(omega, g, 0.0), 200)

@@ -15,9 +15,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from tllcd import dynamics, integrator, su11, validate
+from tllcd.closed_forms import bogoliubov_angle
 from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import ContractError, IntegrationError
-from tllcd.model import CouplingFamily, CouplingSpec, bogoliubov_angle
+from tllcd.model import CouplingFamily, CouplingSpec
 from tllcd.protocol import DriveProtocol
 
 COUPLINGS = {
@@ -696,7 +697,7 @@ def test_phase_route_raises_at_step_cap(monkeypatch):
     monkeypatch.setattr(integrator, "MAX_STEPS", 1)
     proto = make_protocol()
     times = np.linspace(0.0, proto.t_f, 21)
-    message = "magnus step doubling not converged at 1 substeps per record interval$"
+    message = "phase6 step doubling not converged at 1 substeps per record interval$"
     with pytest.raises(IntegrationError, match=message):
         integrate(proto, proto.momenta(), times, 1e-16, 1e-30)
 

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tllcd.closed_forms import bogoliubov_angle, ground_state_energy, mass_frequency
 from tllcd.errors import ContractError, LuttingerInstabilityError
 from tllcd.model import (
     TWO_PI,
     CouplingFamily,
     CouplingSpec,
-    bogoliubov_angle,
-    ground_state_energy,
     instantaneous_spectrum,
     luttinger_params,
-    mass_frequency,
     mode_momenta,
     pair_frequencies,
 )

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tllcd import dynamics, protocol
-from tllcd.control import Schedule, ScheduleKind, controlled_coefficients
+from tllcd.closed_forms import controlled_coefficients
+from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import ConfigError, ContractError, LuttingerInstabilityError
 from tllcd.model import TWO_PI, CouplingFamily, CouplingSpec
 from tllcd.protocol import (
