@@ -1,15 +1,16 @@
 """Mode-resolved simulator of the interaction-driven Tomonaga-Luttinger
 liquid with counterdiabatic control.
 
-The run path (model, control, protocol -> integrator -> dynamics -> cli)
+The run path (model, protocol -> integrator -> dynamics -> cli)
 holds arrays only; the scalar SU(1,1) layer, the paper's closed forms that
 no run evaluates, the oracle and its checks are the reference side, loaded
 on first use.
 
 Modules:
-    model     TLL parameters, couplings, pair frequencies, spectrum
-    control   schedules, the CD amplitude of a run, controlled spectrum
-    protocol  drive protocol, its coefficient grid, speed-window criteria
+    model     TLL parameters, couplings, pair frequencies, the CD amplitude
+              of a run, spectrum with and without CD
+    protocol  schedules, drive protocol, its coefficient grid, speed-window
+              criteria
     integrator sixth-order Magnus integration of all pairs at once
     dynamics  all pairs integrated from the vacuum, observables, sweeps
     cli       tll-cd-sim command line and file I/O
@@ -24,13 +25,6 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .control import (
-    Schedule,
-    ScheduleKind,
-    cd_amplitude_contact,
-    schedule_value,
-    spectrum_with_cd,
-)
 from .dynamics import (
     Trajectories,
     evolve_pair,
@@ -42,16 +36,21 @@ from .model import (
     CouplingSpec,
     LuttingerParams,
     PairCoefficients,
+    cd_amplitude_contact,
     instantaneous_spectrum,
     luttinger_params,
     mode_momenta,
     pair_frequencies,
+    spectrum_with_cd,
 )
 from .protocol import (
     CoefficientGrid,
     DriveProtocol,
+    Schedule,
+    ScheduleKind,
     StabilityReport,
     closed_form_bound,
+    schedule_value,
     stability_margin,
 )
 

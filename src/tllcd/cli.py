@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _fmt17, dynamics
-from .control import Schedule, ScheduleKind
 from .errors import (
     CDInstabilityError,
     ConfigError,
@@ -28,7 +27,7 @@ from .errors import (
     LuttingerInstabilityError,
 )
 from .model import CouplingFamily, CouplingSpec
-from .protocol import DriveProtocol, stability_margin
+from .protocol import DriveProtocol, Schedule, ScheduleKind, stability_margin
 
 EXIT_CONFIG = 2
 EXIT_INSTABILITY = 3

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import spectrum_with_cd
 from .errors import CDInstabilityError, ContractError, IntegrationError
 from .integrator import IntegrationReport, integrate_modes
-from .model import instantaneous_spectrum
+from .model import instantaneous_spectrum, spectrum_with_cd
 from .protocol import DriveProtocol, StabilityReport
 
 DEFAULT_RTOL = 1e-10
@@ -167,7 +166,11 @@ def run_simulation(
     its report as `report`."""
     from .protocol import stability_margin
 
-    stability = stability_margin(protocol)
+    return _run(protocol, stability_margin(protocol), rtol, atol, record_points)
+
+
+def _run(protocol, stability, rtol, atol, record_points) -> SimulationResult:
+    """run_simulation past its gate, whose report is `stability`."""
     times = np.linspace(0.0, protocol.t_f, record_points)
     try:
         if protocol.cd_enabled and not stability.passed:
@@ -209,16 +212,23 @@ def sweep_tf(
     atol: float = DEFAULT_ATOL,
     record_points: int = DEFAULT_RECORD_POINTS,
 ) -> list:
-    """One row per t_f, from run_simulation; a row whose CD run is refused
-    as unstable, or whose integration stops (IntegrationError), is flagged
-    with NaN values, not dropped, so the other t_f still finish.  An
-    unstable coupling raises."""
+    """One row per t_f, as run_simulation gives it; every t_f passes the
+    gate, stability_margin, in list order before any is integrated, so an
+    unstable coupling or a t_f out of range raises before any integration.
+    A row whose CD run is refused as unstable, or whose integration stops
+    (IntegrationError), is flagged with NaN values, not dropped, so the
+    other t_f still finish."""
+    from .protocol import stability_margin
+
     if not tf_list:
         raise ContractError("sweep requires a nonempty t_f list")
+    runs = [protocol.with_tf(t_f) for t_f in map(float, tf_list)]
+    reports = [stability_margin(run) for run in runs]
     rows = []
-    for t_f in map(float, tf_list):
+    for run, stability in zip(runs, reports):
+        t_f = run.t_f
         try:
-            result = run_simulation(protocol.with_tf(t_f), rtol, atol, record_points)
+            result = _run(run, stability, rtol, atol, record_points)
         except CDInstabilityError:
             rows.append(SweepRow(t_f, math.nan, math.nan, False))
             continue

@@ -1,5 +1,6 @@
 """TLL model parameters: interaction potentials, Luttinger parameters,
-per-pair Hamiltonian coefficients and spectrum.
+per-pair Hamiltonian coefficients, the CD amplitude chi = Kdot/(2K) and the
+spectrum with and without it.
 
 Natural units throughout: hbar = 1, couplings in units of v_F, momenta in
 1/length, frequencies in 1/time.  Unit conversion happens only in reporting.
@@ -14,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, LuttingerInstabilityError
+from .errors import CDInstabilityError, ContractError, LuttingerInstabilityError
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,31 +61,21 @@ class CouplingSpec:
             if len({row[0] for row in self.table}) < len(self.table):
                 raise ContractError("custom_table rows need distinct p")
 
-    def values(self, p, progress):
-        """(g2, g4) at momenta p and schedule values progress in [0,1];
-        array arguments broadcast."""
+    def at(self, p, P):
+        """(g2, g4, dg2/dP, dg4/dP) at momenta p and schedule values P in
+        [0, 1]; for a table, the derivatives are the endpoint profile
+        interpolated at p.  Array arguments broadcast."""
         if self.family == CouplingFamily.CONTACT:
-            g2 = self.g2_start + (self.g2_end - self.g2_start) * progress
-            g4 = self.g4_start + (self.g4_end - self.g4_start) * progress
-            return g2, g4
-        if self.family == CouplingFamily.LORENTZIAN:
-            lam = self.g2_start + (self.g2_end - self.g2_start) * progress
-            damp = np.exp(-self.R0 * np.abs(p))
-            return lam * damp, lam * damp
-        g2_p, g4_p = self.derivatives(p, progress)
-        return g2_p * progress, g4_p * progress
-
-    def derivatives(self, p, progress):
-        """d(g2, g4)/d(progress) at momenta p; for a table, the endpoint
-        profile interpolated at p."""
-        if self.family == CouplingFamily.CONTACT:
-            return self.g2_end - self.g2_start, self.g4_end - self.g4_start
+            dg2, dg4 = self.g2_end - self.g2_start, self.g4_end - self.g4_start
+            return self.g2_start + dg2 * P, self.g4_start + dg4 * P, dg2, dg4
         if self.family == CouplingFamily.LORENTZIAN:
             dlam = self.g2_end - self.g2_start
             damp = np.exp(-self.R0 * np.abs(p))
-            return dlam * damp, dlam * damp
+            g, dg = (self.g2_start + dlam * P) * damp, dlam * damp
+            return g, g, dg, dg
         ps, g2s, g4s = self.table_arrays
-        return np.interp(p, ps, g2s), np.interp(p, ps, g4s)
+        dg2, dg4 = np.interp(p, ps, g2s), np.interp(p, ps, g4s)
+        return dg2 * P, dg4 * P, dg2, dg4
 
     @cached_property
     def table_arrays(self):
@@ -124,17 +115,12 @@ def luttinger_params(g2, g4, v_F) -> LuttingerParams:
     """Luttinger parameter and sound velocity from the couplings.
 
     K = sqrt((2 pi v_F + g4 - g2)/(2 pi v_F + g4 + g2)),
-    v_s = sqrt((v_F + g4/2pi)^2 - (g2/2pi)^2).  Array arguments broadcast.
+    v_s = sqrt((v_F + g4/2pi)^2 - (g2/2pi)^2).  Array arguments broadcast;
+    LuttingerInstabilityError where |g2| >= 2 pi v_F + g4.
     """
-    num = TWO_PI * v_F + g4 - g2
-    den = TWO_PI * v_F + g4 + g2
-    if np.any((num <= 0) | (den <= 0)):
-        a, g2 = worst_point(-np.minimum(num, den), TWO_PI * v_F + g4, g2)
-        raise LuttingerInstabilityError(
-            f"luttinger-instability: 2 pi v_F + g4 = {a:.6g} "
-            f"does not exceed |g2| = {abs(g2):.6g}"
-        )
-    K = np.sqrt(num / den)
+    a = TWO_PI * v_F + g4
+    check_pair_stable(a, g2)
+    K = np.sqrt((a - g2) / (a + g2))
     v_s = np.sqrt((v_F + g4 / TWO_PI) ** 2 - (g2 / TWO_PI) ** 2)
     return LuttingerParams(K, v_s)
 
@@ -160,6 +146,36 @@ def instantaneous_spectrum(omega, g):
     """epsilon = sqrt(omega^2 - g^2) (hbar = 1)."""
     check_pair_stable(omega, g)
     return np.sqrt(omega * omega - g * g)
+
+
+def cd_amplitude_contact(g2, g4, dg2_dt, dg4_dt, v_F):
+    """chi = Kdot/(2K) for momentum-independent couplings.
+
+    Kdot/K = [g4dot g2 - g2dot (2 pi v_F + g4)] / [(2 pi v_F + g4)^2 - g2^2].
+    Array arguments broadcast.
+    """
+    a = TWO_PI * v_F + g4
+    denom = a * a - g2 * g2
+    # the domain of luttinger_params is |g2| < 2 pi v_F + g4.  Outside it
+    # denom <= 0 or a <= 0, which tests what the formula forms anyway: a
+    # full-size |g2| on every call raised the peak memory of a
+    # table_records run by ~0.3 MB
+    if np.any(denom <= 0) or np.any(a <= 0):
+        check_pair_stable(a, g2)
+    return 0.5 * (dg4_dt * g2 - dg2_dt * a) / denom
+
+
+def spectrum_with_cd(v_s, p, chi):
+    """epsilon = sqrt(v_s^2 p^2 - chi^2); raises when the controlled spectrum
+    turns imaginary.  Array arguments broadcast."""
+    vp = v_s * p
+    if np.any(vp <= np.abs(chi)):
+        vp, p, chi = worst_point(np.abs(chi) - vp, vp, p, chi)
+        raise CDInstabilityError(
+            f"cd-instability at p = {p:.6g}: "
+            f"v_s p = {vp:.6g} <= |chi| = {abs(chi):.6g}"
+        )
+    return np.sqrt(vp * vp - chi * chi)
 
 
 def mode_momenta(L: float, n_modes: int) -> np.ndarray:

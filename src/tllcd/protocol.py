@@ -1,17 +1,17 @@
-"""Drive protocol: couplings + schedule + geometry, with one evaluator of
-the frequencies, Luttinger parameters and CD amplitude over (p, t) grids,
-plus the stability and adiabaticity criteria that constrain the driving
-speed."""
+"""Drive protocol: the ramp schedules, couplings + schedule + geometry, with
+one evaluator of the frequencies, Luttinger parameters and CD amplitude over
+(p, t) grids, plus the stability and adiabaticity criteria that constrain
+the driving speed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from . import model
-from .control import Schedule, cd_amplitude_contact, schedule_value
 from .errors import ConfigError, ContractError, LuttingerInstabilityError
 from .model import TWO_PI, CouplingFamily, CouplingSpec, PairCoefficients
 
@@ -20,6 +20,80 @@ STABILITY_GRID_POINTS = 2001
 # does not grow with n_modes
 STABILITY_BLOCK_MODES = 4
 ADIABATIC_THRESHOLD = 0.01
+
+# Global maximum of the fifth-order ramp derivative 30 s^2 (1-s)^2, at s=1/2.
+POLY5_MAX_DPDS = 1.875
+
+
+class ScheduleKind(str, Enum):
+    POLY5 = "poly5"
+    LINEAR = "linear"
+    CUSTOM_SAMPLES = "custom_samples"
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Monotone ramp P(s) with P(0)=0, P(1)=1.
+
+    poly5 is the fifth-order ansatz 10 s^3 - 15 s^4 + 6 s^5 with vanishing
+    first and second derivatives at both ends.  custom_samples interpolates
+    (s, P) pairs linearly.
+    """
+
+    kind: ScheduleKind = ScheduleKind.POLY5
+    samples: tuple = field(default=None)
+
+    def __post_init__(self):
+        if self.kind == ScheduleKind.CUSTOM_SAMPLES:
+            if not self.samples or len(self.samples) < 2:
+                raise ContractError("custom schedule needs at least two samples")
+            pts = sorted(self.samples)
+            if abs(pts[0][0]) > 1e-12 or abs(pts[0][1]) > 1e-12:
+                raise ContractError("custom schedule must start at (0, 0)")
+            if abs(pts[-1][0] - 1) > 1e-12 or abs(pts[-1][1] - 1) > 1e-12:
+                raise ContractError("custom schedule must end at (1, 1)")
+            if any(a[0] == b[0] for a, b in zip(pts, pts[1:])):
+                raise ContractError("custom schedule samples need distinct s")
+
+    def max_derivative(self) -> float:
+        """The steepest slope max |dP/ds| on [0, 1]: of custom samples, the
+        steepest of their segments, falling or rising."""
+        if self.kind == ScheduleKind.POLY5:
+            return POLY5_MAX_DPDS
+        if self.kind == ScheduleKind.LINEAR:
+            return 1.0
+        xs, ys = self.sample_arrays()
+        return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
+
+    def sample_arrays(self):
+        """(s, P) columns of the custom samples, sorted by s."""
+        return tuple(np.array(col) for col in zip(*sorted(self.samples)))
+
+    def extremes(self):
+        """(s, P): the arguments and values where P(s) is least and greatest
+        on [0, 1]; P is piecewise linear between custom samples."""
+        if self.kind != ScheduleKind.CUSTOM_SAMPLES:
+            return np.array([0.0, 1.0]), np.array([0.0, 1.0])
+        xs, ys = self.sample_arrays()
+        at = [np.argmin(ys), np.argmax(ys)]
+        return xs[at], ys[at]
+
+
+def schedule_value(s, schedule: Schedule):
+    """(P(s), dP/ds) for s in [0, 1]; array arguments give arrays."""
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        (worst,) = model.worst_point(np.maximum(-s, np.subtract(s, 1.0)), s)
+        raise ContractError(f"schedule argument {worst} outside [0, 1]")
+    if schedule.kind == ScheduleKind.POLY5:
+        P = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+        dP = 30.0 * s * s * (1.0 - s) ** 2
+        return P, dP
+    if schedule.kind == ScheduleKind.LINEAR:
+        return s, np.ones_like(s)[()]
+    xs, ys = schedule.sample_arrays()
+    i = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, len(xs) - 2)
+    slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+    return ys[i] + slope * (s - xs[i]), slope
 
 
 @dataclass(frozen=True)
@@ -82,7 +156,7 @@ class CoefficientGrid:
     def chi_cd(self) -> np.ndarray:
         """Kdot/(2K), whether or not CD is applied."""
         args = (self.g2, self.g4, self.dg2, self.dg4, self.v_F)
-        return self._full(cd_amplitude_contact(*args))
+        return self._full(model.cd_amplitude_contact(*args))
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -133,9 +207,12 @@ class DriveProtocol:
         composed from them when it is first read."""
         p = np.atleast_1d(np.asarray(p, dtype=float))[:, None]
         t = np.atleast_1d(np.asarray(t, dtype=float))[None, :]
-        P, dP = schedule_value(t / self.t_f, self.schedule)
-        g2, g4 = self.coupling.values(p, P)
-        dg2_dP, dg4_dP = self.coupling.derivatives(p, P)
+        return self._coefficients(p, *schedule_value(t / self.t_f, self.schedule))
+
+    def _coefficients(self, p, P, dP) -> CoefficientGrid:
+        """The coefficients at the momenta column p, schedule values P and
+        slopes dP/ds: the couplings' rates are dg/dP * dP/ds / t_f."""
+        g2, g4, dg2_dP, dg4_dP = self.coupling.at(p, P)
         dg2, dg4 = dg2_dP * dP / self.t_f, dg4_dP * dP / self.t_f
         return CoefficientGrid(p, g2, g4, dg2, dg4, self.v_F, self.cd_enabled)
 
@@ -174,9 +251,7 @@ class DriveProtocol:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 p = self.momenta()[:, None]
-                dg2, dg4 = (d * dP / self.t_f for d in self.coupling.derivatives(p, P))
-                g2, g4 = self.coupling.values(p, P)
-                c = CoefficientGrid(p, g2, g4, dg2, dg4, self.v_F, self.cd_enabled)
+                c = self._coefficients(p, P, dP)
                 excess = np.abs(c.g) - c.omega
                 if np.any(excess >= 0):
                     p, s = model.worst_point(excess, p, s)
@@ -227,7 +302,8 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
     margin of |chi_p(t)| < v_s(p, t) p over the modes and STABILITY_GRID_POINTS
     times, where it is least, and the largest adiabaticity on the same grid.
 
-    Every mode is evaluated, STABILITY_BLOCK_MODES at a time.  Contact
+    Every mode is evaluated, STABILITY_BLOCK_MODES at a time, from one
+    evaluation of the schedule.  Contact
     couplings are evaluated at the slowest mode p = 2 pi/L alone: there v_s
     and chi do not depend on p, so that mode saturates both criteria first.
     The CD amplitude is evaluated regardless of cd_enabled: the criterion
@@ -235,6 +311,7 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
     """
     protocol.validate()
     t = np.linspace(0.0, protocol.t_f, STABILITY_GRID_POINTS)
+    P, dP = schedule_value(t[None, :] / protocol.t_f, protocol.schedule)
     if protocol.coupling.family == CouplingFamily.CONTACT:
         momenta = np.array([TWO_PI / protocol.L])
     else:
@@ -242,7 +319,8 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
     # per block: (least margin, its p, its t, largest adiabaticity)
     blocks = []
     for start in range(0, len(momenta), STABILITY_BLOCK_MODES):
-        c = protocol.grid(momenta[start : start + STABILITY_BLOCK_MODES], t)
+        p = momenta[start : start + STABILITY_BLOCK_MODES, None]
+        c = protocol._coefficients(p, P, dP)
         excess = c.v_s * c.p - np.abs(c.chi_cd)
         mode, j = np.unravel_index(np.argmin(excess), excess.shape)
         blocks.append((excess[mode, j], c.p[mode, 0], t[j], np.max(c.adiabaticity)))

@@ -12,7 +12,6 @@ All operations are pure; maps are immutable after construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass

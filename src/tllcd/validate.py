@@ -11,10 +11,9 @@ import math
 import numpy as np
 
 from . import dynamics, fock, integrator, su11
-from .control import Schedule, ScheduleKind
 from .errors import ContractError
 from .model import CouplingFamily, CouplingSpec, PairCoefficients
-from .protocol import DriveProtocol
+from .protocol import DriveProtocol, Schedule, ScheduleKind
 
 
 def state_map(traj: dynamics.Trajectories, mode: int, record: int) -> su11.BogoliubovMap:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tllcd import dynamics, fock, su11, validate
+from tllcd import dynamics, fock, validate
 from tllcd.cli import main
 from tllcd.closed_forms import (
     bogoliubov_angle,
@@ -21,21 +21,16 @@ from tllcd.closed_forms import (
     gauge_field_amplitude,
     mass_frequency,
 )
-from tllcd.control import (
-    Schedule,
-    ScheduleKind,
-    cd_amplitude_contact,
-    spectrum_with_cd,
-)
 from tllcd.errors import CDInstabilityError
 from tllcd.model import (
     CouplingFamily,
     CouplingSpec,
-    PairCoefficients,
+    cd_amplitude_contact,
     luttinger_params,
     pair_frequencies,
+    spectrum_with_cd,
 )
-from tllcd.protocol import DriveProtocol, closed_form_bound
+from tllcd.protocol import DriveProtocol, Schedule, ScheduleKind, closed_form_bound
 
 
 def report(num, ok, detail=""):

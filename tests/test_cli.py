@@ -584,6 +584,37 @@ def test_cd_instability_exits_at_every_record_count(tmp_path, monkeypatch):
         assert row[3] == "False"
 
 
+@pytest.fixture
+def integrations(monkeypatch):
+    """The calls that dynamics.integrate_modes receives; each still runs."""
+    calls = []
+    integrate = dynamics.integrate_modes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_modes", counted)
+    return calls
+
+
+def test_record_grid_refuses_what_the_gate_passes(tmp_path, integrations):
+    # t_f between the gate's edge, 2.1401941332166103, and the edge on 20,001
+    # records, 2.1401946415062683: the gate's margin is +7.7e-9 and the least
+    # margin on the record grid -7.7e-9, so the record-grid check refuses
+    text = (
+        "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
+        "t_f = 2.140194387361439\nL = 100\nn_modes = 2\nrecord_points = 20001\n"
+        "cd = on\n"
+    )
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)])
+    assert rc == EXIT_INSTABILITY
+    assert integrations == []
+    manifest = (out / "manifest.txt").read_text()
+    assert "failure = cd-instability at p = 0.0628319: " in manifest
+
+
 def test_stability_subcommand_rejects_unstable_coupling(tmp_path, capsys):
     cfg = write_config(tmp_path, TABLE_CONFIG)
     assert main(["stability", "--config", cfg]) == EXIT_INSTABILITY
@@ -688,6 +719,16 @@ def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert f"integration error at t_f = 40: {message}" in err
     assert "t_f = 5:" not in err
+
+
+def test_sweep_gates_every_t_f_before_integrating(tmp_path, integrations, capsys):
+    # t_f = 1e-300 overflows the couplings' rates: the sweep refuses it
+    # before it integrates t_f = 6
+    out = str(tmp_path / "out")
+    args = ["sweep", "--config", write_config(tmp_path), "--out", out]
+    assert main(args + ["--tf-list", "6,1e-300"]) == EXIT_CONFIG
+    assert integrations == []
+    assert "out of range" in capsys.readouterr().err
 
 
 # every check of the oracle suite, in the order `validate` prints them
@@ -809,8 +850,8 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     assert calls == [6.0]
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "stability.error = luttinger-instability at p=" in manifest
-    # a CD run that the gate's p_min margin passes and the record-grid check
-    # refuses above p_min: the error carries the gate's report
+    # a CD run whose margin is negative above p_min: the gate, which covers
+    # every mode, refuses it, and the error carries the gate's report
     calls.clear()
     above = TABLE_CONFIG.replace("cd = off", "cd = on").replace(
         "0:0:0; 0.1:0:0; 0.2:7:0; 2:7:0", "0:0.01:0; 0.1:0.01:0; 0.2:5.5:0; 2:5.5:0"
@@ -820,6 +861,7 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     assert calls == [6.0]
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "failure = cd-instability at p = 0.251327" in manifest
+    assert "stability.pass = False" in manifest
     # an integration that breaks |u|^2 - |v|^2 = 1: an integration error,
     # which carries the gate's report
     calls.clear()

@@ -15,16 +15,15 @@ from tllcd.closed_forms import (
     gauge_field_amplitude,
     realspace_cd_kernel,
 )
-from tllcd.control import (
-    POLY5_MAX_DPDS,
-    Schedule,
-    ScheduleKind,
+from tllcd.errors import CDInstabilityError, ContractError, LuttingerInstabilityError
+from tllcd.model import (
+    TWO_PI,
     cd_amplitude_contact,
-    schedule_value,
+    luttinger_params,
+    pair_frequencies,
     spectrum_with_cd,
 )
-from tllcd.errors import CDInstabilityError, ContractError, LuttingerInstabilityError
-from tllcd.model import TWO_PI, luttinger_params, pair_frequencies
+from tllcd.protocol import POLY5_MAX_DPDS, Schedule, ScheduleKind, schedule_value
 
 
 def test_poly5_endpoints_and_midpoint():

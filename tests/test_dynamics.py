@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from tllcd import dynamics, fock, integrator, su11, validate
 from tllcd.closed_forms import bogoliubov_angle
-from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import (
     CDInstabilityError,
     ContractError,
@@ -26,7 +25,7 @@ from tllcd.model import (
     PairCoefficients,
     instantaneous_spectrum,
 )
-from tllcd.protocol import DriveProtocol, closed_form_bound
+from tllcd.protocol import DriveProtocol, Schedule, ScheduleKind, closed_form_bound
 
 
 def make_protocol(

@@ -16,10 +16,9 @@ from scipy.linalg import expm
 
 from tllcd import dynamics, integrator, su11, validate
 from tllcd.closed_forms import bogoliubov_angle
-from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import ContractError, IntegrationError
 from tllcd.model import CouplingFamily, CouplingSpec
-from tllcd.protocol import DriveProtocol
+from tllcd.protocol import DriveProtocol, Schedule, ScheduleKind
 
 COUPLINGS = {
     "contact": CouplingSpec(family=CouplingFamily.CONTACT, g2_end=1.0, g4_end=0.5),

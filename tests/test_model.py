@@ -116,11 +116,11 @@ def test_mode_momenta():
 
 def test_contact_coupling_ramp():
     spec = CouplingSpec(g2_start=0.2, g2_end=1.0, g4_start=0.0, g4_end=0.5)
-    assert spec.values(0.3, 0.0) == (0.2, 0.0)
-    assert spec.values(0.3, 1.0) == (1.0, 0.5)
-    g2, g4 = spec.values(0.3, 0.5)
+    assert spec.at(0.3, 0.0)[:2] == (0.2, 0.0)
+    assert spec.at(0.3, 1.0)[:2] == (1.0, 0.5)
+    g2, g4, dg2, dg4 = spec.at(0.3, 0.5)
     assert g2 == pytest.approx(0.6) and g4 == pytest.approx(0.25)
-    assert spec.derivatives(0.3, 0.5) == (0.8, 0.5)
+    assert (dg2, dg4) == (0.8, 0.5)
 
 
 def test_lorentzian_coupling():
@@ -132,9 +132,9 @@ def test_lorentzian_coupling():
         g4_end=1.0,
         R0=0.5,
     )
-    g2, g4 = spec.values(2.0, 1.0)
+    g2, g4, _, _ = spec.at(2.0, 1.0)
     assert g2 == g4 == pytest.approx(math.exp(-1.0), abs=1e-14)
-    dg2, dg4 = spec.derivatives(2.0, 0.3)
+    _, _, dg2, dg4 = spec.at(2.0, 0.3)
     assert dg2 == dg4 == pytest.approx(math.exp(-1.0), abs=1e-14)
 
 
@@ -154,13 +154,13 @@ def test_custom_table_interpolation():
         family=CouplingFamily.CUSTOM_TABLE,
         table=((0.0, 0.0, 0.0), (1.0, 2.0, 1.0)),
     )
-    g2, g4 = spec.values(0.5, 1.0)
+    g2, g4, _, _ = spec.at(0.5, 1.0)
     assert g2 == pytest.approx(1.0) and g4 == pytest.approx(0.5)
     # ramped from zero by the schedule progress
-    g2, g4 = spec.values(0.5, 0.5)
+    g2, g4, _, _ = spec.at(0.5, 0.5)
     assert g2 == pytest.approx(0.5) and g4 == pytest.approx(0.25)
     # clamped outside the table
-    assert spec.values(5.0, 1.0) == (2.0, 1.0)
+    assert spec.at(5.0, 1.0)[:2] == (2.0, 1.0)
     with pytest.raises(ContractError):
         CouplingSpec(family=CouplingFamily.CUSTOM_TABLE)
 
@@ -173,8 +173,8 @@ def test_custom_table_row_order_is_irrelevant():
     )
     for p in (0.0, 0.2, 0.5, 0.77, 1.9, 3.0):
         for progress in (0.0, 0.3, 1.0):
-            assert shuffled.values(p, progress) == ordered.values(p, progress)
-        assert shuffled.derivatives(p, 0.5) == ordered.derivatives(p, 0.5)
+            assert shuffled.at(p, progress)[:2] == ordered.at(p, progress)[:2]
+        assert shuffled.at(p, 0.5)[2:] == ordered.at(p, 0.5)[2:]
 
 
 def test_custom_table_refuses_a_repeated_p():

@@ -9,13 +9,14 @@ import pytest
 
 from tllcd import dynamics, protocol
 from tllcd.closed_forms import controlled_coefficients
-from tllcd.control import Schedule, ScheduleKind
 from tllcd.errors import ConfigError, ContractError, LuttingerInstabilityError
 from tllcd.model import TWO_PI, CouplingFamily, CouplingSpec
 from tllcd.protocol import (
     ADIABATIC_THRESHOLD,
     STABILITY_GRID_POINTS,
     DriveProtocol,
+    Schedule,
+    ScheduleKind,
     closed_form_bound,
     stability_margin,
 )
@@ -153,6 +154,23 @@ def test_stability_margin_covers_every_mode(family, block, monkeypatch):
         assert not report.passed
         assert report.argmin_p == proto.momenta()[3]
         assert report.argmin_t == pytest.approx(4.485, abs=1e-12)
+
+
+def test_stability_margin_evaluates_the_schedule_once(monkeypatch):
+    # every 4-mode block reads the same schedule values: 9 modes are three
+    # blocks and one schedule evaluation
+    calls = []
+    real = protocol.schedule_value
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "schedule_value", counted)
+    coupling = CouplingSpec(family=CouplingFamily.CUSTOM_TABLE, table=STEP_TABLE)
+    proto = replace(reference_protocol(t_f=6.0, n_modes=9), coupling=coupling)
+    stability_margin(proto)
+    assert len(calls) == 1
 
 
 def test_adiabaticity_identity_at_slowest_mode():

@@ -10,13 +10,12 @@ import inspect
 import sys
 from functools import cached_property
 
-from tllcd import _fmt17, cli, control, dynamics, errors, integrator, model, protocol
+from tllcd import _fmt17, cli, dynamics, errors, integrator, model, protocol
 from tllcd.cli import EXIT_INSTABILITY, main
-from tllcd.control import Schedule, ScheduleKind
 from tllcd.model import CouplingSpec
-from tllcd.protocol import DriveProtocol
+from tllcd.protocol import DriveProtocol, Schedule, ScheduleKind
 
-RUN_PATH = (model, control, protocol, integrator, dynamics, cli, _fmt17, errors)
+RUN_PATH = (model, protocol, integrator, dynamics, cli, _fmt17, errors)
 
 # defined on the run path but called by none of the runs: `_words` and
 # `_exponent_tables` run at import, `_fallback` only for a value within 1e-9
