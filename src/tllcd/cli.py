@@ -432,7 +432,14 @@ def cmd_sweep(args) -> int:
             f"integration error at t_f = {_fmt(row.t_f)}: {row.integration_error}",
             file=sys.stderr,
         )
-    return EXIT_INTEGRATION if failed else 0
+    # refused on the record grid after the gate passed it: `simulate` at
+    # that t_f exits 3
+    refused = [row for row in rows if row.instability]
+    for row in refused:
+        print(f"instability at t_f = {_fmt(row.t_f)}: {row.instability}", file=sys.stderr)
+    if failed:
+        return EXIT_INTEGRATION
+    return EXIT_INSTABILITY if refused else 0
 
 
 def cmd_validate(args) -> int:

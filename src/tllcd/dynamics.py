@@ -11,7 +11,9 @@ the squeeze of angle (1/2) ln K_p(t), which the integrator must reproduce.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -92,17 +94,16 @@ def evolve_pair(
     state, as integrated, and observables: the one-row case of the
     trajectories of a run."""
     times = np.linspace(0.0, protocol.t_f, record_points)
-    return _evolve(protocol, [p], times, rtol, atol)[0]
+    return _observe(times, *_evolve(protocol, [p], times, rtol, atol))[0]
 
 
 def _evolve(protocol, momenta, times, rtol, atol):
-    """(Trajectories, CoefficientGrid, IntegrationReport) of the pairs
-    `momenta` (rows), all started from the vacuum, on the record grid
+    """(CoefficientGrid, epsilon_cd, u, v, frame, IntegrationReport) of the
+    pairs `momenta` (rows), all started from the vacuum, on the record grid
     `times` (columns), in one integrate_modes call, on its phase route with
     CD on.  The coefficients on the record grid are evaluated once, here,
     and the integrator reads the modes, the route and the adiabatic frame
-    from them; the trajectories keep the lab state (u, v) as integrated,
-    and read n_qp and the fidelity from the frame state (u', v')."""
+    from them.  The invariant policy follows the integration."""
     c = protocol.grid(momenta, times)
     # every mode at every record: raises before any integration where the
     # controlled spectrum turns imaginary between stability-grid points
@@ -123,9 +124,16 @@ def _evolve(protocol, momenta, times, rtol, atol):
             f"Bogoliubov invariant drift {defect:.3e} exceeds {INVARIANT_WARN_TOL}",
             stacklevel=2,
         )
+    return c, epsilon_cd, u, v, frame, report
 
+
+def _observe(times, c, epsilon_cd, u, v, frame, report):
+    """(Trajectories, CoefficientGrid, IntegrationReport) of an _evolve
+    result: every mode at every record, the lab state (u, v) as integrated,
+    n_qp and the fidelity read from the frame state (u', v'), which is
+    released here, before a caller forms more of the coefficients."""
     traj = Trajectories(
-        p=np.asarray(momenta, dtype=float),
+        p=c.p[:, 0],
         times=times,
         u=u,
         v=v,
@@ -166,22 +174,9 @@ def run_simulation(
     its report as `report`."""
     from .protocol import stability_margin
 
-    return _run(protocol, stability_margin(protocol), rtol, atol, record_points)
-
-
-def _run(protocol, stability, rtol, atol, record_points) -> SimulationResult:
-    """run_simulation past its gate, whose report is `stability`."""
+    stability = stability_margin(protocol)
     times = np.linspace(0.0, protocol.t_f, record_points)
-    try:
-        if protocol.cd_enabled and not stability.passed:
-            raise CDInstabilityError(
-                f"cd-instability at p = {stability.argmin_p:.6g}, "
-                f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
-            )
-        traj, c, integration = _evolve(protocol, protocol.momenta(), times, rtol, atol)
-    except (ContractError, IntegrationError) as exc:
-        exc.report = stability
-        raise
+    traj, c, integration = _observe(times, *_run(protocol, stability, times, rtol, atol))
     # sums over axis 0 add the modes one after another, in mode order
     return SimulationResult(
         trajectories=traj,
@@ -195,14 +190,37 @@ def _run(protocol, stability, rtol, atol, record_points) -> SimulationResult:
     )
 
 
+def _run(protocol, stability, times, rtol, atol):
+    """_evolve of every mode of `protocol` past its gate, whose report is
+    `stability`: the one evolution of run_simulation and sweep_tf alike.
+    The gate's verdict comes first, so CD on with a margin that is not
+    positive raises CDInstabilityError before the record grid is formed;
+    every ContractError or IntegrationError carries `stability` as
+    `report`."""
+    try:
+        if protocol.cd_enabled and not stability.passed:
+            raise CDInstabilityError(
+                f"cd-instability at p = {stability.argmin_p:.6g}, "
+                f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
+            )
+        return _evolve(protocol, protocol.momenta(), times, rtol, atol)
+    except (ContractError, IntegrationError) as exc:
+        exc.report = stability
+        raise
+
+
 @dataclass(frozen=True)
 class SweepRow:
     t_f: float
     final_residual: float
     final_fidelity: float
+    # the gate's verdict, stability_margin's `passed`
     stability_pass: bool
     # why the integration of this t_f stopped, for a row of NaN values
     integration_error: str = ""
+    # why the record grid refused this t_f after the gate passed it, for a
+    # row of NaN values
+    instability: str = ""
 
 
 def sweep_tf(
@@ -212,12 +230,18 @@ def sweep_tf(
     atol: float = DEFAULT_ATOL,
     record_points: int = DEFAULT_RECORD_POINTS,
 ) -> list:
-    """One row per t_f, as run_simulation gives it; every t_f passes the
-    gate, stability_margin, in list order before any is integrated, so an
-    unstable coupling or a t_f out of range raises before any integration.
-    A row whose CD run is refused as unstable, or whose integration stops
-    (IntegrationError), is flagged with NaN values, not dropped, so the
-    other t_f still finish."""
+    """One row per t_f, with the bits run_simulation gives it: the least
+    fidelity over the modes at the last record and the total residual
+    there, summed in mode order.  Each t_f takes run_simulation's
+    evolution, the spectrum check on every record included, and observes
+    only the last record: no Trajectories or aggregates are formed.  Every
+    t_f passes the gate, stability_margin, in list order before any is
+    integrated, so an unstable coupling or a t_f out of range raises before
+    any integration.  A row whose CD run is refused as unstable, or whose
+    integration stops (IntegrationError), is flagged with NaN values, not
+    dropped, so the other t_f still finish; `stability_pass` is the gate's
+    verdict, and a refusal the gate passed (at a record time between its
+    samples) is kept as `instability`."""
     from .protocol import stability_margin
 
     if not tf_list:
@@ -226,17 +250,23 @@ def sweep_tf(
     reports = [stability_margin(run) for run in runs]
     rows = []
     for run, stability in zip(runs, reports):
-        t_f = run.t_f
+        t_f, passed = run.t_f, stability.passed
+        times = np.linspace(0.0, t_f, record_points)
         try:
-            result = _run(run, stability, rtol, atol, record_points)
-        except CDInstabilityError:
-            rows.append(SweepRow(t_f, math.nan, math.nan, False))
+            c, _, u, v, frame, _ = _run(run, stability, times, rtol, atol)
+        except CDInstabilityError as exc:
+            refusal = str(exc) if passed else ""
+            rows.append(SweepRow(t_f, math.nan, math.nan, passed, instability=refusal))
             continue
         except IntegrationError as exc:
-            passed = exc.report.passed
             rows.append(SweepRow(t_f, math.nan, math.nan, passed, str(exc)))
             continue
-        final_res = float(result.total_residual[-1])
-        final_fid = float(np.min(result.trajectories.fidelity[:, -1]))
-        rows.append(SweepRow(t_f, final_res, final_fid, result.stability.passed))
+        # the last record alone, as a (modes, 1) column
+        last = np.s_[..., -1:]
+        obs = observables(u[last], v[last], frame[last], c.omega[last], c.g[last], c.chi[last])
+        # one mode after another, in mode order, as residual.sum(axis=0)
+        # adds them; a 1-D sum would add pairwise
+        final_res = functools.reduce(operator.add, obs["residual"][:, 0])
+        final_fid = np.min(obs["fidelity"])
+        rows.append(SweepRow(t_f, float(final_res), float(final_fid), passed))
     return rows

@@ -721,6 +721,60 @@ def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys
     assert "t_f = 5:" not in err
 
 
+def test_sweep_and_simulate_agree_on_a_refusal_past_the_gate(tmp_path, monkeypatch, capsys):
+    # four stability times (s = 0, 1/3, 2/3, 1) miss the poly5 peak at
+    # s = 1/2, which the 21 records hit: at t_f = 2 the gate's margin is
+    # +0.0068 and the record grid's -0.0043, far from a rounding tie.  The
+    # sweep row keeps the gate's verdict, the refusal is named, and sweep
+    # exits 3 as simulate does; t_f = 1, which the gate refuses, keeps its
+    # False row and exit 0
+    from tllcd import protocol
+
+    monkeypatch.setattr(protocol, "STABILITY_GRID_POINTS", 4)
+    cfg = write_config(
+        tmp_path,
+        GOOD_CONFIG.replace("L = 20.0", "L = 100.0").replace(
+            "record_points = 41", "record_points = 21"
+        ),
+    )
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--tf", "2"]) == EXIT_INSTABILITY
+    assert "stability.pass = True" in (out / "manifest.txt").read_text()
+    refusal = capsys.readouterr().err.removeprefix("instability: ")
+    assert refusal.startswith("cd-instability at p = 0.0628319")
+
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", cfg, "--out", str(out), "--tf-list"]
+    assert main(args + ["2,5"]) == EXIT_INSTABILITY
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "2,nan,nan,True"
+    assert lines[2].startswith("5,") and lines[2].endswith(",True")
+    assert "nan" not in lines[2]
+    assert capsys.readouterr().err == f"instability at t_f = 2: {refusal}"
+
+    assert main(args + ["1"]) == 0
+    assert (out / "sweep.csv").read_text().splitlines()[1] == "1,nan,nan,False"
+    assert capsys.readouterr().err == ""
+
+    # an integration that also stops takes precedence: exit 4
+    integrate = dynamics.integrate_modes
+
+    def drifted(grid, times, *rest):
+        u, v, report, frame = integrate(grid, times, *rest)
+        if times[-1] == 5:
+            report = replace(report, max_invariant_defect=2e-6)
+        return u, v, report, frame
+
+    monkeypatch.setattr(dynamics, "integrate_modes", drifted)
+    assert main(args + ["2,5"]) == EXIT_INTEGRATION
+    assert (out / "sweep.csv").read_text().splitlines()[1:] == [
+        "2,nan,nan,True", "5,nan,nan,True",
+    ]
+    err = capsys.readouterr().err
+    assert "integration error at t_f = 5: Bogoliubov invariant violated" in err
+    assert f"instability at t_f = 2: {refusal}" in err
+
+
 def test_sweep_gates_every_t_f_before_integrating(tmp_path, integrations, capsys):
     # t_f = 1e-300 overflows the couplings' rates: the sweep refuses it
     # before it integrates t_f = 6

@@ -326,6 +326,62 @@ def test_sweep_tf_flags_unstable():
     assert math.isnan(rows[0].final_residual)
 
 
+@pytest.mark.parametrize(
+    "family, kind, cd",
+    [
+        ("contact", ScheduleKind.POLY5, True),
+        ("contact", ScheduleKind.POLY5, False),
+        ("lorentzian", ScheduleKind.POLY5, True),
+        ("custom_table", ScheduleKind.LINEAR, False),
+    ],
+    ids=["contact-on", "contact-off", "lorentzian-on", "custom_table-off"],
+)
+def test_sweep_rows_match_run_simulation_bit_for_bit(family, kind, cd):
+    # the sweep observes the last record alone; its rows keep the bits of
+    # run_simulation's aggregates.  t_f = 0.5 fails the gate (a NaN row with
+    # CD on), and t_f = 40 without CD climbs past one substep per interval
+    proto = DriveProtocol(
+        coupling=OBSERVED_COUPLINGS[family], schedule=Schedule(kind),
+        t_f=3.0, L=100.0, n_modes=8, cd_enabled=cd,
+    )
+    tf_list = [0.5, 3.0, 40.0]
+    rows = dynamics.sweep_tf(proto, tf_list, record_points=41)
+    nan_rows, climbed = 0, False
+    for t_f, row in zip(tf_list, rows):
+        assert row.t_f == t_f
+        try:
+            result = dynamics.run_simulation(proto.with_tf(t_f), record_points=41)
+        except CDInstabilityError as exc:
+            nan_rows += 1
+            assert math.isnan(row.final_residual) and math.isnan(row.final_fidelity)
+            assert row.stability_pass == exc.report.passed
+            continue
+        assert row.final_residual == result.total_residual[-1]
+        assert row.final_fidelity == np.min(result.trajectories.fidelity[:, -1])
+        assert row.stability_pass == result.stability.passed
+        climbed |= result.integration.substeps > 1
+    assert nan_rows == (1 if cd else 0)
+    assert climbed != cd
+
+
+def test_sweep_observes_the_last_record_alone(monkeypatch):
+    # no sweep forms a (modes x records) observable; run_simulation still
+    # observes every record
+    proto = make_protocol(L=100.0, n_modes=8)
+    observables, shapes = dynamics.observables, []
+
+    def spy(u, v, frame, omega, g, chi):
+        shapes.append(np.shape(u))
+        return observables(u, v, frame, omega, g, chi)
+
+    monkeypatch.setattr(dynamics, "observables", spy)
+    dynamics.sweep_tf(proto, [5.0, 10.0], record_points=41)
+    assert shapes == [(8, 1), (8, 1)]
+    shapes.clear()
+    dynamics.run_simulation(proto, record_points=41)
+    assert shapes == [(8, 41)]
+
+
 def test_reference_run_is_warning_free_and_symplectic():
     # the north-star ramp: 128 modes x 201 records, t_f twice the closed-form bound
     proto = make_protocol(L=100.0, n_modes=128)

@@ -4,8 +4,10 @@
 
 PARENT and CHANGE are checkouts of the repository (a `git archive` of a
 commit, say).  Both trees run the same inputs, taken from this checkout:
-the given seeds of every workload in perfbench/workloads.py, `simulate` on
-each golden config tests/data/golden/*/run.cfg, and `validate`.  Each run is
+the given seeds of every workload in perfbench/workloads.py, `simulate` and
+`sweep` on each golden config tests/data/golden/*/run.cfg, and `validate`.
+A golden sweep takes the config's own t_f and four times it, and with CD
+on also t_f/1000, which the gate refuses on every golden config.  Each run is
 a fresh `python -W error` process with that tree's `src` alone on the path.
 Every file a run writes, its exit code, stdout and stderr (with the run's
 directory replaced by `<run>`) are compared byte for byte.  Exits 0 when
@@ -37,13 +39,35 @@ def cases(seeds) -> list:
             w = workloads.make(name, seed)
             runs.append((f"{name}-{seed}", w.config_text(), w.argv))
     for cfg in sorted((ROOT / "tests" / "data" / "golden").glob("*/run.cfg")):
-        runs.append((f"golden-{cfg.parent.name}", cfg.read_text(), _simulate))
+        name, text = cfg.parent.name, cfg.read_text()
+        runs.append((f"golden-{name}", text, _simulate))
+        runs.append((f"golden-sweep-{name}", text, _sweep(text)))
     runs.append(("validate", None, lambda config, out: ["validate"]))
     return runs
 
 
 def _simulate(config, out) -> list:
     return ["simulate", "--config", str(config), "--out", str(out)]
+
+
+def _sweep(text):
+    """The argv builder of a sweep of the config `text`: its t_f, 4 t_f and,
+    with CD on, t_f/1000."""
+    # key = value lines, `#` comments stripped, as cli.parse_config reads them
+    keys = dict(
+        (k.strip(), v.strip())
+        for k, _, v in (line.split("#", 1)[0].partition("=") for line in text.splitlines())
+    )
+    t_f = float(keys["t_f"])
+    # "on" is RunConfig.cd's default, and must stay equal to it
+    cd = keys.get("cd", "on") == "on"
+    tf_list = [t_f, 4 * t_f] + ([t_f / 1000] if cd else [])
+    spec = ",".join(map(repr, tf_list))
+
+    def argv(config, out) -> list:
+        return ["sweep", "--config", str(config), "--out", str(out), "--tf-list", spec]
+
+    return argv
 
 
 def run_all(tree: Path, where: Path, runs) -> None:
