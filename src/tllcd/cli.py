@@ -34,6 +34,15 @@ EXIT_INSTABILITY = 3
 EXIT_INTEGRATION = 4
 EXIT_VALIDATION = 5
 
+# exit code and stderr label of each failure class: an exception takes the
+# first row naming one of its classes (the instabilities are ContractErrors)
+FAILURES = (
+    ((LuttingerInstabilityError, CDInstabilityError), EXIT_INSTABILITY, "instability"),
+    ((ConfigError, ContractError), EXIT_CONFIG, "config error"),
+    ((IntegrationError,), EXIT_INTEGRATION, "integration error"),
+)
+FAILURE_CLASSES = tuple(cls for classes, _, _ in FAILURES for cls in classes)
+
 MODES_HEADER = "t,p,n_bare,n_qp,fidelity,pair_energy,residual,epsilon_cd,chi"
 AGGREGATE_HEADER = "t,total_residual,total_energy,v_s,K,chi,min_margin"
 # CSV rows formatted and written at a time: bounds the memory the text takes
@@ -426,20 +435,12 @@ def cmd_sweep(args) -> int:
         )
         print(lines[-1])
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    failed = [row for row in rows if row.integration_error]
-    for row in failed:
-        print(
-            f"integration error at t_f = {_fmt(row.t_f)}: {row.integration_error}",
-            file=sys.stderr,
-        )
-    # refused on the record grid after the gate passed it: `simulate` at
-    # that t_f exits 3
-    refused = [row for row in rows if row.instability]
-    for row in refused:
-        print(f"instability at t_f = {_fmt(row.t_f)}: {row.instability}", file=sys.stderr)
-    if failed:
-        return EXIT_INTEGRATION
-    return EXIT_INSTABILITY if refused else 0
+    # as `simulate` at each t_f exits: highest code first, then in row order
+    failed = [(*failure_exit(row.failure), row) for row in rows if row.failure is not None]
+    failed.sort(key=lambda f: f[0], reverse=True)
+    for _, label, row in failed:
+        print(f"{label} at t_f = {_fmt(row.t_f)}: {row.failure}", file=sys.stderr)
+    return failed[0][0] if failed else 0
 
 
 def cmd_validate(args) -> int:
@@ -541,19 +542,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def failure_exit(exc) -> tuple:
+    """(exit code, stderr label) of the failure `exc`, from FAILURES."""
+    return next((code, label) for classes, code, label in FAILURES if isinstance(exc, classes))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LuttingerInstabilityError, CDInstabilityError) as exc:
-        print(f"instability: {exc}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except (ConfigError, ContractError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrationError as exc:
-        print(f"integration error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+    except FAILURE_CLASSES as exc:
+        code, label = failure_exit(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -94,36 +94,52 @@ def evolve_pair(
     state, as integrated, and observables: the one-row case of the
     trajectories of a run."""
     times = np.linspace(0.0, protocol.t_f, record_points)
-    return _observe(times, *_evolve(protocol, [p], times, rtol, atol))[0]
+    return _observe(times, *_evolve(protocol, None, [p], times, rtol, atol))[0]
 
 
-def _evolve(protocol, momenta, times, rtol, atol):
-    """(CoefficientGrid, epsilon_cd, u, v, frame, IntegrationReport) of the
-    pairs `momenta` (rows), all started from the vacuum, on the record grid
-    `times` (columns), in one integrate_modes call, on its phase route with
-    CD on.  The coefficients on the record grid are evaluated once, here,
-    and the integrator reads the modes, the route and the adiabatic frame
-    from them.  The invariant policy follows the integration."""
-    c = protocol.grid(momenta, times)
-    # every mode at every record: raises before any integration where the
-    # controlled spectrum turns imaginary between stability-grid points
-    if protocol.cd_enabled:
-        epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi)
-    else:
-        epsilon_cd = instantaneous_spectrum(c.omega, c.g)
-    ones = np.ones(len(momenta))
-    u, v, report, frame = integrate_modes(protocol.grid, times, c, ones, 0 * ones, rtol, atol)
-    # the invariant policy, once per run
-    defect = report.max_invariant_defect
+def enforce_invariant(defect: float, error: type) -> None:
+    """The invariant policy of runs and su11 maps, for ||u|^2 - |v|^2 - 1|:
+    raise `error` above INVARIANT_ERROR_TOL, warn above INVARIANT_WARN_TOL
+    at the call of run_simulation, sweep_tf, evolve_pair or an su11 map."""
     if defect > INVARIANT_ERROR_TOL:
-        raise IntegrationError(
-            f"Bogoliubov invariant violated: |u|^2-|v|^2-1 = {defect:.3e}"
-        )
+        raise error(f"Bogoliubov invariant violated: |u|^2-|v|^2-1 = {defect:.3e}")
     if defect > INVARIANT_WARN_TOL:
         warnings.warn(
             f"Bogoliubov invariant drift {defect:.3e} exceeds {INVARIANT_WARN_TOL}",
-            stacklevel=2,
+            stacklevel=4,
         )
+
+
+def _evolve(protocol, stability, momenta, times, rtol, atol):
+    """(CoefficientGrid, epsilon_cd, u, v, frame, IntegrationReport) of the
+    pairs `momenta` (rows), all started from the vacuum, on the record grid
+    `times` (columns), in one integrate_modes call, on its phase route with
+    CD on: the one evolution of every run.  The coefficients on the record
+    grid are evaluated once, here, and the integrator reads the modes, the
+    route and the adiabatic frame from them; the invariant policy follows.
+    `stability` is the gate's report, or None (evolve_pair): with a report,
+    CD on with a margin that is not positive raises CDInstabilityError
+    before the record grid is formed, and every ContractError or
+    IntegrationError carries it as `report`."""
+    try:
+        if protocol.cd_enabled and stability is not None and not stability.passed:
+            raise CDInstabilityError(
+                f"cd-instability at p = {stability.argmin_p:.6g}, "
+                f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
+            )
+        c = protocol.grid(momenta, times)
+        # every mode at every record: raises, before any integration, where
+        # the spectrum turns imaginary between stability-grid points
+        if protocol.cd_enabled:
+            epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi)
+        else:
+            epsilon_cd = instantaneous_spectrum(c.omega, c.g)
+        ones = np.ones(len(momenta))
+        u, v, report, frame = integrate_modes(protocol.grid, times, c, ones, 0 * ones, rtol, atol)
+        enforce_invariant(report.max_invariant_defect, IntegrationError)
+    except (ContractError, IntegrationError) as exc:
+        exc.report = stability
+        raise
     return c, epsilon_cd, u, v, frame, report
 
 
@@ -172,11 +188,17 @@ def run_simulation(
     with a margin that is not positive raises CDInstabilityError before any
     integration.  Every error raised after stability_margin returns carries
     its report as `report`."""
+    # at call time: tests and the benchmark's tracer patch
+    # protocol.stability_margin, which a top-level import would bind unpatched
     from .protocol import stability_margin
 
     stability = stability_margin(protocol)
     times = np.linspace(0.0, protocol.t_f, record_points)
-    traj, c, integration = _observe(times, *_run(protocol, stability, times, rtol, atol))
+    # one expression, so that _evolve's frame state is released before the
+    # aggregates form more of the coefficients
+    traj, c, integration = _observe(
+        times, *_evolve(protocol, stability, protocol.momenta(), times, rtol, atol)
+    )
     # sums over axis 0 add the modes one after another, in mode order
     return SimulationResult(
         trajectories=traj,
@@ -190,37 +212,19 @@ def run_simulation(
     )
 
 
-def _run(protocol, stability, times, rtol, atol):
-    """_evolve of every mode of `protocol` past its gate, whose report is
-    `stability`: the one evolution of run_simulation and sweep_tf alike.
-    The gate's verdict comes first, so CD on with a margin that is not
-    positive raises CDInstabilityError before the record grid is formed;
-    every ContractError or IntegrationError carries `stability` as
-    `report`."""
-    try:
-        if protocol.cd_enabled and not stability.passed:
-            raise CDInstabilityError(
-                f"cd-instability at p = {stability.argmin_p:.6g}, "
-                f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
-            )
-        return _evolve(protocol, protocol.momenta(), times, rtol, atol)
-    except (ContractError, IntegrationError) as exc:
-        exc.report = stability
-        raise
-
-
 @dataclass(frozen=True)
 class SweepRow:
+    """One t_f of a sweep.  `stability_pass` is the gate's verdict,
+    stability_margin's `passed`.  `failure` is why a row of NaN values has
+    none: the IntegrationError that stopped its integration, or the
+    CDInstabilityError of a record grid that refused a t_f the gate passed.
+    A t_f that the gate refused has its verdict and no failure."""
+
     t_f: float
     final_residual: float
     final_fidelity: float
-    # the gate's verdict, stability_margin's `passed`
     stability_pass: bool
-    # why the integration of this t_f stopped, for a row of NaN values
-    integration_error: str = ""
-    # why the record grid refused this t_f after the gate passed it, for a
-    # row of NaN values
-    instability: str = ""
+    failure: Exception | None = None
 
 
 def sweep_tf(
@@ -240,8 +244,9 @@ def sweep_tf(
     any integration.  A row whose CD run is refused as unstable, or whose
     integration stops (IntegrationError), is flagged with NaN values, not
     dropped, so the other t_f still finish; `stability_pass` is the gate's
-    verdict, and a refusal the gate passed (at a record time between its
-    samples) is kept as `instability`."""
+    verdict, and the failure is kept as `failure`, unless it is the gate's
+    own refusal."""
+    # imported here, as in run_simulation
     from .protocol import stability_margin
 
     if not tf_list:
@@ -253,13 +258,12 @@ def sweep_tf(
         t_f, passed = run.t_f, stability.passed
         times = np.linspace(0.0, t_f, record_points)
         try:
-            c, _, u, v, frame, _ = _run(run, stability, times, rtol, atol)
-        except CDInstabilityError as exc:
-            refusal = str(exc) if passed else ""
-            rows.append(SweepRow(t_f, math.nan, math.nan, passed, instability=refusal))
-            continue
-        except IntegrationError as exc:
-            rows.append(SweepRow(t_f, math.nan, math.nan, passed, str(exc)))
+            c, _, u, v, frame, _ = _evolve(run, stability, run.momenta(), times, rtol, atol)
+        except (CDInstabilityError, IntegrationError) as exc:
+            gated = isinstance(exc, CDInstabilityError) and not passed
+            # the row keeps the error, not the frames of its traceback
+            failure = None if gated else exc.with_traceback(None)
+            rows.append(SweepRow(t_f, math.nan, math.nan, passed, failure))
             continue
         # the last record alone, as a (modes, 1) column
         last = np.s_[..., -1:]

@@ -132,7 +132,7 @@ class CoefficientGrid:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return self._full(self._pair[1])
+        return self._pair[1]
 
     # omega/p and g/p are formed on each read, one operation on the
     # couplings' shape, so that no grid holds them: on the record grid of a

@@ -13,10 +13,9 @@ All operations are pure; maps are immutable after construction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .dynamics import INVARIANT_ERROR_TOL, INVARIANT_WARN_TOL
+from .dynamics import enforce_invariant
 from .errors import ContractError
 
 # cosh(eta)^2 overflows float64 slightly above this angle.
@@ -44,18 +43,9 @@ IDENTITY = BogoliubovMap(1.0 + 0.0j, 0.0j)
 
 
 def check_map(m: BogoliubovMap) -> None:
-    """Enforce the symplectic invariant with the tolerances of a run: raise
-    above INVARIANT_ERROR_TOL, warn above INVARIANT_WARN_TOL."""
-    defect = abs(m.invariant_defect())
-    if defect > INVARIANT_ERROR_TOL:
-        raise ContractError(
-            f"Bogoliubov invariant violated: |u|^2-|v|^2-1 = {defect:.3e}"
-        )
-    if defect > INVARIANT_WARN_TOL:
-        warnings.warn(
-            f"Bogoliubov invariant drift {defect:.3e} exceeds {INVARIANT_WARN_TOL}",
-            stacklevel=3,
-        )
+    """Enforce the symplectic invariant with the policy of a run,
+    dynamics.enforce_invariant, raising ContractError."""
+    enforce_invariant(abs(m.invariant_defect()), ContractError)
 
 
 def squeeze_from_angle(eta: float) -> BogoliubovMap:

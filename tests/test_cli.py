@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tllcd
-from tllcd import _fmt17, cli, closed_forms, dynamics, integrator, su11, validate
+from tllcd import _fmt17, cli, closed_forms, dynamics, errors, integrator, su11, validate
 from tllcd.cli import (
     EXIT_CONFIG,
     EXIT_INSTABILITY,
@@ -535,6 +535,30 @@ def test_stability_out_of_range_prints_nothing(tmp_path, capsys):
     assert "out of range" in captured.err
 
 
+def test_every_error_class_has_one_exit_code():
+    # the one table of main and sweep: every class of tllcd.errors is named
+    # in exactly one row, and no earlier row (a base class's) shadows it
+    expected = {
+        errors.LuttingerInstabilityError: (EXIT_INSTABILITY, "instability"),
+        errors.CDInstabilityError: (EXIT_INSTABILITY, "instability"),
+        errors.ConfigError: (EXIT_CONFIG, "config error"),
+        errors.ContractError: (EXIT_CONFIG, "config error"),
+        errors.IntegrationError: (EXIT_INTEGRATION, "integration error"),
+    }
+    defined = {
+        value
+        for value in vars(errors).values()
+        if isinstance(value, type)
+        and issubclass(value, Exception)
+        and value.__module__ == errors.__name__
+    }
+    assert defined == set(expected)
+    named = [cls for classes, _, _ in cli.FAILURES for cls in classes]
+    for cls, exit_and_label in expected.items():
+        assert named.count(cls) == 1
+        assert cli.failure_exit(cls("message")) == exit_and_label
+
+
 def test_exit_code_missing_config(tmp_path):
     assert (
         main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -726,8 +750,8 @@ def test_sweep_and_simulate_agree_on_a_refusal_past_the_gate(tmp_path, monkeypat
     # s = 1/2, which the 21 records hit: at t_f = 2 the gate's margin is
     # +0.0068 and the record grid's -0.0043, far from a rounding tie.  The
     # sweep row keeps the gate's verdict, the refusal is named, and sweep
-    # exits 3 as simulate does; t_f = 1, which the gate refuses, keeps its
-    # False row and exit 0
+    # exits 3 as simulate does, with simulate's label and message; t_f = 1,
+    # which the gate refuses, keeps its False row and exit 0
     from tllcd import protocol
 
     monkeypatch.setattr(protocol, "STABILITY_GRID_POINTS", 4)
@@ -740,7 +764,8 @@ def test_sweep_and_simulate_agree_on_a_refusal_past_the_gate(tmp_path, monkeypat
     out = tmp_path / "simulate"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--tf", "2"]) == EXIT_INSTABILITY
     assert "stability.pass = True" in (out / "manifest.txt").read_text()
-    refusal = capsys.readouterr().err.removeprefix("instability: ")
+    label, _, refusal = capsys.readouterr().err.partition(": ")
+    assert label == "instability"
     assert refusal.startswith("cd-instability at p = 0.0628319")
 
     out = tmp_path / "sweep"
@@ -750,13 +775,14 @@ def test_sweep_and_simulate_agree_on_a_refusal_past_the_gate(tmp_path, monkeypat
     assert lines[1] == "2,nan,nan,True"
     assert lines[2].startswith("5,") and lines[2].endswith(",True")
     assert "nan" not in lines[2]
-    assert capsys.readouterr().err == f"instability at t_f = 2: {refusal}"
+    assert capsys.readouterr().err == f"{label} at t_f = 2: {refusal}"
 
     assert main(args + ["1"]) == 0
     assert (out / "sweep.csv").read_text().splitlines()[1] == "1,nan,nan,False"
     assert capsys.readouterr().err == ""
 
-    # an integration that also stops takes precedence: exit 4
+    # an integration that also stops takes precedence: exit 4, and its
+    # line, simulate's label and message at that t_f, comes first
     integrate = dynamics.integrate_modes
 
     def drifted(grid, times, *rest):
@@ -766,13 +792,17 @@ def test_sweep_and_simulate_agree_on_a_refusal_past_the_gate(tmp_path, monkeypat
         return u, v, report, frame
 
     monkeypatch.setattr(dynamics, "integrate_modes", drifted)
+    simulate = ["simulate", "--config", cfg, "--out", str(tmp_path / "drift"), "--tf", "5"]
+    assert main(simulate) == EXIT_INTEGRATION
+    stopped = capsys.readouterr().err
+    assert stopped.startswith("integration error: Bogoliubov invariant violated")
     assert main(args + ["2,5"]) == EXIT_INTEGRATION
     assert (out / "sweep.csv").read_text().splitlines()[1:] == [
         "2,nan,nan,True", "5,nan,nan,True",
     ]
-    err = capsys.readouterr().err
-    assert "integration error at t_f = 5: Bogoliubov invariant violated" in err
-    assert f"instability at t_f = 2: {refusal}" in err
+    assert capsys.readouterr().err == (
+        stopped.replace(": ", " at t_f = 5: ", 1) + f"{label} at t_f = 2: {refusal}"
+    )
 
 
 def test_sweep_gates_every_t_f_before_integrating(tmp_path, integrations, capsys):

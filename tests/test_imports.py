@@ -1,13 +1,17 @@
-"""Every imported name is read: a scan of the package and the tests with
-`ast` for names that an import binds and no expression reads.  The package
-module's relative imports are its re-exports, and `__future__` imports are
-directives; both are allowed."""
+"""Every imported name is read: a scan of the package, the tests and the
+tools with `ast` for names that an import binds and no expression reads.
+The package module's relative imports are its re-exports, and `__future__`
+imports are directives; both are allowed."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "tllcd").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [
+    path
+    for folder in (ROOT / "src" / "tllcd", ROOT / "tests", ROOT / "tools")
+    for path in sorted(folder.glob("*.py"))
+]
 
 
 def unused_imports(path):

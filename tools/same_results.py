@@ -7,7 +7,8 @@ commit, say).  Both trees run the same inputs, taken from this checkout:
 the given seeds of every workload in perfbench/workloads.py, `simulate` and
 `sweep` on each golden config tests/data/golden/*/run.cfg, and `validate`.
 A golden sweep takes the config's own t_f and four times it, and with CD
-on also t_f/1000, which the gate refuses on every golden config.  Each run is
+on also t_f/1000, which the gate refuses on every golden config; the
+config is read by this checkout's `tllcd.cli.parse_config`.  Each run is
 a fresh `python -W error` process with that tree's `src` alone on the path.
 Every file a run writes, its exit code, stdout and stderr (with the run's
 directory replaced by `<run>`) are compared byte for byte.  Exits 0 when
@@ -27,8 +28,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import workloads  # noqa: E402
+from tllcd.cli import parse_config  # noqa: E402
 
 
 def cases(seeds) -> list:
@@ -53,15 +55,8 @@ def _simulate(config, out) -> list:
 def _sweep(text):
     """The argv builder of a sweep of the config `text`: its t_f, 4 t_f and,
     with CD on, t_f/1000."""
-    # key = value lines, `#` comments stripped, as cli.parse_config reads them
-    keys = dict(
-        (k.strip(), v.strip())
-        for k, _, v in (line.split("#", 1)[0].partition("=") for line in text.splitlines())
-    )
-    t_f = float(keys["t_f"])
-    # "on" is RunConfig.cd's default, and must stay equal to it
-    cd = keys.get("cd", "on") == "on"
-    tf_list = [t_f, 4 * t_f] + ([t_f / 1000] if cd else [])
+    cfg = parse_config(text)
+    tf_list = [cfg.t_f, 4 * cfg.t_f] + ([cfg.t_f / 1000] if cfg.cd == "on" else [])
     spec = ",".join(map(repr, tf_list))
 
     def argv(config, out) -> list:
