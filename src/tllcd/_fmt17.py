@@ -1,5 +1,6 @@
-"""'%.17g' text of float64 arrays, computed in numpy, byte for byte as
-Python's '%.17g' (and so np.savetxt(fmt='%.17g')) writes each value.
+"""The CSV tables of a run: '%.17g' text of float64 arrays, computed in
+numpy, byte for byte as Python's '%.17g' (and so np.savetxt(fmt='%.17g'))
+writes each value, and the writer of the table files.
 
 `words(x)` gives each value CELL_WORDS little-endian 64-bit words: its
 ASCII text with NUL bytes between the pieces, so that removing every NUL
@@ -44,13 +45,28 @@ digits and the later digits one byte on, and word 0 the sign.  The words
 are assembled by integer arithmetic over whole arrays.  The digits come
 eight at a time from one integer split into lanes: 4 + 4 digits in 32-bit
 lanes, then 2 + 2 in 16-bit lanes, then one per byte.
+
+Writer.  `write_csv(path, header, columns)` writes a table a block of
+CSV_BLOCK_ROWS rows at a time, so its text is never held whole.  A block is
+(rows, columns, CELL_WORDS) int64: each cell's words, with its ',' or '\n'
+in the free top byte of the last word, so that deleting the NUL bytes
+leaves the rows.  A column with fewer entries of its own than the table has
+rows (a shorter array, a 0-d value, or a view with stride 0 on the axes it
+repeats on) has each entry formatted once and its words taken into every
+block.  The other columns are gathered row-major, block by block, and
+formatted in one call; a run of equal bits down a column within a block is
+formatted once, at its first row, and its words fill the run.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 CELL_WORDS = 4
+# CSV rows formatted and written at a time: bounds the memory the text takes
+CSV_BLOCK_ROWS = 2048
 # the longest '%.17g' text, -2.2250738585072014e-308
 _FALLBACK_BYTES = 24
 # decimal exponents X of the fast path; tables over X reach one beyond
@@ -234,3 +250,62 @@ def _shifted(lead, v, length, P) -> np.ndarray:
     s |= t
     s |= _POINT.take(pk, axis=1)
     return s
+
+
+def write_csv(path, header: str, columns) -> None:
+    """One CSV column per array.  The arrays broadcast against each other;
+    rows run in C order of the broadcast shape (mode-major for (mode, time)).
+    The bytes are those that np.savetxt(fmt='%.17g') writes of the broadcast
+    table, written block by block (see the module text)."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    n_rows = math.prod(shape)
+    separator = np.full(len(columns), ord(",") << 56, np.int64)
+    separator[-1] = ord("\n") << 56
+    full, sources, repeated = [], [], []
+    for j, column in enumerate(columns):
+        own = column[tuple(slice(None) if s else slice(1) for s in column.strides)]
+        if own.size < n_rows:
+            text = words(own.ravel())
+            text[3] |= separator[j]
+            index = np.arange(own.size).reshape(own.shape)
+            repeated.append((j, text.T.copy(), np.broadcast_to(index, shape).flat))
+        else:
+            # its C order is the table's: a view of a run's columns, which
+            # are all C-contiguous
+            full.append(j)
+            sources.append(column.reshape(-1))
+    full_separator = separator[full]
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            block = np.empty((stop - start, len(columns), CELL_WORDS), "<i8")
+            if full:
+                values = np.empty((stop - start, len(full)))
+                for i, source in enumerate(sources):
+                    values[:, i] = source[start:stop]
+                text = _block_words(values)
+                text[3] |= full_separator
+                block[:, full] = text.transpose(1, 2, 0)
+            for j, text, index in repeated:
+                block[:, j] = text.take(index[start:stop], axis=0)
+            f.write(block.tobytes().translate(None, b"\0"))
+
+
+def _block_words(values) -> np.ndarray:
+    """(CELL_WORDS, rows, columns) words of the text of each value of a
+    (rows, columns) block.  Runs of equal bits down a column (so -0.0 and
+    0.0 differ, and a nan equals a nan of its own bits) are formatted once,
+    at their first row."""
+    bits = values.view(np.int64)
+    starts = np.empty(values.shape, bool)
+    starts[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    if starts.all():
+        return words(values.ravel()).reshape(-1, *values.shape)
+    # column after column, each cell's run start is the last start up to it
+    starts = starts.T
+    run = np.cumsum(starts.ravel()) - 1
+    text = words(values.T[starts]).take(run, axis=1)
+    return text.reshape(-1, *starts.shape).transpose(0, 2, 1)

@@ -3,8 +3,10 @@ emission for the tll-cd-sim command.
 
 Config files are flat ``key = value`` text with '#' comments; unknown keys
 are rejected.  All outputs (CSV, manifest) are byte-stable for identical
-inputs.  Exit codes: 0 ok, 2 config, 3 instability, 4 integration,
-5 validation.  `closed_forms` gives the `sound_velocity` of a 1D gas.
+inputs.  This module names the CSV columns; their text, blocks and bytes
+belong to `_fmt17.write_csv`.  Exit codes: 0 ok, 2 config, 3 instability,
+4 integration, 5 validation.  `closed_forms` gives the `sound_velocity` of
+a 1D gas.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ FAILURE_CLASSES = tuple(cls for classes, _, _ in FAILURES for cls in classes)
 
 MODES_HEADER = "t,p,n_bare,n_qp,fidelity,pair_energy,residual,epsilon_cd,chi"
 AGGREGATE_HEADER = "t,total_residual,total_energy,v_s,K,chi,min_margin"
-# CSV rows formatted and written at a time: bounds the memory the text takes
-CSV_BLOCK_ROWS = 2048
 
 _POSITIVE_KEYS = ("L", "v_F", "rtol", "atol")
 
@@ -213,86 +213,10 @@ def write_outputs(result, cfg: RunConfig, out_dir) -> dict:
     aggregate = [traj.times]
     aggregate += [getattr(result, name) for name in AGGREGATE_HEADER.split(",")[1:-1]]
     aggregate.append(result.stability.margin)
-    _write_csv(paths["modes"], MODES_HEADER, modes)
-    _write_csv(paths["aggregate"], AGGREGATE_HEADER, aggregate)
+    _fmt17.write_csv(paths["modes"], MODES_HEADER, modes)
+    _fmt17.write_csv(paths["aggregate"], AGGREGATE_HEADER, aggregate)
     write_manifest(paths["manifest"], cfg, result)
     return paths
-
-
-def _write_csv(path, header: str, columns) -> None:
-    """One CSV column per array.  The arrays broadcast against each other;
-    rows run in C order of the broadcast shape (mode-major for (mode, time)).
-    The bytes are those that np.savetxt(fmt='%.17g') writes of the broadcast
-    table.
-
-    The text is computed in numpy by `_fmt17.words`, exactly: each value's
-    17 digits come from a double-double product of |x| and a tabulated
-    10^(16 - X), whose error (below 5e-15 in units of the last digit) decides
-    the rounding wherever the scaled value is more than 1e-9 from a tie.
-    Python's '%.17g' formats the rest: values within 1e-9 of a tie or with
-    an ambiguous decade, nan, +-inf and |x| outside [1e-280, 1e280).
-
-    The table is written a block of CSV_BLOCK_ROWS rows at a time, so its
-    text is never held whole.  A block is (rows, columns, CELL_WORDS) int64:
-    each cell's NUL-padded words, with its ',' or '\n' in the free top byte
-    of the last word, so that deleting the NUL bytes leaves the rows.  A
-    column with fewer entries of its own than the table has rows (a shorter
-    array, a 0-d value, or a view with stride 0 on the axes it repeats on)
-    has each entry formatted once and its words taken into every block.  The
-    other columns are gathered row-major, block by block, and formatted in
-    one call; a value whose bits equal those of the value one row above it
-    in the same block is not formatted again but takes that row's words."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    shape = np.broadcast_shapes(*(c.shape for c in columns))
-    n_rows = math.prod(shape)
-    separator = np.full(len(columns), ord(",") << 56, np.int64)
-    separator[-1] = ord("\n") << 56
-    full, sources, repeated = [], [], []
-    for j, column in enumerate(columns):
-        own = column[tuple(slice(None) if s else slice(1) for s in column.strides)]
-        if own.size < n_rows:
-            text = _fmt17.words(own.ravel())
-            text[3] |= separator[j]
-            index = np.arange(own.size).reshape(own.shape)
-            repeated.append((j, text.T.copy(), np.broadcast_to(index, shape).flat))
-        else:
-            # its C order is the table's; a view where it is contiguous
-            full.append(j)
-            sources.append(column.reshape(-1) if column.flags.c_contiguous else column.flat)
-    full_separator = separator[full]
-    with open(path, "wb") as f:
-        f.write(header.encode() + b"\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            block = np.empty((stop - start, len(columns), _fmt17.CELL_WORDS), "<i8")
-            if full:
-                values = np.empty((stop - start, len(full)))
-                for i, source in enumerate(sources):
-                    values[:, i] = source[start:stop]
-                text = _block_words(values)
-                text[3] |= full_separator
-                block[:, full] = text.transpose(1, 2, 0)
-            for j, text, index in repeated:
-                block[:, j] = text.take(index[start:stop], axis=0)
-            f.write(block.tobytes().translate(None, b"\0"))
-
-
-def _block_words(values) -> np.ndarray:
-    """(CELL_WORDS, rows, columns) words of the text of each value of a
-    (rows, columns) block.  Runs of equal bits down a column (so -0.0 and
-    0.0 differ, and a nan equals a nan of its own bits) are formatted once,
-    at their first row."""
-    bits = values.view(np.int64)
-    starts = np.empty(values.shape, bool)
-    starts[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    if starts.all():
-        return _fmt17.words(values.ravel()).reshape(-1, *values.shape)
-    # column after column, each cell's run start is the last start up to it
-    starts = starts.T
-    run = np.cumsum(starts.ravel()) - 1
-    text = _fmt17.words(values.T[starts]).take(run, axis=1)
-    return text.reshape(-1, *starts.shape).transpose(0, 2, 1)
 
 
 def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
@@ -308,18 +232,17 @@ def write_manifest(path, cfg: RunConfig, result, failure=None) -> None:
     if failure:
         lines.append(f"failure = {failure}")
     lines += ["config." + line for line in serialize_config(cfg).splitlines()]
-    if cfg.t_f > 0:
-        report = result.stability if result else failure.report
-        if report is None:
-            lines.append(f"stability.error = {failure}")
-        else:
-            lines.append(f"stability.margin = {_fmt(report.margin)}")
-            lines.append(f"stability.argmin_p = {_fmt(report.argmin_p)}")
-            lines.append(f"stability.argmin_t = {_fmt(report.argmin_t)}")
-            lines.append(f"stability.pass = {report.passed}")
-            if report.bound_tf is not None:
-                lines.append(f"stability.t_min = {_fmt(report.bound_tf)}")
-            lines.append(f"stability.t_adiabatic = {_fmt(report.t_adiabatic)}")
+    report = result.stability if result else failure.report
+    if report is None:
+        lines.append(f"stability.error = {failure}")
+    else:
+        lines.append(f"stability.margin = {_fmt(report.margin)}")
+        lines.append(f"stability.argmin_p = {_fmt(report.argmin_p)}")
+        lines.append(f"stability.argmin_t = {_fmt(report.argmin_t)}")
+        lines.append(f"stability.pass = {report.passed}")
+        if report.bound_tf is not None:
+            lines.append(f"stability.t_min = {_fmt(report.bound_tf)}")
+        lines.append(f"stability.t_adiabatic = {_fmt(report.t_adiabatic)}")
     if result is not None:
         facts = result.integration
         lines.append(f"integrator = {facts.method}")

@@ -93,8 +93,7 @@ def evolve_pair(
     """Evolve one (p, -p) pair from the vacuum over [0, t_f] and record its
     state, as integrated, and observables: the one-row case of the
     trajectories of a run."""
-    times = np.linspace(0.0, protocol.t_f, record_points)
-    return _observe(times, *_evolve(protocol, None, [p], times, rtol, atol))[0]
+    return _observe(*_evolve(protocol, None, [p], record_points, rtol, atol))[0]
 
 
 def enforce_invariant(defect: float, error: type) -> None:
@@ -110,23 +109,33 @@ def enforce_invariant(defect: float, error: type) -> None:
         )
 
 
-def _evolve(protocol, stability, momenta, times, rtol, atol):
-    """(CoefficientGrid, epsilon_cd, u, v, frame, IntegrationReport) of the
-    pairs `momenta` (rows), all started from the vacuum, on the record grid
-    `times` (columns), in one integrate_modes call, on its phase route with
-    CD on: the one evolution of every run.  The coefficients on the record
-    grid are evaluated once, here, and the integrator reads the modes, the
-    route and the adiabatic frame from them; the invariant policy follows.
+def _evolve(protocol, stability, momenta, record_points, rtol, atol):
+    """(times, CoefficientGrid, epsilon_cd, u, v, frame, IntegrationReport)
+    of the pairs `momenta` (rows), all started from the vacuum, on the
+    record grid of `record_points` times over [0, t_f] (columns), in one
+    integrate_modes call, on its phase route with CD on: the one evolution
+    of every run.  The coefficients on the record grid are evaluated once,
+    here, and the integrator reads the modes, the route and the adiabatic
+    frame from them; the invariant policy follows.
     `stability` is the gate's report, or None (evolve_pair): with a report,
     CD on with a margin that is not positive raises CDInstabilityError
     before the record grid is formed, and every ContractError or
-    IntegrationError carries it as `report`."""
+    IntegrationError carries it as `report`.  Fewer than two record points,
+    or an rtol or atol that is not finite and positive, raise ContractError
+    first, as the command line refuses them."""
     try:
+        if record_points < 2:
+            raise ContractError(f"a run needs at least 2 record points, got {record_points}")
+        if not all(0.0 < tol < math.inf for tol in (rtol, atol)):
+            raise ContractError(
+                f"rtol and atol must be finite and positive, got rtol={rtol}, atol={atol}"
+            )
         if protocol.cd_enabled and stability is not None and not stability.passed:
             raise CDInstabilityError(
                 f"cd-instability at p = {stability.argmin_p:.6g}, "
                 f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
             )
+        times = np.linspace(0.0, protocol.t_f, record_points)
         c = protocol.grid(momenta, times)
         # every mode at every record: raises, before any integration, where
         # the spectrum turns imaginary between stability-grid points
@@ -140,7 +149,7 @@ def _evolve(protocol, stability, momenta, times, rtol, atol):
     except (ContractError, IntegrationError) as exc:
         exc.report = stability
         raise
-    return c, epsilon_cd, u, v, frame, report
+    return times, c, epsilon_cd, u, v, frame, report
 
 
 def _observe(times, c, epsilon_cd, u, v, frame, report):
@@ -193,11 +202,10 @@ def run_simulation(
     from .protocol import stability_margin
 
     stability = stability_margin(protocol)
-    times = np.linspace(0.0, protocol.t_f, record_points)
     # one expression, so that _evolve's frame state is released before the
     # aggregates form more of the coefficients
     traj, c, integration = _observe(
-        times, *_evolve(protocol, stability, protocol.momenta(), times, rtol, atol)
+        *_evolve(protocol, stability, protocol.momenta(), record_points, rtol, atol)
     )
     # sums over axis 0 add the modes one after another, in mode order
     return SimulationResult(
@@ -249,16 +257,19 @@ def sweep_tf(
     # imported here, as in run_simulation
     from .protocol import stability_margin
 
+    # any sequence or iterable: a numpy array has no truth value
+    tf_list = [float(t_f) for t_f in tf_list]
     if not tf_list:
         raise ContractError("sweep requires a nonempty t_f list")
-    runs = [protocol.with_tf(t_f) for t_f in map(float, tf_list)]
+    runs = [protocol.with_tf(t_f) for t_f in tf_list]
     reports = [stability_margin(run) for run in runs]
     rows = []
     for run, stability in zip(runs, reports):
         t_f, passed = run.t_f, stability.passed
-        times = np.linspace(0.0, t_f, record_points)
         try:
-            c, _, u, v, frame, _ = _evolve(run, stability, run.momenta(), times, rtol, atol)
+            _, c, _, u, v, frame, _ = _evolve(
+                run, stability, run.momenta(), record_points, rtol, atol
+            )
         except (CDInstabilityError, IntegrationError) as exc:
             gated = isinstance(exc, CDInstabilityError) and not passed
             # the row keeps the error, not the frames of its traceback

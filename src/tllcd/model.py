@@ -26,6 +26,15 @@ class CouplingFamily(str, Enum):
     CUSTOM_TABLE = "custom_table"
 
 
+def require_finite(what: str, values) -> None:
+    """ContractError unless every one of `values` is finite: NaN passes a
+    comparison such as `<= 0` and raises no float64 flag, so a protocol
+    refuses it where it is built."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ContractError(f"{what} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """Interaction-potential family with endpoint couplings.
@@ -48,6 +57,8 @@ class CouplingSpec:
     table: tuple = field(default=None)
 
     def __post_init__(self):
+        endpoints = (self.g2_start, self.g2_end, self.g4_start, self.g4_end, self.R0)
+        require_finite("coupling endpoints and R0", endpoints)
         if self.family == CouplingFamily.LORENTZIAN:
             if self.R0 <= 0:
                 raise ContractError("lorentzian coupling requires R0 > 0")
@@ -58,6 +69,7 @@ class CouplingSpec:
         if self.family == CouplingFamily.CUSTOM_TABLE:
             if not self.table:
                 raise ContractError("custom_table coupling requires table rows")
+            require_finite("table entries", (x for row in self.table for x in row))
             if len({row[0] for row in self.table}) < len(self.table):
                 raise ContractError("custom_table rows need distinct p")
 

@@ -47,6 +47,8 @@ class Schedule:
         if self.kind == ScheduleKind.CUSTOM_SAMPLES:
             if not self.samples or len(self.samples) < 2:
                 raise ContractError("custom schedule needs at least two samples")
+            values = (x for pt in self.samples for x in pt)
+            model.require_finite("custom schedule samples", values)
             pts = sorted(self.samples)
             if abs(pts[0][0]) > 1e-12 or abs(pts[0][1]) > 1e-12:
                 raise ContractError("custom schedule must start at (0, 0)")
@@ -62,11 +64,13 @@ class Schedule:
             return POLY5_MAX_DPDS
         if self.kind == ScheduleKind.LINEAR:
             return 1.0
-        xs, ys = self.sample_arrays()
+        xs, ys = self.sample_arrays
         return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
 
+    @cached_property
     def sample_arrays(self):
-        """(s, P) columns of the custom samples, sorted by s."""
+        """(s, P) columns of the custom samples, sorted by s, built once per
+        schedule."""
         return tuple(np.array(col) for col in zip(*sorted(self.samples)))
 
     def extremes(self):
@@ -74,7 +78,7 @@ class Schedule:
         on [0, 1]; P is piecewise linear between custom samples."""
         if self.kind != ScheduleKind.CUSTOM_SAMPLES:
             return np.array([0.0, 1.0]), np.array([0.0, 1.0])
-        xs, ys = self.sample_arrays()
+        xs, ys = self.sample_arrays
         at = [np.argmin(ys), np.argmax(ys)]
         return xs[at], ys[at]
 
@@ -90,7 +94,7 @@ def schedule_value(s, schedule: Schedule):
         return P, dP
     if schedule.kind == ScheduleKind.LINEAR:
         return s, np.ones_like(s)[()]
-    xs, ys = schedule.sample_arrays()
+    xs, ys = schedule.sample_arrays
     i = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, len(xs) - 2)
     slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
     return ys[i] + slope * (s - xs[i]), slope
@@ -195,6 +199,7 @@ class DriveProtocol:
     v_F: float = 1.0
 
     def __post_init__(self):
+        model.require_finite("protocol t_f, L and v_F", (self.t_f, self.L, self.v_F))
         if self.t_f <= 0 or self.L <= 0 or self.n_modes < 1 or self.v_F <= 0:
             raise ContractError("protocol requires t_f, L, v_F > 0 and n_modes >= 1")
 

@@ -332,73 +332,13 @@ def test_stability_reports_where_the_margin_is_least(tmp_path, capsys):
     ]
 
 
-def test_csv_writer_matches_savetxt(tmp_path):
-    rng = np.random.default_rng(3)
-    n = 2 * cli.CSV_BLOCK_ROWS + 3  # two full blocks and a partial one
-    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308, 0.1]
-    distinct = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
-    distinct[: len(special)] = special
-    flat = [
-        np.resize(special, n),  # repeated values, -0.0 beside 0.0
-        np.full(n, 1.0 / 3.0),  # constant
-        distinct,
-        np.repeat(np.linspace(0.0, 1.0, 9), n // 9 + 1)[:n].reshape(1, n),  # 2-D, runs
-    ]
-    # columns that broadcast to an (m, k) table of more than two blocks
-    m, k = 67, 71
-    assert m * k > 2 * cli.CSV_BLOCK_ROWS
-    broadcast = [
-        np.linspace(0.0, 1.0, k),  # (k,)
-        0.25 * np.arange(1, m + 1)[:, None],  # (m, 1)
-        np.float64(1.0 / 3.0),  # ()
-        np.broadcast_to(np.resize(special, k), (m, k)),  # stride 0 on axis 0
-        np.broadcast_to(np.resize(special, m)[:, None], (m, k)),  # on axis 1
-        rng.normal(size=(k, m)).T,  # full, not C-contiguous
-    ]
-    # values Python formats (nan, inf, -0.0, subnormals, zero) between
-    # values the numpy path formats, in full columns of three blocks and a
-    # partial one, also on either side of each block boundary
-    n = 3 * cli.CSV_BLOCK_ROWS + 5
-    mixed = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-30, 4, size=(2, n))
-    for column, offset in zip(mixed, (0, 1)):
-        for k, value in enumerate([np.nan, np.inf, -0.0, 5e-324, -2.5e-310, 0.0, -np.inf]):
-            column[offset + k :: 37 + 2 * k] = value
-        edges = np.arange(1, 4) * cli.CSV_BLOCK_ROWS
-        column[edges - 1 + offset], column[edges - offset] = np.nan, -0.0
-    mixed = [mixed[0], np.float64(np.nan), mixed[1]]
-    # full columns whose runs of equal bits cross every block edge, with
-    # values of 1 <= X <= 16 beside values of X <= 0 in the same block: a
-    # run of 12.5, nan runs, a run of -0.0 meeting a run of 0.0 (which a
-    # float == would merge), and a run that starts at a block's first row
-    n = 3 * cli.CSV_BLOCK_ROWS + 7
-    edges = np.arange(1, 4) * cli.CSV_BLOCK_ROWS
-    runs = rng.normal(size=(3, n))
-    for edge, value in zip(edges, (12.5, np.nan, -0.0)):
-        runs[0, edge - 5 : edge + 5] = value
-    runs[0, edges[2] + 5 : edges[2] + 9] = 0.0
-    runs[1] = np.repeat([np.nan, -0.0, 0.0, 12.5, 0.1, np.nan, 123456.75, -0.0], 777)[:n]
-    runs[2, : edges[0]] = 0.5
-    runs[2, edges[0] : edges[0] + 300] = -0.0  # starts at a block's first row
-    runs[2, edges[0] + 300 : edges[1] + 1] = 0.0
-    runs[2, edges[1] + 1 :: 2] = 12.5
-    runs = [runs[0], np.float64(0.25), runs[1], runs[2]]
-    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-    for columns in (flat, broadcast, mixed, runs):
-        header = ",".join("abcdef"[: len(columns)])
-        shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
-        table = np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
-        np.savetxt(want, table, fmt="%.17g", delimiter=",", header=header, comments="")
-        cli._write_csv(got, header, columns)
-        assert got.read_bytes() == want.read_bytes()
-
-
 def test_outputs_are_the_savetxt_bytes_of_the_run(tmp_path):
     # the run's own columns, of several blocks, not only synthetic tables
     want = tmp_path / "want.csv"
     for text in (BLOCKS_CONFIG, BLOCKS_TABLE_CONFIG):
         cfg, result = run_config(text)
         traj = result.trajectories
-        assert traj.n_qp.size > 2 * cli.CSV_BLOCK_ROWS
+        assert traj.n_qp.size > 2 * _fmt17.CSV_BLOCK_ROWS
         paths = cli.write_outputs(result, cfg, tmp_path / "out")
         modes = [traj.times, traj.p[:, None]]
         modes += [getattr(traj, name) for name in cli.MODES_HEADER.split(",")[2:]]
@@ -419,7 +359,7 @@ def test_formatter_gets_each_run_of_a_block_once(tmp_path, monkeypatch):
     # what the formatter is handed for modes.csv: per block, one value for
     # each run of equal bits down a full column.  The block calls follow
     # those of the columns that repeat (t, p, chi)
-    handed, words, write_csv = [], _fmt17.words, cli._write_csv
+    handed, words, write_csv = [], _fmt17.words, _fmt17.write_csv
     per_file = {}
 
     def spy(values):
@@ -432,8 +372,8 @@ def test_formatter_gets_each_run_of_a_block_once(tmp_path, monkeypatch):
         per_file[header] = list(handed)
 
     monkeypatch.setattr(_fmt17, "words", spy)
-    monkeypatch.setattr(cli, "_write_csv", writer)
-    block = cli.CSV_BLOCK_ROWS
+    monkeypatch.setattr(_fmt17, "write_csv", writer)
+    block = _fmt17.CSV_BLOCK_ROWS
     for text, cd in ((BLOCKS_CONFIG, True), (BLOCKS_TABLE_CONFIG, False)):
         cfg, result = run_config(text)
         traj = result.trajectories

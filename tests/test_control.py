@@ -77,6 +77,16 @@ def test_custom_schedule():
         Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0),))
 
 
+def test_custom_schedule_arrays_are_built_once():
+    # as CouplingSpec.table_arrays: sorted once per schedule, not per call
+    sch = Schedule(
+        ScheduleKind.CUSTOM_SAMPLES, samples=((0.5, 0.2), (1.0, 1.0), (0.0, 0.0))
+    )
+    xs, ys = sch.sample_arrays
+    assert sch.sample_arrays is sch.sample_arrays
+    assert xs.tolist() == [0.0, 0.5, 1.0] and ys.tolist() == [0.0, 0.2, 1.0]
+
+
 def test_custom_schedule_steepest_slope_may_fall():
     # a ramp that rises at 2.5, falls at -20 and rises at 20/11: the
     # steepest slope is the falling one, |dP/ds| = 20, everywhere the

@@ -319,6 +319,47 @@ def test_sweep_tf_rows():
         dynamics.sweep_tf(proto, [])
 
 
+def test_sweep_tf_takes_any_sequence_of_t_f():
+    # an array, a tuple and a generator give the rows of the list
+    proto = make_protocol(L=40.0, n_modes=1, cd=False)
+    want = dynamics.sweep_tf(proto, [4.0, 40.0], record_points=21)
+    for tf_list in (np.array([4.0, 40.0]), (4.0, 40.0), (t for t in (4.0, 40.0))):
+        assert dynamics.sweep_tf(proto, tf_list, record_points=21) == want
+    with pytest.raises(ContractError, match="nonempty"):
+        dynamics.sweep_tf(proto, np.array([]))
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(record_points=0),
+        dict(record_points=1),
+        dict(record_points=-1),
+        dict(rtol=-1e-10),
+        dict(rtol=0.0),
+        dict(rtol=math.inf),
+        dict(atol=math.nan),
+    ],
+    ids=["points-0", "points-1", "points-negative", "rtol-negative", "rtol-zero",
+         "rtol-inf", "atol-nan"],
+)
+def test_run_settings_are_refused_before_integration(settings, monkeypatch):
+    # the one evolution refuses what the command line refuses, for every
+    # entry point, before it forms the record grid or integrates
+    calls = []
+    monkeypatch.setattr(dynamics, "integrate_modes", lambda *args: calls.append(args))
+    proto = make_protocol(L=100.0, n_modes=32, cd=False, t_f=20.0)
+    for run in (
+        lambda: dynamics.run_simulation(proto, **settings),
+        lambda: dynamics.sweep_tf(proto, [10.0, 20.0], **settings),
+        lambda: dynamics.evolve_pair(proto.momenta()[0], proto, **settings),
+    ):
+        with pytest.raises(ContractError, match="record points|rtol and atol") as caught:
+            run()
+        assert type(caught.value) is ContractError
+    assert calls == []
+
+
 def test_sweep_tf_flags_unstable():
     proto = make_protocol(L=40.0, n_modes=1, cd=True)
     rows = dynamics.sweep_tf(proto, [0.02], record_points=11)

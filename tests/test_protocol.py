@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tllcd import dynamics, protocol
+from tllcd import cli, dynamics, protocol
 from tllcd.closed_forms import controlled_coefficients
 from tllcd.errors import ConfigError, ContractError, LuttingerInstabilityError
 from tllcd.model import TWO_PI, CouplingFamily, CouplingSpec
@@ -44,6 +44,40 @@ def test_protocol_validation():
         reference_protocol(t_f=-1.0)
     with pytest.raises(ContractError):
         reference_protocol(n_modes=0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: reference_protocol(t_f=float("nan")),
+        lambda: reference_protocol(t_f=float("inf")),
+        lambda: reference_protocol(L=float("nan")),
+        lambda: reference_protocol(L=float("inf")),
+        lambda: replace(reference_protocol(), v_F=float("nan")),
+        lambda: reference_protocol().with_tf(float("nan")),
+        lambda: CouplingSpec(g2_end=float("nan")),
+        lambda: CouplingSpec(g4_start=float("-inf")),
+        lambda: CouplingSpec(CouplingFamily.LORENTZIAN, 0.0, 1.0, 0.0, 1.0, R0=float("nan")),
+        lambda: CouplingSpec(
+            CouplingFamily.CUSTOM_TABLE, table=((0.0, 1.0, 0.5), (1.0, float("nan"), 0.5))
+        ),
+        lambda: Schedule(
+            ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (0.5, float("nan")), (1.0, 1.0))
+        ),
+    ],
+    ids=[
+        "t_f-nan", "t_f-inf", "L-nan", "L-inf", "v_F-nan", "with_tf-nan", "g2_end-nan",
+        "g4_start-inf", "R0-nan", "table-entry-nan", "custom-sample-nan",
+    ],
+)
+def test_non_finite_protocol_fields_are_refused_where_built(build):
+    # NaN passes `<= 0` and raises no float64 flag, so validate() would
+    # never see it: each field is refused at construction, as the command
+    # line refuses it at parse time, and exits 2 as a config error
+    with pytest.raises(ContractError, match="must be finite") as caught:
+        build()
+    assert type(caught.value) is ContractError
+    assert cli.failure_exit(caught.value) == (cli.EXIT_CONFIG, "config error")
 
 
 def test_momenta_grid():
