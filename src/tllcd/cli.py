@@ -28,8 +28,8 @@ from .errors import (
     IntegrationError,
     LuttingerInstabilityError,
 )
-from .model import CouplingFamily, CouplingSpec
-from .protocol import DriveProtocol, Schedule, ScheduleKind, stability_margin
+from .model import CouplingSpec
+from .protocol import DriveProtocol, Schedule, stability_margin
 
 EXIT_CONFIG = 2
 EXIT_INSTABILITY = 3
@@ -88,7 +88,7 @@ class RunConfig:
                 rows.append(tuple(_finite(x, "table entry") for x in parts))
             table = tuple(rows)
         return CouplingSpec(
-            family=CouplingFamily(self.family),
+            family=self.family,
             g2_start=self.g2_start,
             g2_end=self.g2_end,
             g4_start=self.g4_start,
@@ -102,7 +102,7 @@ class RunConfig:
             raise ConfigError("t_f must be positive for this command")
         return DriveProtocol(
             coupling=self.coupling(),
-            schedule=Schedule(kind=ScheduleKind(self.schedule)),
+            schedule=Schedule(kind=self.schedule),
             t_f=self.t_f,
             L=self.L,
             n_modes=self.n_modes,
@@ -172,17 +172,16 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.n_modes < 1 or cfg.record_points < 2:
         raise ConfigError("n_modes must be >= 1 and record_points >= 2")
     cfg.tf_values()  # raises ConfigError on a bad entry
-    if cfg.family not in {f.value for f in CouplingFamily}:
-        raise ConfigError(f"unknown coupling family '{cfg.family}'")
-    if cfg.schedule not in {k.value for k in ScheduleKind if k != ScheduleKind.CUSTOM_SAMPLES}:
-        raise ConfigError(f"unknown schedule '{cfg.schedule}'")
     if cfg.cd not in ("on", "off"):
         raise ConfigError("cd must be 'on' or 'off'")
     if cfg.units not in ("natural", "experimental"):
         raise ConfigError("units must be 'natural' or 'experimental'")
     if cfg.emit_plots not in ("true", "false"):
         raise ConfigError("emit_plots must be 'true' or 'false'")
-    cfg.coupling()  # raises ConfigError on a bad table row
+    # ConfigError on a bad table row; ContractError on an unknown family or
+    # schedule, or a custom schedule, which takes samples no key gives
+    cfg.coupling()
+    Schedule(kind=cfg.schedule)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CDInstabilityError, ContractError, IntegrationError
 from .integrator import IntegrationReport, integrate_modes
-from .model import instantaneous_spectrum, spectrum_with_cd
+from .model import instantaneous_spectrum, is_count, spectrum_with_cd
 from .protocol import DriveProtocol, StabilityReport
 
 DEFAULT_RTOL = 1e-10
@@ -92,8 +92,19 @@ def evolve_pair(
 ) -> Trajectories:
     """Evolve one (p, -p) pair from the vacuum over [0, t_f] and record its
     state, as integrated, and observables: the one-row case of the
-    trajectories of a run."""
-    return _observe(*_evolve(protocol, None, [p], record_points, rtol, atol))[0]
+    trajectories of a run, behind run_simulation's gate.  A p that is not
+    finite and positive raises ContractError, and one whose coefficients
+    leave float64 range ConfigError, DriveProtocol.validate's check at p;
+    then stability_margin gates the protocol, and every error raised after
+    it carries its report, as for run_simulation."""
+    # imported here, as in run_simulation
+    from .protocol import stability_margin
+
+    if not 0.0 < p < math.inf:
+        raise ContractError(f"pair momentum must be finite and positive, got {p}")
+    protocol._validate_at(lambda: np.array([p], dtype=float))
+    stability = stability_margin(protocol)
+    return _observe(*_evolve(protocol, stability, [p], record_points, rtol, atol))[0]
 
 
 def enforce_invariant(defect: float, error: type) -> None:
@@ -117,20 +128,23 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
     of every run.  The coefficients on the record grid are evaluated once,
     here, and the integrator reads the modes, the route and the adiabatic
     frame from them; the invariant policy follows.
-    `stability` is the gate's report, or None (evolve_pair): with a report,
+    `stability` is the gate's report, stability_margin's for `protocol`:
     CD on with a margin that is not positive raises CDInstabilityError
     before the record grid is formed, and every ContractError or
-    IntegrationError carries it as `report`.  Fewer than two record points,
-    or an rtol or atol that is not finite and positive, raise ContractError
-    first, as the command line refuses them."""
+    IntegrationError carries it as `report`.  A record_points that is not
+    an integer (is_count) of at least 2, or an rtol or atol that is not
+    finite and positive, raises ContractError first, as the command line
+    refuses them."""
     try:
-        if record_points < 2:
-            raise ContractError(f"a run needs at least 2 record points, got {record_points}")
+        if not (is_count(record_points) and record_points >= 2):
+            raise ContractError(
+                f"a run needs an integer number of record points >= 2, got {record_points!r}"
+            )
         if not all(0.0 < tol < math.inf for tol in (rtol, atol)):
             raise ContractError(
                 f"rtol and atol must be finite and positive, got rtol={rtol}, atol={atol}"
             )
-        if protocol.cd_enabled and stability is not None and not stability.passed:
+        if protocol.cd_enabled and not stability.passed:
             raise CDInstabilityError(
                 f"cd-instability at p = {stability.argmin_p:.6g}, "
                 f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"

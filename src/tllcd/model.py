@@ -9,6 +9,7 @@ Natural units throughout: hbar = 1, couplings in units of v_F, momenta in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -35,6 +36,13 @@ def require_finite(what: str, values) -> None:
             raise ContractError(f"{what} must be finite, got {value}")
 
 
+def is_count(value) -> bool:
+    """True for an int or a numpy integer; False for a bool and for a float,
+    even an integral one such as 4.0, since none of them counts modes or
+    records."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """Interaction-potential family with endpoint couplings.
@@ -46,6 +54,9 @@ class CouplingSpec:
     custom_table: rows (p, g2, g4) give the endpoint profile, interpolated
                  linearly in p and clamped at the table edges; the schedule
                  ramps the profile from zero.
+
+    `family` may be given as its value ("contact", ...); an unknown one is
+    a ContractError where the spec is built.
     """
 
     family: CouplingFamily = CouplingFamily.CONTACT
@@ -57,6 +68,10 @@ class CouplingSpec:
     table: tuple = field(default=None)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "family", CouplingFamily(self.family))
+        except ValueError:
+            raise ContractError(f"unknown coupling family '{self.family}'") from None
         endpoints = (self.g2_start, self.g2_end, self.g4_start, self.g4_end, self.R0)
         require_finite("coupling endpoints and R0", endpoints)
         if self.family == CouplingFamily.LORENTZIAN:
@@ -69,6 +84,8 @@ class CouplingSpec:
         if self.family == CouplingFamily.CUSTOM_TABLE:
             if not self.table:
                 raise ContractError("custom_table coupling requires table rows")
+            if any(np.shape(row) != (3,) for row in self.table):
+                raise ContractError("custom_table rows must be (p, g2, g4) triples")
             require_finite("table entries", (x for row in self.table for x in row))
             if len({row[0] for row in self.table}) < len(self.table):
                 raise ContractError("custom_table rows need distinct p")
@@ -190,8 +207,19 @@ def spectrum_with_cd(v_s, p, chi):
     return np.sqrt(vp * vp - chi * chi)
 
 
+def require_mode_grid(L: float, n_modes: int) -> None:
+    """The rule of the mode grid: ContractError unless L is finite and
+    positive and n_modes an integer (is_count) of at least 1."""
+    require_finite("mode grid length L", (L,))
+    if not (L > 0 and is_count(n_modes) and n_modes >= 1):
+        raise ContractError(
+            f"mode grid requires L > 0 and an integer n_modes >= 1, got L = {L}, "
+            f"n_modes = {n_modes!r}"
+        )
+
+
 def mode_momenta(L: float, n_modes: int) -> np.ndarray:
-    """Quantized pair momenta p_n = 2 pi n / L, n = 1..n_modes."""
-    if L <= 0 or n_modes < 1:
-        raise ContractError("mode grid requires L > 0 and n_modes >= 1")
+    """Quantized pair momenta p_n = 2 pi n / L, n = 1..n_modes, on a grid
+    that require_mode_grid accepts."""
+    require_mode_grid(L, n_modes)
     return TWO_PI * np.arange(1, n_modes + 1) / L

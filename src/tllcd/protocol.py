@@ -37,13 +37,18 @@ class Schedule:
 
     poly5 is the fifth-order ansatz 10 s^3 - 15 s^4 + 6 s^5 with vanishing
     first and second derivatives at both ends.  custom_samples interpolates
-    (s, P) pairs linearly.
+    (s, P) pairs linearly.  `kind` may be given as its value ("poly5",
+    ...); an unknown one is a ContractError where the schedule is built.
     """
 
     kind: ScheduleKind = ScheduleKind.POLY5
     samples: tuple = field(default=None)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", ScheduleKind(self.kind))
+        except ValueError:
+            raise ContractError(f"unknown schedule '{self.kind}'") from None
         if self.kind == ScheduleKind.CUSTOM_SAMPLES:
             if not self.samples or len(self.samples) < 2:
                 raise ContractError("custom schedule needs at least two samples")
@@ -199,9 +204,10 @@ class DriveProtocol:
     v_F: float = 1.0
 
     def __post_init__(self):
-        model.require_finite("protocol t_f, L and v_F", (self.t_f, self.L, self.v_F))
-        if self.t_f <= 0 or self.L <= 0 or self.n_modes < 1 or self.v_F <= 0:
-            raise ContractError("protocol requires t_f, L, v_F > 0 and n_modes >= 1")
+        model.require_finite("protocol t_f and v_F", (self.t_f, self.v_F))
+        if self.t_f <= 0 or self.v_F <= 0:
+            raise ContractError("protocol requires t_f, v_F > 0")
+        model.require_mode_grid(self.L, self.n_modes)
 
     def momenta(self) -> np.ndarray:
         return model.mode_momenta(self.L, self.n_modes)
@@ -249,13 +255,19 @@ class DriveProtocol:
         rate and the adiabaticity, the squares of omega and chi_cd (in the
         spectra), t_adiabatic and omega t_f (the largest phase).
         """
+        self._validate_at(self.momenta)
+
+    def _validate_at(self, momenta) -> None:
+        """validate() at the pair momenta that `momenta()` returns, which are
+        formed inside the range check: the protocol's own, or the one pair
+        of evolve_pair."""
         s, P = self.schedule.extremes()
         P = P[None, :]
         # numpy, not Python, floats: a Python float overflows to inf silently
         dP = np.float64(self.schedule.max_derivative())
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                p = self.momenta()[:, None]
+                p = momenta()[:, None]
                 c = self._coefficients(p, P, dP)
                 excess = np.abs(c.g) - c.omega
                 if np.any(excess >= 0):

@@ -109,6 +109,13 @@ def test_custom_schedule_refuses_a_repeated_s():
             Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=samples)
 
 
+def test_schedule_kind_is_checked_where_built():
+    # an unknown kind used to fail at the first evaluation with TypeError
+    assert Schedule("linear").kind is ScheduleKind.LINEAR
+    with pytest.raises(ContractError, match="unknown schedule 'bogus'"):
+        Schedule("bogus")
+
+
 def test_schedule_domain():
     with pytest.raises(ContractError):
         schedule_value(1.2, Schedule(ScheduleKind.POLY5))

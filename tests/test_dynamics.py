@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tllcd import dynamics, fock, integrator, su11, validate
+from tllcd import dynamics, fock, integrator, protocol, su11, validate
 from tllcd.closed_forms import bogoliubov_angle
 from tllcd.errors import (
     CDInstabilityError,
+    ConfigError,
     ContractError,
     IntegrationError,
     LuttingerInstabilityError,
@@ -339,9 +340,12 @@ def test_sweep_tf_takes_any_sequence_of_t_f():
         dict(rtol=0.0),
         dict(rtol=math.inf),
         dict(atol=math.nan),
+        dict(record_points=2.5),
+        dict(record_points=np.float64(3.0)),
+        dict(record_points=True),
     ],
     ids=["points-0", "points-1", "points-negative", "rtol-negative", "rtol-zero",
-         "rtol-inf", "atol-nan"],
+         "rtol-inf", "atol-nan", "points-fraction", "points-numpy-float", "points-bool"],
 )
 def test_run_settings_are_refused_before_integration(settings, monkeypatch):
     # the one evolution refuses what the command line refuses, for every
@@ -357,6 +361,24 @@ def test_run_settings_are_refused_before_integration(settings, monkeypatch):
         with pytest.raises(ContractError, match="record points|rtol and atol") as caught:
             run()
         assert type(caught.value) is ContractError
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "p, error",
+    [(math.nan, ContractError), (math.inf, ContractError), (-1.0, ContractError),
+     (0.0, ContractError), (1e160, ConfigError)],
+    ids=["nan", "inf", "negative", "zero", "out-of-range"],
+)
+def test_evolve_pair_refuses_a_bad_momentum_before_the_gate(p, error, monkeypatch):
+    # a NaN used to climb the step-doubling ladder before it failed, inf
+    # and 1e160 to warn, and a negative p to fail the CD gate
+    calls = []
+    monkeypatch.setattr(dynamics, "integrate_modes", lambda *args: calls.append(args))
+    monkeypatch.setattr(protocol, "stability_margin", lambda *args: calls.append(args))
+    with pytest.raises(error) as caught:
+        dynamics.evolve_pair(p, make_protocol(n_modes=4))
+    assert type(caught.value) is error
     assert calls == []
 
 

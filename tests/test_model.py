@@ -108,10 +108,15 @@ def test_mass_is_unity_for_equal_couplings(g):
 def test_mode_momenta():
     p = mode_momenta(100.0, 3)
     assert np.allclose(p, TWO_PI * np.array([1, 2, 3]) / 100.0)
+    assert np.array_equal(mode_momenta(100.0, np.int64(3)), p)
     with pytest.raises(ContractError):
         mode_momenta(0.0, 3)
     with pytest.raises(ContractError):
         mode_momenta(10.0, 0)
+    # np.arange(1, 3.5) has 3 entries: a float or a bool is no mode count
+    for n_modes in (2.5, 4.0, np.float64(3.0), True):
+        with pytest.raises(ContractError, match="integer n_modes"):
+            mode_momenta(10.0, n_modes)
 
 
 def test_contact_coupling_ramp():
@@ -183,3 +188,17 @@ def test_custom_table_refuses_a_repeated_p():
     rows = ((0.0, 0.9, 0.45), (0.5, 0.8, 0.4), (0.5, 0.2, 0.1), (2.5, 0.6, 0.35))
     with pytest.raises(ContractError, match="distinct p"):
         CouplingSpec(family=CouplingFamily.CUSTOM_TABLE, table=rows)
+
+
+def test_coupling_family_is_checked_where_built():
+    # an unknown family used to fail at the first evaluation with TypeError
+    assert CouplingSpec(family="lorentzian", R0=1.0).family is CouplingFamily.LORENTZIAN
+    with pytest.raises(ContractError, match="unknown coupling family 'bogus'"):
+        CouplingSpec(family="bogus")
+
+
+def test_custom_table_refuses_a_ragged_row():
+    # a 2-entry row used to raise IndexError at the first evaluation
+    for rows in (((0.0, 0.5, 0.2), (1.0, 0.4)), ((0.0, 0.5, 0.2, 0.1), (1.0, 0.4, 0.2))):
+        with pytest.raises(ContractError, match="triples"):
+            CouplingSpec(family=CouplingFamily.CUSTOM_TABLE, table=rows)

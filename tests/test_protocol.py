@@ -44,6 +44,11 @@ def test_protocol_validation():
         reference_protocol(t_f=-1.0)
     with pytest.raises(ContractError):
         reference_protocol(n_modes=0)
+    # n_modes = 2.5 used to run 3 modes, and True 1
+    for n_modes in (2.5, 4.0, True):
+        with pytest.raises(ContractError, match="integer n_modes"):
+            reference_protocol(n_modes=n_modes)
+    assert reference_protocol(n_modes=np.int64(3)).momenta().shape == (3,)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,11 @@ the given seeds of every workload in perfbench/workloads.py, `simulate` and
 `sweep` on each golden config tests/data/golden/*/run.cfg, and `validate`.
 A golden sweep takes the config's own t_f and four times it, and with CD
 on also t_f/1000, which the gate refuses on every golden config; the
-config is read by this checkout's `tllcd.cli.parse_config`.  Each run is
+config is read by this checkout's `tllcd.cli.parse_config`.  Four
+`simulate` runs of the contact golden config with one line changed are
+refused (REFUSALS): an unknown family, a custom schedule with no samples
+and one record point exit 2, and a Luttinger-unstable coupling exits 3
+after writing its failure manifest.  Each run is
 a fresh `python -W error` process with that tree's `src` alone on the path.
 Every file a run writes, its exit code, stdout and stderr (with the run's
 directory replaced by `<run>`) are compared byte for byte.  Exits 0 when
@@ -27,6 +31,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# (name, line of the contact golden config, the line that replaces it)
+REFUSALS = (
+    ("family", "family = contact", "family = bogus"),
+    ("schedule", "schedule = poly5", "schedule = custom_samples"),
+    ("record-points", "record_points = 21", "record_points = 1"),
+    ("unstable", "g2_end = 1.0", "g2_end = 7.0"),
+)
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import workloads  # noqa: E402
@@ -44,6 +55,10 @@ def cases(seeds) -> list:
         name, text = cfg.parent.name, cfg.read_text()
         runs.append((f"golden-{name}", text, _simulate))
         runs.append((f"golden-sweep-{name}", text, _sweep(text)))
+    contact = (ROOT / "tests" / "data" / "golden" / "contact_poly5_cd" / "run.cfg").read_text()
+    for name, line, refused in REFUSALS:
+        assert line in contact, line
+        runs.append((f"refused-{name}", contact.replace(line, refused), _simulate))
     runs.append(("validate", None, lambda config, out: ["validate"]))
     return runs
 
