@@ -2,7 +2,11 @@
 emission for the tll-cd-sim command.
 
 Config files are flat ``key = value`` text with '#' comments; unknown keys
-are rejected.  All outputs (CSV, manifest) are byte-stable for identical
+are rejected.  A config is refused at parse time, before anything is
+written, by the library's own rules where the library has one: the run
+settings by `dynamics.require_run_settings`, the mode grid by
+`model.require_mode_grid`, the family and the schedule by the types they
+build.  All outputs (CSV, manifest) are byte-stable for identical
 inputs.  This module names the CSV columns; their text, blocks and bytes
 belong to `_fmt17.write_csv`.  Exit codes: 0 ok, 2 config, 3 instability,
 4 integration, 5 validation.  `closed_forms` gives the `sound_velocity` of
@@ -28,7 +32,7 @@ from .errors import (
     IntegrationError,
     LuttingerInstabilityError,
 )
-from .model import CouplingSpec
+from .model import CouplingSpec, require_mode_grid
 from .protocol import DriveProtocol, Schedule, stability_margin
 
 EXIT_CONFIG = 2
@@ -47,8 +51,6 @@ FAILURE_CLASSES = tuple(cls for classes, _, _ in FAILURES for cls in classes)
 
 MODES_HEADER = "t,p,n_bare,n_qp,fidelity,pair_energy,residual,epsilon_cd,chi"
 AGGREGATE_HEADER = "t,total_residual,total_energy,v_s,K,chi,min_margin"
-
-_POSITIVE_KEYS = ("L", "v_F", "rtol", "atol")
 
 
 @dataclass
@@ -166,11 +168,12 @@ def _validate_config(cfg: RunConfig) -> None:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value}")
-    for key in _POSITIVE_KEYS:
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
-    if cfg.n_modes < 1 or cfg.record_points < 2:
-        raise ConfigError("n_modes must be >= 1 and record_points >= 2")
+    dynamics.require_run_settings(cfg.rtol, cfg.atol, cfg.record_points)
+    require_mode_grid(cfg.L, cfg.n_modes)
+    # a config may name no t_f, so no DriveProtocol, which owns this rule
+    # with t_f's, exists yet
+    if cfg.v_F <= 0:
+        raise ConfigError(f"v_F must be positive, got {cfg.v_F}")
     cfg.tf_values()  # raises ConfigError on a bad entry
     if cfg.cd not in ("on", "off"):
         raise ConfigError("cd must be 'on' or 'off'")

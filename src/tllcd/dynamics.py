@@ -120,6 +120,18 @@ def enforce_invariant(defect: float, error: type) -> None:
         )
 
 
+def require_run_settings(rtol: float, atol: float, record_points: int) -> None:
+    """The rule of a run's settings, for the library and the command line
+    alike: ContractError, naming the key, unless record_points is an
+    integer (is_count) of at least 2 and rtol and atol are finite and
+    positive."""
+    if not (is_count(record_points) and record_points >= 2):
+        raise ContractError(f"record_points must be an integer >= 2, got {record_points!r}")
+    for key, tol in (("rtol", rtol), ("atol", atol)):
+        if not 0.0 < tol < math.inf:
+            raise ContractError(f"{key} must be finite and positive, got {tol}")
+
+
 def _evolve(protocol, stability, momenta, record_points, rtol, atol):
     """(times, CoefficientGrid, epsilon_cd, u, v, frame, IntegrationReport)
     of the pairs `momenta` (rows), all started from the vacuum, on the
@@ -131,19 +143,11 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
     `stability` is the gate's report, stability_margin's for `protocol`:
     CD on with a margin that is not positive raises CDInstabilityError
     before the record grid is formed, and every ContractError or
-    IntegrationError carries it as `report`.  A record_points that is not
-    an integer (is_count) of at least 2, or an rtol or atol that is not
-    finite and positive, raises ContractError first, as the command line
-    refuses them."""
+    IntegrationError carries it as `report`.  Settings that
+    require_run_settings refuses raise its ContractError first, the one
+    the command line raises for them."""
     try:
-        if not (is_count(record_points) and record_points >= 2):
-            raise ContractError(
-                f"a run needs an integer number of record points >= 2, got {record_points!r}"
-            )
-        if not all(0.0 < tol < math.inf for tol in (rtol, atol)):
-            raise ContractError(
-                f"rtol and atol must be finite and positive, got rtol={rtol}, atol={atol}"
-            )
+        require_run_settings(rtol, atol, record_points)
         if protocol.cd_enabled and not stability.passed:
             raise CDInstabilityError(
                 f"cd-instability at p = {stability.argmin_p:.6g}, "

@@ -151,12 +151,12 @@ of B_u and B_v.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, IntegrationError
+from .model import is_count
 
 # Names of the two routes in run manifests: Magnus steps, or the phase
 # integral alone where the frame generator is diagonal (CD on).
@@ -263,10 +263,11 @@ def fixed_steps(grid, times, coefficients, u0, v0, substeps):
     """(u, v) on the record grid `times` after `substeps` steps per record
     interval, without error control: the method's raw convergence, for
     order checks; entries are non-finite where a step overflows.
-    `substeps` is any integer >= 1.  The other arguments, and the route
-    they pick, are as for integrate_modes; the phase route sums the panels
-    of one of its passes on the couplings' rows and forms the state."""
-    if not isinstance(substeps, numbers.Integral) or substeps < 1:
+    A `substeps` that is not an integer (model.is_count) of at least 1
+    raises ContractError.  The other arguments, and the route they pick,
+    are as for integrate_modes; the phase route sums the panels of one of
+    its passes on the couplings' rows and forms the state."""
+    if not (is_count(substeps) and substeps >= 1):
         raise ContractError(f"substeps must be an integer >= 1, got {substeps!r}")
     route = _route(grid, times, coefficients, u0, v0)
     route.fixed(substeps)

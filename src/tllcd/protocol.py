@@ -320,9 +320,9 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
     times, where it is least, and the largest adiabaticity on the same grid.
 
     Every mode is evaluated, STABILITY_BLOCK_MODES at a time, from one
-    evaluation of the schedule.  Contact
-    couplings are evaluated at the slowest mode p = 2 pi/L alone: there v_s
-    and chi do not depend on p, so that mode saturates both criteria first.
+    evaluation of the schedule.  Contact couplings are evaluated at the
+    slowest mode alone, the first of momenta(), p_1 = 2 pi/L: there v_s and
+    chi do not depend on p, so that mode saturates both criteria first.
     The CD amplitude is evaluated regardless of cd_enabled: the criterion
     limits what switching CD on would do.
     """
@@ -330,7 +330,7 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
     t = np.linspace(0.0, protocol.t_f, STABILITY_GRID_POINTS)
     P, dP = schedule_value(t[None, :] / protocol.t_f, protocol.schedule)
     if protocol.coupling.family == CouplingFamily.CONTACT:
-        momenta = np.array([TWO_PI / protocol.L])
+        momenta = protocol.momenta()[:1]
     else:
         momenta = protocol.momenta()
     # per block: (least margin, its p, its t, largest adiabaticity)

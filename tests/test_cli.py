@@ -133,6 +133,9 @@ def test_parse_config_rejects_unstable_endpoint(tmp_path):
 FLOAT_KEYS = sorted(
     f.name for f in fields(cli.RunConfig) if isinstance(f.default, float)
 )
+# refused unless positive: L by model.require_mode_grid, rtol and atol by
+# dynamics.require_run_settings (ContractError), v_F by the CLI (ConfigError)
+POSITIVE_KEYS = ("L", "v_F", "rtol", "atol")
 
 
 def config_with(key, value):
@@ -148,13 +151,13 @@ def test_parse_config_property(key, value):
     try:
         cfg = parse_config(config_with(key, repr(value)))
     except ContractError:
-        assert math.isfinite(value) and key not in cli._POSITIVE_KEYS or value > 0
+        assert key in ("L", "rtol", "atol") and value <= 0
         return
     except ConfigError:
-        assert not math.isfinite(value) or (key in cli._POSITIVE_KEYS and value <= 0)
+        assert not math.isfinite(value) or (key == "v_F" and value <= 0)
         return
     assert math.isfinite(value) and getattr(cfg, key) == value
-    assert all(getattr(cfg, k) > 0 for k in cli._POSITIVE_KEYS)
+    assert all(getattr(cfg, k) > 0 for k in POSITIVE_KEYS)
     assert parse_config(cli.serialize_config(cfg)) == cfg
 
 
@@ -176,10 +179,54 @@ def test_parse_config_tf_list_property(values):
      ("record_points", "1")],
 )
 def test_parse_config_rejects_bad_numbers(key, value, tmp_path):
-    with pytest.raises(ConfigError, match=key):
+    # finite run settings and mode grids are refused by the library's rules
+    library = key in ("rtol", "atol", "L", "record_points") and value != "nan"
+    with pytest.raises(ContractError if library else ConfigError, match=key):
         parse_config(config_with(key, value))
     cfg = write_config(tmp_path, config_with(key, value))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("rtol", "0"), ("rtol", "-1"), ("atol", "0"), ("atol", "-1"), ("L", "0"), ("L", "-1"),
+     ("n_modes", "0"), ("n_modes", "-1"), ("record_points", "0"), ("record_points", "1"),
+     ("record_points", "-1")],
+)
+def test_parse_config_and_the_library_refuse_alike(key, value):
+    # one rule each: the mode grid's (model.require_mode_grid) and the run
+    # settings' (dynamics.require_run_settings), with one message
+    with pytest.raises(ContractError) as parsed:
+        parse_config(config_with(key, value))
+    typed = {f.name: type(f.default) for f in fields(cli.RunConfig)}[key](value)
+    cfg = parse_config(GOOD_CONFIG)
+    settings = dict(rtol=cfg.rtol, atol=cfg.atol, record_points=cfg.record_points)
+    with pytest.raises(ContractError) as library:
+        if key in ("L", "n_modes"):
+            replace(cfg.protocol(), **{key: typed})
+        else:
+            dynamics.run_simulation(cfg.protocol(), **{**settings, key: typed})
+    assert str(library.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("simulate", TABLE_CONFIG.replace("0.1:0:0;", "0.1:0;"), "bad table row ' 0.1:0'"),
+        ("simulate", GOOD_CONFIG.replace("t_f = 6.0", ""), "t_f must be positive"),
+        ("simulate", GOOD_CONFIG.replace("cd = on", "cd = yes"), "cd must be"),
+        ("simulate", GOOD_CONFIG + "units = si\n", "units must be"),
+        ("simulate", GOOD_CONFIG + "emit_plots = yes\n", "emit_plots must be"),
+        ("sweep", GOOD_CONFIG, "sweep needs tf_list"),
+    ],
+    ids=["table-row", "no-t_f", "cd", "units", "emit_plots", "sweep-without-t_f-list"],
+)
+def test_config_refusals_write_nothing(command, text, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
 
 
 def test_overrides_are_validated(tmp_path):
@@ -646,6 +693,16 @@ def test_sweep_subcommand(tmp_path):
     assert res8 < res4
 
 
+def test_sweep_without_t_f_takes_the_list(tmp_path, capsys):
+    # a sweep config may name no t_f: the protocol takes the first of the list
+    text = GOOD_CONFIG.replace("t_f = 6.0", "") + "tf_list = 4.0,8.0,6.0\n"
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "6"]
+    assert capsys.readouterr().out.splitlines() == lines[1:]
+
+
 @pytest.mark.parametrize("stop", ["step_cap", "invariant"])
 def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys):
     # the two ways an integration stops, at t_f = 40 only.  Without CD, at
@@ -780,6 +837,12 @@ def test_validate_subcommand(capsys):
     assert lines == [f"[PASS] {name}" for name in VALIDATION_CHECKS] + [
         "all validation checks passed"
     ]
+
+
+def test_a_failed_validation_check_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(validate, "run_validation_suite", lambda: 1)
+    assert main(["validate"]) == cli.EXIT_VALIDATION == 5
+    assert capsys.readouterr().out == "1 validation check(s) failed\n"
 
 
 def test_validation_suite_counts_failures():

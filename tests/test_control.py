@@ -75,6 +75,8 @@ def test_custom_schedule():
         Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.1), (1.0, 1.0)))
     with pytest.raises(ContractError):
         Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0),))
+    with pytest.raises(ContractError, match=r"end at \(1, 1\)"):
+        Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (1.0, 0.9)))
 
 
 def test_custom_schedule_arrays_are_built_once():

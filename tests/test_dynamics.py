@@ -358,7 +358,7 @@ def test_run_settings_are_refused_before_integration(settings, monkeypatch):
         lambda: dynamics.sweep_tf(proto, [10.0, 20.0], **settings),
         lambda: dynamics.evolve_pair(proto.momenta()[0], proto, **settings),
     ):
-        with pytest.raises(ContractError, match="record points|rtol and atol") as caught:
+        with pytest.raises(ContractError, match="record_points|rtol|atol") as caught:
             run()
         assert type(caught.value) is ContractError
     assert calls == []
@@ -556,3 +556,20 @@ def test_array_observables_match_scalar_references(rows):
         scale = 1.0 + abs(omega[k]) * np.cosh(2.0 * r[k])
         for name, value in want.items():
             assert abs(obs[name][k] - value) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("kind", [ScheduleKind.POLY5, ScheduleKind.LINEAR])
+@pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
+def test_contact_pairs_depend_on_p_and_t_f_only_through_their_product(kind, cd):
+    # the pair equations in s = t/t_f carry p and t_f only as p t_f when the
+    # couplings do not depend on p: mode k at t_f = 40 is mode 4k at
+    # t_f = 10, record for record, within the two runs' own bounds
+    rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+    proto = replace(make_protocol(L=100.0, cd=cd), schedule=Schedule(kind))
+    slow = dynamics.run_simulation(replace(proto, t_f=40.0, n_modes=8), record_points=21)
+    fast = dynamics.run_simulation(replace(proto, t_f=10.0, n_modes=32), record_points=21)
+    np.testing.assert_array_equal(slow.trajectories.p * 40.0, fast.trajectories.p[3::4] * 10.0)
+    for name in ("u", "v"):
+        a = getattr(slow.trajectories, name)
+        b = getattr(fast.trajectories, name)[3::4]
+        assert np.all(np.abs(a - b) <= 2 * (atol + rtol * np.maximum(abs(a), abs(b))))

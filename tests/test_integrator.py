@@ -150,7 +150,8 @@ def test_fixed_steps_takes_any_step_count():
     errors = [error(n) for n in (3, 6, 12)]
     assert errors[0] >= 2**5 * errors[1]
     assert errors[1] >= 2**5 * errors[2]
-    for substeps in (0, -1, 2.5):
+    # model.is_count: a bool counts nothing
+    for substeps in (0, -1, 2.5, True):
         with pytest.raises(ContractError, match="integer >= 1"):
             integrator.fixed_steps(proto.grid, times, c, [1.0], [0.0], substeps)
 

@@ -8,13 +8,13 @@ the given seeds of every workload in perfbench/workloads.py, `simulate` and
 `sweep` on each golden config tests/data/golden/*/run.cfg, and `validate`.
 A golden sweep takes the config's own t_f and four times it, and with CD
 on also t_f/1000, which the gate refuses on every golden config; the
-config is read by this checkout's `tllcd.cli.parse_config`.  Four
-`simulate` runs of the contact golden config with one line changed are
-refused (REFUSALS): an unknown family, a custom schedule with no samples
-and one record point exit 2, and a Luttinger-unstable coupling exits 3
-after writing its failure manifest.  Each run is
-a fresh `python -W error` process with that tree's `src` alone on the path.
-Every file a run writes, its exit code, stdout and stderr (with the run's
+config is read by this checkout's `tllcd.cli.parse_config`.  Six
+`simulate` runs of the contact golden config with one line changed or
+added are refused (REFUSALS): an unknown family, a custom schedule with no
+samples, one record point, L = 0 and rtol = 0 exit 2, and a
+Luttinger-unstable coupling exits 3 after writing its failure manifest.
+Each run is a fresh `python -W error` process with that tree's `src` alone
+on the path.  Every file a run writes, its exit code, stdout and stderr (with the run's
 directory replaced by `<run>`) are compared byte for byte.  Exits 0 when
 nothing differs, else 1 after listing the files that differ.
 """
@@ -31,11 +31,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (name, line of the contact golden config, the line that replaces it)
+# (name, line of the contact golden config, the lines that replace it)
 REFUSALS = (
     ("family", "family = contact", "family = bogus"),
     ("schedule", "schedule = poly5", "schedule = custom_samples"),
     ("record-points", "record_points = 21", "record_points = 1"),
+    ("grid-length", "L = 20.0", "L = 0"),
+    ("rtol", "cd = on", "cd = on\nrtol = 0"),
     ("unstable", "g2_end = 1.0", "g2_end = 7.0"),
 )
 
