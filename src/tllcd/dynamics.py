@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CDInstabilityError, ContractError, IntegrationError
 from .integrator import IntegrationReport, integrate_modes
 from .model import instantaneous_spectrum, is_count, spectrum_with_cd
-from .protocol import DriveProtocol, StabilityReport
+from .protocol import DriveProtocol, StabilityReport, least_margin, require_cd_stable
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -58,28 +58,37 @@ class Trajectories:
     chi: np.ndarray
 
 
-def observables(u, v, frame, omega, g, chi) -> dict:
+def observables(u, v, frame, c) -> dict:
     """Observables of the states (u, v), whose adiabatic frame state is
-    frame = (u', v'), under the pair coefficients (omega, g, chi),
+    frame = (u', v'), under the CoefficientGrid `c` of their shape,
     elementwise over arrays: the array forms of the scalar references,
     which live in `validate`.  n_qp = |v'|^2 (quasiparticle_frame) and
     fidelity = min(1/|u'|, 1) (state_overlap with the instantaneous ground
     state) are read in the frame; n_bare (vacuum_observables), pair_energy,
-    residual and controlled_energy (controlled_pair_energy) from (u, v).
+    residual and controlled_energy (controlled_pair_energy) from (u, v);
+    epsilon_cd is spectrum_with_cd's with CD on, else the bare spectrum.
     """
     u_frame, v_frame = frame
+    omega, g, chi = c.omega, c.g, c.chi
     n = np.abs(v) ** 2
     corr = -np.conj(u) * v
     energy = 2.0 * omega * (n + 0.5) - omega + 2.0 * g * corr.real
+    epsilon = instantaneous_spectrum(omega, g)
+    residual = energy - (epsilon - omega)
+    if c.cd_enabled:
+        # in place of the bare spectrum, before the columns below: a CD
+        # run never holds both beside them
+        epsilon = spectrum_with_cd(c.v_s, c.p, chi)
     return {
         "n_bare": n,
         "n_qp": np.abs(v_frame) ** 2,
         "fidelity": np.minimum(1.0 / np.abs(u_frame), 1.0),
         "pair_energy": energy,
-        "residual": energy - (instantaneous_spectrum(omega, g) - omega),
+        "residual": residual,
         "controlled_energy": 2.0 * omega * (n + 0.5)
         + 2.0 * g * corr.real
         + 2.0 * chi * corr.imag,
+        "epsilon_cd": epsilon,
     }
 
 
@@ -133,44 +142,37 @@ def require_run_settings(rtol: float, atol: float, record_points: int) -> None:
 
 
 def _evolve(protocol, stability, momenta, record_points, rtol, atol):
-    """(times, CoefficientGrid, epsilon_cd, u, v, frame, IntegrationReport)
-    of the pairs `momenta` (rows), all started from the vacuum, on the
-    record grid of `record_points` times over [0, t_f] (columns), in one
-    integrate_modes call, on its phase route with CD on: the one evolution
-    of every run.  The coefficients on the record grid are evaluated once,
-    here, and the integrator reads the modes, the route and the adiabatic
-    frame from them; the invariant policy follows.
+    """(times, CoefficientGrid, u, v, frame, IntegrationReport) of the pairs
+    `momenta` (rows), all started from the vacuum, on the record grid of
+    `record_points` times over [0, t_f] (columns), in one integrate_modes
+    call, on its phase route with CD on: the one evolution of every run.
+    The coefficients on the record grid are evaluated once, here, and the
+    integrator reads the modes, the route and the adiabatic frame from
+    them; the invariant policy follows.
     `stability` is the gate's report, stability_margin's for `protocol`:
-    CD on with a margin that is not positive raises CDInstabilityError
-    before the record grid is formed, and every ContractError or
-    IntegrationError carries it as `report`.  Settings that
-    require_run_settings refuses raise its ContractError first, the one
-    the command line raises for them."""
+    with CD on, require_cd_stable refuses its margin before the record grid
+    is formed, then the record grid's least margin, and every
+    ContractError or IntegrationError carries the report as `report`.
+    Settings that require_run_settings refuses raise its ContractError
+    first, the one the command line raises for them."""
     try:
         require_run_settings(rtol, atol, record_points)
-        if protocol.cd_enabled and not stability.passed:
-            raise CDInstabilityError(
-                f"cd-instability at p = {stability.argmin_p:.6g}, "
-                f"t = {stability.argmin_t:.6g}: margin {stability.margin:.6g} <= 0"
-            )
+        if protocol.cd_enabled:
+            require_cd_stable(stability.margin, stability.argmin_p, stability.argmin_t)
         times = np.linspace(0.0, protocol.t_f, record_points)
         c = protocol.grid(momenta, times)
-        # every mode at every record: raises, before any integration, where
-        # the spectrum turns imaginary between stability-grid points
         if protocol.cd_enabled:
-            epsilon_cd = spectrum_with_cd(c.v_s, c.p, c.chi)
-        else:
-            epsilon_cd = instantaneous_spectrum(c.omega, c.g)
+            require_cd_stable(*least_margin(c, times))
         ones = np.ones(len(momenta))
         u, v, report, frame = integrate_modes(protocol.grid, times, c, ones, 0 * ones, rtol, atol)
         enforce_invariant(report.max_invariant_defect, IntegrationError)
     except (ContractError, IntegrationError) as exc:
         exc.report = stability
         raise
-    return times, c, epsilon_cd, u, v, frame, report
+    return times, c, u, v, frame, report
 
 
-def _observe(times, c, epsilon_cd, u, v, frame, report):
+def _observe(times, c, u, v, frame, report):
     """(Trajectories, CoefficientGrid, IntegrationReport) of an _evolve
     result: every mode at every record, the lab state (u, v) as integrated,
     n_qp and the fidelity read from the frame state (u', v'), which is
@@ -180,9 +182,8 @@ def _observe(times, c, epsilon_cd, u, v, frame, report):
         times=times,
         u=u,
         v=v,
-        epsilon_cd=epsilon_cd,
         chi=c.chi,
-        **observables(u, v, frame, c.omega, c.g, c.chi),
+        **observables(u, v, frame, c),
     )
     return traj, c, report
 
@@ -263,15 +264,15 @@ def sweep_tf(
     """One row per t_f, with the bits run_simulation gives it: the least
     fidelity over the modes at the last record and the total residual
     there, summed in mode order.  Each t_f takes run_simulation's
-    evolution, the spectrum check on every record included, and observes
-    only the last record: no Trajectories or aggregates are formed.  Every
-    t_f passes the gate, stability_margin, in list order before any is
-    integrated, so an unstable coupling or a t_f out of range raises before
-    any integration.  A row whose CD run is refused as unstable, or whose
-    integration stops (IntegrationError), is flagged with NaN values, not
-    dropped, so the other t_f still finish; `stability_pass` is the gate's
-    verdict, and the failure is kept as `failure`, unless it is the gate's
-    own refusal."""
+    evolution, the margin check on every record included, and observes
+    only the last record, on a one-column grid at t_f: no Trajectories or
+    aggregates are formed.  Every t_f passes the gate, stability_margin, in
+    list order before any is integrated, so an unstable coupling or a t_f
+    out of range raises before any integration.  A row whose CD run is
+    refused as unstable, or whose integration stops (IntegrationError), is
+    flagged with NaN values, not dropped, so the other t_f still finish;
+    `stability_pass` is the gate's verdict, and the failure is kept as
+    `failure`, unless it is the gate's own refusal."""
     # imported here, as in run_simulation
     from .protocol import stability_margin
 
@@ -283,20 +284,18 @@ def sweep_tf(
     reports = [stability_margin(run) for run in runs]
     rows = []
     for run, stability in zip(runs, reports):
-        t_f, passed = run.t_f, stability.passed
+        t_f, passed, momenta = run.t_f, stability.passed, run.momenta()
         try:
-            _, c, _, u, v, frame, _ = _evolve(
-                run, stability, run.momenta(), record_points, rtol, atol
-            )
+            _, _, u, v, frame, _ = _evolve(run, stability, momenta, record_points, rtol, atol)
         except (CDInstabilityError, IntegrationError) as exc:
             gated = isinstance(exc, CDInstabilityError) and not passed
             # the row keeps the error, not the frames of its traceback
             failure = None if gated else exc.with_traceback(None)
             rows.append(SweepRow(t_f, math.nan, math.nan, passed, failure))
             continue
-        # the last record alone, as a (modes, 1) column
+        # the last record alone, as a (modes, 1) column, at t_f exactly
         last = np.s_[..., -1:]
-        obs = observables(u[last], v[last], frame[last], c.omega[last], c.g[last], c.chi[last])
+        obs = observables(u[last], v[last], frame[last], run.grid(momenta, t_f))
         # one mode after another, in mode order, as residual.sum(axis=0)
         # adds them; a 1-D sum would add pairwise
         final_res = functools.reduce(operator.add, obs["residual"][:, 0])

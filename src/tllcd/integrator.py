@@ -71,8 +71,8 @@ SU(1,1) matrix [[alpha, beta'], [conj(beta'), conj(alpha)]] with
 roundoff for every step size.  To leading order
 z = ((chi_cd - chi)^2 - epsilon^2) h^2: -epsilon^2 h^2 with CD on, and with
 CD off negative where chi_cd^2 < epsilon^2 = v_s^2 p^2.  Either sign is
-integrated alike; the CD stability gate is `stability_margin` with
-`spectrum_with_cd`, before any integration.
+integrated alike; the CD stability gate is `stability_margin`, with the
+same margin on the record grid, before any integration.
 
 Propagation, on the Magnus route: `_propagate` writes the frame state
 y' = (u', v') at each record, from y0 mapped into the frame once per call.
@@ -413,7 +413,7 @@ def _start(coefficients, u0, v0):
     T = [[c, s], [s, c]] at the first record.  v_s is formed here, not read
     from `coefficients`, so that with CD off the record grid does not hold
     it through the integration; with CD on, `dynamics._evolve` has formed
-    it there already, for `spectrum_with_cd`."""
+    it there already, for the CD margin (`protocol.least_margin`)."""
     w, g = coefficients.omega_per_p, coefficients.g_per_p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v_s = np.sqrt(w * w - g * g)

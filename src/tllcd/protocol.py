@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import model
-from .errors import ConfigError, ContractError, LuttingerInstabilityError
+from .errors import CDInstabilityError, ConfigError, ContractError, LuttingerInstabilityError
 from .model import TWO_PI, CouplingFamily, CouplingSpec, PairCoefficients
 
 STABILITY_GRID_POINTS = 2001
@@ -116,7 +116,8 @@ class CoefficientGrid:
     that shape and broadcast against `p`; every other array has shape
     (n_modes, n_times).  Each is computed on first read (omega/p and g/p on
     every read), so a caller pays only for what it reads: the integrator
-    reads omega/p, g/p and v_s, and chi and chi_cd on the Magnus route.
+    reads omega/p, g/p and v_s, and chi and chi_cd on the Magnus route; the
+    CD margin reads v_s and chi_cd, and the observables omega, g and chi.
     """
 
     p: np.ndarray
@@ -166,6 +167,12 @@ class CoefficientGrid:
         """Kdot/(2K), whether or not CD is applied."""
         args = (self.g2, self.g4, self.dg2, self.dg4, self.v_F)
         return self._full(model.cd_amplitude_contact(*args))
+
+    @property
+    def margin(self) -> np.ndarray:
+        """The CD margin v_s p - |chi_cd|, formed on each read: the
+        controlled spectrum is real where it is positive."""
+        return self.v_s * self.p - np.abs(self.chi_cd)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -283,6 +290,22 @@ class DriveProtocol:
             raise ConfigError(f"mode momenta or couplings out of range: {exc}") from exc
 
 
+def least_margin(c: CoefficientGrid, t) -> tuple:
+    """(margin, p, t): the least margin of the grid `c` of times `t`, and
+    where it is (a NaN counts as least)."""
+    margin = c.margin
+    return model.worst_point(-margin, margin, c.p, t)
+
+
+def require_cd_stable(margin, p, t) -> None:
+    """The one refusal of a CD run: CDInstabilityError unless the least
+    margin, at (p, t), is positive."""
+    if not margin > 0.0:
+        raise CDInstabilityError(
+            f"cd-instability at p = {p:.6g}, t = {t:.6g}: margin {margin:.6g} <= 0"
+        )
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     margin: float
@@ -315,9 +338,9 @@ def closed_form_bound(protocol: DriveProtocol) -> float | None:
 
 
 def stability_margin(protocol: DriveProtocol) -> StabilityReport:
-    """The protocol's one stability verdict: validate(), then the worst-case
-    margin of |chi_p(t)| < v_s(p, t) p over the modes and STABILITY_GRID_POINTS
-    times, where it is least, and the largest adiabaticity on the same grid.
+    """The protocol's one stability verdict: validate(), then the least CD
+    margin (least_margin) over the modes and STABILITY_GRID_POINTS times,
+    where it is least, and the largest adiabaticity on the same grid.
 
     Every mode is evaluated, STABILITY_BLOCK_MODES at a time, from one
     evaluation of the schedule.  Contact couplings are evaluated at the
@@ -338,9 +361,7 @@ def stability_margin(protocol: DriveProtocol) -> StabilityReport:
     for start in range(0, len(momenta), STABILITY_BLOCK_MODES):
         p = momenta[start : start + STABILITY_BLOCK_MODES, None]
         c = protocol._coefficients(p, P, dP)
-        excess = c.v_s * c.p - np.abs(c.chi_cd)
-        mode, j = np.unravel_index(np.argmin(excess), excess.shape)
-        blocks.append((excess[mode, j], c.p[mode, 0], t[j], np.max(c.adiabaticity)))
+        blocks.append((*least_margin(c, t), np.max(c.adiabaticity)))
     blocks = np.array(blocks)
     margin, argmin_p, argmin_t = map(float, blocks[np.argmin(blocks[:, 0]), :3])
     max_adiab = float(np.max(blocks[:, 3]))

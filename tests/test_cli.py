@@ -612,7 +612,8 @@ def integrations(monkeypatch):
 def test_record_grid_refuses_what_the_gate_passes(tmp_path, integrations):
     # t_f between the gate's edge, 2.1401941332166103, and the edge on 20,001
     # records, 2.1401946415062683: the gate's margin is +7.7e-9 and the least
-    # margin on the record grid -7.7e-9, so the record-grid check refuses
+    # margin on the record grid -7.7e-9, so the record-grid check refuses,
+    # naming the point and the margin in the gate's wording
     text = (
         "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
         "t_f = 2.140194387361439\nL = 100\nn_modes = 2\nrecord_points = 20001\n"
@@ -623,7 +624,9 @@ def test_record_grid_refuses_what_the_gate_passes(tmp_path, integrations):
     assert rc == EXIT_INSTABILITY
     assert integrations == []
     manifest = (out / "manifest.txt").read_text()
-    assert "failure = cd-instability at p = 0.0628319: " in manifest
+    failure = next(line for line in manifest.splitlines() if line.startswith("failure = "))
+    assert failure.startswith("failure = cd-instability at p = 0.0628319, t = 1.02055: margin -")
+    assert failure.endswith(" <= 0")
 
 
 def test_stability_subcommand_rejects_unstable_coupling(tmp_path, capsys):

@@ -4,6 +4,7 @@ observable identities, transitionless driving and sweeps."""
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tllcd import dynamics, fock, integrator, protocol, su11, validate
+from tllcd import dynamics, fock, integrator, model, protocol, su11, validate
 from tllcd.closed_forms import bogoliubov_angle
 from tllcd.errors import (
     CDInstabilityError,
@@ -433,9 +434,9 @@ def test_sweep_observes_the_last_record_alone(monkeypatch):
     proto = make_protocol(L=100.0, n_modes=8)
     observables, shapes = dynamics.observables, []
 
-    def spy(u, v, frame, omega, g, chi):
+    def spy(u, v, frame, c):
         shapes.append(np.shape(u))
-        return observables(u, v, frame, omega, g, chi)
+        return observables(u, v, frame, c)
 
     monkeypatch.setattr(dynamics, "observables", spy)
     dynamics.sweep_tf(proto, [5.0, 10.0], record_points=41)
@@ -443,6 +444,47 @@ def test_sweep_observes_the_last_record_alone(monkeypatch):
     shapes.clear()
     dynamics.run_simulation(proto, record_points=41)
     assert shapes == [(8, 41)]
+
+
+def result_shapes(monkeypatch, name):
+    """The shape of each result of model.<name> (of omega, for
+    pair_frequencies), wherever tllcd looks the function up."""
+    real, shapes = getattr(model, name), []
+
+    def spy(*args):
+        result = real(*args)
+        shapes.append(np.shape(result[0] if name == "pair_frequencies" else result))
+        return result
+
+    for module in (model, dynamics):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, spy)
+    return shapes
+
+
+def test_cd_sweep_forms_no_record_grid_spectrum(monkeypatch):
+    # the record grid is checked by its CD margin alone: omega, g and
+    # epsilon_cd are formed on the t_f column of each t_f (and omega, g on
+    # validate's two schedule extremes), never over the 21 records
+    proto = make_protocol(L=100.0, n_modes=8)
+    omega = result_shapes(monkeypatch, "pair_frequencies")
+    epsilon_cd = result_shapes(monkeypatch, "spectrum_with_cd")
+    rows = dynamics.sweep_tf(proto, [5.0, 10.0], record_points=21)
+    assert all(row.stability_pass and row.failure is None for row in rows)
+    assert epsilon_cd == [(8, 1), (8, 1)]
+    assert sorted(set(omega)) == [(8, 1), (8, 2)]
+    assert omega.count((8, 1)) == 2
+
+
+def test_bare_run_forms_its_spectrum_once(monkeypatch):
+    # without CD, epsilon_cd is the bare spectrum that the residual
+    # subtracts: one (modes x records) evaluation per run
+    proto = make_protocol(L=100.0, n_modes=8, cd=False)
+    spectra = result_shapes(monkeypatch, "instantaneous_spectrum")
+    traj = dynamics.run_simulation(proto, record_points=21).trajectories
+    assert spectra.count((8, 21)) == 1
+    c = proto.grid(traj.p, traj.times)
+    assert np.array_equal(traj.epsilon_cd, model.instantaneous_spectrum(c.omega, c.g))
 
 
 def test_reference_run_is_warning_free_and_symplectic():
@@ -541,7 +583,8 @@ def test_array_observables_match_scalar_references(rows):
     # the frame coordinates (u', v') of each state, from the scalar reference
     framed = [validate.quasiparticle_frame(*args) for args in zip(states, etas)]
     frame = np.array([[x.u for x in framed], [x.v for x in framed]])
-    obs = dynamics.observables(u, v, frame, omega, g, chi)
+    coefficients = SimpleNamespace(omega=omega, g=g, chi=chi, cd_enabled=False)
+    obs = dynamics.observables(u, v, frame, coefficients)
     for k, (state, eta) in enumerate(zip(states, etas)):
         coeffs = PairCoefficients(omega[k], g[k], chi[k])
         energy = validate.pair_energy(state, coeffs)
@@ -552,6 +595,8 @@ def test_array_observables_match_scalar_references(rows):
             "pair_energy": energy,
             "residual": energy - (instantaneous_spectrum(omega[k], g[k]) - omega[k]),
             "controlled_energy": validate.controlled_pair_energy(state, coeffs),
+            # without CD, the spectrum applied is the bare one
+            "epsilon_cd": instantaneous_spectrum(omega[k], g[k]),
         }
         scale = 1.0 + abs(omega[k]) * np.cosh(2.0 * r[k])
         for name, value in want.items():

@@ -13,6 +13,10 @@ config is read by this checkout's `tllcd.cli.parse_config`.  Six
 added are refused (REFUSALS): an unknown family, a custom schedule with no
 samples, one record point, L = 0 and rtol = 0 exit 2, and a
 Luttinger-unstable coupling exits 3 after writing its failure manifest.
+A contact ramp whose t_f the stability gate passes and whose 20,001-point
+record grid refuses (RECORD_GRID_REFUSED) runs as `simulate`, which exits
+3 after writing its failure manifest, and as a `sweep` of its own t_f,
+which writes a NaN row and exits 3.
 Each run is a fresh `python -W error` process with that tree's `src` alone
 on the path.  Every file a run writes, its exit code, stdout and stderr (with the run's
 directory replaced by `<run>`) are compared byte for byte.  Exits 0 when
@@ -40,6 +44,11 @@ REFUSALS = (
     ("rtol", "cd = on", "cd = on\nrtol = 0"),
     ("unstable", "g2_end = 1.0", "g2_end = 7.0"),
 )
+# the gate's margin at this t_f is +7.7e-9, the record grid's least -7.7e-9
+RECORD_GRID_REFUSED = (
+    "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
+    "t_f = 2.140194387361439\nL = 100\nn_modes = 2\nrecord_points = 20001\ncd = on\n"
+)
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import workloads  # noqa: E402
@@ -56,11 +65,14 @@ def cases(seeds) -> list:
     for cfg in sorted((ROOT / "tests" / "data" / "golden").glob("*/run.cfg")):
         name, text = cfg.parent.name, cfg.read_text()
         runs.append((f"golden-{name}", text, _simulate))
-        runs.append((f"golden-sweep-{name}", text, _sweep(text)))
+        runs.append((f"golden-sweep-{name}", text, _golden_sweep(text)))
     contact = (ROOT / "tests" / "data" / "golden" / "contact_poly5_cd" / "run.cfg").read_text()
     for name, line, refused in REFUSALS:
         assert line in contact, line
         runs.append((f"refused-{name}", contact.replace(line, refused), _simulate))
+    record_grid_tf = parse_config(RECORD_GRID_REFUSED).t_f
+    runs.append(("refused-record-grid", RECORD_GRID_REFUSED, _simulate))
+    runs.append(("refused-record-grid-sweep", RECORD_GRID_REFUSED, _sweep(record_grid_tf)))
     runs.append(("validate", None, lambda config, out: ["validate"]))
     return runs
 
@@ -69,11 +81,15 @@ def _simulate(config, out) -> list:
     return ["simulate", "--config", str(config), "--out", str(out)]
 
 
-def _sweep(text):
+def _golden_sweep(text):
     """The argv builder of a sweep of the config `text`: its t_f, 4 t_f and,
     with CD on, t_f/1000."""
     cfg = parse_config(text)
-    tf_list = [cfg.t_f, 4 * cfg.t_f] + ([cfg.t_f / 1000] if cfg.cd == "on" else [])
+    return _sweep(cfg.t_f, 4 * cfg.t_f, *([cfg.t_f / 1000] if cfg.cd == "on" else []))
+
+
+def _sweep(*tf_list):
+    """The argv builder of a sweep over `tf_list`."""
     spec = ",".join(map(repr, tf_list))
 
     def argv(config, out) -> list:
