@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the module, not its name, so that a patched protocol.stability_margin runs
+from . import protocol as _protocol
 from .errors import CDInstabilityError, ContractError, IntegrationError
 from .integrator import IntegrationReport, integrate_modes
-from .model import instantaneous_spectrum, is_count, spectrum_with_cd
-from .protocol import DriveProtocol, StabilityReport, least_margin, require_cd_stable
+from .model import instantaneous_spectrum, is_count, require_cd_stable, spectrum_with_cd
+from .protocol import DriveProtocol, StabilityReport
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -106,13 +108,10 @@ def evolve_pair(
     leave float64 range ConfigError, DriveProtocol.validate's check at p;
     then stability_margin gates the protocol, and every error raised after
     it carries its report, as for run_simulation."""
-    # imported here, as in run_simulation
-    from .protocol import stability_margin
-
     if not 0.0 < p < math.inf:
         raise ContractError(f"pair momentum must be finite and positive, got {p}")
     protocol._validate_at(lambda: np.array([p], dtype=float))
-    stability = stability_margin(protocol)
+    stability = _protocol.stability_margin(protocol)
     return _observe(*_evolve(protocol, stability, [p], record_points, rtol, atol))[0]
 
 
@@ -151,7 +150,7 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
     them; the invariant policy follows.
     `stability` is the gate's report, stability_margin's for `protocol`:
     with CD on, require_cd_stable refuses its margin before the record grid
-    is formed, then the record grid's least margin, and every
+    is formed, then the record grid's margin, and every
     ContractError or IntegrationError carries the report as `report`.
     Settings that require_run_settings refuses raise its ContractError
     first, the one the command line raises for them."""
@@ -162,7 +161,7 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
         times = np.linspace(0.0, protocol.t_f, record_points)
         c = protocol.grid(momenta, times)
         if protocol.cd_enabled:
-            require_cd_stable(*least_margin(c, times))
+            require_cd_stable(c.margin, c.p, times)
         ones = np.ones(len(momenta))
         u, v, report, frame = integrate_modes(protocol.grid, times, c, ones, 0 * ones, rtol, atol)
         enforce_invariant(report.max_invariant_defect, IntegrationError)
@@ -173,10 +172,10 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
 
 
 def _observe(times, c, u, v, frame, report):
-    """(Trajectories, CoefficientGrid, IntegrationReport) of an _evolve
-    result: every mode at every record, the lab state (u, v) as integrated,
-    n_qp and the fidelity read from the frame state (u', v'), which is
-    released here, before a caller forms more of the coefficients."""
+    """(Trajectories, IntegrationReport) of an _evolve result: every mode at
+    every record, the lab state (u, v) as integrated, n_qp and the fidelity
+    read from the frame state (u', v'), which is released here with the
+    record grid `c`, before a caller forms more of the coefficients."""
     traj = Trajectories(
         p=c.p[:, 0],
         times=times,
@@ -185,7 +184,7 @@ def _observe(times, c, u, v, frame, report):
         chi=c.chi,
         **observables(u, v, frame, c),
     )
-    return traj, c, report
+    return traj, report
 
 
 @dataclass
@@ -216,24 +215,22 @@ def run_simulation(
     with a margin that is not positive raises CDInstabilityError before any
     integration.  Every error raised after stability_margin returns carries
     its report as `report`."""
-    # at call time: tests and the benchmark's tracer patch
-    # protocol.stability_margin, which a top-level import would bind unpatched
-    from .protocol import stability_margin
-
-    stability = stability_margin(protocol)
+    stability = _protocol.stability_margin(protocol)
     # one expression, so that _evolve's frame state is released before the
     # aggregates form more of the coefficients
-    traj, c, integration = _observe(
+    traj, integration = _observe(
         *_evolve(protocol, stability, protocol.momenta(), record_points, rtol, atol)
     )
+    # the slowest mode's row alone, on a one-row grid of the record times
+    slowest = protocol.grid(traj.p[:1], traj.times)
     # sums over axis 0 add the modes one after another, in mode order
     return SimulationResult(
         trajectories=traj,
         total_residual=traj.residual.sum(axis=0),
         total_energy=traj.controlled_energy.sum(axis=0),
-        v_s=c.v_s[0],
-        K=c.K[0],
-        chi=c.chi_cd[0],
+        v_s=slowest.v_s[0],
+        K=slowest.K[0],
+        chi=slowest.chi_cd[0],
         stability=stability,
         integration=integration,
     )
@@ -273,15 +270,12 @@ def sweep_tf(
     flagged with NaN values, not dropped, so the other t_f still finish;
     `stability_pass` is the gate's verdict, and the failure is kept as
     `failure`, unless it is the gate's own refusal."""
-    # imported here, as in run_simulation
-    from .protocol import stability_margin
-
     # any sequence or iterable: a numpy array has no truth value
     tf_list = [float(t_f) for t_f in tf_list]
     if not tf_list:
         raise ContractError("sweep requires a nonempty t_f list")
     runs = [protocol.with_tf(t_f) for t_f in tf_list]
-    reports = [stability_margin(run) for run in runs]
+    reports = [_protocol.stability_margin(run) for run in runs]
     rows = []
     for run, stability in zip(runs, reports):
         t_f, passed, momenta = run.t_f, stability.passed, run.momenta()

@@ -11,11 +11,13 @@ class ContractError(ValueError):
 
 
 class LuttingerInstabilityError(ContractError):
-    """|g(p,t)| >= omega(p,t): the quadratic theory has no ground state."""
+    """|g(p,t)| >= omega(p,t): the quadratic theory has no ground state.
+    model.check_pair_stable alone raises it."""
 
 
 class CDInstabilityError(ContractError):
-    """v_s |p| <= |chi|: the controlled spectrum turns imaginary."""
+    """v_s |p| <= |chi|: the controlled spectrum turns imaginary.
+    model.require_cd_stable alone raises it."""
 
 
 class IntegrationError(RuntimeError):

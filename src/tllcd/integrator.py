@@ -412,8 +412,9 @@ def _start(coefficients, u0, v0):
     the initial state (u0, v0) mapped into it, y0' = T y0 with
     T = [[c, s], [s, c]] at the first record.  v_s is formed here, not read
     from `coefficients`, so that with CD off the record grid does not hold
-    it through the integration; with CD on, `dynamics._evolve` has formed
-    it there already, for the CD margin (`protocol.least_margin`)."""
+    it through the integration (with CD on, `dynamics._evolve` has formed
+    it there already, for the CD margin), and where it is not real the
+    refusal is an IntegrationError, not check_pair_stable's."""
     w, g = coefficients.omega_per_p, coefficients.g_per_p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v_s = np.sqrt(w * w - g * g)

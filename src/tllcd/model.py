@@ -1,6 +1,6 @@
 """TLL model parameters: interaction potentials, Luttinger parameters,
 per-pair Hamiltonian coefficients, the CD amplitude chi = Kdot/(2K) and the
-spectrum with and without it.
+spectrum with and without it, with the one refusal of each stability rule.
 
 Natural units throughout: hbar = 1, couplings in units of v_F, momenta in
 1/length, frequencies in 1/time.  Unit conversion happens only in reporting.
@@ -150,7 +150,7 @@ def luttinger_params(g2, g4, v_F) -> LuttingerParams:
     a = TWO_PI * v_F + g4
     check_pair_stable(a, g2)
     K = np.sqrt((a - g2) / (a + g2))
-    v_s = np.sqrt((v_F + g4 / TWO_PI) ** 2 - (g2 / TWO_PI) ** 2)
+    v_s = instantaneous_spectrum(v_F + g4 / TWO_PI, g2 / TWO_PI)
     return LuttingerParams(K, v_s)
 
 
@@ -159,16 +159,24 @@ def pair_frequencies(p, g2, g4, v_F):
     at that momentum and time: omega = |p|(v_F + g4/2pi), g = |p| g2/2pi."""
     if np.any(p <= 0):
         raise ContractError(f"pair momentum must be positive, got {np.min(p):.6g}")
+    # (p g2)/2pi, not p (g2/2pi) as from CoefficientGrid.g_per_p: the two
+    # differ on 36% of the 128-mode reference grid's g, which a run writes
     return p * (v_F + g4 / TWO_PI), p * g2 / TWO_PI
 
 
-def check_pair_stable(omega, g) -> None:
-    """Raise LuttingerInstabilityError where |g| >= omega."""
+def _refusal(rule, margin, p, t) -> str:
+    """The one message of both stability rules, with the p and t it has."""
+    at = ", ".join(f"{x} = {v:.6g}" for x, v in (("p", p), ("t", t)) if v is not None)
+    return f"{rule}{' at ' if at else ''}{at}: margin {margin:.6g} <= 0"
+
+
+def check_pair_stable(omega, g, p=None, t=None) -> None:
+    """The Luttinger rule's one refusal: LuttingerInstabilityError where
+    |g| >= omega, naming the least omega - |g| and its p and t if given."""
     if np.any(np.abs(g) >= omega):
-        g, omega = worst_point(np.abs(g) - omega, g, omega)
-        raise LuttingerInstabilityError(
-            f"luttinger-instability: |g| = {abs(g):.6g} >= omega = {omega:.6g}"
-        )
+        margin = omega - np.abs(g)
+        margin, p, t = worst_point(-margin, margin, p, t)
+        raise LuttingerInstabilityError(_refusal("luttinger-instability", margin, p, t))
 
 
 def instantaneous_spectrum(omega, g):
@@ -194,16 +202,26 @@ def cd_amplitude_contact(g2, g4, dg2_dt, dg4_dt, v_F):
     return 0.5 * (dg4_dt * g2 - dg2_dt * a) / denom
 
 
+def cd_margin(v_s, p, chi):
+    """The CD margin v_s p - |chi|: the controlled spectrum is real where it
+    is positive.  Array arguments broadcast."""
+    return v_s * p - np.abs(chi)
+
+
+def require_cd_stable(margin, p, t=None) -> None:
+    """The CD rule's one refusal: CDInstabilityError unless every margin
+    (cd_margin) is positive (a NaN is not), naming the least and its p and
+    t, the momenta and times of the broadcast grid (t if given)."""
+    if not np.all(margin > 0.0):
+        margin, p, t = worst_point(-margin, margin, p, t)
+        raise CDInstabilityError(_refusal("cd-instability", margin, p, t))
+
+
 def spectrum_with_cd(v_s, p, chi):
-    """epsilon = sqrt(v_s^2 p^2 - chi^2); raises when the controlled spectrum
-    turns imaginary.  Array arguments broadcast."""
+    """epsilon = sqrt(v_s^2 p^2 - chi^2), refused by require_cd_stable where
+    it is not real.  Array arguments broadcast."""
+    require_cd_stable(cd_margin(v_s, p, chi), p)
     vp = v_s * p
-    if np.any(vp <= np.abs(chi)):
-        vp, p, chi = worst_point(np.abs(chi) - vp, vp, p, chi)
-        raise CDInstabilityError(
-            f"cd-instability at p = {p:.6g}: "
-            f"v_s p = {vp:.6g} <= |chi| = {abs(chi):.6g}"
-        )
     return np.sqrt(vp * vp - chi * chi)
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import model
-from .errors import CDInstabilityError, ConfigError, ContractError, LuttingerInstabilityError
+from .errors import ConfigError, ContractError
 from .model import TWO_PI, CouplingFamily, CouplingSpec, PairCoefficients
 
 STABILITY_GRID_POINTS = 2001
@@ -170,9 +170,8 @@ class CoefficientGrid:
 
     @property
     def margin(self) -> np.ndarray:
-        """The CD margin v_s p - |chi_cd|, formed on each read: the
-        controlled spectrum is real where it is positive."""
-        return self.v_s * self.p - np.abs(self.chi_cd)
+        """The CD margin model.cd_margin of v_s and chi_cd, on each read."""
+        return model.cd_margin(self.v_s, self.p, self.chi_cd)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -276,12 +275,7 @@ class DriveProtocol:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 p = momenta()[:, None]
                 c = self._coefficients(p, P, dP)
-                excess = np.abs(c.g) - c.omega
-                if np.any(excess >= 0):
-                    p, s = model.worst_point(excess, p, s)
-                    raise LuttingerInstabilityError(
-                        f"luttinger-instability at p={p:.6g}, t={s * self.t_f:.6g}"
-                    )
+                model.check_pair_stable(c.omega, c.g, p, s * self.t_f)
                 np.square(c.omega)
                 np.square(c.chi_cd)
                 self.t_f * c.adiabaticity / ADIABATIC_THRESHOLD
@@ -295,15 +289,6 @@ def least_margin(c: CoefficientGrid, t) -> tuple:
     where it is (a NaN counts as least)."""
     margin = c.margin
     return model.worst_point(-margin, margin, c.p, t)
-
-
-def require_cd_stable(margin, p, t) -> None:
-    """The one refusal of a CD run: CDInstabilityError unless the least
-    margin, at (p, t), is positive."""
-    if not margin > 0.0:
-        raise CDInstabilityError(
-            f"cd-instability at p = {p:.6g}, t = {t:.6g}: margin {margin:.6g} <= 0"
-        )
 
 
 @dataclass(frozen=True)

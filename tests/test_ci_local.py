@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+if sys.version_info < (3, 11):
+    pytest.skip("tools/ci_local.py reads pyproject.toml with tomllib, new in Python 3.11",
+                allow_module_level=True)
 yaml = pytest.importorskip("yaml")
 
 ROOT = Path(__file__).resolve().parents[1]

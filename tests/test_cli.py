@@ -117,17 +117,17 @@ def test_parse_config_rejects_unstable_endpoint(tmp_path):
         "family = contact\nschedule = linear\ncd = on\ng2_end = -2.914\n"
         "g4_start = -7.11\ng4_end = 5.93\nt_f = 0.00089\nL = 393.3\nn_modes = 7\n"
     )
-    for text, where in (
-        (f"g2_end = {2 * math.pi + 1:.3f}\nt_f = 1.0\n", "p=8.04248, t=1"),
-        (at_start, "p=0.111829, t=0"),
-    ):
+    for i, (text, where) in enumerate((
+        (f"g2_end = {2 * math.pi + 1:.3f}\nt_f = 1.0\n", "p = 8.04248, t = 1: margin -1.27976"),
+        (at_start, "p = 0.111829, t = 0: margin -0.0147157"),
+    )):
         parse_config(text)
-        out = tmp_path / where
+        out = tmp_path / f"out{i}"
         rc = main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)])
         assert rc == EXIT_INSTABILITY
         manifest = (out / "manifest.txt").read_text()
         assert "status = failed" in manifest
-        assert f"stability.error = luttinger-instability at {where}\n" in manifest
+        assert f"stability.error = luttinger-instability at {where} <= 0\n" in manifest
 
 
 FLOAT_KEYS = sorted(
@@ -939,7 +939,10 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     assert main(["simulate", "--config", table, "--out", out]) == EXIT_INSTABILITY
     assert calls == [6.0]
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
-    assert "stability.error = luttinger-instability at p=" in manifest
+    assert (
+        "stability.error = luttinger-instability at p = 0.502655, t = 6: margin -0.0573452 <= 0\n"
+        in manifest
+    )
     # a CD run whose margin is negative above p_min: the gate, which covers
     # every mode, refuses it, and the error carries the gate's report
     calls.clear()

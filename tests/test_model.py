@@ -1,24 +1,32 @@
 """Model-layer tests: coupling families, Luttinger parameters, pair
-frequencies, spectrum and the oscillator mapping."""
+frequencies, spectrum, the oscillator mapping and the two stability rules'
+refusals."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tllcd import cli
 from tllcd.closed_forms import bogoliubov_angle, ground_state_energy, mass_frequency
-from tllcd.errors import ContractError, LuttingerInstabilityError
+from tllcd.dynamics import run_simulation
+from tllcd.errors import CDInstabilityError, ContractError, LuttingerInstabilityError
 from tllcd.model import (
     TWO_PI,
     CouplingFamily,
     CouplingSpec,
+    cd_amplitude_contact,
     instantaneous_spectrum,
     luttinger_params,
     mode_momenta,
     pair_frequencies,
+    spectrum_with_cd,
 )
+from tllcd.protocol import DriveProtocol, Schedule
 
 
 def test_luttinger_free_point():
@@ -202,3 +210,75 @@ def test_custom_table_refuses_a_ragged_row():
     for rows in (((0.0, 0.5, 0.2), (1.0, 0.4)), ((0.0, 0.5, 0.2, 0.1), (1.0, 0.4, 0.2))):
         with pytest.raises(ContractError, match="triples"):
             CouplingSpec(family=CouplingFamily.CUSTOM_TABLE, table=rows)
+
+
+# a number as "%.6g" writes it, without its sign
+NUMBER = r"\d+(\.\d+)?(e[-+]\d+)?"
+
+
+def refusal_pattern(rule, coordinates) -> str:
+    """The one message of both stability rules: the coordinates of the
+    worst point that the site knows, then its margin, which is not
+    positive."""
+    at = ", ".join(f"{x} = -?{NUMBER}" for x in coordinates)
+    return rf"{rule}{' at ' if at else ''}{at}: margin (-{NUMBER}|-?0|nan) <= 0"
+
+
+def test_each_stability_rule_refuses_alike_at_every_site(tmp_path, capsys):
+    # check_pair_stable and require_cd_stable are the only refusals of the
+    # Luttinger and the CD rule: every site that refuses raises its rule's
+    # one class with its one message
+    unstable = DriveProtocol(
+        CouplingSpec(g2_end=TWO_PI + 0.5), Schedule(), t_f=5.0, L=100.0, n_modes=2
+    )
+    reference = replace(unstable, coupling=CouplingSpec(g2_end=1.0, g4_end=0.5))
+    config = tmp_path / "run.cfg"
+    config.write_text("family = contact\ng2_end = 6.8\nt_f = 5.0\nL = 100.0\nn_modes = 2\n")
+
+    def refusal(error, call, passed=None):
+        with pytest.raises(ContractError) as caught:
+            call()
+        assert type(caught.value) is error
+        if passed is not None:
+            # which CD check refused: the gate, or the record grid past it
+            assert caught.value.report.passed is passed
+        return str(caught.value)
+
+    def stability_command():
+        assert cli.main(["stability", "--config", str(config)]) == cli.EXIT_INSTABILITY
+        label, message = capsys.readouterr().err.rstrip("\n").split(": ", 1)
+        assert label == "instability"
+        return message
+
+    L = LuttingerInstabilityError
+    CD = CDInstabilityError
+    sites = {
+        # DriveProtocol.validate, through a run and through the command
+        "run_simulation": (L, "pt", refusal(L, lambda: run_simulation(unstable))),
+        "stability command": (L, "pt", stability_command()),
+        "luttinger_params": (L, "", refusal(L, lambda: luttinger_params(6.8, 0.0, 1.0))),
+        "instantaneous_spectrum": (L, "", refusal(L, lambda: instantaneous_spectrum(1.0, -2.0))),
+        "cd_amplitude_contact": (
+            L, "", refusal(L, lambda: cd_amplitude_contact(6.8, 0.0, 1.0, 0.0, 1.0))
+        ),
+        "bogoliubov_angle": (L, "", refusal(L, lambda: bogoliubov_angle(1.0, 1.0))),
+        "gate": (
+            CD, "pt", refusal(CD, lambda: run_simulation(replace(reference, t_f=0.1)), False)
+        ),
+        # the gate's margin is +7.7e-9 here, the 20,001-point grid's -7.7e-9
+        "record grid": (
+            CD,
+            "pt",
+            refusal(
+                CD,
+                lambda: run_simulation(
+                    replace(reference, t_f=2.140194387361439), record_points=20001
+                ),
+                True,
+            ),
+        ),
+        "spectrum_with_cd": (CD, "p", refusal(CD, lambda: spectrum_with_cd(2.0, 1.0, -2.5))),
+    }
+    for site, (error, coordinates, message) in sites.items():
+        rule = "luttinger-instability" if error is L else "cd-instability"
+        assert re.fullmatch(refusal_pattern(rule, coordinates), message), (site, message)

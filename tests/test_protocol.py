@@ -298,7 +298,7 @@ def test_validate_catches_a_spike_between_grid_points(monkeypatch):
         n_modes=4,
         cd_enabled=False,
     )
-    message = r"luttinger-instability at p=0\.251327, t=5\.025"
+    message = r"^luttinger-instability at p = 0\.251327, t = 5\.025: margin -0\.0486726 <= 0$"
     with pytest.raises(ContractError, match=message):
         proto.validate()
 

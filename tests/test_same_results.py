@@ -13,4 +13,4 @@ def test_a_tree_gives_the_same_results_as_itself():
         cwd=ROOT, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "18 runs, 0 files differ\n"
+    assert proc.stdout == "22 runs, 0 files differ\n"

@@ -2,8 +2,8 @@
 
     python tools/ci_local.py [--base REV]
 
-Reads .github/workflows/tests.yml with PyYAML, which is not a dependency of
-tllcd (without it the tool exits with a message), and runs, in order,
+Reads .github/workflows/tests.yml with PyYAML, which only tllcd's `test`
+extra installs (without it the tool exits with a message), and runs, in order,
 every `run:` step of two jobs: each row of the `tier1` matrix that this
 interpreter can run, then `same-results`, as on a pull request whose base
 is REV (default HEAD).  A step runs from the repository root with its

@@ -4,15 +4,17 @@
 
 PARENT and CHANGE are checkouts of the repository (a `git archive` of a
 commit, say).  Both trees run the same inputs, taken from this checkout:
-the given seeds of every workload in perfbench/workloads.py, `simulate` and
-`sweep` on each golden config tests/data/golden/*/run.cfg, and `validate`.
+the given seeds of every workload in perfbench/workloads.py, `simulate`,
+`sweep` and `stability` on each golden config tests/data/golden/*/run.cfg,
+and `validate`.
 A golden sweep takes the config's own t_f and four times it, and with CD
 on also t_f/1000, which the gate refuses on every golden config; the
 config is read by this checkout's `tllcd.cli.parse_config`.  Six
 `simulate` runs of the contact golden config with one line changed or
 added are refused (REFUSALS): an unknown family, a custom schedule with no
 samples, one record point, L = 0 and rtol = 0 exit 2, and a
-Luttinger-unstable coupling exits 3 after writing its failure manifest.
+Luttinger-unstable coupling exits 3 after writing its failure manifest; the
+unstable config also runs as `stability`, which exits 3.
 A contact ramp whose t_f the stability gate passes and whose 20,001-point
 record grid refuses (RECORD_GRID_REFUSED) runs as `simulate`, which exits
 3 after writing its failure manifest, and as a `sweep` of its own t_f,
@@ -66,10 +68,13 @@ def cases(seeds) -> list:
         name, text = cfg.parent.name, cfg.read_text()
         runs.append((f"golden-{name}", text, _simulate))
         runs.append((f"golden-sweep-{name}", text, _golden_sweep(text)))
+        runs.append((f"golden-stability-{name}", text, _stability))
     contact = (ROOT / "tests" / "data" / "golden" / "contact_poly5_cd" / "run.cfg").read_text()
     for name, line, refused in REFUSALS:
         assert line in contact, line
         runs.append((f"refused-{name}", contact.replace(line, refused), _simulate))
+        if name == "unstable":
+            runs.append(("refused-unstable-stability", contact.replace(line, refused), _stability))
     record_grid_tf = parse_config(RECORD_GRID_REFUSED).t_f
     runs.append(("refused-record-grid", RECORD_GRID_REFUSED, _simulate))
     runs.append(("refused-record-grid-sweep", RECORD_GRID_REFUSED, _sweep(record_grid_tf)))
@@ -79,6 +84,10 @@ def cases(seeds) -> list:
 
 def _simulate(config, out) -> list:
     return ["simulate", "--config", str(config), "--out", str(out)]
+
+
+def _stability(config, out) -> list:
+    return ["stability", "--config", str(config)]
 
 
 def _golden_sweep(text):
