@@ -24,7 +24,6 @@ from tllcd.cli import (
 )
 from tllcd.closed_forms import experimental_sound_velocity
 from tllcd.errors import ConfigError, ContractError
-from tllcd.validate import run_validation_suite
 
 GOOD_CONFIG = """
 # reference contact ramp, small for test speed
@@ -831,6 +830,8 @@ VALIDATION_CHECKS = [
     "error control: within tolerance of 64x the substeps (40 record intervals)",
     "error control: within tolerance of 64x the substeps (39 record intervals)",
     "pair ground eigenvalue = epsilon",
+    "n_qp(t_f) vs the driven oscillator (cd=on)",
+    "n_qp(t_f) vs the driven oscillator (cd=off)",
 ]
 
 
@@ -843,13 +844,15 @@ def test_validate_subcommand(capsys):
 
 
 def test_a_failed_validation_check_exits_5(monkeypatch, capsys):
-    monkeypatch.setattr(validate, "run_validation_suite", lambda: 1)
+    # a failing check names its value and bound; the others still pass
+    monkeypatch.setattr(validate, "ground_eigenvalue", lambda coeffs, cutoff: (2e-9, 1e-9))
     assert main(["validate"]) == cli.EXIT_VALIDATION == 5
-    assert capsys.readouterr().out == "1 validation check(s) failed\n"
-
-
-def test_validation_suite_counts_failures():
-    assert run_validation_suite() == 0
+    lines = capsys.readouterr().out.splitlines()
+    failed = "[FAIL] pair ground eigenvalue = epsilon: 2.000e-09 > 1.000e-09"
+    assert lines == [
+        failed if name == "pair ground eigenvalue = epsilon" else f"[PASS] {name}"
+        for name in VALIDATION_CHECKS
+    ] + ["1 validation check(s) failed"]
 
 
 def test_experimental_sound_velocity():

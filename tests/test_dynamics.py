@@ -105,22 +105,9 @@ def test_cd_final_state_is_target_squeeze():
 
 
 def test_integrator_vs_fock_oracle():
-    proto = make_protocol()
-    p = proto.momenta()[0]
+    # every record, CD on and off
     for cd in (True, False):
-        pr = proto.with_cd(cd)
-        traj = dynamics.evolve_pair(p, pr, record_points=41)
-        states = fock.evolve_fock(
-            fock.vacuum_state(120),
-            lambda t: pr.pair_generator(p, t),
-            pr.t_f,
-            t_eval=traj.times,
-        )
-        assert states[-1].cutoff_safe
-        for k in range(0, len(traj.times), 10):
-            state = validate.state_map(traj, 0, k)
-            ov = abs(states[k].overlap(fock.gaussian_state(state, 120)))
-            assert ov >= 1 - 1e-8
+        assert validate.fock_vs_run(make_protocol(cd=cd), 41, 120)[0] <= 1e-8
 
 
 def test_quasiparticle_frame_of_ground_state():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tllcd import fock, su11
+from tllcd import fock, su11, validate
 from tllcd.errors import ContractError
 from tllcd.model import PairCoefficients
 
@@ -23,13 +23,7 @@ def test_tmsv_normalized_and_annihilated():
     st = fock.tmsv_amplitudes(eta, 200)
     assert st.norm == pytest.approx(1.0, abs=1e-12)
     assert st.cutoff_safe
-    # [cosh(eta) b - sinh(eta) b†] kills the state: the |m, m+1> coefficient
-    # sqrt(m+1)[cosh(eta) c_{m+1} - sinh(eta) c_m] vanishes for all m
-    root = np.sqrt(np.arange(1, 201))
-    killed = root * (
-        math.cosh(eta) * st.amplitudes[1:] - math.sinh(eta) * st.amplitudes[:-1]
-    )
-    assert np.linalg.norm(killed) < 1e-12
+    assert validate.tmsv_annihilation(eta, 200)[0] <= 1e-12
 
 
 def test_tmsv_occupation():
@@ -62,22 +56,17 @@ def test_hamiltonian_matrix_structure():
 
 def test_ground_eigenvalue_is_spectrum():
     # ground eigenvalue of 2 omega K0 + g(K+ + K-) equals sqrt(omega^2 - g^2)
-    H = fock.pair_hamiltonian_matrix(PairCoefficients(2.0, 1.0, 0.0), 200)
-    ev = np.linalg.eigvalsh(H)
-    assert ev[0] == pytest.approx(math.sqrt(3.0), abs=1e-9)
+    coeffs = PairCoefficients(2.0, 1.0, 0.0)
+    assert validate.ground_eigenvalue(coeffs, 200)[0] <= 1e-9
     # uniform ladder spacing 2 epsilon
-    gaps = np.diff(ev[:5])
+    gaps = np.diff(np.linalg.eigvalsh(fock.pair_hamiltonian_matrix(coeffs, 200))[:5])
     assert np.allclose(gaps, 2 * math.sqrt(3.0), atol=1e-7)
 
 
 def test_ground_eigenvalue_with_cd_term():
     # the anti-Hermitian-generator term shifts the spectrum to
     # sqrt(omega^2 - g^2 - chi^2)
-    coeffs = PairCoefficients(2.0, 1.0, 0.8)
-    H = fock.pair_hamiltonian_matrix(coeffs, 200)
-    ev = np.linalg.eigvalsh(H)
-    expect = math.sqrt(4.0 - 1.0 - 0.64)
-    assert ev[0] == pytest.approx(expect, abs=1e-9)
+    assert validate.ground_eigenvalue(PairCoefficients(2.0, 1.0, 0.8), 200)[0] <= 1e-9
 
 
 def test_ground_eigenvector_matches_gaussian_gs():
@@ -137,3 +126,9 @@ def test_evolve_fock_requires_normalized_start():
     bad.amplitudes = bad.amplitudes * 2.0
     with pytest.raises(ContractError):
         fock.evolve_fock(bad, lambda t: PairCoefficients(1.0, 0.0, 0.0), 1.0)
+
+
+def test_a_check_past_its_fock_cutoff_measures_inf():
+    # the tail of a squeeze of angle 2.5 is not negligible at n_max = 10
+    assert validate.closed_form_vs_fock("occupation", 2.5, 10)[0] == math.inf
+    assert validate.tmsv_annihilation(2.5, 10)[0] == math.inf

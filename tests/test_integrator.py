@@ -67,14 +67,6 @@ def integrate(proto, momenta, times, rtol, atol):
     )
 
 
-def magnus(coefficients):
-    """The record-grid `coefficients` with chi a copy of chi_cd: the same
-    values, which take Magnus steps where chi_cd itself takes the phase
-    route.  The chi property keeps the copy as its cached value."""
-    vars(coefficients)["chi"] = coefficients.chi_cd.copy()
-    return coefficients
-
-
 def dop853(proto, p, times, rtol=1e-12, y0=(1.0, 0.0)):
     """Reference (u, v) of one pair from y0 = (u, v) at t = 0 (the vacuum
     by default), DOP853 at `rtol`."""
@@ -119,7 +111,7 @@ def test_sixth_order_convergence():
         proto = make_protocol(cd=cd, n_modes=1)
         p = proto.momenta()
         times = np.linspace(0.0, proto.t_f, 5)
-        c = magnus(proto.grid(p, times))
+        c = validate.magnus_route(proto.grid(p, times))
         u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
         def error(substeps):
@@ -140,7 +132,7 @@ def test_fixed_steps_takes_any_step_count():
     proto = make_protocol(n_modes=1)
     p = proto.momenta()
     times = np.linspace(0.0, proto.t_f, 5)
-    c = magnus(proto.grid(p, times))
+    c = validate.magnus_route(proto.grid(p, times))
     u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
     def error(substeps):
@@ -164,11 +156,7 @@ def test_cd_runs_are_transitionless_to_roundoff(family, schedule):
     # so the frame state is (e^(i Phi), 0) and n_qp = |v'|^2 is exactly 0;
     # every mode passes at one step per record interval, after the pass at
     # one step per two
-    proto = make_protocol(family, schedule, n_modes=8)
-    result = dynamics.run_simulation(proto, record_points=21)
-    assert np.all(result.trajectories.n_qp == 0.0)
-    assert result.integration.substeps == 1
-    assert result.integration.steps == 3 * 8 * 20 // 2
+    assert validate.cd_referee(make_protocol(family, schedule, n_modes=8), 21)[0] <= 0.0
 
 
 @pytest.mark.parametrize("family,schedule", CASES)
@@ -179,7 +167,7 @@ def test_phase_route_is_the_magnus_step_at_zero_mixing(family, schedule):
     proto = make_protocol(family, schedule, n_modes=4)
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, proto.t_f, 6)
-    phase, reference = proto.grid(p, times), magnus(proto.grid(p, times))
+    phase, reference = proto.grid(p, times), validate.magnus_route(proto.grid(p, times))
     for substeps in (1, 3, 8):
         for got, want in zip(
             integrator.fixed_steps(proto.grid, times, phase, ones, 0 * ones, substeps),
@@ -212,7 +200,7 @@ def test_the_route_follows_the_coefficients(case):
         proto = HalfCD(proto.coupling, proto.schedule, proto.t_f, proto.L, proto.n_modes)
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, proto.t_f, 11)
-    c = magnus(proto.grid(p, times)) if case == "copy" else proto.grid(p, times)
+    c = validate.magnus_route(proto.grid(p, times)) if case == "copy" else proto.grid(p, times)
     u, v, report, (_, v_frame) = integrator.integrate_modes(
         proto.grid, times, c, ones, 0 * ones, 1e-10, 1e-12
     )
@@ -431,14 +419,7 @@ def test_error_within_tolerance_at_every_record(family, schedule, cd, t_f, L, po
         n_modes=8,
         cd_enabled=cd,
     )
-    p, ones = proto.momenta(), np.ones(proto.n_modes)
-    times = np.linspace(0.0, t_f, points)
-    rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
-    u, v, report, _ = integrate(proto, p, times, rtol, atol)
-    c, n = magnus(proto.grid(p, times)), 8 * report.substeps
-    ref = integrator.fixed_steps(proto.grid, times, c, ones, 0 * ones, n)
-    for got, want in zip((u, v), ref):
-        assert np.all(np.abs(got - want) <= atol + rtol * np.abs(want))
+    assert validate.error_control(proto, points, 8)[0] <= 1.0
 
 
 def test_omega_matches_matrix_magnus():
