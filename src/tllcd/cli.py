@@ -174,6 +174,10 @@ def _validate_config(cfg: RunConfig) -> None:
     # with t_f's, exists yet
     if cfg.v_F <= 0:
         raise ConfigError(f"v_F must be positive, got {cfg.v_F}")
+    # 0, the default, means "not given"
+    for key in ("t_f", "sound_velocity"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must not be negative, got {getattr(cfg, key)}")
     cfg.tf_values()  # raises ConfigError on a bad entry
     if cfg.cd not in ("on", "off"):
         raise ConfigError("cd must be 'on' or 'off'")
@@ -360,12 +364,13 @@ def cmd_sweep(args) -> int:
         )
         print(lines[-1])
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    # as `simulate` at each t_f exits: highest code first, then in row order
-    failed = [(*failure_exit(row.failure), row) for row in rows if row.failure is not None]
-    failed.sort(key=lambda f: f[0], reverse=True)
-    for _, label, row in failed:
-        print(f"{label} at t_f = {_fmt(row.t_f)}: {row.failure}", file=sys.stderr)
-    return failed[0][0] if failed else 0
+    # a row's failure is an IntegrationError: as `simulate` at its t_f exits
+    code = 0
+    for row in rows:
+        if row.failure is not None:
+            code, label = failure_exit(row.failure)
+            print(f"{label} at t_f = {_fmt(row.t_f)}: {row.failure}", file=sys.stderr)
+    return code
 
 
 def cmd_validate(args) -> int:

@@ -150,7 +150,8 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
     them; the invariant policy follows.
     `stability` is the gate's report, stability_margin's for `protocol`:
     with CD on, require_cd_stable refuses its margin before the record grid
-    is formed, then the record grid's margin, and every
+    is formed.  The gate's margin is the least on [0, t_f] where that
+    decides the verdict, so a record grid needs no check of its own.  Every
     ContractError or IntegrationError carries the report as `report`.
     Settings that require_run_settings refuses raise its ContractError
     first, the one the command line raises for them."""
@@ -160,8 +161,6 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
             require_cd_stable(stability.margin, stability.argmin_p, stability.argmin_t)
         times = np.linspace(0.0, protocol.t_f, record_points)
         c = protocol.grid(momenta, times)
-        if protocol.cd_enabled:
-            require_cd_stable(c.margin, c.p, times)
         ones = np.ones(len(momenta))
         u, v, report, frame = integrate_modes(protocol.grid, times, c, ones, 0 * ones, rtol, atol)
         enforce_invariant(report.max_invariant_defect, IntegrationError)
@@ -239,10 +238,9 @@ def run_simulation(
 @dataclass(frozen=True)
 class SweepRow:
     """One t_f of a sweep.  `stability_pass` is the gate's verdict,
-    stability_margin's `passed`.  `failure` is why a row of NaN values has
-    none: the IntegrationError that stopped its integration, or the
-    CDInstabilityError of a record grid that refused a t_f the gate passed.
-    A t_f that the gate refused has its verdict and no failure."""
+    stability_margin's `passed`.  `failure` is the IntegrationError that
+    stopped the integration of a row of NaN values; a t_f that the gate
+    refused has its verdict and no failure."""
 
     t_f: float
     final_residual: float
@@ -261,15 +259,14 @@ def sweep_tf(
     """One row per t_f, with the bits run_simulation gives it: the least
     fidelity over the modes at the last record and the total residual
     there, summed in mode order.  Each t_f takes run_simulation's
-    evolution, the margin check on every record included, and observes
-    only the last record, on a one-column grid at t_f: no Trajectories or
-    aggregates are formed.  Every t_f passes the gate, stability_margin, in
-    list order before any is integrated, so an unstable coupling or a t_f
-    out of range raises before any integration.  A row whose CD run is
-    refused as unstable, or whose integration stops (IntegrationError), is
-    flagged with NaN values, not dropped, so the other t_f still finish;
-    `stability_pass` is the gate's verdict, and the failure is kept as
-    `failure`, unless it is the gate's own refusal."""
+    evolution and observes only the last record, on a one-column grid at
+    t_f: no Trajectories or aggregates are formed.  Every t_f passes the
+    gate, stability_margin, in list order before any is integrated, so an
+    unstable coupling or a t_f out of range raises before any integration.
+    A row whose CD run the gate refused, or whose integration stops
+    (IntegrationError), is flagged with NaN values, not dropped, so the
+    other t_f still finish; `stability_pass` is the gate's verdict, and an
+    IntegrationError is kept as `failure`."""
     # any sequence or iterable: a numpy array has no truth value
     tf_list = [float(t_f) for t_f in tf_list]
     if not tf_list:
@@ -281,11 +278,12 @@ def sweep_tf(
         t_f, passed, momenta = run.t_f, stability.passed, run.momenta()
         try:
             _, _, u, v, frame, _ = _evolve(run, stability, momenta, record_points, rtol, atol)
-        except (CDInstabilityError, IntegrationError) as exc:
-            gated = isinstance(exc, CDInstabilityError) and not passed
+        except CDInstabilityError:
+            rows.append(SweepRow(t_f, math.nan, math.nan, passed))
+            continue
+        except IntegrationError as exc:
             # the row keeps the error, not the frames of its traceback
-            failure = None if gated else exc.with_traceback(None)
-            rows.append(SweepRow(t_f, math.nan, math.nan, passed, failure))
+            rows.append(SweepRow(t_f, math.nan, math.nan, passed, exc.with_traceback(None)))
             continue
         # the last record alone, as a (modes, 1) column, at t_f exactly
         last = np.s_[..., -1:]

@@ -71,8 +71,9 @@ SU(1,1) matrix [[alpha, beta'], [conj(beta'), conj(alpha)]] with
 roundoff for every step size.  To leading order
 z = ((chi_cd - chi)^2 - epsilon^2) h^2: -epsilon^2 h^2 with CD on, and with
 CD off negative where chi_cd^2 < epsilon^2 = v_s^2 p^2.  Either sign is
-integrated alike; the CD stability gate is `stability_margin`, with the
-same margin on the record grid, before any integration.
+integrated alike; the CD stability gate is `stability_margin`, whose
+margin is the least over [0, t_f] where it decides the verdict, before any
+integration.
 
 Propagation, on the Magnus route: `_propagate` writes the frame state
 y' = (u', v') at each record, from y0 mapped into the frame once per call.
@@ -412,8 +413,8 @@ def _start(coefficients, u0, v0):
     the initial state (u0, v0) mapped into it, y0' = T y0 with
     T = [[c, s], [s, c]] at the first record.  v_s is formed here, not read
     from `coefficients`, so that with CD off the record grid does not hold
-    it through the integration (with CD on, `dynamics._evolve` has formed
-    it there already, for the CD margin), and where it is not real the
+    it through the integration (with CD on, the phase route reads it
+    there, `_PhaseRoute._store`), and where it is not real the
     refusal is an IntegrationError, not check_pair_stable's."""
     w, g = coefficients.omega_per_p, coefficients.g_per_p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -135,6 +135,8 @@ FLOAT_KEYS = sorted(
 # refused unless positive: L by model.require_mode_grid, rtol and atol by
 # dynamics.require_run_settings (ContractError), v_F by the CLI (ConfigError)
 POSITIVE_KEYS = ("L", "v_F", "rtol", "atol")
+# refused if negative, by the CLI (ConfigError): 0 means "not given"
+NON_NEGATIVE_KEYS = ("t_f", "sound_velocity")
 
 
 def config_with(key, value):
@@ -153,10 +155,15 @@ def test_parse_config_property(key, value):
         assert key in ("L", "rtol", "atol") and value <= 0
         return
     except ConfigError:
-        assert not math.isfinite(value) or (key == "v_F" and value <= 0)
+        assert (
+            not math.isfinite(value)
+            or (key == "v_F" and value <= 0)
+            or (key in NON_NEGATIVE_KEYS and value < 0)
+        )
         return
     assert math.isfinite(value) and getattr(cfg, key) == value
     assert all(getattr(cfg, k) > 0 for k in POSITIVE_KEYS)
+    assert all(getattr(cfg, k) >= 0 for k in NON_NEGATIVE_KEYS)
     assert parse_config(cli.serialize_config(cfg)) == cfg
 
 
@@ -608,24 +615,43 @@ def integrations(monkeypatch):
     return calls
 
 
-def test_record_grid_refuses_what_the_gate_passes(tmp_path, integrations):
-    # t_f between the gate's edge, 2.1401941332166103, and the edge on 20,001
-    # records, 2.1401946415062683: the gate's margin is +7.7e-9 and the least
-    # margin on the record grid -7.7e-9, so the record-grid check refuses,
-    # naming the point and the margin in the gate's wording
-    text = (
-        "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
-        "t_f = 2.140194387361439\nL = 100\nn_modes = 2\nrecord_points = 20001\n"
-        "cd = on\n"
-    )
+# a contact ramp whose least margin on the 2001 stability times is +7.7e-9
+# and whose least margin on [0, t_f], at t = 1.0205, is -8.0166e-9
+# (2,000,001 times give the same): the gate's refinement between its
+# samples finds the dip
+BOUNDARY_CONFIG = (
+    "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
+    "t_f = 2.140194387361439\nL = 100\nn_modes = 2\nrecord_points = 20001\n"
+    "cd = on\n"
+)
+
+
+def test_gate_refuses_the_boundary_config(tmp_path, integrations, capsys):
+    # `stability`, `simulate` on 20,001 records and `sweep` give one
+    # verdict, the gate's, and name the refined point in the gate's wording
+    cfg = write_config(tmp_path, BOUNDARY_CONFIG)
+    assert main(["stability", "--config", cfg]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "pass = False" in printed
+    margin = float(next(line for line in printed if line.startswith("margin = "))[9:])
+    assert margin == pytest.approx(-8.0166e-9, rel=1e-4)
+    assert "argmin_t = 1.0205" in printed
+
     out = tmp_path / "out"
-    rc = main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)])
-    assert rc == EXIT_INSTABILITY
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_INSTABILITY
     assert integrations == []
-    manifest = (out / "manifest.txt").read_text()
-    failure = next(line for line in manifest.splitlines() if line.startswith("failure = "))
-    assert failure.startswith("failure = cd-instability at p = 0.0628319, t = 1.02055: margin -")
-    assert failure.endswith(" <= 0")
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "stability.pass = False" in manifest
+    refusal = "cd-instability at p = 0.0628319, t = 1.0205: margin -8.01659e-09 <= 0"
+    assert f"failure = {refusal}" in manifest
+    capsys.readouterr()
+
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", cfg, "--out", str(out), "--tf-list", "2.140194387361439"]
+    assert main(args) == 0
+    assert (out / "sweep.csv").read_text().splitlines()[1] == "2.1401943873614391,nan,nan,False"
+    assert capsys.readouterr().err == ""
+    assert integrations == []
 
 
 def test_stability_subcommand_rejects_unstable_coupling(tmp_path, capsys):
@@ -676,6 +702,40 @@ def test_stability_subcommand_protocol(tmp_path, capsys):
 def test_stability_needs_input(tmp_path):
     cfg = write_config(tmp_path, "L = 50\n")
     assert main(["stability", "--config", cfg]) == EXIT_CONFIG
+
+
+# (config lines in place of t_f = 6.0, flags): sweep takes no --tf
+NEGATIVE_INPUTS = {
+    "tf-flag": ("t_f = 6.0", ["--tf", "-3"]),
+    "tf-key": ("t_f = -2", []),
+    "sound-velocity": ("t_f = 6.0\nsound_velocity = -2.04", []),
+    "tf-flag-beside-sound-velocity": ("t_f = 0\nsound_velocity = 2.04", ["--tf", "-3"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        (command, case)
+        for command in ("simulate", "stability", "sweep")
+        for case, (_, flags) in NEGATIVE_INPUTS.items()
+        if not (command == "sweep" and flags)
+    ],
+)
+def test_a_negative_time_or_velocity_is_refused(command, case, tmp_path, capsys):
+    # 0 means "not given"; a negative t_f or sound_velocity is a config
+    # error for every command, before any output, not ignored or replaced
+    config, flags = NEGATIVE_INPUTS[case]
+    text = GOOD_CONFIG.replace("t_f = 6.0", config) + "tf_list = 4.0,8.0\n"
+    out = tmp_path / "out"
+    args = [command, "--config", write_config(tmp_path, text), *flags]
+    if command != "stability":
+        args += ["--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must not be negative" in captured.err
+    assert not out.exists()
 
 
 def test_sweep_subcommand(tmp_path):
@@ -744,44 +804,10 @@ def test_sweep_keeps_the_t_f_that_integrated(stop, tmp_path, monkeypatch, capsys
     assert "t_f = 5:" not in err
 
 
-def test_sweep_and_simulate_agree_on_a_refusal_past_the_gate(tmp_path, monkeypatch, capsys):
-    # four stability times (s = 0, 1/3, 2/3, 1) miss the poly5 peak at
-    # s = 1/2, which the 21 records hit: at t_f = 2 the gate's margin is
-    # +0.0068 and the record grid's -0.0043, far from a rounding tie.  The
-    # sweep row keeps the gate's verdict, the refusal is named, and sweep
-    # exits 3 as simulate does, with simulate's label and message; t_f = 1,
-    # which the gate refuses, keeps its False row and exit 0
-    from tllcd import protocol
-
-    monkeypatch.setattr(protocol, "STABILITY_GRID_POINTS", 4)
-    cfg = write_config(
-        tmp_path,
-        GOOD_CONFIG.replace("L = 20.0", "L = 100.0").replace(
-            "record_points = 41", "record_points = 21"
-        ),
-    )
-    out = tmp_path / "simulate"
-    assert main(["simulate", "--config", cfg, "--out", str(out), "--tf", "2"]) == EXIT_INSTABILITY
-    assert "stability.pass = True" in (out / "manifest.txt").read_text()
-    label, _, refusal = capsys.readouterr().err.partition(": ")
-    assert label == "instability"
-    assert refusal.startswith("cd-instability at p = 0.0628319")
-
-    out = tmp_path / "sweep"
-    args = ["sweep", "--config", cfg, "--out", str(out), "--tf-list"]
-    assert main(args + ["2,5"]) == EXIT_INSTABILITY
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[1] == "2,nan,nan,True"
-    assert lines[2].startswith("5,") and lines[2].endswith(",True")
-    assert "nan" not in lines[2]
-    assert capsys.readouterr().err == f"{label} at t_f = 2: {refusal}"
-
-    assert main(args + ["1"]) == 0
-    assert (out / "sweep.csv").read_text().splitlines()[1] == "1,nan,nan,False"
-    assert capsys.readouterr().err == ""
-
-    # an integration that also stops takes precedence: exit 4, and its
-    # line, simulate's label and message at that t_f, comes first
+def test_sweep_and_simulate_agree_on_an_integration_failure(tmp_path, monkeypatch, capsys):
+    # a run at t_f = 5 that breaks the invariant: simulate exits 4, and the
+    # sweep keeps the gate's verdict in both rows, names the failed t_f with
+    # simulate's label and message, finishes t_f = 6 and exits 4
     integrate = dynamics.integrate_modes
 
     def drifted(grid, times, *rest):
@@ -791,17 +817,24 @@ def test_sweep_and_simulate_agree_on_a_refusal_past_the_gate(tmp_path, monkeypat
         return u, v, report, frame
 
     monkeypatch.setattr(dynamics, "integrate_modes", drifted)
+    cfg = write_config(
+        tmp_path,
+        GOOD_CONFIG.replace("L = 20.0", "L = 100.0").replace(
+            "record_points = 41", "record_points = 21"
+        ),
+    )
     simulate = ["simulate", "--config", cfg, "--out", str(tmp_path / "drift"), "--tf", "5"]
     assert main(simulate) == EXIT_INTEGRATION
     stopped = capsys.readouterr().err
     assert stopped.startswith("integration error: Bogoliubov invariant violated")
-    assert main(args + ["2,5"]) == EXIT_INTEGRATION
-    assert (out / "sweep.csv").read_text().splitlines()[1:] == [
-        "2,nan,nan,True", "5,nan,nan,True",
-    ]
-    assert capsys.readouterr().err == (
-        stopped.replace(": ", " at t_f = 5: ", 1) + f"{label} at t_f = 2: {refusal}"
-    )
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", cfg, "--out", str(out), "--tf-list", "6,5"]
+    assert main(args) == EXIT_INTEGRATION
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("6,") and lines[1].endswith(",True")
+    assert "nan" not in lines[1]
+    assert lines[2] == "5,nan,nan,True"
+    assert capsys.readouterr().err == stopped.replace(": ", " at t_f = 5: ", 1)
 
 
 def test_sweep_gates_every_t_f_before_integrating(tmp_path, integrations, capsys):

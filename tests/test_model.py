@@ -240,7 +240,6 @@ def test_each_stability_rule_refuses_alike_at_every_site(tmp_path, capsys):
             call()
         assert type(caught.value) is error
         if passed is not None:
-            # which CD check refused: the gate, or the record grid past it
             assert caught.value.report.passed is passed
         return str(caught.value)
 
@@ -264,18 +263,6 @@ def test_each_stability_rule_refuses_alike_at_every_site(tmp_path, capsys):
         "bogoliubov_angle": (L, "", refusal(L, lambda: bogoliubov_angle(1.0, 1.0))),
         "gate": (
             CD, "pt", refusal(CD, lambda: run_simulation(replace(reference, t_f=0.1)), False)
-        ),
-        # the gate's margin is +7.7e-9 here, the 20,001-point grid's -7.7e-9
-        "record grid": (
-            CD,
-            "pt",
-            refusal(
-                CD,
-                lambda: run_simulation(
-                    replace(reference, t_f=2.140194387361439), record_points=20001
-                ),
-                True,
-            ),
         ),
         "spectrum_with_cd": (CD, "p", refusal(CD, lambda: spectrum_with_cd(2.0, 1.0, -2.5))),
     }

@@ -4,9 +4,13 @@ with driven mass and frequency, whose symplectic flow gives the excitation
 at t_f that run_simulation's final n_qp, computed in the (u, v) state
 space, must equal."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from tllcd import dynamics, validate
+from tllcd.cli import parse_config
 from tllcd.model import CouplingFamily, CouplingSpec
 from tllcd.protocol import DriveProtocol, Schedule, ScheduleKind
 
@@ -39,3 +43,16 @@ def test_every_mode_matches_the_driven_oscillator(family, cd):
         for k in MODES:
             n, bound = validate.oscillator_excitation(proto, traj, k)
             assert n > 1e3 * bound, (k, n, bound)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("cd", ["on", "off"])
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.iterdir()))
+def test_every_mode_of_the_golden_configs_matches_the_driven_oscillator(golden, cd):
+    # each golden config as the command line reads it, with CD on and off:
+    # every mode, on the config's own record grid
+    cfg = replace(parse_config((GOLDEN / golden / "run.cfg").read_text()), cd=cd)
+    ratio, bound = validate.driven_oscillator(cfg.protocol(), cfg.record_points)
+    assert ratio <= bound

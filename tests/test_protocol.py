@@ -1,15 +1,24 @@
 """Protocol-level tests: the coefficient grid, validation, speed-window
 criteria and the closed-form bound."""
 
+import functools
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tllcd import cli, dynamics, protocol
 from tllcd.closed_forms import controlled_coefficients
-from tllcd.errors import ConfigError, ContractError, LuttingerInstabilityError
+from tllcd.errors import (
+    CDInstabilityError,
+    ConfigError,
+    ContractError,
+    LuttingerInstabilityError,
+)
 from tllcd.model import TWO_PI, CouplingFamily, CouplingSpec
 from tllcd.protocol import (
     ADIABATIC_THRESHOLD,
@@ -193,6 +202,95 @@ def test_stability_margin_covers_every_mode(family, block, monkeypatch):
         assert not report.passed
         assert report.argmin_p == proto.momenta()[3]
         assert report.argmin_t == pytest.approx(4.485, abs=1e-12)
+
+
+def test_the_gate_alone_refuses_a_dip_between_four_samples(monkeypatch):
+    # four stability times (s = 0, 1/3, 2/3, 1) miss the poly5 peak of
+    # |chi| between them: sampled, the least margin at t_f = 2 is +0.0068;
+    # refined between the samples it is the least on [0, t_f], and the gate
+    # refuses a run before it forms a record grid
+    monkeypatch.setattr(protocol, "STABILITY_GRID_POINTS", 4)
+    proto = reference_protocol(t_f=2.0, n_modes=2)
+    sampled = proto.grid(proto.momenta()[:1], np.linspace(0.0, 2.0, 4)).margin
+    assert np.min(sampled) == pytest.approx(0.0068, abs=1e-4)
+    report = stability_margin(proto)
+    assert not report.passed
+    fine = proto.grid(proto.momenta()[:1], np.linspace(0.0, 2.0, 200_001)).margin
+    assert report.margin == pytest.approx(np.min(fine), abs=1e-9)
+    assert report.argmin_p == proto.momenta()[0]
+    with pytest.raises(CDInstabilityError, match="cd-instability at p = 0.0628319, t = 0.95"):
+        dynamics.run_simulation(proto, record_points=21)
+
+
+COUPLINGS = {
+    "contact": reference_protocol().coupling,
+    "lorentzian": CouplingSpec(family=CouplingFamily.LORENTZIAN, g2_end=0.8, g4_end=0.8, R0=0.5),
+    "custom_table": CouplingSpec(
+        family=CouplingFamily.CUSTOM_TABLE,
+        table=((0.0, 0.9, 0.45), (0.5, 0.8, 0.4), (2.5, 0.6, 0.35)),
+    ),
+}
+SCHEDULES = {
+    "poly5": Schedule(ScheduleKind.POLY5),
+    "linear": Schedule(ScheduleKind.LINEAR),
+    # falling steeply from P = 0.9 to 0.1: the margin is least at s = 0.6,
+    # in the limit from the left, which no sample takes
+    "custom_samples": Schedule(
+        ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (0.4, 0.9), (0.6, 0.1), (1.0, 1.0))
+    ),
+}
+
+
+@functools.cache
+def at_the_gates_edge(family, schedule) -> DriveProtocol:
+    """The protocol of `family` and `schedule` on 4 modes at the least t_f
+    the gate passes, bisected until the t_f it refuses is the float64 just
+    below: a margin at the level of rounding."""
+    proto = DriveProtocol(COUPLINGS[family], SCHEDULES[schedule], t_f=1.0, L=20.0, n_modes=4)
+    refused, passed = 1e-3, 1e3
+    while refused < (t_f := math.sqrt(refused * passed)) < passed:
+        if stability_margin(proto.with_tf(t_f)).passed:
+            passed = t_f
+        else:
+            refused = t_f
+    return proto.with_tf(passed)
+
+
+def test_a_custom_schedule_is_taken_with_each_slope_at_its_samples():
+    # at t_f = 5 the least margin is the limit at s = 0.6 from the left,
+    # with the falling segment's slope: the gate evaluates it there, at the
+    # sample's own time, where a record takes the next segment's slope
+    proto = DriveProtocol(
+        COUPLINGS["contact"], SCHEDULES["custom_samples"], t_f=5.0, L=100.0, n_modes=2
+    )
+    report = stability_margin(proto)
+    assert report.passed
+    assert report.argmin_t == 0.6 * 5.0
+    xs, ys = proto.schedule.sample_arrays
+    falling = (ys[2] - ys[1]) / (xs[2] - xs[1])
+    p = proto.momenta()[:1, None]
+    limit = proto._coefficients(p, np.array([[ys[2]]]), falling).margin[0, 0]
+    assert report.margin < limit
+    assert report.margin == pytest.approx(limit, abs=1e-15)
+    assert np.min(proto.grid(p[:, 0], np.linspace(0.0, 5.0, 20_001)).margin) > limit
+
+
+@given(
+    st.sampled_from(sorted(COUPLINGS)),
+    st.sampled_from(sorted(SCHEDULES)),
+    st.integers(2, 20_001),
+)
+@example("contact", "poly5", 20_001)
+@example("custom_table", "poly5", 20_001)
+@settings(max_examples=60, deadline=None)
+def test_a_passed_gate_holds_on_every_record_grid(family, schedule, record_points):
+    # at the edge of the gate, the margin of every mode at every record is
+    # positive: the gate's verdict is exact between its 2001 samples, not
+    # only on them, so a run needs no second check of its records
+    proto = at_the_gates_edge(family, schedule)
+    times = np.linspace(0.0, proto.t_f, record_points)
+    margin = proto.grid(proto.momenta(), times).margin
+    assert np.min(margin) > 0.0
 
 
 def test_stability_margin_evaluates_the_schedule_once(monkeypatch):

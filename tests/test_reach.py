@@ -1,8 +1,9 @@
 """The run path holds only what a run executes: every function and method
 defined in a run-path module is called by some run.  The runs are
 `simulate`, `sweep` and `stability` of each coupling family with CD on and
-off, an API run on custom schedule samples, a Luttinger-unstable
-`stability` and `validate`, in-process under sys.setprofile.  A function
+off, an API run on custom schedule samples, a `stability` whose gate
+refines between its samples, a Luttinger-unstable `stability` and
+`validate`, in-process under sys.setprofile.  A function
 that only tests call belongs on the reference side (`tllcd.closed_forms`,
 `tllcd.su11`, `tllcd.validate`)."""
 
@@ -103,6 +104,10 @@ def every_run(tmp_path):
         ),
         record_points=11,
     )
+    # the gate refines between its samples where they leave the verdict open
+    boundary = tmp_path / "boundary.cfg"
+    boundary.write_text(CONFIGS["contact"] + "t_f = 2.140194387361439\nL = 100\nn_modes = 2\n")
+    assert main(["stability", "--config", str(boundary)]) == 0
     unstable = tmp_path / "unstable.cfg"
     unstable.write_text(CONFIGS["contact"].replace("1.0", "9.0") + COMMON)
     assert main(["stability", "--config", str(unstable)]) == EXIT_INSTABILITY

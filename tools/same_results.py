@@ -15,14 +15,15 @@ added are refused (REFUSALS): an unknown family, a custom schedule with no
 samples, one record point, L = 0 and rtol = 0 exit 2, and a
 Luttinger-unstable coupling exits 3 after writing its failure manifest; the
 unstable config also runs as `stability`, which exits 3.
-A contact ramp whose t_f the stability gate passes and whose 20,001-point
-record grid refuses (RECORD_GRID_REFUSED) runs as `simulate`, which exits
+A contact ramp whose margin dips below 0 between the stability gate's
+samples (GATE_REFUSED) runs as `simulate` on 20,001 records, which exits
 3 after writing its failure manifest, and as a `sweep` of its own t_f,
-which writes a NaN row and exits 3.
+which writes a NaN row and exits 0.
 Each run is a fresh `python -W error` process with that tree's `src` alone
 on the path.  Every file a run writes, its exit code, stdout and stderr (with the run's
 directory replaced by `<run>`) are compared byte for byte.  Exits 0 when
-nothing differs, else 1 after listing the files that differ.
+nothing differs, else 1 after listing the files that differ, each text
+file with the first line where the two sides differ beneath it.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ REFUSALS = (
     ("rtol", "cd = on", "cd = on\nrtol = 0"),
     ("unstable", "g2_end = 1.0", "g2_end = 7.0"),
 )
-# the gate's margin at this t_f is +7.7e-9, the record grid's least -7.7e-9
-RECORD_GRID_REFUSED = (
+# the least margin at this t_f is +7.7e-9 on the gate's 2001 samples and
+# -8.0e-9 between them, at t = 1.0205, where the gate's refinement finds it
+GATE_REFUSED = (
     "family = contact\ng2_end = 1.0\ng4_end = 0.5\nschedule = poly5\n"
     "t_f = 2.140194387361439\nL = 100\nn_modes = 2\nrecord_points = 20001\ncd = on\n"
 )
@@ -75,9 +77,9 @@ def cases(seeds) -> list:
         runs.append((f"refused-{name}", contact.replace(line, refused), _simulate))
         if name == "unstable":
             runs.append(("refused-unstable-stability", contact.replace(line, refused), _stability))
-    record_grid_tf = parse_config(RECORD_GRID_REFUSED).t_f
-    runs.append(("refused-record-grid", RECORD_GRID_REFUSED, _simulate))
-    runs.append(("refused-record-grid-sweep", RECORD_GRID_REFUSED, _sweep(record_grid_tf)))
+    gate_tf = parse_config(GATE_REFUSED).t_f
+    runs.append(("refused-gate", GATE_REFUSED, _simulate))
+    runs.append(("refused-gate-sweep", GATE_REFUSED, _sweep(gate_tf)))
     runs.append(("validate", None, lambda config, out: ["validate"]))
     return runs
 
@@ -138,6 +140,26 @@ def differences(a: Path, b: Path) -> list:
     )
 
 
+def first_difference(a: Path, b: Path):
+    """(line of a, line of b): the first line where the text files a and b
+    differ, "<end>" past the last line of one; None unless both are text
+    files whose lines differ."""
+    try:
+        lines_a, lines_b = (path.read_text().splitlines() for path in (a, b))
+    except (OSError, UnicodeDecodeError):
+        return None
+    end = ["<end>"]
+    return next(((x, y) for x, y in zip(lines_a + end, lines_b + end) if x != y), None)
+
+
+def described(rel: str, parent: Path, change: Path) -> list:
+    """The `differs:` line of the file `rel` of the runs `parent` and
+    `change` and, for a text file, the first line where each side differs."""
+    first = first_difference(parent / rel, change / rel)
+    sides = zip(("parent", "change"), first) if first else ()
+    return [f"differs: {rel}", *(f"  {side}: {line}" for side, line in sides)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -150,8 +172,8 @@ def main(argv=None) -> int:
         for tree, where in zip((args.parent, args.change), sides):
             run_all(tree, where, runs)
         diff = differences(*sides)
-    for rel in diff:
-        print(f"differs: {rel}")
+        for rel in diff:
+            print(*described(rel, *sides), sep="\n")
     print(f"{len(runs)} runs, {len(diff)} files differ")
     return 1 if diff else 0
 
