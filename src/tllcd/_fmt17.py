@@ -50,12 +50,15 @@ Writer.  `write_csv(path, header, columns)` writes a table a block of
 CSV_BLOCK_ROWS rows at a time, so its text is never held whole.  A block is
 (rows, columns, CELL_WORDS) int64: each cell's words, with its ',' or '\n'
 in the free top byte of the last word, so that deleting the NUL bytes
-leaves the rows.  A column with fewer entries of its own than the table has
-rows (a shorter array, a 0-d value, or a view with stride 0 on the axes it
-repeats on) has each entry formatted once and its words taken into every
-block.  The other columns are gathered row-major, block by block, and
+leaves the rows.  A column with fewer entries of its own than the table
+has rows (a shorter array, a 0-d value, or a view with stride 0 on the
+axes it repeats on) has each entry formatted once and its words taken into
+every block.  The other columns are gathered row-major, block by block, and
 formatted in one call; a run of equal bits down a column within a block is
-formatted once, at its first row, and its words fill the run.
+formatted once, at its first row, and its words fill the run.  A block's
+int64 array is formed only once its words exist and its values are gone,
+and the words and the block go before its bytes are translated, so that
+the writer holds one block's temporaries at a time.
 """
 
 from __future__ import annotations
@@ -134,6 +137,8 @@ def words(x) -> np.ndarray:
         below, above = _outside(yh, yl)
         decided &= ~(below | above)
     decided &= np.abs(yl - np.floor(yl) - 0.5) >= _TIE
+    # what the layout does not read goes first: a block's peak is there
+    del a, below, above
     cells = _layout(np.signbit(x), X, yh, yl)
     slow = np.flatnonzero(~decided)
     if len(slow):
@@ -199,8 +204,9 @@ def _layout(negative, X, yh, yl) -> np.ndarray:
     D[carry] = 10**16
     lead = D // 10**16
     rest = D - lead * 10**16
+    del D, carry  # not read again, nor q below: the layout is a block's peak
     # digits 1-8 and 9-16, one per byte, the first in the lowest byte
-    v = np.empty((2, len(D)), np.int64)
+    v = np.empty((2, len(rest)), np.int64)
     v[0] = rest // 10**8
     v[1] = rest - v[0] * 10**8
     q = v // 10**4
@@ -209,6 +215,7 @@ def _layout(negative, X, yh, yl) -> np.ndarray:
     v = q | ((v - q * 100) << 16)
     q = ((v * 103) >> 10) & 0x000F000F000F000F  # // 10 per 16-bit lane
     v = q | ((v - q * 10) << 8)
+    del q
     # the bytes up to the last nonzero digit of a word come from its bit
     # length, which its double keeps: no digit byte exceeds 9, so rounding
     # to 53 bits cannot carry into the next power of two
@@ -216,7 +223,7 @@ def _layout(negative, X, yh, yl) -> np.ndarray:
     v += _ZEROS
     lead += ord("0")
     row = X - (_X_MIN - 1)
-    cells = np.empty((4, len(D)), np.int64)
+    cells = np.empty((4, len(rest)), np.int64)
     # the '.' after the lead digit only where digits follow it
     np.bitwise_and(_FIRST.take(row), ~((rest == 0) * _TOP), out=cells[0])
     cells[0] |= negative * ord("-")
@@ -276,21 +283,25 @@ def write_csv(path, header: str, columns) -> None:
             full.append(j)
             sources.append(column.reshape(-1))
     full_separator = separator[full]
+
+    def block(start, stop):
+        # the words of the full columns exist, and their values are gone,
+        # before the block is formed; the words and the block go on return
+        if full:
+            text = _block_words(np.stack([s[start:stop] for s in sources], axis=1))
+            text[3] |= full_separator
+        cells = np.empty((stop - start, len(columns), CELL_WORDS), "<i8")
+        if full:
+            cells[:, full] = text.transpose(1, 2, 0)
+        for j, repeated_text, index in repeated:
+            cells[:, j] = repeated_text.take(index[start:stop], axis=0)
+        return cells.tobytes()
+
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            block = np.empty((stop - start, len(columns), CELL_WORDS), "<i8")
-            if full:
-                values = np.empty((stop - start, len(full)))
-                for i, source in enumerate(sources):
-                    values[:, i] = source[start:stop]
-                text = _block_words(values)
-                text[3] |= full_separator
-                block[:, full] = text.transpose(1, 2, 0)
-            for j, text, index in repeated:
-                block[:, j] = text.take(index[start:stop], axis=0)
-            f.write(block.tobytes().translate(None, b"\0"))
+            f.write(block(start, stop).translate(None, b"\0"))
 
 
 def _block_words(values) -> np.ndarray:

@@ -69,27 +69,55 @@ def observables(u, v, frame, c) -> dict:
     state) are read in the frame; n_bare (vacuum_observables), pair_energy,
     residual and controlled_energy (controlled_pair_energy) from (u, v);
     epsilon_cd is spectrum_with_cd's with CD on, else the bare spectrum.
+    The frame state is read first, and let go before any other column is
+    formed: where the caller holds no other reference to it, as `_observe`
+    does not, its memory is free for them.  Every column is formed in
+    place, and corr = -conj(u) v goes before the energies are formed, so
+    that no temporary of their shape outlives the room of the columns not
+    yet formed.
     """
     u_frame, v_frame = frame
+    n_qp = np.abs(v_frame)
+    n_qp **= 2
+    fidelity = np.abs(u_frame)
+    np.divide(1.0, fidelity, out=fidelity)
+    np.minimum(fidelity, 1.0, out=fidelity)
+    del frame, u_frame, v_frame
     omega, g, chi = c.omega, c.g, c.chi
-    n = np.abs(v) ** 2
-    corr = -np.conj(u) * v
-    energy = 2.0 * omega * (n + 0.5) - omega + 2.0 * g * corr.real
-    epsilon = instantaneous_spectrum(omega, g)
-    residual = energy - (epsilon - omega)
-    if c.cd_enabled:
-        # in place of the bare spectrum, before the columns below: a CD
-        # run never holds both beside them
-        epsilon = spectrum_with_cd(c.v_s, c.p, chi)
+    n = np.abs(v)
+    n **= 2
+    corr = np.conj(u)
+    np.negative(corr, out=corr)
+    corr *= v
+    # 2 omega (n + 1/2) and 2 g Re(corr) are formed once, and added in the
+    # order of energy = 2 omega (n + 1/2) - omega + 2 g Re(corr) and of
+    # controlled = 2 omega (n + 1/2) + 2 g Re(corr) + 2 chi Im(corr); corr
+    # goes before the first of them is formed
+    re = np.multiply(2.0, g)
+    re *= corr.real
+    im = np.multiply(2.0, chi)
+    im *= corr.imag
+    del corr
+    controlled = np.add(n, 0.5)
+    controlled *= 2.0 * omega
+    energy = np.subtract(controlled, omega)
+    energy += re
+    controlled += re
+    controlled += im
+    del re, im
+    residual = instantaneous_spectrum(omega, g)
+    # the residual is formed over the bare spectrum, which without CD is
+    # also the column epsilon_cd
+    epsilon = spectrum_with_cd(c.v_s, c.p, chi) if c.cd_enabled else residual.copy()
+    residual -= omega
+    np.subtract(energy, residual, out=residual)
     return {
         "n_bare": n,
-        "n_qp": np.abs(v_frame) ** 2,
-        "fidelity": np.minimum(1.0 / np.abs(u_frame), 1.0),
+        "n_qp": n_qp,
+        "fidelity": fidelity,
         "pair_energy": energy,
         "residual": residual,
-        "controlled_energy": 2.0 * omega * (n + 0.5)
-        + 2.0 * g * corr.real
-        + 2.0 * chi * corr.imag,
+        "controlled_energy": controlled,
         "epsilon_cd": epsilon,
     }
 
@@ -112,7 +140,7 @@ def evolve_pair(
         raise ContractError(f"pair momentum must be finite and positive, got {p}")
     protocol._validate_at(lambda: np.array([p], dtype=float))
     stability = _protocol.stability_margin(protocol)
-    return _observe(*_evolve(protocol, stability, [p], record_points, rtol, atol))[0]
+    return _observe(_evolve(protocol, stability, [p], record_points, rtol, atol))[0]
 
 
 def enforce_invariant(defect: float, error: type) -> None:
@@ -141,10 +169,11 @@ def require_run_settings(rtol: float, atol: float, record_points: int) -> None:
 
 
 def _evolve(protocol, stability, momenta, record_points, rtol, atol):
-    """(times, CoefficientGrid, u, v, frame, IntegrationReport) of the pairs
-    `momenta` (rows), all started from the vacuum, on the record grid of
-    `record_points` times over [0, t_f] (columns), in one integrate_modes
-    call, on its phase route with CD on: the one evolution of every run.
+    """[times, CoefficientGrid, u, v, IntegrationReport, frame], a list
+    whose frame state `_observe` can pop, of the pairs `momenta` (rows), all
+    started from the vacuum, on the record grid of `record_points` times
+    over [0, t_f] (columns), in one integrate_modes call, on its phase
+    route with CD on: the one evolution of every run.
     The coefficients on the record grid are evaluated once, here, and the
     integrator reads the modes, the route and the adiabatic frame from
     them; the invariant policy follows.
@@ -167,21 +196,25 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
     except (ContractError, IntegrationError) as exc:
         exc.report = stability
         raise
-    return times, c, u, v, frame, report
+    return [times, c, u, v, report, frame]
 
 
-def _observe(times, c, u, v, frame, report):
+def _observe(evolved):
     """(Trajectories, IntegrationReport) of an _evolve result: every mode at
     every record, the lab state (u, v) as integrated, n_qp and the fidelity
-    read from the frame state (u', v'), which is released here with the
-    record grid `c`, before a caller forms more of the coefficients."""
+    read from the frame state (u', v').  The frame state is popped from
+    `evolved` into the observables call, so that observables holds it
+    alone and releases it once it has read n_qp and the fidelity; the
+    record grid `c` is released on return, before a caller forms more of
+    the coefficients."""
+    times, c, u, v, report = evolved[:5]
     traj = Trajectories(
         p=c.p[:, 0],
         times=times,
         u=u,
         v=v,
         chi=c.chi,
-        **observables(u, v, frame, c),
+        **observables(u, v, evolved.pop(), c),
     )
     return traj, report
 
@@ -215,10 +248,10 @@ def run_simulation(
     integration.  Every error raised after stability_margin returns carries
     its report as `report`."""
     stability = _protocol.stability_margin(protocol)
-    # one expression, so that _evolve's frame state is released before the
-    # aggregates form more of the coefficients
+    # one expression, so that _evolve's record grid and frame state are
+    # released before the aggregates form more of the coefficients
     traj, integration = _observe(
-        *_evolve(protocol, stability, protocol.momenta(), record_points, rtol, atol)
+        _evolve(protocol, stability, protocol.momenta(), record_points, rtol, atol)
     )
     # the slowest mode's row alone, on a one-row grid of the record times
     slowest = protocol.grid(traj.p[:1], traj.times)
@@ -273,24 +306,27 @@ def sweep_tf(
         raise ContractError("sweep requires a nonempty t_f list")
     runs = [protocol.with_tf(t_f) for t_f in tf_list]
     reports = [_protocol.stability_margin(run) for run in runs]
-    rows = []
-    for run, stability in zip(runs, reports):
-        t_f, passed, momenta = run.t_f, stability.passed, run.momenta()
-        try:
-            _, _, u, v, frame, _ = _evolve(run, stability, momenta, record_points, rtol, atol)
-        except CDInstabilityError:
-            rows.append(SweepRow(t_f, math.nan, math.nan, passed))
-            continue
-        except IntegrationError as exc:
-            # the row keeps the error, not the frames of its traceback
-            rows.append(SweepRow(t_f, math.nan, math.nan, passed, exc.with_traceback(None)))
-            continue
-        # the last record alone, as a (modes, 1) column, at t_f exactly
-        last = np.s_[..., -1:]
-        obs = observables(u[last], v[last], frame[last], run.grid(momenta, t_f))
-        # one mode after another, in mode order, as residual.sum(axis=0)
-        # adds them; a 1-D sum would add pairwise
-        final_res = functools.reduce(operator.add, obs["residual"][:, 0])
-        final_fid = np.min(obs["fidelity"])
-        rows.append(SweepRow(t_f, float(final_res), float(final_fid), passed))
-    return rows
+    settings = record_points, rtol, atol
+    return [_sweep_row(run, stability, *settings) for run, stability in zip(runs, reports)]
+
+
+def _sweep_row(run, stability, record_points, rtol, atol) -> SweepRow:
+    """The SweepRow of the protocol `run` at its t_f, gated by `stability`.
+    Its state, frame state and one-column grid are locals here, released
+    when the row is returned, before the next t_f integrates."""
+    t_f, passed, momenta = run.t_f, stability.passed, run.momenta()
+    try:
+        _, _, u, v, _, frame = _evolve(run, stability, momenta, record_points, rtol, atol)
+    except CDInstabilityError:
+        return SweepRow(t_f, math.nan, math.nan, passed)
+    except IntegrationError as exc:
+        # the row keeps the error, not the frames of its traceback
+        return SweepRow(t_f, math.nan, math.nan, passed, exc.with_traceback(None))
+    # the last record alone, as a (modes, 1) column, at t_f exactly
+    last = np.s_[..., -1:]
+    obs = observables(u[last], v[last], frame[last], run.grid(momenta, t_f))
+    # one mode after another, in mode order, as residual.sum(axis=0) adds
+    # them; a 1-D sum would add pairwise
+    final_res = functools.reduce(operator.add, obs["residual"][:, 0])
+    final_fid = np.min(obs["fidelity"])
+    return SweepRow(t_f, float(final_res), float(final_fid), passed)

@@ -76,13 +76,21 @@ margin is the least over [0, t_f] where it decides the verdict, before any
 integration.
 
 Propagation, on the Magnus route: `_propagate` writes the frame state
-y' = (u', v') at each record, from y0 mapped into the frame once per call.
-The steps of a pass form one flat sequence, N per record interval, taken
-one block at a time so that memory does not grow with the run: the
+y' = (u', v') at each record, from y0 mapped into the frame once per call,
+straight into the rows of its modes in the route's one frame state.  The
+steps of a pass form one flat sequence, N per record interval, taken one
+block at a time so that memory does not grow with the run: the
 propagators (alpha, beta) of a block's steps from its start, prefix
 products by doubling (Hillis & Steele, CACM 29, 1170 (1986)), are applied
 to the state carried in from the block before.  `_lab` maps y' back to the
-lab (u, v), for the error test and the result.
+lab (u, v), for the error test and the result.  What follows a pass runs
+by chunks of at most BLOCK_POINTS (mode, record) points (`_chunks`: whole
+rows of records where a row fits), each finished before the next: `_lab`,
+the error test of either route (each chunk's lab state is compared with
+the pass before and then written over it), the phase route's forming of
+the state, the frame map of `_start` and the invariant defect.  So a run
+holds its frame state, its lab state and one block of temporaries,
+whatever its length.
 
 Phase route, where the coefficients apply CD with chi the very array chi_cd
 (`_route`): r = chi_cd - chi is then 0 at every node, so a1, a2 and a3 have
@@ -228,11 +236,10 @@ def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
     modes, intervals = len(route.momenta), len(route.times) - 1
     # levels are kept as exponents k of N = 2^k steps per record interval.
     # The first pass takes one step per `stride` record intervals and
-    # reaches the `records` it is compared at: N = 1/2 and the even records
-    # on an even interval count, else N = 1 and every record
+    # reaches every stride-th record, where it is compared: N = 1/2 and the
+    # even records on an even interval count, else N = 1 and every record
     stride = 2 - intervals % 2
-    records = slice(None, None, stride)
-    route.first(records)
+    route.first(stride)
     k, steps = 1 - stride, modes * (intervals // stride)
     active = np.arange(modes)
     substeps, worst = 1, 0.0
@@ -240,12 +247,12 @@ def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
         k += 1
         # views, not copies, while every mode is still active
         rows = active if len(active) < modes else slice(None)
-        passed, estimate = route.refine(active, rows, 1 << k, records, rtol, atol)
+        passed, estimate = route.refine(active, rows, 1 << k, stride, rtol, atol)
         steps += len(active) * intervals << k
         if np.any(passed):
             substeps = 1 << k
             worst = max(worst, estimate)
-        active, records = active[~passed], slice(None)
+        active, stride = active[~passed], 1
         if len(active) and (2 << k) * intervals > MAX_STEPS:
             # phi is finite: a non-finite panel raises at once
             finite = route.method == PHASE or np.all(np.isfinite(route.lab[:, active]))
@@ -255,7 +262,11 @@ def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
             )
     route.finish()
     u, v = route.lab
-    defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
+    # np.maximum, not max, so that a nan propagates as np.max's would
+    defect = 0.0
+    for r, t in _chunks(modes, len(route.times)):
+        x, y = np.abs(u[r, t]), np.abs(v[r, t])
+        defect = np.maximum(defect, np.max(np.abs(x**2 - y**2 - 1.0)))
     report = IntegrationReport(route.method, substeps, steps, worst, float(defect))
     return u, v, report, route.out
 
@@ -285,123 +296,181 @@ def _route(grid, times, coefficients, u0, v0):
 
 class _Route:
     """A route's passes: the modes' `momenta` (the coefficients' column p),
-    the frame and y0' from `_start`, `out` and `lab`, and `store`, what the
-    route keeps of its passes, from `_store(coefficients)`, which also
-    reads what else the route needs of the coefficients.  `first(records)`
-    runs every mode at one step per interval of times[records];
-    `refine(active, rows, substeps, records, rtol, atol)` runs the modes
+    the frame and y0' from `_start`, and `out` and `lab`, the route's one
+    frame state and one lab state.  `first(stride)` runs every mode at one
+    step per `stride` intervals and reaches every stride-th record;
+    `refine(active, rows, substeps, stride, rtol, atol)` runs the modes
     `active` (indexed by `rows`) at `substeps` steps per interval, tests
-    them against their pass before at `records`, keeps the pass, and
-    returns which passed and the largest estimate among those; `finish()`
-    leaves in `out` and `lab` the state of every mode from the pass it was
-    accepted with, and `fixed(substeps)` that at `substeps` steps per
-    interval.  Plain classes: dataclasses took ~2 ms more to import."""
+    them against their pass before at every stride-th record, keeps the
+    pass, and returns which passed and the largest estimate among those;
+    `finish()` leaves in `out` and `lab` the state of every mode from the
+    pass it was accepted with, and `fixed(substeps)` that at `substeps`
+    steps per interval.  Plain classes: dataclasses took ~2 ms more to
+    import."""
 
     def __init__(self, grid, times, coefficients, u0, v0):
         self.grid, self.momenta = grid, coefficients.p[:, 0]
         self.times = np.asarray(times, dtype=float)
         # out holds the frame state of every mode and lab its (u, v), each
-        # (u, v) x modes x records.  All three are allocated before any
+        # (u, v) x modes x records.  Both are allocated before any
         # temporary so that freed temporaries do not stay pinned under them
         self.out = np.empty((2, len(self.momenta), len(self.times)), dtype=complex)
         self.lab = np.empty_like(self.out)
-        self.store = self._store(coefficients)
         self.frame, self.y0 = _start(coefficients, u0, v0)
 
 
 class _MagnusRoute(_Route):
-    """Magnus steps: each pass writes the frame state of its modes to `out`
-    and their lab (u, v) to `lab`; `store` is complex, of out's size, and
-    holds a pass while it is tested."""
+    """Magnus steps: each pass writes the frame state of its modes straight
+    into their rows of `out`, over the state of their pass before, which
+    the test does not read; the test then maps it to the lab chunk by
+    chunk, compares each chunk with the pass before in `lab` and writes it
+    there."""
 
     method = MAGNUS
 
-    def _store(self, coefficients):
-        return np.empty(self.out.size, dtype=complex)
+    def first(self, stride, substeps=1):
+        out, lab = self.out[..., ::stride], self.lab[..., ::stride]
+        times = self.times[::stride]
+        _propagate(self.grid, self.momenta, times, self.y0, substeps, out, slice(None))
+        _lab(self.frame[..., ::stride], out, lab)
 
-    def first(self, records, substeps=1):
-        out, lab = self.out[..., records], self.lab[..., records]
-        _propagate(self.grid, self.momenta, self.times[records], self.y0, substeps, out)
-        _lab(self.frame[..., records], out, lab)
-
-    def refine(self, active, rows, substeps, records, rtol, atol):
-        times, y0 = self.times, self.y0[:, rows]
-        fine = self.store[: 2 * len(active) * len(times)].reshape(2, -1, len(times))
-        _propagate(self.grid, self.momenta[rows], times, y0, substeps, fine)
-        self.out[:, rows] = fine
-        _lab(self.frame[:, rows], fine, fine)
-        # old is overwritten with the difference, then lab[:, rows] with fine
-        old, new = self.lab[:, rows, records], fine[..., records]
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = np.abs(np.subtract(old, new, out=old)) / 63.0
-            tol = atol + rtol * np.abs(new)
-        passed = np.all(err <= tol, axis=(0, 2))
-        passed &= np.all(np.isfinite(fine), axis=(0, 2))
-        self.lab[:, rows] = fine
-        return passed, float(np.max(err[:, passed])) if np.any(passed) else 0.0
+    def refine(self, active, rows, substeps, stride, rtol, atol):
+        y0 = self.y0[:, rows]
+        _propagate(self.grid, self.momenta[rows], self.times, y0, substeps, self.out, rows)
+        passed, worst = np.ones(len(active), dtype=bool), np.zeros(len(active))
+        for r, t in _chunks(len(active), len(self.times)):
+            modes = _rows(rows, r)
+            new = np.empty((2, r.stop - r.start, t.stop - t.start), dtype=complex)
+            _lab(self.frame[:, modes, t], self.out[:, modes, t], new)
+            records = _compared(t, stride)
+            old = self.lab[:, modes, records]
+            at = new[..., records.start - t.start :: stride]
+            # old is overwritten with the difference, then lab with new
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = np.abs(np.subtract(old, at, out=old))
+                err /= 63.0
+                tol = np.abs(at)
+                tol *= rtol
+                tol += atol
+            passed[r] &= np.all(err <= tol, axis=(0, 2))
+            passed[r] &= np.all(np.isfinite(new), axis=(0, 2))
+            worst[r] = np.maximum(worst[r], np.max(err, axis=(0, 2), initial=0.0))
+            self.lab[:, modes, t] = new
+        return passed, float(np.max(worst[passed])) if np.any(passed) else 0.0
 
     def finish(self):
         pass
 
     def fixed(self, substeps):
-        self.first(slice(None), substeps)
+        self.first(1, substeps)
 
 
 class _PhaseRoute(_Route):
     """The phase route: each pass returns phi at the records on the
     couplings' rows (`_phase`), one for every mode where `shared`; `old` is
-    the phi of the last pass of the modes still failing, and `store`, real
-    (modes, records), the phase Phi = p phi of each mode that passed, from
-    which `finish` forms its state."""
+    the phi of the last pass of the modes still failing.  The phase
+    Phi = p phi of each mode that passed is kept in `phase`, the real part
+    of the v' plane of `out`, from which `finish` forms its state."""
 
     method = PHASE
 
-    def _store(self, coefficients):
+    def __init__(self, grid, times, coefficients, u0, v0):
+        super().__init__(grid, times, coefficients, u0, v0)
         # v_s on the record grid is one row where every mode shares it
         self.shared = len(coefficients.v_s) == 1
-        return np.empty(self.out.shape[1:])
+        self.phase = self.out[1].real
 
     def _pass(self, rows, times, substeps):
         momenta = self.momenta[:1] if self.shared else self.momenta[rows]
         return _phase(self.grid, momenta, times, substeps)
 
-    def first(self, records):
-        self.old = self._pass(slice(None), self.times[records], 1)
+    def _own(self, chunk):
+        """The rows of a pass's phi that the rows `chunk` of its modes read."""
+        return slice(None) if self.shared else chunk
 
-    def refine(self, active, rows, substeps, records, rtol, atol):
+    def first(self, stride):
+        self.old = self._pass(slice(None), self.times[::stride], 1)
+
+    def refine(self, active, rows, substeps, stride, rtol, atol):
         new = self._pass(rows, self.times, substeps)
         p = self.momenta[rows]
-        # |delta Phi| at every record both passes reach, then the bounds B_u,
-        # B_v of the module docstring and their tolerances, mode by mode
-        d = np.abs(self.old - new[:, records]) * (p / 63.0)[:, None]
-        c, s = self.frame[:, rows, records]
-        s = np.abs(s)
-        u, v = np.abs(self.y0[:, rows, None])
-        cu, sv, cv, su = c * u, s * v, c * v, s * u
-        bound_u, bound_v = d * (cu + sv), d * (cv + su)
-        passed = np.all(bound_u <= atol + rtol * (cu - sv), axis=1)
-        passed &= np.all(bound_v <= atol + rtol * np.abs(cv - su), axis=1)
+        scale = (p / 63.0)[:, None]
+        # (|u'_0|, |v'_0|) of each mode, and the same swapped
+        y0 = np.abs(self.y0[:, rows, None])
+        passed, worst = np.ones(len(active), dtype=bool), np.zeros(len(active))
+        for r, t in _chunks(len(active), len(self.times)):
+            records = _compared(t, stride)
+            columns = slice(records.start // stride, -(-t.stop // stride))
+            # |delta Phi| at every record both passes reach, then the bounds
+            # (B_u, B_v) of the module docstring from c (|u'_0|, |v'_0|) and
+            # |s| (|v'_0|, |u'_0|), and their tolerances
+            own = self._own(r)
+            d = np.abs(self.old[own, columns] - new[own, records]) * scale[r]
+            c, s = self.frame[:, _rows(rows, r), records]
+            direct, cross = c * y0[:, r], np.abs(s) * y0[::-1, r]
+            bound = d * (direct + cross)
+            lower = direct - cross
+            np.abs(lower[1], out=lower[1])
+            passed[r] &= np.all(bound <= atol + rtol * lower, axis=(0, 2))
+            worst[r] = np.maximum(worst[r], np.max(bound, axis=(0, 2), initial=0.0))
         kept = new if self.shared else new[passed]
-        self.store[active[passed]] = p[passed, None] * kept
         self.old = new if self.shared else new[~passed]
         if not np.any(passed):
             return passed, 0.0
-        return passed, float(max(np.max(bound_u[passed]), np.max(bound_v[passed])))
+        accepted, p = active[passed], p[passed, None]
+        for r, t in _chunks(len(accepted), len(self.times)):
+            self.phase[accepted[r], t] = p[r] * kept[self._own(r), t]
+        return passed, float(np.max(worst[passed]))
 
     def finish(self):
-        # the frame state (e^(i Phi) u'_0, e^(-i Phi) v'_0), then the lab
-        u, v = self.out
-        np.cos(self.store, out=u.real)
-        np.sin(self.store, out=u.imag)
-        np.conjugate(u, out=v)
-        u *= self.y0[0][:, None]
-        v *= self.y0[1][:, None]
+        # the frame state (e^(i Phi) u'_0, e^(-i Phi) v'_0) over the phase
+        # Phi, chunk by chunk, then the lab
+        u0, v0 = self.y0[..., None]
+        for r, t in _chunks(len(self.momenta), len(self.times)):
+            u, v = self.out[:, r, t]
+            phase = self.phase[r, t]
+            np.cos(phase, out=u.real)
+            np.sin(phase, out=u.imag)
+            np.conjugate(u, out=v)
+            u *= u0[r]
+            v *= v0[r]
         _lab(self.frame, self.out, self.lab)
 
     def fixed(self, substeps):
         phi = self._pass(slice(None), self.times, substeps)
-        np.multiply(self.momenta[:, None], phi, out=self.store)
+        p = self.momenta[:, None]
+        for r, t in _chunks(len(self.momenta), len(self.times)):
+            np.multiply(p[r], phi[self._own(r), t], out=self.phase[r, t])
         self.finish()
+
+
+def _chunks(n_rows, n_records):
+    """(rows, records) slices that cover an (n_rows, n_records) array in C
+    order, each of at most BLOCK_POINTS points and of one at least: the
+    chunks that what follows a pass runs on, so that its temporaries do
+    not grow with the run.  A chunk is whole rows where a row fits, so that
+    every operation on it runs along whole rows, else a part of one row."""
+    if n_records <= BLOCK_POINTS:
+        size = max(1, BLOCK_POINTS // n_records)
+        records = slice(0, n_records)
+        return [(slice(a, min(a + size, n_rows)), records) for a in range(0, n_rows, size)]
+    return [
+        (slice(i, i + 1), slice(a, min(a + BLOCK_POINTS, n_records)))
+        for i in range(n_rows)
+        for a in range(0, n_records, BLOCK_POINTS)
+    ]
+
+
+def _rows(rows, chunk):
+    """The modes of the rows `chunk` of a pass over `rows`: the slice of
+    every mode, or an index array of the modes still on the ladder."""
+    return chunk if isinstance(rows, slice) else rows[chunk]
+
+
+def _compared(records, stride):
+    """The records of the slice `records` that a test at every stride-th
+    record reads."""
+    return slice(-(-records.start // stride) * stride, records.stop, stride)
 
 
 def _start(coefficients, u0, v0):
@@ -409,21 +478,25 @@ def _start(coefficients, u0, v0):
     every mode (rows) at every record (columns) of the record-grid
     `coefficients`, stacked on a first axis, from
     cosh 2eta = (omega/p)/v_s and sinh 2eta = -(g/p)/v_s on the couplings'
-    shape and broadcast (a read-only view) to one row per mode of u0; and
-    the initial state (u0, v0) mapped into it, y0' = T y0 with
-    T = [[c, s], [s, c]] at the first record.  v_s is formed here, not read
-    from `coefficients`, so that with CD off the record grid does not hold
-    it through the integration (with CD on, the phase route reads it
-    there, `_PhaseRoute._store`), and where it is not real the
-    refusal is an IntegrationError, not check_pair_stable's."""
-    w, g = coefficients.omega_per_p, coefficients.g_per_p
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v_s = np.sqrt(w * w - g * g)
-        c = np.sqrt(0.5 + 0.5 * w / v_s)
-        frame = np.array(np.broadcast_arrays(c, -g / (2.0 * v_s * c)))
-    # non-finite exactly where omega/p or g/p is, or |g| > omega
-    if not np.all(np.isfinite(frame)):
-        raise IntegrationError(_NON_FINITE)
+    shape, by chunks (`_chunks`), and broadcast (a read-only view) to one row
+    per mode of u0; and the initial state (u0, v0) mapped into it,
+    y0' = T y0 with T = [[c, s], [s, c]] at the first record.  v_s is
+    formed here, not read from `coefficients`, so that with CD off the
+    record grid does not hold it through the integration (with CD on, the
+    phase route reads it there, `_PhaseRoute`), and where it is not real
+    the refusal is an IntegrationError, not check_pair_stable's."""
+    w, g = np.broadcast_arrays(coefficients.omega_per_p, coefficients.g_per_p)
+    frame = np.empty((2,) + w.shape)
+    for r, t in _chunks(*w.shape):
+        w_, g_ = w[r, t], g[r, t]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v_s = np.sqrt(w_ * w_ - g_ * g_)
+            c = np.sqrt(0.5 + 0.5 * w_ / v_s)
+            frame[0, r, t] = c
+            frame[1, r, t] = -g_ / (2.0 * v_s * c)
+        # non-finite exactly where omega/p or g/p is, or |g| > omega
+        if not np.all(np.isfinite(frame[:, r, t])):
+            raise IntegrationError(_NON_FINITE)
     (c, s), (u, v) = frame[..., 0], np.array([u0, v0], dtype=complex)
     frame = np.broadcast_to(frame, (2, len(u), frame.shape[-1]))
     return frame, np.array([c * u + s * v, s * u + c * v])
@@ -432,13 +505,14 @@ def _start(coefficients, u0, v0):
 def _lab(frame, y, out):
     """Write the lab (u, v) of the frame state y = (u', v') on the records
     of `frame` (as from `_start`) to out[0], out[1], which may be y itself:
-    T^-1 = [[c, -s], [-s, c]]."""
-    (c, s), (u, v) = frame, y
-    su, sv = s * u, s * v
-    np.multiply(c, u, out=out[0])
-    out[0] -= sv
-    np.multiply(c, v, out=out[1])
-    out[1] -= su
+    T^-1 = [[c, -s], [-s, c]], by chunks (`_chunks`)."""
+    for r, t in _chunks(y.shape[1], y.shape[2]):
+        (c, s), (u, v) = frame[:, r, t], y[:, r, t]
+        su, sv = s * u, s * v
+        np.multiply(c, u, out=out[0, r, t])
+        out[0, r, t] -= sv
+        np.multiply(c, v, out=out[1, r, t])
+        out[1, r, t] -= su
 
 
 def _phase(grid, momenta, times, substeps):
@@ -459,21 +533,22 @@ def _phase(grid, momenta, times, substeps):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _propagate(grid, momenta, times, y0, substeps, out):
-    """Fill out[0], out[1] with the frame state (u', v') of the modes
-    `momenta` on the record grid, from the frame state y0 at times[0], at
-    `substeps` Magnus steps per record interval.  Each block of steps
-    (`_blocks`) applies its propagators from the block start to the state
-    carried in, and writes the records that end inside it.  A step too
-    long for the Magnus series may overflow: (u', v') then turns
-    non-finite, without a warning."""
+def _propagate(grid, momenta, times, y0, substeps, out, rows):
+    """Fill the rows `rows` of out[0], out[1] (a slice, or an index array
+    of the modes still on the ladder), in place, with the frame state
+    (u', v') of the modes `momenta` on the record grid, from the frame
+    state y0 at times[0], at `substeps` Magnus steps per record interval.
+    Each block of steps (`_blocks`) applies its propagators from the block
+    start to the state carried in, and writes the records that end inside
+    it.  A step too long for the Magnus series may overflow: (u', v') then
+    turns non-finite, without a warning."""
     u, v = y0
-    out[:, :, 0] = y0
+    out[:, rows, 0] = y0
     for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
         # (step, mode) propagators from the start of the block
         alpha, beta = _scan(*(x.T for x in _steps(grid, momenta, starts, widths)))
         u, v = alpha * u + beta * v, np.conj(beta) * u + np.conj(alpha) * v
-        out[0, :, records], out[1, :, records] = u[ends].T, v[ends].T
+        out[0, rows, records], out[1, rows, records] = u[ends].T, v[ends].T
         u, v = u[-1], v[-1]
 
 

@@ -646,6 +646,30 @@ def test_blocking_does_not_change_the_result(monkeypatch):
             for got, want in zip(split, whole):
                 assert np.max(np.abs(got - want)) < 1e-13
         monkeypatch.undo()
+    # the chunks of the test, `_lab`, the phase route's forming of the
+    # state and the defect, on 23 records: without CD the 16 modes of this
+    # ramp leave the ladder at N = 2, 4, 8 and 16, so later passes write
+    # the rows of the modes still on it in place, and with CD on the phase
+    # rows are per mode.  Chunks of at most 48 and 80 points are 2 and 3
+    # whole rows, which divide none of 15, 13 or 16 modes alike; of at most
+    # 7 points and 1 point they are parts of one row, 7, 7, 7 and 2 records
+    # long or one record, and some start on an odd record, where the first
+    # test, at every other record, reads none
+    for cd in (False, True):
+        proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
+        p = proto.momenta()
+        times = np.linspace(0.0, proto.t_f, 23)
+        whole = integrate(proto, p, times, 1e-10, 1e-12)
+        for points in (1, 7, 48, 80):
+            monkeypatch.setattr(integrator, "BLOCK_POINTS", points)
+            split = integrate(proto, p, times, 1e-10, 1e-12)
+            assert split[2].substeps == whole[2].substeps == (1 if cd else 16)
+            u, v = split[:2]
+            defect = np.max(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0))
+            assert split[2].max_invariant_defect == defect > 0.0
+            for got, want in zip((*split[:2], *split[3]), (*whole[:2], *whole[3])):
+                assert np.max(np.abs(got - want)) < 1e-13
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("length", [1, 5, 8])
