@@ -69,13 +69,18 @@ def observables(u, v, frame, c) -> dict:
     state) are read in the frame; n_bare (vacuum_observables), pair_energy,
     residual and controlled_energy (controlled_pair_energy) from (u, v);
     epsilon_cd is spectrum_with_cd's with CD on, else the bare spectrum.
-    The frame state is read first, and let go before any other column is
-    formed: where the caller holds no other reference to it, as `_observe`
-    does not, its memory is free for them.  Every column is formed in
-    place, and corr = -conj(u) v goes before the energies are formed, so
-    that no temporary of their shape outlives the room of the columns not
-    yet formed.
+    `frame` may also be a list that holds the frame state alone, which
+    observables empties: the frame state is read first and let go before
+    any other column is formed, so that where the caller holds it nowhere
+    else, as `_observe` does not, its memory is free for them.  (A call
+    argument itself stays referenced by the caller until the call returns
+    on CPython 3.10, hence the list.)  Every column is formed in place, and
+    corr = -conj(u) v goes before the energies are formed, so that no
+    temporary of their shape outlives the room of the columns not yet
+    formed.
     """
+    if isinstance(frame, list):
+        frame = frame.pop()
     u_frame, v_frame = frame
     n_qp = np.abs(v_frame)
     n_qp **= 2
@@ -140,7 +145,7 @@ def evolve_pair(
         raise ContractError(f"pair momentum must be finite and positive, got {p}")
     protocol._validate_at(lambda: np.array([p], dtype=float))
     stability = _protocol.stability_margin(protocol)
-    return _observe(_evolve(protocol, stability, [p], record_points, rtol, atol))[0]
+    return _observe(*_evolve(protocol, stability, [p], record_points, rtol, atol))[0]
 
 
 def enforce_invariant(defect: float, error: type) -> None:
@@ -169,11 +174,11 @@ def require_run_settings(rtol: float, atol: float, record_points: int) -> None:
 
 
 def _evolve(protocol, stability, momenta, record_points, rtol, atol):
-    """[times, CoefficientGrid, u, v, IntegrationReport, frame], a list
-    whose frame state `_observe` can pop, of the pairs `momenta` (rows), all
-    started from the vacuum, on the record grid of `record_points` times
-    over [0, t_f] (columns), in one integrate_modes call, on its phase
-    route with CD on: the one evolution of every run.
+    """(times, CoefficientGrid, u, v, IntegrationReport, [frame]), the
+    frame state in a list of its own, which `observables` empties, of the
+    pairs `momenta` (rows), all started from the vacuum, on the record grid
+    of `record_points` times over [0, t_f] (columns), in one integrate_modes
+    call, on its phase route with CD on: the one evolution of every run.
     The coefficients on the record grid are evaluated once, here, and the
     integrator reads the modes, the route and the adiabatic frame from
     them; the invariant policy follows.
@@ -196,25 +201,23 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
     except (ContractError, IntegrationError) as exc:
         exc.report = stability
         raise
-    return [times, c, u, v, report, frame]
+    return times, c, u, v, report, [frame]
 
 
-def _observe(evolved):
+def _observe(times, c, u, v, report, frame):
     """(Trajectories, IntegrationReport) of an _evolve result: every mode at
     every record, the lab state (u, v) as integrated, n_qp and the fidelity
-    read from the frame state (u', v').  The frame state is popped from
-    `evolved` into the observables call, so that observables holds it
-    alone and releases it once it has read n_qp and the fidelity; the
-    record grid `c` is released on return, before a caller forms more of
-    the coefficients."""
-    times, c, u, v, report = evolved[:5]
+    read from the frame state (u', v').  `frame` is _evolve's list, from
+    which observables takes the frame state, so that it goes once n_qp and
+    the fidelity are read; the record grid `c` is released on return,
+    before a caller forms more of the coefficients."""
     traj = Trajectories(
         p=c.p[:, 0],
         times=times,
         u=u,
         v=v,
         chi=c.chi,
-        **observables(u, v, evolved.pop(), c),
+        **observables(u, v, frame, c),
     )
     return traj, report
 
@@ -251,7 +254,7 @@ def run_simulation(
     # one expression, so that _evolve's record grid and frame state are
     # released before the aggregates form more of the coefficients
     traj, integration = _observe(
-        _evolve(protocol, stability, protocol.momenta(), record_points, rtol, atol)
+        *_evolve(protocol, stability, protocol.momenta(), record_points, rtol, atol)
     )
     # the slowest mode's row alone, on a one-row grid of the record times
     slowest = protocol.grid(traj.p[:1], traj.times)
@@ -316,7 +319,7 @@ def _sweep_row(run, stability, record_points, rtol, atol) -> SweepRow:
     when the row is returned, before the next t_f integrates."""
     t_f, passed, momenta = run.t_f, stability.passed, run.momenta()
     try:
-        _, _, u, v, _, frame = _evolve(run, stability, momenta, record_points, rtol, atol)
+        _, _, u, v, _, (frame,) = _evolve(run, stability, momenta, record_points, rtol, atol)
     except CDInstabilityError:
         return SweepRow(t_f, math.nan, math.nan, passed)
     except IntegrationError as exc:
