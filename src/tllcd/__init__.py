@@ -25,12 +25,7 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .dynamics import (
-    Trajectories,
-    evolve_pair,
-    run_simulation,
-    sweep_tf,
-)
+from .dynamics import Trajectories, run_simulation, sweep_tf
 from .model import (
     CouplingFamily,
     CouplingSpec,

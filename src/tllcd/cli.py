@@ -186,7 +186,7 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.emit_plots not in ("true", "false"):
         raise ConfigError("emit_plots must be 'true' or 'false'")
     # ConfigError on a bad table row; ContractError on an unknown family or
-    # schedule, or a custom schedule, which takes samples no key gives
+    # schedule
     cfg.coupling()
     Schedule(kind=cfg.schedule)
 

@@ -127,31 +127,10 @@ def observables(u, v, frame, c) -> dict:
     }
 
 
-def evolve_pair(
-    p: float,
-    protocol: DriveProtocol,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    record_points: int = DEFAULT_RECORD_POINTS,
-) -> Trajectories:
-    """Evolve one (p, -p) pair from the vacuum over [0, t_f] and record its
-    state, as integrated, and observables: the one-row case of the
-    trajectories of a run, behind run_simulation's gate.  A p that is not
-    finite and positive raises ContractError, and one whose coefficients
-    leave float64 range ConfigError, DriveProtocol.validate's check at p;
-    then stability_margin gates the protocol, and every error raised after
-    it carries its report, as for run_simulation."""
-    if not 0.0 < p < math.inf:
-        raise ContractError(f"pair momentum must be finite and positive, got {p}")
-    protocol._validate_at(lambda: np.array([p], dtype=float))
-    stability = _protocol.stability_margin(protocol)
-    return _observe(*_evolve(protocol, stability, [p], record_points, rtol, atol))[0]
-
-
 def enforce_invariant(defect: float, error: type) -> None:
     """The invariant policy of runs and su11 maps, for ||u|^2 - |v|^2 - 1|:
     raise `error` above INVARIANT_ERROR_TOL, warn above INVARIANT_WARN_TOL
-    at the call of run_simulation, sweep_tf, evolve_pair or an su11 map."""
+    at the call of run_simulation, sweep_tf or an su11 map."""
     if defect > INVARIANT_ERROR_TOL:
         raise error(f"Bogoliubov invariant violated: |u|^2-|v|^2-1 = {defect:.3e}")
     if defect > INVARIANT_WARN_TOL:

@@ -4,8 +4,8 @@
 class ContractError(ValueError):
     """A documented precondition or invariant was violated by the caller.
     `report` is the StabilityReport of the run it stopped, set by
-    run_simulation, sweep_tf and evolve_pair on every failure past the
-    stability gate; None otherwise."""
+    run_simulation and sweep_tf on every failure past the stability gate;
+    None otherwise."""
 
     report = None
 

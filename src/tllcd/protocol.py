@@ -6,7 +6,7 @@ the driving speed."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -31,7 +31,6 @@ POLY5_MAX_DPDS = 1.875
 class ScheduleKind(str, Enum):
     POLY5 = "poly5"
     LINEAR = "linear"
-    CUSTOM_SAMPLES = "custom_samples"
 
 
 @dataclass(frozen=True)
@@ -39,56 +38,22 @@ class Schedule:
     """Monotone ramp P(s) with P(0)=0, P(1)=1.
 
     poly5 is the fifth-order ansatz 10 s^3 - 15 s^4 + 6 s^5 with vanishing
-    first and second derivatives at both ends.  custom_samples interpolates
-    (s, P) pairs linearly.  `kind` may be given as its value ("poly5",
-    ...); an unknown one is a ContractError where the schedule is built.
+    first and second derivatives at both ends; linear is P = s.  Both rise
+    monotonically.  `kind` may be given as its value ("poly5", "linear");
+    an unknown one is a ContractError where the schedule is built.
     """
 
     kind: ScheduleKind = ScheduleKind.POLY5
-    samples: tuple = field(default=None)
 
     def __post_init__(self):
         try:
             object.__setattr__(self, "kind", ScheduleKind(self.kind))
         except ValueError:
             raise ContractError(f"unknown schedule '{self.kind}'") from None
-        if self.kind == ScheduleKind.CUSTOM_SAMPLES:
-            if not self.samples or len(self.samples) < 2:
-                raise ContractError("custom schedule needs at least two samples")
-            values = (x for pt in self.samples for x in pt)
-            model.require_finite("custom schedule samples", values)
-            pts = sorted(self.samples)
-            if abs(pts[0][0]) > 1e-12 or abs(pts[0][1]) > 1e-12:
-                raise ContractError("custom schedule must start at (0, 0)")
-            if abs(pts[-1][0] - 1) > 1e-12 or abs(pts[-1][1] - 1) > 1e-12:
-                raise ContractError("custom schedule must end at (1, 1)")
-            if any(a[0] == b[0] for a, b in zip(pts, pts[1:])):
-                raise ContractError("custom schedule samples need distinct s")
 
     def max_derivative(self) -> float:
-        """The steepest slope max |dP/ds| on [0, 1]: of custom samples, the
-        steepest of their segments, falling or rising."""
-        if self.kind == ScheduleKind.POLY5:
-            return POLY5_MAX_DPDS
-        if self.kind == ScheduleKind.LINEAR:
-            return 1.0
-        xs, ys = self.sample_arrays
-        return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-
-    @cached_property
-    def sample_arrays(self):
-        """(s, P) columns of the custom samples, sorted by s, built once per
-        schedule."""
-        return tuple(np.array(col) for col in zip(*sorted(self.samples)))
-
-    def extremes(self):
-        """(s, P): the arguments and values where P(s) is least and greatest
-        on [0, 1]; P is piecewise linear between custom samples."""
-        if self.kind != ScheduleKind.CUSTOM_SAMPLES:
-            return np.array([0.0, 1.0]), np.array([0.0, 1.0])
-        xs, ys = self.sample_arrays
-        at = [np.argmin(ys), np.argmax(ys)]
-        return xs[at], ys[at]
+        """The steepest slope max |dP/ds| on [0, 1]."""
+        return POLY5_MAX_DPDS if self.kind == ScheduleKind.POLY5 else 1.0
 
 
 def schedule_value(s, schedule: Schedule):
@@ -100,12 +65,7 @@ def schedule_value(s, schedule: Schedule):
         P = s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
         dP = 30.0 * s * s * (1.0 - s) ** 2
         return P, dP
-    if schedule.kind == ScheduleKind.LINEAR:
-        return s, np.ones_like(s)[()]
-    xs, ys = schedule.sample_arrays
-    i = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, len(xs) - 2)
-    slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-    return ys[i] + slope * (s - xs[i]), slope
+    return s, np.ones_like(s)[()]
 
 
 @dataclass(frozen=True)
@@ -255,29 +215,25 @@ class DriveProtocol:
 
         g2 and g4 are affine in the schedule value P for every coupling
         family, so omega - |g| is concave in P and smallest at the least or
-        the greatest P the schedule reaches: those two points decide
+        the greatest P the schedule reaches, P = 0 at s = 0 and P = 1 at
+        s = 1 (every schedule rises monotonically): those two points decide
         stability.  The couplings' rates are proportional to dP/ds / t_f, so
         the couplings, their rates and every product of them that a run
         forms are largest there too, at the steepest slope.  On that grid
         the check forms omega and g (an overflow there is a ConfigError,
         stable or not), refuses |g| >= omega, then forms chi_cd, v_s, its
         rate and the adiabaticity, the squares of omega and chi_cd (in the
-        spectra), t_adiabatic and omega t_f (the largest phase).
+        spectra), t_adiabatic and omega t_f (the largest phase).  The mode
+        momenta are formed inside the range check.
         """
-        self._validate_at(self.momenta)
-
-    def _validate_at(self, momenta) -> None:
-        """validate() at the pair momenta that `momenta()` returns, which are
-        formed inside the range check: the protocol's own, or the one pair
-        of evolve_pair."""
-        s, P = self.schedule.extremes()
-        P = P[None, :]
+        # the ends s = 0 and 1, where P(s) = s
+        s = np.array([0.0, 1.0])
         # numpy, not Python, floats: a Python float overflows to inf silently
         dP = np.float64(self.schedule.max_derivative())
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                p = momenta()[:, None]
-                c = self._coefficients(p, P, dP)
+                p = self.momenta()[:, None]
+                c = self._coefficients(p, s[None, :], dP)
                 model.check_pair_stable(c.omega, c.g, p, s * self.t_f)
                 np.square(c.omega)
                 np.square(c.chi_cd)
@@ -347,35 +303,24 @@ def _refined_least(protocol: DriveProtocol, momenta, t, P, dP, within) -> tuple:
     ZOOM_POINTS times across every cell, in one _coefficients call, and
     keeps the two intervals beside the least of them, so that each cell
     shrinks by (ZOOM_POINTS - 1)/2 a round, until it spans about one
-    float64 spacing of t_f.  A custom schedule's margin jumps where its
-    slope does, at an inner sample, so there it is evaluated with the
-    slope of each adjoining segment too: its limits from either side."""
+    float64 spacing of t_f."""
     t_f, schedule = protocol.t_f, protocol.schedule
     zoom = np.linspace(0.0, 1.0, ZOOM_POINTS)
     rounds = math.ceil(math.log(t[1] / np.spacing(t_f), (ZOOM_POINTS - 1) / 2))
-    # (least margin, its p, its t, largest rounding) of each evaluation
+    # (least margin, its p, its t, largest rounding) of each round
     found = []
-
-    def least(p, x, P, dP):
-        c = protocol._coefficients(p, P, dP)
-        margin = c.margin
-        rounding = np.max(_rounding(c.v_F, p, c.g2, c.g4, c.v_s, c.chi_cd))
-        found.append((*model.worst_point(-margin, margin, p, x), rounding))
-        return margin
-
     for start in range(0, len(momenta), STABILITY_BLOCK_MODES):
         p = momenta[start : start + STABILITY_BLOCK_MODES, None]
-        if schedule.kind == ScheduleKind.CUSTOM_SAMPLES and len(schedule.samples) > 2:
-            xs, ys = schedule.sample_arrays
-            slope = np.diff(ys) / np.diff(xs)
-            inner = np.tile(xs[1:-1], 2)[None, :]
-            least(p, inner * t_f, np.tile(ys[1:-1], 2)[None, :], np.r_[slope[:-1], slope[1:]])
         margin = protocol._coefficients(p, P, dP).margin
         rows, cells = np.nonzero(np.minimum(margin[:, :-1], margin[:, 1:]) <= within)
         p, lo, hi = p[rows], t[cells, None], t[cells + 1, None]
         for _ in range(rounds if rows.size else 0):
             x = np.clip(lo + (hi - lo) * zoom, lo, hi)
-            at = np.argmin(least(p, x, *schedule_value(x / t_f, schedule)), axis=1)[:, None]
+            c = protocol._coefficients(p, *schedule_value(x / t_f, schedule))
+            margin = c.margin
+            rounding = np.max(_rounding(c.v_F, p, c.g2, c.g4, c.v_s, c.chi_cd))
+            found.append((*model.worst_point(-margin, margin, p, x), rounding))
+            at = np.argmin(margin, axis=1)[:, None]
             lo = np.take_along_axis(x, np.maximum(at - 1, 0), axis=1)
             hi = np.take_along_axis(x, np.minimum(at + 1, ZOOM_POINTS - 1), axis=1)
     found = np.array(found)

@@ -166,7 +166,7 @@ def test_criterion_7_sudden_quench():
             cd_enabled=False,
         )
         p = proto.momenta()[0]
-        traj = dynamics.evolve_pair(p, proto, record_points=11)
+        traj = dynamics.run_simulation(proto, record_points=11).trajectories
         c = proto.pair_generator(p, proto.t_f)
         expect = math.sinh(bogoliubov_angle(c.omega, c.g)) ** 2
         worst = max(worst, abs(traj.n_qp[0, -1] - expect))
@@ -175,10 +175,9 @@ def test_criterion_7_sudden_quench():
 
 def test_criterion_8_adiabatic_convergence():
     proto = figure_protocol(n_modes=1, cd=False)
-    p = proto.momenta()[0]
     res = []
     for t_f in (proto.t_f, 10 * proto.t_f):
-        traj = dynamics.evolve_pair(p, proto.with_tf(t_f), record_points=21)
+        traj = dynamics.run_simulation(proto.with_tf(t_f), record_points=21).trajectories
         res.append(traj.residual[0, -1])
     factor = res[0] / res[1]
     report(

@@ -868,24 +868,39 @@ VALIDATION_CHECKS = [
 ]
 
 
+def assert_passed(line, name):
+    """`line` is `[PASS] <name>: <value> <= <bound>`, both in %.3e, with
+    value <= bound."""
+    prefix = f"[PASS] {name}: "
+    assert line.startswith(prefix), line
+    value, bound = line[len(prefix):].split(" <= ")
+    assert all(x == f"{float(x):.3e}" for x in (value, bound)), line
+    assert float(value) <= float(bound), line
+
+
 def test_validate_subcommand(capsys):
+    # each check prints its value beside its bound
     assert main(["validate"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"[PASS] {name}" for name in VALIDATION_CHECKS] + [
-        "all validation checks passed"
-    ]
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert last == "all validation checks passed"
+    assert len(lines) == len(VALIDATION_CHECKS)
+    for line, name in zip(lines, VALIDATION_CHECKS):
+        assert_passed(line, name)
 
 
 def test_a_failed_validation_check_exits_5(monkeypatch, capsys):
     # a failing check names its value and bound; the others still pass
     monkeypatch.setattr(validate, "ground_eigenvalue", lambda coeffs, cutoff: (2e-9, 1e-9))
     assert main(["validate"]) == cli.EXIT_VALIDATION == 5
-    lines = capsys.readouterr().out.splitlines()
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert last == "1 validation check(s) failed"
+    assert len(lines) == len(VALIDATION_CHECKS)
     failed = "[FAIL] pair ground eigenvalue = epsilon: 2.000e-09 > 1.000e-09"
-    assert lines == [
-        failed if name == "pair ground eigenvalue = epsilon" else f"[PASS] {name}"
-        for name in VALIDATION_CHECKS
-    ] + ["1 validation check(s) failed"]
+    for line, name in zip(lines, VALIDATION_CHECKS):
+        if name == "pair ground eigenvalue = epsilon":
+            assert line == failed
+        else:
+            assert_passed(line, name)
 
 
 def test_experimental_sound_velocity():
@@ -939,7 +954,6 @@ def test_api_surface_of_the_benchmark_harness():
         (protocol.DriveProtocol, "validate"),
         (dynamics, "run_simulation"),
         (dynamics, "sweep_tf"),
-        (dynamics, "evolve_pair"),
     ):
         assert callable(getattr(owner, name, None)), name
 

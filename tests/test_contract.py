@@ -1,11 +1,11 @@
 """The public API's error contract, as one property.
 
 Every field of `CouplingSpec`, `Schedule` and `DriveProtocol`, every run
-setting (`rtol`, `atol`, `record_points`), the t_f list of a sweep and the
-momentum `p` of `evolve_pair` take edge values: NaN, +-inf, +-0,
-negatives, 1e+-300, 1e160, a subnormal, non-integral floats, numpy
-scalars, bools and unknown enum strings.  `run_simulation`, `sweep_tf`,
-`evolve_pair` and `stability_margin` are called with warnings as errors.
+setting (`rtol`, `atol`, `record_points`) and the t_f list of a sweep take
+edge values: NaN, +-inf, +-0, negatives, 1e+-300, 1e160, a subnormal,
+non-integral floats, numpy scalars, bools and unknown enum strings, the
+retired schedule `custom_samples` among them.  `run_simulation`,
+`sweep_tf` and `stability_margin` are called with warnings as errors.
 A value outside its field's documented domain is refused with a class of
 `cli.FAILURES` before any `integrate_modes` call; for any other input a
 call returns a result of the documented shape, or raises such a class.
@@ -34,7 +34,6 @@ EDGE_FLOATS = (NAN, INF, -INF, 0.0, -0.0, -1.0, 1e300, -1e300, 1e-300, 1e160, 1e
                np.float64(0.5), True)
 EDGE_COUNTS = (0, 1, -1, 2.5, 4.0, np.float64(3.0), True, False, NAN, INF)
 TABLE = ((0.0, 0.9, 0.45), (0.5, 0.8, 0.4), (2.5, 0.6, 0.35))
-SAMPLES = ((0.0, 0.0), (0.4, 0.3), (1.0, 1.0))
 
 
 def finite(x):
@@ -58,16 +57,8 @@ def valid_rows(rows, width):
         and len({row[0] for row in rows}) == len(rows)
     )
 
-
-def valid_samples(samples):
-    """At least two (s, P) samples from (0, 0) to (1, 1), distinct in s."""
-    return valid_rows(samples, 2) and len(samples) >= 2 and (
-        (min(samples), max(samples)) == ((0.0, 0.0), (1.0, 1.0))
-    )
-
-
 # each field: (values in its domain, edge values), the edges of a table
-# or of custom samples placed in one entry
+# placed in one entry
 FIELDS = {
     "family": (("contact", "lorentzian", "custom_table", CouplingFamily.LORENTZIAN),
                ("bogus", "")),
@@ -78,10 +69,7 @@ FIELDS = {
     "R0": ((0.2, 1.0), EDGE_FLOATS),
     "table": ((TABLE,), (None, (), TABLE[:1] + ((1.0, 0.4),), ((0.0, 0.9, 0.45), (0.0, 0.8, 0.4)))
               + tuple(((0.0, 0.9, x), (1.0, 0.8, 0.4)) for x in EDGE_FLOATS)),
-    "kind": (("poly5", "linear", "custom_samples", ScheduleKind.LINEAR), ("bogus", "")),
-    "samples": ((SAMPLES,), (None, SAMPLES[:1], ((0.0, 0.1), (1.0, 1.0)),
-                             ((0.0, 0.0), (0.0, 0.5), (1.0, 1.0)))
-                + tuple(((0.0, 0.0), (0.5, x), (1.0, 1.0)) for x in EDGE_FLOATS)),
+    "kind": (("poly5", "linear", ScheduleKind.LINEAR), ("bogus", "", "custom_samples")),
     "t_f": ((1.0, 6.0), EDGE_FLOATS),
     "L": ((20.0, 100.0), EDGE_FLOATS),
     "n_modes": ((1, 2, 4, np.int64(3)), EDGE_COUNTS),
@@ -91,14 +79,13 @@ FIELDS = {
     "atol": ((1e-12, 1e-10), EDGE_FLOATS),
     "record_points": ((2, 3, 5, np.int64(4)), EDGE_COUNTS),
     "t_f entry": ((1.0, 6.0), EDGE_FLOATS),
-    "p": ((0.3, np.float64(1.1)), EDGE_FLOATS),
 }
 
 
 @st.composite
 def inputs(draw):
-    """(coupling, schedule, protocol and run kwargs, tf_list, p, and which
-    of them lie outside their documented domains): every field in its
+    """(coupling, schedule, protocol and run kwargs, tf_list, and which of
+    them lie outside their documented domains): every field in its
     domain, but for one or two drawn from their edge values."""
     edged = draw(st.sets(st.sampled_from([k for k, (_, e) in FIELDS.items() if e]), min_size=1, max_size=2))
     value = {k: draw(st.sampled_from(edge if k in edged else good))
@@ -113,10 +100,9 @@ def inputs(draw):
         tf_list = []
     coupling = {k: value[k] for k in ("family", "g2_start", "g2_end", "g4_start", "g4_end",
                                       "R0", "table")}
-    schedule = {k: value[k] for k in ("kind", "samples")}
+    schedule = {"kind": value["kind"]}
     protocol = {k: value[k] for k in ("t_f", "L", "n_modes", "cd_enabled", "v_F")}
     run = {k: value[k] for k in ("rtol", "atol", "record_points")}
-    p = value["p"]
 
     family = coupling["family"]
     bad_coupling = (
@@ -128,9 +114,7 @@ def inputs(draw):
         )
         or family == "custom_table" and not valid_rows(coupling["table"], 3)
     )
-    bad_schedule = schedule["kind"] not in [k.value for k in ScheduleKind] or (
-        schedule["kind"] == "custom_samples" and not valid_samples(schedule["samples"])
-    )
+    bad_schedule = schedule["kind"] not in [k.value for k in ScheduleKind]
     bad_protocol = not (
         positive(protocol["t_f"]) and positive(protocol["L"]) and positive(protocol["v_F"])
         and count(1)(protocol["n_modes"])
@@ -142,9 +126,8 @@ def inputs(draw):
         built=bad_coupling or bad_schedule or bad_protocol,
         run=bad_run,
         tf_list=not tf_list or not all(positive(t) for t in tf_list),
-        p=not positive(p),
     )
-    return coupling, schedule, protocol, run, tf_list, p, bad
+    return coupling, schedule, protocol, run, tf_list, bad
 
 
 def outcome(call):
@@ -158,7 +141,7 @@ def outcome(call):
 @given(inputs())
 @settings(max_examples=100, deadline=None)
 def test_bad_inputs_are_refused_before_integration(case):
-    coupling, schedule, protocol, run, tf_list, p, bad = case
+    coupling, schedule, protocol, run, tf_list, bad = case
     integrations = []
     real = dynamics.integrate_modes
 
@@ -180,7 +163,6 @@ def test_bad_inputs_are_refused_before_integration(case):
             ("run_simulation", bad["run"], lambda: dynamics.run_simulation(built, **run)),
             ("sweep_tf", bad["run"] or bad["tf_list"],
              lambda: dynamics.sweep_tf(built, tf_list, **run)),
-            ("evolve_pair", bad["run"] or bad["p"], lambda: dynamics.evolve_pair(p, built, **run)),
         )
         for name, refused, call in calls:
             integrations.clear()
@@ -197,7 +179,6 @@ def test_bad_inputs_are_refused_before_integration(case):
                 assert all(row.failure is None or isinstance(row.failure, FAILURE_CLASSES)
                            for row in result)
             else:
-                traj = result.trajectories if name == "run_simulation" else result
-                rows = n_modes if name == "run_simulation" else 1
-                assert traj.n_qp.shape == (rows, points), name
+                traj = result.trajectories
+                assert traj.n_qp.shape == (n_modes, points), name
                 assert np.all(np.isfinite(traj.n_qp)), name

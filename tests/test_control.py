@@ -3,7 +3,6 @@ gauge-field formulas."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,58 +63,12 @@ def test_linear_schedule():
     assert sch.max_derivative() == 1.0
 
 
-def test_custom_schedule():
-    sch = Schedule(
-        ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (0.5, 0.2), (1.0, 1.0))
-    )
-    P, dP = schedule_value(0.25, sch)
-    assert P == pytest.approx(0.1) and dP == pytest.approx(0.4)
-    assert sch.max_derivative() == pytest.approx(1.6)
-    with pytest.raises(ContractError):
-        Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.1), (1.0, 1.0)))
-    with pytest.raises(ContractError):
-        Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0),))
-    with pytest.raises(ContractError, match=r"end at \(1, 1\)"):
-        Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (1.0, 0.9)))
-
-
-def test_custom_schedule_arrays_are_built_once():
-    # as CouplingSpec.table_arrays: sorted once per schedule, not per call
-    sch = Schedule(
-        ScheduleKind.CUSTOM_SAMPLES, samples=((0.5, 0.2), (1.0, 1.0), (0.0, 0.0))
-    )
-    xs, ys = sch.sample_arrays
-    assert sch.sample_arrays is sch.sample_arrays
-    assert xs.tolist() == [0.0, 0.5, 1.0] and ys.tolist() == [0.0, 0.2, 1.0]
-
-
-def test_custom_schedule_steepest_slope_may_fall():
-    # a ramp that rises at 2.5, falls at -20 and rises at 20/11: the
-    # steepest slope is the falling one, |dP/ds| = 20, everywhere the
-    # schedule is evaluated, not the largest signed slope
-    sch = Schedule(
-        ScheduleKind.CUSTOM_SAMPLES,
-        samples=((0.0, 0.0), (0.4, 1.0), (0.45, 0.0), (1.0, 1.0)),
-    )
-    assert sch.max_derivative() == pytest.approx(20.0, rel=1e-12)
-    _, dP = schedule_value(np.linspace(0.0, 1.0, 1001), sch)
-    assert sch.max_derivative() == pytest.approx(np.max(np.abs(dP)), rel=1e-12)
-
-
-def test_custom_schedule_refuses_a_repeated_s():
-    # two samples at one s would make P(s) jump and max_derivative divide
-    # by zero (warnings are errors here): refused at construction
-    for samples in (((0.0, 0.0), (0.5, 0.2), (0.5, 0.8), (1.0, 1.0)),
-                    ((0.0, 0.0), (0.0, 0.0), (1.0, 1.0))):
-        with pytest.raises(ContractError, match="distinct s"):
-            Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=samples)
-
-
 def test_schedule_kind_is_checked_where_built():
     # an unknown kind used to fail at the first evaluation with TypeError
     assert Schedule("linear").kind is ScheduleKind.LINEAR
-    with pytest.raises(ContractError, match="unknown schedule 'bogus'"):
-        Schedule("bogus")
+    for kind in ("bogus", "custom_samples"):
+        with pytest.raises(ContractError, match=f"unknown schedule '{kind}'"):
+            Schedule(kind)
 
 
 def test_schedule_domain():

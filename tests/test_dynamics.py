@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tllcd import dynamics, fock, integrator, model, protocol, su11, validate
+from tllcd import dynamics, fock, integrator, model, su11, validate
 from tllcd.closed_forms import bogoliubov_angle
 from tllcd.errors import (
     CDInstabilityError,
-    ConfigError,
     ContractError,
     IntegrationError,
     LuttingerInstabilityError,
@@ -58,7 +57,7 @@ def make_protocol(
 
 def test_static_free_hamiltonian_keeps_identity():
     proto = make_protocol(g2_end=0.0, g4_end=0.0, cd=False)
-    traj = dynamics.evolve_pair(proto.momenta()[0], proto, record_points=21)
+    traj = dynamics.run_simulation(proto, record_points=21).trajectories
     # the vacuum, with its phase e^(i omega t) kept in u
     assert np.max(np.abs(np.abs(traj.u) - 1.0)) < 1e-9
     assert np.max(np.abs(traj.v)) < 1e-9
@@ -66,14 +65,14 @@ def test_static_free_hamiltonian_keeps_identity():
 
 def test_invariant_conserved_along_run():
     proto = make_protocol()
-    traj = dynamics.evolve_pair(proto.momenta()[0], proto)
+    traj = dynamics.run_simulation(proto).trajectories
     assert np.max(np.abs(np.abs(traj.u) ** 2 - np.abs(traj.v) ** 2 - 1.0)) < 1e-8
 
 
 def test_stored_maps_are_phase_normalized():
     proto = make_protocol()
     p = proto.momenta()[0]
-    traj = dynamics.evolve_pair(p, proto, record_points=31)
+    traj = dynamics.run_simulation(proto, record_points=31).trajectories
     for j in range(len(traj.times)):
         state = validate.state_map(traj, 0, j)
         assert abs(state.u.imag) <= 1e-12
@@ -89,7 +88,7 @@ def test_stored_maps_are_phase_normalized():
 
 def test_cd_run_is_transitionless():
     proto = make_protocol()
-    traj = dynamics.evolve_pair(proto.momenta()[0], proto)
+    traj = dynamics.run_simulation(proto).trajectories
     assert np.min(traj.fidelity) >= 1 - 1e-9
     assert traj.n_qp[0, -1] < 1e-10
 
@@ -98,7 +97,7 @@ def test_cd_final_state_is_target_squeeze():
     # exact solution: squeeze of angle (1/2) ln K_p(t_f)
     proto = make_protocol()
     p = proto.momenta()[0]
-    traj = dynamics.evolve_pair(p, proto)
+    traj = dynamics.run_simulation(proto).trajectories
     K_f = proto.grid(p, proto.t_f).K[0, 0]
     target = su11.squeeze_from_angle(0.5 * math.log(K_f))
     assert su11.state_overlap(target, validate.state_map(traj, 0, -1)) >= 1 - 1e-10
@@ -151,7 +150,7 @@ def test_controlled_pair_energy_matches_fock_expectation():
 
 def test_residual_energy_nonnegative():
     proto = make_protocol(cd=False)
-    traj = dynamics.evolve_pair(proto.momenta()[0], proto)
+    traj = dynamics.run_simulation(proto).trajectories
     assert np.min(traj.residual) >= -1e-10
 
 
@@ -160,7 +159,7 @@ def test_sudden_quench_occupation():
     # occupation relative to the final Hamiltonian equals sinh^2(eta_f)
     proto = make_protocol(t_f=1e-4, cd=False)
     p = proto.momenta()[0]
-    traj = dynamics.evolve_pair(p, proto, record_points=11)
+    traj = dynamics.run_simulation(proto, record_points=11).trajectories
     c = proto.pair_generator(p, proto.t_f)
     eta_f = bogoliubov_angle(c.omega, c.g)
     assert traj.n_bare[0, -1] < 1e-8
@@ -207,7 +206,7 @@ def test_mean_energy_scaling_requires_cd(family, cd):
     # the check holds only for CD on with contact couplings, whose v_s is
     # the same for every mode
     proto = replace(make_protocol(cd=cd), coupling=OBSERVED_COUPLINGS[family])
-    traj = dynamics.evolve_pair(proto.momenta()[0], proto)
+    traj = dynamics.run_simulation(proto).trajectories
     with pytest.raises(ContractError):
         validate.mean_energy_scaling_check(traj, proto)
 
@@ -234,9 +233,9 @@ def test_cd_run_gains_the_dynamical_phase(family):
     # state and u gains only Phi_p(t) = integral of eps_p = p v_s(p) dt
     proto = make_protocol(n_modes=3)
     proto = replace(proto, coupling=OBSERVED_COUPLINGS[family])
-    for p in proto.momenta():
-        traj = dynamics.evolve_pair(p, proto, record_points=21)
-        phi = np.unwrap(np.angle(traj.u[0]))
+    traj = dynamics.run_simulation(proto, record_points=21).trajectories
+    for p, u in zip(traj.p, traj.u):
+        phi = np.unwrap(np.angle(u))
 
         def v_s(t):
             return proto.grid(p, t).v_s[0, 0]
@@ -249,13 +248,13 @@ def test_dynamical_phase_outgrows_the_free_phase():
     # on the default ramp v_s grows above v_F, so Phi(t_f) > p v_F t_f
     proto = make_protocol()
     p = proto.momenta()[0]
-    traj = dynamics.evolve_pair(p, proto)
+    traj = dynamics.run_simulation(proto).trajectories
     assert np.unwrap(np.angle(traj.u[0]))[-1] > p * proto.v_F * proto.t_f
 
 
 def test_mean_energy_scaling_cd_on():
     proto = make_protocol()
-    traj = dynamics.evolve_pair(proto.momenta()[0], proto)
+    traj = dynamics.run_simulation(proto).trajectories
     assert validate.mean_energy_scaling_check(traj, proto) < 1e-10
 
 
@@ -274,8 +273,8 @@ def test_run_simulation_aggregates():
 def test_record_grid_is_evaluated_once_per_run(cd, monkeypatch):
     # the coefficients on the record grid serve the observables and the
     # integrator's adiabatic frame alike: one (modes x records) evaluation
-    # per run, for run_simulation and evolve_pair; run_simulation's
-    # aggregates take the slowest mode's row from a one-row grid
+    # per run, and the aggregates take the slowest mode's row from a one-row
+    # grid
     proto = make_protocol(n_modes=4, cd=cd)
     times = np.linspace(0.0, proto.t_f, 21)
     grid, calls = DriveProtocol.grid, []
@@ -285,19 +284,13 @@ def test_record_grid_is_evaluated_once_per_run(cd, monkeypatch):
         return grid(self, p, t)
 
     monkeypatch.setattr(DriveProtocol, "grid", spy)
-    for run, grids in (
-        (lambda: dynamics.run_simulation(proto, record_points=21),
-         [proto.momenta(), proto.momenta()[:1]]),
-        (lambda: dynamics.evolve_pair(proto.momenta()[2], proto, record_points=21),
-         [proto.momenta()[2:3]]),
-    ):
-        calls.clear()
-        run()
-        on_records = [p for p, t in calls if np.array_equal(t, times)]
-        assert len(on_records) == len(grids)
-        assert all(map(np.array_equal, on_records, grids))
-        # and the passes of the integrator ran, on other grids
-        assert len(calls) > 1
+    dynamics.run_simulation(proto, record_points=21)
+    on_records = [p for p, t in calls if np.array_equal(t, times)]
+    grids = [proto.momenta(), proto.momenta()[:1]]
+    assert len(on_records) == len(grids)
+    assert all(map(np.array_equal, on_records, grids))
+    # and the passes of the integrator ran, on other grids
+    assert len(calls) > 1
 
 
 def test_sweep_tf_rows():
@@ -346,29 +339,10 @@ def test_run_settings_are_refused_before_integration(settings, monkeypatch):
     for run in (
         lambda: dynamics.run_simulation(proto, **settings),
         lambda: dynamics.sweep_tf(proto, [10.0, 20.0], **settings),
-        lambda: dynamics.evolve_pair(proto.momenta()[0], proto, **settings),
     ):
         with pytest.raises(ContractError, match="record_points|rtol|atol") as caught:
             run()
         assert type(caught.value) is ContractError
-    assert calls == []
-
-
-@pytest.mark.parametrize(
-    "p, error",
-    [(math.nan, ContractError), (math.inf, ContractError), (-1.0, ContractError),
-     (0.0, ContractError), (1e160, ConfigError)],
-    ids=["nan", "inf", "negative", "zero", "out-of-range"],
-)
-def test_evolve_pair_refuses_a_bad_momentum_before_the_gate(p, error, monkeypatch):
-    # a NaN used to climb the step-doubling ladder before it failed, inf
-    # and 1e160 to warn, and a negative p to fail the CD gate
-    calls = []
-    monkeypatch.setattr(dynamics, "integrate_modes", lambda *args: calls.append(args))
-    monkeypatch.setattr(protocol, "stability_margin", lambda *args: calls.append(args))
-    with pytest.raises(error) as caught:
-        dynamics.evolve_pair(p, make_protocol(n_modes=4))
-    assert type(caught.value) is error
     assert calls == []
 
 
@@ -454,7 +428,7 @@ def result_shapes(monkeypatch, name):
 def test_cd_sweep_forms_no_record_grid_spectrum(monkeypatch):
     # the record grid is checked by its CD margin alone: omega, g and
     # epsilon_cd are formed on the t_f column of each t_f (and omega, g on
-    # validate's two schedule extremes), never over the 21 records
+    # validate's two schedule ends), never over the 21 records
     proto = make_protocol(L=100.0, n_modes=8)
     omega = result_shapes(monkeypatch, "pair_frequencies")
     epsilon_cd = result_shapes(monkeypatch, "spectrum_with_cd")

@@ -33,16 +33,12 @@ COUPLINGS = {
 SCHEDULES = {
     "poly5": Schedule(ScheduleKind.POLY5),
     "linear": Schedule(ScheduleKind.LINEAR),
-    "custom_samples": Schedule(
-        ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (0.4, 0.3), (1.0, 1.0))
-    ),
 }
 CASES = [
     ("contact", "poly5"),
     ("contact", "linear"),
     ("lorentzian", "poly5"),
     ("custom_table", "linear"),
-    ("contact", "custom_samples"),
 ]
 
 
@@ -148,7 +144,7 @@ def test_fixed_steps_takes_any_step_count():
             integrator.fixed_steps(proto.grid, times, c, [1.0], [0.0], substeps)
 
 
-@pytest.mark.parametrize("schedule", ["poly5", "linear", "custom_samples"])
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @pytest.mark.parametrize("family", ["contact", "lorentzian", "custom_table"])
 def test_cd_runs_are_transitionless_to_roundoff(family, schedule):
     # the exact answer of a CD run from the vacuum: no quasiparticles at
@@ -464,10 +460,10 @@ def test_all_modes_run_matches_per_mode(cd):
     proto = make_protocol("custom_table", "poly5", cd, n_modes=4)
     traj = dynamics.run_simulation(proto, record_points=21).trajectories
     for k, p in enumerate(traj.p):
-        single = dynamics.evolve_pair(p, proto, record_points=21)
-        assert np.max(np.abs(traj.u[k] - single.u[0])) < 1e-13
-        assert np.max(np.abs(traj.v[k] - single.v[0])) < 1e-13
-        assert np.max(np.abs(traj.n_qp[k] - single.n_qp[0])) < 1e-13
+        u, v, _, (_, v_frame) = integrate(proto, [p], traj.times, 1e-10, 1e-12)
+        assert np.max(np.abs(traj.u[k] - u[0])) < 1e-13
+        assert np.max(np.abs(traj.v[k] - v[0])) < 1e-13
+        assert np.max(np.abs(traj.n_qp[k] - np.abs(v_frame[0]) ** 2)) < 1e-13
     # the first 4 modes of a 16-mode run, whose upper modes need up to 16
     # substeps where these need 2 to 8
     wide = make_protocol("custom_table", "poly5", cd, n_modes=16)
@@ -879,8 +875,6 @@ def test_coefficients_match_pair_generator(family, schedule, cd):
                 assert abs(got[i, j] - want) <= 1e-14 * abs(want)
 
 
-# times of the finite-difference checks, as fractions of t_f: away from the
-# custom-sample knot at s = 0.4, where dP/ds jumps
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 @pytest.mark.parametrize("family", sorted(COUPLINGS))
 def test_couplings_chain_rule(family, schedule):

@@ -34,17 +34,6 @@ def test_an_unresolvable_magnus_step_is_a_config_error():
 
 @pytest.mark.xfail(
     strict=True, raises=IntegrationError,
-    reason="CHANGES.md line 525: a custom_samples breakpoint inside a record "
-    "interval caps the step-doubling ladder",
-)
-def test_a_breakpoint_inside_a_record_interval_converges():
-    samples = ((0.0, 0.0), (0.4, 0.3), (1.0, 1.0))
-    proto = ramp(schedule=Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=samples), L=100.0)
-    assert validate.error_control(proto, 5, 4)[0] <= 1.0
-
-
-@pytest.mark.xfail(
-    strict=True, raises=IntegrationError,
     reason="CHANGES.md line 526: a tolerance below float64's reach climbs the "
     "ladder to the cap and exits 4, not 2",
 )

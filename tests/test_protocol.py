@@ -75,13 +75,10 @@ def test_protocol_validation():
         lambda: CouplingSpec(
             CouplingFamily.CUSTOM_TABLE, table=((0.0, 1.0, 0.5), (1.0, float("nan"), 0.5))
         ),
-        lambda: Schedule(
-            ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (0.5, float("nan")), (1.0, 1.0))
-        ),
     ],
     ids=[
         "t_f-nan", "t_f-inf", "L-nan", "L-inf", "v_F-nan", "with_tf-nan", "g2_end-nan",
-        "g4_start-inf", "R0-nan", "table-entry-nan", "custom-sample-nan",
+        "g4_start-inf", "R0-nan", "table-entry-nan",
     ],
 )
 def test_non_finite_protocol_fields_are_refused_where_built(build):
@@ -123,19 +120,6 @@ def test_closed_form_bound_frozen():
     # L |Delta g2| max P' / (2 pi v_F)^2 with max P' = 1.875
     proto = reference_protocol()
     assert closed_form_bound(proto) == pytest.approx(4.749430483234583, abs=1e-12)
-
-
-def test_closed_form_bound_takes_the_steepest_slope():
-    # a ramp whose steepest segment falls at dP/ds = -20: the bound takes
-    # |dP/ds| = 20, 8 times the largest rising slope (2.5)
-    steep = Schedule(
-        ScheduleKind.CUSTOM_SAMPLES,
-        samples=((0.0, 0.0), (0.4, 1.0), (0.45, 0.0), (1.0, 1.0)),
-    )
-    proto = replace(reference_protocol(), schedule=steep)
-    span = abs(proto.coupling.g2_end - proto.coupling.g2_start)
-    want = proto.L * span * 20.0 / (TWO_PI * proto.v_F) ** 2
-    assert closed_form_bound(proto) == pytest.approx(want, rel=1e-12)
 
 
 def test_closed_form_bound_none_for_table():
@@ -233,11 +217,6 @@ COUPLINGS = {
 SCHEDULES = {
     "poly5": Schedule(ScheduleKind.POLY5),
     "linear": Schedule(ScheduleKind.LINEAR),
-    # falling steeply from P = 0.9 to 0.1: the margin is least at s = 0.6,
-    # in the limit from the left, which no sample takes
-    "custom_samples": Schedule(
-        ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (0.4, 0.9), (0.6, 0.1), (1.0, 1.0))
-    ),
 }
 
 
@@ -254,25 +233,6 @@ def at_the_gates_edge(family, schedule) -> DriveProtocol:
         else:
             refused = t_f
     return proto.with_tf(passed)
-
-
-def test_a_custom_schedule_is_taken_with_each_slope_at_its_samples():
-    # at t_f = 5 the least margin is the limit at s = 0.6 from the left,
-    # with the falling segment's slope: the gate evaluates it there, at the
-    # sample's own time, where a record takes the next segment's slope
-    proto = DriveProtocol(
-        COUPLINGS["contact"], SCHEDULES["custom_samples"], t_f=5.0, L=100.0, n_modes=2
-    )
-    report = stability_margin(proto)
-    assert report.passed
-    assert report.argmin_t == 0.6 * 5.0
-    xs, ys = proto.schedule.sample_arrays
-    falling = (ys[2] - ys[1]) / (xs[2] - xs[1])
-    p = proto.momenta()[:1, None]
-    limit = proto._coefficients(p, np.array([[ys[2]]]), falling).margin[0, 0]
-    assert report.margin < limit
-    assert report.margin == pytest.approx(limit, abs=1e-15)
-    assert np.min(proto.grid(p[:, 0], np.linspace(0.0, 5.0, 20_001)).margin) > limit
 
 
 @given(
@@ -382,32 +342,6 @@ def test_validate_rejects_unstable_coupling():
         proto.validate()
 
 
-SPIKE = ((0.0, 0.0), (0.5, 0.5), (0.5025, 3.0), (0.505, 0.5), (1.0, 1.0))
-
-
-def test_validate_catches_a_spike_between_grid_points(monkeypatch):
-    # P reaches 3 for 0.5% of the ramp, where g2 = 7.5 > 2 pi v_F: a check
-    # sampled on a time grid missed it, and the run integrated through it
-    proto = DriveProtocol(
-        coupling=CouplingSpec(g2_end=2.5, g4_end=0.0),
-        schedule=Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=SPIKE),
-        t_f=10.0,
-        L=100.0,
-        n_modes=4,
-        cd_enabled=False,
-    )
-    message = r"^luttinger-instability at p = 0\.251327, t = 5\.025: margin -0\.0486726 <= 0$"
-    with pytest.raises(ContractError, match=message):
-        proto.validate()
-
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integration ran on an unstable ramp")
-
-    monkeypatch.setattr(dynamics, "integrate_modes", no_integration)
-    with pytest.raises(ContractError, match=message):
-        dynamics.run_simulation(proto)
-
-
 def test_validate_is_exact_at_the_stability_edge():
     # omega - |g| is smallest at an extreme of P: a ramp ending just below
     # the edge passes and one ending at it fails, for every schedule kind
@@ -415,7 +349,6 @@ def test_validate_is_exact_at_the_stability_edge():
     for schedule in (
         Schedule(ScheduleKind.POLY5),
         Schedule(ScheduleKind.LINEAR),
-        Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=((0.0, 0.0), (0.3, 1.0), (1.0, 1.0))),
     ):
         for g2_end, stable in ((edge * (1 - 1e-12), True), (edge, False)):
             proto = DriveProtocol(

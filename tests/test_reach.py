@@ -1,9 +1,9 @@
 """The run path holds only what a run executes: every function and method
 defined in a run-path module is called by some run.  The runs are
 `simulate`, `sweep` and `stability` of each coupling family with CD on and
-off, an API run on custom schedule samples, a `stability` whose gate
-refines between its samples, a Luttinger-unstable `stability` and
-`validate`, in-process under sys.setprofile.  A function
+off, a `stability` whose gate refines between its samples, a
+Luttinger-unstable `stability` and `validate`, command-line runs alone,
+in-process under sys.setprofile.  A function
 that only tests call belongs on the reference side (`tllcd.closed_forms`,
 `tllcd.su11`, `tllcd.validate`)."""
 
@@ -13,8 +13,6 @@ from functools import cached_property
 
 from tllcd import _fmt17, cli, dynamics, errors, integrator, model, protocol
 from tllcd.cli import EXIT_INSTABILITY, main
-from tllcd.model import CouplingSpec
-from tllcd.protocol import DriveProtocol, Schedule, ScheduleKind
 
 RUN_PATH = (model, protocol, integrator, dynamics, cli, _fmt17, errors)
 
@@ -95,15 +93,6 @@ def every_run(tmp_path):
             args = ["sweep", "--config", str(cfg), "--out", out, "--cd", cd]
             assert main(args + ["--tf-list", "12,16", "--modes", "4"]) == 0
         assert main(["stability", "--config", str(cfg), "--tf", "14"]) == 0
-    samples = ((0.0, 0.0), (0.3, 0.5), (0.7, 0.6), (1.0, 1.0))
-    dynamics.run_simulation(
-        DriveProtocol(
-            coupling=CouplingSpec(g2_end=1.0, g4_end=0.5),
-            schedule=Schedule(ScheduleKind.CUSTOM_SAMPLES, samples=samples),
-            t_f=12.0, L=20.0, n_modes=4, cd_enabled=True,
-        ),
-        record_points=11,
-    )
     # the gate refines between its samples where they leave the verdict open
     boundary = tmp_path / "boundary.cfg"
     boundary.write_text(CONFIGS["contact"] + "t_f = 2.140194387361439\nL = 100\nn_modes = 2\n")

@@ -11,8 +11,8 @@ A golden sweep takes the config's own t_f and four times it, and with CD
 on also t_f/1000, which the gate refuses on every golden config; the
 config is read by this checkout's `tllcd.cli.parse_config`.  Six
 `simulate` runs of the contact golden config with one line changed or
-added are refused (REFUSALS): an unknown family, a custom schedule with no
-samples, one record point, L = 0 and rtol = 0 exit 2, and a
+added are refused (REFUSALS): an unknown family, the retired
+`custom_samples` kind, one record point, L = 0 and rtol = 0 exit 2, and a
 Luttinger-unstable coupling exits 3 after writing its failure manifest; the
 unstable config also runs as `stability`, which exits 3.
 A contact ramp whose margin dips below 0 between the stability gate's
