@@ -50,7 +50,8 @@ class Trajectories:
     u: np.ndarray
     v: np.ndarray
     n_bare: np.ndarray
-    # read in the adiabatic frame, from the integrator's frame state (u', v')
+    # read in the adiabatic frame, from the moduli of the integrator's frame
+    # state (u', v')
     n_qp: np.ndarray  # |v'|^2
     fidelity: np.ndarray  # min(1/|u'|, 1): overlap with the instantaneous ground state
     pair_energy: np.ndarray
@@ -60,34 +61,24 @@ class Trajectories:
     chi: np.ndarray
 
 
-def observables(u, v, frame, c) -> dict:
-    """Observables of the states (u, v), whose adiabatic frame state is
-    frame = (u', v'), under the CoefficientGrid `c` of their shape,
-    elementwise over arrays: the array forms of the scalar references,
-    which live in `validate`.  n_qp = |v'|^2 (quasiparticle_frame) and
-    fidelity = min(1/|u'|, 1) (state_overlap with the instantaneous ground
-    state) are read in the frame; n_bare (vacuum_observables), pair_energy,
+def observables(u, v, moduli, c) -> dict:
+    """Observables of the states (u, v), whose adiabatic frame state
+    (u', v') has the moduli = (|u'|, |v'|), under the CoefficientGrid `c`
+    of their shape, elementwise over arrays: the array forms of the scalar
+    references, which live in `validate`.  n_qp = |v'|^2
+    (quasiparticle_frame) and fidelity = min(1/|u'|, 1) (state_overlap with
+    the instantaneous ground state) are formed in place on the moduli,
+    which become those columns; n_bare (vacuum_observables), pair_energy,
     residual and controlled_energy (controlled_pair_energy) from (u, v);
     epsilon_cd is spectrum_with_cd's with CD on, else the bare spectrum.
-    `frame` may also be a list that holds the frame state alone, which
-    observables empties: the frame state is read first and let go before
-    any other column is formed, so that where the caller holds it nowhere
-    else, as `_observe` does not, its memory is free for them.  (A call
-    argument itself stays referenced by the caller until the call returns
-    on CPython 3.10, hence the list.)  Every column is formed in place, and
-    corr = -conj(u) v goes before the energies are formed, so that no
-    temporary of their shape outlives the room of the columns not yet
-    formed.
+    Every column is formed in place, and corr = -conj(u) v goes before the
+    energies are formed, so that no temporary of their shape outlives the
+    room of the columns not yet formed.
     """
-    if isinstance(frame, list):
-        frame = frame.pop()
-    u_frame, v_frame = frame
-    n_qp = np.abs(v_frame)
+    fidelity, n_qp = moduli
     n_qp **= 2
-    fidelity = np.abs(u_frame)
     np.divide(1.0, fidelity, out=fidelity)
     np.minimum(fidelity, 1.0, out=fidelity)
-    del frame, u_frame, v_frame
     omega, g, chi = c.omega, c.g, c.chi
     n = np.abs(v)
     n **= 2
@@ -152,12 +143,12 @@ def require_run_settings(rtol: float, atol: float, record_points: int) -> None:
             raise ContractError(f"{key} must be finite and positive, got {tol}")
 
 
-def _evolve(protocol, stability, momenta, record_points, rtol, atol):
-    """(times, CoefficientGrid, u, v, IntegrationReport, [frame]), the
-    frame state in a list of its own, which `observables` empties, of the
-    pairs `momenta` (rows), all started from the vacuum, on the record grid
-    of `record_points` times over [0, t_f] (columns), in one integrate_modes
-    call, on its phase route with CD on: the one evolution of every run.
+def _evolve(protocol, stability, record_points, rtol, atol):
+    """(times, CoefficientGrid, u, v, IntegrationReport, moduli), moduli
+    the (|u'|, |v'|) of the frame state, of every pair of `protocol` (rows),
+    all started from the vacuum, on the record grid of `record_points`
+    times over [0, t_f] (columns), in one integrate_modes call, on its
+    phase route with CD on: the one evolution of every run.
     The coefficients on the record grid are evaluated once, here, and the
     integrator reads the modes, the route and the adiabatic frame from
     them; the invariant policy follows.
@@ -173,32 +164,14 @@ def _evolve(protocol, stability, momenta, record_points, rtol, atol):
         if protocol.cd_enabled:
             require_cd_stable(stability.margin, stability.argmin_p, stability.argmin_t)
         times = np.linspace(0.0, protocol.t_f, record_points)
-        c = protocol.grid(momenta, times)
-        ones = np.ones(len(momenta))
-        u, v, report, frame = integrate_modes(protocol.grid, times, c, ones, 0 * ones, rtol, atol)
+        c = protocol.grid(protocol.momenta(), times)
+        ones = np.ones(len(c.p))
+        u, v, report, moduli = integrate_modes(protocol.grid, times, c, ones, 0 * ones, rtol, atol)
         enforce_invariant(report.max_invariant_defect, IntegrationError)
     except (ContractError, IntegrationError) as exc:
         exc.report = stability
         raise
-    return times, c, u, v, report, [frame]
-
-
-def _observe(times, c, u, v, report, frame):
-    """(Trajectories, IntegrationReport) of an _evolve result: every mode at
-    every record, the lab state (u, v) as integrated, n_qp and the fidelity
-    read from the frame state (u', v').  `frame` is _evolve's list, from
-    which observables takes the frame state, so that it goes once n_qp and
-    the fidelity are read; the record grid `c` is released on return,
-    before a caller forms more of the coefficients."""
-    traj = Trajectories(
-        p=c.p[:, 0],
-        times=times,
-        u=u,
-        v=v,
-        chi=c.chi,
-        **observables(u, v, frame, c),
-    )
-    return traj, report
+    return times, c, u, v, report, moduli
 
 
 @dataclass
@@ -230,11 +203,12 @@ def run_simulation(
     integration.  Every error raised after stability_margin returns carries
     its report as `report`."""
     stability = _protocol.stability_margin(protocol)
-    # one expression, so that _evolve's record grid and frame state are
-    # released before the aggregates form more of the coefficients
-    traj, integration = _observe(
-        *_evolve(protocol, stability, protocol.momenta(), record_points, rtol, atol)
+    times, c, u, v, integration, moduli = _evolve(protocol, stability, record_points, rtol, atol)
+    traj = Trajectories(
+        p=c.p[:, 0], times=times, u=u, v=v, chi=c.chi, **observables(u, v, moduli, c)
     )
+    # the record grid goes before the aggregates form more of the coefficients
+    del c
     # the slowest mode's row alone, on a one-row grid of the record times
     slowest = protocol.grid(traj.p[:1], traj.times)
     # sums over axis 0 add the modes one after another, in mode order
@@ -294,11 +268,11 @@ def sweep_tf(
 
 def _sweep_row(run, stability, record_points, rtol, atol) -> SweepRow:
     """The SweepRow of the protocol `run` at its t_f, gated by `stability`.
-    Its state, frame state and one-column grid are locals here, released
-    when the row is returned, before the next t_f integrates."""
-    t_f, passed, momenta = run.t_f, stability.passed, run.momenta()
+    Its state, moduli and one-column grid are locals here, released when
+    the row is returned, before the next t_f integrates."""
+    t_f, passed = run.t_f, stability.passed
     try:
-        _, _, u, v, _, (frame,) = _evolve(run, stability, momenta, record_points, rtol, atol)
+        _, _, u, v, _, moduli = _evolve(run, stability, record_points, rtol, atol)
     except CDInstabilityError:
         return SweepRow(t_f, math.nan, math.nan, passed)
     except IntegrationError as exc:
@@ -306,7 +280,8 @@ def _sweep_row(run, stability, record_points, rtol, atol) -> SweepRow:
         return SweepRow(t_f, math.nan, math.nan, passed, exc.with_traceback(None))
     # the last record alone, as a (modes, 1) column, at t_f exactly
     last = np.s_[..., -1:]
-    obs = observables(u[last], v[last], frame[last], run.grid(momenta, t_f))
+    moduli = tuple(x[last] for x in moduli)
+    obs = observables(u[last], v[last], moduli, run.grid(run.momenta(), t_f))
     # one mode after another, in mode order, as residual.sum(axis=0) adds
     # them; a 1-D sum would add pairwise
     final_res = functools.reduce(operator.add, obs["residual"][:, 0])

@@ -90,7 +90,10 @@ the error test of either route (each chunk's lab state is compared with
 the pass before and then written over it), the phase route's forming of
 the state, the frame map of `_start` and the invariant defect.  So a run
 holds its frame state, its lab state and one block of temporaries,
-whatever its length.
+whatever its length.  Of the frame state a run reads only the moduli
+|u'| and |v'| (n_qp = |v'|^2, the fidelity min(1/|u'|, 1)): they are
+formed last, and the frame state goes with the route when the call
+returns.
 
 Phase route, where the coefficients apply CD with chi the very array chi_cd
 (`_route`): r = chi_cd - chi is then 0 at every node, so a1, a2 and a3 have
@@ -202,9 +205,12 @@ class IntegrationReport:
 
 
 def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
-    """(u, v, report, frame): (u, v) of every mode (rows) on the record grid
-    `times` (columns), the IntegrationReport, and frame = (u', v'), the
-    adiabatic frame state (u, v) is mapped back from, (2, modes, records).
+    """(u, v, report, moduli): (u, v) of every mode (rows) on the record
+    grid `times` (columns), the IntegrationReport, and
+    moduli = (|u'|, |v'|), two real (modes, records) arrays, of the
+    adiabatic frame state (u', v') that (u, v) is mapped back from.  They
+    are formed after the invariant defect, |v'| first, and the frame state
+    itself is let go on return.
 
     `grid(p, t)` maps momenta p and a 1-D array of times t to an object
     such as `DriveProtocol.grid`'s, whose `omega_per_p` and `g_per_p`
@@ -268,7 +274,8 @@ def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
         x, y = np.abs(u[r, t]), np.abs(v[r, t])
         defect = np.maximum(defect, np.max(np.abs(x**2 - y**2 - 1.0)))
     report = IntegrationReport(route.method, substeps, steps, worst, float(defect))
-    return u, v, report, route.out
+    v_mod = np.abs(route.out[1])
+    return u, v, report, (np.abs(route.out[0]), v_mod)
 
 
 def fixed_steps(grid, times, coefficients, u0, v0, substeps):

@@ -223,7 +223,9 @@ class DriveProtocol:
         the check forms omega and g (an overflow there is a ConfigError,
         stable or not), refuses |g| >= omega, then forms chi_cd, v_s, its
         rate and the adiabaticity, the squares of omega and chi_cd (in the
-        spectra), t_adiabatic and omega t_f (the largest phase).  The mode
+        spectra), t_adiabatic, omega t_f (the largest phase),
+        18 t_f omega/p (the bound on a phase-route panel's sum before it is
+        divided by 18, integrator._panels) and closed_form_bound.  The mode
         momenta are formed inside the range check.
         """
         # the ends s = 0 and 1, where P(s) = s
@@ -239,6 +241,8 @@ class DriveProtocol:
                 np.square(c.chi_cd)
                 self.t_f * c.adiabaticity / ADIABATIC_THRESHOLD
                 c.omega * self.t_f
+                self.t_f * (18.0 * c.omega_per_p)
+                closed_form_bound(self)
         except FloatingPointError as exc:
             raise ConfigError(f"mode momenta or couplings out of range: {exc}") from exc
 
@@ -266,12 +270,10 @@ def closed_form_bound(protocol: DriveProtocol) -> float | None:
     if c.family == CouplingFamily.CUSTOM_TABLE:
         return None
     span = abs(c.g2_end - c.g2_start)
-    return (
-        protocol.L
-        * span
-        * protocol.schedule.max_derivative()
-        / (TWO_PI * protocol.v_F) ** 2
-    )
+    # numpy, not Python, floats, so that validate()'s errstate refuses an
+    # overflow or a division by zero
+    scale = (np.float64(TWO_PI) * protocol.v_F) ** 2
+    return float(np.float64(protocol.L) * span * protocol.schedule.max_derivative() / scale)
 
 
 def _rounding(v_F, p, g2, g4, v_s, chi_cd):

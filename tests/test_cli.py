@@ -61,6 +61,11 @@ BLOCKS_TABLE_CONFIG = (
     + "schedule = linear\n"
     + "table = 0.0:0.9:0.45; 0.5:0.85:0.45; 1.0:0.8:0.4; 1.5:0.7:0.4; 2.5:0.6:0.35\n"
 )
+# g4 starts above 0, so chi_cd stays in range at a tiny v_F
+SLOW_CONFIG = (
+    "family = contact\ng2_end = 0.25\ng4_start = 0.1\ng4_end = 0.5\nt_f = 6\nL = 20\n"
+    "n_modes = 4\ntf_list = 6\nv_F = {v_F}\n"
+)
 # the full columns of modes.csv, one value per (mode, record)
 FULL_MODES_COLUMNS = ("n_bare", "n_qp", "fidelity", "pair_energy", "residual", "epsilon_cd")
 
@@ -224,8 +229,15 @@ def test_parse_config_and_the_library_refuse_alike(key, value):
         ("simulate", GOOD_CONFIG + "units = si\n", "units must be"),
         ("simulate", GOOD_CONFIG + "emit_plots = yes\n", "emit_plots must be"),
         ("sweep", GOOD_CONFIG, "sweep needs tf_list"),
+        # (2 pi v_F)^2 of the closed-form bound underflows, or the bound
+        # overflows; a phase-route panel's sum overflows
+        ("simulate", SLOW_CONFIG.format(v_F="1e-200"), "mode momenta or couplings out of range"),
+        ("sweep", SLOW_CONFIG.format(v_F="1e-160"), "mode momenta or couplings out of range"),
+        ("simulate", GOOD_CONFIG.replace("t_f = 6.0", "t_f = 1e307"),
+         "mode momenta or couplings out of range"),
     ],
-    ids=["table-row", "no-t_f", "cd", "units", "emit_plots", "sweep-without-t_f-list"],
+    ids=["table-row", "no-t_f", "cd", "units", "emit_plots", "sweep-without-t_f-list",
+         "v_F-1e-200", "v_F-1e-160", "t_f-1e307"],
 )
 def test_config_refusals_write_nothing(command, text, message, tmp_path, capsys):
     out = tmp_path / "out"

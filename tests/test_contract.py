@@ -21,7 +21,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tllcd import dynamics
@@ -138,7 +138,22 @@ def outcome(call):
         return exc
 
 
+# v_F = 1e-300 with a stable coupling whose g4 starts above 0: the
+# closed-form bound's (2 pi v_F)^2 underflows to 0, which the draws had not
+# reached
+TINY_V_F = (
+    dict(family="contact", g2_start=0.0, g2_end=0.5, g4_start=0.1, g4_end=1.0, R0=0.2,
+         table=TABLE),
+    {"kind": "poly5"},
+    dict(t_f=6.0, L=20.0, n_modes=2, cd_enabled=True, v_F=1e-300),
+    dict(rtol=1e-10, atol=1e-12, record_points=3),
+    [6.0],
+    dict(built=False, run=False, tf_list=False),
+)
+
+
 @given(inputs())
+@example(TINY_V_F)
 @settings(max_examples=100, deadline=None)
 def test_bad_inputs_are_refused_before_integration(case):
     coupling, schedule, protocol, run, tf_list, bad = case

@@ -171,18 +171,19 @@ def test_sudden_quench_occupation():
 def test_interacting_initial_map():
     # start in the interacting ground state of a static Hamiltonian: nothing
     # happens (up to phase), quasiparticle occupation |v'|^2 stays zero and
-    # the fidelity min(1/|u'|, 1) one, in the frame state (u', v')
+    # the fidelity min(1/|u'|, 1) one, read from the moduli of the frame
+    # state (u', v')
     proto = make_protocol(g2_start=1.0, g2_end=1.0, g4_start=0.5, g4_end=0.5, cd=False)
     p = proto.momenta()[:1]
     c = proto.pair_generator(p[0], 0.0)
     gs = su11.squeeze_from_angle(bogoliubov_angle(c.omega, c.g))
     times = np.linspace(0.0, proto.t_f, 21)
-    _, _, _, (u_frame, v_frame) = integrator.integrate_modes(
+    _, _, _, (u_mod, v_mod) = integrator.integrate_modes(
         proto.grid, times, proto.grid(p, times), [gs.u], [gs.v],
         dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL,
     )
-    assert np.max(np.abs(v_frame) ** 2) < 1e-9
-    assert np.min(np.minimum(1.0 / np.abs(u_frame), 1.0)) >= 1 - 1e-9
+    assert np.max(v_mod**2) < 1e-9
+    assert np.min(np.minimum(1.0 / u_mod, 1.0)) >= 1 - 1e-9
 
 
 OBSERVED_COUPLINGS = {
@@ -397,9 +398,9 @@ def test_sweep_observes_the_last_record_alone(monkeypatch):
     proto = make_protocol(L=100.0, n_modes=8)
     observables, shapes = dynamics.observables, []
 
-    def spy(u, v, frame, c):
+    def spy(u, v, moduli, c):
         shapes.append(np.shape(u))
-        return observables(u, v, frame, c)
+        return observables(u, v, moduli, c)
 
     monkeypatch.setattr(dynamics, "observables", spy)
     dynamics.sweep_tf(proto, [5.0, 10.0], record_points=41)
@@ -544,11 +545,12 @@ def test_array_observables_match_scalar_references(rows):
     g = g_ratio * omega
     states = [su11.BogoliubovMap(complex(x), complex(y)) for x, y in zip(u, v)]
     etas = [bogoliubov_angle(*coupling) for coupling in zip(omega, g)]
-    # the frame coordinates (u', v') of each state, from the scalar reference
+    # the moduli (|u'|, |v'|) of each state's frame coordinates, from the
+    # scalar reference
     framed = [validate.quasiparticle_frame(*args) for args in zip(states, etas)]
-    frame = np.array([[x.u for x in framed], [x.v for x in framed]])
+    moduli = np.abs([x.u for x in framed]), np.abs([x.v for x in framed])
     coefficients = SimpleNamespace(omega=omega, g=g, chi=chi, cd_enabled=False)
-    obs = dynamics.observables(u, v, frame, coefficients)
+    obs = dynamics.observables(u, v, moduli, coefficients)
     for k, (state, eta) in enumerate(zip(states, etas)):
         coeffs = PairCoefficients(omega[k], g[k], chi[k])
         energy = validate.pair_energy(state, coeffs)

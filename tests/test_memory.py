@@ -1,7 +1,7 @@
 """A run's peak memory: one `run_simulation` and its `cli.write_outputs`
 hold the result, the record grid and one block of temporaries at a time,
 measured with tracemalloc, to which numpy reports its array memory; and
-the states that `observables` and a sweep let go, and when."""
+the states that the integrator and a sweep let go, and when."""
 
 import tracemalloc
 import weakref
@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from tllcd import _fmt17, cli, dynamics, integrator, model
+from tllcd import _fmt17, cli, dynamics, integrator
 from tllcd.protocol import DriveProtocol
 
 # the shapes of two benchmark workloads: table_records (custom_table, CD
@@ -130,51 +130,51 @@ def test_a_run_holds_its_result_the_record_grid_and_one_block(shape, monkeypatch
     assert peak <= bound, (peak, result_bytes, record_grid, run, write)
 
 
-def test_observables_let_the_frame_state_go_first(monkeypatch):
-    # the frame state (u', v') is dead once n_qp and the fidelity are read:
-    # before observables forms omega and g (model.pair_frequencies, first
-    # called after the integration there) and the columns after them.
-    # observables is called through a wrapper that holds its arguments
-    # until it returns, as the caller does on CPython 3.10, so that the
-    # test holds on every version
-    cfg = cli.parse_config(CONFIGS["table"])
-    frames, alive = [], []
-    integrate, pair_frequencies = dynamics.integrate_modes, model.pair_frequencies
-    observables = dynamics.observables
-
-    def holding(*args):
-        return observables(*args)
+@pytest.mark.parametrize("shape", sorted(CONFIGS))
+def test_integrate_modes_hands_back_the_moduli_alone(shape, monkeypatch):
+    # of the frame state (u', v') a run reads |u'| and |v'| alone: the
+    # integrator returns them as two real (modes, records) arrays, which
+    # observables turns into the fidelity and n_qp in place, and the complex
+    # frame state, the route's `out`, is dead once integrate_modes returns
+    # (on the Magnus route of "table" and the phase route of "contact")
+    cfg = cli.parse_config(CONFIGS[shape])
+    proto = cfg.protocol()
+    frames, route = [], integrator._route
 
     def keep(*args):
-        u, v, report, frame = integrate(*args)
-        frames.append(weakref.ref(frame))
-        return u, v, report, frame
+        r = route(*args)
+        frames.append(weakref.ref(r.out))
+        return r
 
-    def check(*args):
-        if frames and not alive:
-            alive.append(frames[0]() is not None)
-        return pair_frequencies(*args)
-
-    monkeypatch.setattr(dynamics, "integrate_modes", keep)
-    monkeypatch.setattr(model, "pair_frequencies", check)
-    monkeypatch.setattr(dynamics, "observables", holding)
-    dynamics.run_simulation(cfg.protocol(), record_points=41)
-    assert alive == [False]
+    monkeypatch.setattr(integrator, "_route", keep)
+    times = np.linspace(0.0, proto.t_f, 41)
+    c = proto.grid(proto.momenta(), times)
+    ones = np.ones(proto.n_modes)
+    u, v, _, moduli = integrator.integrate_modes(
+        proto.grid, times, c, ones, 0 * ones, cfg.rtol, cfg.atol
+    )
+    assert len(frames) == 1 and frames[0]() is None
+    assert len(moduli) == 2
+    for x in moduli:
+        assert x.dtype == np.float64 and x.shape == u.shape and x.flags.c_contiguous
+    obs = dynamics.observables(u, v, moduli, c)
+    assert obs["fidelity"] is moduli[0] and obs["n_qp"] is moduli[1]
 
 
 def test_a_sweep_lets_each_t_f_go_before_the_next(monkeypatch):
-    # the lab and frame states of one t_f are dead when the next integrates
+    # the lab state and the frame moduli of one t_f are dead when the next
+    # integrates
     cfg = cli.parse_config(CONFIGS["contact"])
     states, alive = [], []
     integrate = dynamics.integrate_modes
 
     def keep(*args):
         alive.append([state() is not None for state in states])
-        u, v, report, frame = integrate(*args)
-        states.extend(weakref.ref(x) for x in (u.base, frame))
-        return u, v, report, frame
+        u, v, report, moduli = integrate(*args)
+        states.extend(weakref.ref(x) for x in (u.base, *moduli))
+        return u, v, report, moduli
 
     monkeypatch.setattr(dynamics, "integrate_modes", keep)
     rows = dynamics.sweep_tf(cfg.protocol(), [5.0, 10.0, 20.0], record_points=41)
     assert [row.failure for row in rows] == [None] * 3
-    assert alive == [[], [False] * 2, [False] * 4]
+    assert alive == [[], [False] * 3, [False] * 6]

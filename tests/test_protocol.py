@@ -295,7 +295,10 @@ def test_validate_refuses_what_a_run_at_its_t_f_would_overflow():
         proto.with_tf(t_f).validate()
     # without g4, the rate of g2 alone (a numpy scalar) overflows at 1e-308
     no_g4 = replace(proto, coupling=replace(proto.coupling, g4_end=0.0))
-    for case in (proto.with_tf(1e-308), no_g4.with_tf(1e-308), proto.with_tf(1e308)):
+    # a phase panel's sum reaches 18 t_f omega/p before it is divided by 18
+    # (integrator._panels): beyond float64 at t_f = 1e307
+    panel = reference_protocol(t_f=1e307, n_modes=1)
+    for case in (proto.with_tf(1e-308), no_g4.with_tf(1e-308), proto.with_tf(1e308), panel):
         with pytest.raises(ConfigError, match="out of range: overflow"):
             case.validate()
     # an unstable coupling is refused as unstable, though its chi_cd would
@@ -313,6 +316,13 @@ def test_validate_refuses_what_a_run_at_its_t_f_would_overflow():
     ):
         with pytest.raises(ConfigError, match="out of range: invalid value"):
             case.validate()
+    # closed_form_bound divides by (2 pi v_F)^2, which underflows to 0 at
+    # v_F = 1e-200 and leaves the bound beyond float64 at 1e-160, though
+    # chi_cd stays in range where g4 starts above 0
+    slow = replace(proto, coupling=CouplingSpec(g2_end=0.25, g4_start=0.1, g4_end=0.5))
+    for v_F, kind in ((1e-200, "divide by zero"), (1e-160, "overflow")):
+        with pytest.raises(ConfigError, match=f"out of range: {kind}"):
+            replace(slow, v_F=v_F).validate()
 
 
 def test_the_api_refuses_a_run_out_of_range(monkeypatch):

@@ -9,10 +9,11 @@ the given seeds of every workload in perfbench/workloads.py, `simulate`,
 and `validate`.
 A golden sweep takes the config's own t_f and four times it, and with CD
 on also t_f/1000, which the gate refuses on every golden config; the
-config is read by this checkout's `tllcd.cli.parse_config`.  Six
+config is read by this checkout's `tllcd.cli.parse_config`.  Seven
 `simulate` runs of the contact golden config with one line changed or
 added are refused (REFUSALS): an unknown family, the retired
-`custom_samples` kind, one record point, L = 0 and rtol = 0 exit 2, and a
+`custom_samples` kind, one record point, L = 0, rtol = 0 and a v_F whose
+closed-form bound divides by an underflowed (2 pi v_F)^2 exit 2, and a
 Luttinger-unstable coupling exits 3 after writing its failure manifest; the
 unstable config also runs as `stability`, which exits 3.
 A contact ramp whose margin dips below 0 between the stability gate's
@@ -46,6 +47,7 @@ REFUSALS = (
     ("grid-length", "L = 20.0", "L = 0"),
     ("rtol", "cd = on", "cd = on\nrtol = 0"),
     ("unstable", "g2_end = 1.0", "g2_end = 7.0"),
+    ("tiny-v_F", "g2_end = 1.0", "g2_end = 0.25\ng4_start = 0.1\nv_F = 1e-200"),
 )
 # the least margin at this t_f is +7.7e-9 on the gate's 2001 samples and
 # -8.0e-9 between them, at t = 1.0205, where the gate's refinement finds it
