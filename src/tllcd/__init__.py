@@ -11,7 +11,8 @@ Modules:
               of a run, spectrum with and without CD
     protocol  schedules, drive protocol, its coefficient grid, speed-window
               criteria
-    integrator sixth-order Magnus integration of all pairs at once
+    integrator sixth-order Magnus integration of all pairs at once, and
+              with CD on the phase from a Chebyshev interpolant of v_s
     dynamics  all pairs integrated from the vacuum, observables, sweeps
     cli       tll-cd-sim command line and file I/O
     errors    exception classes

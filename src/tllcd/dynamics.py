@@ -148,7 +148,7 @@ def _evolve(protocol, stability, record_points, rtol, atol):
     the (|u'|, |v'|) of the frame state, of every pair of `protocol` (rows),
     all started from the vacuum, on the record grid of `record_points`
     times over [0, t_f] (columns), in one integrate_modes call, on its
-    phase route with CD on: the one evolution of every run.
+    Chebyshev route with CD on: the one evolution of every run.
     The coefficients on the record grid are evaluated once, here, and the
     integrator reads the modes, the route and the adiabatic frame from
     them; the invariant policy follows.

@@ -22,10 +22,11 @@ class CDInstabilityError(ContractError):
 
 class IntegrationError(RuntimeError):
     """An integration did not finish or cannot be trusted: step
-    doubling would pass MAX_STEPS before every mode converged, a pair
-    coefficient was non-finite, a run broke the Bogoliubov invariant
-    |u|^2 - |v|^2 = 1, or the Fock oracle's solver failed.  `report` is as
-    for ContractError."""
+    doubling would pass MAX_STEPS before every mode converged, the
+    Chebyshev phase did not converge by MAX_DEGREE or its estimate exceeds
+    the tolerance, a pair coefficient was non-finite, a run broke the
+    Bogoliubov invariant |u|^2 - |v|^2 = 1, or the Fock oracle's solver
+    failed.  `report` is as for ContractError."""
 
     report = None
 

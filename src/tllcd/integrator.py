@@ -1,5 +1,6 @@
 """Sixth-order Magnus integration of the pair equations of every mode at
-once, and with CD on, where it reduces to a phase, the phase route.
+once, and with CD on, where it reduces to a phase, that phase from a
+Chebyshev interpolant of the sound velocity.
 
 Each (p, -p) pair evolves its annihilator coefficients by
 
@@ -30,10 +31,9 @@ dy'/dt = A' y' with
 
     A' = T A T^-1 + dT/dt T^-1 = (epsilon, chi_cd - chi, 0):
 
-with CD on, chi = chi_cd and A' is diagonal, so the Magnus step is the
-Gauss quadrature of the phase integral of epsilon, and a pair that starts
-in the instantaneous vacuum (v' = 0) stays in it exactly, at any step
-size.
+with CD on, chi = chi_cd and A' is diagonal, so a pair that starts in the
+instantaneous vacuum (v' = 0) stays in it exactly, and only gains the
+phase integral of epsilon.
 
 For every coupling family omega = p (v_F + g4/2pi) and g = p g2/2pi, so
 epsilon = p v_s with the sound velocity v_s = sqrt((omega/p)^2 - (g/p)^2),
@@ -86,36 +86,12 @@ to the state carried in from the block before.  `_lab` maps y' back to the
 lab (u, v), for the error test and the result.  What follows a pass runs
 by chunks of at most BLOCK_POINTS (mode, record) points (`_chunks`: whole
 rows of records where a row fits), each finished before the next: `_lab`,
-the error test of either route (each chunk's lab state is compared with
-the pass before and then written over it), the phase route's forming of
-the state, the frame map of `_start` and the invariant defect.  So a run
-holds its frame state, its lab state and one block of temporaries,
-whatever its length.  Of the frame state a run reads only the moduli
-|u'| and |v'| (n_qp = |v'|^2, the fidelity min(1/|u'|, 1)): they are
-formed last, and the frame state goes with the route when the call
-returns.
-
-Phase route, where the coefficients apply CD with chi the very array chi_cd
-(`_route`): r = chi_cd - chi is then 0 at every node, so a1, a2 and a3 have
-only an a component, every commutator of them vanishes, and
-Omega = (a, 0, 0) with
-
-    a = h A'2 + (10/3) h (A'3 - 2 A'2 + A'1)/12 = h (5 eps1 + 8 eps2 + 5 eps3)/18,
-
-the three-node Gauss-Legendre quadrature of the integral of epsilon over
-the step.  exp(Omega) = diag(e^(i a), e^(-i a)), so at a record the frame
-state is (e^(i Phi) u'_0, e^(-i Phi) v'_0), with Phi the sum of the panels
-a from times[0]: |u'| and |v'| are conserved, and v' stays exactly 0 from
-the instantaneous vacuum.  As eps = p v_s, Phi = p phi with phi the sum of
-the panels of v_s, and phi is the route's one unknown per row of the
-couplings' shape: one row for contact couplings, which all modes share,
-one per mode otherwise.  A pass (`_phase`) sums those panels on those rows,
-block by block with blocks sized on the rows, carries the sum from block to
-block, and returns phi at the records.  The ladder runs on phi, and each
-mode's frame state is formed once, from the phase it is accepted with
-(`_PhaseRoute.finish`), then mapped to the lab by one `_lab`.  The route
-forms no `_omega`, `_cosh_sinhc` or `_scan`, and no state in a pass.  phi
-is a float sum, so its rounding grows as eps phi.
+the error test (each chunk's lab state is compared with the pass before
+and then written over it), the frame map of `_start` and the invariant
+defect.  So a run holds its frame state, its lab state and one block of
+temporaries, whatever its length.  Of the frame state a run reads only the
+moduli |u'| and |v'| (n_qp = |v'|^2, the fidelity min(1/|u'|, 1)): they
+are formed last, and the frame state is let go when the call returns.
 
 Error control, per mode: the modes are independent, so each takes its own
 number of substeps N per record interval, on the ladder of levels
@@ -123,41 +99,26 @@ N = 1/2, 1, 2, 4, ...  With an even number of record intervals the first
 pass takes one step per two intervals (N = 1/2) and reaches the even
 records; with an odd number it takes one step per interval.  Each later
 pass runs every mode still failing at twice the N of the pass before, and
-compares it with the pass at N/2, at every record both reach, by a
-Richardson estimate: the difference over 63 (2^6 - 1, at sixth order;
-Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A mode leaves once its
-test holds at every record, and keeps its pass at N: so a mode accurate at
-one step per interval, as every CD-on mode with an accurate phase is, costs
-1.5 steps per interval, and a slow mode that converges at N = 2 is not
-integrated again at the N that a fast mode needs.  The two routes differ
-only in what a pass returns and how the estimate is formed.
+compares its lab (u, v) y_N with the pass at N/2, at every record both
+reach, by a Richardson estimate: a mode passes where
+|y_(N/2) - y_N| / 63 <= atol + rtol |y_N| (2^6 - 1, at sixth order;
+Hairer, Norsett & Wanner, Solving ODEs I, II.4) for every component and
+record.  A mode leaves once its test holds, and keeps its pass at N: so a
+slow mode that converges at N = 2 is not integrated again at the N that a
+fast mode needs.  A mode whose y_N is non-finite (a step too long for the
+Magnus series, as one step per interval of a coarse record grid can be)
+fails the test and is refined like any other.
 
-On the Magnus route a pass returns the lab (u, v) y_N of its modes, and a
-mode passes where |y_(N/2) - y_N| / 63 <= atol + rtol |y_N| for every
-component and record.  A mode whose y_N is non-finite (a step too long for
-the Magnus series, as one step per interval of a coarse record grid can
-be) fails the test and is refined like any other.
-
-On the phase route a pass returns phi, and the test is on
-delta Phi = p (phi_(N/2) - phi_N) / 63, mapped onto the lab test above by a
-bound.  At a record with frame (c, s), the lab state is u = c u' - s v',
-v = c v' - s u', with u' = e^(i Phi) u'_0 and v' = e^(-i Phi) v'_0.  As
-|e^(ia) - e^(ib)| <= |a - b|, the lab estimate |u_(N/2) - u_N| / 63 is at
-most
-
-    B_u = |delta Phi| (c |u'_0| + |s| |v'_0|),  and that of v at most
-    B_v = |delta Phi| (c |v'_0| + |s| |u'_0|);
-
-and as |u'| = |u'_0| and |v'| = |v'_0|, the reverse triangle inequality
-gives |u_N| >= c |u'_0| - |s| |v'_0| and |v_N| >= |c |v'_0| - |s| |u'_0||.
-A mode passes where
-
-    B_u <= atol + rtol (c |u'_0| - |s| |v'_0|),
-    B_v <= atol + rtol |c |v'_0| - |s| |u'_0||
-
-at every record; then the lab test holds too, so the phase test never
-accepts a pass that the lab test would refuse.  Its estimate is the larger
-of B_u and B_v.
+Chebyshev route, where the coefficients apply CD with chi the very array
+chi_cd: the frame state at a record is (e^(i Phi) u'_0, e^(-i Phi) v'_0),
+Phi = p phi with phi the integral of v_s from times[0] (`_Route.phase`,
+from the interpolant of `_chebyshev` on the couplings' rows), so |u'| and
+|v'| keep their initial values.  Each mode's estimate is delta Phi = p (tail +
+4 eps |phi(times[-1])|); as |e^(ia) - e^(ib)| <= |a - b|, it moves the lab
+u = c u' - s v' by at most delta Phi (c |u'_0| + |s| |v'_0|), and
+v = c v' - s u' by at most delta Phi (c |v'_0| + |s| |u'_0|).  A mode whose
+bound exceeds atol + rtol |u| (or |v|) of its formed state at a record
+raises: the 4 eps |phi| term is a floor that no smaller tolerance meets.
 """
 
 from __future__ import annotations
@@ -167,18 +128,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _chebyshev
+from ._chebyshev import EPS
 from .errors import ContractError, IntegrationError
 from .model import is_count
 
 # Names of the two routes in run manifests: Magnus steps, or the phase
-# integral alone where the frame generator is diagonal (CD on).
-MAGNUS, PHASE = "magnus6", "phase6"
-# Most steps (Magnus steps or phase quadrature panels) per mode in one pass
-# before giving up; bounds the time a run that cannot meet its tolerance
-# takes to fail.
+# from a Chebyshev interpolant where the frame generator is diagonal (CD on).
+MAGNUS, CHEBYSHEV = "magnus6", "chebyshev"
+# Most Magnus steps per mode in one pass before giving up; bounds the time
+# a run that cannot meet its tolerance takes to fail.
 MAX_STEPS = 1 << 18
-# The generator is evaluated on blocks of at most this many (mode, step)
-# points, so memory does not grow with the length of the run.
+# The generator, the cosine sums and what follows a pass are evaluated on
+# blocks of at most this many points, so memory does not grow with the run.
 BLOCK_POINTS = 1 << 12
 
 # Gauss-Legendre nodes of one step, as fractions of its width
@@ -193,13 +155,13 @@ _NON_FINITE = "non-finite pair coefficients (omega/p, g/p, v_s, chi, chi_cd)"
 class IntegrationReport:
     """Deterministic facts of one integration."""
 
-    method: str  # the route that ran, MAGNUS or PHASE
-    substeps: int  # largest steps per record interval a mode kept, >= 1
-    # steps (Magnus steps, or the phase route's quadrature panels) over all
-    # modes and passes, N = 1/2 included
+    method: str  # the route that ran, MAGNUS or CHEBYSHEV
+    substeps: int  # largest steps per record interval a mode kept; 1 on CHEBYSHEV
+    # Magnus steps over all modes and passes, N = 1/2 included, or the v_s
+    # evaluations of the Chebyshev route over every degree it tried
     steps: int
     # largest estimate a mode was accepted with: the Richardson estimate of
-    # its lab (u, v), or on the phase route the bound on it from delta Phi
+    # its lab (u, v), or the bound on it from delta Phi
     error_estimate: float
     max_invariant_defect: float  # max ||u|^2 - |v|^2 - 1| over records, modes
 
@@ -208,9 +170,9 @@ def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
     """(u, v, report, moduli): (u, v) of every mode (rows) on the record
     grid `times` (columns), the IntegrationReport, and
     moduli = (|u'|, |v'|), two real (modes, records) arrays, of the
-    adiabatic frame state (u', v') that (u, v) is mapped back from.  They
-    are formed after the invariant defect, |v'| first, and the frame state
-    itself is let go on return.
+    adiabatic frame state (u', v') that (u, v) is mapped back from, which
+    the Chebyshev route conserves.  They are formed after the invariant
+    defect, |v'| first, and the frame state itself is let go on return.
 
     `grid(p, t)` maps momenta p and a 1-D array of times t to an object
     such as `DriveProtocol.grid`'s, whose `omega_per_p` and `g_per_p`
@@ -222,126 +184,130 @@ def integrate_modes(grid, times, coefficients, u0, v0, rtol, atol):
     where they do not depend on p.  `coefficients` is grid(p, times), which
     the caller holds already, and says what is integrated: the modes are
     its column `p`, the frame comes from its omega/p and g/p, and the route
-    from `cd_enabled`, `chi` and `chi_cd`.  Each pass calls `grid` with the
-    momenta of its modes, or on the phase route with those of the
-    couplings' rows: the first mode's alone where `coefficients.v_s` is one
-    row.  `u0`, `v0` are the initial coefficients, one per mode, mapped
-    into the frame once.  The phase route runs where the coefficients apply
-    CD with chi the very array chi_cd: each pass sums the phase integral of
-    v_s on the couplings' rows, on the same ladder, and the estimate is the
-    bound on the lab estimate that the module docstring derives from it.
-    Any other chi, a copy of chi_cd included, takes Magnus steps, which
-    hold for every chi.  A mode whose (u, v) turns non-finite in a pass (a
-    step too long for the Magnus series overflows) is refined further.
+    from `cd_enabled`, `chi` and `chi_cd`.  `u0`, `v0` are the initial
+    coefficients, one per mode, mapped into the frame once.  The Chebyshev
+    route runs where the coefficients apply CD with chi the very array
+    chi_cd: it calls `grid` at its nodes with the momenta of the couplings'
+    rows, the first mode's alone where `coefficients.v_s` is one row.  Any
+    other chi, a copy of chi_cd included, takes Magnus steps, which hold
+    for every chi: each pass calls `grid` with the momenta of its modes,
+    and a mode whose (u, v) turns non-finite in a pass (a step too long
+    for the Magnus series overflows) is refined further.
     Raises IntegrationError at once on non-finite coefficients or
-    |g| > omega (the pair has no adiabatic frame), or when a mode that
-    failed its test cannot double N without passing MAX_STEPS steps in one
-    pass.
+    |g| > omega (the pair has no adiabatic frame), when a mode that failed
+    its test cannot double N without passing MAX_STEPS steps in one pass,
+    when the interpolant of v_s does not converge by
+    `_chebyshev.MAX_DEGREE`, or when a mode's phase estimate exceeds its
+    tolerance (the module docstring).
     """
-    route = _route(grid, times, coefficients, u0, v0)
-    modes, intervals = len(route.momenta), len(route.times) - 1
-    # levels are kept as exponents k of N = 2^k steps per record interval.
-    # The first pass takes one step per `stride` record intervals and
-    # reaches every stride-th record, where it is compared: N = 1/2 and the
-    # even records on an even interval count, else N = 1 and every record
-    stride = 2 - intervals % 2
-    route.first(stride)
-    k, steps = 1 - stride, modes * (intervals // stride)
-    active = np.arange(modes)
-    substeps, worst = 1, 0.0
-    while len(active):
-        k += 1
-        # views, not copies, while every mode is still active
-        rows = active if len(active) < modes else slice(None)
-        passed, estimate = route.refine(active, rows, 1 << k, stride, rtol, atol)
-        steps += len(active) * intervals << k
-        if np.any(passed):
-            substeps = 1 << k
-            worst = max(worst, estimate)
-        active, stride = active[~passed], 1
-        if len(active) and (2 << k) * intervals > MAX_STEPS:
-            # phi is finite: a non-finite panel raises at once
-            finite = route.method == PHASE or np.all(np.isfinite(route.lab[:, active]))
-            raise IntegrationError(
-                f"{route.method} step doubling not converged at {1 << k} substeps "
-                "per record interval" + ("" if finite else ": (u, v) non-finite")
-            )
-    route.finish()
+    chebyshev = coefficients.cd_enabled and coefficients.chi is coefficients.chi_cd
+    route, bound = _Route(grid, times, coefficients, u0, v0, magnus=not chebyshev), None
+    if chebyshev:
+        method, substeps, worst = CHEBYSHEV, 1, 0.0
+        steps, bound = route.phase(len(coefficients.v_s) == 1)
+    else:
+        method = MAGNUS
+        substeps, steps, worst = route.ladder(rtol, atol)
     u, v = route.lab
-    # np.maximum, not max, so that a nan propagates as np.max's would
+    # np.maximum, not max, so that a nan propagates as np.max's would; the
+    # Chebyshev route's test reads the same |u|, |v|
     defect = 0.0
-    for r, t in _chunks(modes, len(route.times)):
+    for r, t in _chunks(len(route.momenta), len(route.times)):
         x, y = np.abs(u[r, t]), np.abs(v[r, t])
         defect = np.maximum(defect, np.max(np.abs(x**2 - y**2 - 1.0)))
-    report = IntegrationReport(route.method, substeps, steps, worst, float(defect))
-    v_mod = np.abs(route.out[1])
-    return u, v, report, (np.abs(route.out[0]), v_mod)
+        if bound is not None:
+            worst = max(worst, _phase_test(route.frame[:, r, t], bound[:, r], (x, y), rtol, atol))
+    report = IntegrationReport(method, substeps, steps, worst, float(defect))
+    if bound is None:
+        v_mod = np.abs(route.out[1])
+        return u, v, report, (np.abs(route.out[0]), v_mod)
+    # the Chebyshev route keeps |u'| = |u'_0| and |v'| = |v'_0| at every record
+    v_mod, u_mod = (np.repeat(np.abs(y), u.shape[1]).reshape(u.shape) for y in route.y0[::-1])
+    return u, v, report, (u_mod, v_mod)
 
 
 def fixed_steps(grid, times, coefficients, u0, v0, substeps):
-    """(u, v) on the record grid `times` after `substeps` steps per record
-    interval, without error control: the method's raw convergence, for
-    order checks; entries are non-finite where a step overflows.
-    A `substeps` that is not an integer (model.is_count) of at least 1
-    raises ContractError.  The other arguments, and the route they pick,
-    are as for integrate_modes; the phase route sums the panels of one of
-    its passes on the couplings' rows and forms the state."""
+    """(u, v) on the record grid `times` after `substeps` Magnus steps per
+    record interval, for any chi, without error control: the method's raw
+    convergence, for order checks and references; entries are non-finite
+    where a step overflows.  A `substeps` that is not an integer
+    (model.is_count) of at least 1 raises ContractError.  The other
+    arguments are as for integrate_modes."""
     if not (is_count(substeps) and substeps >= 1):
         raise ContractError(f"substeps must be an integer >= 1, got {substeps!r}")
-    route = _route(grid, times, coefficients, u0, v0)
-    route.fixed(substeps)
+    route = _Route(grid, times, coefficients, u0, v0)
+    route.first(1, substeps)
     return route.lab[0], route.lab[1]
 
 
-def _route(grid, times, coefficients, u0, v0):
-    """The route of the record-grid `coefficients`: the phase route exactly
-    where they apply CD with chi the very array chi_cd (CD off decides it
-    without forming chi_cd), Magnus steps for any other chi."""
-    phase = coefficients.cd_enabled and coefficients.chi is coefficients.chi_cd
-    return (_PhaseRoute if phase else _MagnusRoute)(grid, times, coefficients, u0, v0)
-
-
 class _Route:
-    """A route's passes: the modes' `momenta` (the coefficients' column p),
-    the frame and y0' from `_start`, and `out` and `lab`, the route's one
-    frame state and one lab state.  `first(stride)` runs every mode at one
-    step per `stride` intervals and reaches every stride-th record;
-    `refine(active, rows, substeps, stride, rtol, atol)` runs the modes
-    `active` (indexed by `rows`) at `substeps` steps per interval, tests
-    them against their pass before at every stride-th record, keeps the
-    pass, and returns which passed and the largest estimate among those;
-    `finish()` leaves in `out` and `lab` the state of every mode from the
-    pass it was accepted with, and `fixed(substeps)` that at `substeps`
-    steps per interval.  Plain classes: dataclasses took ~2 ms more to
-    import."""
+    """The modes' `momenta` (the coefficients' column p), the frame and
+    y0' from `_start`, and `out` and `lab`, the one frame state (Magnus
+    steps only) and one lab state of an integration.  `ladder(rtol, atol)`
+    runs the Magnus step doubling, `phase(shared)` the Chebyshev route;
+    each leaves every mode's (u, v) in `lab`.  A plain class: dataclasses
+    took ~2 ms more to import."""
 
-    def __init__(self, grid, times, coefficients, u0, v0):
+    def __init__(self, grid, times, coefficients, u0, v0, magnus=True):
         self.grid, self.momenta = grid, coefficients.p[:, 0]
         self.times = np.asarray(times, dtype=float)
-        # out holds the frame state of every mode and lab its (u, v), each
-        # (u, v) x modes x records.  Both are allocated before any
-        # temporary so that freed temporaries do not stay pinned under them
-        self.out = np.empty((2, len(self.momenta), len(self.times)), dtype=complex)
-        self.lab = np.empty_like(self.out)
+        # out holds the frame state of every mode, on the Magnus route only,
+        # and lab its (u, v), each (u, v) x modes x records.  Both are
+        # allocated before any temporary so that freed temporaries do not
+        # stay pinned under them
+        shape = (2, len(self.momenta), len(self.times))
+        self.out = np.empty(shape, dtype=complex) if magnus else None
+        self.lab = np.empty(shape, dtype=complex)
         self.frame, self.y0 = _start(coefficients, u0, v0)
 
-
-class _MagnusRoute(_Route):
-    """Magnus steps: each pass writes the frame state of its modes straight
-    into their rows of `out`, over the state of their pass before, which
-    the test does not read; the test then maps it to the lab chunk by
-    chunk, compares each chunk with the pass before in `lab` and writes it
-    there."""
-
-    method = MAGNUS
+    def ladder(self, rtol, atol):
+        """(substeps, steps, worst): the step doubling of the module
+        docstring, the largest N a mode kept, the steps of every pass and
+        the largest estimate a mode was accepted with."""
+        modes, intervals = len(self.momenta), len(self.times) - 1
+        # levels are kept as exponents k of N = 2^k steps per record
+        # interval.  The first pass takes one step per `stride` record
+        # intervals and reaches every stride-th record, where it is
+        # compared: N = 1/2 and the even records on an even interval count,
+        # else N = 1 and every record
+        stride = 2 - intervals % 2
+        self.first(stride)
+        k, steps = 1 - stride, modes * (intervals // stride)
+        active = np.arange(modes)
+        substeps, worst = 1, 0.0
+        while len(active):
+            k += 1
+            # views, not copies, while every mode is still active
+            rows = active if len(active) < modes else slice(None)
+            passed, estimate = self.refine(active, rows, 1 << k, stride, rtol, atol)
+            steps += len(active) * intervals << k
+            if np.any(passed):
+                substeps = 1 << k
+                worst = max(worst, estimate)
+            active, stride = active[~passed], 1
+            if len(active) and (2 << k) * intervals > MAX_STEPS:
+                finite = np.all(np.isfinite(self.lab[:, active]))
+                raise IntegrationError(
+                    f"{MAGNUS} step doubling not converged at {1 << k} substeps "
+                    "per record interval" + ("" if finite else ": (u, v) non-finite")
+                )
+        return substeps, steps, worst
 
     def first(self, stride, substeps=1):
+        """Every mode at `substeps` steps per `stride` record intervals, to
+        every stride-th record of `out` and `lab`."""
         out, lab = self.out[..., ::stride], self.lab[..., ::stride]
         times = self.times[::stride]
         _propagate(self.grid, self.momenta, times, self.y0, substeps, out, slice(None))
         _lab(self.frame[..., ::stride], out, lab)
 
     def refine(self, active, rows, substeps, stride, rtol, atol):
+        """Run the modes `active` (indexed by `rows`) at `substeps` steps
+        per interval, straight into their rows of `out`, over their pass
+        before, which the test does not read; map them to the lab chunk by
+        chunk, compare each chunk with the pass before in `lab` at every
+        stride-th record and write it there.  Returns which passed and the
+        largest estimate among those."""
         y0 = self.y0[:, rows]
         _propagate(self.grid, self.momenta[rows], self.times, y0, substeps, self.out, rows)
         passed, worst = np.ones(len(active), dtype=bool), np.zeros(len(active))
@@ -365,90 +331,69 @@ class _MagnusRoute(_Route):
             self.lab[:, modes, t] = new
         return passed, float(np.max(worst[passed])) if np.any(passed) else 0.0
 
-    def finish(self):
-        pass
+    def phase(self, shared):
+        """(steps, bound): the Chebyshev route of the module docstring, on
+        one row of v_s for every mode where `shared`, else one per mode: the
+        v_s evaluations, and delta Phi (|u'_0|, |v'_0|), (2, modes, 1), for
+        `_phase_test`.  The lab state is formed from each chunk's frame
+        state, which is let go with the chunk."""
+        grid, momenta = self.grid, self.momenta[: 1 if shared else None]
 
-    def fixed(self, substeps):
-        self.first(1, substeps)
+        def v_s(t):
+            values = grid(momenta, t).v_s
+            if not np.all(np.isfinite(values)):
+                raise IntegrationError(_NON_FINITE)
+            return values
 
-
-class _PhaseRoute(_Route):
-    """The phase route: each pass returns phi at the records on the
-    couplings' rows (`_phase`), one for every mode where `shared`; `old` is
-    the phi of the last pass of the modes still failing.  The phase
-    Phi = p phi of each mode that passed is kept in `phase`, the real part
-    of the v' plane of `out`, from which `finish` forms its state."""
-
-    method = PHASE
-
-    def __init__(self, grid, times, coefficients, u0, v0):
-        super().__init__(grid, times, coefficients, u0, v0)
-        # v_s on the record grid is one row where every mode shares it
-        self.shared = len(coefficients.v_s) == 1
-        self.phase = self.out[1].real
-
-    def _pass(self, rows, times, substeps):
-        momenta = self.momenta[:1] if self.shared else self.momenta[rows]
-        return _phase(self.grid, momenta, times, substeps)
-
-    def _own(self, chunk):
-        """The rows of a pass's phi that the rows `chunk` of its modes read."""
-        return slice(None) if self.shared else chunk
-
-    def first(self, stride):
-        self.old = self._pass(slice(None), self.times[::stride], 1)
-
-    def refine(self, active, rows, substeps, stride, rtol, atol):
-        new = self._pass(rows, self.times, substeps)
-        p = self.momenta[rows]
-        scale = (p / 63.0)[:, None]
-        # (|u'_0|, |v'_0|) of each mode, and the same swapped
-        y0 = np.abs(self.y0[:, rows, None])
-        passed, worst = np.ones(len(active), dtype=bool), np.zeros(len(active))
-        for r, t in _chunks(len(active), len(self.times)):
-            records = _compared(t, stride)
-            columns = slice(records.start // stride, -(-t.stop // stride))
-            # |delta Phi| at every record both passes reach, then the bounds
-            # (B_u, B_v) of the module docstring from c (|u'_0|, |v'_0|) and
-            # |s| (|v'_0|, |u'_0|), and their tolerances
-            own = self._own(r)
-            d = np.abs(self.old[own, columns] - new[own, records]) * scale[r]
-            c, s = self.frame[:, _rows(rows, r), records]
-            direct, cross = c * y0[:, r], np.abs(s) * y0[::-1, r]
-            bound = d * (direct + cross)
-            lower = direct - cross
-            np.abs(lower[1], out=lower[1])
-            passed[r] &= np.all(bound <= atol + rtol * lower, axis=(0, 2))
-            worst[r] = np.maximum(worst[r], np.max(bound, axis=(0, 2), initial=0.0))
-        kept = new if self.shared else new[passed]
-        self.old = new if self.shared else new[~passed]
-        if not np.any(passed):
-            return passed, 0.0
-        accepted, p = active[passed], p[passed, None]
-        for r, t in _chunks(len(accepted), len(self.times)):
-            self.phase[accepted[r], t] = p[r] * kept[self._own(r), t]
-        return passed, float(np.max(worst[passed]))
-
-    def finish(self):
-        # the frame state (e^(i Phi) u'_0, e^(-i Phi) v'_0) over the phase
-        # Phi, chunk by chunk, then the lab
+        t0, t1 = self.times[0], self.times[-1]
+        b, tail, steps = _chebyshev.primitive(v_s, t0, t1, BLOCK_POINTS)
+        # phi at the records, less its value at the first, so that Phi is 0
+        # there exactly
+        phi = np.empty((len(b), len(self.times)))
+        for r, t in _chunks(*phi.shape):
+            phi[r, t] = _chebyshev.evaluate(b[r], self.times[t], t0, t1)
+        phi -= phi[:, :1].copy()
+        p, phi = self.momenta[:, None], np.broadcast_to(phi, self.lab.shape[1:])
+        delta = p * (tail[:, None] + 4.0 * EPS * np.abs(phi[:, -1:]))
         u0, v0 = self.y0[..., None]
-        for r, t in _chunks(len(self.momenta), len(self.times)):
-            u, v = self.out[:, r, t]
-            phase = self.phase[r, t]
-            np.cos(phase, out=u.real)
-            np.sin(phase, out=u.imag)
-            np.conjugate(u, out=v)
-            u *= u0[r]
-            v *= v0[r]
-        _lab(self.frame, self.out, self.lab)
+        for r, t in _chunks(*phi.shape):
+            y = np.empty((2, r.stop - r.start, t.stop - t.start), dtype=complex)
+            # Phi in the real plane of v', then the frame state over it
+            np.multiply(p[r], phi[r, t], out=y[1].real)
+            np.cos(y[1].real, out=y[0].real)
+            np.sin(y[1].real, out=y[0].imag)
+            np.conjugate(y[0], out=y[1])
+            y[0] *= u0[r]
+            y[1] *= v0[r]
+            _lab(self.frame[:, r, t], y, self.lab[:, r, t])
+        return steps, delta * np.abs(self.y0[..., None])
 
-    def fixed(self, substeps):
-        phi = self._pass(slice(None), self.times, substeps)
-        p = self.momenta[:, None]
-        for r, t in _chunks(len(self.momenta), len(self.times)):
-            np.multiply(p[r], phi[self._own(r), t], out=self.phase[r, t])
-        self.finish()
+
+def _phase_test(frame, bound, moduli, rtol, atol):
+    """The largest bound that delta Phi puts on the lab (u, v) of a chunk,
+    from its frame (c, s) and `bound` = delta Phi (|u'_0|, |v'_0|) of its
+    modes (the module docstring).  Raises IntegrationError where one
+    exceeds atol + rtol times `moduli`, the chunk's (|u|, |v|), which it
+    may overwrite."""
+    c, s = frame
+    s = np.abs(s)
+    worst = 0.0
+    for k, tol in enumerate(moduli):
+        estimate = c * bound[k]
+        estimate += s * bound[1 - k]
+        top = float(np.max(estimate))
+        worst = max(worst, top)
+        # within atol everywhere, the state need not be read
+        if top <= atol:
+            continue
+        tol *= rtol
+        tol += atol
+        if not np.all(estimate <= tol):
+            raise IntegrationError(
+                f"{CHEBYSHEV} phase not within tolerance: estimate {worst:.3e} > "
+                "atol + rtol |y|"
+            )
+    return worst
 
 
 def _chunks(n_rows, n_records):
@@ -490,8 +435,8 @@ def _start(coefficients, u0, v0):
     y0' = T y0 with T = [[c, s], [s, c]] at the first record.  v_s is
     formed here, not read from `coefficients`, so that with CD off the
     record grid does not hold it through the integration (with CD on, the
-    phase route reads it there, `_PhaseRoute`), and where it is not real
-    the refusal is an IntegrationError, not check_pair_stable's."""
+    Chebyshev route reads its shape there), and where it is not real the
+    refusal is an IntegrationError, not check_pair_stable's."""
     w, g = np.broadcast_arrays(coefficients.omega_per_p, coefficients.g_per_p)
     frame = np.empty((2,) + w.shape)
     for r, t in _chunks(*w.shape):
@@ -522,23 +467,6 @@ def _lab(frame, y, out):
         out[1, r, t] -= su
 
 
-def _phase(grid, momenta, times, substeps):
-    """phi, the integral of v_s from times[0] to each record of `times`, of
-    shape (len(momenta), len(times)), at `substeps` panels (`_panels`) per
-    record interval.  `momenta` are those of the couplings' rows: the first
-    mode's alone for contact couplings, whose v_s every mode shares.  The
-    panels are summed one block (`_blocks`, sized on those rows) at a time,
-    and the sum is carried from block to block."""
-    phi = np.empty((len(momenta), len(times)))
-    phi[:, 0] = carry = 0.0
-    for starts, widths, ends, records in _blocks(times, substeps, len(momenta)):
-        total = np.cumsum(_panels(grid, momenta, starts, widths), axis=1)
-        total += carry
-        phi[:, records] = total[:, ends]
-        carry = total[:, -1:]
-    return phi
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _propagate(grid, momenta, times, y0, substeps, out, rows):
     """Fill the rows `rows` of out[0], out[1] (a slice, or an index array
@@ -560,9 +488,8 @@ def _propagate(grid, momenta, times, y0, substeps, out, rows):
 
 
 def _blocks(times, substeps, n_rows):
-    """The steps of a pass over `n_rows` rows (modes on the Magnus route,
-    the couplings' rows on the phase route) at `substeps` steps per record
-    interval of `times`, one block at a time: (starts, widths, ends,
+    """The steps of a pass over `n_rows` modes at `substeps` steps per
+    record interval of `times`, one block at a time: (starts, widths, ends,
     records) with the start and width of each step of the block, the steps
     of the block that end a record interval (`ends`) and those records
     (`records`).
@@ -587,36 +514,15 @@ def _blocks(times, substeps, n_rows):
         yield times[interval] + offset * h, h, ends, records
 
 
-def _sound_velocity(grid, momenta, starts, widths):
-    """(v_s, coefficients) at the three Gauss-Legendre nodes of the steps
-    starting at `starts` with widths `widths` (1-D, one entry per step):
-    v_s = epsilon/p of shape (rows, 3, n_steps), rows those of the
-    couplings' shape, and the `grid` result on the nodes, node first, so
-    that each node's values are one contiguous block."""
-    nodes = starts + widths * _NODES[:, None]
-    c = grid(momenta, nodes.ravel())
-    return c.v_s.reshape((-1,) + nodes.shape), c
-
-
-def _panels(grid, momenta, starts, widths):
-    """The three-node Gauss-Legendre quadrature of the integral of v_s over
-    each step starting at `starts` with widths `widths` (1-D, one entry per
-    step), of shape (rows, n_steps) on the couplings' shape: p times it is
-    the a of the Magnus step where chi is chi_cd."""
-    v_s = _sound_velocity(grid, momenta, starts, widths)[0]
-    panels = widths * (5.0 * (v_s[:, 0] + v_s[:, 2]) + 8.0 * v_s[:, 1]) / 18.0
-    # non-finite exactly where v_s is at a node
-    if not np.all(np.isfinite(panels)):
-        raise IntegrationError(_NON_FINITE)
-    return panels
-
-
 def _steps(grid, momenta, starts, widths):
     """Single-step propagators of shape (n_modes, n_steps) for the steps
     starting at `starts` with widths `widths` (1-D, one entry per step), in
-    the adiabatic frame."""
-    v_s, c = _sound_velocity(grid, momenta, starts, widths)
-    eps = momenta[:, None, None] * v_s
+    the adiabatic frame.  The coefficients are evaluated at the three
+    Gauss-Legendre nodes of every step, node first, so that each node's
+    values are one contiguous block."""
+    nodes = starts + widths * _NODES[:, None]
+    c = grid(momenta, nodes.ravel())
+    eps = momenta[:, None, None] * c.v_s.reshape((-1,) + nodes.shape)
     # generator 3-vectors (epsilon, chi_cd - chi, 0) at each node
     r = np.subtract(c.chi_cd, c.chi).reshape(eps.shape)
     a, br, bi = _omega(widths, eps.swapaxes(0, 1), r.swapaxes(0, 1))

@@ -224,9 +224,12 @@ class DriveProtocol:
         stable or not), refuses |g| >= omega, then forms chi_cd, v_s, its
         rate and the adiabaticity, the squares of omega and chi_cd (in the
         spectra), t_adiabatic, omega t_f (the largest phase),
-        18 t_f omega/p (the bound on a phase-route panel's sum before it is
-        divided by 18, integrator._panels) and closed_form_bound.  The mode
-        momenta are formed inside the range check.
+        18 t_f omega/p and closed_form_bound.  The bound 18 t_f omega/p on
+        the phase is a stop-gap, kept until a float64 precision floor
+        refuses a phase that no tolerance can resolve as a config error
+        (ROADMAP item 15): below it such a run integrates and is refused
+        at the integrator's floor.  The mode momenta are formed inside the
+        range check.
         """
         # the ends s = 0 and 1, where P(s) = s
         s = np.array([0.0, 1.0])

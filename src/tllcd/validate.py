@@ -147,9 +147,10 @@ def step_order(protocol: DriveProtocol, record_points: int) -> tuple[float, floa
     """|y_4 - y_8| / |y_2 - y_4| of fixed_steps at N = 2, 4 and 8 steps per
     record interval, largest over every mode (inf where one is 0).  Each
     halving of the step cuts |y_N - y_2N| by 2^6 at sixth order and 2^4 at
-    fourth: bound 2^-5.  With CD on it measures the phase route that runs
-    (the quadrature of the phase integral alone), without CD the whole
-    Magnus step."""
+    fourth: bound 2^-5.  fixed_steps takes Magnus steps for any chi, so
+    with CD on it measures the Magnus step at zero mixing (a rotation by
+    the Gauss quadrature of the phase integral), the reference of
+    error_control, and without CD the whole Magnus step."""
     p, grid, ones = protocol.momenta(), protocol.grid, np.ones(protocol.n_modes)
     times = np.linspace(0.0, protocol.t_f, record_points)
     y = [
@@ -162,32 +163,22 @@ def step_order(protocol: DriveProtocol, record_points: int) -> tuple[float, floa
 
 def cd_referee(protocol: DriveProtocol, record_points: int) -> tuple[float, float]:
     """The largest n_qp of a CD-on run, at any mode and record, whose exact
-    value is 0: bound 0.  Inf unless the run took one substep, one step per
-    record interval after the pass at one per two (3/2 per interval and
-    mode, on an even interval count)."""
+    value is 0: bound 0.  Inf unless the run took the Chebyshev route, the
+    one that CD on takes."""
     result = dynamics.run_simulation(protocol, record_points=record_points)
-    steps = 3 * protocol.n_modes * (record_points - 1) // 2
-    if (result.integration.substeps, result.integration.steps) != (1, steps):
+    if result.integration.method != integrator.CHEBYSHEV:
         return math.inf, 0.0
     return float(np.max(result.trajectories.n_qp)), 0.0
-
-
-def magnus_route(coefficients):
-    """The record-grid `coefficients` with chi a copy of chi_cd: the same
-    values, which take Magnus steps where chi_cd itself takes the phase
-    route.  The chi property keeps the copy as its cached value."""
-    vars(coefficients)["chi"] = coefficients.chi_cd.copy()
-    return coefficients
 
 
 def error_control(protocol: DriveProtocol, record_points: int, factor: int) -> tuple[float, float]:
     """The largest |y - y_ref| / (atol + rtol |y_ref|) of run_simulation at
     the default tolerances, over every mode, component and record, with
-    y_ref from fixed_steps on Magnus steps at `factor` times the run's
-    accepted substeps: bound 1, the run's own tolerance."""
+    y_ref from fixed_steps (Magnus steps, for any chi) at `factor` times
+    the run's accepted substeps: bound 1, the run's own tolerance."""
     result = dynamics.run_simulation(protocol, record_points=record_points)
     traj, ones = result.trajectories, np.ones(protocol.n_modes)
-    c, n = magnus_route(protocol.grid(traj.p, traj.times)), factor * result.integration.substeps
+    c, n = protocol.grid(traj.p, traj.times), factor * result.integration.substeps
     ref = integrator.fixed_steps(protocol.grid, traj.times, c, ones, 0 * ones, n)
     rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
     ratios = [
@@ -311,7 +302,7 @@ def suite() -> list:
          step_order, (pr, 5))
         for cd, pr in cds
     ]
-    referee = "CD-on referee: n_qp = 0, 1 substep, 3/2 steps per interval"
+    referee = "CD-on referee: n_qp = 0 on the chebyshev route"
     rows.append((referee, cd_referee, (on, 41)))
     rows += [
         (f"error control: within tolerance of 64x the substeps ({points - 1} record intervals)",

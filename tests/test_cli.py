@@ -295,17 +295,23 @@ def test_import_leaves_scipy_and_the_oracle_unloaded():
 
 def test_runs_leave_scipy_and_the_oracle_unloaded(tmp_path):
     # simulate and sweep need numpy alone: neither scipy nor the reference
-    # side is imported on the run path, which keeps a run's set-up at numpy's cost
+    # side is imported on the run path, which keeps a run's set-up at numpy's
+    # cost, nor numpy.fft or numpy.polynomial (the Chebyshev route sums its
+    # cosines itself), beyond what `import numpy` loads of its own
     cfg = write_config(tmp_path, GOOD_CONFIG.replace("record_points = 41", "record_points = 5"))
     out = str(tmp_path / "out")
     code = (
         "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
         "from tllcd.cli import main\n"
         f"assert main(['simulate', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
         f"assert main(['sweep', '--config', {cfg!r}, '--out', {out!r}, '--tf-list', '6,8']) == 0\n"
         "reference = ('tllcd.su11', 'tllcd.closed_forms', 'tllcd.validate', 'tllcd.fock')\n"
+        "numpy_parts = ('numpy.fft', 'numpy.polynomial')\n"
         "loaded = [m for m in sys.modules if m in reference"
-        " or m.split('.')[0] == 'scipy']\n"
+        " or m.split('.')[0] == 'scipy'"
+        " or m.startswith(numpy_parts) and m not in before]\n"
         "sys.exit(', '.join(loaded) or None)\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -341,19 +347,20 @@ def test_simulate_byte_stable(tmp_path):
     facts = dict(
         line.split(" = ", 1) for line in manifest.splitlines() if line.startswith("integrator")
     )
-    assert facts["integrator"] == "phase6"
+    assert facts["integrator"] == "chebyshev"
     # CD on: each pair's generator is diagonal in its adiabatic frame, so
-    # both modes pass at one substep, after the pass at 1/2: 2 modes x 40
-    # record intervals x 3/2
+    # only its phase is formed, from v_s on the one row of these contact
+    # couplings at the 33 nodes of degree 32, in one substep
     assert int(facts["integrator.substeps"]) == 1
-    assert int(facts["integrator.steps"]) == 2 * 40 * 3 // 2
+    assert int(facts["integrator.steps"]) == 33
     assert 0 <= float(facts["integrator.error_estimate"]) <= 1e-10
     assert 0 <= float(facts["integrator.max_invariant_defect"]) <= 1e-12
 
 
 def test_cd_runs_take_the_phase_route(tmp_path, monkeypatch):
-    # with CD on the frame generator is diagonal, so simulate and sweep sum
-    # the phase integral and never form a Magnus step; without CD they do
+    # with CD on the frame generator is diagonal, so simulate and sweep form
+    # the phase integral on the Chebyshev route and never a Magnus step;
+    # without CD they do
     calls = {}
     for name in ("_omega", "_scan", "_cosh_sinhc"):
         real = getattr(integrator, name)
@@ -368,7 +375,7 @@ def test_cd_runs_take_the_phase_route(tmp_path, monkeypatch):
     assert main(["sweep", "--config", sweep, "--out", str(out)]) == 0
     assert main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
     assert calls == {}
-    assert "integrator = phase6\n" in (out / "manifest.txt").read_text()
+    assert "integrator = chebyshev\n" in (out / "manifest.txt").read_text()
     bare = write_config(tmp_path, GOOD_CONFIG.replace("cd = on", "cd = off"), "b.cfg")
     assert main(["simulate", "--config", bare, "--out", str(out)]) == 0
     assert sorted(calls) == ["_cosh_sinhc", "_omega", "_scan"]
@@ -871,7 +878,7 @@ VALIDATION_CHECKS = [
     "integrator vs Fock oracle (cd=off)",
     "integrator order (cd=on): halving the step cuts |y_N - y_2N| by >= 2^5",
     "integrator order (cd=off): halving the step cuts |y_N - y_2N| by >= 2^5",
-    "CD-on referee: n_qp = 0, 1 substep, 3/2 steps per interval",
+    "CD-on referee: n_qp = 0 on the chebyshev route",
     "error control: within tolerance of 64x the substeps (40 record intervals)",
     "error control: within tolerance of 64x the substeps (39 record intervals)",
     "pair ground eigenvalue = epsilon",
@@ -1035,13 +1042,13 @@ def test_stability_margin_runs_once_per_run(tmp_path, monkeypatch):
     assert "failure = Bogoliubov invariant violated" in manifest
     assert "stability.pass = True" in manifest
     monkeypatch.setattr(dynamics, "integrate_modes", integrate)
-    # an integration stopped at the step cap: the error carries the gate's report
+    # an integration refused below the phase's rounding floor: the error
+    # carries the gate's report
     calls.clear()
-    monkeypatch.setattr(integrator, "MAX_STEPS", 1)
     tight = GOOD_CONFIG + "rtol = 1e-16\natol = 1e-30\n"
     tight = write_config(tmp_path, tight, "i.cfg")
     assert main(["simulate", "--config", tight, "--out", out]) == EXIT_INTEGRATION
     assert calls == [6.0]
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
-    assert "failure = phase6 step doubling not converged" in manifest
+    assert "failure = chebyshev phase not within tolerance" in manifest
     assert "stability.pass = True" in manifest

@@ -9,8 +9,11 @@ lost its level skip; then, after test_golden_runs_match_dop853 passed on
 the phase route that CD runs take, all three manifests, which gained the
 stability.argmin_p and stability.argmin_t lines, and in the two CD cases
 the integrator line (magnus6 to phase6) and the error_estimate and
-max_invariant_defect lines, which moved at rounding.  The CSVs of the CD
-cases were kept: the phase route matches them within REL_TOL.  A run must
+max_invariant_defect lines, which moved at rounding; then the integrator
+lines of the two CD cases alone, when the Chebyshev route replaced the
+phase route (phase6 to chebyshev, its steps and estimate, and the
+defect at rounding).  The CSVs of the CD cases were kept: each route
+matched them within REL_TOL.  A run must
 give the same headers, row order and manifest keys, and every number to
 within roundoff."""
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from tllcd import dynamics, integrator, su11, validate
+from tllcd import _chebyshev, dynamics, integrator, su11, validate
 from tllcd.closed_forms import bogoliubov_angle
 from tllcd.errors import ContractError, IntegrationError
 from tllcd.model import CouplingFamily, CouplingSpec
@@ -55,8 +55,8 @@ def make_protocol(family="contact", schedule="poly5", cd=True, n_modes=3):
 
 def integrate(proto, momenta, times, rtol, atol):
     """integrate_modes as a run calls it: every mode of `momenta` from the
-    vacuum, with the coefficients on the record grid, which take the phase
-    route with CD on."""
+    vacuum, with the coefficients on the record grid, which take the
+    Chebyshev route with CD on."""
     ones = np.ones(len(momenta))
     return integrator.integrate_modes(
         proto.grid, times, proto.grid(momenta, times), ones, 0 * ones, rtol, atol
@@ -100,14 +100,15 @@ def test_matches_dop853(family, schedule, cd):
 
 def test_sixth_order_convergence():
     # one slow mode over 4 record intervals: N = 2 is already asymptotic.
-    # With CD on only the Gauss quadrature of the phase is left, and its
-    # error at N = 8 (~4e-14) is near the reference's; without CD the whole
-    # Magnus step is measured, to ~1e-11 at N = 8 (ratios 63.1 and 63.8)
+    # With CD on, at zero mixing, only the Gauss quadrature of the phase is
+    # left, and its error at N = 8 (~4e-14) is near the reference's; without
+    # CD the whole Magnus step is measured, to ~1e-11 at N = 8 (ratios 63.1
+    # and 63.8).  fixed_steps takes Magnus steps for any chi
     for cd in (True, False):
         proto = make_protocol(cd=cd, n_modes=1)
         p = proto.momenta()
         times = np.linspace(0.0, proto.t_f, 5)
-        c = validate.magnus_route(proto.grid(p, times))
+        c = proto.grid(p, times)
         u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
         def error(substeps):
@@ -128,7 +129,7 @@ def test_fixed_steps_takes_any_step_count():
     proto = make_protocol(n_modes=1)
     p = proto.momenta()
     times = np.linspace(0.0, proto.t_f, 5)
-    c = validate.magnus_route(proto.grid(p, times))
+    c = proto.grid(p, times)
     u_ref, v_ref = dop853(proto, p[0], times, rtol=1e-13)
 
     def error(substeps):
@@ -149,9 +150,8 @@ def test_fixed_steps_takes_any_step_count():
 def test_cd_runs_are_transitionless_to_roundoff(family, schedule):
     # the exact answer of a CD run from the vacuum: no quasiparticles at
     # any mode or record.  Each pair's generator is diagonal in its frame,
-    # so the frame state is (e^(i Phi), 0) and n_qp = |v'|^2 is exactly 0;
-    # every mode passes at one step per record interval, after the pass at
-    # one step per two
+    # so the frame state is (e^(i Phi), 0) and n_qp = |v'|^2 is exactly 0,
+    # on the Chebyshev route that CD on takes
     assert validate.cd_referee(make_protocol(family, schedule, n_modes=8), 21)[0] <= 0.0
 
 
@@ -159,17 +159,18 @@ def test_cd_runs_are_transitionless_to_roundoff(family, schedule):
 def test_phase_route_is_the_magnus_step_at_zero_mixing(family, schedule):
     # with CD on the frame generator is (epsilon, 0, 0): each Magnus step is
     # a rotation by the three-node Gauss-Legendre quadrature of the phase
-    # integral, which the phase route sums, at any number of steps
-    proto = make_protocol(family, schedule, n_modes=4)
+    # integral, so at 64 steps per record interval Magnus steps give the
+    # phase of the Chebyshev route to rounding, from a squeezed, rotated
+    # start whose frame state has both components
+    proto = replace(make_protocol(family, schedule, n_modes=4), coupling=STARTS[family])
+    u0, v0 = math.cosh(0.4) * cmath.exp(0.3j), math.sinh(0.4) * cmath.exp(-1.2j)
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, proto.t_f, 6)
-    phase, reference = proto.grid(p, times), validate.magnus_route(proto.grid(p, times))
-    for substeps in (1, 3, 8):
-        for got, want in zip(
-            integrator.fixed_steps(proto.grid, times, phase, ones, 0 * ones, substeps),
-            integrator.fixed_steps(proto.grid, times, reference, ones, 0 * ones, substeps),
-        ):
-            assert np.max(np.abs(got - want)) < 1e-13
+    args = proto.grid, times, proto.grid(p, times), u0 * ones, v0 * ones
+    u, v, report, _ = integrator.integrate_modes(*args, 1e-10, 1e-12)
+    assert report.method == integrator.CHEBYSHEV
+    for got, want in zip((u, v), integrator.fixed_steps(*args, 64)):
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 class HalfCD(DriveProtocol):
@@ -187,20 +188,22 @@ class HalfCD(DriveProtocol):
 def test_the_route_follows_the_coefficients(case):
     # the record-grid coefficients alone pick the route: CD off and a
     # control at half its strength take Magnus steps, which match DOP853
-    # of the chi they apply and leave quasiparticles; CD on takes the phase
-    # route, and Magnus steps (the reference of the phase route's checks)
-    # where chi is a copy of chi_cd.  CD off decides it without forming
-    # chi_cd or v_s on the record grid
+    # of the chi they apply and leave quasiparticles; CD on takes the
+    # Chebyshev route, and Magnus steps where chi is a copy of chi_cd (the
+    # chi property keeps the copy as its cached value).  CD off decides it
+    # without forming chi_cd or v_s on the record grid
     proto = make_protocol(cd=case != "off")
     if case == "half":
         proto = HalfCD(proto.coupling, proto.schedule, proto.t_f, proto.L, proto.n_modes)
     p, ones = proto.momenta(), np.ones(proto.n_modes)
     times = np.linspace(0.0, proto.t_f, 11)
-    c = validate.magnus_route(proto.grid(p, times)) if case == "copy" else proto.grid(p, times)
+    c = proto.grid(p, times)
+    if case == "copy":
+        vars(c)["chi"] = c.chi_cd.copy()
     u, v, report, (_, v_mod) = integrator.integrate_modes(
         proto.grid, times, c, ones, 0 * ones, 1e-10, 1e-12
     )
-    assert report.method == (integrator.PHASE if case == "on" else integrator.MAGNUS)
+    assert report.method == (integrator.CHEBYSHEV if case == "on" else integrator.MAGNUS)
     assert case != "off" or not {"chi_cd", "v_s"} & set(vars(c))
     for k in range(proto.n_modes):
         u_ref, v_ref = dop853(proto, p[k], times)
@@ -221,9 +224,9 @@ STARTS = {
 
 @pytest.mark.parametrize("family", sorted(STARTS))
 def test_interacting_starts_match_dop853(family):
-    # CD on from a squeezed, rotated start (u0, v0): the phase route keeps
-    # (u', v') = (e^(i Phi) u'_0, e^(-i Phi) v'_0), so both frame components
-    # of y0, and its map into the frame, are on trial
+    # CD on from a squeezed, rotated start (u0, v0): the Chebyshev route
+    # forms (u', v') = (e^(i Phi) u'_0, e^(-i Phi) v'_0), so both frame
+    # components of y0, and its map into the frame, are on trial
     proto = replace(make_protocol(family, n_modes=3), coupling=STARTS[family])
     r = 0.4
     u0, v0 = math.cosh(r) * cmath.exp(0.3j), math.sinh(r) * cmath.exp(-1.2j)
@@ -232,7 +235,7 @@ def test_interacting_starts_match_dop853(family):
     u, v, report, _ = integrator.integrate_modes(
         proto.grid, times, proto.grid(p, times), u0 * ones, v0 * ones, 1e-10, 1e-12
     )
-    assert report.method == integrator.PHASE
+    assert report.method == integrator.CHEBYSHEV
     for k in range(proto.n_modes):
         u_ref, v_ref = dop853(proto, p[k], times, y0=(u0, v0))
         assert np.max(np.abs(u[k] - u_ref)) < 1e-8
@@ -242,40 +245,33 @@ def test_interacting_starts_match_dop853(family):
 @pytest.mark.parametrize("tight", [False, True], ids=["default", "tight"])
 @pytest.mark.parametrize("family", sorted(STARTS))
 def test_phase_test_is_never_looser_than_the_lab_test(family, tight):
-    # the phase route tests delta Phi by a bound on the lab estimate (module
-    # docstring), so a mode it accepts at N passes the lab test at N too:
-    # |y_(N/2) - y_N| / 63 <= atol + rtol |y_N| at every record, from
-    # fixed_steps.  A squeezed, rotated start makes v'_0 != 0, and the
-    # ladder climbs to N = 2, 4 or 8 on two record intervals.  "tight" sets
-    # each mode's atol, with rtol = 0, to the bound it was accepted with at
-    # rtol = 1e-8, atol = 1e-10: the least atol that passes it at that N.
-    # The lab estimate then comes within 2e-6 of it (rounding is ~2e-7
-    # there), and a bound without the |s| |v'_0| term, a few per cent of
-    # it, fails
+    # the Chebyshev route tests the bound that delta Phi puts on the lab
+    # (u, v) against atol + rtol |y| of the formed state at every record
+    # (module docstring).  A squeezed, rotated start makes v'_0 != 0, so
+    # both terms of the bound count.  "default" runs each mode alone at the
+    # default tolerances and reports a bound within them; "tight" sets its
+    # atol, with rtol = 0, to that bound, which passes and is reported
+    # again, while an atol a little below it raises
     proto = replace(make_protocol(family, n_modes=8), coupling=STARTS[family])
-    r = 1.0
-    u0, v0 = math.cosh(r) * cmath.exp(0.3j), math.sinh(r) * cmath.exp(-1.2j)
+    u0, v0 = math.cosh(1.0) * cmath.exp(0.3j), math.sinh(1.0) * cmath.exp(-1.2j)
     times = np.linspace(0.0, proto.t_f, 3)
 
-    def run(p, substeps=None, tolerances=None):
-        args = proto.grid, times, proto.grid([p], times), [u0], [v0]
-        if substeps:
-            return np.array(integrator.fixed_steps(*args, substeps))
-        return integrator.integrate_modes(*args, *tolerances)
+    def run(p, rtol, atol):
+        return integrator.integrate_modes(
+            proto.grid, times, proto.grid([p], times), [u0], [v0], rtol, atol
+        )
 
     for p in proto.momenta():
+        rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
+        u, v, report, _ = run(p, rtol, atol)
+        estimate = report.error_estimate
+        assert 0.0 < estimate <= atol + rtol * max(np.max(np.abs(u)), np.max(np.abs(v)))
         if tight:
-            report = run(p, tolerances=(1e-8, 1e-10))[2]
-            rtol, atol = 0.0, report.error_estimate
-        else:
-            rtol, atol = dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL
-        u, v, report, _ = run(p, tolerances=(rtol, atol))
-        n = report.substeps
-        assert n >= 2 and (report.error_estimate == atol or not tight)
-        y = run(p, n)
-        assert np.array_equal(y, np.array([u, v]))
-        err = np.abs(run(p, n // 2) - y) / 63
-        assert np.all(err <= atol + rtol * np.abs(y)), p
+            tight_u, tight_v, report, _ = run(p, 0.0, estimate)
+            assert report.error_estimate == estimate
+            assert np.array_equal(tight_u, u) and np.array_equal(tight_v, v)
+            with pytest.raises(IntegrationError, match="phase not within tolerance"):
+                run(p, 0.0, estimate * (1.0 - 1e-6))
         u_ref, v_ref = dop853(proto, p, times, y0=(u0, v0))
         assert np.max(np.abs(u[0] - u_ref)) < 1e-8
         assert np.max(np.abs(v[0] - v_ref)) < 1e-8
@@ -333,8 +329,8 @@ def test_epsilon_and_frame_on_the_couplings_shape(family, schedule):
 
 @pytest.mark.parametrize("family", sorted(COUPLINGS))
 def test_phases_and_frame_take_the_couplings_rows(family, monkeypatch):
-    # contact couplings do not depend on p: the phase route reads v_s at
-    # its nodes, and the frame, on one row for every mode, and forms no
+    # contact couplings do not depend on p: the Chebyshev route reads v_s
+    # at its nodes, and the frame, on one row for every mode, and forms no
     # per-mode omega or g there; the other families need a row per mode
     proto = make_protocol(family, n_modes=8)
     rows = 1 if family == "contact" else proto.n_modes
@@ -358,7 +354,7 @@ def test_phases_and_frame_take_the_couplings_rows(family, monkeypatch):
     _, _, report, _ = integrator.integrate_modes(
         grid, times, records, ones, 0 * ones, 1e-10, 1e-12
     )
-    assert report.method == integrator.PHASE
+    assert report.method == integrator.CHEBYSHEV
     assert nodes and all(len(c.p) == c.v_s.shape[0] == rows for c in nodes)
     assert not any("_pair" in vars(c) for c in nodes + [records])
     (frame,) = frames
@@ -381,6 +377,24 @@ def test_substeps_of_the_long_cd_ramp():
     _, _, report, _ = integrate(proto, proto.momenta(), times, 1e-10, 1e-12)
     assert report.substeps <= 8
     assert report.error_estimate <= 1e-10
+
+
+# contact ramps near the Luttinger edge, r = g2/(2 pi v_F) close to 1 and
+# g4 = 0, each at its least CD-stable doubling of t_f from 20: v_s(P(s))
+# has a branch point just past s = 1, so its interpolant takes degree 256
+EDGE = [(0.99, "linear", 5120.0), (0.9999, "poly5", 20480.0)]
+
+
+@pytest.mark.parametrize("r,schedule,t_f", EDGE)
+def test_cd_runs_near_the_luttinger_edge_are_accepted(r, schedule, t_f):
+    coupling = CouplingSpec(
+        family=CouplingFamily.CONTACT, g2_end=r * 2.0 * math.pi, g4_end=0.0
+    )
+    proto = DriveProtocol(coupling, SCHEDULES[schedule], t_f, 100.0, 8)
+    result = dynamics.run_simulation(proto, record_points=21)
+    assert result.integration.method == integrator.CHEBYSHEV
+    assert result.integration.steps == 257
+    assert np.all(result.trajectories.n_qp == 0.0)
 
 
 # (family, schedule, cd, t_f, L, record points): every family and both ramp
@@ -475,21 +489,25 @@ def test_all_modes_run_matches_per_mode(cd):
 
 @pytest.mark.parametrize("cd", [True, False])
 def test_steps_count_every_pass_of_every_mode(cd):
-    # each mode runs its own ladder of levels, whatever the modes beside it
-    # do, so a run takes the steps of its modes run alone
+    # without CD each mode runs its own ladder of levels, whatever the
+    # modes beside it do, so a run takes the steps of its modes run alone.
+    # With CD on, steps count the v_s evaluations of the Chebyshev route:
+    # these custom_table couplings have a row per mode, evaluated together
+    # at every node of one degree, the one the slowest mode needs alone
     proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
     times = np.linspace(0.0, proto.t_f, 21)
     args = (times, 1e-10, 1e-12)
     alone = [integrate(proto, [p], *args)[2] for p in proto.momenta()]
     substeps = [r.substeps for r in alone]
-    if cd:
-        # each pair's generator is diagonal in its frame: every mode passes
-        # at N = 1, after N = 1/2, over the 20 record intervals
-        assert substeps == [1] * 16
-        assert [r.steps for r in alone] == [20 * 3 // 2] * 16
-    else:
-        assert len(set(substeps)) > 1
     _, _, report, _ = integrate(proto, proto.momenta(), *args)
+    if cd:
+        assert substeps == [1] * 16 and report.substeps == 1
+        # n + 1 nodes of a degree n = 2^k >= 16
+        nodes = {r.steps for r in alone}
+        assert all(n - 1 >= 16 and (n - 1) & (n - 2) == 0 for n in nodes)
+        assert report.steps == 16 * max(nodes)
+        return
+    assert len(set(substeps)) > 1
     assert report.steps == sum(r.steps for r in alone)
     assert report.substeps == max(substeps)
     worst = max(r.error_estimate for r in alone)
@@ -498,41 +516,17 @@ def test_steps_count_every_pass_of_every_mode(cd):
 
 def ladder(proto, p, times, rtol, atol):
     """(levels, (u, v), estimate) of one mode from (1, 0) by the rule of
-    integrate_modes, spelled out: the levels (steps per record interval) it
-    runs, the (u, v) it keeps, from fixed_steps of the route the protocol
-    takes, and the estimate it is accepted with.  Without CD a level is
-    tested on the lab (u, v); with CD, on the phase route, on the phase
-    integral phi of v_s, by the bounds B_u and B_v of the integrator's
-    module docstring."""
+    integrate_modes on Magnus steps, spelled out: the levels (steps per
+    record interval) it runs, the (u, v) it keeps, from fixed_steps, and
+    the estimate it is accepted with, each level tested on the lab (u, v)."""
 
-    def state(t, n):
+    def run(t, n):
         y = integrator.fixed_steps(proto.grid, t, proto.grid([p], t), [1.0], [0.0], n)
         return np.array(y)[:, 0]
 
-    if proto.cd_enabled:
-        frame, y0 = integrator._start(proto.grid([p], times), [1.0], [0.0])
-        c, s = frame[0, 0], np.abs(frame[1, 0])
-        u, v = np.abs(y0[:, 0])
-
-        def run(t, n):
-            return integrator._phase(proto.grid, [p], t, n)[0]
-
-        def test(prev, new, records):
-            # |delta Phi| = p |phi_(N/2) - phi_N| / 63, and the frame (c, s)
-            # and |u'_0|, |v'_0| bound the lab estimate and the lab state
-            d = np.abs(prev - new[records]) * (p / 63.0)
-            c_r, s_r = c[records], s[records]
-            cu, sv, cv, su = c_r * u, s_r * v, c_r * v, s_r * u
-            bound_u, bound_v = d * (cu + sv), d * (cv + su)
-            passed = np.all(bound_u <= atol + rtol * (cu - sv))
-            passed &= np.all(bound_v <= atol + rtol * np.abs(cv - su))
-            return passed, max(np.max(bound_u), np.max(bound_v))
-    else:
-        run = state
-
-        def test(prev, new, records):
-            err = np.abs(prev - new[:, records]) / 63
-            return np.all(err <= atol + rtol * np.abs(new[:, records])), np.max(err)
+    def test(prev, new, records):
+        err = np.abs(prev - new[:, records]) / 63
+        return np.all(err <= atol + rtol * np.abs(new[:, records])), np.max(err)
 
     if (len(times) - 1) % 2:
         levels, prev, y, records = [1, 2], run(times, 1), run(times, 2), slice(None)
@@ -543,44 +537,36 @@ def ladder(proto, p, times, rtol, atol):
     while True:
         passed, estimate = test(prev, y, records)
         if passed:
-            return levels, state(times, levels[-1]), estimate
+            return levels, run(times, levels[-1]), estimate
         levels.append(2 * levels[-1])
         prev, y, records = y, run(times, levels[-1]), slice(None)
 
 
-@pytest.mark.parametrize("points", [21, 20], ids=["even", "odd"])
-@pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
-def test_each_mode_follows_the_ladder(cd, points, monkeypatch):
+@pytest.mark.parametrize("points", [21, 20], ids=["bare-even", "bare-odd"])
+def test_each_mode_follows_the_ladder(points, monkeypatch):
     # an even interval count starts at N = 1/2, an odd one at N = 1, and
-    # each pass doubles N; with CD every mode passes at its second level of
-    # the phase route, whose passes sum the phase alone, without CD the
-    # modes climb to different levels of Magnus steps
-    proto = make_protocol("custom_table", "poly5", cd, n_modes=16)
+    # each pass doubles N; without CD the modes climb to different levels
+    # of Magnus steps.  (CD on takes no ladder: the Chebyshev route.)
+    proto = make_protocol("custom_table", "poly5", False, n_modes=16)
     times = np.linspace(0.0, proto.t_f, points)
     modes = proto.momenta()[::3]
     want = [ladder(proto, p, times, 1e-10, 1e-12) for p in modes]
-    if cd:
-        first = [0.5, 1] if (points - 1) % 2 == 0 else [1, 2]
-        assert all(levels == first for levels, _, _ in want)
-    else:
-        for levels, _, _ in want:
-            assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
-        assert max(levels[-1] for levels, _, _ in want) >= 8
-    # the passes of either route, (name, level): _phase(grid, momenta, t,
-    # substeps) and _propagate(grid, momenta, t, y0, substeps, out)
+    for levels, _, _ in want:
+        assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+    assert max(levels[-1] for levels, _, _ in want) >= 8
+    # the level of each pass: _propagate(grid, momenta, t, y0, substeps, out)
     passes = []
-    for name, at in (("_phase", 0), ("_propagate", 1)):
+    real = integrator._propagate
 
-        def spy(grid, momenta, t, *args, name=name, at=at, real=getattr(integrator, name)):
-            passes.append((name, args[at] * (len(t) - 1) / (len(times) - 1)))
-            return real(grid, momenta, t, *args)
+    def spy(grid, momenta, t, y0, substeps, *args):
+        passes.append(substeps * (len(t) - 1) / (len(times) - 1))
+        return real(grid, momenta, t, y0, substeps, *args)
 
-        monkeypatch.setattr(integrator, name, spy)
-    route = "_phase" if cd else "_propagate"
+    monkeypatch.setattr(integrator, "_propagate", spy)
     for p, (levels, y, estimate) in zip(modes, want):
         passes.clear()
         u, v, report, _ = integrate(proto, [p], times, 1e-10, 1e-12)
-        assert passes == [(route, level) for level in levels]
+        assert passes == levels
         assert report.steps == (len(times) - 1) * sum(levels)
         assert report.substeps == levels[-1]
         assert report.error_estimate == estimate
@@ -610,39 +596,40 @@ def test_frame_and_lab_state_come_from_one_pass(points):
 
 
 def test_blocking_does_not_change_the_result(monkeypatch):
-    # without CD, where these modes need 32 substeps, and with CD on the
-    # phase route (2 substeps), whose phase sum runs on from block to block:
-    # the lab (u, v) and the frame state alike.  Blocks are sized on the
-    # rows a pass evaluates: the 5 modes, or the one row of these contact
-    # couplings on the phase route
+    # without CD, where these modes need 32 substeps, the lab (u, v) and
+    # the frame state alike; blocks are sized on the 5 modes a pass
+    # evaluates.  With CD on, the same BLOCK_POINTS cut the Chebyshev
+    # route's cosine sums into blocks of 1 and 7 cosines a row (degree 32):
+    # integrate_modes hands its BLOCK_POINTS to _chebyshev.primitive
     for cd in (False, True):
         proto = make_protocol(cd=cd, n_modes=5)
         p = proto.momenta()
-        rows = 1 if cd else len(p)
-        ones = np.ones(len(p))
         times = np.linspace(0.0, proto.t_f, 7)
         whole = integrate(proto, p, times, 1e-10, 1e-12)
         # blocks of 2 steps: shorter than one record interval once N > 2;
         # blocks of 128 steps: 4 record intervals at N = 32, so the 6
         # intervals take one full and one partial block
         for block in (2, 128):
-            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * rows)
+            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * len(p))
             split = integrate(proto, p, times, 1e-10, 1e-12)
-            assert split[2].substeps == whole[2].substeps == (2 if cd else 32)
+            assert split[2].substeps == whole[2].substeps == (1 if cd else 32)
             for got, want in zip((*split[:2], *split[3]), (*whole[:2], *whole[3])):
                 assert np.max(np.abs(got - want)) < 1e-13
-        # at N = 24, blocks of 2, 8 and 128 steps end inside a record
-        # interval, off the interval grid, and some hold no record
         monkeypatch.undo()
-        args = (proto.grid, times, proto.grid(p, times), ones, 0 * ones, 24)
-        whole = integrator.fixed_steps(*args)
-        for block in (2, 8, 128):
-            monkeypatch.setattr(integrator, "BLOCK_POINTS", block * rows)
-            split = integrator.fixed_steps(*args)
-            for got, want in zip(split, whole):
-                assert np.max(np.abs(got - want)) < 1e-13
-        monkeypatch.undo()
-    # the chunks of the test, `_lab`, the phase route's forming of the
+    # at N = 24, blocks of 2, 8 and 128 steps end inside a record interval,
+    # off the interval grid, and some hold no record
+    proto = make_protocol(cd=False, n_modes=5)
+    p, ones = proto.momenta(), np.ones(5)
+    times = np.linspace(0.0, proto.t_f, 7)
+    args = (proto.grid, times, proto.grid(p, times), ones, 0 * ones, 24)
+    whole = integrator.fixed_steps(*args)
+    for block in (2, 8, 128):
+        monkeypatch.setattr(integrator, "BLOCK_POINTS", block * len(p))
+        split = integrator.fixed_steps(*args)
+        for got, want in zip(split, whole):
+            assert np.max(np.abs(got - want)) < 1e-13
+    monkeypatch.undo()
+    # the chunks of the test, `_lab`, the Chebyshev route's forming of the
     # state and the defect, on 23 records: without CD the 16 modes of this
     # ramp leave the ladder at N = 2, 4, 8 and 16, so later passes write
     # the rows of the modes still on it in place, and with CD on the phase
@@ -693,14 +680,35 @@ def test_raises_at_step_cap(monkeypatch):
 
 
 def test_phase_route_raises_at_step_cap(monkeypatch):
-    # a CD run held to a tolerance below rounding: the phase route fails its
-    # test at N = 1/2 and 1 like the Magnus route, and stops at the cap
-    monkeypatch.setattr(integrator, "MAX_STEPS", 1)
+    # the Chebyshev route's cap is its degree: the reference ramp's v_s
+    # needs degree 32 (33 nodes), so at a cap of 16 it stops there
+    monkeypatch.setattr(_chebyshev, "MAX_DEGREE", 16)
     proto = make_protocol()
     times = np.linspace(0.0, proto.t_f, 21)
-    message = "phase6 step doubling not converged at 1 substeps per record interval$"
+    message = "^chebyshev interpolant not converged at degree 16$"
     with pytest.raises(IntegrationError, match=message):
-        integrate(proto, proto.momenta(), times, 1e-16, 1e-30)
+        integrate(proto, proto.momenta(), times, 1e-10, 1e-12)
+    monkeypatch.undo()
+    assert integrate(proto, proto.momenta(), times, 1e-10, 1e-12)[2].steps == 33
+
+
+class KinkedCD(DriveProtocol):
+    """A CD-on protocol whose v_s has a kink at t_f/3: its Chebyshev
+    coefficients fall as 1/j^2, never to the rounding plateau."""
+
+    def grid(self, p, t):
+        c = super().grid(p, t)
+        vars(c)["v_s"] = c.v_s + 0.01 * np.abs(np.asarray(t) - self.t_f / 3)
+        return c
+
+
+def test_a_kinked_sound_velocity_reaches_the_degree_cap():
+    proto = make_protocol(n_modes=2)
+    proto = KinkedCD(proto.coupling, proto.schedule, proto.t_f, proto.L, proto.n_modes)
+    times = np.linspace(0.0, proto.t_f, 21)
+    message = f"^chebyshev interpolant not converged at degree {_chebyshev.MAX_DEGREE}$"
+    with pytest.raises(IntegrationError, match=message):
+        integrate(proto, proto.momenta(), times, 1e-10, 1e-12)
 
 
 def coarse_grid_protocol():
@@ -750,7 +758,7 @@ STUB_FIELDS = ("omega_per_p", "g_per_p", "v_s", "chi", "chi_cd")
 # a stable pair: v_s = sqrt(0.5^2 - 0.3^2), and chi = chi_cd
 STUB_VALUES = (0.5, 0.3, 0.4, 0.1, 0.1)
 # the fields the frame reads on the record grid, and those each route
-# reads at the nodes of its steps
+# reads at its nodes (True: the Chebyshev route)
 FRAME_FIELDS = ("omega_per_p", "g_per_p")
 NODE_FIELDS = {True: ("v_s",), False: ("v_s", "chi", "chi_cd")}
 
@@ -802,8 +810,9 @@ def test_raises_on_one_non_finite_coefficient(which, bad):
 def integrate_with_a_bad_node(which, bad, phase):
     """The grid calls of an integration whose one field `which` is
     non-finite at one node of the first pass only (the middle node of its
-    one step), not on the record grid the caller evaluated.  On the phase
-    route chi is the array chi_cd itself."""
+    one step, or the middle Chebyshev node), not on the record grid the
+    caller evaluated.  On the Chebyshev route chi is the array chi_cd
+    itself."""
     calls = []
 
     def grid(p, t):
@@ -824,17 +833,18 @@ def integrate_with_a_bad_node(which, bad, phase):
         # a field the route does not read at its nodes changes nothing
         report = integrator.integrate_modes(*args)[2]
         assert report.substeps == 1
-        assert report.method == (integrator.PHASE if phase else integrator.MAGNUS)
+        assert report.method == (integrator.CHEBYSHEV if phase else integrator.MAGNUS)
     return calls
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("which", range(len(STUB_FIELDS)))
 def test_phase_route_raises_on_one_non_finite_node(which, bad):
-    # the phase route reads v_s alone at its nodes, and raises at once on
-    # the second grid call, not after refining
+    # the Chebyshev route reads v_s alone at its nodes, and raises at once
+    # on its first grid call, at the 17 nodes of degree 16, not after a
+    # doubling; v_s is constant here, so degree 16 is all it takes
     calls = integrate_with_a_bad_node(which, bad, phase=True)
-    assert calls == ([3, 3] if STUB_FIELDS[which] == "v_s" else [3, 3, 6])
+    assert calls == [3, 17]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -34,8 +34,8 @@ def test_an_unresolvable_magnus_step_is_a_config_error():
 
 @pytest.mark.xfail(
     strict=True, raises=IntegrationError,
-    reason="CHANGES.md line 526: a tolerance below float64's reach climbs the "
-    "ladder to the cap and exits 4, not 2",
+    reason="CHANGES.md line 526: a tolerance below float64's reach exits 4, not 2: "
+    "at the Magnus ladder's cap, or with CD on at the Chebyshev route's floor",
 )
 @pytest.mark.parametrize("cd", [True, False], ids=["cd", "bare"])
 def test_an_unreachable_tolerance_is_refused_before_integrating(cd, monkeypatch):
@@ -53,9 +53,9 @@ def test_an_unreachable_tolerance_is_refused_before_integrating(cd, monkeypatch)
 
 
 @pytest.mark.xfail(
-    strict=True, raises=pytest.fail.Exception,
-    reason="ROADMAP item 15: the phase route accepts a t_f whose phase float64 "
-    "cannot resolve to the tolerance",
+    strict=True, raises=IntegrationError,
+    reason="ROADMAP item 15: a t_f whose phase float64 cannot resolve to the "
+    "tolerance is refused at the Chebyshev route's floor with exit 4, not 2",
 )
 def test_a_phase_below_the_precision_floor_is_refused():
     proto = ramp(t_f=1e7, L=100.0, n_modes=8, cd_enabled=True)

@@ -14,7 +14,7 @@ from tllcd.protocol import DriveProtocol
 
 # the shapes of two benchmark workloads: table_records (custom_table, CD
 # off, 32 modes x 1001 records, Magnus steps) and ref_simulate (contact
-# poly5, CD on, 128 x 201, the phase route)
+# poly5, CD on, 128 x 201, the Chebyshev route)
 CONFIGS = {
     "table": (
         "family = custom_table\n"
@@ -34,8 +34,9 @@ WORD = 8  # bytes of a float64, int64 or (half of a) complex128 entry
 # the node grid's g2, g4, dg2, dg4, chi_cd and v_s, and eps and r, each of
 # 3 nodes x BLOCK_POINTS points (24 words a point), while `_omega` forms
 # its 13 terms, 3 results and up to 4 temporaries of an expression (20).
-# The phase route's blocks and the chunks of the test, `_lab`, `_start`
-# and the defect are smaller.
+# The Chebyshev route's cosine sums (at most BLOCK_POINTS cosines and
+# their indices at a time) and the chunks of its sums at the records, of
+# the test, `_lab`, `_start` and the defect are smaller.
 INTEGRATOR_WORDS = 24 + 20
 # The writer's largest block temporary is `_fmt17.words` on a block's
 # values, per value: the values and `_block_words`' run index (2); X, yh,
@@ -136,24 +137,27 @@ def test_integrate_modes_hands_back_the_moduli_alone(shape, monkeypatch):
     # integrator returns them as two real (modes, records) arrays, which
     # observables turns into the fidelity and n_qp in place, and the complex
     # frame state, the route's `out`, is dead once integrate_modes returns
-    # (on the Magnus route of "table" and the phase route of "contact")
+    # on the Magnus route of "table"; the Chebyshev route of "contact" holds
+    # none, only one chunk of it at a time
     cfg = cli.parse_config(CONFIGS[shape])
     proto = cfg.protocol()
-    frames, route = [], integrator._route
+    frames = []
 
-    def keep(*args):
-        r = route(*args)
-        frames.append(weakref.ref(r.out))
-        return r
+    class Kept(integrator._Route):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            frames.append(self.out if self.out is None else weakref.ref(self.out))
 
-    monkeypatch.setattr(integrator, "_route", keep)
+    monkeypatch.setattr(integrator, "_Route", Kept)
     times = np.linspace(0.0, proto.t_f, 41)
     c = proto.grid(proto.momenta(), times)
     ones = np.ones(proto.n_modes)
     u, v, _, moduli = integrator.integrate_modes(
         proto.grid, times, c, ones, 0 * ones, cfg.rtol, cfg.atol
     )
-    assert len(frames) == 1 and frames[0]() is None
+    assert len(frames) == 1
+    assert (frames[0] is None) == (shape == "contact")
+    assert frames[0] is None or frames[0]() is None
     assert len(moduli) == 2
     for x in moduli:
         assert x.dtype == np.float64 and x.shape == u.shape and x.flags.c_contiguous

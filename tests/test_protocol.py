@@ -295,8 +295,8 @@ def test_validate_refuses_what_a_run_at_its_t_f_would_overflow():
         proto.with_tf(t_f).validate()
     # without g4, the rate of g2 alone (a numpy scalar) overflows at 1e-308
     no_g4 = replace(proto, coupling=replace(proto.coupling, g4_end=0.0))
-    # a phase panel's sum reaches 18 t_f omega/p before it is divided by 18
-    # (integrator._panels): beyond float64 at t_f = 1e307
+    # 18 t_f omega/p, a stop-gap bound on the phase until a precision floor
+    # refuses it (ROADMAP item 15): beyond float64 at t_f = 1e307
     panel = reference_protocol(t_f=1e307, n_modes=1)
     for case in (proto.with_tf(1e-308), no_g4.with_tf(1e-308), proto.with_tf(1e308), panel):
         with pytest.raises(ConfigError, match="out of range: overflow"):

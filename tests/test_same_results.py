@@ -13,7 +13,7 @@ def test_a_tree_gives_the_same_results_as_itself():
         cwd=ROOT, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "23 runs, 0 files differ\n"
+    assert proc.stdout == "24 runs, 0 files differ\n"
 
 
 def test_a_differing_text_file_shows_its_first_differing_line(tmp_path, monkeypatch):
@@ -27,7 +27,7 @@ def test_a_differing_text_file_shows_its_first_differing_line(tmp_path, monkeypa
         (side / "run" / "out").mkdir(parents=True)
         (side / "run" / "exit.txt").write_text("0\n")
         (side / "run" / "out" / "manifest.txt").write_text(
-            f"status = ok\nstability.pass = {passed}\nintegrator = phase6\n"
+            f"status = ok\nstability.pass = {passed}\nintegrator = chebyshev\n"
         )
     (change / "run" / "stderr.txt").write_text("instability\n")
     (parent / "run" / "stdout.txt").write_text("a\nb\n")

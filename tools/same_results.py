@@ -9,13 +9,15 @@ the given seeds of every workload in perfbench/workloads.py, `simulate`,
 and `validate`.
 A golden sweep takes the config's own t_f and four times it, and with CD
 on also t_f/1000, which the gate refuses on every golden config; the
-config is read by this checkout's `tllcd.cli.parse_config`.  Seven
+config is read by this checkout's `tllcd.cli.parse_config`.  Eight
 `simulate` runs of the contact golden config with one line changed or
 added are refused (REFUSALS): an unknown family, the retired
 `custom_samples` kind, one record point, L = 0, rtol = 0 and a v_F whose
-closed-form bound divides by an underflowed (2 pi v_F)^2 exit 2, and a
-Luttinger-unstable coupling exits 3 after writing its failure manifest; the
-unstable config also runs as `stability`, which exits 3.
+closed-form bound divides by an underflowed (2 pi v_F)^2 exit 2, a
+Luttinger-unstable coupling exits 3 after writing its failure manifest,
+and t_f = 5e306, whose phase float64 cannot resolve, exits 4 after
+writing its failure manifest; the unstable config also runs as
+`stability`, which exits 3.
 A contact ramp whose margin dips below 0 between the stability gate's
 samples (GATE_REFUSED) runs as `simulate` on 20,001 records, which exits
 3 after writing its failure manifest, and as a `sweep` of its own t_f,
@@ -48,6 +50,7 @@ REFUSALS = (
     ("rtol", "cd = on", "cd = on\nrtol = 0"),
     ("unstable", "g2_end = 1.0", "g2_end = 7.0"),
     ("tiny-v_F", "g2_end = 1.0", "g2_end = 0.25\ng4_start = 0.1\nv_F = 1e-200"),
+    ("huge-t_f", "t_f = 6.0", "t_f = 5e306"),
 )
 # the least margin at this t_f is +7.7e-9 on the gate's 2001 samples and
 # -8.0e-9 between them, at t = 1.0205, where the gate's refinement finds it
